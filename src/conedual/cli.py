@@ -261,7 +261,11 @@ def main(argv=None) -> int:
         _write(args, {"error": "malformed_input", "message": str(exc)})
         return 1
     except ConeDualError as exc:
-        _write(args, {"error": type(exc).__name__.lower(), "message": str(exc)})
+        doc = {"error": type(exc).__name__.lower(), "message": str(exc)}
+        witness = getattr(exc, "witness", None)
+        if witness is not None:
+            doc["witness"] = list(witness) if isinstance(witness, tuple) else witness
+        _write(args, doc)
         return 1
     if args.verbose:
         print(f"{args.command}: ok", file=sys.stderr)

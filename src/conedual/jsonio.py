@@ -33,13 +33,6 @@ def decode_extreal(obj, path) -> ExtReal:
     return ExtReal(obj)
 
 
-def decode_fraction(obj, path) -> Fraction:
-    v = decode_extreal(obj, path)
-    if v.is_infinite:
-        fail(path, "a finite rational", obj)
-    return v.as_fraction()
-
-
 def decode_vector(obj, path) -> ExtVec:
     if not isinstance(obj, list) or not obj:
         fail(path, "a nonempty array of extended rationals", obj)
@@ -152,10 +145,6 @@ def decode_open_table(obj, poset, path) -> ValuationOnOpens:
         return ValuationOnOpens(poset, table)
     except ValueError as exc:
         raise ParseError(f"{path}.table: {exc}") from None
-
-
-def encode_extreal(v: ExtReal) -> str:
-    return str(v)
 
 
 def encode_fraction(v) -> str:

@@ -3,24 +3,36 @@
 A dense two-phase simplex using Bland's smallest-index rule, so every run
 terminates and is fully deterministic.  All variables are implicitly
 nonnegative; callers encode a free variable as a difference of two
-nonnegative ones.  Every answer carries evidence that can be re-verified
-without trusting the solver:
+nonnegative ones.
+
+The tableau holds Python integers over one common denominator ``D``.
+Each constraint row is scaled by the lcm of its denominators, and every
+pivot is integer-preserving (Edmonds 1967, Bareiss 1968): ``D`` is the
+determinant of the current basis, every division is exact, and no gcd
+runs inside the simplex loop.  A ``<=`` row with a nonnegative right-hand
+side, or a ``>=`` row with a nonpositive one after negation, starts with
+its slack in the basis, so phase 1 adds artificials only to the other
+rows.  Values become ``Fraction`` only when the answer is read off.
+
+Every answer carries evidence that can be re-verified without trusting
+the solver:
 
 * ``LPOptimal``     a feasible point and the exact objective value,
 * ``LPInfeasible``  Farkas multipliers, one per constraint, that combine
                     the constraints into ``(something <= 0) > 0`` on the
-                    nonnegative orthant,
+                    nonnegative orthant, read off the phase-1 reduced costs,
 * ``LPUnbounded``   an improving recession ray.
 
 ``verify_lp_result`` re-checks any of the three against the original
-problem with exact arithmetic; ``solve_lp`` runs it internally before
-returning.
+problem in ``Fraction`` arithmetic at zero tolerance; ``solve_lp`` runs it
+internally before returning.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .errors import MalformedProblem
 
@@ -28,10 +40,6 @@ LEQ = "<="
 GEQ = ">="
 EQ = "=="
 _RELS = (LEQ, GEQ, EQ)
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 def _frac(v):
     if isinstance(v, float):
@@ -100,65 +108,67 @@ def _require(cond, message):
         raise AssertionError(f"internal solver error: {message}")
 
 
-def _pivot(T, basis, pr, pc):
-    p = T[pr][pc]
-    if p != 1:
-        T[pr] = [v / p for v in T[pr]]
+def _pivot(T, basis, D, pr, pc):
+    """Integer-preserving pivot on ``T[pr][pc]``; returns the new denominator.
+
+    Every entry of ``T`` is ``D`` times the entry of the rational tableau,
+    and ``D`` is, up to sign, the determinant of the basis in the integer
+    system, so every division below is exact (Edmonds 1967, Bareiss 1968).
+    A negative pivot, possible only while driving artificials out, negates
+    the pivot row first so that ``D`` stays positive and sign tests on the
+    integer entries read as sign tests on the rational ones.
+    """
     prow = T[pr]
+    p = prow[pc]
+    if p < 0:
+        p = -p
+        T[pr] = prow = [-v for v in prow]
     for r in range(len(T)):
         if r == pr:
             continue
-        f = T[r][pc]
+        row = T[r]
+        f = row[pc]
         if f:
-            row = T[r]
-            T[r] = [a - f * b if b else a for a, b in zip(row, prow)]
+            T[r] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif p != D:
+            T[r] = [p * a // D for a in row]
     basis[pr] = pc
+    return p
 
 
-def _iterate(T, basis, m, limit):
+def _iterate(T, basis, D, m, limit):
     """Bland's rule simplex loop on a tableau whose last row is reduced costs.
 
-    Only columns below ``limit`` may enter.  Returns None at optimality, or
-    the entering column index when the problem is unbounded along it.
+    Only columns below ``limit`` may enter.  Returns the final denominator
+    and None at optimality, or the entering column index when the problem
+    is unbounded along it.  Ratios are compared by cross-multiplying, as
+    every candidate pivot entry is positive.
     """
     while True:
         cost = T[m]
-        pc = None
-        for j in range(limit):
-            if cost[j] < 0:
-                pc = j
-                break
+        pc = next((j for j in range(limit) if cost[j] < 0), None)
         if pc is None:
-            return None
+            return D, None
         pr = None
-        best = None
         for i in range(m):
             t = T[i][pc]
             if t > 0:
-                ratio = T[i][-1] / t
-                if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
-                    best = ratio
+                if pr is None:
+                    pr = i
+                    continue
+                left = T[i][-1] * T[pr][pc]
+                right = T[pr][-1] * t
+                if left < right or (left == right and basis[i] < basis[pr]):
                     pr = i
         if pr is None:
-            return pc
-        _pivot(T, basis, pr, pc)
+            return D, pc
+        D = _pivot(T, basis, D, pr, pc)
 
 
-def _solve_square(M, rhs):
-    """Exact Gauss-Jordan solve of an invertible square system."""
-    n = len(M)
-    aug = [list(M[i]) + [rhs[i]] for i in range(n)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if aug[r][col] != 0), None)
-        _require(piv is not None, "singular basis matrix")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        p = aug[col][col]
-        aug[col] = [v / p for v in aug[col]]
-        for r in range(n):
-            if r != col and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [a - f * b for a, b in zip(aug[r], aug[col])]
-    return [aug[i][-1] for i in range(n)]
+def _scaled(values, sign):
+    """Integers proportional to ``values``: each times ``sign`` and their lcm."""
+    den = lcm(*(v.denominator for v in values))
+    return [sign * v.numerator * (den // v.denominator) for v in values], sign * den
 
 
 def solve_lp(problem: LPProblem):
@@ -169,109 +179,104 @@ def solve_lp(problem: LPProblem):
     cons = problem.constraints
     m = len(cons)
     obj = problem.objective
-    obj_min = [-v for v in obj] if problem.sense == "max" else list(obj)
+    width = n + sum(1 for c in cons if c.rel != EQ)
 
-    n_slack = sum(1 for c in cons if c.rel != EQ)
-    width = n + n_slack
-
-    A0 = []
-    b0 = []
-    flip = []
-    s = n
-    for c in cons:
-        row = [_F0] * width
-        for j, v in enumerate(c.coeffs):
-            row[j] = v
-        if c.rel == LEQ:
-            row[s] = _F1
-            s += 1
-        elif c.rel == GEQ:
-            row[s] = -_F1
-            s += 1
-        rhs = c.rhs
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-            flip.append(-_F1)
-        else:
-            flip.append(_F1)
-        A0.append(row)
-        b0.append(rhs)
-
-    # Phase 1: one artificial per row; artificial columns never re-enter.
+    # Row i of the tableau is constraint i times scale[i], made integer with
+    # a nonnegative right-hand side; its slack gets the entry +-1, which
+    # rescales the slack without changing any ratio or cost sign.  A row
+    # whose slack enters as +1 starts with the slack basic; every other row
+    # gets an artificial.
     T = []
-    for i in range(m):
-        unit = [_F0] * m
-        unit[i] = _F1
-        T.append(A0[i][:] + unit + [b0[i]])
-    basis = [width + i for i in range(m)]
-    cost = []
-    for j in range(width + m + 1):
-        direct = _F1 if width <= j < width + m else _F0
-        cost.append(direct - sum(T[i][j] for i in range(m)))
+    scale = []
+    basis = []
+    art_rows = []
+    s = n
+    for i, c in enumerate(cons):
+        sign = -1 if c.rhs < 0 or (c.rel == GEQ and c.rhs == 0) else 1
+        ints, factor = _scaled(c.coeffs + (c.rhs,), sign)
+        row = ints[:-1] + [0] * (width - n)
+        if c.rel == EQ:
+            unit = 0
+        else:
+            unit = sign if c.rel == LEQ else -sign
+            row[s] = unit
+            s += 1
+        if unit > 0:
+            basis.append(s - 1)
+        else:
+            basis.append(None)
+            art_rows.append(i)
+        T.append(row + [ints[-1]])
+        scale.append(factor)
+
+    # Phase 1: minimise the sum of the artificials; they never re-enter.
+    k = len(art_rows)
+    T = [row[:width] + [0] * k + row[width:] for row in T]
+    for a, i in enumerate(art_rows):
+        T[i][width + a] = 1
+        basis[i] = width + a
+    cost = [0] * (width + k + 1)
+    for i in art_rows:
+        cost = [d - v for d, v in zip(cost, T[i])]
+    cost[width:width + k] = [0] * k
     T.append(cost)
+    start = basis[:]
 
-    status = _iterate(T, basis, m, limit=width)
+    D, status = _iterate(T, basis, 1, m, limit=width)
     _require(status is None, "phase 1 cannot be unbounded")
-    value1 = sum(T[i][-1] for i in range(m) if basis[i] >= width)
 
-    if value1 > 0:
-        # Dual multipliers of the artificial objective prove infeasibility.
-        M = []
-        rhs = []
-        for r in range(m):
-            col = basis[r]
-            if col < width:
-                M.append([A0[c][col] for c in range(m)])
-                rhs.append(_F0)
-            else:
-                unit = [_F0] * m
-                unit[col - width] = _F1
-                M.append(unit)
-                rhs.append(_F1)
-        y = _solve_square(M, rhs)
-        cert = tuple(flip[i] * y[i] for i in range(m))
+    cost = T.pop()
+    if cost[-1] < 0:
+        # The simplex multipliers of the artificial objective prove
+        # infeasibility: y_i = c_j - d_j for the column j row i started with.
+        cert = tuple(
+            Fraction(scale[i] * ((D if start[i] >= width else 0) - cost[start[i]]), D)
+            for i in range(m)
+        )
         result = LPInfeasible(cert)
         _require(verify_lp_result(problem, result), "invalid infeasibility certificate")
         return result
 
     # Drive leftover artificials out of the basis; rows that cannot pivot
     # became 0 = 0 and are redundant.
+    T = [row[:width] + [row[-1]] for row in T]
     drop = set()
     for i in range(m):
         if basis[i] >= width:
-            pc = next((j for j in range(width) if T[i][j] != 0), None)
+            pc = next((j for j in range(width) if T[i][j]), None)
             if pc is None:
                 drop.add(i)
             else:
-                _pivot(T, basis, i, pc)
+                D = _pivot(T, basis, D, i, pc)
 
-    keep = [i for i in range(m) if i not in drop]
-    rows2 = [T[i][:width] + [T[i][-1]] for i in keep]
-    basis2 = [basis[i] for i in keep]
-    m2 = len(rows2)
-    cmin = obj_min + [_F0] * n_slack
-    cost2 = []
-    for j in range(width + 1):
-        direct = cmin[j] if j < width else _F0
-        cost2.append(direct - sum(cmin[basis2[i]] * rows2[i][j] for i in range(m2)))
-    T2 = rows2 + [cost2]
+    T2 = [T[i] for i in range(m) if i not in drop]
+    basis2 = [basis[i] for i in range(m) if i not in drop]
+    m2 = len(T2)
+    cmin, _ = _scaled(obj, -1 if problem.sense == "max" else 1)
+    cmin += [0] * (width - n)
+    cost2 = [D * cj for cj in cmin] + [0]
+    for b, row in zip(basis2, T2):
+        cb = cmin[b]
+        if cb:
+            cost2 = [d - cb * v for d, v in zip(cost2, row)]
+    T2.append(cost2)
 
-    status = _iterate(T2, basis2, m2, limit=width)
+    D, status = _iterate(T2, basis2, D, m2, limit=width)
     if status is None:
-        xstd = [_F0] * width
-        for i in range(m2):
-            xstd[basis2[i]] = T2[i][-1]
-        point = tuple(xstd[:n])
+        point = [Fraction(0)] * n
+        for i, b in enumerate(basis2):
+            if b < n:
+                point[b] = Fraction(T2[i][-1], D)
         value = sum(o * p for o, p in zip(obj, point))
-        result = LPOptimal(point, value)
+        result = LPOptimal(tuple(point), value)
     else:
-        pc = status
-        ray = [_F0] * width
-        ray[pc] = _F1
-        for i in range(m2):
-            ray[basis2[i]] = -T2[i][pc]
-        result = LPUnbounded(tuple(ray[:n]))
+        ray = [Fraction(0)] * n
+        if status < n:
+            ray[status] = Fraction(1)
+        for i, b in enumerate(basis2):
+            if b < n:
+                ray[b] = Fraction(-T2[i][status], D)
+        result = LPUnbounded(tuple(ray))
     _require(verify_lp_result(problem, result), "solver output failed verification")
     return result
 
@@ -304,8 +309,8 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
                 return False
             if c.rel == GEQ and zi < 0:
                 return False
-        combined_rhs = _F0
-        combined = [_F0] * n
+        combined_rhs = Fraction(0)
+        combined = [Fraction(0)] * n
         for zi, c in zip(z, cons):
             if zi == 0:
                 continue

@@ -154,6 +154,15 @@ def test_ss_recover_command(tmp_path):
     assert json.loads(out) == {"error": "not_lsc", "witness": [0, 1]}
 
 
+def test_non_transitive_poset_reports_its_witness(tmp_path):
+    payload = {"size": 3, "leq": [[0, 1], [1, 2]], "coeffs": ["1", "2", "3"]}
+    code, out = run_cli(tmp_path, "ss-recover", payload)
+    assert code == 1
+    doc = json.loads(out)
+    assert doc["error"] == "nottransitive"
+    assert doc["witness"] == [0, 1, 2]
+
+
 def test_mobius_commands(tmp_path):
     payload = {"size": 2, "leq": [[0, 1]], "direction": "to_opens", "weights": ["3", "2"]}
     code, out = run_cli(tmp_path, "mobius", payload)

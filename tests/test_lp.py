@@ -4,6 +4,7 @@ from itertools import combinations
 
 import pytest
 
+from conedual import lp
 from conedual.errors import MalformedProblem
 from conedual.lp import (
     Constraint,
@@ -231,3 +232,272 @@ def test_determinism():
     first = solve_lp(prob)
     for _ in range(5):
         assert solve_lp(prob) == first
+
+
+# ---------------------------------------------------------------------------
+# Differential test against a reference solver.
+#
+# The reference is the earlier dense two-phase simplex over ``Fraction``:
+# an artificial on every row, Bland's rule, and Farkas multipliers from a
+# square solve of the final basis.  It lives only here, as the oracle the
+# integer tableau in ``conedual.lp`` is compared against.
+
+
+def _reference_pivot(T, basis, pr, pc):
+    p = T[pr][pc]
+    if p != 1:
+        T[pr] = [v / p for v in T[pr]]
+    prow = T[pr]
+    for r in range(len(T)):
+        if r == pr:
+            continue
+        f = T[r][pc]
+        if f:
+            row = T[r]
+            T[r] = [a - f * b if b else a for a, b in zip(row, prow)]
+    basis[pr] = pc
+
+
+def _reference_iterate(T, basis, m, limit):
+    while True:
+        cost = T[m]
+        pc = None
+        for j in range(limit):
+            if cost[j] < 0:
+                pc = j
+                break
+        if pc is None:
+            return None
+        pr = None
+        best = None
+        for i in range(m):
+            t = T[i][pc]
+            if t > 0:
+                ratio = T[i][-1] / t
+                if best is None or ratio < best or (ratio == best and basis[i] < basis[pr]):
+                    best = ratio
+                    pr = i
+        if pr is None:
+            return pc
+        _reference_pivot(T, basis, pr, pc)
+
+
+def reference_solve(problem):
+    n = problem.n_vars
+    cons = problem.constraints
+    m = len(cons)
+    obj = problem.objective
+    obj_min = [-v for v in obj] if problem.sense == "max" else list(obj)
+    n_slack = sum(1 for c in cons if c.rel != "==")
+    width = n + n_slack
+
+    A0, b0, flip = [], [], []
+    s = n
+    for c in cons:
+        row = [F(0)] * width
+        for j, v in enumerate(c.coeffs):
+            row[j] = v
+        if c.rel == "<=":
+            row[s] = F(1)
+            s += 1
+        elif c.rel == ">=":
+            row[s] = F(-1)
+            s += 1
+        rhs = c.rhs
+        if rhs < 0:
+            row = [-v for v in row]
+            rhs = -rhs
+            flip.append(F(-1))
+        else:
+            flip.append(F(1))
+        A0.append(row)
+        b0.append(rhs)
+
+    T = []
+    for i in range(m):
+        unit = [F(0)] * m
+        unit[i] = F(1)
+        T.append(A0[i][:] + unit + [b0[i]])
+    basis = [width + i for i in range(m)]
+    cost = []
+    for j in range(width + m + 1):
+        direct = F(1) if width <= j < width + m else F(0)
+        cost.append(direct - sum(T[i][j] for i in range(m)))
+    T.append(cost)
+
+    assert _reference_iterate(T, basis, m, limit=width) is None
+    if sum(T[i][-1] for i in range(m) if basis[i] >= width) > 0:
+        M, rhs = [], []
+        for r in range(m):
+            col = basis[r]
+            if col < width:
+                M.append([A0[c][col] for c in range(m)])
+                rhs.append(F(0))
+            else:
+                unit = [F(0)] * m
+                unit[col - width] = F(1)
+                M.append(unit)
+                rhs.append(F(1))
+        y = _gauss_solve(M, rhs)
+        assert y is not None
+        return LPInfeasible(tuple(flip[i] * y[i] for i in range(m)))
+
+    drop = set()
+    for i in range(m):
+        if basis[i] >= width:
+            pc = next((j for j in range(width) if T[i][j] != 0), None)
+            if pc is None:
+                drop.add(i)
+            else:
+                _reference_pivot(T, basis, i, pc)
+
+    keep = [i for i in range(m) if i not in drop]
+    rows2 = [T[i][:width] + [T[i][-1]] for i in keep]
+    basis2 = [basis[i] for i in keep]
+    m2 = len(rows2)
+    cmin = obj_min + [F(0)] * n_slack
+    cost2 = []
+    for j in range(width + 1):
+        direct = cmin[j] if j < width else F(0)
+        cost2.append(direct - sum(cmin[basis2[i]] * rows2[i][j] for i in range(m2)))
+    T2 = rows2 + [cost2]
+
+    status = _reference_iterate(T2, basis2, m2, limit=width)
+    if status is None:
+        xstd = [F(0)] * width
+        for i in range(m2):
+            xstd[basis2[i]] = T2[i][-1]
+        point = tuple(xstd[:n])
+        return LPOptimal(point, sum(o * p for o, p in zip(obj, point)))
+    ray = [F(0)] * width
+    ray[status] = F(1)
+    for i in range(m2):
+        ray[basis2[i]] = -T2[i][status]
+    return LPUnbounded(tuple(ray[:n]))
+
+
+def _assert_agrees(prob):
+    res = solve_lp(prob)
+    ref = reference_solve(prob)
+    assert verify_lp_result(prob, res)
+    assert verify_lp_result(prob, ref)
+    assert type(res) is type(ref)
+    if isinstance(res, LPOptimal):
+        assert res.value == ref.value
+    return res
+
+
+def _random_lp(rng):
+    n = rng.randint(1, 4)
+    small = (-3, -2, -1, 0, 0, 0, 1, 1, 2, 3)
+
+    def entry():
+        return F(rng.choice(small), rng.choice((1, 1, 1, 2, 3)))
+
+    cons = []
+    for _ in range(rng.randint(1, 5)):
+        coeffs = tuple(entry() for _ in range(n))
+        rel = rng.choice(("<=", "<=", ">=", ">=", "=="))
+        rhs = F(rng.randint(-3, 4), rng.choice((1, 1, 2)))
+        if rng.random() < 0.3:
+            rhs = F(0)
+        cons.append(Constraint(coeffs, rel, rhs))
+    if rng.random() < 0.3:
+        # a redundant equality: a nonzero multiple of another equality row
+        base = rng.choice(cons)
+        base = Constraint(base.coeffs, "==", base.rhs)
+        factor = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        cons.append(base)
+        cons.append(Constraint(tuple(factor * v for v in base.coeffs), "==", factor * base.rhs))
+        rng.shuffle(cons)
+    if rng.random() < 0.4:
+        # a simplex row keeps many instances bounded and ties ratios at 1
+        cons.insert(0, Constraint((F(1),) * n, "==", F(1)))
+    obj = tuple(entry() for _ in range(n))
+    return LPProblem(n, tuple(cons), obj, rng.choice(("max", "min")))
+
+
+def test_differential_against_reference_solver():
+    rng = random.Random(31337)
+    seen = {LPOptimal: 0, LPInfeasible: 0, LPUnbounded: 0}
+    for _ in range(300):
+        res = _assert_agrees(_random_lp(rng))
+        seen[type(res)] += 1
+    # every outcome is exercised, not just the common one
+    assert all(count >= 20 for count in seen.values()), seen
+
+
+def _spy_pivots(monkeypatch):
+    """Record the pivot entry of every integer pivot the solver makes."""
+    pivots = []
+    real = lp._pivot
+
+    def spy(T, basis, D, pr, pc):
+        pivots.append(T[pr][pc])
+        return real(T, basis, D, pr, pc)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    return pivots
+
+
+def test_negative_pivot_while_driving_out_artificials(monkeypatch):
+    # -x - y == 0 holds at the phase-1 start, so its artificial stays basic
+    # at level zero and leaves on the entry -1.  Simplex pivots are always
+    # positive, so a negative entry can only come from the drive-out.
+    pivots = _spy_pivots(monkeypatch)
+    prob = LPProblem(
+        3,
+        (
+            Constraint((-1, -1, 0), "==", 0),
+            Constraint((1, 1, 1), "<=", 3),
+            Constraint((0, 1, 2), ">=", 1),
+        ),
+        (1, 1, 1),
+        "max",
+    )
+    res = _assert_agrees(prob)
+    assert any(p < 0 for p in pivots)
+    assert res == LPOptimal((F(0), F(0), F(3)), F(3))
+
+
+def test_redundant_rows_in_both_orientations_are_dropped():
+    # The three equalities have rank one, so at least two artificials stay
+    # basic on rows that became 0 = 0; the optimum is x = 1/3, y = 2/3.
+    prob = LPProblem(
+        2,
+        (
+            Constraint((1, 1), "==", 1),
+            Constraint((-1, -1), "==", -1),
+            Constraint((F(3, 2), F(3, 2)), "==", F(3, 2)),
+            Constraint((1, 0), ">=", F(1, 3)),
+        ),
+        (-1, 0),
+        "max",
+    )
+    res = _assert_agrees(prob)
+    assert res == LPOptimal((F(1, 3), F(2, 3)), F(-1, 3))
+
+
+def test_unbounded_ray_through_a_basic_column():
+    # x - y == 1 pins x to y, so the improving ray moves both together
+    prob = LPProblem(2, (Constraint((1, -1), "==", 1),), (1, 1), "max")
+    res = _assert_agrees(prob)
+    assert res == LPUnbounded((F(1), F(1)))
+
+
+def test_infeasible_with_slack_and_artificial_rows():
+    # Row 0 needs an artificial; rows 1 and 2 start with their slacks.
+    # Only a certificate using all three rows refutes the system.
+    prob = LPProblem(
+        2,
+        (
+            Constraint((1, 1), "==", 2),
+            Constraint((1, 0), "<=", F(1, 2)),
+            Constraint((0, 2), "<=", 1),
+        ),
+        (0, 0),
+        "max",
+    )
+    res = _assert_agrees(prob)
+    assert all(z != 0 for z in res.certificate)
+    assert res.certificate[0] > 0
