@@ -225,6 +225,9 @@ def _build_parser():
     return parser
 
 
+_PARSER = _build_parser()
+
+
 def _read_payload(args):
     if args.command == "check":
         return {}
@@ -249,7 +252,7 @@ def _write(args, payload):
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _PARSER.parse_args(argv)
     handler = _COMMANDS[args.command][0]
     try:
         payload = _read_payload(args)

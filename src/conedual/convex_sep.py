@@ -16,9 +16,6 @@ from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ZERO, ExtReal, as_extreal
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
 
-_F0 = Fraction(0)
-_F1 = Fraction(1)
-
 
 class ExtVec:
     """A point of the extended nonnegative orthant with a fixed dimension."""
@@ -145,15 +142,15 @@ def separate(generators, dim: int):
         return outcome
 
     k = len(fin)
-    constraints = [Constraint((_F1,) * k, EQ, _F1)]
+    constraints = [Constraint((1,) * k, EQ, 1)]
     for g in gens:
         constraints.append(
-            Constraint(tuple(g[i].as_fraction() for i in fin), LEQ, _F1)
+            Constraint(tuple(g[i].as_fraction() for i in fin), LEQ, 1)
         )
-    res = solve_lp(LPProblem(k, tuple(constraints), (_F0,) * k, "max"))
+    res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
 
     if isinstance(res, LPOptimal):
-        full = [_F0] * dim
+        full = [0] * dim
         for pos, i in enumerate(fin):
             full[i] = res.point[pos]
         outcome = Separated(SeparationWeights(tuple(full)))
@@ -205,7 +202,7 @@ def _witness_from_certificate(gens, fin, inf_coords, certificate):
             eps = min(eps, (x - 1) / (x - y) / 2)
     combo = {j: mu * (1 - eps) for j, mu in base.items()}
     for j in cover:
-        combo[j] = combo.get(j, _F0) + eps * share
+        combo[j] = combo.get(j, 0) + eps * share
     return tuple(sorted((j, v) for j, v in combo.items() if v > 0))
 
 
@@ -229,7 +226,7 @@ def verify_separated(generators, weights, dim=None) -> bool:
     vals = list(weights)
     if len(vals) != gens[0].dim:
         return False
-    if any(v < 0 for v in vals) or sum(vals, _F0) != 1:
+    if any(v < 0 for v in vals) or sum(vals) != 1:
         return False
     ext = [ExtReal.from_fraction(Fraction(v)) for v in vals]
     for g in gens:
@@ -248,7 +245,7 @@ def verify_meets_corner(generators, witness) -> bool:
     gens = [as_extvec(g) for g in generators]
     if any(j < 0 or j >= len(gens) for j in idxs):
         return False
-    if any(c < 0 for c in coeffs) or sum(coeffs, _F0) != 1:
+    if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
         return False
     return in_corner(combination_point(gens, witness))
 

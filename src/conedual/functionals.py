@@ -10,16 +10,10 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
-import random
-from fractions import Fraction
-
 from .convex_sep import ExtVec, as_extvec
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
-from .extreal import INF, ONE, ZERO, ExtReal, ext_max, ext_min
-from .lp import Constraint, EQ, GEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .extreal import ONE, ZERO, ExtReal, ext_max, ext_min
+from .lp import Constraint, EQ, GEQ, LPProblem, solve_lp
 
 
 class LinFun:
@@ -173,32 +167,36 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
     return best
 
 
-def _dominated_detail(f: LinFun, phi: SublinFun):
-    """LP decision of coordinatewise domination by a convex combination.
+def _margin(gcoeffs, hcoeffs):
+    """One LP deciding min_i g_i <= max_k h_k on the orthant (finite entries).
 
-    Returns (True, weights, None) or (False, None, violating point).  The
-    violating point comes from the Farkas multipliers of the coordinate
-    rows and satisfies f(w) > phi(w) exactly.
+    By homogeneity the standard simplex suffices: maximise t with
+    (g_i - h_k) . y >= t for every pair; the order holds iff t <= 0.
+    Returns t, y, and simplex weights a_i = sum_k mu_ik, lambda_k =
+    sum_i mu_ik from mu = -dual of the pair rows (the free t puts mu on the
+    simplex), so sum_i a_i g_i <= sum_k lambda_k h_k + t coordinatewise.
     """
-    if f.dim != phi.dim:
-        raise DimensionMismatch(f"{f.dim} versus {phi.dim}")
-    fc = f.fraction_coeffs()
-    branches = [h.fraction_coeffs() for h in phi.branches]
-    k = len(branches)
-    constraints = [Constraint((_F1,) * k, EQ, _F1)]
-    for j in range(f.dim):
-        constraints.append(
-            Constraint(tuple(b[j] for b in branches), GEQ, fc[j])
-        )
-    res = solve_lp(LPProblem(k, tuple(constraints), (_F0,) * k, "max"))
-    if isinstance(res, LPOptimal):
-        return True, res.point, None
-    assert isinstance(res, LPInfeasible)
-    ys = res.certificate[1:]
-    witness = ExtVec(tuple(ExtReal.from_fraction(v) for v in ys))
-    if not phi.eval(witness) < f.eval(witness):
-        raise AssertionError("internal error: domination witness failed verification")
-    return False, None, witness
+    dim = len(gcoeffs[0])
+    k = len(hcoeffs)
+    # variables: y_0 .. y_{dim-1}, then the split margin t = tp - tm
+    constraints = [Constraint((1,) * dim + (0, 0), EQ, 1)]
+    for gc in gcoeffs:
+        for hc in hcoeffs:
+            row = tuple(g - h for g, h in zip(gc, hc)) + (-1, 1)
+            constraints.append(Constraint(row, GEQ, 0))
+    objective = (0,) * dim + (1, -1)
+    res = solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max"))
+    mu = [-v for v in res.dual[1:]]
+    a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gcoeffs)))
+    lam = tuple(sum(mu[kk::k]) for kk in range(k))
+    return res.value, res.point[:dim], a, lam
+
+
+def _covered(coeffs, lam, hcoeffs) -> bool:
+    """Exact coordinatewise check coeffs <= sum_k lambda_k h_k."""
+    return all(
+        c <= sum(lk * hc[j] for lk, hc in zip(lam, hcoeffs)) for j, c in enumerate(coeffs)
+    )
 
 
 def dominated_by_max(f: LinFun, phi: SublinFun):
@@ -206,11 +204,20 @@ def dominated_by_max(f: LinFun, phi: SublinFun):
 
     A linear functional sits below a maximum of linear ones on the
     nonnegative orthant exactly when it sits below a convex combination of
-    them coordinatewise, so one exact LP decides the pointwise order.  On
-    success the combination weights are returned as a certificate.
+    them coordinatewise.  The margin LP of the one-member clause [f]
+    decides it, and its dual gives the combination weights, which are
+    returned as a certificate and rechecked coordinatewise.
     """
-    ok, lam, _ = _dominated_detail(f, phi)
-    return ok, lam
+    if f.dim != phi.dim:
+        raise DimensionMismatch(f"{f.dim} versus {phi.dim}")
+    fc = f.fraction_coeffs()
+    hcoeffs = [h.fraction_coeffs() for h in phi.branches]
+    value, _, _, lam = _margin([fc], hcoeffs)
+    if value > 0:
+        return False, None
+    if not _covered(fc, lam, hcoeffs):
+        raise AssertionError("internal error: domination certificate fails coordinatewise")
+    return True, lam
 
 
 def specialization_leq(y, y_prime, c_gens) -> bool:
@@ -230,30 +237,14 @@ def _unit(dim, j):
     return ExtVec(tuple(ONE if i == j else ZERO for i in range(dim)))
 
 
-def _sample_points(dim, budget, seed):
-    rng = random.Random(seed)
-    pts = [_unit(dim, j) for j in range(dim)]
-    pts.append(ExtVec((ONE,) * dim))
-    pts.append(ExtVec((ExtReal(1, 2),) * dim))
-    while len(pts) < budget:
-        entries = []
-        for _ in range(dim):
-            if rng.randrange(10) == 0:
-                entries.append(INF)
-            else:
-                entries.append(ExtReal(rng.randrange(0, 9), rng.randrange(1, 5)))
-        pts.append(ExtVec(entries))
-    return pts[:budget]
+def leq_functional(phi, psi):
+    """Pointwise order phi <= psi on the extended orthant, decided exactly.
 
-
-def leq_functional(phi, psi, sample_budget: int = 200, seed: int = 1729):
-    """Pointwise order phi <= psi on the orthant.
-
-    Exact when the comparison reduces to linear-versus-linear or to the
-    domination LP (finite coefficients).  A minimum on the left against
-    anything else is only refutable by search: the sampled path returns
-    False with a witness point, or True meaning no violation was found
-    within the budget.
+    Returns (True, None) or (False, y) with phi(y) > psi(y) checked by
+    evaluation.  A minimum of g_i against a maximum of h_k is one margin LP
+    on the coordinates R where every h_k is finite (psi is infinite off R),
+    without the g_i that are infinite on R: adding a slice of 1_R to its
+    violating point makes those infinite and keeps the violation strict.
     """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"{phi.dim} versus {psi.dim}")
@@ -261,7 +252,7 @@ def leq_functional(phi, psi, sample_budget: int = 200, seed: int = 1729):
     if isinstance(phi, SublinFun):
         # a maximum is below psi iff every branch is
         for b in phi.branches:
-            ok, wit = leq_functional(b, psi, sample_budget, seed)
+            ok, wit = leq_functional(b, psi)
             if not ok:
                 return False, wit
         return True, None
@@ -269,24 +260,40 @@ def leq_functional(phi, psi, sample_budget: int = 200, seed: int = 1729):
     if isinstance(psi, SuperlinFun):
         # below a minimum iff below every branch; any branch witness works
         for g in psi.branches:
-            ok, wit = leq_functional(phi, g, sample_budget, seed)
+            ok, wit = leq_functional(phi, g)
             if not ok:
                 return False, wit
         return True, None
 
+    dim = phi.dim
     if isinstance(phi, LinFun) and isinstance(psi, LinFun):
-        for j in range(phi.dim):
+        for j in range(dim):
             if not phi.coeffs[j] <= psi.coeffs[j]:
-                return False, _unit(phi.dim, j)
+                return False, _unit(dim, j)
         return True, None
 
-    if isinstance(phi, LinFun) and isinstance(psi, SublinFun):
-        if phi.is_finite and psi.is_finite:
-            ok, _, wit = _dominated_detail(phi, psi)
-            return ok, wit
-
-    # semi-decision: minimum on the left, or infinite coefficients
-    for y in _sample_points(phi.dim, sample_budget, seed):
-        if not phi.eval(y) <= psi.eval(y):
-            return False, y
-    return True, None
+    gs = (phi,) if isinstance(phi, LinFun) else phi.branches
+    hs = (psi,) if isinstance(psi, LinFun) else psi.branches
+    rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in hs)]
+    if not rest:
+        return True, None
+    gcoeffs = [
+        [g.coeffs[j].as_fraction() for j in rest]
+        for g in gs
+        if all(g.coeffs[j].is_finite for j in rest)
+    ]
+    hcoeffs = [[h.coeffs[j].as_fraction() for j in rest] for h in hs]
+    # with no g_i left, every one is infinite at the witness 1_R
+    y, eps = [0] * len(rest), 1
+    if gcoeffs:
+        value, y, _, _ = _margin(gcoeffs, hcoeffs)
+        if value <= 0:
+            return True, None
+        eps = value / (1 + max(sum(hc) for hc in hcoeffs))
+    full = [ZERO] * dim
+    for j, v in zip(rest, y):
+        full[j] = ExtReal.from_fraction(v + eps)
+    witness = ExtVec(full)
+    if not psi.eval(witness) < phi.eval(witness):
+        raise AssertionError("internal error: order witness failed verification")
+    return False, witness

@@ -2,16 +2,16 @@
 functionals and a dominating sublinear functional.
 
 Given linear g_1 .. g_n with min_i g_i <= phi on the orthant, there are
-simplex weights a with min_i g_i <= sum_i a_i g_i <= phi pointwise.  The
-production algorithm is a single exact LP over the weights a and a
-certificate lambda over phi's branches, with the coordinatewise domination
-sum_i a_i g_i <= sum_k lambda_k h_k as the checkable artifact.
+simplex weights a with min_i g_i <= sum_i a_i g_i <= phi pointwise.  One
+exact margin LP decides the hypothesis: its primal optimum is a violating
+point when the hypothesis fails, and otherwise its dual gives the weights
+a and a certificate lambda over phi's branches, with the coordinatewise
+domination sum_i a_i g_i <= sum_k lambda_k h_k as the checkable artifact.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .convex_sep import ExtVec
 from .errors import (
@@ -21,11 +21,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .extreal import ExtReal
-from .functionals import LinFun, SublinFun, SuperlinFun, dominated_by_max
-from .lp import Constraint, EQ, GEQ, LEQ, LPOptimal, LPProblem, solve_lp
-
-_F0 = Fraction(0)
-_F1 = Fraction(1)
+from .functionals import LinFun, SublinFun, SuperlinFun, _covered, _margin
 
 
 @dataclass(frozen=True)
@@ -52,88 +48,45 @@ def _clause_branches(clause):
 def check_min_below(clause, phi: SublinFun):
     """Decide min_i g_i <= phi everywhere on the orthant.
 
-    By homogeneity it is enough to look at the standard simplex, so an
-    exact LP maximises the margin t with (g_i - h_k) . y >= t for every
-    pair.  The hypothesis holds exactly when the optimum is at most zero;
-    otherwise the optimising point is a verified violation.
+    Returns (True, None), or (False, y) with a verified violation y; the
+    one margin LP behind ``interpolate`` decides it.
     """
-    gs = _clause_branches(clause)
-    hs = list(phi.branches)
-    dim = gs[0].dim
-    if phi.dim != dim:
-        raise DimensionMismatch(f"{dim} versus {phi.dim}")
-    gcoeffs = [g.fraction_coeffs() for g in gs]
-    hcoeffs = [h.fraction_coeffs() for h in hs]
-
-    # variables: y_0 .. y_{dim-1}, then the split margin t = tp - tm
-    n_vars = dim + 2
-    constraints = [Constraint((_F1,) * dim + (_F0, _F0), EQ, _F1)]
-    for gc in gcoeffs:
-        for hc in hcoeffs:
-            row = tuple(gc[j] - hc[j] for j in range(dim)) + (-_F1, _F1)
-            constraints.append(Constraint(row, GEQ, _F0))
-    objective = (_F0,) * dim + (_F1, -_F1)
-    res = solve_lp(LPProblem(n_vars, tuple(constraints), objective, "max"))
-    assert isinstance(res, LPOptimal)
-    if res.value <= 0:
-        return True, None
-    witness = ExtVec(tuple(ExtReal.from_fraction(v) for v in res.point[:dim]))
-    low = SuperlinFun(gs).eval(witness)
-    if not phi.eval(witness) < low:
-        raise AssertionError("internal error: violation witness failed verification")
-    return False, witness
+    try:
+        interpolate(clause, phi)
+    except PreconditionViolated as exc:
+        return False, exc.witness
+    return True, None
 
 
 def interpolate(clause, phi: SublinFun) -> InterpolationResult:
     """Produce weights a and certificate lambda realising the sandwich.
 
-    The left inequality min_i g_i <= sum a_i g_i is automatic for simplex
-    weights; the right one follows from the coordinatewise certificate,
-    which is verified exactly before returning.
+    One margin LP maximises t with (g_i - h_k) . y >= t over the simplex.
+    A positive optimum makes its point a violation of the hypothesis;
+    otherwise its dual gives the weights and the certificate.  The left
+    inequality min_i g_i <= sum a_i g_i is automatic for simplex weights;
+    the right one follows from the coordinatewise certificate, which is
+    verified exactly before returning.
     """
     gs = _clause_branches(clause)
-    hs = list(phi.branches)
-    ok, witness = check_min_below(gs, phi)
-    if not ok:
+    dim = gs[0].dim
+    if phi.dim != dim:
+        raise DimensionMismatch(f"{dim} versus {phi.dim}")
+    gcoeffs = [g.fraction_coeffs() for g in gs]
+    hcoeffs = [h.fraction_coeffs() for h in phi.branches]
+    value, y, a, lam = _margin(gcoeffs, hcoeffs)
+    if value > 0:
+        witness = ExtVec(tuple(ExtReal.from_fraction(v) for v in y))
+        if not phi.eval(witness) < SuperlinFun(gs).eval(witness):
+            raise AssertionError("internal error: violation witness failed verification")
         raise PreconditionViolated(
             "the minimum of the clause exceeds the target functional",
             witness=witness,
         )
-    n = len(gs)
-    k = len(hs)
-    gcoeffs = [g.fraction_coeffs() for g in gs]
-    hcoeffs = [h.fraction_coeffs() for h in hs]
-
-    if n == 1:
-        ok, lam = dominated_by_max(gs[0], phi)
-        if not ok:
-            raise AssertionError("internal error: singleton clause not dominated")
-        return InterpolationResult((_F1,), tuple(lam))
-
-    # variables: a_0 .. a_{n-1}, lambda_0 .. lambda_{k-1}
-    constraints = [
-        Constraint((_F1,) * n + (_F0,) * k, EQ, _F1),
-        Constraint((_F0,) * n + (_F1,) * k, EQ, _F1),
-    ]
-    for j in range(gs[0].dim):
-        row = tuple(gc[j] for gc in gcoeffs) + tuple(-hc[j] for hc in hcoeffs)
-        constraints.append(Constraint(row, LEQ, _F0))
-    res = solve_lp(LPProblem(n + k, tuple(constraints), (_F0,) * (n + k), "max"))
-    if not isinstance(res, LPOptimal):
-        raise AssertionError("internal error: interpolation LP must be feasible")
-    a = res.point[:n]
-    lam = res.point[n:]
-    _verify_coordinatewise(gcoeffs, hcoeffs, a, lam)
-    return InterpolationResult(tuple(a), tuple(lam))
-
-
-def _verify_coordinatewise(gcoeffs, hcoeffs, a, lam):
-    dim = len(gcoeffs[0])
-    for j in range(dim):
-        left = sum(ai * gc[j] for ai, gc in zip(a, gcoeffs))
-        right = sum(lk * hc[j] for lk, hc in zip(lam, hcoeffs))
-        if left > right:
-            raise AssertionError("internal error: certificate fails coordinatewise")
+    mix = [sum(ai * gc[j] for ai, gc in zip(a, gcoeffs)) for j in range(dim)]
+    if not _covered(mix, lam, hcoeffs):
+        raise AssertionError("internal error: certificate fails coordinatewise")
+    return InterpolationResult(a, lam)
 
 
 @dataclass(frozen=True)
@@ -149,8 +102,9 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
     """Interpolate every clause of generator indices against phi.
 
     Each clause yields the convex combination of its generators produced by
-    ``interpolate``; membership below phi is re-checked independently via
-    the domination LP.  Output order follows the input clause order.
+    ``interpolate``, one LP per clause; the emitted coefficients are
+    re-checked exactly against the branch certificate.  Output order
+    follows the input clause order.
     """
     gens = [g if isinstance(g, LinFun) else LinFun(g) for g in c_gens]
     out = []
@@ -167,13 +121,13 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
             exc.clause_index = pos
             raise
         fracs = [m.fraction_coeffs() for m in members]
+        hcoeffs = [h.fraction_coeffs() for h in phi.branches]
         coeffs = [
             sum(ai * fc[j] for ai, fc in zip(result.weights, fracs))
             for j in range(phi.dim)
         ]
-        x = LinFun(tuple(ExtReal.from_fraction(c) for c in coeffs))
-        ok, _ = dominated_by_max(x, phi)
-        if not ok:
+        if not _covered(coeffs, result.certificate, hcoeffs):
             raise AssertionError("internal error: clause witness escapes phi")
+        x = LinFun(tuple(ExtReal.from_fraction(c) for c in coeffs))
         out.append(ClauseWitness(x, result.weights, result.certificate))
     return out

@@ -17,15 +17,21 @@ rows.  Values become ``Fraction`` only when the answer is read off.
 Every answer carries evidence that can be re-verified without trusting
 the solver:
 
-* ``LPOptimal``     a feasible point and the exact objective value,
+* ``LPOptimal``     a feasible point, the exact objective value, and an
+                    optimal dual, one multiplier per constraint, read off
+                    the phase-2 reduced costs,
 * ``LPInfeasible``  Farkas multipliers, one per constraint, that combine
                     the constraints into ``(something <= 0) > 0`` on the
                     nonnegative orthant, read off the phase-1 reduced costs,
 * ``LPUnbounded``   an improving recession ray.
 
-``verify_lp_result`` re-checks any of the three against the original
-problem in ``Fraction`` arithmetic at zero tolerance; ``solve_lp`` runs it
-internally before returning.
+Artificial columns stay through phase 2, so both multiplier sets read
+``y_i = c_j - d_j / D`` off the column ``j`` row ``i`` started with.  For
+``max`` the dual has ``y_i >= 0`` on ``<=`` rows, ``<= 0`` on ``>=`` rows and
+``A^T y >= c``; for ``min`` the signs and the inequality flip.
+``verify_lp_result`` re-checks any answer against the original problem in
+``Fraction`` arithmetic at zero tolerance, an optimum's dual included with
+``b . y == c . x``; ``solve_lp`` runs it internally before returning.
 """
 
 from __future__ import annotations
@@ -42,6 +48,8 @@ EQ = "=="
 _RELS = (LEQ, GEQ, EQ)
 
 def _frac(v):
+    if type(v) is Fraction:
+        return v
     if isinstance(v, float):
         raise MalformedProblem("floating point coefficients are not accepted")
     try:
@@ -91,6 +99,7 @@ class LPProblem:
 class LPOptimal:
     point: tuple
     value: Fraction
+    dual: tuple
 
 
 @dataclass(frozen=True)
@@ -237,45 +246,40 @@ def solve_lp(problem: LPProblem):
         _require(verify_lp_result(problem, result), "invalid infeasibility certificate")
         return result
 
-    # Drive leftover artificials out of the basis; rows that cannot pivot
-    # became 0 = 0 and are redundant.
-    T = [row[:width] + [row[-1]] for row in T]
-    drop = set()
+    # Drive leftover artificials out of the basis; a row that cannot pivot
+    # became 0 = 0 and keeps its artificial basic at zero (dual zero).
     for i in range(m):
         if basis[i] >= width:
             pc = next((j for j in range(width) if T[i][j]), None)
-            if pc is None:
-                drop.add(i)
-            else:
+            if pc is not None:
                 D = _pivot(T, basis, D, i, pc)
 
-    T2 = [T[i] for i in range(m) if i not in drop]
-    basis2 = [basis[i] for i in range(m) if i not in drop]
-    m2 = len(T2)
-    cmin, _ = _scaled(obj, -1 if problem.sense == "max" else 1)
-    cmin += [0] * (width - n)
-    cost2 = [D * cj for cj in cmin] + [0]
-    for b, row in zip(basis2, T2):
+    cmin, cscale = _scaled(obj, -1 if problem.sense == "max" else 1)
+    cmin += [0] * (width + k - n)
+    cost = [D * cj for cj in cmin] + [0]
+    for b, row in zip(basis, T):
         cb = cmin[b]
         if cb:
-            cost2 = [d - cb * v for d, v in zip(cost2, row)]
-    T2.append(cost2)
+            cost = [d - cb * v for d, v in zip(cost, row)]
+    T.append(cost)
 
-    D, status = _iterate(T2, basis2, D, m2, limit=width)
+    D, status = _iterate(T, basis, D, m, limit=width)
     if status is None:
         point = [Fraction(0)] * n
-        for i, b in enumerate(basis2):
+        for i, b in enumerate(basis):
             if b < n:
-                point[b] = Fraction(T2[i][-1], D)
+                point[b] = Fraction(T[i][-1], D)
         value = sum(o * p for o, p in zip(obj, point))
-        result = LPOptimal(tuple(point), value)
+        # y_i = -d_j / D for the column j row i started with, unscaled
+        dual = tuple(Fraction(-scale[i] * T[m][start[i]], D * cscale) for i in range(m))
+        result = LPOptimal(tuple(point), value, dual)
     else:
         ray = [Fraction(0)] * n
         if status < n:
             ray[status] = Fraction(1)
-        for i, b in enumerate(basis2):
+        for i, b in enumerate(basis):
             if b < n:
-                ray[b] = Fraction(-T2[i][status], D)
+                ray[b] = Fraction(-T[i][status], D)
         result = LPUnbounded(tuple(ray))
     _require(verify_lp_result(problem, result), "solver output failed verification")
     return result
@@ -298,7 +302,23 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
                 return False
             if c.rel == EQ and lhs != c.rhs:
                 return False
-        return sum(o * v for o, v in zip(problem.objective, x)) == result.value
+        if sum(o * v for o, v in zip(problem.objective, x)) != result.value:
+            return False
+        # Optimality: a dual y with the signs of the dual LP, A^T y >= c for
+        # max (<= c for min), and b . y equal to the primal value.
+        y = result.dual
+        if y is None or len(y) != len(cons):
+            return False
+        flip = 1 if problem.sense == "max" else -1
+        for yi, c in zip(y, cons):
+            if c.rel == LEQ and flip * yi < 0:
+                return False
+            if c.rel == GEQ and flip * yi > 0:
+                return False
+        for j, cj in enumerate(problem.objective):
+            if flip * (sum(yi * c.coeffs[j] for yi, c in zip(y, cons)) - cj) < 0:
+                return False
+        return sum(yi * c.rhs for yi, c in zip(y, cons)) == result.value
 
     if isinstance(result, LPInfeasible):
         z = result.certificate

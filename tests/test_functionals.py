@@ -200,7 +200,7 @@ def test_leq_functional_examples():
     assert ok and wit is None
     ok, wit = leq_functional(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
     assert ok
-    # the semi-decision's verdict agrees with a dense grid scan
+    # the exact verdict agrees with a dense grid scan
     assert dominates_on_grid(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
     ok, wit = leq_functional(LinFun([1, 1]), SuperlinFun([[2, 0], [0, 2]]))
     assert not ok
@@ -231,9 +231,48 @@ def test_leq_functional_refutations_carry_valid_witnesses():
             return kind([_rand_linfun(rng, dim, 10) for _ in range(rng.randint(1, 3))])
         phi = make(kinds[rng.randrange(3)])
         psi = make(kinds[rng.randrange(3)])
-        ok, wit = leq_functional(phi, psi, sample_budget=60, seed=101)
+        ok, wit = leq_functional(phi, psi)
         if not ok:
             assert not phi.eval(wit) <= psi.eval(wit)
+
+
+def test_leq_functional_refutes_a_near_miss():
+    # min(13 y1, 11 y2) peaks at 143 on y1 + y2 = 24, just above psi's 24 c
+    c = ExtReal.from_fraction(F(143, 24) - F(1, 1000))
+    phi = SuperlinFun([[13, 0], [0, 11]])
+    psi = LinFun([c, c])
+    ok, wit = leq_functional(phi, psi)
+    assert not ok
+    assert psi.eval(wit) < phi.eval(wit)
+
+
+def test_leq_functional_infinite_psi_everywhere():
+    # every coordinate has a branch of psi at infinity: nothing is left to refute
+    psi = SublinFun([[INF, 0], [0, INF]])
+    assert leq_functional(LinFun([7, 7]), psi) == (True, None)
+    assert leq_functional(SuperlinFun([[INF, 1], [2, INF]]), psi) == (True, None)
+
+
+def test_leq_functional_all_phi_branches_infinite_on_the_rest():
+    # psi is infinite on coordinate 2; both branches of phi are infinite on
+    # {0, 1}, so the indicator of {0, 1} refutes the order
+    phi = SuperlinFun([[INF, 0, 1], [0, INF, 0]])
+    psi = SublinFun([[0, 0, INF], [5, 5, 0]])
+    ok, wit = leq_functional(phi, psi)
+    assert not ok and wit == ExtVec([1, 1, 0])
+    assert psi.eval(wit) < phi.eval(wit)
+
+
+def test_leq_functional_margin_lp_on_the_finite_rest():
+    # The branch (inf, 0) drops out; the LP maximises 2 y2 at y = (0, 1),
+    # where (inf, 0) vanishes, so the witness is shifted by 2/3 = t / (1 + 2).
+    phi = SuperlinFun([[INF, 0], [1, 3]])
+    psi = LinFun([1, 1])
+    ok, wit = leq_functional(phi, psi)
+    assert not ok and wit == ExtVec([F(2, 3), F(5, 3)])
+    assert psi.eval(wit) < phi.eval(wit)
+    # psi infinite on coordinate 1 leaves y1 <= max(2 y1, 0) on the rest
+    assert leq_functional(LinFun([1, INF]), SublinFun([[2, 0], [0, INF]])) == (True, None)
 
 
 def test_unit_level_set_laws_pointwise():

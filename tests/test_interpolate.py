@@ -1,3 +1,4 @@
+import importlib
 import random
 from fractions import Fraction
 
@@ -221,3 +222,25 @@ def test_witness_stays_below_phi_by_independent_check():
     ok, lam = dominated_by_max(ws[0].fun, phi)
     assert ok
     assert sum(lam) == 1
+
+
+def test_clause_witnesses_solve_one_lp_per_clause(monkeypatch):
+    # every module that binds the solver is spied on, so an LP anywhere in
+    # the pipeline is counted (the package attribute ``interpolate`` is the
+    # function, so the modules come from importlib)
+    calls = []
+    for name in ("convex_sep", "functionals", "interpolate"):
+        mod = importlib.import_module(f"conedual.{name}")
+        real = getattr(mod, "solve_lp", None)
+        if real is not None:
+            def spy(problem, real=real):
+                calls.append(problem)
+                return real(problem)
+
+            monkeypatch.setattr(mod, "solve_lp", spy)
+    gens = [LinFun([2, 0]), LinFun([0, 2]), LinFun([1, 1]), LinFun([1, 0])]
+    phi = SublinFun([[2, 1], [1, 2]])
+    clauses = [[0, 1, 2], [3], [0, 1], [2]]
+    ws = clause_witnesses(clauses, gens, phi)
+    assert len(ws) == len(clauses)
+    assert len(calls) == len(clauses)

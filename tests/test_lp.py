@@ -85,7 +85,8 @@ def test_unique_feasible_point():
         "max",
     )
     res = solve_lp(prob)
-    assert res == LPOptimal((F(1, 2), F(1, 2)), F(0))
+    # a zero objective has the zero dual
+    assert res == LPOptimal((F(1, 2), F(1, 2)), F(0), (F(0), F(0), F(0)))
     assert verify_lp_result(prob, res)
 
 
@@ -122,6 +123,8 @@ def test_minimization():
     assert isinstance(res, LPOptimal)
     assert res.value == F(3, 2)
     assert res.point == (F(1, 4), F(3, 4))
+    # min duals satisfy A^T y <= c with y >= 0 on the >= row: 1 + 1/4 * 2 = 3/2
+    assert res.dual == (F(1), F(2))
 
 
 def test_negative_rhs_rows():
@@ -168,10 +171,32 @@ def test_verifier_rejects_tampered_certificates():
     res = solve_lp(prob)
     bad = LPInfeasible(tuple(-v for v in res.certificate))
     assert not verify_lp_result(prob, bad)
-    good_point = LPOptimal((F(1, 2),), F(0))
+    good_point = LPOptimal((F(1, 2),), F(0), (F(0),))
     assert not verify_lp_result(
         LPProblem(1, (Constraint((1,), "==", 1),), (0,), "max"), good_point
     )
+    # tampered duals; max x + 2y on x + y <= 1, x <= 1/2, y >= 0: optimum (0, 1) with dual (2, 0)
+    prob = LPProblem(
+        2,
+        (Constraint((1, 1), "<=", 1), Constraint((1, 0), "<=", F(1, 2)), Constraint((0, 1), ">=", 0)),
+        (1, 2),
+        "max",
+    )
+    res = solve_lp(prob)
+    assert res == LPOptimal((F(0), F(1)), F(2), (F(2), F(0), F(0)))
+    point, value = res.point, res.value
+    # missing, or one multiplier short
+    assert not verify_lp_result(prob, LPOptimal(point, value, None))
+    assert not verify_lp_result(prob, LPOptimal(point, value, (F(2), F(0))))
+    # wrongly signed: a <= row of a max problem needs y >= 0, a >= row y <= 0
+    assert not verify_lp_result(prob, LPOptimal(point, value, (F(3), F(-1), F(0))))
+    assert not verify_lp_result(prob, LPOptimal(point, value, (F(2), F(0), F(1))))
+    # infeasible: A^T y >= c fails on the y column, although b . y == 2
+    assert not verify_lp_result(prob, LPOptimal(point, value, (F(1), F(2), F(0))))
+    # feasible but not optimal: b . y = 3 is only an upper bound
+    assert not verify_lp_result(prob, LPOptimal(point, value, (F(3), F(0), F(0))))
+    # a suboptimal point fails b . y == c . x against any dual
+    assert not verify_lp_result(prob, LPOptimal((F(1, 2), F(1, 2)), F(3, 2), (F(2), F(0), F(0))))
 
 
 def test_feasibility_agrees_with_vertex_enumeration():
@@ -368,7 +393,16 @@ def reference_solve(problem):
         for i in range(m2):
             xstd[basis2[i]] = T2[i][-1]
         point = tuple(xstd[:n])
-        return LPOptimal(point, sum(o * p for o, p in zip(obj, point)))
+        # the simplex multipliers solve B^T y = c_B over the kept rows;
+        # dropped rows get zero, and the row flips and the sense are undone
+        M = [[A0[i][col] for i in keep] for col in basis2]
+        y = _gauss_solve(M, [cmin[col] for col in basis2]) if keep else []
+        assert y is not None
+        dual = [F(0)] * m
+        sense = F(-1) if problem.sense == "max" else F(1)
+        for pos, i in enumerate(keep):
+            dual[i] = sense * flip[i] * y[pos]
+        return LPOptimal(point, sum(o * p for o, p in zip(obj, point)), tuple(dual))
     ray = [F(0)] * width
     ray[status] = F(1)
     for i in range(m2):
@@ -457,7 +491,7 @@ def test_negative_pivot_while_driving_out_artificials(monkeypatch):
     )
     res = _assert_agrees(prob)
     assert any(p < 0 for p in pivots)
-    assert res == LPOptimal((F(0), F(0), F(3)), F(3))
+    assert res == LPOptimal((F(0), F(0), F(3)), F(3), (F(0), F(1), F(0)))
 
 
 def test_redundant_rows_in_both_orientations_are_dropped():
@@ -475,7 +509,8 @@ def test_redundant_rows_in_both_orientations_are_dropped():
         "max",
     )
     res = _assert_agrees(prob)
-    assert res == LPOptimal((F(1, 3), F(2, 3)), F(-1, 3))
+    # the redundant rows carry zero multipliers; x >= 1/3 prices the optimum
+    assert res == LPOptimal((F(1, 3), F(2, 3)), F(-1, 3), (F(0), F(0), F(0), F(-1)))
 
 
 def test_unbounded_ray_through_a_basic_column():
