@@ -2,7 +2,6 @@
 extended nonnegative orthants and finite T0 spaces."""
 
 from .convex_sep import (
-    ExtVec,
     MeetsCorner,
     SeparationWeights,
     Separated,
@@ -18,6 +17,7 @@ from .extreal import (
     ONE,
     ZERO,
     ExtReal,
+    ExtVec,
     ext_max,
     ext_min,
     ext_sup,

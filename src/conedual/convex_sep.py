@@ -13,61 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptyList
-from .extreal import ONE, ZERO, ExtReal, as_extreal
+from .extreal import ONE, ZERO, ExtReal, ExtVec, as_extvec
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
-
-
-class ExtVec:
-    """A point of the extended nonnegative orthant with a fixed dimension."""
-
-    __slots__ = ("entries",)
-
-    def __init__(self, entries):
-        entries = tuple(as_extreal(e) for e in entries)
-        if not entries:
-            raise DimensionMismatch("vectors must have positive dimension")
-        if any(e is NotImplemented for e in entries):
-            raise TypeError("entries must be ExtReal, int, or Fraction")
-        self.entries = entries
-
-    @property
-    def dim(self) -> int:
-        return len(self.entries)
-
-    def scale(self, r) -> "ExtVec":
-        r = as_extreal(r)
-        return ExtVec(tuple(r * e for e in self.entries))
-
-    def __add__(self, other):
-        if not isinstance(other, ExtVec):
-            return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"{self.dim} versus {other.dim}")
-        return ExtVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __len__(self):
-        return len(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __eq__(self, other):
-        if not isinstance(other, ExtVec):
-            return NotImplemented
-        return self.entries == other.entries
-
-    def __hash__(self):
-        return hash(self.entries)
-
-    def __repr__(self):
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
-
-
-def as_extvec(x) -> ExtVec:
-    return x if isinstance(x, ExtVec) else ExtVec(x)
 
 
 def in_corner(x: ExtVec) -> bool:

@@ -9,16 +9,18 @@ structural.  No floating point is used anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
-from .errors import EmptyList, ParseError, UndefinedDifference
+from .errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference
 
 __all__ = [
     "ExtReal",
+    "ExtVec",
     "INF",
     "ZERO",
     "ONE",
     "as_extreal",
+    "as_extvec",
     "ext_min",
     "ext_max",
     "ext_sup",
@@ -35,14 +37,15 @@ class ExtReal:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
-        if isinstance(num, Fraction) and den == 1:
-            num, den = num.numerator, num.denominator
-        if isinstance(num, ExtReal) and den == 1:
-            self.num = num.num
-            self.den = num.den
-            return
-        if not isinstance(num, int) or not isinstance(den, int):
-            raise TypeError(f"expected integers, got {num!r}/{den!r}")
+        if type(num) is not int or type(den) is not int:
+            if isinstance(num, Fraction) and den == 1:
+                num, den = num.numerator, num.denominator
+            if isinstance(num, ExtReal) and den == 1:
+                self.num = num.num
+                self.den = num.den
+                return
+            if not isinstance(num, int) or not isinstance(den, int):
+                raise TypeError(f"expected integers, got {num!r}/{den!r}")
         if den <= 0:
             raise ValueError("denominator must be positive")
         if num < 0:
@@ -270,4 +273,94 @@ def parse_extreal(text: str) -> ExtReal:
         raise ParseError(f"zero denominator: {text!r}")
     if den < 0:
         raise ParseError(f"negative denominator: {text!r}")
-    return ExtReal(num, den)
+    g = gcd(num, den)
+    return ExtReal._raw(num // g, den // g)
+
+
+class ExtVec:
+    """A point of the extended nonnegative orthant with a fixed dimension.
+
+    Immutable by convention (``scale`` and ``+`` build new vectors), so its
+    integer form is computed at most once and cached with it.
+    """
+
+    __slots__ = ("entries", "_form")
+
+    def __init__(self, entries):
+        entries = tuple(entries)
+        for e in entries:
+            if type(e) is not ExtReal:
+                # coerce everything once some entry is not an ExtReal yet
+                entries = tuple(as_extreal(e) for e in entries)
+                if any(e is NotImplemented for e in entries):
+                    raise TypeError("entries must be ExtReal, int, or Fraction")
+                break
+        if not entries:
+            raise DimensionMismatch("vectors must have positive dimension")
+        self.entries = entries
+        self._form = None
+
+    def _integer_form(self):
+        """(numerators over d, d, infinity mask, nonzero mask), d the lcm of
+        the finite denominators (1 when there are none).
+
+        An infinite entry has numerator 0 and its bit set in both masks.
+        """
+        form = self._form
+        if form is None:
+            entries = self.entries
+            d = lcm(*[e.den for e in entries if e.den])
+            nums = []
+            inf = nonzero = 0
+            bit = 1
+            for e in entries:
+                if e.den:
+                    nums.append(e.num * (d // e.den))
+                    if e.num:
+                        nonzero |= bit
+                else:
+                    nums.append(0)
+                    inf |= bit
+                    nonzero |= bit
+                bit <<= 1
+            form = self._form = (tuple(nums), d, inf, nonzero)
+        return form
+
+    @property
+    def dim(self) -> int:
+        return len(self.entries)
+
+    def scale(self, r) -> "ExtVec":
+        r = as_extreal(r)
+        return ExtVec(tuple(r * e for e in self.entries))
+
+    def __add__(self, other):
+        if not isinstance(other, ExtVec):
+            return NotImplemented
+        if other.dim != self.dim:
+            raise DimensionMismatch(f"{self.dim} versus {other.dim}")
+        return ExtVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __len__(self):
+        return len(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
+
+    def __eq__(self, other):
+        if not isinstance(other, ExtVec):
+            return NotImplemented
+        return self.entries == other.entries
+
+    def __hash__(self):
+        return hash(self.entries)
+
+    def __repr__(self):
+        return "(" + ", ".join(str(e) for e in self.entries) + ")"
+
+
+def as_extvec(x) -> ExtVec:
+    return x if isinstance(x, ExtVec) else ExtVec(x)

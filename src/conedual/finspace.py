@@ -9,7 +9,7 @@ elements 0 .. n-1.
 
 from __future__ import annotations
 
-from itertools import permutations
+from itertools import compress, permutations
 
 from .errors import (
     EmptyList,
@@ -27,38 +27,48 @@ _MAX_OPENS_SIZE = 12
 _MAX_ISO_SIZE = 5
 
 
+def _bits(mask):
+    """Indices of the set bits of mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
 class FinitePoset:
     """Validated partial order on elements 0 .. size-1."""
 
     __slots__ = ("n", "_leq", "_up")
 
     def __init__(self, table):
-        rows = [tuple(bool(v) for v in row) for row in table]
+        rows = tuple(tuple(map(bool, row)) for row in table)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("relation table must be square and nonempty")
+        up = tuple(sum(1 << j for j in compress(range(n), row)) for row in rows)
+        # witnesses are the lexicographically first, as a triple loop finds them
         for i in range(n):
-            if not rows[i][i]:
+            if not up[i] >> i & 1:
                 raise NotReflexive(i)
         for i in range(n):
-            for j in range(n):
-                if i != j and rows[i][j] and rows[j][i]:
+            for j in _bits(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
                     raise NotAntisymmetric(i, j)
         for i in range(n):
-            for j in range(n):
-                if rows[i][j]:
-                    for k in range(n):
-                        if rows[j][k] and not rows[i][k]:
-                            raise NotTransitive(i, j, k)
+            for j in _bits(up[i]):
+                missing = up[j] & ~up[i]
+                if missing:
+                    raise NotTransitive(i, j, (missing & -missing).bit_length() - 1)
         self.n = n
         self._leq = rows
-        self._up = tuple(
-            sum(1 << j for j in range(n) if rows[i][j]) for i in range(n)
-        )
+        self._up = up
 
     @classmethod
     def from_pairs(cls, size, pairs, add_reflexive=True):
-        table = [[i == j and add_reflexive for j in range(size)] for i in range(size)]
+        table = [[False] * size for _ in range(size)]
+        if add_reflexive:
+            for i in range(size):
+                table[i][i] = True
         for i, j in pairs:
             if not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"pair ({i}, {j}) outside 0..{size - 1}")

@@ -10,9 +10,11 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
-from .convex_sep import ExtVec, as_extvec
+from math import gcd
+from operator import mul
+
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
-from .extreal import ONE, ZERO, ExtReal, ext_max, ext_min
+from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, as_extvec, ext_max, ext_min
 from .lp import Constraint, EQ, GEQ, LPProblem, solve_lp
 
 
@@ -38,15 +40,25 @@ class LinFun:
         return tuple(c.as_fraction() for c in self.coeffs)
 
     def eval(self, y) -> ExtReal:
-        y = as_extvec(y)
-        if y.dim != self.dim:
+        """One integer dot product over the two vectors' common denominators.
+
+        A term is infinite exactly when one factor is infinite and the other
+        nonzero (0 * inf = 0); infinite entries carry numerator 0, so the
+        finite terms sum correctly either way.
+        """
+        if type(y) is not ExtVec:
+            y = as_extvec(y)
+        # cached integer forms, each computed on its vector's first pairing
+        cn, cd, c_inf, c_nonzero = self.coeffs._form or self.coeffs._integer_form()
+        yn, yd, y_inf, y_nonzero = y._form or y._integer_form()
+        if len(yn) != len(cn):
             raise DimensionMismatch(f"{self.dim} versus {y.dim}")
-        total = ZERO
-        for c, v in zip(self.coeffs, y):
-            if c.num and v.num:
-                # zero factors contribute nothing, including 0 * inf
-                total = total + c * v
-        return total
+        if c_inf & y_nonzero or y_inf & c_nonzero:
+            return INF
+        num = sum(map(mul, cn, yn))
+        den = cd * yd
+        g = gcd(num, den)
+        return ExtReal._raw(num // g, den // g)
 
     def __eq__(self, other):
         if not isinstance(other, LinFun):
@@ -98,6 +110,7 @@ class SublinFun(_BranchFun):
     """Pointwise maximum of finitely many linear functionals."""
 
     def eval(self, y) -> ExtReal:
+        y = as_extvec(y)
         return ext_max(b.eval(y) for b in self.branches)
 
 
@@ -105,6 +118,7 @@ class SuperlinFun(_BranchFun):
     """Pointwise minimum of finitely many linear functionals."""
 
     def eval(self, y) -> ExtReal:
+        y = as_extvec(y)
         return ext_min(b.eval(y) for b in self.branches)
 
 

@@ -13,14 +13,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .convex_sep import ExtVec
 from .errors import (
     DimensionMismatch,
     EmptyList,
     MalformedProblem,
     PreconditionViolated,
 )
-from .extreal import ExtReal
+from .extreal import ExtReal, ExtVec
 from .functionals import LinFun, SublinFun, SuperlinFun, _covered, _margin
 
 
@@ -68,6 +67,11 @@ def interpolate(clause, phi: SublinFun) -> InterpolationResult:
     the right one follows from the coordinatewise certificate, which is
     verified exactly before returning.
     """
+    return _interpolate(clause, phi)[0]
+
+
+def _interpolate(clause, phi):
+    """``interpolate`` plus the mix sum_i a_i g_i it checked coordinatewise."""
     gs = _clause_branches(clause)
     dim = gs[0].dim
     if phi.dim != dim:
@@ -86,7 +90,7 @@ def interpolate(clause, phi: SublinFun) -> InterpolationResult:
     mix = [sum(ai * gc[j] for ai, gc in zip(a, gcoeffs)) for j in range(dim)]
     if not _covered(mix, lam, hcoeffs):
         raise AssertionError("internal error: certificate fails coordinatewise")
-    return InterpolationResult(a, lam)
+    return InterpolationResult(a, lam), mix
 
 
 @dataclass(frozen=True)
@@ -102,9 +106,9 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
     """Interpolate every clause of generator indices against phi.
 
     Each clause yields the convex combination of its generators produced by
-    ``interpolate``, one LP per clause; the emitted coefficients are
-    re-checked exactly against the branch certificate.  Output order
-    follows the input clause order.
+    ``interpolate``, one LP per clause; the emitted coefficients are the
+    mix that ``interpolate`` checked exactly against the branch certificate.
+    Output order follows the input clause order.
     """
     gens = [g if isinstance(g, LinFun) else LinFun(g) for g in c_gens]
     out = []
@@ -116,18 +120,10 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
             raise MalformedProblem(f"clause {pos} indexes outside the generator list")
         members = [gens[i] for i in idxs]
         try:
-            result = interpolate(members, phi)
+            result, coeffs = _interpolate(members, phi)
         except PreconditionViolated as exc:
             exc.clause_index = pos
             raise
-        fracs = [m.fraction_coeffs() for m in members]
-        hcoeffs = [h.fraction_coeffs() for h in phi.branches]
-        coeffs = [
-            sum(ai * fc[j] for ai, fc in zip(result.weights, fracs))
-            for j in range(phi.dim)
-        ]
-        if not _covered(coeffs, result.certificate, hcoeffs):
-            raise AssertionError("internal error: clause witness escapes phi")
         x = LinFun(tuple(ExtReal.from_fraction(c) for c in coeffs))
         out.append(ClauseWitness(x, result.weights, result.certificate))
     return out

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .convex_sep import ExtVec
 from .errors import ParseError
-from .extreal import ExtReal, parse_extreal
+from .extreal import ExtReal, ExtVec, parse_extreal
 from .finspace import FinitePoset
 from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
 from .valuations import SimpleValuation, ValuationOnOpens
@@ -20,23 +19,35 @@ def fail(path, expected, got):
     raise ParseError(f"{path}: expected {expected}, got {got!r}")
 
 
-def decode_extreal(obj, path) -> ExtReal:
+def _entry(obj) -> ExtReal:
+    """An extended rational from JSON; errors lack the path, which callers add."""
     if isinstance(obj, str):
-        try:
-            return parse_extreal(obj)
-        except ParseError as exc:
-            raise ParseError(f"{path}: {exc}") from None
+        return parse_extreal(obj)
     if isinstance(obj, bool) or not isinstance(obj, int):
-        fail(path, '"p/q", "p", or "inf"', obj)
+        raise ParseError(f'expected "p/q", "p", or "inf", got {obj!r}')
     if obj < 0:
-        fail(path, "a nonnegative value", obj)
-    return ExtReal(obj)
+        raise ParseError(f"expected a nonnegative value, got {obj!r}")
+    return ExtReal._raw(int(obj), 1)
+
+
+def decode_extreal(obj, path) -> ExtReal:
+    try:
+        return _entry(obj)
+    except ParseError as exc:
+        raise ParseError(f"{path}: {exc}") from None
 
 
 def decode_vector(obj, path) -> ExtVec:
     if not isinstance(obj, list) or not obj:
         fail(path, "a nonempty array of extended rationals", obj)
-    return ExtVec([decode_extreal(v, f"{path}[{i}]") for i, v in enumerate(obj)])
+    entries = []
+    for v in obj:
+        try:
+            entries.append(_entry(v))
+        except ParseError as exc:
+            # the entry's path is built only when it fails
+            raise ParseError(f"{path}[{len(entries)}]: {exc}") from None
+    return ExtVec(entries)
 
 
 def decode_int(obj, path, minimum=None) -> int:

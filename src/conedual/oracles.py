@@ -9,8 +9,7 @@ from __future__ import annotations
 
 from math import lcm
 
-from .convex_sep import as_extvec
-from .extreal import ONE
+from .extreal import ONE, as_extvec
 
 
 def hull_meets_corner_dyadic(generators, dim: int, denominator: int = 32) -> bool:
@@ -131,8 +130,7 @@ def dominates_on_grid(f, phi, grid_denominator: int = 4, grid_max: int = 3) -> b
     """
     from itertools import product
 
-    from .convex_sep import ExtVec
-    from .extreal import ExtReal
+    from .extreal import ExtReal, ExtVec
 
     dim = f.dim
     axis = [ExtReal(k, grid_denominator) for k in range(grid_max * grid_denominator + 1)]

@@ -14,14 +14,22 @@ from itertools import product
 
 from . import oracles
 from .convex_sep import (
-    ExtVec,
     MeetsCorner,
     Separated,
     separate,
     verify_meets_corner,
     verify_separated,
 )
-from .extreal import INF, ONE, ZERO, ExtReal, ext_max, parse_extreal, sub_partial
+from .extreal import (
+    INF,
+    ONE,
+    ZERO,
+    ExtReal,
+    ExtVec,
+    ext_max,
+    parse_extreal,
+    sub_partial,
+)
 from .errors import NotLSC
 from .finspace import is_lsc, posets_up_to_iso
 from .functionals import (

@@ -240,3 +240,23 @@ def test_outputs_reparse_as_extended_rationals(tmp_path):
     )
     assert code == 0
     assert parse_extreal(json.loads(out)["value"]).is_infinite
+
+
+def test_bad_vector_entry_reports_its_path(tmp_path):
+    cases = [
+        (["1", "2", "-3"], "$.y[2]: negative values are rejected: '-3'"),
+        (["1", "2", 1.5], '$.y[2]: expected "p/q", "p", or "inf", got 1.5'),
+        (["1", "2", True], '$.y[2]: expected "p/q", "p", or "inf", got True'),
+        (["1", "2", -1], "$.y[2]: expected a nonnegative value, got -1"),
+        (["1", "2", "3/0"], "$.y[2]: zero denominator: '3/0'"),
+        (["1", "x", "-3"], "$.y[1]: not an extended rational: 'x'"),
+    ]
+    for y, message in cases:
+        code, out = run_cli(tmp_path, "minkowski", {"blocks": [[["1", "1", "1"]]], "y": y})
+        assert code == 1
+        assert json.loads(out) == {"error": "malformed_input", "message": message}
+    code, out = run_cli(
+        tmp_path, "minkowski", {"blocks": [[["1", "1", "1"], ["1", "0", "4/0"]]], "y": ["1"]}
+    )
+    assert code == 1
+    assert json.loads(out)["message"] == "$.blocks[0][1][2]: zero denominator: '4/0'"

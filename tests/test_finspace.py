@@ -182,3 +182,78 @@ def test_posets_are_topologically_labelled_and_deterministic():
                 for j in range(n):
                     if poset.leq(i, j):
                         assert i <= j
+
+
+def _triple_loop_validate(table):
+    """The cubic validation that bitmask rows replaced: the reference."""
+    rows = [tuple(bool(v) for v in row) for row in table]
+    n = len(rows)
+    for i in range(n):
+        if not rows[i][i]:
+            raise NotReflexive(i)
+    for i in range(n):
+        for j in range(n):
+            if i != j and rows[i][j] and rows[j][i]:
+                raise NotAntisymmetric(i, j)
+    for i in range(n):
+        for j in range(n):
+            if rows[i][j]:
+                for k in range(n):
+                    if rows[j][k] and not rows[i][k]:
+                        raise NotTransitive(i, j, k)
+
+
+def _near_poset(rng, n):
+    """A random order (transitively closed) with a few random defects."""
+    perm = list(range(n))
+    rng.shuffle(perm)
+    table = [[i == j for j in range(n)] for i in range(n)]
+    for a in range(n):
+        for b in range(a + 1, n):
+            if rng.random() < 0.3:
+                table[perm[a]][perm[b]] = True
+    for k in range(n):
+        for i in range(n):
+            if table[i][k]:
+                for j in range(n):
+                    if table[k][j]:
+                        table[i][j] = True
+    for _ in range(rng.choice((0, 0, 1, 1, 2, 3))):
+        i, j = rng.randrange(n), rng.randrange(n)
+        table[i][j] = not table[i][j]
+    return table
+
+
+def test_bitmask_validation_matches_triple_loop():
+    rng = random.Random(13)
+    outcomes = set()
+    for _ in range(400):
+        table = _near_poset(rng, rng.randint(1, 9))
+        try:
+            _triple_loop_validate(table)
+            expected = None
+        except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
+            expected = (type(exc), exc.witness)
+        try:
+            poset = validate_poset(table)
+            got = None
+        except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
+            got = (type(exc), exc.witness)
+        assert got == expected
+        outcomes.add(None if got is None else got[0])
+        if got is None:
+            n = len(table)
+            assert all(poset.leq(i, j) == table[i][j] for i in range(n) for j in range(n))
+            assert all(
+                poset.up_mask(i) == sum(1 << j for j in range(n) if table[i][j])
+                for i in range(n)
+            )
+    assert outcomes == {None, NotReflexive, NotAntisymmetric, NotTransitive}
+
+
+def test_posets_hash_by_their_order():
+    a = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    b = FinitePoset.from_pairs(3, [(1, 2), (0, 2), (0, 1)])
+    assert a == b and hash(a) == hash(b)
+    assert len({a, b, DISCRETE2, SIGMA}) == 3
+    assert hash(LscFun(SIGMA, [ZERO, INF])) == hash(LscFun(SIGMA, [ZERO, INF]))

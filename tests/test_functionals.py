@@ -18,6 +18,7 @@ from conedual import (
     member_a,
     member_u,
     minkowski,
+    parse_extreal,
     specialization_leq,
 )
 from conedual.errors import DimensionMismatch, EmptyList, InfiniteCoefficient
@@ -345,3 +346,122 @@ def test_homogeneity_including_zero_and_infinite_points():
         for f in funs:
             for r in (ZERO, ExtReal(1, 2), ExtReal(2), ExtReal(7, 3)):
                 assert f.eval(y.scale(r)) == r * f.eval(y)
+
+
+# The integer evaluation kernel against the ExtReal fold it replaced.
+
+
+def _fold_eval(f, y):
+    """LinFun.eval as a fold of ExtReal products and sums: the reference."""
+    y = y if isinstance(y, ExtVec) else ExtVec(y)
+    if y.dim != f.dim:
+        raise DimensionMismatch(f"{f.dim} versus {y.dim}")
+    total = ZERO
+    for c, v in zip(f.coeffs, y):
+        if c.num and v.num:
+            # zero factors contribute nothing, including 0 * inf
+            total = total + c * v
+    return total
+
+
+def _fold_max(values):
+    out = values[0]
+    for v in values[1:]:
+        if out < v:
+            out = v
+    return out
+
+
+def _fold_min(values):
+    out = values[0]
+    for v in values[1:]:
+        if v < out:
+            out = v
+    return out
+
+
+def _kernel_entry(rng):
+    """Zeros, infinities, and values given in non-reduced or foreign forms."""
+    kind = rng.randrange(8)
+    if kind == 0:
+        return ZERO if rng.randrange(2) else ExtReal(0, rng.randint(1, 9))
+    if kind == 1:
+        return INF
+    k = rng.randint(2, 6)
+    num, den = rng.randint(0, 40), rng.randint(1, 12)
+    if kind == 2:
+        return ExtReal(k * num, k * den)
+    if kind == 3:
+        return F(num, den)
+    if kind == 4:
+        return rng.randint(0, 9)
+    if kind == 5:
+        return parse_extreal(f"{k * num}/{k * den}")
+    if kind == 6:
+        return ExtReal(rng.randint(0, 2**70), rng.randint(1, 2**40))
+    return ExtReal(num, den)
+
+
+def _kernel_vector(rng, dim):
+    shape = rng.randrange(10)
+    if shape == 0:
+        return [INF] * dim
+    if shape == 1:
+        return [ZERO] * dim
+    return [_kernel_entry(rng) for _ in range(dim)]
+
+
+def _same(got, want):
+    return type(got) is ExtReal and (got.num, got.den) == (want.num, want.den)
+
+
+def test_integer_kernel_matches_extreal_fold():
+    rng = random.Random(41)
+    for _ in range(400):
+        dim = rng.randint(1, 6)
+        funs = [LinFun(_kernel_vector(rng, dim)) for _ in range(rng.randint(1, 4))]
+        raw = _kernel_vector(rng, dim)
+        # a shared point (its integer form is cached after the first pairing)
+        # and a fresh coercion of the same entries must agree
+        for y in (ExtVec(raw), ExtVec(raw), raw):
+            for f in funs:
+                assert _same(f.eval(y), _fold_eval(f, y))
+            folds = [_fold_eval(f, y) for f in funs]
+            assert _same(SublinFun(funs).eval(y), _fold_max(folds))
+            assert _same(SuperlinFun(funs).eval(y), _fold_min(folds))
+        point = ExtVec(raw)
+        # vectors built from a cached one carry their own form
+        for derived in (point.scale(ExtReal(3, 2)), point + point, point.scale(ZERO)):
+            for f in funs:
+                assert _same(f.eval(derived), _fold_eval(f, derived))
+        with pytest.raises(DimensionMismatch):
+            funs[0].eval(ExtVec(raw + [ONE]))
+
+
+def test_integer_kernel_zero_times_infinity():
+    assert _same(LinFun([INF, 0]).eval(ExtVec([0, INF])), ZERO)
+    assert _same(LinFun([INF, 1]).eval(ExtVec([0, ExtReal(2, 4)])), ExtReal(1, 2))
+    assert LinFun([INF, 0]).eval(ExtVec([ExtReal(1, 9), 0])) == INF
+    assert LinFun([INF, INF]).eval(ExtVec([INF, INF])) == INF
+    assert _same(LinFun([INF, INF]).eval(ExtVec([0, 0])), ZERO)
+
+
+def test_minkowski_and_specialization_match_extreal_fold():
+    rng = random.Random(43)
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        blocks = [
+            [LinFun(_kernel_vector(rng, dim)) for _ in range(rng.randint(1, 3))]
+            for _ in range(rng.randint(0, 3))
+        ]
+        y = ExtVec(_kernel_vector(rng, dim))
+        want = ZERO
+        for block in blocks:
+            v = _fold_min([_fold_eval(f, y) for f in block])
+            if want < v:
+                want = v
+        assert _same(minkowski(OpenSetRep(blocks), y), want)
+        gens = [f for block in blocks for f in block] or [LinFun([1] * dim)]
+        y2 = ExtVec(_kernel_vector(rng, dim))
+        want_leq = all(_fold_eval(x, y) <= _fold_eval(x, y2) for x in gens)
+        assert specialization_leq(y, y2, gens) == want_leq
