@@ -138,17 +138,16 @@ def _witness_from_certificate(gens, fin, inf_coords, certificate):
     if not inf_coords:
         return tuple(sorted(base.items()))
 
-    cover = sorted({next(j for j, g in enumerate(gens) if g[i].is_infinite) for i in inf_coords})
-    share = Fraction(1, len(cover))
+    cover = _cover_witness(gens, inf_coords)
     eps = Fraction(1, 2)
     for i in fin:
         x = sum(mu * gens[j][i].as_fraction() for j, mu in base.items())
-        y = sum(share * gens[j][i].as_fraction() for j in cover)
+        y = sum(share * gens[j][i].as_fraction() for j, share in cover)
         if y < x:
             # keep (1 - eps) x + eps y above one
             eps = min(eps, (x - 1) / (x - y) / 2)
     combo = {j: mu * (1 - eps) for j, mu in base.items()}
-    for j in cover:
+    for j, share in cover:
         combo[j] = combo.get(j, 0) + eps * share
     return tuple(sorted((j, v) for j, v in combo.items() if v > 0))
 
@@ -156,13 +155,10 @@ def _witness_from_certificate(gens, fin, inf_coords, certificate):
 def combination_point(generators, witness) -> ExtVec:
     """Evaluate a weighted combination of generators with extended arithmetic."""
     gens = [as_extvec(g) for g in generators]
-    dim = gens[0].dim
-    out = [ZERO] * dim
+    out = ExtVec((ZERO,) * gens[0].dim)
     for j, coeff in witness:
-        c = ExtReal.from_fraction(Fraction(coeff))
-        for i in range(dim):
-            out[i] = out[i] + c * gens[j][i]
-    return ExtVec(out)
+        out = out + gens[j].scale(ExtReal.from_fraction(Fraction(coeff)))
+    return out
 
 
 def verify_separated(generators, weights, dim=None) -> bool:
@@ -171,18 +167,12 @@ def verify_separated(generators, weights, dim=None) -> bool:
     if dim is not None and any(g.dim != dim for g in gens):
         return False
     vals = list(weights)
-    if len(vals) != gens[0].dim:
+    if any(g.dim != len(vals) for g in gens):
         return False
     if any(v < 0 for v in vals) or sum(vals) != 1:
         return False
-    ext = [ExtReal.from_fraction(Fraction(v)) for v in vals]
-    for g in gens:
-        total = ZERO
-        for a, p in zip(ext, g):
-            total = total + a * p
-        if not total <= ONE:
-            return False
-    return True
+    w = ExtVec([ExtReal.from_fraction(Fraction(v)) for v in vals])
+    return all(w.dot(g) <= ONE for g in gens)
 
 
 def verify_meets_corner(generators, witness) -> bool:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
+from operator import mul
 
 from .errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference
 
@@ -329,6 +330,26 @@ class ExtVec:
     @property
     def dim(self) -> int:
         return len(self.entries)
+
+    def dot(self, other: "ExtVec") -> ExtReal:
+        """The pairing sum_i a_i b_i, one integer dot product over the two
+        vectors' common denominators.
+
+        A term is infinite exactly when one factor is infinite and the other
+        nonzero (0 * inf = 0); infinite entries carry numerator 0, so the
+        finite terms sum correctly either way.
+        """
+        # cached integer forms, each computed on its vector's first pairing
+        an, ad, a_inf, a_nonzero = self._form or self._integer_form()
+        bn, bd, b_inf, b_nonzero = other._form or other._integer_form()
+        if len(an) != len(bn):
+            raise DimensionMismatch(f"{len(an)} versus {len(bn)}")
+        if a_inf & b_nonzero or b_inf & a_nonzero:
+            return INF
+        num = sum(map(mul, an, bn))
+        den = ad * bd
+        g = gcd(num, den)
+        return ExtReal._raw(num // g, den // g)
 
     def scale(self, r) -> "ExtVec":
         r = as_extreal(r)

@@ -21,7 +21,7 @@ from .errors import (
     PosetMismatch,
     TooLarge,
 )
-from .extreal import ZERO, ExtReal, as_extreal, ext_max, ext_min
+from .extreal import ZERO, ExtReal, ExtVec, as_extreal, as_extvec, ext_max, ext_min
 
 _MAX_OPENS_SIZE = 12
 _MAX_ISO_SIZE = 5
@@ -121,9 +121,11 @@ def is_lsc(values, poset: FinitePoset):
     vals = [as_extreal(v) for v in values]
     if len(vals) != poset.n:
         raise ValueError(f"expected {poset.n} values, got {len(vals)}")
-    for i in range(poset.n):
-        for j in range(poset.n):
-            if poset.leq(i, j) and not vals[i] <= vals[j]:
+    # only the pairs of the order, ascending, so the first witness is the
+    # lexicographically first violating pair
+    for i, v in enumerate(vals):
+        for j in _bits(poset.up_mask(i)):
+            if not v <= vals[j]:
                 return False, (i, j)
     return True, None
 
@@ -131,28 +133,32 @@ def is_lsc(values, poset: FinitePoset):
 class LscFun:
     """Monotone function from a finite poset into the extended reals."""
 
-    __slots__ = ("poset", "values")
+    __slots__ = ("poset", "_vec")
 
     def __init__(self, poset: FinitePoset, values):
-        vals = tuple(as_extreal(v) for v in values)
-        ok, pair = is_lsc(vals, poset)
+        if type(values) is not ExtVec:
+            values = tuple(values)
+        ok, pair = is_lsc(values, poset)
         if not ok:
             raise NotLSC(pair)
         self.poset = poset
-        self.values = vals
+        self._vec = as_extvec(values)
+
+    @property
+    def values(self) -> tuple:
+        return self._vec.entries
 
     def __getitem__(self, i) -> ExtReal:
-        return self.values[i]
+        return self._vec.entries[i]
 
     def __add__(self, other):
         if not isinstance(other, LscFun):
             return NotImplemented
         _same_poset(self, other)
-        return LscFun(self.poset, tuple(a + b for a, b in zip(self.values, other.values)))
+        return LscFun(self.poset, self._vec + other._vec)
 
     def scale(self, r) -> "LscFun":
-        r = as_extreal(r)
-        return LscFun(self.poset, tuple(r * v for v in self.values))
+        return LscFun(self.poset, self._vec.scale(r))
 
     @classmethod
     def sup(cls, funs):

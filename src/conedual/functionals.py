@@ -10,11 +10,8 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
-from math import gcd
-from operator import mul
-
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
-from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, as_extvec, ext_max, ext_min
+from .extreal import ONE, ZERO, ExtReal, ExtVec, as_extvec, ext_max, ext_min
 from .lp import Constraint, EQ, GEQ, LPProblem, solve_lp
 
 
@@ -40,25 +37,10 @@ class LinFun:
         return tuple(c.as_fraction() for c in self.coeffs)
 
     def eval(self, y) -> ExtReal:
-        """One integer dot product over the two vectors' common denominators.
-
-        A term is infinite exactly when one factor is infinite and the other
-        nonzero (0 * inf = 0); infinite entries carry numerator 0, so the
-        finite terms sum correctly either way.
-        """
+        """The pairing with y; see ``ExtVec.dot``."""
         if type(y) is not ExtVec:
             y = as_extvec(y)
-        # cached integer forms, each computed on its vector's first pairing
-        cn, cd, c_inf, c_nonzero = self.coeffs._form or self.coeffs._integer_form()
-        yn, yd, y_inf, y_nonzero = y._form or y._integer_form()
-        if len(yn) != len(cn):
-            raise DimensionMismatch(f"{self.dim} versus {y.dim}")
-        if c_inf & y_nonzero or y_inf & c_nonzero:
-            return INF
-        num = sum(map(mul, cn, yn))
-        den = cd * yd
-        g = gcd(num, den)
-        return ExtReal._raw(num // g, den // g)
+        return self.coeffs.dot(y)
 
     def __eq__(self, other):
         if not isinstance(other, LinFun):

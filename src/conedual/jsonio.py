@@ -116,10 +116,13 @@ def decode_poset(obj, path) -> FinitePoset:
     for i, pair in enumerate(raw):
         if not isinstance(pair, list) or len(pair) != 2:
             fail(f"{path}.leq[{i}]", "a pair [i, j]", pair)
-        a = decode_int(pair[0], f"{path}.leq[{i}][0]", minimum=0)
-        b = decode_int(pair[1], f"{path}.leq[{i}][1]", minimum=0)
-        if a >= size or b >= size:
-            fail(f"{path}.leq[{i}]", f"indices below {size}", pair)
+        a, b = pair
+        if not (type(a) is int and type(b) is int and 0 <= a < size and 0 <= b < size):
+            # the paths are built only here, where some check fails
+            a = decode_int(a, f"{path}.leq[{i}][0]", minimum=0)
+            b = decode_int(b, f"{path}.leq[{i}][1]", minimum=0)
+            if a >= size or b >= size:
+                fail(f"{path}.leq[{i}]", f"indices below {size}", pair)
         pairs.append((a, b))
     return FinitePoset.from_pairs(size, pairs)
 
@@ -137,20 +140,24 @@ def decode_open_table(obj, poset, path) -> ValuationOnOpens:
     raw = require_key(obj, "table", path)
     if not isinstance(raw, list):
         fail(f"{path}.table", 'an array of {"open": [...], "value": ...}', raw)
+    n = poset.n
     table = {}
     for i, entry in enumerate(raw):
-        members = require_key(entry, "open", f"{path}.table[{i}]")
+        where = f"{path}.table[{i}]"
+        members = require_key(entry, "open", where)
         if not isinstance(members, list):
-            fail(f"{path}.table[{i}].open", "an array of element indices", members)
+            fail(f"{where}.open", "an array of element indices", members)
         mask = 0
         for k, e in enumerate(members):
-            idx = decode_int(e, f"{path}.table[{i}].open[{k}]", minimum=0)
-            if idx >= poset.n:
-                fail(f"{path}.table[{i}].open[{k}]", f"indices below {poset.n}", e)
-            mask |= 1 << idx
-        value = decode_extreal(require_key(entry, "value", f"{path}.table[{i}]"), f"{path}.table[{i}].value")
+            if not (type(e) is int and 0 <= e < n):
+                # the member's path is built only when it fails
+                e = decode_int(e, f"{where}.open[{k}]", minimum=0)
+                if e >= n:
+                    fail(f"{where}.open[{k}]", f"indices below {n}", e)
+            mask |= 1 << e
+        value = decode_extreal(require_key(entry, "value", where), f"{where}.value")
         if mask in table:
-            raise ParseError(f"{path}.table[{i}]: duplicate open set")
+            raise ParseError(f"{where}: duplicate open set")
         table[mask] = value
     try:
         return ValuationOnOpens(poset, table)

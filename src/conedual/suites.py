@@ -154,13 +154,11 @@ def suite_separation(
         if isinstance(outcome, Separated):
             if not verify_separated(gens, outcome.weights, dim):
                 failures.append(f"instance {t}: separated weights failed recheck")
+            w = ExtVec([ExtReal.from_fraction(a) for a in outcome.weights])
             for _ in range(2):
                 y = _rand_corner_point(rng, dim)
-                total = ZERO
-                for a, yi in zip(outcome.weights, y):
-                    total = total + ExtReal.from_fraction(a) * yi
                 checks += 1
-                if not ONE < total:
+                if not ONE < w.dot(y):
                     failures.append(f"instance {t}: corner point {y} not above one")
         else:
             if not verify_meets_corner(gens, outcome.witness):

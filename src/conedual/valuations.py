@@ -18,11 +18,10 @@ from .errors import (
     EmptyList,
     GridTooLarge,
     NotAValuation,
-    NotLSC,
     PosetMismatch,
     UndefinedDifference,
 )
-from .extreal import INF, ONE, ZERO, ExtReal, as_extreal
+from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, as_extreal
 from .finspace import FinitePoset, LscFun, all_opens, is_lsc
 
 _GRID_CAP = 200_000
@@ -31,14 +30,18 @@ _GRID_CAP = 200_000
 class SimpleValuation:
     """Pointwise weights r_x, acting on functions by weighted summation."""
 
-    __slots__ = ("poset", "weights")
+    __slots__ = ("poset", "_vec")
 
     def __init__(self, poset: FinitePoset, weights):
-        ws = tuple(as_extreal(w) for w in weights)
+        ws = tuple(weights)
         if len(ws) != poset.n:
             raise DimensionMismatch(f"expected {poset.n} weights, got {len(ws)}")
         self.poset = poset
-        self.weights = ws
+        self._vec = ExtVec(ws)
+
+    @property
+    def weights(self) -> tuple:
+        return self._vec.entries
 
     @classmethod
     def dirac(cls, poset: FinitePoset, x: int):
@@ -47,7 +50,7 @@ class SimpleValuation:
     def __eq__(self, other):
         if not isinstance(other, SimpleValuation):
             return NotImplemented
-        return self.poset == other.poset and self.weights == other.weights
+        return self.poset == other.poset and self._vec == other._vec
 
     def __hash__(self):
         return hash((self.poset, self.weights))
@@ -56,20 +59,11 @@ class SimpleValuation:
         return "SimpleValuation(" + ", ".join(str(w) for w in self.weights) + ")"
 
 
-def _weighted_sum(weights, values) -> ExtReal:
-    total = ZERO
-    for w, v in zip(weights, values):
-        if w.num and v.num:
-            # zero factors contribute nothing, including 0 * inf
-            total = total + w * v
-    return total
-
-
 def eval_valuation(mu: SimpleValuation, f: LscFun) -> ExtReal:
     """mu(f) = sum_x r_x f(x) with extended arithmetic."""
     if mu.poset != f.poset:
         raise PosetMismatch("valuation and function live over different posets")
-    return _weighted_sum(mu.weights, f.values)
+    return mu._vec.dot(f._vec)
 
 
 def weakstar_member(mu: SimpleValuation, f: LscFun) -> bool:
@@ -108,12 +102,13 @@ class ValuationOnOpens:
 def to_opens(mu: SimpleValuation) -> ValuationOnOpens:
     """Tabulate nu(U) = sum of weights inside U over all opens."""
     n = mu.poset.n
+    weights = mu.weights
     table = {}
     for mask in all_opens(mu.poset):
         total = ZERO
         for i in range(n):
             if mask >> i & 1:
-                total = total + mu.weights[i]
+                total = total + weights[i]
         table[mask] = total
     return ValuationOnOpens(mu.poset, table)
 
@@ -151,24 +146,29 @@ def from_opens(nu: ValuationOnOpens) -> SimpleValuation:
 class DualFunctional:
     """Linear functional on valuations: mu with weights r maps to sum r_x c_x."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ("_vec",)
 
     def __init__(self, coeffs):
-        self.coeffs = tuple(as_extreal(c) for c in coeffs)
-        if not self.coeffs:
+        cs = tuple(coeffs)
+        if not cs:
             raise EmptyList("at least one coefficient is required")
+        self._vec = ExtVec(cs)
+
+    @property
+    def coeffs(self) -> tuple:
+        return self._vec.entries
 
     def eval(self, mu: SimpleValuation) -> ExtReal:
-        if len(self.coeffs) != mu.poset.n:
+        if len(self._vec) != mu.poset.n:
             raise DimensionMismatch(
-                f"{len(self.coeffs)} coefficients versus {mu.poset.n} elements"
+                f"{len(self._vec)} coefficients versus {mu.poset.n} elements"
             )
-        return _weighted_sum(mu.weights, self.coeffs)
+        return mu._vec.dot(self._vec)
 
     def __eq__(self, other):
         if not isinstance(other, DualFunctional):
             return NotImplemented
-        return self.coeffs == other.coeffs
+        return self._vec == other._vec
 
     def __repr__(self):
         return "DualFunctional(" + ", ".join(str(c) for c in self.coeffs) + ")"
@@ -187,10 +187,7 @@ def recover_function(phi: DualFunctional, poset: FinitePoset) -> LscFun:
         raise DimensionMismatch(
             f"{len(phi.coeffs)} coefficients versus {poset.n} elements"
         )
-    ok, pair = is_lsc(phi.coeffs, poset)
-    if not ok:
-        raise NotLSC(pair)
-    return LscFun(poset, phi.coeffs)
+    return LscFun(poset, phi._vec)
 
 
 def random_simple_valuation(rng: random.Random, poset: FinitePoset, inf_chance: int = 10) -> SimpleValuation:
@@ -247,13 +244,12 @@ def check_dominated_directed(
     rng = random.Random(seed)
     mus = [SimpleValuation.dirac(poset, x) for x in range(n)]
     mus += [random_simple_valuation(rng, poset) for _ in range(random_valuations)]
-    coeffs = phi.coeffs
-    bounds = [_weighted_sum(mu.weights, coeffs) for mu in mus]
-    survivors = [
-        f
-        for f in candidates
-        if all(_weighted_sum(mu.weights, f) <= b for mu, b in zip(mus, bounds))
-    ]
+    bounds = [(mu._vec, phi.eval(mu)) for mu in mus]
+    survivors = []
+    for f in candidates:
+        vec = ExtVec(f)
+        if all(w.dot(vec) <= b for w, b in bounds):
+            survivors.append(f)
     sset = set(survivors)
     for i in range(len(survivors)):
         fi = survivors[i]

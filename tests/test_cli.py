@@ -260,3 +260,54 @@ def test_bad_vector_entry_reports_its_path(tmp_path):
     )
     assert code == 1
     assert json.loads(out)["message"] == "$.blocks[0][1][2]: zero denominator: '4/0'"
+
+
+def test_bad_poset_and_open_table_report_their_paths(tmp_path):
+    chain = {"size": 2, "leq": [[0, 1]]}
+    poset_cases = [
+        ([], "$: expected an object, got []"),
+        ({"leq": []}, "$: missing key 'size'"),
+        ({"size": "2", "leq": []}, "$.size: expected an integer, got '2'"),
+        ({"size": 0, "leq": []}, "$.size: expected an integer >= 1, got 0"),
+        ({"size": 2}, "$: missing key 'leq'"),
+        ({"size": 2, "leq": {}}, "$.leq: expected an array of [i, j] pairs, got {}"),
+        ({"size": 2, "leq": [[0, 1], [1]]}, "$.leq[1]: expected a pair [i, j], got [1]"),
+        ({"size": 2, "leq": [[0, 1], "01"]}, "$.leq[1]: expected a pair [i, j], got '01'"),
+        ({"size": 2, "leq": [[True, 1]]}, "$.leq[0][0]: expected an integer, got True"),
+        ({"size": 2, "leq": [[0.0, 1]]}, "$.leq[0][0]: expected an integer, got 0.0"),
+        ({"size": 2, "leq": [[-1, 1]]}, "$.leq[0][0]: expected an integer >= 0, got -1"),
+        ({"size": 2, "leq": [[0, "1"]]}, "$.leq[0][1]: expected an integer, got '1'"),
+        ({"size": 2, "leq": [[5, -1]]}, "$.leq[0][1]: expected an integer >= 0, got -1"),
+        ({"size": 2, "leq": [[-1, 9]]}, "$.leq[0][0]: expected an integer >= 0, got -1"),
+        ({"size": 2, "leq": [[0, 1], [2, 0]]}, "$.leq[1]: expected indices below 2, got [2, 0]"),
+        ({"size": 2, "leq": [[0, 2]]}, "$.leq[0]: expected indices below 2, got [0, 2]"),
+    ]
+    table_cases = [
+        (None, "$: missing key 'table'"),
+        ({}, "$.table: expected an array of {\"open\": [...], \"value\": ...}, got {}"),
+        ([3], "$.table[0]: expected an object, got 3"),
+        ([{"value": "0"}], "$.table[0]: missing key 'open'"),
+        ([{"open": 1, "value": "0"}], "$.table[0].open: expected an array of element indices, got 1"),
+        ([{"open": [], "value": "0"}, {"open": [1, "0"], "value": "1"}],
+         "$.table[1].open[1]: expected an integer, got '0'"),
+        ([{"open": [False], "value": "0"}], "$.table[0].open[0]: expected an integer, got False"),
+        ([{"open": [1, -1], "value": "0"}], "$.table[0].open[1]: expected an integer >= 0, got -1"),
+        ([{"open": [0, 2], "value": "0"}], "$.table[0].open[1]: expected indices below 2, got 2"),
+        ([{"open": []}], "$.table[0]: missing key 'value'"),
+        ([{"open": [], "value": "-1"}], "$.table[0].value: negative values are rejected: '-1'"),
+        ([{"open": [], "value": "0"}, {"open": [], "value": "0"}], "$.table[1]: duplicate open set"),
+        ([{"open": [1, 1], "value": "0"}, {"open": [1], "value": "0"}], "$.table[1]: duplicate open set"),
+        ([{"open": [], "value": "0"}, {"open": [1], "value": "1"}],
+         "$.table: table must cover exactly the open sets of the poset"),
+    ]
+    cases = [(dict(payload, direction="to_opens", weights=["1", "1"]) if isinstance(payload, dict)
+              else payload, message) for payload, message in poset_cases]
+    for table, message in table_cases:
+        payload = dict(chain, direction="from_opens")
+        if table is not None:
+            payload["table"] = table
+        cases.append((payload, message))
+    for payload, message in cases:
+        code, out = run_cli(tmp_path, "mobius", payload)
+        assert code == 1, message
+        assert json.loads(out) == {"error": "malformed_input", "message": message}

@@ -162,3 +162,8 @@ def test_determinism():
     first = separate(gens, 2)
     for _ in range(5):
         assert separate(gens, 2) == first
+
+
+def test_verify_separated_rejects_generators_of_another_dimension():
+    # the second generator is shorter than the weights; nothing is truncated
+    assert not verify_separated([ExtVec([0, 0]), ExtVec([5])], [0, 1])

@@ -2,8 +2,19 @@ from fractions import Fraction
 
 import pytest
 
-from conedual import INF, ONE, ZERO, ExtReal, ext_max, ext_min, ext_sup, parse_extreal, sub_partial
-from conedual.errors import EmptyList, ParseError, UndefinedDifference
+from conedual import (
+    INF,
+    ONE,
+    ZERO,
+    ExtReal,
+    ExtVec,
+    ext_max,
+    ext_min,
+    ext_sup,
+    parse_extreal,
+    sub_partial,
+)
+from conedual.errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference
 
 GRID = [ZERO, ExtReal(1, 3), ExtReal(1, 2), ONE, ExtReal(2), ExtReal(3), INF]
 
@@ -127,3 +138,13 @@ def test_hash_and_equality_are_structural():
     assert ExtReal(2) == 2
     assert ExtReal(1, 2) == Fraction(1, 2)
     assert INF != 2
+
+
+def test_dot_examples():
+    a = ExtVec([ExtReal(1, 2), INF, ZERO])
+    assert a.dot(ExtVec([4, 0, INF])) == ExtReal(2)  # both 0 * inf terms vanish
+    assert a.dot(ExtVec([0, 1, 0])) == INF
+    assert ExtVec([ExtReal(1, 3), ExtReal(1, 6)]).dot(ExtVec([ExtReal(3, 2), 3])) == ONE
+    assert ExtVec([0, 0]).dot(ExtVec([INF, INF])) == ZERO
+    with pytest.raises(DimensionMismatch):
+        a.dot(ExtVec([1, 1]))

@@ -242,3 +242,62 @@ def test_sup_representation_step_families_everywhere():
             family = [step(poset, r, mask) for r, mask in to_steps(f)]
             if family:
                 assert check_sup_representation(phi, poset, family, samples=40)
+
+
+def _weighted_sum_fold(weights, values):
+    """The pairing as an ExtReal fold, kept as an independent oracle."""
+    total = ZERO
+    for w, v in zip(weights, values):
+        if w.num and v.num:
+            # zero factors contribute nothing, including 0 * inf
+            total = total + w * v
+    return total
+
+
+def _rand_ext(rng):
+    pick = rng.randrange(6)
+    if pick == 0:
+        return ZERO
+    if pick == 1:
+        return INF
+    return ExtReal(rng.randint(0, 12), rng.randint(1, 6))
+
+
+def test_pairings_match_the_fold_oracle():
+    rng = random.Random(55)
+    posets = [p for n in range(1, 5) for p in posets_up_to_iso(n)]
+    zero_inf = infinite = zero = 0
+    for _ in range(600):
+        poset = rng.choice(posets)
+        weights = [_rand_ext(rng) for _ in range(poset.n)]
+        values = _monotone(poset, [_rand_ext(rng) for _ in range(poset.n)])
+        coeffs = [_rand_ext(rng) for _ in range(poset.n)]
+        mu = SimpleValuation(poset, weights)
+        f = LscFun(poset, values)
+        for got, want in (
+            (eval_valuation(mu, f), _weighted_sum_fold(weights, values)),
+            (DualFunctional(coeffs).eval(mu), _weighted_sum_fold(weights, coeffs)),
+        ):
+            assert (got.num, got.den) == (want.num, want.den)
+            infinite += want.is_infinite
+            zero += want.is_zero
+        zero_inf += any(
+            (w.is_zero and v.is_infinite) or (w.is_infinite and v.is_zero)
+            for w, v in zip(weights, values)
+        )
+    # the cases cover 0 * inf pairs and both kinds of extreme result
+    assert zero_inf and infinite and zero
+
+
+def test_constructors_reject_non_numbers():
+    with pytest.raises(TypeError):
+        SimpleValuation(FinitePoset.from_pairs(1, []), ["x"])
+    with pytest.raises(TypeError):
+        DualFunctional(["x"])
+
+
+def test_directedness_rejects_a_functional_of_the_wrong_dimension():
+    with pytest.raises(DimensionMismatch):
+        check_dominated_directed(
+            DualFunctional([1, 1]), FinitePoset.from_pairs(3, []), 1, ExtReal(1)
+        )
