@@ -8,6 +8,7 @@ structural.  No floating point is used anywhere.
 
 from __future__ import annotations
 
+import sys
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
@@ -29,7 +30,8 @@ __all__ = [
     "parse_extreal",
 ]
 
-_HASH_INF = hash(float("inf"))
+_HASH_INF = sys.hash_info.inf
+_HASH_MODULUS = sys.hash_info.modulus
 
 
 class ExtReal:
@@ -187,9 +189,15 @@ class ExtReal:
         return not eq
 
     def __hash__(self):
-        if self.den == 0:
+        # Fraction.__hash__ on the reduced, nonnegative (num, den), without
+        # building the Fraction, so hash(ExtReal(q)) == hash(Fraction(q)).
+        # INF's den == 0 is a multiple of the modulus, as float("inf") hashes.
+        den = self.den
+        if den == 1:
+            return hash(self.num)
+        if den % _HASH_MODULUS == 0:
             return _HASH_INF
-        return hash(Fraction(self.num, self.den))
+        return hash(hash(self.num) * pow(den, -1, _HASH_MODULUS))
 
     def __bool__(self):
         return self.num != 0

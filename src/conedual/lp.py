@@ -29,9 +29,14 @@ Artificial columns stay through phase 2, so both multiplier sets read
 ``y_i = c_j - d_j / D`` off the column ``j`` row ``i`` started with.  For
 ``max`` the dual has ``y_i >= 0`` on ``<=`` rows, ``<= 0`` on ``>=`` rows and
 ``A^T y >= c``; for ``min`` the signs and the inequality flip.
-``verify_lp_result`` re-checks any answer against the original problem in
-``Fraction`` arithmetic at zero tolerance, an optimum's dual included with
-``b . y == c . x``; ``solve_lp`` runs it internally before returning.
+``verify_lp_result`` re-checks any answer against the original problem at
+zero tolerance, an optimum's dual included with ``b . y == c . x``;
+``solve_lp`` runs it internally before returning.  The check runs on integer
+rows with cleared denominators, built once from the problem data and not
+from the tableau, and on each certificate as integers over one common
+denominator, so every test is an integer dot product plus a sign or
+equality test (Dhiflaoui et al. 2003).  The solver starts its tableau from
+the same rows.
 """
 
 from __future__ import annotations
@@ -39,6 +44,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import MalformedProblem
 
@@ -174,10 +180,33 @@ def _iterate(T, basis, D, m, limit):
         D = _pivot(T, basis, D, pr, pc)
 
 
-def _scaled(values, sign):
-    """Integers proportional to ``values``: each times ``sign`` and their lcm."""
+def _over(values):
+    """``values`` as integers over the lcm of their denominators: ``(nums, den)``."""
     den = lcm(*(v.denominator for v in values))
-    return [sign * v.numerator * (den // v.denominator) for v in values], sign * den
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
+def _int_rows(problem):
+    """The problem with cleared denominators, built once and cached on it.
+
+    Returns ``(rows, scales, (cnums, cden))``: row ``i`` is constraint ``i``'s
+    coefficients followed by its right-hand side, all times ``scales[i]``,
+    the lcm of that row's own denominators; the objective is ``cnums / cden``.
+    The cache sits outside the dataclass fields, so ``==`` and ``hash`` of
+    the problem do not see it.
+    """
+    cached = problem.__dict__.get("_rows")
+    if cached is None:
+        rows = []
+        scales = []
+        for c in problem.constraints:
+            nums, den = _over(c.coeffs + (c.rhs,))
+            rows.append(tuple(nums))
+            scales.append(den)
+        cnums, cden = _over(problem.objective)
+        cached = (tuple(rows), tuple(scales), (tuple(cnums), cden))
+        object.__setattr__(problem, "_rows", cached)
+    return cached
 
 
 def solve_lp(problem: LPProblem):
@@ -195,6 +224,7 @@ def solve_lp(problem: LPProblem):
     # rescales the slack without changing any ratio or cost sign.  A row
     # whose slack enters as +1 starts with the slack basic; every other row
     # gets an artificial.
+    rows, scales, (cnums, cden) = _int_rows(problem)
     T = []
     scale = []
     basis = []
@@ -202,8 +232,8 @@ def solve_lp(problem: LPProblem):
     s = n
     for i, c in enumerate(cons):
         sign = -1 if c.rhs < 0 or (c.rel == GEQ and c.rhs == 0) else 1
-        ints, factor = _scaled(c.coeffs + (c.rhs,), sign)
-        row = ints[:-1] + [0] * (width - n)
+        ints = rows[i] if sign > 0 else [-v for v in rows[i]]
+        row = list(ints[:n]) + [0] * (width - n)
         if c.rel == EQ:
             unit = 0
         else:
@@ -216,7 +246,7 @@ def solve_lp(problem: LPProblem):
             basis.append(None)
             art_rows.append(i)
         T.append(row + [ints[-1]])
-        scale.append(factor)
+        scale.append(sign * scales[i])
 
     # Phase 1: minimise the sum of the artificials; they never re-enter.
     k = len(art_rows)
@@ -254,8 +284,9 @@ def solve_lp(problem: LPProblem):
             if pc is not None:
                 D = _pivot(T, basis, D, i, pc)
 
-    cmin, cscale = _scaled(obj, -1 if problem.sense == "max" else 1)
-    cmin += [0] * (width + k - n)
+    sign = -1 if problem.sense == "max" else 1
+    cmin = [sign * v for v in cnums] + [0] * (width + k - n)
+    cscale = sign * cden
     cost = [D * cj for cj in cmin] + [0]
     for b, row in zip(basis, T):
         cb = cmin[b]
@@ -285,74 +316,106 @@ def solve_lp(problem: LPProblem):
     return result
 
 
+def _exact(values):
+    """True when every entry is an ``int`` or a ``Fraction``; a ``bool`` is not an ``int``."""
+    return all(type(v) is int or type(v) is Fraction for v in values)
+
+
+def _fold(rows, scales, nums, den, width):
+    """``sum_i (nums[i] / den) * (A_i, b_i)`` as integers over one denominator.
+
+    ``rows[i]`` is ``(A_i, b_i)`` times ``scales[i]``, so the weights are
+    ``w_i = nums[i] / (den * scales[i])``, here over ``den * lcm(scales)``.
+    Returns ``(combined, denominator)``; the denominator is positive.
+    """
+    big = lcm(*scales)
+    combined = [0] * width
+    for v, s, row in zip(nums, scales, rows):
+        if v:
+            w = v * (big // s)
+            combined = [a + w * b for a, b in zip(combined, row)]
+    return combined, den * big
+
+
 def verify_lp_result(problem: LPProblem, result) -> bool:
-    """Re-check a solver answer against the problem, trusting nothing."""
+    """Re-check a solver answer against the problem, trusting nothing.
+
+    Every entry of the answer must be an ``int`` or a ``Fraction``: a float
+    or any other type makes the answer invalid, as it cannot be checked
+    exactly.
+    """
     n = problem.n_vars
     cons = problem.constraints
+    rows, scales, (cnums, cden) = _int_rows(problem)
 
     if isinstance(result, LPOptimal):
         x = result.point
-        if len(x) != n or any(v < 0 for v in x):
+        value = result.value
+        if len(x) != n or not _exact(x) or not _exact((value,)):
             return False
-        for c in cons:
-            lhs = sum(a * v for a, v in zip(c.coeffs, x))
-            if c.rel == LEQ and not lhs <= c.rhs:
+        xn, xd = _over(x)
+        if any(v < 0 for v in xn):
+            return False
+        for row, c in zip(rows, cons):
+            lhs = sum(map(mul, row, xn))
+            rhs = row[n] * xd
+            if c.rel == LEQ and not lhs <= rhs:
                 return False
-            if c.rel == GEQ and not lhs >= c.rhs:
+            if c.rel == GEQ and not lhs >= rhs:
                 return False
-            if c.rel == EQ and lhs != c.rhs:
+            if c.rel == EQ and lhs != rhs:
                 return False
-        if sum(o * v for o, v in zip(problem.objective, x)) != result.value:
+        vnum, vden = value.numerator, value.denominator
+        if sum(map(mul, cnums, xn)) * vden != vnum * cden * xd:
             return False
         # Optimality: a dual y with the signs of the dual LP, A^T y >= c for
         # max (<= c for min), and b . y equal to the primal value.
         y = result.dual
-        if y is None or len(y) != len(cons):
+        if y is None or len(y) != len(cons) or not _exact(y):
             return False
+        yn, yd = _over(y)
         flip = 1 if problem.sense == "max" else -1
-        for yi, c in zip(y, cons):
-            if c.rel == LEQ and flip * yi < 0:
+        for v, c in zip(yn, cons):
+            if c.rel == LEQ and flip * v < 0:
                 return False
-            if c.rel == GEQ and flip * yi > 0:
+            if c.rel == GEQ and flip * v > 0:
                 return False
-        for j, cj in enumerate(problem.objective):
-            if flip * (sum(yi * c.coeffs[j] for yi, c in zip(y, cons)) - cj) < 0:
+        combined, d = _fold(rows, scales, yn, yd, n + 1)
+        for j in range(n):
+            if flip * (combined[j] * cden - cnums[j] * d) < 0:
                 return False
-        return sum(yi * c.rhs for yi, c in zip(y, cons)) == result.value
+        return combined[n] * vden == vnum * d
 
     if isinstance(result, LPInfeasible):
         z = result.certificate
-        if len(z) != len(cons):
+        if len(z) != len(cons) or not _exact(z):
             return False
-        for zi, c in zip(z, cons):
-            if c.rel == LEQ and zi > 0:
+        zn, zd = _over(z)
+        for v, c in zip(zn, cons):
+            if c.rel == LEQ and v > 0:
                 return False
-            if c.rel == GEQ and zi < 0:
+            if c.rel == GEQ and v < 0:
                 return False
-        combined_rhs = Fraction(0)
-        combined = [Fraction(0)] * n
-        for zi, c in zip(z, cons):
-            if zi == 0:
-                continue
-            combined_rhs += zi * c.rhs
-            for j, a in enumerate(c.coeffs):
-                combined[j] += zi * a
+        combined, _ = _fold(rows, scales, zn, zd, n + 1)
         # On x >= 0 the combination forces (<= 0) > 0, a contradiction.
-        return all(v <= 0 for v in combined) and combined_rhs > 0
+        return all(v <= 0 for v in combined[:n]) and combined[n] > 0
 
     if isinstance(result, LPUnbounded):
         r = result.ray
-        if len(r) != n or any(v < 0 for v in r) or all(v == 0 for v in r):
+        if len(r) != n or not _exact(r):
             return False
-        for c in cons:
-            d = sum(a * v for a, v in zip(c.coeffs, r))
+        rn, _ = _over(r)
+        if any(v < 0 for v in rn) or not any(rn):
+            return False
+        for row, c in zip(rows, cons):
+            d = sum(map(mul, row, rn))
             if c.rel == LEQ and d > 0:
                 return False
             if c.rel == GEQ and d < 0:
                 return False
             if c.rel == EQ and d != 0:
                 return False
-        gain = sum(o * v for o, v in zip(problem.objective, r))
+        gain = sum(map(mul, cnums, rn))
         return gain > 0 if problem.sense == "max" else gain < 0
 
     return False

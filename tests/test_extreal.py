@@ -1,3 +1,5 @@
+import random
+import sys
 from fractions import Fraction
 
 import pytest
@@ -139,6 +141,21 @@ def test_hash_and_equality_are_structural():
     assert ExtReal(1, 2) == Fraction(1, 2)
     assert INF != 2
 
+
+
+def test_hash_agrees_with_fraction():
+    rng = random.Random(2026)
+    mersenne = 2**61 - 1
+    dens = [1, 2, 3, 7, mersenne, 2 * mersenne, 3 * mersenne + 1]
+    for _ in range(3000):
+        num = rng.getrandbits(rng.choice((1, 8, 32, 70)))
+        den = rng.choice(dens + [rng.getrandbits(rng.choice((8, 70))) + 1])
+        assert hash(ExtReal(num, den)) == hash(Fraction(num, den)), (num, den)
+    # a denominator the hash modulus divides hashes like infinity, as in Fraction
+    assert hash(ExtReal(1, mersenne)) == hash(Fraction(1, mersenne)) == sys.hash_info.inf
+    assert hash(ExtReal(2**70 + 1, 3)) == hash(Fraction(2**70 + 1, 3))
+    assert hash(INF) == hash(float("inf")) == sys.hash_info.inf
+    assert hash(ZERO) == hash(0) and hash(ONE) == hash(1)
 
 def test_dot_examples():
     a = ExtVec([ExtReal(1, 2), INF, ZERO])

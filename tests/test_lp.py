@@ -536,3 +536,212 @@ def test_infeasible_with_slack_and_artificial_rows():
     res = _assert_agrees(prob)
     assert all(z != 0 for z in res.certificate)
     assert res.certificate[0] > 0
+
+
+# ---------------------------------------------------------------------------
+# The integer verifier against the Fraction verifier it replaced.
+#
+# ``fraction_verify`` is the earlier ``verify_lp_result``, which rechecked
+# every answer in ``Fraction`` arithmetic.  It lives only here, as the oracle
+# the integer recheck in ``conedual.lp`` is compared against on exact input.
+
+
+def fraction_verify(problem, result):
+    n = problem.n_vars
+    cons = problem.constraints
+
+    if isinstance(result, LPOptimal):
+        x = result.point
+        if len(x) != n or any(v < 0 for v in x):
+            return False
+        for c in cons:
+            lhs = sum(a * v for a, v in zip(c.coeffs, x))
+            if c.rel == "<=" and not lhs <= c.rhs:
+                return False
+            if c.rel == ">=" and not lhs >= c.rhs:
+                return False
+            if c.rel == "==" and lhs != c.rhs:
+                return False
+        if sum(o * v for o, v in zip(problem.objective, x)) != result.value:
+            return False
+        y = result.dual
+        if y is None or len(y) != len(cons):
+            return False
+        flip = 1 if problem.sense == "max" else -1
+        for yi, c in zip(y, cons):
+            if c.rel == "<=" and flip * yi < 0:
+                return False
+            if c.rel == ">=" and flip * yi > 0:
+                return False
+        for j, cj in enumerate(problem.objective):
+            if flip * (sum(yi * c.coeffs[j] for yi, c in zip(y, cons)) - cj) < 0:
+                return False
+        return sum(yi * c.rhs for yi, c in zip(y, cons)) == result.value
+
+    if isinstance(result, LPInfeasible):
+        z = result.certificate
+        if len(z) != len(cons):
+            return False
+        for zi, c in zip(z, cons):
+            if c.rel == "<=" and zi > 0:
+                return False
+            if c.rel == ">=" and zi < 0:
+                return False
+        combined_rhs = F(0)
+        combined = [F(0)] * n
+        for zi, c in zip(z, cons):
+            if zi == 0:
+                continue
+            combined_rhs += zi * c.rhs
+            for j, a in enumerate(c.coeffs):
+                combined[j] += zi * a
+        return all(v <= 0 for v in combined) and combined_rhs > 0
+
+    if isinstance(result, LPUnbounded):
+        r = result.ray
+        if len(r) != n or any(v < 0 for v in r) or all(v == 0 for v in r):
+            return False
+        for c in cons:
+            d = sum(a * v for a, v in zip(c.coeffs, r))
+            if c.rel == "<=" and d > 0:
+                return False
+            if c.rel == ">=" and d < 0:
+                return False
+            if c.rel == "==" and d != 0:
+                return False
+        gain = sum(o * v for o, v in zip(problem.objective, r))
+        return gain > 0 if problem.sense == "max" else gain < 0
+
+    return False
+
+
+def _differential_results():
+    """(problem, result) for solve_lp and the reference on the 300-LP set."""
+    rng = random.Random(31337)
+    out = []
+    for _ in range(300):
+        prob = _random_lp(rng)
+        out.append((prob, solve_lp(prob)))
+        out.append((prob, reference_solve(prob)))
+    return out
+
+
+def _tampered_cases():
+    """Every (problem, answer) pair of test_verifier_rejects_tampered_certificates."""
+    prob = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
+    res = solve_lp(prob)
+    cases = [(prob, res), (prob, LPInfeasible(tuple(-v for v in res.certificate)))]
+    cases.append(
+        (LPProblem(1, (Constraint((1,), "==", 1),), (0,), "max"), LPOptimal((F(1, 2),), F(0), (F(0),)))
+    )
+    prob = LPProblem(
+        2,
+        (Constraint((1, 1), "<=", 1), Constraint((1, 0), "<=", F(1, 2)), Constraint((0, 1), ">=", 0)),
+        (1, 2),
+        "max",
+    )
+    point, value = (F(0), F(1)), F(2)
+    for dual in (
+        (F(2), F(0), F(0)),
+        None,
+        (F(2), F(0)),
+        (F(3), F(-1), F(0)),
+        (F(2), F(0), F(1)),
+        (F(1), F(2), F(0)),
+        (F(3), F(0), F(0)),
+    ):
+        cases.append((prob, LPOptimal(point, value, dual)))
+    cases.append((prob, LPOptimal((F(1, 2), F(1, 2)), F(3, 2), (F(2), F(0), F(0)))))
+    return cases
+
+
+def test_integer_verifier_agrees_with_fraction_verifier():
+    cases = _differential_results() + _tampered_cases()
+    verdicts = set()
+    for prob, res in cases:
+        verdict = verify_lp_result(prob, res)
+        assert verdict == fraction_verify(prob, res), (prob, res)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def _perturb(rng, result):
+    """``result`` with one entry moved by +-1, +-1/7, or its sign flipped."""
+    if isinstance(result, LPOptimal):
+        field = rng.choice(("point", "value", "dual"))
+    elif isinstance(result, LPInfeasible):
+        field = "certificate"
+    else:
+        field = "ray"
+    entries = getattr(result, field)
+    scalar = field == "value"
+    entries = [entries] if scalar else list(entries)
+    k = rng.randrange(len(entries))
+    v = entries[k]
+    entries[k] = rng.choice((v + 1, v - 1, v + F(1, 7), v - F(1, 7), -v))
+    new = entries[0] if scalar else tuple(entries)
+    fields = {name: getattr(result, name) for name in result.__dataclass_fields__}
+    fields[field] = new
+    return type(result)(**fields)
+
+
+def test_integer_verifier_agrees_on_perturbed_certificates():
+    rng = random.Random(4242)
+    counts = {True: 0, False: 0}
+    for prob, res in _differential_results():
+        for _ in range(3):
+            bad = _perturb(rng, res)
+            verdict = verify_lp_result(prob, bad)
+            assert verdict == fraction_verify(prob, bad), (prob, bad)
+            counts[verdict] += 1
+    # a nudge can land on another valid certificate, and usually does not
+    assert counts[True] > 0 and counts[False] > 0, counts
+
+
+def test_verifier_rejects_inexact_certificate_entries():
+    prob = LPProblem(
+        2,
+        (Constraint((1, 1), "<=", 1), Constraint((1, 0), "<=", F(1, 2)), Constraint((0, 1), ">=", 0)),
+        (1, 2),
+        "max",
+    )
+    assert verify_lp_result(prob, LPOptimal((0, 1), 2, (2, 0, 0)))
+    # the Fraction recheck accepted floats and bools equal to a valid answer
+    floats = LPOptimal((0.0, 1.0), 2.0, (2.0, 0.0, 0.0))
+    assert fraction_verify(prob, floats)
+    assert not verify_lp_result(prob, floats)
+    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), 2.0, (F(2), F(0), F(0))))
+    assert not verify_lp_result(prob, LPOptimal((False, True), F(2), (F(2), F(0), F(0))))
+    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), F(2), (F(2), False, F(0))))
+    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), True, (F(2), F(0), F(0))))
+    assert not verify_lp_result(prob, LPOptimal(("0", F(1)), F(2), (F(2), F(0), F(0))))
+    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), "2", (F(2), F(0), F(0))))
+    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), F(2), ("2", F(0), F(0))))
+
+    infeasible = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
+    cert = solve_lp(infeasible).certificate
+    assert verify_lp_result(infeasible, LPInfeasible(cert))
+    for bad in (float(cert[0]), str(cert[0]), True):
+        assert not verify_lp_result(infeasible, LPInfeasible((bad,) + cert[1:]))
+
+    unbounded = LPProblem(1, (Constraint((1,), ">=", 0),), (1,), "max")
+    assert verify_lp_result(unbounded, LPUnbounded((1,)))
+    for bad in (1.0, "1", True):
+        assert not verify_lp_result(unbounded, LPUnbounded((bad,)))
+
+
+def test_verifying_keeps_problem_equality_and_hash():
+    def make():
+        return LPProblem(
+            2,
+            (Constraint((1, F(1, 3)), "<=", F(5, 2)), Constraint((F(2, 7), 1), ">=", 0)),
+            (1, F(1, 2)),
+            "max",
+        )
+
+    first, second = make(), make()
+    before = hash(first)
+    assert verify_lp_result(first, solve_lp(first))
+    assert first == second
+    assert hash(first) == hash(second) == before
+    assert repr(first) == repr(second)
