@@ -80,8 +80,13 @@ def separate(generators, dim: int):
     turned into an explicit witness combination.
     """
     gens = _check_generators(generators, dim)
-    inf_coords = sorted({i for g in gens for i in range(dim) if g[i].is_infinite})
-    fin = [i for i in range(dim) if i not in set(inf_coords)]
+    # the generators' integer forms: (numerators over d, d, infinity mask, ...)
+    forms = [g._integer_form() for g in gens]
+    inf_mask = 0
+    for form in forms:
+        inf_mask |= form[2]
+    inf_coords = [i for i in range(dim) if inf_mask >> i & 1]
+    fin = [i for i in range(dim) if not inf_mask >> i & 1]
 
     if not fin:
         outcome = MeetsCorner(_cover_witness(gens, inf_coords))
@@ -90,10 +95,8 @@ def separate(generators, dim: int):
 
     k = len(fin)
     constraints = [Constraint((1,) * k, EQ, 1)]
-    for g in gens:
-        constraints.append(
-            Constraint(tuple(g[i].as_fraction() for i in fin), LEQ, 1)
-        )
+    for nums, d, _, _ in forms:
+        constraints.append(Constraint(tuple(Fraction(nums[i], d) for i in fin), LEQ, 1))
     res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
 
     if isinstance(res, LPOptimal):

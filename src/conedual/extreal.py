@@ -289,11 +289,14 @@ def parse_extreal(text: str) -> ExtReal:
 class ExtVec:
     """A point of the extended nonnegative orthant with a fixed dimension.
 
-    Immutable by convention (``scale`` and ``+`` build new vectors), so its
-    integer form is computed at most once and cached with it.
+    Its primary state is the integer form that pairings read; the
+    ``ExtReal`` entries are built from it on first access and cached.  A
+    vector made from entries computes its form on its first pairing
+    instead.  Immutable by convention (``scale`` and ``+`` build new
+    vectors), so each state is computed at most once.
     """
 
-    __slots__ = ("entries", "_form")
+    __slots__ = ("_entries", "_form")
 
     def __init__(self, entries):
         entries = tuple(entries)
@@ -306,18 +309,41 @@ class ExtVec:
                 break
         if not entries:
             raise DimensionMismatch("vectors must have positive dimension")
-        self.entries = entries
+        self._entries = entries
         self._form = None
+
+    @classmethod
+    def _from_ratios(cls, nums, dens, inf, nonzero):
+        """A vector from its numerators over their own denominators, reduced
+        or not (0 over 1 at infinite coordinates), and the two masks.
+
+        The numerators are put over the lcm d of the denominators, then d
+        and every numerator are divided by their gcd.  That leaves d the lcm
+        of the reduced denominators: the canonical form ``_integer_form``
+        gives, found with no gcd per entry.
+        """
+        d = lcm(*dens)
+        if d != 1:
+            nums = [n * (d // q) for n, q in zip(nums, dens)]
+            g = gcd(d, *nums)
+            if g != 1:
+                d //= g
+                nums = [n // g for n in nums]
+        v = object.__new__(cls)
+        v._entries = None
+        v._form = (tuple(nums), d, inf, nonzero)
+        return v
 
     def _integer_form(self):
         """(numerators over d, d, infinity mask, nonzero mask), d the lcm of
         the finite denominators (1 when there are none).
 
         An infinite entry has numerator 0 and its bit set in both masks.
+        The form is canonical: equal vectors have equal forms.
         """
         form = self._form
         if form is None:
-            entries = self.entries
+            entries = self._entries
             d = lcm(*[e.den for e in entries if e.den])
             nums = []
             inf = nonzero = 0
@@ -336,8 +362,26 @@ class ExtVec:
         return form
 
     @property
+    def entries(self) -> tuple:
+        """The reduced ``ExtReal`` entries, built from the form once."""
+        entries = self._entries
+        if entries is None:
+            nums, d, inf, _ = self._form
+            out = []
+            bit = 1
+            for n in nums:
+                if inf & bit:
+                    out.append(INF)
+                else:
+                    g = gcd(n, d)
+                    out.append(ExtReal._raw(n // g, d // g))
+                bit <<= 1
+            entries = self._entries = tuple(out)
+        return entries
+
+    @property
     def dim(self) -> int:
-        return len(self.entries)
+        return len(self._entries or self._form[0])
 
     def dot(self, other: "ExtVec") -> ExtReal:
         """The pairing sum_i a_i b_i, one integer dot product over the two
@@ -371,21 +415,24 @@ class ExtVec:
         return ExtVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
 
     def __iter__(self):
-        return iter(self.entries)
+        return iter(self._entries or self.entries)
 
     def __len__(self):
-        return len(self.entries)
+        return len(self._entries or self._form[0])
 
     def __getitem__(self, i):
-        return self.entries[i]
+        return (self._entries or self.entries)[i]
 
     def __eq__(self, other):
         if not isinstance(other, ExtVec):
             return NotImplemented
-        return self.entries == other.entries
+        if self._entries is not None and other._entries is not None:
+            return self._entries == other._entries
+        # the nonzero mask follows from the rest, so this compares (nums, d, inf)
+        return (self._form or self._integer_form()) == (other._form or other._integer_form())
 
     def __hash__(self):
-        return hash(self.entries)
+        return hash(self._form or self._integer_form())
 
     def __repr__(self):
         return "(" + ", ".join(str(e) for e in self.entries) + ")"

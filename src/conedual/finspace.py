@@ -36,16 +36,34 @@ def _bits(mask):
 
 
 class FinitePoset:
-    """Validated partial order on elements 0 .. size-1."""
+    """Validated partial order on elements 0 .. size-1, stored as the
+    up-set bitmask of each element."""
 
-    __slots__ = ("n", "_leq", "_up")
+    __slots__ = ("n", "_up")
 
     def __init__(self, table):
         rows = tuple(tuple(map(bool, row)) for row in table)
         n = len(rows)
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("relation table must be square and nonempty")
-        up = tuple(sum(1 << j for j in compress(range(n), row)) for row in rows)
+        self._set_up(tuple(sum(1 << j for j in compress(range(n), row)) for row in rows))
+
+    @classmethod
+    def from_pairs(cls, size, pairs, add_reflexive=True):
+        up = [1 << i for i in range(size)] if add_reflexive else [0] * size
+        for i, j in pairs:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"pair ({i}, {j}) outside 0..{size - 1}")
+            up[i] |= 1 << j
+        if not up:
+            raise ValueError("relation table must be square and nonempty")
+        poset = object.__new__(cls)
+        poset._set_up(tuple(up))
+        return poset
+
+    def _set_up(self, up):
+        """Validate the up-set masks of a nonempty relation and keep them."""
+        n = len(up)
         # witnesses are the lexicographically first, as a triple loop finds them
         for i in range(n):
             if not up[i] >> i & 1:
@@ -60,23 +78,10 @@ class FinitePoset:
                 if missing:
                     raise NotTransitive(i, j, (missing & -missing).bit_length() - 1)
         self.n = n
-        self._leq = rows
         self._up = up
 
-    @classmethod
-    def from_pairs(cls, size, pairs, add_reflexive=True):
-        table = [[False] * size for _ in range(size)]
-        if add_reflexive:
-            for i in range(size):
-                table[i][i] = True
-        for i, j in pairs:
-            if not (0 <= i < size and 0 <= j < size):
-                raise ValueError(f"pair ({i}, {j}) outside 0..{size - 1}")
-            table[i][j] = True
-        return cls(table)
-
     def leq(self, i, j) -> bool:
-        return self._leq[i][j]
+        return bool(self._up[i] >> j & 1)
 
     def up_mask(self, i) -> int:
         """Bitmask of the principal filter of i."""
@@ -89,15 +94,15 @@ class FinitePoset:
         return True
 
     def pairs(self):
-        return [(i, j) for i in range(self.n) for j in range(self.n) if self._leq[i][j]]
+        return [(i, j) for i, up in enumerate(self._up) for j in _bits(up)]
 
     def __eq__(self, other):
         if not isinstance(other, FinitePoset):
             return NotImplemented
-        return self._leq == other._leq
+        return self._up == other._up
 
     def __hash__(self):
-        return hash(self._leq)
+        return hash(self._up)
 
     def __repr__(self):
         rel = [(i, j) for i, j in self.pairs() if i != j]

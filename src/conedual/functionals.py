@@ -10,9 +10,12 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
+from fractions import Fraction
+from operator import mul
+
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
 from .extreal import ONE, ZERO, ExtReal, ExtVec, as_extvec, ext_max, ext_min
-from .lp import Constraint, EQ, GEQ, LPProblem, solve_lp
+from .lp import Constraint, EQ, GEQ, LPProblem, _over, solve_lp
 
 
 class LinFun:
@@ -29,12 +32,13 @@ class LinFun:
 
     @property
     def is_finite(self) -> bool:
-        return all(c.is_finite for c in self.coeffs)
+        return not self.coeffs._integer_form()[2]
 
     def fraction_coeffs(self):
-        if not self.is_finite:
+        nums, d, inf, _ = self.coeffs._integer_form()
+        if inf:
             raise InfiniteCoefficient(f"{self!r} has an infinite coefficient")
-        return tuple(c.as_fraction() for c in self.coeffs)
+        return tuple(Fraction(n, d) for n in nums)
 
     def eval(self, y) -> ExtReal:
         """The pairing with y; see ``ExtVec.dot``."""
@@ -188,11 +192,23 @@ def _margin(gcoeffs, hcoeffs):
     return res.value, res.point[:dim], a, lam
 
 
+def _combine(weights, rows):
+    """sum_k weights_k rows_k coordinatewise, as ``(nums, den)``: each
+    coordinate one integer dot product over the common denominator of the
+    weights times that of the rows."""
+    wn, wd = _over(weights)
+    rn, rd = _over([v for row in rows for v in row])
+    dim = len(rows[0])
+    cols = zip(*[rn[k:k + dim] for k in range(0, len(rn), dim)])
+    return [sum(map(mul, wn, col)) for col in cols], wd * rd
+
+
 def _covered(coeffs, lam, hcoeffs) -> bool:
-    """Exact coordinatewise check coeffs <= sum_k lambda_k h_k."""
-    return all(
-        c <= sum(lk * hc[j] for lk, hc in zip(lam, hcoeffs)) for j, c in enumerate(coeffs)
-    )
+    """Exact coordinatewise check coeffs <= sum_k lambda_k h_k, made on
+    integers by cross-multiplying the two common denominators."""
+    cn, cd = _over(coeffs)
+    sn, sd = _combine(lam, hcoeffs)
+    return all(c * sd <= s * cd for c, s in zip(cn, sn))
 
 
 def dominated_by_max(f: LinFun, phi: SublinFun):

@@ -12,6 +12,7 @@ domination sum_i a_i g_i <= sum_k lambda_k h_k as the checkable artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -20,7 +21,7 @@ from .errors import (
     PreconditionViolated,
 )
 from .extreal import ExtReal, ExtVec
-from .functionals import LinFun, SublinFun, SuperlinFun, _covered, _margin
+from .functionals import LinFun, SublinFun, SuperlinFun, _combine, _covered, _margin
 
 
 @dataclass(frozen=True)
@@ -87,7 +88,8 @@ def _interpolate(clause, phi):
             "the minimum of the clause exceeds the target functional",
             witness=witness,
         )
-    mix = [sum(ai * gc[j] for ai, gc in zip(a, gcoeffs)) for j in range(dim)]
+    nums, den = _combine(a, gcoeffs)
+    mix = [Fraction(n, den) for n in nums]
     if not _covered(mix, lam, hcoeffs):
         raise AssertionError("internal error: certificate fails coordinatewise")
     return InterpolationResult(a, lam), mix

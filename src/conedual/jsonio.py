@@ -38,16 +38,59 @@ def decode_extreal(obj, path) -> ExtReal:
 
 
 def decode_vector(obj, path) -> ExtVec:
+    """A vector decoded straight into ``ExtVec``'s integer form.
+
+    One pass over the entries collects numerators, denominators and the
+    infinity and nonzero masks, with the same ``strip``, ``partition`` and
+    ``int`` calls as ``parse_extreal``, so it accepts the same strings;
+    anything else goes through ``_entry``, which gives the value or the
+    error message.  No ``ExtReal`` is built.
+    """
     if not isinstance(obj, list) or not obj:
         fail(path, "a nonempty array of extended rationals", obj)
-    entries = []
+    nums = []
+    dens = []
+    inf = nonzero = 0
+    bit = 1
     for v in obj:
-        try:
-            entries.append(_entry(v))
-        except ParseError as exc:
-            # the entry's path is built only when it fails
-            raise ParseError(f"{path}[{len(entries)}]: {exc}") from None
-    return ExtVec(entries)
+        if type(v) is str:
+            s = v.strip()
+            if s == "inf":
+                num, den = 0, 0
+            else:
+                num_s, sep, den_s = s.partition("/")
+                try:
+                    num = int(num_s)
+                    den = int(den_s) if sep else 1
+                except ValueError:
+                    num = den = -1
+                if num < 0 or den <= 0:
+                    num, den = _vector_entry(v, path, len(nums))
+        elif type(v) is int and v >= 0:
+            num, den = v, 1
+        else:
+            num, den = _vector_entry(v, path, len(nums))
+        if not den:
+            # infinity: numerator 0, its bit in both masks
+            num, den = 0, 1
+            inf |= bit
+            nonzero |= bit
+        elif num:
+            nonzero |= bit
+        nums.append(num)
+        dens.append(den)
+        bit <<= 1
+    return ExtVec._from_ratios(nums, dens, inf, nonzero)
+
+
+def _vector_entry(v, path, i):
+    """(num, den) of entry i through ``_entry``, INF as den 0; its error
+    message gets the entry's path, built only here."""
+    try:
+        e = _entry(v)
+    except ParseError as exc:
+        raise ParseError(f"{path}[{i}]: {exc}") from None
+    return e.num, e.den
 
 
 def decode_int(obj, path, minimum=None) -> int:

@@ -1,4 +1,5 @@
 import random
+from itertools import compress
 
 import pytest
 
@@ -25,6 +26,7 @@ from conedual.errors import (
     PosetMismatch,
     TooLarge,
 )
+from conedual.finspace import _bits
 
 SIGMA = FinitePoset.from_pairs(2, [(0, 1)])
 DISCRETE2 = FinitePoset.from_pairs(2, [])
@@ -257,3 +259,110 @@ def test_posets_hash_by_their_order():
     assert a == b and hash(a) == hash(b)
     assert len({a, b, DISCRETE2, SIGMA}) == 3
     assert hash(LscFun(SIGMA, [ZERO, INF])) == hash(LscFun(SIGMA, [ZERO, INF]))
+
+
+class _TablePoset:
+    """The table-based poset that up-set masks replaced: the reference.
+
+    It kept the order twice, as a bool table next to the masks, and built
+    the table for ``from_pairs`` as well.
+    """
+
+    def __init__(self, table):
+        rows = tuple(tuple(map(bool, row)) for row in table)
+        n = len(rows)
+        if n == 0 or any(len(r) != n for r in rows):
+            raise ValueError("relation table must be square and nonempty")
+        up = tuple(sum(1 << j for j in compress(range(n), row)) for row in rows)
+        for i in range(n):
+            if not up[i] >> i & 1:
+                raise NotReflexive(i)
+        for i in range(n):
+            for j in _bits(up[i] & ~(1 << i)):
+                if up[j] >> i & 1:
+                    raise NotAntisymmetric(i, j)
+        for i in range(n):
+            for j in _bits(up[i]):
+                missing = up[j] & ~up[i]
+                if missing:
+                    raise NotTransitive(i, j, (missing & -missing).bit_length() - 1)
+        self.n = n
+        self._leq = rows
+        self._up = up
+
+    @classmethod
+    def from_pairs(cls, size, pairs, add_reflexive=True):
+        table = [[False] * size for _ in range(size)]
+        if add_reflexive:
+            for i in range(size):
+                table[i][i] = True
+        for i, j in pairs:
+            if not (0 <= i < size and 0 <= j < size):
+                raise ValueError(f"pair ({i}, {j}) outside 0..{size - 1}")
+            table[i][j] = True
+        return cls(table)
+
+    def leq(self, i, j):
+        return self._leq[i][j]
+
+    def pairs(self):
+        return [(i, j) for i in range(self.n) for j in range(self.n) if self._leq[i][j]]
+
+    def __eq__(self, other):
+        return self._leq == other._leq
+
+    def __hash__(self):
+        return hash(self._leq)
+
+    def __repr__(self):
+        rel = [(i, j) for i, j in self.pairs() if i != j]
+        return f"FinitePoset(n={self.n}, leq={rel})"
+
+
+def _outcome(build):
+    try:
+        return build(), None
+    except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
+        return None, (type(exc), exc.witness)
+    except ValueError as exc:
+        return None, (ValueError, str(exc))
+
+
+def test_up_set_masks_match_the_table_poset():
+    rng = random.Random(29)
+    built, errors = [], set()
+    for _ in range(500):
+        n = rng.randint(1, 8)
+        table = _near_poset(rng, n)
+        reflexive = rng.random() < 0.8
+        pairs = [(i, j) for i in range(n) for j in range(n)
+                 if table[i][j] and (i != j or not reflexive)]
+        rng.shuffle(pairs)
+        size = n
+        if rng.random() < 0.05:
+            size = rng.choice((0, -1, n - 1))  # pairs outside, or no elements
+        cases = [
+            (lambda: FinitePoset(table), lambda: _TablePoset(table)),
+            (lambda: FinitePoset.from_pairs(size, pairs, reflexive),
+             lambda: _TablePoset.from_pairs(size, pairs, reflexive)),
+        ]
+        for new, old in cases:
+            got, got_err = _outcome(new)
+            want, want_err = _outcome(old)
+            assert got_err == want_err
+            errors.add(None if got_err is None else got_err[0])
+            if got is None:
+                continue
+            assert got.n == want.n
+            assert all(got.leq(i, j) is want.leq(i, j)
+                       for i in range(got.n) for j in range(got.n))
+            assert got.pairs() == want.pairs()
+            assert repr(got) == repr(want)
+            built.append((got, want))
+    assert errors == {None, NotReflexive, NotAntisymmetric, NotTransitive, ValueError}
+    sample = built[::7]
+    for a, a_old in sample:
+        for b, b_old in sample:
+            assert (a == b) == (a_old == b_old)
+            assert (hash(a) == hash(b)) == (hash(a_old) == hash(b_old))
+    assert any(a == b and a is not b for a, _ in sample for b, _ in sample)

@@ -244,3 +244,45 @@ def test_clause_witnesses_solve_one_lp_per_clause(monkeypatch):
     ws = clause_witnesses(clauses, gens, phi)
     assert len(ws) == len(clauses)
     assert len(calls) == len(clauses)
+
+
+def _fold_covered(coeffs, lam, hcoeffs):
+    """The Fraction fold the integer check replaced: the reference."""
+    return all(
+        c <= sum(lk * hc[j] for lk, hc in zip(lam, hcoeffs)) for j, c in enumerate(coeffs)
+    )
+
+
+def _fold_mix(a, gcoeffs):
+    dim = len(gcoeffs[0])
+    return [sum(ai * gc[j] for ai, gc in zip(a, gcoeffs)) for j in range(dim)]
+
+
+def _rand_fraction(rng):
+    if rng.randrange(6) == 0:
+        return F(rng.getrandbits(70), rng.getrandbits(70) | 1)
+    return F(rng.randint(0, 12), rng.randint(1, 9))
+
+
+def test_integer_coordinatewise_checks_match_fraction_folds():
+    from conedual.functionals import _combine, _covered
+
+    rng = random.Random(31)
+    verdicts = set()
+    for _ in range(1500):
+        dim, k = rng.randint(1, 6), rng.randint(1, 4)
+        weights = [_rand_fraction(rng) for _ in range(k)]
+        rows = [tuple(_rand_fraction(rng) for _ in range(dim)) for _ in range(k)]
+        nums, den = _combine(weights, rows)
+        mix = [F(n, den) for n in nums]
+        want = _fold_mix(weights, rows)
+        assert mix == want
+        assert [(m.numerator, m.denominator) for m in mix] == [
+            (w.numerator, w.denominator) for w in want
+        ]
+        # coordinates at, just above and just below the combination
+        coeffs = [m + rng.choice((0, 0, F(1, 10**6), -min(m, F(1, 10**6)))) for m in mix]
+        got = _covered(coeffs, weights, rows)
+        assert got == _fold_covered(coeffs, weights, rows)
+        verdicts.add((got, coeffs == mix))
+    assert verdicts == {(True, True), (True, False), (False, False)}
