@@ -25,10 +25,19 @@ the solver:
                     nonnegative orthant, read off the phase-1 reduced costs,
 * ``LPUnbounded``   an improving recession ray.
 
-Artificial columns stay through phase 2, so both multiplier sets read
-``y_i = c_j - d_j / D`` off the column ``j`` row ``i`` started with.  For
-``max`` the dual has ``y_i >= 0`` on ``<=`` rows, ``<= 0`` on ``>=`` rows and
-``A^T y >= c``; for ``min`` the signs and the inequality flip.
+The tableau is condensed (Tucker): it stores only the nonbasic columns,
+each labelled with its variable, beside the variable of each row, as a
+basic column is ``D`` times a unit vector and its reduced cost zero.  A
+pivot swaps the two labels and gives the leaving variable the entering
+one's column, and Bland's rule picks the smallest variable, not the
+leftmost column, so the pivots are those of the full tableau.  An
+artificial gets a column only once it leaves the basis, and keeps it
+through phase 2, so both multiplier sets read ``y_i = c_j - d_j / D`` with
+``d_j`` the reduced cost of the variable ``j`` row ``i`` started with, zero
+while it is basic.
+
+For ``max`` the dual has ``y_i >= 0`` on ``<=`` rows, ``<= 0`` on ``>=``
+rows and ``A^T y >= c``; for ``min`` the signs and the inequality flip.
 ``verify_lp_result`` re-checks any answer against the original problem at
 zero tolerance, an optimum's dual included with ``b . y == c . x``;
 ``solve_lp`` runs it internally before returning.  The check runs on integer
@@ -126,42 +135,59 @@ def _require(cond, message):
 def _pivot(T, basis, D, pr, pc):
     """Integer-preserving pivot on ``T[pr][pc]``; returns the new denominator.
 
+    ``T`` holds the nonbasic columns and the right-hand side, and ``basis``
+    lists the variable of each row followed by the variable of each column.
     Every entry of ``T`` is ``D`` times the entry of the rational tableau,
     and ``D`` is, up to sign, the determinant of the basis in the integer
     system, so every division below is exact (Edmonds 1967, Bareiss 1968).
-    A negative pivot, possible only while driving artificials out, negates
-    the pivot row first so that ``D`` stays positive and sign tests on the
+    The entering variable's column leaves the tableau and the leaving
+    variable's column, ``D`` times a unit vector before the pivot, takes its
+    place: ``D`` in the pivot row and ``-f`` in a row whose entry in column
+    ``pc`` was ``f``.  A negative pivot, possible only while driving
+    artificials out, negates the pivot row first, which flips both signs
+    of that column, so that ``D`` stays positive and sign tests on the
     integer entries read as sign tests on the rational ones.
     """
     prow = T[pr]
     p = prow[pc]
-    if p < 0:
+    negated = p < 0
+    if negated:
         p = -p
         T[pr] = prow = [-v for v in prow]
-    for r in range(len(T)):
+    for r, row in enumerate(T):
         if r == pr:
             continue
-        row = T[r]
         f = row[pc]
         if f:
-            T[r] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+            row = [(p * a - f * b) // D for a, b in zip(row, prow)]
+            row[pc] = f if negated else -f
+            T[r] = row
         elif p != D:
             T[r] = [p * a // D for a in row]
-    basis[pr] = pc
+    prow[pc] = -D if negated else D
+    # column pc's variable follows the m row variables: basis[m + pc]
+    k = len(basis) - len(prow) + 1 + pc
+    basis[pr], basis[k] = basis[k], basis[pr]
     return p
 
 
 def _iterate(T, basis, D, m, limit):
     """Bland's rule simplex loop on a tableau whose last row is reduced costs.
 
-    Only columns below ``limit`` may enter.  Returns the final denominator
-    and None at optimality, or the entering column index when the problem
-    is unbounded along it.  Ratios are compared by cross-multiplying, as
-    every candidate pivot entry is positive.
+    Of the columns with a negative reduced cost, the one whose variable is
+    smallest enters, and only variables below ``limit`` may enter; a basic
+    variable has reduced cost zero.  Returns the final denominator and None
+    at optimality, or the entering column when the problem is unbounded
+    along it.  Ratios are compared by cross-multiplying, as every candidate
+    pivot entry is positive.
     """
     while True:
         cost = T[m]
-        pc = next((j for j in range(limit) if cost[j] < 0), None)
+        pc = None
+        least = limit
+        for c, (d, j) in enumerate(zip(cost, basis[m:])):
+            if d < 0 and j < least:
+                pc, least = c, j
         if pc is None:
             return D, None
         pr = None
@@ -209,6 +235,14 @@ def _int_rows(problem):
     return cached
 
 
+def _reduced(cost, basis, m):
+    """The reduced cost of each variable: its column's entry in ``cost``,
+    and zero for a basic variable, which has no column."""
+    out = dict.fromkeys(basis[:m], 0)
+    out.update(zip(basis[m:], cost))
+    return out
+
+
 def solve_lp(problem: LPProblem):
     """Solve exactly; returns LPOptimal, LPInfeasible, or LPUnbounded."""
     if not isinstance(problem, LPProblem):
@@ -223,43 +257,45 @@ def solve_lp(problem: LPProblem):
     # a nonnegative right-hand side; its slack gets the entry +-1, which
     # rescales the slack without changing any ratio or cost sign.  A row
     # whose slack enters as +1 starts with the slack basic; every other row
-    # gets an artificial.
+    # gets an artificial, variable width + a for the a-th such row, and its
+    # slack, if any, a column.
     rows, scales, (cnums, cden) = _int_rows(problem)
-    T = []
     scale = []
     basis = []
+    slacks = []
     art_rows = []
     s = n
     for i, c in enumerate(cons):
         sign = -1 if c.rhs < 0 or (c.rel == GEQ and c.rhs == 0) else 1
-        ints = rows[i] if sign > 0 else [-v for v in rows[i]]
-        row = list(ints[:n]) + [0] * (width - n)
-        if c.rel == EQ:
-            unit = 0
-        else:
-            unit = sign if c.rel == LEQ else -sign
-            row[s] = unit
-            s += 1
-        if unit > 0:
-            basis.append(s - 1)
-        else:
-            basis.append(None)
-            art_rows.append(i)
-        T.append(row + [ints[-1]])
         scale.append(sign * scales[i])
-
-    # Phase 1: minimise the sum of the artificials; they never re-enter.
+        if c.rel != EQ:
+            unit = sign if c.rel == LEQ else -sign
+            s += 1
+            if unit > 0:
+                basis.append(s - 1)
+                continue
+            slacks.append((i, unit, s - 1))
+        basis.append(width + len(art_rows))
+        art_rows.append(i)
     k = len(art_rows)
-    T = [row[:width] + [0] * k + row[width:] for row in T]
-    for a, i in enumerate(art_rows):
-        T[i][width + a] = 1
-        basis[i] = width + a
-    cost = [0] * (width + k + 1)
+    pad = [0] * len(slacks)
+    T = []
+    for ints, sc in zip(rows, scale):
+        if sc < 0:
+            ints = [-v for v in ints]
+        T.append(list(ints[:n]) + pad + [ints[-1]])
+    for c, (i, unit, _) in enumerate(slacks, start=n):
+        T[i][c] = unit
+    basis += range(n)
+    basis += [label for _, _, label in slacks]
+    start = basis[:m]
+
+    # Phase 1: minimise the sum of the artificials; they never re-enter, and
+    # an artificial gets a column only once it leaves the basis.
+    cost = [0] * (n + len(slacks) + 1)
     for i in art_rows:
         cost = [d - v for d, v in zip(cost, T[i])]
-    cost[width:width + k] = [0] * k
     T.append(cost)
-    start = basis[:]
 
     D, status = _iterate(T, basis, 1, m, limit=width)
     _require(status is None, "phase 1 cannot be unbounded")
@@ -267,28 +303,35 @@ def solve_lp(problem: LPProblem):
     cost = T.pop()
     if cost[-1] < 0:
         # The simplex multipliers of the artificial objective prove
-        # infeasibility: y_i = c_j - d_j for the column j row i started with.
+        # infeasibility: y_i = c_j - d_j for the variable j row i started with.
+        d = _reduced(cost, basis, m)
         cert = tuple(
-            Fraction(scale[i] * ((D if start[i] >= width else 0) - cost[start[i]]), D)
+            Fraction(scale[i] * ((D if start[i] >= width else 0) - d[start[i]]), D)
             for i in range(m)
         )
         result = LPInfeasible(cert)
         _require(verify_lp_result(problem, result), "invalid infeasibility certificate")
         return result
 
-    # Drive leftover artificials out of the basis; a row that cannot pivot
-    # became 0 = 0 and keeps its artificial basic at zero (dual zero).
+    # Drive leftover artificials out of the basis, each on the column of the
+    # smallest variable with a nonzero entry in its row; a row that cannot
+    # pivot became 0 = 0 and keeps its artificial basic at zero (dual zero).
     for i in range(m):
         if basis[i] >= width:
-            pc = next((j for j in range(width) if T[i][j]), None)
+            row = T[i]
+            pc = None
+            least = width
+            for c, j in enumerate(basis[m:]):
+                if j < least and row[c]:
+                    pc, least = c, j
             if pc is not None:
                 D = _pivot(T, basis, D, i, pc)
 
     sign = -1 if problem.sense == "max" else 1
     cmin = [sign * v for v in cnums] + [0] * (width + k - n)
     cscale = sign * cden
-    cost = [D * cj for cj in cmin] + [0]
-    for b, row in zip(basis, T):
+    cost = [D * cmin[j] for j in basis[m:]] + [0]
+    for b, row in zip(basis[:m], T):
         cb = cmin[b]
         if cb:
             cost = [d - cb * v for d, v in zip(cost, row)]
@@ -297,18 +340,20 @@ def solve_lp(problem: LPProblem):
     D, status = _iterate(T, basis, D, m, limit=width)
     if status is None:
         point = [Fraction(0)] * n
-        for i, b in enumerate(basis):
+        for i, b in enumerate(basis[:m]):
             if b < n:
                 point[b] = Fraction(T[i][-1], D)
         value = sum(o * p for o, p in zip(obj, point))
-        # y_i = -d_j / D for the column j row i started with, unscaled
-        dual = tuple(Fraction(-scale[i] * T[m][start[i]], D * cscale) for i in range(m))
+        # y_i = -d_j / D for the variable j row i started with, unscaled
+        d = _reduced(T[m], basis, m)
+        dual = tuple(Fraction(-scale[i] * d[start[i]], D * cscale) for i in range(m))
         result = LPOptimal(tuple(point), value, dual)
     else:
         ray = [Fraction(0)] * n
-        if status < n:
-            ray[status] = Fraction(1)
-        for i, b in enumerate(basis):
+        j = basis[m + status]
+        if j < n:
+            ray[j] = Fraction(1)
+        for i, b in enumerate(basis[:m]):
             if b < n:
                 ray[b] = Fraction(-T[i][status], D)
         result = LPUnbounded(tuple(ray))

@@ -84,6 +84,15 @@ class ValuationOnOpens:
         self.poset = poset
         self.table = tab
 
+    @classmethod
+    def _of_opens(cls, poset: FinitePoset, table: dict):
+        """A table whose keys are the opens of ``poset`` and whose values are
+        ``ExtReal``s by construction, so nothing is enumerated or checked."""
+        nu = cls.__new__(cls)
+        nu.poset = poset
+        nu.table = table
+        return nu
+
     def value(self, mask: int) -> ExtReal:
         return self.table[mask]
 
@@ -110,7 +119,7 @@ def to_opens(mu: SimpleValuation) -> ValuationOnOpens:
             if mask >> i & 1:
                 total = total + weights[i]
         table[mask] = total
-    return ValuationOnOpens(mu.poset, table)
+    return ValuationOnOpens._of_opens(mu.poset, table)
 
 
 def from_opens(nu: ValuationOnOpens) -> SimpleValuation:

@@ -234,6 +234,18 @@ def test_console_entry_point_runs():
     assert json.loads(proc.stdout) == {"outcome": "separated", "weights": ["1"]}
 
 
+def test_package_runs_as_a_module_like_its_cli():
+    # the README's meets-the-corner example, which exits 2
+    stdin = '{"dim": 2, "generators": [["3","0"],["0","3"]]}'
+    runs = [
+        subprocess.run([sys.executable, "-m", module, "sep"], input=stdin, capture_output=True, text=True)
+        for module in ("conedual", "conedual.cli")
+    ]
+    assert [(p.returncode, p.stdout) for p in runs] == [
+        (2, '{"error":"meets_v","witness":[[0,"1/2"],[1,"1/2"]]}\n')
+    ] * 2
+
+
 def test_outputs_reparse_as_extended_rationals(tmp_path):
     code, out = run_cli(
         tmp_path, "minkowski", {"blocks": [[["1", "1"]]], "y": ["inf", "3"]}
@@ -311,3 +323,40 @@ def test_bad_poset_and_open_table_report_their_paths(tmp_path):
         code, out = run_cli(tmp_path, "mobius", payload)
         assert code == 1, message
         assert json.loads(out) == {"error": "malformed_input", "message": message}
+
+
+def test_mobius_enumerates_the_opens_once_per_table(tmp_path, monkeypatch):
+    # to_opens tabulates over one enumeration of the opens; from_opens
+    # validates the decoded table against one, and its recheck tabulates
+    # over another.  The bytes are those the command printed when to_opens
+    # still validated its own table against a second enumeration.
+    from conedual import valuations
+
+    calls = []
+    real = valuations.all_opens
+
+    def spy(poset, *args):
+        calls.append(poset.n)
+        return real(poset, *args)
+
+    monkeypatch.setattr(valuations, "all_opens", spy)
+    poset = {"size": 3, "leq": [[0, 1], [0, 2]]}
+    code, out = run_cli(tmp_path, "mobius", dict(poset, direction="to_opens", weights=["3", "1/2", "2"]))
+    assert (code, calls) == (0, [3])
+    assert out == (
+        b'{"opens":[{"open":[],"value":"0"},{"open":[1],"value":"1/2"},{"open":[2],"value":"2"},'
+        b'{"open":[1,2],"value":"5/2"},{"open":[0,1,2],"value":"11/2"}]}\n'
+    )
+
+    calls.clear()
+    back = dict(poset, direction="from_opens", table=json.loads(out)["opens"])
+    code, out = run_cli(tmp_path, "mobius", back)
+    assert (code, calls) == (0, [3, 3])
+    assert out == b'{"weights":["3","1/2","2"]}\n'
+
+    # a table that no weights induce still fails the recheck
+    calls.clear()
+    table = [{"open": [], "value": "1"}, {"open": [1], "value": "2"}, {"open": [0, 1], "value": "3"}]
+    code, out = run_cli(tmp_path, "mobius", {"size": 2, "leq": [[0, 1]], "direction": "from_opens", "table": table})
+    assert (code, calls) == (2, [2, 2])
+    assert out == b'{"error":"not_a_valuation","message":"table is not induced by pointwise weights"}\n'

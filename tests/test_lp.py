@@ -4,8 +4,9 @@ from itertools import combinations
 
 import pytest
 
-from conedual import lp
+from conedual import convex_sep, functionals, lp
 from conedual.errors import MalformedProblem
+from conedual.extreal import INF, ExtReal, ExtVec
 from conedual.lp import (
     Constraint,
     LPInfeasible,
@@ -745,3 +746,242 @@ def test_verifying_keeps_problem_equality_and_hash():
     assert first == second
     assert hash(first) == hash(second) == before
     assert repr(first) == repr(second)
+
+
+# ---------------------------------------------------------------------------
+# The condensed tableau against the full tableau it replaced.
+#
+# ``full_solve_lp`` is the earlier integer solver, whose tableau kept a
+# column for every variable, the basic ``D * e_i`` columns and every
+# artificial included.  It lives only here, as the oracle the condensed
+# tableau in ``conedual.lp`` is compared against: same answers, same pivot
+# entries, and rows exactly one entry shorter per constraint.  It is the
+# earlier code with only a ``seen`` list threaded through, which collects
+# ``(pivot entry, row length)`` for every pivot.
+
+
+def _full_pivot(T, basis, D, pr, pc, seen):
+    seen.append((T[pr][pc], len(T[pr])))
+    prow = T[pr]
+    p = prow[pc]
+    if p < 0:
+        p = -p
+        T[pr] = prow = [-v for v in prow]
+    for r in range(len(T)):
+        if r == pr:
+            continue
+        row = T[r]
+        f = row[pc]
+        if f:
+            T[r] = [(p * a - f * b) // D for a, b in zip(row, prow)]
+        elif p != D:
+            T[r] = [p * a // D for a in row]
+    basis[pr] = pc
+    return p
+
+
+def _full_iterate(T, basis, D, m, limit, seen):
+    while True:
+        cost = T[m]
+        pc = next((j for j in range(limit) if cost[j] < 0), None)
+        if pc is None:
+            return D, None
+        pr = None
+        for i in range(m):
+            t = T[i][pc]
+            if t > 0:
+                if pr is None:
+                    pr = i
+                    continue
+                left = T[i][-1] * T[pr][pc]
+                right = T[pr][-1] * t
+                if left < right or (left == right and basis[i] < basis[pr]):
+                    pr = i
+        if pr is None:
+            return D, pc
+        D = _full_pivot(T, basis, D, pr, pc, seen)
+
+
+def full_solve_lp(problem, seen):
+    n = problem.n_vars
+    cons = problem.constraints
+    m = len(cons)
+    obj = problem.objective
+    width = n + sum(1 for c in cons if c.rel != "==")
+
+    rows, scales, (cnums, cden) = lp._int_rows(problem)
+    T = []
+    scale = []
+    basis = []
+    art_rows = []
+    s = n
+    for i, c in enumerate(cons):
+        sign = -1 if c.rhs < 0 or (c.rel == ">=" and c.rhs == 0) else 1
+        ints = rows[i] if sign > 0 else [-v for v in rows[i]]
+        row = list(ints[:n]) + [0] * (width - n)
+        if c.rel == "==":
+            unit = 0
+        else:
+            unit = sign if c.rel == "<=" else -sign
+            row[s] = unit
+            s += 1
+        if unit > 0:
+            basis.append(s - 1)
+        else:
+            basis.append(None)
+            art_rows.append(i)
+        T.append(row + [ints[-1]])
+        scale.append(sign * scales[i])
+
+    k = len(art_rows)
+    T = [row[:width] + [0] * k + row[width:] for row in T]
+    for a, i in enumerate(art_rows):
+        T[i][width + a] = 1
+        basis[i] = width + a
+    cost = [0] * (width + k + 1)
+    for i in art_rows:
+        cost = [d - v for d, v in zip(cost, T[i])]
+    cost[width:width + k] = [0] * k
+    T.append(cost)
+    start = basis[:]
+
+    D, status = _full_iterate(T, basis, 1, m, width, seen)
+    assert status is None
+
+    cost = T.pop()
+    if cost[-1] < 0:
+        cert = tuple(
+            F(scale[i] * ((D if start[i] >= width else 0) - cost[start[i]]), D)
+            for i in range(m)
+        )
+        return LPInfeasible(cert)
+
+    for i in range(m):
+        if basis[i] >= width:
+            pc = next((j for j in range(width) if T[i][j]), None)
+            if pc is not None:
+                D = _full_pivot(T, basis, D, i, pc, seen)
+
+    sign = -1 if problem.sense == "max" else 1
+    cmin = [sign * v for v in cnums] + [0] * (width + k - n)
+    cscale = sign * cden
+    cost = [D * cj for cj in cmin] + [0]
+    for b, row in zip(basis, T):
+        cb = cmin[b]
+        if cb:
+            cost = [d - cb * v for d, v in zip(cost, row)]
+    T.append(cost)
+
+    D, status = _full_iterate(T, basis, D, m, width, seen)
+    if status is None:
+        point = [F(0)] * n
+        for i, b in enumerate(basis):
+            if b < n:
+                point[b] = F(T[i][-1], D)
+        value = sum(o * p for o, p in zip(obj, point))
+        dual = tuple(F(-scale[i] * T[m][start[i]], D * cscale) for i in range(m))
+        return LPOptimal(tuple(point), value, dual)
+    ray = [F(0)] * n
+    if status < n:
+        ray[status] = F(1)
+    for i, b in enumerate(basis):
+        if b < n:
+            ray[b] = F(-T[i][status], D)
+    return LPUnbounded(tuple(ray))
+
+
+def _spy_pivot_rows(monkeypatch):
+    """Record ``(pivot entry, row length)`` of every pivot the solver makes."""
+    seen = []
+    real = lp._pivot
+
+    def spy(T, basis, D, pr, pc):
+        seen.append((T[pr][pc], len(T[pr])))
+        return real(T, basis, D, pr, pc)
+
+    monkeypatch.setattr(lp, "_pivot", spy)
+    return seen
+
+
+def _assert_same_as_full_tableau(prob, seen):
+    """``solve_lp`` on ``prob`` against the oracle; returns the result."""
+    seen.clear()
+    res = solve_lp(prob)
+    condensed = list(seen)
+    full = []
+    ref = full_solve_lp(prob, full)
+    assert res == ref, (prob, res, ref)
+    assert [p for p, _ in condensed] == [p for p, _ in full], prob
+    m = len(prob.constraints)
+    assert all(c == f - m for (_, c), (_, f) in zip(condensed, full)), prob
+    return res, len(full)
+
+
+def test_condensed_tableau_matches_full_tableau_on_the_differential_set(monkeypatch):
+    seen = _spy_pivot_rows(monkeypatch)
+    rng = random.Random(31337)
+    outcomes = {LPOptimal: 0, LPInfeasible: 0, LPUnbounded: 0}
+    pivots = 0
+    for _ in range(300):
+        res, count = _assert_same_as_full_tableau(_random_lp(rng), seen)
+        outcomes[type(res)] += 1
+        pivots += count
+    assert all(count >= 20 for count in outcomes.values()), outcomes
+    assert pivots > 300
+
+
+def _capture_problems(monkeypatch, module):
+    """Collect every LPProblem that ``module`` hands to ``solve_lp``."""
+    problems = []
+
+    def capture(problem):
+        problems.append(problem)
+        return solve_lp(problem)
+
+    monkeypatch.setattr(module, "solve_lp", capture)
+    return problems
+
+
+def test_condensed_tableau_matches_full_tableau_on_separation_lps(monkeypatch):
+    problems = _capture_problems(monkeypatch, convex_sep)
+    rng = random.Random(8128)
+    for _ in range(100):
+        dim = rng.randint(2, 8)
+        top = rng.choice((2, 3, 6, 12))
+        gens = [
+            ExtVec([ExtReal.from_fraction(F(rng.randint(0, top), rng.randint(1, 4)))
+                    if rng.random() > 0.03 else INF
+                    for _ in range(dim)])
+            for _ in range(rng.randint(2, 16))
+        ]
+        convex_sep.separate(gens, dim)
+    monkeypatch.undo()
+    seen = _spy_pivot_rows(monkeypatch)
+    outcomes = {LPOptimal: 0, LPInfeasible: 0}
+    for prob in problems:
+        res, _ = _assert_same_as_full_tableau(prob, seen)
+        outcomes[type(res)] += 1
+    # both a separation and a meet of the corner
+    assert all(count >= 20 for count in outcomes.values()), outcomes
+
+
+def test_condensed_tableau_matches_full_tableau_on_margin_lps(monkeypatch):
+    problems = _capture_problems(monkeypatch, functionals)
+    rng = random.Random(496)
+    for _ in range(80):
+        dim = rng.randint(1, 5)
+
+        def rows(count):
+            return [[F(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(dim)] for _ in range(count)]
+
+        functionals._margin(rows(rng.randint(1, 4)), rows(rng.randint(1, 4)))
+    monkeypatch.undo()
+    seen = _spy_pivot_rows(monkeypatch)
+    held = violated = 0
+    for prob in problems:
+        res, _ = _assert_same_as_full_tableau(prob, seen)
+        if res.value <= 0:
+            held += 1
+        else:
+            violated += 1
+    assert held >= 10 and violated >= 10, (held, violated)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -118,6 +119,22 @@ def test_mobius_round_trips_exhaustive_small():
                 nu = to_opens(mu)
                 assert from_opens(nu) == mu
                 assert to_opens(from_opens(nu)) == nu
+
+
+def test_to_opens_table_passes_the_full_validation():
+    # to_opens builds its table without validating it; the validating
+    # constructor accepts it unchanged, infinite weights included
+    rng = random.Random(2718)
+    values = [ZERO, ONE, ExtReal(2), INF, ExtReal.from_fraction(Fraction(1, 3))]
+    for n in range(1, 5):
+        for poset in posets_up_to_iso(n):
+            mu = SimpleValuation(poset, [rng.choice(values) for _ in range(n)])
+            nu = to_opens(mu)
+            checked = ValuationOnOpens(poset, nu.table)
+            assert nu == checked
+            assert sorted(nu.table) == all_opens(poset)
+            assert nu.items() == checked.items()
+            assert all(type(v) is ExtReal for v in nu.table.values())
 
 
 def test_open_tables_are_monotone_and_modular():
