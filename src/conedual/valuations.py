@@ -6,6 +6,10 @@ on a monotone function f as the weighted sum of f's values.  A linear
 functional on the valuation cone is itself a coefficient vector; it comes
 from evaluation at a monotone function exactly when those coefficients are
 monotone, and the recovery operation surfaces the violating pair otherwise.
+The sum is termwise with nonnegative weights (0 * inf = 0), so the Dirac
+valuations decide whether mu(f) <= phi(mu) for every simple valuation mu:
+the domination and sup-representation checks are exact, and a greatest
+element certifies that the dominated grid functions are directed.
 """
 
 from __future__ import annotations
@@ -109,16 +113,14 @@ class ValuationOnOpens:
 
 
 def to_opens(mu: SimpleValuation) -> ValuationOnOpens:
-    """Tabulate nu(U) = sum of weights inside U over all opens."""
+    """Tabulate nu(U) = mu(1_U), the pairing with U's indicator, over all
+    opens."""
     n = mu.poset.n
-    weights = mu.weights
+    ones = [1] * n
     table = {}
     for mask in all_opens(mu.poset):
-        total = ZERO
-        for i in range(n):
-            if mask >> i & 1:
-                total = total + weights[i]
-        table[mask] = total
+        indicator = ExtVec._from_ratios([mask >> i & 1 for i in range(n)], ones, 0, mask)
+        table[mask] = mu._vec.dot(indicator)
     return ValuationOnOpens._of_opens(mu.poset, table)
 
 
@@ -210,79 +212,62 @@ def random_simple_valuation(rng: random.Random, poset: FinitePoset, inf_chance: 
     return SimpleValuation(poset, weights)
 
 
-def _grid_values(grid_denominator: int, cap: ExtReal):
+def _grid_values(grid_denominator: int, cap: ExtReal, n: int):
+    """The grid 0, 1/d, .., cap, ascending; its size is bounded before any
+    value is built."""
     if grid_denominator < 1:
         raise ValueError("grid denominator must be positive")
     if cap.is_infinite:
         raise GridTooLarge("an infinite cap would need an infinite grid")
-    values = []
-    k = 0
-    while True:
-        v = ExtReal(k, grid_denominator)
-        if not v <= cap:
-            break
-        values.append(v)
-        k += 1
-    return values
+    count = cap.num * grid_denominator // cap.den + 1
+    if count ** n > _GRID_CAP:
+        raise GridTooLarge(f"{count}^{n} candidate tables exceed the bound")
+    return [ExtReal(k, grid_denominator) for k in range(count)]
 
 
-def check_dominated_directed(
-    phi: DualFunctional,
-    poset: FinitePoset,
-    grid_denominator: int,
-    cap,
-    seed: int = 1729,
-    random_valuations: int = 200,
-):
-    """Desk-scale directedness of the functions dominated by phi.
+def _dirac_values(phi: DualFunctional, poset: FinitePoset) -> tuple:
+    """phi at each Dirac valuation: the bound c with mu(f) <= phi(mu) for
+    every simple valuation mu exactly when f <= c pointwise."""
+    return tuple(phi.eval(SimpleValuation.dirac(poset, x)) for x in range(poset.n))
 
-    Builds the grid of monotone functions with values in {0, 1/d, .., cap},
-    keeps those f with mu(f) <= phi(mu) for the Dirac valuations and a
-    seeded batch of random ones, and checks every pair in the survivor set
-    has an upper bound inside it.  The pointwise maximum is the least upper
-    bound, so membership of the maximum decides each pair.
+
+def check_dominated_directed(phi: DualFunctional, poset: FinitePoset, grid_denominator: int, cap):
+    """Directedness of the grid functions dominated by phi.
+
+    The candidates are the monotone functions with values in
+    {0, 1/d, .., cap}.  Since mu(f) = sum_x r_x f(x) is a termwise sum with
+    nonnegative weights (0 * inf = 0), f stays below phi on every simple
+    valuation iff it does on the Dirac valuations, that is iff f <= c
+    pointwise with c_x = phi(delta_x); so the survivors are the monotone
+    tuples drawn from each coordinate's grid values up to c_x.  A finite
+    set is directed iff it has a greatest element: the running pointwise
+    maximum must stay a survivor.  Returns (True, None), or (False, pair)
+    with two survivors whose least upper bound is not one.
     """
-    cap = as_extreal(cap)
-    values = _grid_values(grid_denominator, cap)
-    n = poset.n
-    if len(values) ** n > _GRID_CAP:
-        raise GridTooLarge(f"{len(values)}^{n} candidate tables exceed the bound")
-    candidates = [
-        vals for vals in product(values, repeat=n) if is_lsc(vals, poset)[0]
+    values = _grid_values(grid_denominator, as_extreal(cap), poset.n)
+    c = _dirac_values(phi, poset)
+    survivors = [
+        f
+        for f in product(*[[v for v in values if v <= cx] for cx in c])
+        if is_lsc(f, poset)[0]
     ]
-    rng = random.Random(seed)
-    mus = [SimpleValuation.dirac(poset, x) for x in range(n)]
-    mus += [random_simple_valuation(rng, poset) for _ in range(random_valuations)]
-    bounds = [(mu._vec, phi.eval(mu)) for mu in mus]
-    survivors = []
-    for f in candidates:
-        vec = ExtVec(f)
-        if all(w.dot(vec) <= b for w, b in bounds):
-            survivors.append(f)
-    sset = set(survivors)
-    for i in range(len(survivors)):
-        fi = survivors[i]
-        for j in range(i + 1, len(survivors)):
-            fj = survivors[j]
-            lub = tuple(a if b <= a else b for a, b in zip(fi, fj))
-            if lub not in sset:
-                return False, (fi, fj)
+    members = set(survivors)
+    top = survivors[0]
+    for f in survivors[1:]:
+        lub = tuple(a if b <= a else b for a, b in zip(top, f))
+        if lub not in members:
+            return False, (top, f)
+        top = lub
     return True, None
 
 
-def check_sup_representation(
-    phi: DualFunctional,
-    poset: FinitePoset,
-    family,
-    seed: int = 1729,
-    samples: int = 200,
-) -> bool:
-    """Check phi is represented as the supremum of evaluations at the family.
+def check_sup_representation(phi: DualFunctional, poset: FinitePoset, family) -> bool:
+    """Check phi is the supremum of the evaluations at the family.
 
     The family is read as generating its directed closure under finite
-    pointwise sups, so equality is tested against the pointwise supremum of
-    the whole family; each member must stay below phi on every sampled
-    valuation.  Samples are the Dirac valuations plus a seeded random batch.
+    pointwise sups.  By the Dirac valuations, phi is that supremum on every
+    simple valuation iff the pointwise supremum of the family equals
+    c_x = phi(delta_x); every member then lies below c as well.
     """
     funs = list(family)
     if not funs:
@@ -291,13 +276,4 @@ def check_sup_representation(
         if f.poset != poset:
             raise PosetMismatch("family member lives over a different poset")
     top = LscFun.sup(funs)
-    rng = random.Random(seed)
-    mus = [SimpleValuation.dirac(poset, x) for x in range(poset.n)]
-    mus += [random_simple_valuation(rng, poset) for _ in range(samples)]
-    for mu in mus:
-        bound = phi.eval(mu)
-        if any(not eval_valuation(mu, f) <= bound for f in funs):
-            return False
-        if eval_valuation(mu, top) != bound:
-            return False
-    return True
+    return top.values == _dirac_values(phi, poset)

@@ -60,7 +60,7 @@ def test_criterion_6_projection_regression():
 
 
 def test_criterion_7_directedness():
-    # the dominated grid family has pairwise upper bounds inside itself for
+    # the dominated grid family has a greatest element inside itself for
     # every poset on up to 4 elements, grid denominator 2, cap 2
     _finish(7, "dominated family directedness", suites.suite_directedness())
 

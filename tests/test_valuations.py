@@ -1,5 +1,7 @@
 import random
+import tracemalloc
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -9,6 +11,7 @@ from conedual import (
     ZERO,
     DualFunctional,
     ExtReal,
+    ExtVec,
     FinitePoset,
     LscFun,
     SimpleValuation,
@@ -18,6 +21,7 @@ from conedual import (
     check_sup_representation,
     eval_valuation,
     from_opens,
+    is_lsc,
     posets_up_to_iso,
     random_simple_valuation,
     recover_function,
@@ -27,7 +31,9 @@ from conedual import (
     weakstar_member,
 )
 from conedual.errors import (
+    ConeDualError,
     DimensionMismatch,
+    EmptyList,
     GridTooLarge,
     NotAValuation,
     NotLSC,
@@ -110,8 +116,6 @@ def test_mobius_examples():
 
 def test_mobius_round_trips_exhaustive_small():
     values = [ZERO, ONE, ExtReal(2), ExtReal(3)]
-    from itertools import product
-
     for n in range(1, 5):
         for poset in posets_up_to_iso(n):
             for weights in product(values, repeat=n):
@@ -232,9 +236,7 @@ def test_directedness_across_small_posets():
     for n in range(1, 4):
         for poset in posets_up_to_iso(n):
             coeffs = [ExtReal(rng.randint(0, 4), rng.randint(1, 2)) for _ in range(n)]
-            ok, pair = check_dominated_directed(
-                DualFunctional(coeffs), poset, 2, ExtReal(2), random_valuations=40
-            )
+            ok, pair = check_dominated_directed(DualFunctional(coeffs), poset, 2, ExtReal(2))
             assert ok, pair
 
 
@@ -258,7 +260,181 @@ def test_sup_representation_step_families_everywhere():
             f = recover_function(phi, poset)
             family = [step(poset, r, mask) for r, mask in to_steps(f)]
             if family:
-                assert check_sup_representation(phi, poset, family, samples=40)
+                assert check_sup_representation(phi, poset, family)
+
+
+# The sampled checks as they were before the exact ones, kept as oracles:
+# every grid function is tested against the Dirac valuations plus a seeded
+# random batch, and directedness against every pair of survivors.  The tests
+# below pass small batches; the Diracs already decide every verdict.
+
+
+def _sampled_grid_values(grid_denominator, cap):
+    if grid_denominator < 1:
+        raise ValueError("grid denominator must be positive")
+    if cap.is_infinite:
+        raise GridTooLarge("an infinite cap would need an infinite grid")
+    values = []
+    k = 0
+    while True:
+        v = ExtReal(k, grid_denominator)
+        if not v <= cap:
+            break
+        values.append(v)
+        k += 1
+    return values
+
+
+def _sampled_dominated_directed(
+    phi, poset, grid_denominator, cap, seed=1729, random_valuations=200
+):
+    values = _sampled_grid_values(grid_denominator, ExtReal(cap))
+    n = poset.n
+    if len(values) ** n > 200_000:
+        raise GridTooLarge(f"{len(values)}^{n} candidate tables exceed the bound")
+    candidates = [
+        vals for vals in product(values, repeat=n) if is_lsc(vals, poset)[0]
+    ]
+    rng = random.Random(seed)
+    mus = [SimpleValuation.dirac(poset, x) for x in range(n)]
+    mus += [random_simple_valuation(rng, poset) for _ in range(random_valuations)]
+    bounds = [(mu._vec, phi.eval(mu)) for mu in mus]
+    survivors = []
+    for f in candidates:
+        vec = ExtVec(f)
+        if all(w.dot(vec) <= b for w, b in bounds):
+            survivors.append(f)
+    sset = set(survivors)
+    for i in range(len(survivors)):
+        fi = survivors[i]
+        for j in range(i + 1, len(survivors)):
+            fj = survivors[j]
+            lub = tuple(a if b <= a else b for a, b in zip(fi, fj))
+            if lub not in sset:
+                return False, (fi, fj)
+    return True, None
+
+
+def _sampled_sup_representation(phi, poset, family, seed=1729, samples=200):
+    funs = list(family)
+    if not funs:
+        raise EmptyList("the family must be nonempty")
+    for f in funs:
+        if f.poset != poset:
+            raise PosetMismatch("family member lives over a different poset")
+    top = LscFun.sup(funs)
+    rng = random.Random(seed)
+    mus = [SimpleValuation.dirac(poset, x) for x in range(poset.n)]
+    mus += [random_simple_valuation(rng, poset) for _ in range(samples)]
+    for mu in mus:
+        bound = phi.eval(mu)
+        if any(not eval_valuation(mu, f) <= bound for f in funs):
+            return False
+        if eval_valuation(mu, top) != bound:
+            return False
+    return True
+
+
+def _outcome(check, *args, **kwargs):
+    """The result of a check, or the type and message of what it raised."""
+    try:
+        return check(*args, **kwargs)
+    except (ConeDualError, ValueError) as exc:
+        return type(exc), str(exc)
+
+
+_POSETS_UP_TO_4 = [p for n in range(1, 5) for p in posets_up_to_iso(n)]
+
+
+def _rand_coeff(rng):
+    """Zero, a small rational, or infinity."""
+    pick = rng.randrange(5)
+    if pick == 0:
+        return INF
+    return ExtReal(rng.randint(0, 5), rng.randint(1, 3))
+
+
+def test_exact_directedness_matches_the_sampled_oracle():
+    rng = random.Random(1860)
+    raised = set()
+    for case in range(150):
+        poset = rng.choice(_POSETS_UP_TO_4)
+        n = poset.n
+        # now and then a functional of the wrong dimension
+        dim = n + 1 if case % 25 == 0 else n
+        phi = DualFunctional([_rand_coeff(rng) for _ in range(dim)])
+        d = rng.choice([0, 1, 2, 3]) if case % 10 == 0 else rng.choice([1, 2])
+        cap = rng.choice([ExtReal(1), ExtReal(3, 2), ExtReal(2)])
+        if case % 10 == 5:
+            cap = INF
+        elif case % 10 == 7 and n > 1:
+            cap = ExtReal(500)  # over the bound
+        elif n == 4 and d * cap.num > 2 * cap.den:
+            d = 1  # keep the oracle's pairwise loop quick
+        want = _outcome(_sampled_dominated_directed, phi, poset, d, cap, random_valuations=30)
+        got = _outcome(check_dominated_directed, phi, poset, d, cap)
+        assert got == want, (case, poset, phi, d, cap)
+        if type(want) is tuple and isinstance(want[0], type):
+            raised.add(want[0])
+    # every kind of exception occurred, each with the oracle's message
+    assert raised == {DimensionMismatch, GridTooLarge, ValueError}
+
+
+def test_exact_sup_representation_matches_the_sampled_oracle():
+    rng = random.Random(1861)
+    verdicts = {True: 0, False: 0}
+    for case in range(1500):
+        poset = rng.choice(_POSETS_UP_TO_4)
+        n = poset.n
+        g = LscFun(poset, _monotone(poset, [_rand_coeff(rng) for _ in range(n)]))
+        family = [step(poset, r, mask) for r, mask in to_steps(g)] or [g]
+        for _ in range(rng.randrange(3)):
+            h = LscFun(poset, _monotone(poset, [_rand_coeff(rng) for _ in range(n)]))
+            family.append(LscFun.inf([g, h]) if rng.randrange(3) else h)
+        if len(family) > 1 and rng.randrange(4) == 0:
+            family.pop(rng.randrange(len(family)))
+        coeffs = list(g.values)
+        if rng.randrange(3) == 0:
+            coeffs[rng.randrange(n)] = _rand_coeff(rng)
+        phi = DualFunctional(coeffs)
+        want = _sampled_sup_representation(phi, poset, family, samples=10)
+        assert check_sup_representation(phi, poset, family) is want, (case, poset, phi, family)
+        verdicts[want] += 1
+    assert min(verdicts.values()) >= 300, verdicts
+
+
+def test_sup_representation_raises_as_the_sampled_oracle():
+    chain3 = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    f = LscFun(CHAIN2, [1, INF])
+    cases = [
+        (DualFunctional([1, 2, 3]), CHAIN2, [f]),
+        (DualFunctional([1]), CHAIN2, [f]),
+        (DualFunctional([1, 2]), CHAIN2, []),
+        (DualFunctional([1, 2]), CHAIN2, [f, LscFun(chain3, [0, 1, 1])]),
+        (DualFunctional([1, 2]), chain3, [f]),
+        (DualFunctional([1]), CHAIN2, []),
+    ]
+    raised = []
+    for phi, poset, family in cases:
+        want = _outcome(_sampled_sup_representation, phi, poset, family)
+        assert _outcome(check_sup_representation, phi, poset, family) == want
+        raised.append(want[0])
+    assert raised == [
+        DimensionMismatch, DimensionMismatch, EmptyList, PosetMismatch, PosetMismatch, EmptyList
+    ]
+
+
+def test_grid_bound_is_checked_before_the_grid_is_built():
+    # a million grid values on one element: the bound alone must refuse it
+    single = FinitePoset.from_pairs(1, [])
+    tracemalloc.start()
+    try:
+        with pytest.raises(GridTooLarge):
+            check_dominated_directed(DualFunctional([1]), single, 1, ExtReal(10**6))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def _weighted_sum_fold(weights, values):
@@ -291,9 +467,15 @@ def test_pairings_match_the_fold_oracle():
         coeffs = [_rand_ext(rng) for _ in range(poset.n)]
         mu = SimpleValuation(poset, weights)
         f = LscFun(poset, values)
+        opens = to_opens(mu)
         for got, want in (
             (eval_valuation(mu, f), _weighted_sum_fold(weights, values)),
             (DualFunctional(coeffs).eval(mu), _weighted_sum_fold(weights, coeffs)),
+            # nu(U) against the weights inside U
+            *(
+                (value, _weighted_sum_fold(weights, [ONE if mask >> i & 1 else ZERO for i in range(poset.n)]))
+                for mask, value in opens.items()
+            ),
         ):
             assert (got.num, got.den) == (want.num, want.den)
             infinite += want.is_infinite
