@@ -12,6 +12,7 @@ import argparse
 import json
 import sys
 
+# perfbench/spans.py swaps cli.json and cli.jsonio for proxies, so both stay bound here
 from . import jsonio, suites
 from .convex_sep import MeetsCorner, separate
 from .errors import (
@@ -136,9 +137,7 @@ def _cmd_ss_recover(payload, args):
     raw = require_key(payload, "coeffs", "$")
     if not isinstance(raw, list) or len(raw) != poset.n:
         fail("$.coeffs", f"an array of {poset.n} extended rationals", raw)
-    phi = DualFunctional(
-        [jsonio.decode_extreal(v, f"$.coeffs[{i}]") for i, v in enumerate(raw)]
-    )
+    phi = DualFunctional(decode_vector(raw, "$.coeffs"))
     try:
         f = recover_function(phi, poset)
     except NotLSC as exc:

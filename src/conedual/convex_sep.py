@@ -81,7 +81,7 @@ def separate(generators, dim: int):
     """
     gens = _check_generators(generators, dim)
     # the generators' integer forms: (numerators over d, d, infinity mask, ...)
-    forms = [g._integer_form() for g in gens]
+    forms = [g._form for g in gens]
     inf_mask = 0
     for form in forms:
         inf_mask |= form[2]

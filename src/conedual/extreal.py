@@ -182,12 +182,6 @@ class ExtReal:
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        if eq is NotImplemented:
-            return NotImplemented
-        return not eq
-
     def __hash__(self):
         # Fraction.__hash__ on the reduced, nonnegative (num, den), without
         # building the Fraction, so hash(ExtReal(q)) == hash(Fraction(q)).
@@ -286,14 +280,33 @@ def parse_extreal(text: str) -> ExtReal:
     return ExtReal._raw(num // g, den // g)
 
 
+def _canonical_form(nums, dens, inf, nonzero):
+    """``ExtVec``'s form: (numerators over d, d, infinity mask, nonzero mask),
+    d the lcm of the reduced finite denominators (1 when there are none).
+
+    The arguments are numerators over their own denominators, reduced or
+    not, with 0 over 1 at infinite coordinates, whose bits are set in both
+    masks.  The numerators are put over the lcm of the denominators, then
+    it and every numerator are divided by their gcd: no gcd per entry.
+    Equal vectors get equal forms.
+    """
+    d = lcm(*dens)
+    if d != 1:
+        nums = [n * (d // q) for n, q in zip(nums, dens)]
+        g = gcd(d, *nums)
+        if g != 1:
+            d //= g
+            nums = [n // g for n in nums]
+    return (tuple(nums), d, inf, nonzero)
+
+
 class ExtVec:
     """A point of the extended nonnegative orthant with a fixed dimension.
 
-    Its primary state is the integer form that pairings read; the
-    ``ExtReal`` entries are built from it on first access and cached.  A
-    vector made from entries computes its form on its first pairing
-    instead.  Immutable by convention (``scale`` and ``+`` build new
-    vectors), so each state is computed at most once.
+    Its one state is the canonical form that ``_canonical_form`` computes at
+    construction, so ``==``, ``hash`` and ``dot`` read only the form.  The
+    ``ExtReal`` entries are a cache: kept when given, else built from the
+    form on first access.  Immutable by convention.
     """
 
     __slots__ = ("_entries", "_form")
@@ -309,57 +322,32 @@ class ExtVec:
                 break
         if not entries:
             raise DimensionMismatch("vectors must have positive dimension")
+        nums = []
+        dens = []
+        inf = nonzero = 0
+        bit = 1
+        for e in entries:
+            if e.den:
+                nums.append(e.num)
+                dens.append(e.den)
+                if e.num:
+                    nonzero |= bit
+            else:
+                nums.append(0)
+                dens.append(1)
+                inf |= bit
+                nonzero |= bit
+            bit <<= 1
         self._entries = entries
-        self._form = None
+        self._form = _canonical_form(nums, dens, inf, nonzero)
 
     @classmethod
     def _from_ratios(cls, nums, dens, inf, nonzero):
-        """A vector from its numerators over their own denominators, reduced
-        or not (0 over 1 at infinite coordinates), and the two masks.
-
-        The numerators are put over the lcm d of the denominators, then d
-        and every numerator are divided by their gcd.  That leaves d the lcm
-        of the reduced denominators: the canonical form ``_integer_form``
-        gives, found with no gcd per entry.
-        """
-        d = lcm(*dens)
-        if d != 1:
-            nums = [n * (d // q) for n, q in zip(nums, dens)]
-            g = gcd(d, *nums)
-            if g != 1:
-                d //= g
-                nums = [n // g for n in nums]
+        """A vector straight from ``_canonical_form``'s arguments."""
         v = object.__new__(cls)
         v._entries = None
-        v._form = (tuple(nums), d, inf, nonzero)
+        v._form = _canonical_form(nums, dens, inf, nonzero)
         return v
-
-    def _integer_form(self):
-        """(numerators over d, d, infinity mask, nonzero mask), d the lcm of
-        the finite denominators (1 when there are none).
-
-        An infinite entry has numerator 0 and its bit set in both masks.
-        The form is canonical: equal vectors have equal forms.
-        """
-        form = self._form
-        if form is None:
-            entries = self._entries
-            d = lcm(*[e.den for e in entries if e.den])
-            nums = []
-            inf = nonzero = 0
-            bit = 1
-            for e in entries:
-                if e.den:
-                    nums.append(e.num * (d // e.den))
-                    if e.num:
-                        nonzero |= bit
-                else:
-                    nums.append(0)
-                    inf |= bit
-                    nonzero |= bit
-                bit <<= 1
-            form = self._form = (tuple(nums), d, inf, nonzero)
-        return form
 
     @property
     def entries(self) -> tuple:
@@ -381,7 +369,7 @@ class ExtVec:
 
     @property
     def dim(self) -> int:
-        return len(self._entries or self._form[0])
+        return len(self._form[0])
 
     def dot(self, other: "ExtVec") -> ExtReal:
         """The pairing sum_i a_i b_i, one integer dot product over the two
@@ -391,9 +379,8 @@ class ExtVec:
         nonzero (0 * inf = 0); infinite entries carry numerator 0, so the
         finite terms sum correctly either way.
         """
-        # cached integer forms, each computed on its vector's first pairing
-        an, ad, a_inf, a_nonzero = self._form or self._integer_form()
-        bn, bd, b_inf, b_nonzero = other._form or other._integer_form()
+        an, ad, a_inf, a_nonzero = self._form
+        bn, bd, b_inf, b_nonzero = other._form
         if len(an) != len(bn):
             raise DimensionMismatch(f"{len(an)} versus {len(bn)}")
         if a_inf & b_nonzero or b_inf & a_nonzero:
@@ -418,7 +405,7 @@ class ExtVec:
         return iter(self._entries or self.entries)
 
     def __len__(self):
-        return len(self._entries or self._form[0])
+        return len(self._form[0])
 
     def __getitem__(self, i):
         return (self._entries or self.entries)[i]
@@ -426,13 +413,11 @@ class ExtVec:
     def __eq__(self, other):
         if not isinstance(other, ExtVec):
             return NotImplemented
-        if self._entries is not None and other._entries is not None:
-            return self._entries == other._entries
         # the nonzero mask follows from the rest, so this compares (nums, d, inf)
-        return (self._form or self._integer_form()) == (other._form or other._integer_form())
+        return self._form == other._form
 
     def __hash__(self):
-        return hash(self._form or self._integer_form())
+        return hash(self._form)
 
     def __repr__(self):
         return "(" + ", ".join(str(e) for e in self.entries) + ")"

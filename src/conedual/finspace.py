@@ -123,7 +123,13 @@ def all_opens(poset: FinitePoset, max_size: int = _MAX_OPENS_SIZE):
 
 def is_lsc(values, poset: FinitePoset):
     """Monotonicity check; returns (True, None) or (False, violating pair)."""
-    vals = [as_extreal(v) for v in values]
+    if type(values) is ExtVec:
+        # the form's numerators order the finite entries; inf goes above them
+        nums, _, inf, _ = values._form
+        top = max(nums) + 1
+        vals = [top if inf >> i & 1 else v for i, v in enumerate(nums)]
+    else:
+        vals = [as_extreal(v) for v in values]
     if len(vals) != poset.n:
         raise ValueError(f"expected {poset.n} values, got {len(vals)}")
     # only the pairs of the order, ascending, so the first witness is the
@@ -188,10 +194,10 @@ class LscFun:
     def __eq__(self, other):
         if not isinstance(other, LscFun):
             return NotImplemented
-        return self.poset == other.poset and self.values == other.values
+        return self.poset == other.poset and self._vec == other._vec
 
     def __hash__(self):
-        return hash((self.poset, self.values))
+        return hash((self.poset, self._vec))
 
     def __repr__(self):
         return "LscFun(" + ", ".join(str(v) for v in self.values) + ")"

@@ -32,10 +32,10 @@ class LinFun:
 
     @property
     def is_finite(self) -> bool:
-        return not self.coeffs._integer_form()[2]
+        return not self.coeffs._form[2]
 
     def fraction_coeffs(self):
-        nums, d, inf, _ = self.coeffs._integer_form()
+        nums, d, inf, _ = self.coeffs._form
         if inf:
             raise InfiniteCoefficient(f"{self!r} has an infinite coefficient")
         return tuple(Fraction(n, d) for n in nums)

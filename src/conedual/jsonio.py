@@ -174,9 +174,7 @@ def decode_valuation(obj, poset, path) -> SimpleValuation:
     raw = require_key(obj, "weights", path)
     if not isinstance(raw, list) or len(raw) != poset.n:
         fail(f"{path}.weights", f"an array of {poset.n} extended rationals", raw)
-    return SimpleValuation(
-        poset, [decode_extreal(v, f"{path}.weights[{i}]") for i, v in enumerate(raw)]
-    )
+    return SimpleValuation(poset, decode_vector(raw, f"{path}.weights"))
 
 
 def decode_open_table(obj, poset, path) -> ValuationOnOpens:

@@ -25,7 +25,7 @@ from .errors import (
     PosetMismatch,
     UndefinedDifference,
 )
-from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, as_extreal
+from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, as_extreal, as_extvec
 from .finspace import FinitePoset, LscFun, all_opens, is_lsc
 
 _GRID_CAP = 200_000
@@ -37,11 +37,12 @@ class SimpleValuation:
     __slots__ = ("poset", "_vec")
 
     def __init__(self, poset: FinitePoset, weights):
-        ws = tuple(weights)
-        if len(ws) != poset.n:
-            raise DimensionMismatch(f"expected {poset.n} weights, got {len(ws)}")
+        if type(weights) is not ExtVec:
+            weights = tuple(weights)
+        if len(weights) != poset.n:
+            raise DimensionMismatch(f"expected {poset.n} weights, got {len(weights)}")
         self.poset = poset
-        self._vec = ExtVec(ws)
+        self._vec = as_extvec(weights)
 
     @property
     def weights(self) -> tuple:
@@ -57,7 +58,7 @@ class SimpleValuation:
         return self.poset == other.poset and self._vec == other._vec
 
     def __hash__(self):
-        return hash((self.poset, self.weights))
+        return hash((self.poset, self._vec))
 
     def __repr__(self):
         return "SimpleValuation(" + ", ".join(str(w) for w in self.weights) + ")"
@@ -160,10 +161,12 @@ class DualFunctional:
     __slots__ = ("_vec",)
 
     def __init__(self, coeffs):
-        cs = tuple(coeffs)
-        if not cs:
-            raise EmptyList("at least one coefficient is required")
-        self._vec = ExtVec(cs)
+        if type(coeffs) is not ExtVec:
+            coeffs = tuple(coeffs)
+            if not coeffs:
+                raise EmptyList("at least one coefficient is required")
+            coeffs = ExtVec(coeffs)
+        self._vec = coeffs
 
     @property
     def coeffs(self) -> tuple:
@@ -194,11 +197,7 @@ def recover_function(phi: DualFunctional, poset: FinitePoset) -> LscFun:
     phi cannot be lower semicontinuous for the weak* upper topology and the
     violating pair is reported.
     """
-    if len(phi.coeffs) != poset.n:
-        raise DimensionMismatch(
-            f"{len(phi.coeffs)} coefficients versus {poset.n} elements"
-        )
-    return LscFun(poset, phi._vec)
+    return LscFun(poset, _dirac_values(phi, poset))
 
 
 def random_simple_valuation(rng: random.Random, poset: FinitePoset, inf_chance: int = 10) -> SimpleValuation:
@@ -225,10 +224,14 @@ def _grid_values(grid_denominator: int, cap: ExtReal, n: int):
     return [ExtReal(k, grid_denominator) for k in range(count)]
 
 
-def _dirac_values(phi: DualFunctional, poset: FinitePoset) -> tuple:
+def _dirac_values(phi: DualFunctional, poset: FinitePoset) -> ExtVec:
     """phi at each Dirac valuation: the bound c with mu(f) <= phi(mu) for
-    every simple valuation mu exactly when f <= c pointwise."""
-    return tuple(phi.eval(SimpleValuation.dirac(poset, x)) for x in range(poset.n))
+    every simple valuation mu exactly when f <= c pointwise.  The pairing of
+    delta_x with phi's coefficients is the coefficient at x, inf included,
+    so c is phi's coefficient vector itself."""
+    if len(phi._vec) != poset.n:
+        raise DimensionMismatch(f"{len(phi._vec)} coefficients versus {poset.n} elements")
+    return phi._vec
 
 
 def check_dominated_directed(phi: DualFunctional, poset: FinitePoset, grid_denominator: int, cap):
@@ -243,6 +246,11 @@ def check_dominated_directed(phi: DualFunctional, poset: FinitePoset, grid_denom
     set is directed iff it has a greatest element: the running pointwise
     maximum must stay a survivor.  Returns (True, None), or (False, pair)
     with two survivors whose least upper bound is not one.
+
+    On valid input the answer is always (True, None): the pointwise maximum
+    of two monotone grid functions below c is again one, so the survivors
+    are closed under it.  The running maximum is kept as the
+    implementation's self-check of that fact, not as a decision.
     """
     values = _grid_values(grid_denominator, as_extreal(cap), poset.n)
     c = _dirac_values(phi, poset)
@@ -276,4 +284,4 @@ def check_sup_representation(phi: DualFunctional, poset: FinitePoset, family) ->
         if f.poset != poset:
             raise PosetMismatch("family member lives over a different poset")
     top = LscFun.sup(funs)
-    return top.values == _dirac_values(phi, poset)
+    return top._vec == _dirac_values(phi, poset)

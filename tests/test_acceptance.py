@@ -4,9 +4,23 @@ Every check is exact (zero tolerance).  Each test prints a single
 "criterion N: PASS/FAIL" line; run with -s to watch them stream.
 """
 
+import hashlib
 import json
 
 from conedual import suites
+
+# sha256 of each default-seed report as compact, key-sorted JSON; these are
+# the reports `python -m conedual check --suite all --seed 1729` prints, so
+# any change to their bytes fails here
+REPORT_SHA256 = {
+    "extreal": "83dfca8e01bf582b95003056305f58e90aaba544b36b00e7a685a5af2173b98f",
+    "separation": "e156f86110297e06494e4c91de892253ac56c35573a48ed4abed4077d1349fb2",
+    "interpolation": "208f8f0fe58d50b9a907f8c007d1842a49ed6282d52379871fe18baa858738df",
+    "minkowski": "3a80ae5c1b0c87f0a3d8832892dcccdb5475b2a277a452c6a011ce818c03b78f",
+    "schroeder-simpson": "a05eebdc71156bb8f7fdca8a0bbf7f7b03337db9e17c021a83536b68d17c18a4",
+    "regression": "65c35f57f4463ef99f9b89a6dac1ef960ee1800a0e5e938973a449b5ec7fdae9",
+    "directedness": "8a76c91f60cde2533ad4e2ecf9ab4fab1bc267796f5a91335014cfa6422236db",
+}
 
 
 def _finish(number, label, report):
@@ -16,6 +30,8 @@ def _finish(number, label, report):
         f"({report['checks']} checks, {report['failure_count']} failures)"
     )
     assert report["passed"], report["failures"][:5]
+    text = json.dumps(report, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(text.encode()).hexdigest() == REPORT_SHA256[report["suite"]], text
 
 
 def test_criterion_1_extreal_laws():

@@ -27,6 +27,7 @@ from conedual.errors import (
     TooLarge,
 )
 from conedual.finspace import _bits
+from conedual.jsonio import decode_vector
 
 SIGMA = FinitePoset.from_pairs(2, [(0, 1)])
 DISCRETE2 = FinitePoset.from_pairs(2, [])
@@ -59,6 +60,27 @@ def test_is_lsc_examples():
     assert is_lsc([2, 1], SIGMA) == (False, (0, 1))
     assert is_lsc([5, 5, 5], CHAIN3) == (True, None)
     assert is_lsc([0, INF], SIGMA) == (True, None)
+
+
+def test_is_lsc_on_a_vector_matches_is_lsc_on_its_entries():
+    # an ExtVec is checked on its integer form, with no entries built; the
+    # verdict and the first violating pair must match the entrywise check
+    rng = random.Random(11)
+    verdicts = set()
+    for n in range(1, 5):
+        for poset in posets_up_to_iso(n):
+            for _ in range(40):
+                vals = [
+                    INF if rng.randrange(5) == 0 else ExtReal(rng.randint(0, 6), rng.randint(1, 3))
+                    for _ in range(n)
+                ]
+                vec = decode_vector([str(v) for v in vals], "$")
+                got = is_lsc(vec, poset)
+                assert got == is_lsc(vals, poset) and vec._entries is None
+                verdicts.add(got[0])
+    assert verdicts == {True, False}
+    with pytest.raises(ValueError, match="expected 3 values, got 2"):
+        is_lsc(decode_vector(["1", "2"], "$"), CHAIN3)
 
 
 def test_is_lsc_matches_open_preimage_definition():

@@ -3,7 +3,16 @@ import random
 
 import pytest
 
-from conedual import INF, ExtReal, ExtVec, LinFun
+from conedual import (
+    INF,
+    DualFunctional,
+    ExtReal,
+    ExtVec,
+    FinitePoset,
+    LinFun,
+    LscFun,
+    SimpleValuation,
+)
 from conedual.cli import main
 from conedual.errors import ParseError
 from conedual.jsonio import _entry, decode_vector, encode_vector
@@ -69,7 +78,7 @@ def test_decoder_matches_parse_extreal_plus_extvec():
         # the forms, compared structurally, before anything reads the entries
         got = decode_vector(obj, "$.y")
         assert got._entries is None
-        assert got._form == ref._integer_form()
+        assert got._form == ref._form
         # == and hash on the fused vector's form alone, both ways round
         got = decode_vector(obj, "$.y")
         assert got == ref and ref == got and hash(got) == hash(ref)
@@ -97,11 +106,11 @@ def test_decoder_matches_parse_extreal_plus_extvec():
     assert seen == {"str", "int", "unreduced", "padded", "wide", "all inf", "all zero"}
 
 
-def _cli_message(tmp_path, y):
+def _cli_message(tmp_path, command, payload):
     inp = tmp_path / "in.json"
-    inp.write_text(json.dumps({"blocks": [[["1"] * len(y)]], "y": y}))
+    inp.write_text(json.dumps(payload))
     out = tmp_path / "out.json"
-    code = main(["minkowski", "--input", str(inp), "--output", str(out)])
+    code = main([command, "--input", str(inp), "--output", str(out)])
     doc = json.loads(out.read_bytes())
     return code, doc
 
@@ -121,9 +130,20 @@ def test_decoder_rejects_exactly_what_parse_extreal_rejects(tmp_path):
         with pytest.raises(ParseError) as exc:
             decode_vector(y, "$.y")
         assert str(exc.value) == expected
-        code, doc = _cli_message(tmp_path, y)
+        code, doc = _cli_message(tmp_path, "minkowski", {"blocks": [[["1"] * len(y)]], "y": y})
         assert code == 1
         assert doc == {"error": "malformed_input", "message": expected}
+        # the same entry as a dual functional's coefficients and as weights
+        poset = {"size": len(y), "leq": []}
+        code, doc = _cli_message(tmp_path, "ss-recover", {**poset, "coeffs": y})
+        assert code == 1
+        message = expected.replace("$.y[", "$.coeffs[", 1)
+        assert doc == {"error": "malformed_input", "message": message}
+        payload = {**poset, "direction": "to_opens", "weights": y}
+        code, doc = _cli_message(tmp_path, "mobius", payload)
+        assert code == 1
+        message = expected.replace("$.y[", "$.weights[", 1)
+        assert doc == {"error": "malformed_input", "message": message}
 
 
 def test_never_indexed_vector_pairs_compares_and_encodes():
@@ -139,3 +159,24 @@ def test_never_indexed_vector_pairs_compares_and_encodes():
     assert encode_vector(v) == ["3/2", "inf", "0", "2", "3"]
     assert repr(decode_vector(["4/6", "0"], "$")) == "(2/3, 0)"
     assert decode_vector(["1/2", "1/3"], "$")[1] == ExtReal(1, 3)
+
+
+def test_holders_keep_a_decoded_vector_whole():
+    poset = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    raw = ["1/2", "2", "inf"]
+    makers = [
+        (lambda v: SimpleValuation(poset, v), lambda h: h._vec),
+        (DualFunctional, lambda h: h._vec),
+        (lambda v: LscFun(poset, v), lambda h: h._vec),
+        (LinFun, lambda h: h.coeffs),
+    ]
+    for make, vec_of in makers:
+        v = decode_vector(raw, "$")
+        held = make(v)
+        assert vec_of(held) is v and v._entries is None
+        twin = make(decode_vector(raw, "$"))
+        assert held == twin
+        if type(held).__hash__ is not None:  # DualFunctional defines no hash
+            assert hash(held) == hash(twin)
+        assert vec_of(held) is v and v._entries is None
+        assert vec_of(twin)._entries is None
