@@ -1,7 +1,10 @@
+import io
 import json
 import subprocess
 import sys
 from fractions import Fraction
+
+import pytest
 
 from conedual import ExtVec, parse_extreal, verify_meets_corner, verify_separated
 from conedual.cli import main
@@ -360,3 +363,63 @@ def test_mobius_enumerates_the_opens_once_per_table(tmp_path, monkeypatch):
     code, out = run_cli(tmp_path, "mobius", {"size": 2, "leq": [[0, 1]], "direction": "from_opens", "table": table})
     assert (code, calls) == (2, [2, 2])
     assert out == b'{"error":"not_a_valuation","message":"table is not induced by pointwise weights"}\n'
+
+
+def _fake_suite(passed):
+    def run_suite(name, seed, max_size):
+        return {"failure_count": 0 if passed else 1, "passed": passed, "seed": seed, "suite": name}
+
+    return run_suite
+
+
+_CHAIN = {"size": 2, "leq": [[0, 1]], "direction": "from_opens"}
+# one row per outcome kind: (argv, stdin, exit code, exact stdout)
+OUTCOMES = [
+    (["sep"], {"dim": 2, "generators": [["2", "0"], ["0", "2"]]}, 0,
+     '{"outcome":"separated","weights":["1/2","1/2"]}\n'),
+    (["dominates"], {"f": ["2", "1"], "phi": {"kind": "max", "branches": [["2", "0"], ["0", "2"]]}}, 0,
+     '{"certificate":null,"dominated":false}\n'),
+    (["check", "--suite", "extreal"], "", 0,
+     '{"reports":[{"failure_count":0,"passed":true,"seed":1729,"suite":"extreal"}],"seed":1729}\n'),
+    (["sep"], {"dim": 2, "generators": [["3", "0"], ["0", "3"]]}, 2,
+     '{"error":"meets_v","witness":[[0,"1/2"],[1,"1/2"]]}\n'),
+    (["interpolate"], {"c_gens": [["5", "5"]], "clauses": [[0]], "phi": {"kind": "max", "branches": [["1", "1"]]}}, 2,
+     '{"clause":0,"error":"precondition_violated","witness":["1","0"]}\n'),
+    (["ss-recover"], {"size": 2, "leq": [[0, 1]], "coeffs": ["2", "1"]}, 2,
+     '{"error":"not_lsc","witness":[0,1]}\n'),
+    (["mobius"], dict(_CHAIN, table=[{"open": [], "value": "0"}, {"open": [1], "value": "inf"},
+                                     {"open": [0, 1], "value": "inf"}]), 2,
+     '{"error":"undefined_difference","message":"weight of element 0 is an infinity minus infinity"}\n'),
+    (["mobius"], dict(_CHAIN, table=[{"open": [], "value": "0"}, {"open": [1], "value": "3"},
+                                     {"open": [0, 1], "value": "2"}]), 2,
+     '{"error":"not_a_valuation","message":"element 0 would need a negative weight"}\n'),
+    (["mobius"], dict(_CHAIN, table=[{"open": [], "value": "1"}, {"open": [1], "value": "2"},
+                                     {"open": [0, 1], "value": "3"}]), 2,
+     '{"error":"not_a_valuation","message":"table is not induced by pointwise weights"}\n'),
+    (["check", "--suite", "extreal"], "", 2,
+     '{"error":"suite_failed","reports":[{"failure_count":1,"passed":false,"seed":1729,"suite":"extreal"}],'
+     '"seed":1729}\n'),
+    (["sep"], "", 1,
+     '{"error":"malformed_input","message":"input is not valid JSON: Expecting value: line 1 column 1 (char 0)"}\n'),
+    (["sep"], {"dim": 2, "generators": []}, 1,
+     '{"error":"malformed_input","message":"$.generators: expected a nonempty array of vectors, got []"}\n'),
+    (["ss-recover"], {"size": 3, "leq": [[0, 1], [1, 2]], "coeffs": ["1", "2", "3"]}, 1,
+     '{"error":"nottransitive","message":"0 <= 1 <= 2 holds but 0 <= 2 fails","witness":[0,1,2]}\n'),
+    (["mobius"], {"size": 13, "leq": [], "direction": "to_opens", "weights": ["1"] * 13}, 1,
+     '{"error":"toolarge","message":"open-set enumeration is capped at 12 elements"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, stdin, code, stdout", OUTCOMES)
+@pytest.mark.parametrize("verbose", [False, True])
+def test_every_outcome_kind_prints_its_exact_bytes(monkeypatch, capsys, argv, stdin, code, stdout, verbose):
+    from conedual import suites
+
+    if argv[0] == "check":
+        monkeypatch.setattr(suites, "run_suite", _fake_suite(code == 0))
+    text = stdin if isinstance(stdin, str) else json.dumps(stdin)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(text))
+    assert main(argv + ["--verbose"] * verbose) == code
+    out, err = capsys.readouterr()
+    assert out == stdout
+    assert err == (f"{argv[0]}: ok\n" if verbose and code == 0 else "")
