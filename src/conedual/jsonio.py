@@ -10,7 +10,7 @@ from fractions import Fraction
 
 from .errors import ParseError
 from .extreal import ExtReal, ExtVec, parse_extreal
-from .finspace import FinitePoset
+from .finspace import FinitePoset, _bits
 from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
 from .valuations import SimpleValuation, ValuationOnOpens
 
@@ -83,6 +83,13 @@ def decode_vector(obj, path) -> ExtVec:
     return ExtVec._from_ratios(nums, dens, inf, nonzero)
 
 
+def decode_vectors(obj, path, expected) -> list:
+    """A nonempty array of vectors; ``expected`` names it in the error."""
+    if not isinstance(obj, list) or not obj:
+        fail(path, expected, obj)
+    return [decode_vector(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+
+
 def _vector_entry(v, path, i):
     """(num, den) of entry i through ``_entry``, INF as den 0; its error
     message gets the entry's path, built only here."""
@@ -109,17 +116,16 @@ def require_key(obj, key, path):
     return obj[key]
 
 
+_COEFF_ARRAYS = "a nonempty array of coefficient arrays"
+
+
 def decode_functional(obj, path):
     kind = require_key(obj, "kind", path)
     if kind == "lin":
         return LinFun(decode_vector(require_key(obj, "coeffs", path), f"{path}.coeffs"))
     if kind in ("max", "min"):
         raw = require_key(obj, "branches", path)
-        if not isinstance(raw, list) or not raw:
-            fail(f"{path}.branches", "a nonempty array of coefficient arrays", raw)
-        branches = [
-            LinFun(decode_vector(b, f"{path}.branches[{i}]")) for i, b in enumerate(raw)
-        ]
+        branches = decode_vectors(raw, f"{path}.branches", _COEFF_ARRAYS)
         return SublinFun(branches) if kind == "max" else SuperlinFun(branches)
     fail(f"{path}.kind", '"lin", "max", or "min"', kind)
 
@@ -137,16 +143,7 @@ def decode_open_set(obj, path) -> OpenSetRep:
     raw = require_key(obj, "blocks", path)
     if not isinstance(raw, list):
         fail(f"{path}.blocks", "an array of blocks", raw)
-    blocks = []
-    for i, block in enumerate(raw):
-        if not isinstance(block, list) or not block:
-            fail(f"{path}.blocks[{i}]", "a nonempty array of coefficient arrays", block)
-        blocks.append(
-            [
-                LinFun(decode_vector(b, f"{path}.blocks[{i}][{k}]"))
-                for k, b in enumerate(block)
-            ]
-        )
+    blocks = [decode_vectors(b, f"{path}.blocks[{i}]", _COEFF_ARRAYS) for i, b in enumerate(raw)]
     return OpenSetRep(blocks)
 
 
@@ -220,10 +217,4 @@ def encode_fractions(values) -> list:
 
 
 def mask_to_indices(mask: int) -> list:
-    out = []
-    i = 0
-    while mask >> i:
-        if mask >> i & 1:
-            out.append(i)
-        i += 1
-    return out
+    return list(_bits(mask))

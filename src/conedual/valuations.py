@@ -184,6 +184,9 @@ class DualFunctional:
             return NotImplemented
         return self._vec == other._vec
 
+    def __hash__(self):
+        return hash(self._vec)
+
     def __repr__(self):
         return "DualFunctional(" + ", ".join(str(c) for c in self.coeffs) + ")"
 

@@ -423,3 +423,20 @@ def test_every_outcome_kind_prints_its_exact_bytes(monkeypatch, capsys, argv, st
     out, err = capsys.readouterr()
     assert out == stdout
     assert err == (f"{argv[0]}: ok\n" if verbose and code == 0 else "")
+
+
+@pytest.mark.parametrize("case", ["nested 100,000 deep", "missing input file"])
+def test_hostile_input_exits_one_without_a_traceback(tmp_path, case):
+    missing = str(tmp_path / "missing.json")
+    argv, stdin, message = {
+        "nested 100,000 deep": (["sep"], "[" * 100_000 + "]" * 100_000,
+                                "input is not valid JSON: nested too deeply"),
+        "missing input file": (["sep", "--input", missing], "",
+                               f"cannot read input: [Errno 2] No such file or directory: {missing!r}"),
+    }[case]
+    proc = subprocess.run([sys.executable, "-m", "conedual", *argv], input=stdin,
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": "malformed_input", "message": message}
+    assert proc.stdout.count("\n") == 1
+    assert "Traceback" not in proc.stderr

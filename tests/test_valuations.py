@@ -22,6 +22,7 @@ from conedual import (
     eval_valuation,
     from_opens,
     is_lsc,
+    parse_extreal,
     posets_up_to_iso,
     random_simple_valuation,
     recover_function,
@@ -184,6 +185,13 @@ def test_recover_function_examples():
     assert zero.values == (ZERO, ZERO)
     with pytest.raises(DimensionMismatch):
         recover_function(DualFunctional([1, 2, 3]), CHAIN2)
+
+
+def test_equal_dual_functionals_hash_equal():
+    half = DualFunctional([1, parse_extreal("2/4")])
+    twin = DualFunctional([1, Fraction(1, 2)])
+    assert half == twin and hash(half) == hash(twin)
+    assert len({half, twin, DualFunctional([1, INF])}) == 2
 
 
 def test_recover_function_soundness_on_random_valuations():
