@@ -89,28 +89,25 @@ def separate(generators, dim: int):
     fin = [i for i in range(dim) if not inf_mask >> i & 1]
 
     if not fin:
-        outcome = MeetsCorner(_cover_witness(gens, inf_coords))
-        _assert_valid(gens, dim, outcome)
-        return outcome
+        return _verified(gens, dim, MeetsCorner(_cover_witness(gens, inf_coords)))
 
     k = len(fin)
-    constraints = [Constraint((1,) * k, EQ, 1)]
+    constraints = [Constraint._of_ints((1,) * k, EQ, 1)]
     for nums, d, _, _ in forms:
-        constraints.append(Constraint(tuple(Fraction(nums[i], d) for i in fin), LEQ, 1))
+        constraints.append(Constraint._of_ints(tuple(nums[i] for i in fin), LEQ, d))
     res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
 
     if isinstance(res, LPOptimal):
         full = [0] * dim
         for pos, i in enumerate(fin):
             full[i] = res.point[pos]
-        outcome = Separated(SeparationWeights(tuple(full)))
-        _assert_valid(gens, dim, outcome)
-        return outcome
+        return _verified(gens, dim, Separated(SeparationWeights(tuple(full))))
 
     assert isinstance(res, LPInfeasible)
-    outcome = MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, res.certificate))
-    _assert_valid(gens, dim, outcome)
-    return outcome
+    # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1
+    w = [-v * form[1] for v, form in zip(res.certificate[1:], forms)]
+    witness = _witness_from_certificate(gens, fin, inf_coords, w)
+    return _verified(gens, dim, MeetsCorner(witness))
 
 
 def hull_disjoint_from_corner(generators, dim: int) -> bool:
@@ -125,16 +122,15 @@ def _cover_witness(gens, inf_coords):
     return tuple((j, share) for j in cover)
 
 
-def _witness_from_certificate(gens, fin, inf_coords, certificate):
+def _witness_from_certificate(gens, fin, inf_coords, w):
     """Build a hull point in the corner from Farkas multipliers.
 
-    The multipliers of the generator rows, negated and normalised, give a
+    The multipliers of the pairing rows, negated (``w``) and normalised, give a
     convex combination whose finite coordinates all exceed one.  If some
     coordinates were eliminated as infinite, a small slice of an
     infinity-covering combination is mixed in without dropping any finite
     coordinate back to one.
     """
-    w = [-z for z in certificate[1:]]
     total = sum(w)
     base = {j: wj / total for j, wj in enumerate(w) if wj > 0}
 
@@ -190,10 +186,11 @@ def verify_meets_corner(generators, witness) -> bool:
     return in_corner(combination_point(gens, witness))
 
 
-def _assert_valid(gens, dim, outcome):
+def _verified(gens, dim, outcome):
     if isinstance(outcome, Separated):
         ok = verify_separated(gens, outcome.weights, dim)
     else:
         ok = verify_meets_corner(gens, outcome.witness)
     if not ok:
         raise AssertionError("internal error: separation certificate failed verification")
+    return outcome

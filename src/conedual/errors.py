@@ -2,7 +2,18 @@
 
 Errors that certify a failure carry the offending data on a ``witness``
 attribute so callers (and the CLI) can report it without re-deriving it.
+A message that repeats an input value renders it through ``_echo``.
 """
+
+_ECHO_LIMIT = 80
+
+
+def _echo(value) -> str:
+    """``repr(value)``, cut at ``_ECHO_LIMIT`` characters with its length appended."""
+    text = repr(value)
+    if len(text) <= _ECHO_LIMIT:
+        return text
+    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
 
 
 class ConeDualError(Exception):

@@ -13,7 +13,7 @@ from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
-from .errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference
+from .errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference, _echo
 
 __all__ = [
     "ExtReal",
@@ -269,13 +269,13 @@ def parse_extreal(text: str) -> ExtReal:
         num = int(num_s)
         den = int(den_s) if sep else 1
     except ValueError:
-        raise ParseError(f"not an extended rational: {text!r}") from None
+        raise ParseError(f"not an extended rational: {_echo(text)}") from None
     if num < 0:
-        raise ParseError(f"negative values are rejected: {text!r}")
+        raise ParseError(f"negative values are rejected: {_echo(text)}")
     if den == 0:
-        raise ParseError(f"zero denominator: {text!r}")
+        raise ParseError(f"zero denominator: {_echo(text)}")
     if den < 0:
-        raise ParseError(f"negative denominator: {text!r}")
+        raise ParseError(f"negative denominator: {_echo(text)}")
     g = gcd(num, den)
     return ExtReal._raw(num // g, den // g)
 

@@ -230,27 +230,6 @@ def to_steps(f: LscFun):
     return out
 
 
-def _is_transitive(n, rel):
-    adj = [set() for _ in range(n)]
-    for i, j in rel:
-        adj[i].add(j)
-    for i in range(n):
-        for j in adj[i]:
-            for k in adj[j]:
-                if k not in adj[i]:
-                    return False
-    return True
-
-
-def _canonical_key(n, rel):
-    best = None
-    for perm in permutations(range(n)):
-        key = tuple(sorted((perm[i], perm[j]) for i, j in rel))
-        if best is None or key < best:
-            best = key
-    return best
-
-
 def posets_up_to_iso(n: int):
     """All posets on n elements up to isomorphism, in a canonical order.
 
@@ -261,16 +240,17 @@ def posets_up_to_iso(n: int):
         raise ValueError("poset size must be positive")
     if n > _MAX_ISO_SIZE:
         raise TooLarge(f"poset enumeration is capped at {_MAX_ISO_SIZE} elements")
+    # pairs i < j keep every candidate reflexive and antisymmetric
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    perms = list(permutations(range(n)))
     found = {}
     for bits in range(1 << len(pairs)):
         rel = [pairs[t] for t in range(len(pairs)) if bits >> t & 1]
-        if not _is_transitive(n, rel):
+        try:
+            poset = FinitePoset.from_pairs(n, rel)
+        except NotTransitive:
             continue
-        key = _canonical_key(n, rel)
-        if key not in found:
-            found[key] = rel
-    posets = []
-    for key in sorted(found):
-        posets.append(FinitePoset.from_pairs(n, found[key]))
-    return posets
+        # the least relabelling names the isomorphism class
+        key = min(tuple(sorted((p[i], p[j]) for i, j in rel)) for p in perms)
+        found.setdefault(key, poset)
+    return [found[key] for key in sorted(found)]

@@ -10,7 +10,7 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import lcm
 from operator import mul
 
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
@@ -34,11 +34,14 @@ class LinFun:
     def is_finite(self) -> bool:
         return not self.coeffs._form[2]
 
-    def fraction_coeffs(self):
-        nums, d, inf, _ = self.coeffs._form
-        if inf:
+    def _finite(self) -> ExtVec:
+        """The coefficient vector; raises when some entry is infinite."""
+        if self.coeffs._form[2]:
             raise InfiniteCoefficient(f"{self!r} has an infinite coefficient")
-        return tuple(Fraction(n, d) for n in nums)
+        return self.coeffs
+
+    def fraction_coeffs(self):
+        return tuple(e.as_fraction() for e in self._finite())
 
     def eval(self, y) -> ExtReal:
         """The pairing with y; see ``ExtVec.dot``."""
@@ -167,47 +170,54 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
     return best
 
 
-def _margin(gcoeffs, hcoeffs):
+def _margin(gvecs, hvecs):
     """One LP deciding min_i g_i <= max_k h_k on the orthant (finite entries).
 
     By homogeneity the standard simplex suffices: maximise t with
-    (g_i - h_k) . y >= t for every pair; the order holds iff t <= 0.
-    Returns t, y, and simplex weights a_i = sum_k mu_ik, lambda_k =
-    sum_i mu_ik from mu = -dual of the pair rows (the free t puts mu on the
-    simplex), so sum_i a_i g_i <= sum_k lambda_k h_k + t coordinatewise.
+    (g_i - h_k) . y >= t for every pair, a row of ints times L, the lcm of
+    the two denominators; the order holds iff t <= 0.  Returns t, y, and
+    simplex weights a_i = sum_k mu_ik, lambda_k = sum_i mu_ik from
+    mu = -L * dual of the pair rows (the free t puts mu on the simplex), so
+    sum_i a_i g_i <= sum_k lambda_k h_k + t coordinatewise.
     """
-    dim = len(gcoeffs[0])
-    k = len(hcoeffs)
+    gforms = [as_extvec(g)._form for g in gvecs]
+    hforms = [as_extvec(h)._form for h in hvecs]
+    dim = len(gforms[0][0])
+    k = len(hforms)
     # variables: y_0 .. y_{dim-1}, then the split margin t = tp - tm
-    constraints = [Constraint((1,) * dim + (0, 0), EQ, 1)]
-    for gc in gcoeffs:
-        for hc in hcoeffs:
-            row = tuple(g - h for g, h in zip(gc, hc)) + (-1, 1)
-            constraints.append(Constraint(row, GEQ, 0))
+    constraints = [Constraint._of_ints((1,) * dim + (0, 0), EQ, 1)]
+    scales = []
+    for gn, gd, _, _ in gforms:
+        for hn, hd, _, _ in hforms:
+            L = lcm(gd, hd)
+            gs, hs = L // gd, L // hd
+            row = tuple(g * gs - h * hs for g, h in zip(gn, hn)) + (-L, L)
+            constraints.append(Constraint._of_ints(row, GEQ, 0))
+            scales.append(L)
     objective = (0,) * dim + (1, -1)
     res = solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max"))
-    mu = [-v for v in res.dual[1:]]
-    a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gcoeffs)))
+    mu = [-L * v for L, v in zip(scales, res.dual[1:])]
+    a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gforms)))
     lam = tuple(sum(mu[kk::k]) for kk in range(k))
     return res.value, res.point[:dim], a, lam
 
 
-def _combine(weights, rows):
-    """sum_k weights_k rows_k coordinatewise, as ``(nums, den)``: each
+def _combine(weights, vecs):
+    """sum_k weights_k vecs_k coordinatewise, as ``(nums, den)``: each
     coordinate one integer dot product over the common denominator of the
-    weights times that of the rows."""
+    weights times that of the vectors' finite forms."""
     wn, wd = _over(weights)
-    rn, rd = _over([v for row in rows for v in row])
-    dim = len(rows[0])
-    cols = zip(*[rn[k:k + dim] for k in range(0, len(rn), dim)])
-    return [sum(map(mul, wn, col)) for col in cols], wd * rd
+    forms = [v._form for v in vecs]
+    big = lcm(*(d for _, d, _, _ in forms))
+    cols = zip(*[[n * (big // d) for n in nums] for nums, d, _, _ in forms])
+    return [sum(map(mul, wn, col)) for col in cols], wd * big
 
 
-def _covered(coeffs, lam, hcoeffs) -> bool:
-    """Exact coordinatewise check coeffs <= sum_k lambda_k h_k, made on
-    integers by cross-multiplying the two common denominators."""
-    cn, cd = _over(coeffs)
-    sn, sd = _combine(lam, hcoeffs)
+def _covered(vec, lam, hvecs) -> bool:
+    """Exact coordinatewise check vec <= sum_k lambda_k h_k on finite
+    vectors, made on integers by cross-multiplying the two denominators."""
+    cn, cd, _, _ = vec._form
+    sn, sd = _combine(lam, hvecs)
     return all(c * sd <= s * cd for c, s in zip(cn, sn))
 
 
@@ -222,12 +232,12 @@ def dominated_by_max(f: LinFun, phi: SublinFun):
     """
     if f.dim != phi.dim:
         raise DimensionMismatch(f"{f.dim} versus {phi.dim}")
-    fc = f.fraction_coeffs()
-    hcoeffs = [h.fraction_coeffs() for h in phi.branches]
-    value, _, _, lam = _margin([fc], hcoeffs)
+    fvec = f._finite()
+    hvecs = [h._finite() for h in phi.branches]
+    value, _, _, lam = _margin([fvec], hvecs)
     if value > 0:
         return False, None
-    if not _covered(fc, lam, hcoeffs):
+    if not _covered(fvec, lam, hvecs):
         raise AssertionError("internal error: domination certificate fails coordinatewise")
     return True, lam
 
@@ -289,19 +299,19 @@ def leq_functional(phi, psi):
     rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in hs)]
     if not rest:
         return True, None
-    gcoeffs = [
-        [g.coeffs[j].as_fraction() for j in rest]
+    gvecs = [
+        ExtVec([g.coeffs[j] for j in rest])
         for g in gs
         if all(g.coeffs[j].is_finite for j in rest)
     ]
-    hcoeffs = [[h.coeffs[j].as_fraction() for j in rest] for h in hs]
+    hvecs = [ExtVec([h.coeffs[j] for j in rest]) for h in hs]
     # with no g_i left, every one is infinite at the witness 1_R
     y, eps = [0] * len(rest), 1
-    if gcoeffs:
-        value, y, _, _ = _margin(gcoeffs, hcoeffs)
+    if gvecs:
+        value, y, _, _ = _margin(gvecs, hvecs)
         if value <= 0:
             return True, None
-        eps = value / (1 + max(sum(hc) for hc in hcoeffs))
+        eps = value / (1 + max(sum(h).as_fraction() for h in hvecs))
     full = [ZERO] * dim
     for j, v in zip(rest, y):
         full[j] = ExtReal.from_fraction(v + eps)

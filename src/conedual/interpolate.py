@@ -12,7 +12,6 @@ domination sum_i a_i g_i <= sum_k lambda_k h_k as the checkable artifact.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .errors import (
     DimensionMismatch,
@@ -20,7 +19,7 @@ from .errors import (
     MalformedProblem,
     PreconditionViolated,
 )
-from .extreal import ExtReal, ExtVec
+from .extreal import ExtVec
 from .functionals import LinFun, SublinFun, SuperlinFun, _combine, _covered, _margin
 
 
@@ -72,27 +71,28 @@ def interpolate(clause, phi: SublinFun) -> InterpolationResult:
 
 
 def _interpolate(clause, phi):
-    """``interpolate`` plus the mix sum_i a_i g_i it checked coordinatewise."""
+    """``interpolate`` plus the ``LinFun`` sum_i a_i g_i it checked coordinatewise."""
     gs = _clause_branches(clause)
     dim = gs[0].dim
     if phi.dim != dim:
         raise DimensionMismatch(f"{dim} versus {phi.dim}")
-    gcoeffs = [g.fraction_coeffs() for g in gs]
-    hcoeffs = [h.fraction_coeffs() for h in phi.branches]
-    value, y, a, lam = _margin(gcoeffs, hcoeffs)
+    gvecs = [g._finite() for g in gs]
+    hvecs = [h._finite() for h in phi.branches]
+    value, y, a, lam = _margin(gvecs, hvecs)
     if value > 0:
-        witness = ExtVec(tuple(ExtReal.from_fraction(v) for v in y))
+        witness = ExtVec(y)
         if not phi.eval(witness) < SuperlinFun(gs).eval(witness):
             raise AssertionError("internal error: violation witness failed verification")
         raise PreconditionViolated(
             "the minimum of the clause exceeds the target functional",
             witness=witness,
         )
-    nums, den = _combine(a, gcoeffs)
-    mix = [Fraction(n, den) for n in nums]
-    if not _covered(mix, lam, hcoeffs):
+    nums, den = _combine(a, gvecs)
+    nonzero = sum(1 << j for j, n in enumerate(nums) if n)
+    mix = ExtVec._from_ratios(nums, [den] * dim, 0, nonzero)
+    if not _covered(mix, lam, hvecs):
         raise AssertionError("internal error: certificate fails coordinatewise")
-    return InterpolationResult(a, lam), mix
+    return InterpolationResult(a, lam), LinFun(mix)
 
 
 @dataclass(frozen=True)
@@ -122,10 +122,9 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
             raise MalformedProblem(f"clause {pos} indexes outside the generator list")
         members = [gens[i] for i in idxs]
         try:
-            result, coeffs = _interpolate(members, phi)
+            result, mix = _interpolate(members, phi)
         except PreconditionViolated as exc:
             exc.clause_index = pos
             raise
-        x = LinFun(tuple(ExtReal.from_fraction(c) for c in coeffs))
-        out.append(ClauseWitness(x, result.weights, result.certificate))
+        out.append(ClauseWitness(mix, result.weights, result.certificate))
     return out

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ParseError
+from .errors import ParseError, _echo
 from .extreal import ExtReal, ExtVec, parse_extreal
 from .finspace import FinitePoset, _bits
 from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
@@ -16,7 +16,7 @@ from .valuations import SimpleValuation, ValuationOnOpens
 
 
 def fail(path, expected, got):
-    raise ParseError(f"{path}: expected {expected}, got {got!r}")
+    raise ParseError(f"{path}: expected {expected}, got {_echo(got)}")
 
 
 def _entry(obj) -> ExtReal:
@@ -24,9 +24,9 @@ def _entry(obj) -> ExtReal:
     if isinstance(obj, str):
         return parse_extreal(obj)
     if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ParseError(f'expected "p/q", "p", or "inf", got {obj!r}')
+        raise ParseError(f'expected "p/q", "p", or "inf", got {_echo(obj)}')
     if obj < 0:
-        raise ParseError(f"expected a nonnegative value, got {obj!r}")
+        raise ParseError(f"expected a nonnegative value, got {_echo(obj)}")
     return ExtReal._raw(int(obj), 1)
 
 

@@ -14,6 +14,10 @@ side, or a ``>=`` row with a nonpositive one after negation, starts with
 its slack in the basis, so phase 1 adds artificials only to the other
 rows.  Values become ``Fraction`` only when the answer is read off.
 
+Rows the package builds from integer forms enter as ints, unconverted; a
+public ``Constraint`` converts every entry to ``Fraction``.  A multiplier
+refers to its row as built: a row built ``s`` times larger gets 1/s of it.
+
 Every answer carries evidence that can be re-verified without trusting
 the solver:
 
@@ -84,6 +88,13 @@ class Constraint:
         object.__setattr__(self, "rhs", _frac(self.rhs))
         if self.rel not in _RELS:
             raise MalformedProblem(f"unknown relation {self.rel!r}")
+
+    @classmethod
+    def _of_ints(cls, coeffs, rel, rhs):
+        """A row of ints built by the package, stored without ``_frac``."""
+        c = object.__new__(cls)
+        c.__dict__.update(coeffs=coeffs, rel=rel, rhs=rhs)
+        return c
 
 
 @dataclass(frozen=True)

@@ -239,26 +239,17 @@ def suite_interpolation(
             failures.append(f"instance {t}: constructed hypothesis rejected")
             continue
         result = interpolate(gs, phi)
-        gcoeffs = [g.fraction_coeffs() for g in gs]
-        hcoeffs = [h.fraction_coeffs() for h in phi.branches]
+        gcoeffs = [[e.as_fraction() for e in g.coeffs] for g in gs]
+        hcoeffs = [[e.as_fraction() for e in h.coeffs] for h in phi.branches]
         checks += 1
-        bad = False
-        for j in range(dim):
-            left = sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs))
-            right = sum(l * hc[j] for l, hc in zip(result.certificate, hcoeffs))
-            if left > right:
-                bad = True
-        if bad:
+        mix = [sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs)) for j in range(dim)]
+        cover = [
+            sum(lk * hc[j] for lk, hc in zip(result.certificate, hcoeffs)) for j in range(dim)
+        ]
+        if any(left > right for left, right in zip(mix, cover)):
             failures.append(f"instance {t}: certificate fails coordinatewise")
             continue
-        mid = LinFun(
-            [
-                ExtReal.from_fraction(
-                    sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs))
-                )
-                for j in range(dim)
-            ]
-        )
+        mid = LinFun(mix)
         low = SuperlinFun(gs)
         for _ in range(points):
             y = _rand_point(rng, dim)

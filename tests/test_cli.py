@@ -440,3 +440,19 @@ def test_hostile_input_exits_one_without_a_traceback(tmp_path, case):
     assert json.loads(proc.stdout) == {"error": "malformed_input", "message": message}
     assert proc.stdout.count("\n") == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv, payload, start", [
+    (["sep"], {"dim": "7" * 1_000_000, "generators": [["1"]]},
+     "$.dim: expected an integer, got '777"),
+    (["minkowski"], {"blocks": [[["1", "1"]]], "y": ["1", "x" * 1_000_000]},
+     "$.y[1]: not an extended rational: 'xxx"),
+])
+def test_a_huge_offending_value_is_echoed_cut_short(monkeypatch, capsys, argv, payload, start):
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps(payload)))
+    assert main(argv) == 1
+    out, _ = capsys.readouterr()
+    assert len(out.encode()) < 1024
+    message = json.loads(out)["message"]
+    assert message.startswith(start)
+    assert message.endswith("... (1000002 characters)")

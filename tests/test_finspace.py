@@ -1,5 +1,5 @@
 import random
-from itertools import compress
+from itertools import compress, permutations
 
 import pytest
 
@@ -194,6 +194,34 @@ def test_posets_up_to_iso_counts():
     assert [len(posets_up_to_iso(n)) for n in range(1, 6)] == [1, 2, 5, 16, 63]
     with pytest.raises(TooLarge):
         posets_up_to_iso(6)
+
+
+def _set_transitive(n, rel):
+    adj = [set() for _ in range(n)]
+    for i, j in rel:
+        adj[i].add(j)
+    return all(k in adj[i] for i in range(n) for j in adj[i] for k in adj[j])
+
+
+def _enumerate_with_set_transitivity(n):
+    """The enumeration that filtered candidates with its own set-based
+    transitivity test before ``from_pairs`` decided it: the reference."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    found = {}
+    for bits in range(1 << len(pairs)):
+        rel = [pairs[t] for t in range(len(pairs)) if bits >> t & 1]
+        if not _set_transitive(n, rel):
+            continue
+        key = min(
+            tuple(sorted((perm[i], perm[j]) for i, j in rel)) for perm in permutations(range(n))
+        )
+        found.setdefault(key, rel)
+    return [FinitePoset.from_pairs(n, found[key]) for key in sorted(found)]
+
+
+def test_posets_up_to_iso_match_the_set_transitivity_enumeration():
+    for n in range(1, 6):
+        assert posets_up_to_iso(n) == _enumerate_with_set_transitivity(n)
 
 
 def test_posets_are_topologically_labelled_and_deterministic():

@@ -273,7 +273,7 @@ def test_integer_coordinatewise_checks_match_fraction_folds():
         dim, k = rng.randint(1, 6), rng.randint(1, 4)
         weights = [_rand_fraction(rng) for _ in range(k)]
         rows = [tuple(_rand_fraction(rng) for _ in range(dim)) for _ in range(k)]
-        nums, den = _combine(weights, rows)
+        nums, den = _combine(weights, [ExtVec(r) for r in rows])
         mix = [F(n, den) for n in nums]
         want = _fold_mix(weights, rows)
         assert mix == want
@@ -282,7 +282,7 @@ def test_integer_coordinatewise_checks_match_fraction_folds():
         ]
         # coordinates at, just above and just below the combination
         coeffs = [m + rng.choice((0, 0, F(1, 10**6), -min(m, F(1, 10**6)))) for m in mix]
-        got = _covered(coeffs, weights, rows)
+        got = _covered(ExtVec(coeffs), weights, [ExtVec(r) for r in rows])
         assert got == _fold_covered(coeffs, weights, rows)
         verdicts.add((got, coeffs == mix))
     assert verdicts == {(True, True), (True, False), (False, False)}

@@ -985,3 +985,138 @@ def test_condensed_tableau_matches_full_tableau_on_margin_lps(monkeypatch):
         else:
             violated += 1
     assert held >= 10 and violated >= 10, (held, violated)
+
+
+def _fraction_row_separate(generators, dim):
+    """``separate`` as it was when every generator row entered as the
+    ``Fraction``s ``nums[i] / d`` with right-hand side 1: the reference."""
+    gens = convex_sep._check_generators(generators, dim)
+    forms = [g._form for g in gens]
+    inf_mask = 0
+    for form in forms:
+        inf_mask |= form[2]
+    inf_coords = [i for i in range(dim) if inf_mask >> i & 1]
+    fin = [i for i in range(dim) if not inf_mask >> i & 1]
+    if not fin:
+        return convex_sep.MeetsCorner(convex_sep._cover_witness(gens, inf_coords))
+    k = len(fin)
+    constraints = [Constraint((1,) * k, "==", 1)]
+    for nums, d, _, _ in forms:
+        constraints.append(Constraint(tuple(F(nums[i], d) for i in fin), "<=", 1))
+    res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
+    if isinstance(res, LPOptimal):
+        full = [0] * dim
+        for pos, i in enumerate(fin):
+            full[i] = res.point[pos]
+        return convex_sep.Separated(convex_sep.SeparationWeights(tuple(full)))
+    w = [-z for z in res.certificate[1:]]
+    witness = convex_sep._witness_from_certificate(gens, fin, inf_coords, w)
+    return convex_sep.MeetsCorner(witness)
+
+
+def _fraction_row_margin(gcoeffs, hcoeffs):
+    """``_margin`` as it was when each pair row entered as the ``Fraction``
+    differences ``g - h`` followed by ``(-1, 1)``: the reference."""
+    dim = len(gcoeffs[0])
+    k = len(hcoeffs)
+    constraints = [Constraint((1,) * dim + (0, 0), "==", 1)]
+    for gc in gcoeffs:
+        for hc in hcoeffs:
+            row = tuple(g - h for g, h in zip(gc, hc)) + (-1, 1)
+            constraints.append(Constraint(row, ">=", 0))
+    objective = (0,) * dim + (1, -1)
+    res = solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max"))
+    mu = [-v for v in res.dual[1:]]
+    a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gcoeffs)))
+    lam = tuple(sum(mu[kk::k]) for kk in range(k))
+    return res.value, res.point[:dim], a, lam
+
+
+def _assert_rows_are_ints(problems):
+    assert problems
+    for prob in problems:
+        for c in prob.constraints:
+            assert all(type(v) is int for v in c.coeffs + (c.rhs,)), c
+
+
+def test_public_constraints_still_hold_fractions():
+    c = Constraint((1, 2), "<=", 3)
+    assert all(type(v) is F for v in c.coeffs + (c.rhs,))
+    assert c.coeffs == (F(1), F(2)) and c.rhs == F(3)
+
+
+def test_integer_separation_rows_match_fraction_rows(monkeypatch):
+    rng = random.Random(8128)
+    cases = []
+    for _ in range(120):
+        dim = rng.randint(1, 7)
+        top = rng.choice((2, 3, 6, 12))
+        gens = [
+            ExtVec([ExtReal.from_fraction(F(rng.randint(0, top), rng.randint(1, 4)))
+                    if rng.random() > 0.05 else INF
+                    for _ in range(dim)])
+            for _ in range(rng.randint(1, 12))
+        ]
+        cases.append((gens, dim, _fraction_row_separate(gens, dim)))
+    problems = _capture_problems(monkeypatch, convex_sep)
+    kinds = {}
+    for gens, dim, want in cases:
+        got = convex_sep.separate(gens, dim)
+        assert got == want, (gens, got, want)
+        infinite = any(g._form[2] for g in gens)
+        kinds[type(got), infinite] = kinds.get((type(got), infinite), 0) + 1
+    _assert_rows_are_ints(problems)
+    # both outcomes, with and without infinite coordinates
+    assert len(kinds) == 4 and min(kinds.values()) >= 5, kinds
+
+
+def test_integer_margin_rows_match_fraction_rows(monkeypatch):
+    rng = random.Random(496)
+    calls = []
+    for _ in range(80):
+        dim = rng.randint(1, 5)
+
+        def rows(count):
+            return [[F(rng.randint(0, 9), rng.randint(1, 3)) for _ in range(dim)]
+                    for _ in range(count)]
+
+        calls.append((rows(rng.randint(1, 4)), rows(rng.randint(1, 4))))
+    # and the rows leq_functional restricts to where every h_k is finite
+    real = functionals._margin
+
+    def record(gvecs, hvecs):
+        calls.append(([[e.as_fraction() for e in g] for g in gvecs],
+                      [[e.as_fraction() for e in h] for h in hvecs]))
+        return real(gvecs, hvecs)
+
+    monkeypatch.setattr(functionals, "_margin", record)
+    rng = random.Random(97)
+    restricted = 0
+    for _ in range(150):
+        dim = rng.randint(2, 4)
+
+        def fun():
+            return [INF if rng.random() < 0.15 else F(rng.randint(0, 6), rng.randint(1, 3))
+                    for _ in range(dim)]
+
+        before = len(calls)
+        functionals.leq_functional(
+            functionals.SuperlinFun([fun() for _ in range(rng.randint(1, 3))]),
+            functionals.SublinFun([fun() for _ in range(rng.randint(1, 3))]),
+        )
+        restricted += len(calls) > before and len(calls[-1][0][0]) < dim
+    monkeypatch.undo()
+    assert restricted >= 10, restricted
+
+    problems = _capture_problems(monkeypatch, functionals)
+    held = violated = 0
+    for gcoeffs, hcoeffs in calls:
+        want = _fraction_row_margin(gcoeffs, hcoeffs)
+        got = functionals._margin([ExtVec(g) for g in gcoeffs], hcoeffs)
+        assert got == want, (gcoeffs, hcoeffs, got, want)
+        if got[0] <= 0:
+            held += 1
+        else:
+            violated += 1
+    _assert_rows_are_ints(problems)
+    assert held >= 10 and violated >= 10, (held, violated)
