@@ -13,13 +13,14 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptyList
-from .extreal import ONE, ZERO, ExtReal, ExtVec, as_extvec
+from .extreal import ONE, ExtVec, _weighted_sum, as_extvec
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
 
 
 def in_corner(x: ExtVec) -> bool:
     """True iff every coordinate strictly exceeds one (infinity counts)."""
-    return all(ONE < e for e in as_extvec(x))
+    nums, d, inf, _ = as_extvec(x)._form
+    return all(inf >> i & 1 or n > d for i, n in enumerate(nums))
 
 
 @dataclass(frozen=True)
@@ -117,7 +118,7 @@ def hull_disjoint_from_corner(generators, dim: int) -> bool:
 
 def _cover_witness(gens, inf_coords):
     """Uniform combination of generators covering every infinite coordinate."""
-    cover = sorted({next(j for j, g in enumerate(gens) if g[i].is_infinite) for i in inf_coords})
+    cover = sorted({next(j for j, g in enumerate(gens) if g._form[2] >> i & 1) for i in inf_coords})
     share = Fraction(1, len(cover))
     return tuple((j, share) for j in cover)
 
@@ -138,13 +139,14 @@ def _witness_from_certificate(gens, fin, inf_coords, w):
         return tuple(sorted(base.items()))
 
     cover = _cover_witness(gens, inf_coords)
+    xn, xd, _, _ = combination_point(gens, base.items())._form
+    yn, yd, _, _ = combination_point(gens, cover)._form
     eps = Fraction(1, 2)
     for i in fin:
-        x = sum(mu * gens[j][i].as_fraction() for j, mu in base.items())
-        y = sum(share * gens[j][i].as_fraction() for j, share in cover)
-        if y < x:
-            # keep (1 - eps) x + eps y above one
-            eps = min(eps, (x - 1) / (x - y) / 2)
+        # where y < x, keep (1 - eps) x + eps y above one: x = xn[i] / xd, y = yn[i] / yd
+        gap = xn[i] * yd - yn[i] * xd
+        if gap > 0:
+            eps = min(eps, Fraction(yd * (xn[i] - xd), 2 * gap))
     combo = {j: mu * (1 - eps) for j, mu in base.items()}
     for j, share in cover:
         combo[j] = combo.get(j, 0) + eps * share
@@ -152,12 +154,10 @@ def _witness_from_certificate(gens, fin, inf_coords, w):
 
 
 def combination_point(generators, witness) -> ExtVec:
-    """Evaluate a weighted combination of generators with extended arithmetic."""
+    """Evaluate a weighted combination of generators as one weighted sum."""
     gens = [as_extvec(g) for g in generators]
-    out = ExtVec((ZERO,) * gens[0].dim)
-    for j, coeff in witness:
-        out = out + gens[j].scale(ExtReal.from_fraction(Fraction(coeff)))
-    return out
+    members = [gens[j] for j, _ in witness]
+    return _weighted_sum([Fraction(c) for _, c in witness], members, gens[0].dim)
 
 
 def verify_separated(generators, weights, dim=None) -> bool:
@@ -170,7 +170,7 @@ def verify_separated(generators, weights, dim=None) -> bool:
         return False
     if any(v < 0 for v in vals) or sum(vals) != 1:
         return False
-    w = ExtVec([ExtReal.from_fraction(Fraction(v)) for v in vals])
+    w = ExtVec([Fraction(v) for v in vals])
     return all(w.dot(g) <= ONE for g in gens)
 
 

@@ -3,7 +3,8 @@
 Conventions: r + inf = inf for every r, r * inf = inf for r > 0, and
 0 * inf = 0.  The order is total with +inf on top.  Values are reduced at
 construction, immutable by convention, and hashable, so equality is
-structural.  No floating point is used anywhere.
+structural.  Vectors keep an integer form, and every weighted sum of
+vectors is one routine on the forms.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -300,6 +301,44 @@ def _canonical_form(nums, dens, inf, nonzero):
     return (tuple(nums), d, inf, nonzero)
 
 
+def _fold(terms, den, width):
+    """``sum (v / (den * s)) * row`` over the ``(v, s, row)`` in ``terms``, rows
+    of ``width`` ints, as ``(combined, denominator)`` over the positive
+    ``den * lcm`` of the ``s``."""
+    big = lcm(*(s for _, s, _ in terms))
+    combined = [0] * width
+    for v, s, row in terms:
+        if v:
+            w = v * (big // s)
+            combined = [a + w * b for a, b in zip(combined, row)]
+    return combined, den * big
+
+
+def _weighted_sum(weights, vecs, dim):
+    """``sum_k weights_k vecs_k`` for nonnegative extended weights, from the
+    forms of vectors of dimension ``dim``.  A coordinate is infinite where a
+    positive weight meets an infinite entry, or an infinite weight a nonzero
+    one; the rest is one ``_fold``, each weight's denominator in its vector's."""
+    terms = []
+    inf = nonzero = 0
+    for w, v in zip(weights, vecs):
+        if type(w) is not ExtReal:
+            w = ExtReal(w)
+        nums, d, v_inf, v_nonzero = v._form
+        if len(nums) != dim:
+            raise DimensionMismatch(f"{dim} versus {len(nums)}")
+        if w.num:
+            # every term is nonnegative, so no sum cancels to zero
+            nonzero |= v_nonzero
+            inf |= v_inf if w.den else v_nonzero
+            if w.den:
+                terms.append((w.num, d * w.den, nums))
+    nums, den = _fold(terms, 1, dim)
+    if inf:
+        nums = [0 if inf >> i & 1 else n for i, n in enumerate(nums)]
+    return ExtVec._from_ratios(nums, (den,) * dim, inf, nonzero)
+
+
 class ExtVec:
     """A point of the extended nonnegative orthant with a fixed dimension.
 
@@ -316,9 +355,7 @@ class ExtVec:
         for e in entries:
             if type(e) is not ExtReal:
                 # coerce everything once some entry is not an ExtReal yet
-                entries = tuple(as_extreal(e) for e in entries)
-                if any(e is NotImplemented for e in entries):
-                    raise TypeError("entries must be ExtReal, int, or Fraction")
+                entries = tuple(e if type(e) is ExtReal else ExtReal(e) for e in entries)
                 break
         if not entries:
             raise DimensionMismatch("vectors must have positive dimension")
@@ -391,15 +428,12 @@ class ExtVec:
         return ExtReal._raw(num // g, den // g)
 
     def scale(self, r) -> "ExtVec":
-        r = as_extreal(r)
-        return ExtVec(tuple(r * e for e in self.entries))
+        return _weighted_sum((r,), (self,), len(self._form[0]))
 
     def __add__(self, other):
         if not isinstance(other, ExtVec):
             return NotImplemented
-        if other.dim != self.dim:
-            raise DimensionMismatch(f"{self.dim} versus {other.dim}")
-        return ExtVec(tuple(a + b for a, b in zip(self.entries, other.entries)))
+        return _weighted_sum((ONE, ONE), (self, other), len(self._form[0]))
 
     def __iter__(self):
         return iter(self._entries or self.entries)

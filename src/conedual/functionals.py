@@ -11,11 +11,10 @@ the closed form max-over-blocks of min-over-block pairings.
 from __future__ import annotations
 
 from math import lcm
-from operator import mul
 
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
-from .extreal import ONE, ZERO, ExtReal, ExtVec, as_extvec, ext_max, ext_min
-from .lp import Constraint, EQ, GEQ, LPProblem, _over, solve_lp
+from .extreal import ONE, ZERO, ExtReal, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
+from .lp import Constraint, EQ, GEQ, LPProblem, solve_lp
 
 
 class LinFun:
@@ -202,22 +201,11 @@ def _margin(gvecs, hvecs):
     return res.value, res.point[:dim], a, lam
 
 
-def _combine(weights, vecs):
-    """sum_k weights_k vecs_k coordinatewise, as ``(nums, den)``: each
-    coordinate one integer dot product over the common denominator of the
-    weights times that of the vectors' finite forms."""
-    wn, wd = _over(weights)
-    forms = [v._form for v in vecs]
-    big = lcm(*(d for _, d, _, _ in forms))
-    cols = zip(*[[n * (big // d) for n in nums] for nums, d, _, _ in forms])
-    return [sum(map(mul, wn, col)) for col in cols], wd * big
-
-
 def _covered(vec, lam, hvecs) -> bool:
     """Exact coordinatewise check vec <= sum_k lambda_k h_k on finite
     vectors, made on integers by cross-multiplying the two denominators."""
     cn, cd, _, _ = vec._form
-    sn, sd = _combine(lam, hvecs)
+    sn, sd, _, _ = _weighted_sum(lam, hvecs, len(cn))._form
     return all(c * sd <= s * cd for c, s in zip(cn, sn))
 
 

@@ -19,8 +19,8 @@ from .errors import (
     MalformedProblem,
     PreconditionViolated,
 )
-from .extreal import ExtVec
-from .functionals import LinFun, SublinFun, SuperlinFun, _combine, _covered, _margin
+from .extreal import ExtVec, _weighted_sum
+from .functionals import LinFun, SublinFun, SuperlinFun, _covered, _margin
 
 
 @dataclass(frozen=True)
@@ -73,9 +73,10 @@ def interpolate(clause, phi: SublinFun) -> InterpolationResult:
 def _interpolate(clause, phi):
     """``interpolate`` plus the ``LinFun`` sum_i a_i g_i it checked coordinatewise."""
     gs = _clause_branches(clause)
-    dim = gs[0].dim
-    if phi.dim != dim:
-        raise DimensionMismatch(f"{dim} versus {phi.dim}")
+    dim = phi.dim
+    for g in gs:
+        if g.dim != dim:
+            raise DimensionMismatch(f"{g.dim} versus {dim}")
     gvecs = [g._finite() for g in gs]
     hvecs = [h._finite() for h in phi.branches]
     value, y, a, lam = _margin(gvecs, hvecs)
@@ -87,9 +88,7 @@ def _interpolate(clause, phi):
             "the minimum of the clause exceeds the target functional",
             witness=witness,
         )
-    nums, den = _combine(a, gvecs)
-    nonzero = sum(1 << j for j, n in enumerate(nums) if n)
-    mix = ExtVec._from_ratios(nums, [den] * dim, 0, nonzero)
+    mix = _weighted_sum(a, gvecs, dim)
     if not _covered(mix, lam, hvecs):
         raise AssertionError("internal error: certificate fails coordinatewise")
     return InterpolationResult(a, lam), LinFun(mix)

@@ -47,9 +47,11 @@ zero tolerance, an optimum's dual included with ``b . y == c . x``;
 ``solve_lp`` runs it internally before returning.  The check runs on integer
 rows with cleared denominators, built once from the problem data and not
 from the tableau, and on each certificate as integers over one common
-denominator, so every test is an integer dot product plus a sign or
-equality test (Dhiflaoui et al. 2003).  The solver starts its tableau from
-the same rows.
+denominator, so every test is an integer dot product, or one ``_fold``,
+the weighted sum of rows that ``ExtVec`` combinations also run, plus a sign
+or equality test (Dhiflaoui et al. 2003).  The solver starts its tableau from the same rows
+and reads an optimum's value off them, over the objective's denominator
+times ``D``.
 """
 
 from __future__ import annotations
@@ -60,6 +62,7 @@ from math import lcm
 from operator import mul
 
 from .errors import MalformedProblem
+from .extreal import _fold
 
 LEQ = "<="
 GEQ = ">="
@@ -261,7 +264,6 @@ def solve_lp(problem: LPProblem):
     n = problem.n_vars
     cons = problem.constraints
     m = len(cons)
-    obj = problem.objective
     width = n + sum(1 for c in cons if c.rel != EQ)
 
     # Row i of the tableau is constraint i times scale[i], made integer with
@@ -354,7 +356,8 @@ def solve_lp(problem: LPProblem):
         for i, b in enumerate(basis[:m]):
             if b < n:
                 point[b] = Fraction(T[i][-1], D)
-        value = sum(o * p for o, p in zip(obj, point))
+        # c . x, with c = cnums / cden and x_b = T[i][-1] / D
+        value = Fraction(sum(cnums[b] * T[i][-1] for i, b in enumerate(basis[:m]) if b < n), cden * D)
         # y_i = -d_j / D for the variable j row i started with, unscaled
         d = _reduced(T[m], basis, m)
         dual = tuple(Fraction(-scale[i] * d[start[i]], D * cscale) for i in range(m))
@@ -375,22 +378,6 @@ def solve_lp(problem: LPProblem):
 def _exact(values):
     """True when every entry is an ``int`` or a ``Fraction``; a ``bool`` is not an ``int``."""
     return all(type(v) is int or type(v) is Fraction for v in values)
-
-
-def _fold(rows, scales, nums, den, width):
-    """``sum_i (nums[i] / den) * (A_i, b_i)`` as integers over one denominator.
-
-    ``rows[i]`` is ``(A_i, b_i)`` times ``scales[i]``, so the weights are
-    ``w_i = nums[i] / (den * scales[i])``, here over ``den * lcm(scales)``.
-    Returns ``(combined, denominator)``; the denominator is positive.
-    """
-    big = lcm(*scales)
-    combined = [0] * width
-    for v, s, row in zip(nums, scales, rows):
-        if v:
-            w = v * (big // s)
-            combined = [a + w * b for a, b in zip(combined, row)]
-    return combined, den * big
 
 
 def verify_lp_result(problem: LPProblem, result) -> bool:
@@ -436,7 +423,7 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
                 return False
             if c.rel == GEQ and flip * v > 0:
                 return False
-        combined, d = _fold(rows, scales, yn, yd, n + 1)
+        combined, d = _fold(list(zip(yn, scales, rows)), yd, n + 1)
         for j in range(n):
             if flip * (combined[j] * cden - cnums[j] * d) < 0:
                 return False
@@ -452,7 +439,7 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
                 return False
             if c.rel == GEQ and v < 0:
                 return False
-        combined, _ = _fold(rows, scales, zn, zd, n + 1)
+        combined, _ = _fold(list(zip(zn, scales, rows)), zd, n + 1)
         # On x >= 0 the combination forces (<= 0) > 0, a contradiction.
         return all(v <= 0 for v in combined[:n]) and combined[n] > 0
 

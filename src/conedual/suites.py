@@ -26,6 +26,7 @@ from .extreal import (
     ZERO,
     ExtReal,
     ExtVec,
+    _weighted_sum,
     ext_max,
     parse_extreal,
     sub_partial,
@@ -192,15 +193,11 @@ def _hypothesis_instance(rng):
     ]
     if rng.randrange(2) == 0:
         w = _rand_simplex_weights(rng, n)
-        base = [
-            sum(wi * g.coeffs[j].as_fraction() for wi, g in zip(w, gs))
-            for j in range(dim)
-        ]
+        base = _weighted_sum(w, [g.coeffs for g in gs], dim)
     else:
-        g0 = gs[rng.randrange(n)]
-        base = [c.as_fraction() for c in g0.coeffs]
-    bump = [Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(dim)]
-    hs = [LinFun([ExtReal.from_fraction(b + u) for b, u in zip(base, bump)])]
+        base = gs[rng.randrange(n)].coeffs
+    bump = ExtVec([Fraction(rng.randint(0, 4), rng.randint(1, 3)) for _ in range(dim)])
+    hs = [LinFun(base + bump)]
     for _ in range(k - 1):
         hs.append(LinFun([_rand_entry(rng, 6, 4, 0) for _ in range(dim)]))
     return gs, SublinFun(hs)
@@ -350,9 +347,7 @@ def suite_minkowski(seed: int = DEFAULT_SEED, families: int = 200, points: int =
         for a in inside_a[:4]:
             for b in inside_a[:4]:
                 for tt in ts:
-                    combo = a.scale(ExtReal.from_fraction(tt)) + b.scale(
-                        ExtReal.from_fraction(1 - tt)
-                    )
+                    combo = a.scale(tt) + b.scale(1 - tt)
                     checks += 1
                     if not member_a(flat, combo):
                         failures.append(f"family {t}: closed side not convex")
@@ -360,9 +355,7 @@ def suite_minkowski(seed: int = DEFAULT_SEED, families: int = 200, points: int =
         for a in inside_u[:4]:
             for b in inside_u[:4]:
                 for tt in ts:
-                    combo = a.scale(ExtReal.from_fraction(tt)) + b.scale(
-                        ExtReal.from_fraction(1 - tt)
-                    )
+                    combo = a.scale(tt) + b.scale(1 - tt)
                     checks += 1
                     if not member_u(first_min, combo):
                         failures.append(f"family {t}: open side not convex")

@@ -120,6 +120,18 @@ def test_interpolate_precondition_violation(tmp_path):
     assert len(doc["witness"]) == 2
 
 
+@pytest.mark.parametrize("clause", [[0, 1], [1, 0]])
+def test_interpolate_rejects_a_clause_with_members_of_two_dimensions(tmp_path, clause):
+    payload = {
+        "c_gens": [["1", "1"], ["1", "1", "5"]],
+        "clauses": [clause],
+        "phi": {"kind": "lin", "coeffs": ["2", "2"]},
+    }
+    code, out = run_cli(tmp_path, "interpolate", payload)
+    assert code == 1
+    assert json.loads(out) == {"error": "dimensionmismatch", "message": "3 versus 2"}
+
+
 def test_dominates_command(tmp_path):
     payload = {"f": ["1", "1"], "phi": {"kind": "max", "branches": [["2", "0"], ["0", "2"]]}}
     code, out = run_cli(tmp_path, "dominates", payload)

@@ -167,3 +167,13 @@ def test_determinism():
 def test_verify_separated_rejects_generators_of_another_dimension():
     # the second generator is shorter than the weights; nothing is truncated
     assert not verify_separated([ExtVec([0, 0]), ExtVec([5])], [0, 1])
+
+
+def test_separate_reads_only_the_forms_of_decoded_generators():
+    from conedual.jsonio import decode_vectors
+
+    gens = decode_vectors([["inf", "0", "2"], ["3", "3", "0"], ["0", "inf", "5"]], "$.g", "vectors")
+    out = separate(gens, 3)
+    assert isinstance(out, MeetsCorner) and verify_meets_corner(gens, out.witness)
+    # no generator had its ExtReal entries built from its form
+    assert all(g._entries is None for g in gens)

@@ -16,7 +16,9 @@ from conedual import (
     parse_extreal,
     sub_partial,
 )
+from conedual.convex_sep import combination_point
 from conedual.errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference
+from conedual.extreal import _weighted_sum, as_extreal, as_extvec
 
 GRID = [ZERO, ExtReal(1, 3), ExtReal(1, 2), ONE, ExtReal(2), ExtReal(3), INF]
 
@@ -165,3 +167,123 @@ def test_dot_examples():
     assert ExtVec([0, 0]).dot(ExtVec([INF, INF])) == ZERO
     with pytest.raises(DimensionMismatch):
         a.dot(ExtVec([1, 1]))
+
+
+# ---------------------------------------------------------------------------
+# vector combinations against the entry-by-entry ExtReal arithmetic they replaced
+
+
+def _oracle_scale(v, r):
+    """``ExtVec.scale`` as it was, one ``ExtReal`` product per entry: the reference."""
+    r = as_extreal(r)
+    return ExtVec(tuple(r * e for e in v.entries))
+
+
+def _oracle_add(u, v):
+    """``ExtVec.__add__`` as it was, one ``ExtReal`` sum per entry: the reference."""
+    if u.dim != v.dim:
+        raise DimensionMismatch(f"{u.dim} versus {v.dim}")
+    return ExtVec(tuple(a + b for a, b in zip(u.entries, v.entries)))
+
+
+def _oracle_combination_point(generators, witness):
+    """``combination_point`` as it was, a chain of scales and sums: the reference."""
+    gens = [as_extvec(g) for g in generators]
+    out = ExtVec((ZERO,) * gens[0].dim)
+    for j, coeff in witness:
+        out = _oracle_add(out, _oracle_scale(gens[j], ExtReal.from_fraction(Fraction(coeff))))
+    return out
+
+
+def _rand_entry(rng):
+    kind = rng.randrange(8)
+    if kind == 0:
+        return ZERO
+    if kind == 1:
+        return INF
+    if kind == 2:
+        return ExtReal(rng.getrandbits(70), rng.getrandbits(70) | 1)
+    return ExtReal(rng.randint(0, 12), rng.randint(1, 9))
+
+
+def _rand_weight(rng):
+    """0, small, 70-bit or infinite, as an ExtReal, an int or a Fraction."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return rng.choice((ZERO, 0, Fraction(0)))
+    if kind == 1:
+        return INF
+    if kind == 2:
+        return Fraction(rng.getrandbits(70), rng.getrandbits(70) | 1)
+    if kind == 3:
+        return rng.randint(1, 5)
+    return ExtReal(rng.randint(1, 9), rng.randint(1, 7))
+
+
+def _same(got, want):
+    assert got == want and got._form == want._form, (got, want)
+
+
+def test_weighted_sum_matches_entrywise_scale_and_add():
+    rng = random.Random(4093)
+    seen = set()
+    for _ in range(2500):
+        dim = rng.randint(1, 8)
+        vecs = [ExtVec([_rand_entry(rng) for _ in range(dim)]) for _ in range(rng.randint(1, 5))]
+        # indices may repeat, as in a witness that names a generator twice
+        idx = [rng.randrange(len(vecs)) for _ in range(rng.randint(0, 6))]
+        weights = [_rand_weight(rng) for _ in idx]
+        want = ExtVec((ZERO,) * dim)
+        for w, j in zip(weights, idx):
+            want = _oracle_add(want, _oracle_scale(vecs[j], w))
+        _same(_weighted_sum(weights, [vecs[j] for j in idx], dim), want)
+        for w, j in zip(weights, idx):
+            v = vecs[j]
+            inf_w = as_extreal(w).is_infinite
+            zero_w = as_extreal(w).is_zero
+            seen.add(("inf weight on a zero entry", inf_w and any(e.is_zero for e in v)))
+            seen.add(("zero weight on an infinite entry", zero_w and any(e.is_infinite for e in v)))
+            seen.add(("70-bit weight", type(w) is Fraction and w.denominator.bit_length() > 60))
+        seen.add(("repeated index", len(set(idx)) < len(idx)))
+        seen.add(("infinite and finite coordinates", any(e.is_infinite for e in want)
+                  and any(e.is_finite and not e.is_zero for e in want)))
+        a, b = vecs[0], vecs[-1]
+        _same(a + b, _oracle_add(a, b))
+        for r in (ZERO, INF, 1, Fraction(3, 7), _rand_weight(rng)):
+            _same(a.scale(r), _oracle_scale(a, r))
+    assert all((kind, True) in seen for kind, _ in seen), seen
+
+
+def test_combination_point_matches_the_scale_and_add_chain():
+    rng = random.Random(6007)
+    for _ in range(800):
+        dim = rng.randint(1, 8)
+        gens = [ExtVec([_rand_entry(rng) for _ in range(dim)]) for _ in range(rng.randint(1, 6))]
+        witness = [
+            (rng.randrange(len(gens)),
+             rng.choice((0, Fraction(rng.randint(0, 9), rng.randint(1, 8)),
+                         Fraction(rng.getrandbits(70), rng.getrandbits(70) | 1))))
+            for _ in range(rng.randint(0, 7))
+        ]
+        _same(combination_point(gens, witness), _oracle_combination_point(gens, witness))
+
+
+def test_vector_combinations_keep_their_exceptions():
+    v = ExtVec([1, 2])
+    for negative in (-1, Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            v.scale(negative)
+    for bad in ("2", 0.5, None):
+        with pytest.raises(TypeError):
+            v.scale(bad)
+    with pytest.raises(DimensionMismatch, match="2 versus 3"):
+        v + ExtVec([1, 2, 3])
+    assert v.__add__((1, 2)) is NotImplemented
+    with pytest.raises(TypeError):
+        v + (1, 2)
+    with pytest.raises(DimensionMismatch, match="2 versus 3"):
+        combination_point([v, ExtVec([1, 2, 3])], [(1, 1)])
+    with pytest.raises(ValueError):
+        combination_point([v], [(0, -1)])
+    # an empty combination is the zero vector of the generators' dimension
+    _same(combination_point([v, v], []), ExtVec([0, 0]))

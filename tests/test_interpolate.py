@@ -265,7 +265,8 @@ def _rand_fraction(rng):
 
 
 def test_integer_coordinatewise_checks_match_fraction_folds():
-    from conedual.functionals import _combine, _covered
+    from conedual.extreal import _weighted_sum
+    from conedual.functionals import _covered
 
     rng = random.Random(31)
     verdicts = set()
@@ -273,7 +274,7 @@ def test_integer_coordinatewise_checks_match_fraction_folds():
         dim, k = rng.randint(1, 6), rng.randint(1, 4)
         weights = [_rand_fraction(rng) for _ in range(k)]
         rows = [tuple(_rand_fraction(rng) for _ in range(dim)) for _ in range(k)]
-        nums, den = _combine(weights, [ExtVec(r) for r in rows])
+        nums, den, _, _ = _weighted_sum(weights, [ExtVec(r) for r in rows], dim)._form
         mix = [F(n, den) for n in nums]
         want = _fold_mix(weights, rows)
         assert mix == want

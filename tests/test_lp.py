@@ -987,6 +987,54 @@ def test_condensed_tableau_matches_full_tableau_on_margin_lps(monkeypatch):
     assert held >= 10 and violated >= 10, (held, violated)
 
 
+def _oracle_witness_from_certificate(gens, fin, inf_coords, w):
+    """``convex_sep._witness_from_certificate`` as it was, summing each finite
+    coordinate of the base and cover points from ``as_fraction`` entries in
+    ``Fraction``: the reference."""
+    total = sum(w)
+    base = {j: wj / total for j, wj in enumerate(w) if wj > 0}
+    if not inf_coords:
+        return tuple(sorted(base.items()))
+    cover = sorted({next(j for j, g in enumerate(gens) if g[i].is_infinite) for i in inf_coords})
+    cover = [(j, F(1, len(cover))) for j in cover]
+    eps = F(1, 2)
+    for i in fin:
+        x = sum(mu * gens[j][i].as_fraction() for j, mu in base.items())
+        y = sum(share * gens[j][i].as_fraction() for j, share in cover)
+        if y < x:
+            eps = min(eps, (x - 1) / (x - y) / 2)
+    combo = {j: mu * (1 - eps) for j, mu in base.items()}
+    for j, share in cover:
+        combo[j] = combo.get(j, 0) + eps * share
+    return tuple(sorted((j, v) for j, v in combo.items() if v > 0))
+
+
+def test_witness_builder_matches_the_fraction_reference():
+    rng = random.Random(3001)
+    mixed = 0
+    for _ in range(600):
+        dim = rng.randint(1, 7)
+        gens = [
+            ExtVec([INF if rng.random() < 0.15 else
+                    ExtReal(rng.getrandbits(70), rng.getrandbits(70) | 1) if rng.random() < 0.1
+                    else ExtReal(rng.randint(0, 20), rng.randint(1, 6))
+                    for _ in range(dim)])
+            for _ in range(rng.randint(1, 8))
+        ]
+        inf_mask = 0
+        for g in gens:
+            inf_mask |= g._form[2]
+        inf_coords = [i for i in range(dim) if inf_mask >> i & 1]
+        fin = [i for i in range(dim) if not inf_mask >> i & 1]
+        w = [F(rng.randint(0, 9), rng.randint(1, 5)) for _ in gens]
+        if not any(w):
+            w[0] = F(1)
+        got = convex_sep._witness_from_certificate(gens, fin, inf_coords, w)
+        assert got == _oracle_witness_from_certificate(gens, fin, inf_coords, w)
+        mixed += bool(inf_coords and fin)
+    assert mixed >= 200, mixed
+
+
 def _fraction_row_separate(generators, dim):
     """``separate`` as it was when every generator row entered as the
     ``Fraction``s ``nums[i] / d`` with right-hand side 1: the reference."""
@@ -1010,7 +1058,7 @@ def _fraction_row_separate(generators, dim):
             full[i] = res.point[pos]
         return convex_sep.Separated(convex_sep.SeparationWeights(tuple(full)))
     w = [-z for z in res.certificate[1:]]
-    witness = convex_sep._witness_from_certificate(gens, fin, inf_coords, w)
+    witness = _oracle_witness_from_certificate(gens, fin, inf_coords, w)
     return convex_sep.MeetsCorner(witness)
 
 
