@@ -209,25 +209,38 @@ def _covered(vec, lam, hvecs) -> bool:
     return all(c * sd <= s * cd for c, s in zip(cn, sn))
 
 
+def _decide(gvecs, hvecs):
+    """Decide min_i g_i <= max_k h_k by ``_margin`` and check its answer.
+
+    Returns (y, None, None, None) with an ``ExtVec`` y where max_k h_k . y <
+    min_i g_i . y, or (None, a, lambda, mix) with mix = sum_i a_i g_i <=
+    sum_k lambda_k h_k coordinatewise.  An answer failing its check is an
+    internal error.
+    """
+    value, y, a, lam = _margin(gvecs, hvecs)
+    if value > 0:
+        y = ExtVec(y)
+        if not ext_max(h.dot(y) for h in hvecs) < ext_min(g.dot(y) for g in gvecs):
+            raise AssertionError("internal error: violation witness failed verification")
+        return y, None, None, None
+    mix = _weighted_sum(a, gvecs, gvecs[0].dim)
+    if not _covered(mix, lam, hvecs):
+        raise AssertionError("internal error: certificate fails coordinatewise")
+    return None, a, lam, mix
+
+
 def dominated_by_max(f: LinFun, phi: SublinFun):
     """Decide f <= phi on the whole orthant; finite coefficients only.
 
     A linear functional sits below a maximum of linear ones on the
     nonnegative orthant exactly when it sits below a convex combination of
-    them coordinatewise.  The margin LP of the one-member clause [f]
-    decides it, and its dual gives the combination weights, which are
-    returned as a certificate and rechecked coordinatewise.
+    them coordinatewise.  The checked margin decision of the one-member
+    clause [f] decides it, and its dual weights are the certificate.
     """
     if f.dim != phi.dim:
         raise DimensionMismatch(f"{f.dim} versus {phi.dim}")
-    fvec = f._finite()
-    hvecs = [h._finite() for h in phi.branches]
-    value, _, _, lam = _margin([fvec], hvecs)
-    if value > 0:
-        return False, None
-    if not _covered(fvec, lam, hvecs):
-        raise AssertionError("internal error: domination certificate fails coordinatewise")
-    return True, lam
+    y, _, lam, _ = _decide([f._finite()], [h._finite() for h in phi.branches])
+    return (False, None) if y is not None else (True, lam)
 
 
 def specialization_leq(y, y_prime, c_gens) -> bool:
@@ -243,67 +256,51 @@ def specialization_leq(y, y_prime, c_gens) -> bool:
     return True
 
 
-def _unit(dim, j):
-    return ExtVec(tuple(ONE if i == j else ZERO for i in range(dim)))
+def _parts(fun, split):
+    """``fun``'s branches as one group, or one group per branch when it is a ``split``."""
+    if isinstance(fun, LinFun):
+        return [(fun,)]
+    return [(b,) for b in fun.branches] if isinstance(fun, split) else [fun.branches]
 
 
 def leq_functional(phi, psi):
     """Pointwise order phi <= psi on the extended orthant, decided exactly.
 
     Returns (True, None) or (False, y) with phi(y) > psi(y) checked by
-    evaluation.  A minimum of g_i against a maximum of h_k is one margin LP
-    on the coordinates R where every h_k is finite (psi is infinite off R),
-    without the g_i that are infinite on R: adding a slice of 1_R to its
-    violating point makes those infinite and keeps the violation strict.
+    evaluation.  A maximum is below psi iff every branch is, and phi is
+    below a minimum iff below every branch, so phi is read as min-clauses
+    and psi as max-sets, and every pair must hold.  A minimum of g_i
+    against a maximum of h_k is one margin LP on the coordinates R where
+    every h_k is finite (psi is infinite off R), without the g_i that are
+    infinite on R: adding a slice of 1_R to its violating point makes those
+    infinite and keeps the violation strict.
     """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"{phi.dim} versus {psi.dim}")
-
-    if isinstance(phi, SublinFun):
-        # a maximum is below psi iff every branch is
-        for b in phi.branches:
-            ok, wit = leq_functional(b, psi)
-            if not ok:
-                return False, wit
-        return True, None
-
-    if isinstance(psi, SuperlinFun):
-        # below a minimum iff below every branch; any branch witness works
-        for g in psi.branches:
-            ok, wit = leq_functional(phi, g)
-            if not ok:
-                return False, wit
-        return True, None
-
     dim = phi.dim
-    if isinstance(phi, LinFun) and isinstance(psi, LinFun):
-        for j in range(dim):
-            if not phi.coeffs[j] <= psi.coeffs[j]:
-                return False, _unit(dim, j)
-        return True, None
-
-    gs = (phi,) if isinstance(phi, LinFun) else phi.branches
-    hs = (psi,) if isinstance(psi, LinFun) else psi.branches
-    rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in hs)]
-    if not rest:
-        return True, None
-    gvecs = [
-        ExtVec([g.coeffs[j] for j in rest])
-        for g in gs
-        if all(g.coeffs[j].is_finite for j in rest)
-    ]
-    hvecs = [ExtVec([h.coeffs[j] for j in rest]) for h in hs]
-    # with no g_i left, every one is infinite at the witness 1_R
-    y, eps = [0] * len(rest), 1
-    if gvecs:
-        value, y, _, _ = _margin(gvecs, hvecs)
-        if value <= 0:
-            return True, None
-        eps = value / (1 + max(sum(h).as_fraction() for h in hvecs))
-    full = [ZERO] * dim
-    for j, v in zip(rest, y):
-        full[j] = ExtReal.from_fraction(v + eps)
-    witness = ExtVec(full)
-    if not psi.eval(witness) < phi.eval(witness):
-        raise AssertionError("internal error: order witness failed verification")
-    return False, witness
+    for gs in _parts(phi, SublinFun):
+        for hs in _parts(psi, SuperlinFun):
+            rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in hs)]
+            if not rest:
+                continue
+            gvecs = [
+                ExtVec([g.coeffs[j] for j in rest])
+                for g in gs
+                if all(g.coeffs[j].is_finite for j in rest)
+            ]
+            hvecs = [ExtVec([h.coeffs[j] for j in rest]) for h in hs]
+            # with no g_i left, every one is infinite at the witness 1_R
+            y, eps = [0] * len(rest), 1
+            if gvecs:
+                value, y, _, _ = _margin(gvecs, hvecs)
+                if value <= 0:
+                    continue
+                eps = value / (1 + max(sum(h).as_fraction() for h in hvecs))
+            full = [ZERO] * dim
+            for j, v in zip(rest, y):
+                full[j] = ExtReal.from_fraction(v + eps)
+            witness = ExtVec(full)
+            if not psi.eval(witness) < phi.eval(witness):
+                raise AssertionError("internal error: order witness failed verification")
+            return False, witness
+    return True, None

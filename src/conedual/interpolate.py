@@ -2,11 +2,12 @@
 functionals and a dominating sublinear functional.
 
 Given linear g_1 .. g_n with min_i g_i <= phi on the orthant, there are
-simplex weights a with min_i g_i <= sum_i a_i g_i <= phi pointwise.  One
-exact margin LP decides the hypothesis: its primal optimum is a violating
-point when the hypothesis fails, and otherwise its dual gives the weights
-a and a certificate lambda over phi's branches, with the coordinatewise
-domination sum_i a_i g_i <= sum_k lambda_k h_k as the checkable artifact.
+simplex weights a with min_i g_i <= sum_i a_i g_i <= phi pointwise.  The
+checked margin decision ``functionals._decide`` answers the hypothesis:
+a violating point, checked by evaluation, or the weights a and a
+certificate lambda over phi's branches, with the coordinatewise domination
+sum_i a_i g_i <= sum_k lambda_k h_k checked.  This module only validates
+clauses and turns that answer into results and errors.
 """
 
 from __future__ import annotations
@@ -19,8 +20,9 @@ from .errors import (
     MalformedProblem,
     PreconditionViolated,
 )
-from .extreal import ExtVec, _weighted_sum
-from .functionals import LinFun, SublinFun, SuperlinFun, _covered, _margin
+from .functionals import LinFun, SublinFun, SuperlinFun, _decide
+
+_VIOLATED = "the minimum of the clause exceeds the target functional"
 
 
 @dataclass(frozen=True)
@@ -47,14 +49,11 @@ def _clause_branches(clause):
 def check_min_below(clause, phi: SublinFun):
     """Decide min_i g_i <= phi everywhere on the orthant.
 
-    Returns (True, None), or (False, y) with a verified violation y; the
-    one margin LP behind ``interpolate`` decides it.
+    Returns (True, None), or (False, y) with a checked violation y; the
+    one margin decision behind ``interpolate`` decides it.
     """
-    try:
-        interpolate(clause, phi)
-    except PreconditionViolated as exc:
-        return False, exc.witness
-    return True, None
+    y = _interpolate(clause, phi)[0]
+    return y is None, y
 
 
 def interpolate(clause, phi: SublinFun) -> InterpolationResult:
@@ -64,34 +63,25 @@ def interpolate(clause, phi: SublinFun) -> InterpolationResult:
     A positive optimum makes its point a violation of the hypothesis;
     otherwise its dual gives the weights and the certificate.  The left
     inequality min_i g_i <= sum a_i g_i is automatic for simplex weights;
-    the right one follows from the coordinatewise certificate, which is
-    verified exactly before returning.
+    the right one follows from the coordinatewise certificate.
     """
-    return _interpolate(clause, phi)[0]
+    y, result, _ = _interpolate(clause, phi)
+    if y is not None:
+        raise PreconditionViolated(_VIOLATED, witness=y)
+    return result
 
 
 def _interpolate(clause, phi):
-    """``interpolate`` plus the ``LinFun`` sum_i a_i g_i it checked coordinatewise."""
+    """``functionals._decide`` on a validated clause, as (y, result, mix):
+    a checked violation y, or the result and the ``LinFun`` sum_i a_i g_i."""
     gs = _clause_branches(clause)
-    dim = phi.dim
     for g in gs:
-        if g.dim != dim:
-            raise DimensionMismatch(f"{g.dim} versus {dim}")
-    gvecs = [g._finite() for g in gs]
-    hvecs = [h._finite() for h in phi.branches]
-    value, y, a, lam = _margin(gvecs, hvecs)
-    if value > 0:
-        witness = ExtVec(y)
-        if not phi.eval(witness) < SuperlinFun(gs).eval(witness):
-            raise AssertionError("internal error: violation witness failed verification")
-        raise PreconditionViolated(
-            "the minimum of the clause exceeds the target functional",
-            witness=witness,
-        )
-    mix = _weighted_sum(a, gvecs, dim)
-    if not _covered(mix, lam, hvecs):
-        raise AssertionError("internal error: certificate fails coordinatewise")
-    return InterpolationResult(a, lam), LinFun(mix)
+        if g.dim != phi.dim:
+            raise DimensionMismatch(f"{g.dim} versus {phi.dim}")
+    y, a, lam, mix = _decide([g._finite() for g in gs], [h._finite() for h in phi.branches])
+    if y is not None:
+        return y, None, None
+    return None, InterpolationResult(a, lam), LinFun(mix)
 
 
 @dataclass(frozen=True)
@@ -108,7 +98,7 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
 
     Each clause yields the convex combination of its generators produced by
     ``interpolate``, one LP per clause; the emitted coefficients are the
-    mix that ``interpolate`` checked exactly against the branch certificate.
+    mix that was checked exactly against the branch certificate.
     Output order follows the input clause order.
     """
     gens = [g if isinstance(g, LinFun) else LinFun(g) for g in c_gens]
@@ -120,10 +110,8 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
         if any(not isinstance(i, int) or i < 0 or i >= len(gens) for i in idxs):
             raise MalformedProblem(f"clause {pos} indexes outside the generator list")
         members = [gens[i] for i in idxs]
-        try:
-            result, mix = _interpolate(members, phi)
-        except PreconditionViolated as exc:
-            exc.clause_index = pos
-            raise
+        y, result, mix = _interpolate(members, phi)
+        if y is not None:
+            raise PreconditionViolated(_VIOLATED, witness=y, clause_index=pos)
         out.append(ClauseWitness(mix, result.weights, result.certificate))
     return out

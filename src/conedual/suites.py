@@ -78,7 +78,16 @@ def _rand_entry(rng, num_max, den_max, inf_chance):
 
 
 def _rand_point(rng, dim, inf_chance=10):
-    return ExtVec([_rand_entry(rng, 8, 4, inf_chance) for _ in range(dim)])
+    """The draws of ``_rand_entry(rng, 8, 4, inf_chance)`` per coordinate,
+    taken straight into the vector's form."""
+    nums, dens, inf = [0] * dim, [1] * dim, 0
+    for i in range(dim):
+        if inf_chance and rng.randrange(inf_chance) == 0:
+            inf |= 1 << i
+        else:
+            nums[i], dens[i] = rng.randint(0, 8), rng.randint(1, 4)
+    nonzero = inf | sum(1 << i for i, n in enumerate(nums) if n)
+    return ExtVec._from_ratios(nums, dens, inf, nonzero)
 
 
 def _rand_corner_point(rng, dim):

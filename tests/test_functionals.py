@@ -22,6 +22,7 @@ from conedual import (
     specialization_leq,
 )
 from conedual.errors import DimensionMismatch, EmptyList, InfiniteCoefficient
+from conedual.functionals import _margin
 from conedual.oracles import dominates_on_grid, minkowski_by_scaling_scan
 
 F = Fraction
@@ -465,3 +466,77 @@ def test_minkowski_and_specialization_match_extreal_fold():
         y2 = ExtVec(_kernel_vector(rng, dim))
         want_leq = all(_fold_eval(x, y) <= _fold_eval(x, y2) for x in gens)
         assert specialization_leq(y, y2, gens) == want_leq
+
+
+def _recursive_leq(phi, psi):
+    """``leq_functional`` as it was before it read phi as min-clauses and psi
+    as max-sets: recursion over the branches and a coordinatewise path for
+    two linear maps.  The reference for the verdicts."""
+    from conedual.functionals import _margin
+
+    if isinstance(phi, SublinFun):
+        for b in phi.branches:
+            ok, wit = _recursive_leq(b, psi)
+            if not ok:
+                return False, wit
+        return True, None
+    if isinstance(psi, SuperlinFun):
+        for g in psi.branches:
+            ok, wit = _recursive_leq(phi, g)
+            if not ok:
+                return False, wit
+        return True, None
+    dim = phi.dim
+    if isinstance(phi, LinFun) and isinstance(psi, LinFun):
+        for j in range(dim):
+            if not phi.coeffs[j] <= psi.coeffs[j]:
+                return False, ExtVec([ONE if i == j else ZERO for i in range(dim)])
+        return True, None
+    gs = (phi,) if isinstance(phi, LinFun) else phi.branches
+    hs = (psi,) if isinstance(psi, LinFun) else psi.branches
+    rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in hs)]
+    if not rest:
+        return True, None
+    gvecs = [
+        ExtVec([g.coeffs[j] for j in rest])
+        for g in gs
+        if all(g.coeffs[j].is_finite for j in rest)
+    ]
+    hvecs = [ExtVec([h.coeffs[j] for j in rest]) for h in hs]
+    y, eps = [0] * len(rest), 1
+    if gvecs:
+        value, y, _, _ = _margin(gvecs, hvecs)
+        if value <= 0:
+            return True, None
+        eps = value / (1 + max(sum(h).as_fraction() for h in hvecs))
+    full = [ZERO] * dim
+    for j, v in zip(rest, y):
+        full[j] = ExtReal.from_fraction(v + eps)
+    witness = ExtVec(full)
+    assert psi.eval(witness) < phi.eval(witness)
+    return False, witness
+
+
+def test_leq_functional_verdicts_match_the_recursive_reference():
+    rng = random.Random(1409)
+    kinds = [LinFun, SublinFun, SuperlinFun]
+    seen = set()
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+
+        def make(kind):
+            if kind is LinFun:
+                return _rand_linfun(rng, dim, 6)
+            return kind([_rand_linfun(rng, dim, 6) for _ in range(rng.randint(1, 3))])
+
+        phi_kind, psi_kind = rng.choice(kinds), rng.choice(kinds)
+        phi, psi = make(phi_kind), make(psi_kind)
+        ok, wit = leq_functional(phi, psi)
+        assert ok == _recursive_leq(phi, psi)[0], (phi, psi)
+        if ok:
+            assert wit is None
+        else:
+            assert psi.eval(wit) < phi.eval(wit)
+        seen.add((phi_kind, psi_kind, ok))
+    # every pairing of representations, each with both verdicts
+    assert len(seen) == 18, sorted((a.__name__, b.__name__, ok) for a, b, ok in seen)

@@ -46,3 +46,37 @@ def test_module_uses_every_import(path):
     unused = [name for name in _unused_imports(path.read_text(encoding="utf-8"))
               if (path.stem, name) not in ALLOWED]
     assert unused == [], f"{path.name} imports {unused} without using them"
+
+
+# the margin LP and its certificate check are read and checked in one place
+MARGIN_NAMES = {"_margin", "_covered"}
+
+
+def _margin_uses(source):
+    """The names of ``MARGIN_NAMES`` a module imports or reads as attributes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom):
+            found += [a.name for a in node.names if a.name in MARGIN_NAMES]
+        elif isinstance(node, ast.Attribute) and node.attr in MARGIN_NAMES:
+            found.append(node.attr)
+    return found
+
+
+def test_the_check_finds_a_margin_import():
+    source = (
+        "from .functionals import LinFun, _covered\n"
+        "from . import functionals\n"
+        "functionals._margin([], [])\n"
+        "_margin_free = 1\n"
+    )
+    assert _margin_uses(source) == ["_covered", "_margin"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "functionals.py"),
+    ids=lambda p: p.stem,
+)
+def test_only_functionals_reads_the_margin_lp(path):
+    assert _margin_uses(path.read_text(encoding="utf-8")) == []

@@ -287,3 +287,27 @@ def test_integer_coordinatewise_checks_match_fraction_folds():
         assert got == _fold_covered(coeffs, weights, rows)
         verdicts.add((got, coeffs == mix))
     assert verdicts == {(True, True), (True, False), (False, False)}
+
+
+def _wrong_violation(gvecs, hvecs):
+    # a positive margin whose point (1/2, 1/2) does not violate: g = h there
+    return F(1), (F(1, 2), F(1, 2)), (F(1),), (F(1),)
+
+
+def _wrong_cover(gvecs, hvecs):
+    # a nonpositive margin whose certificate (0, 1) leaves g = (3, 3) uncovered
+    return F(0), (F(1, 2), F(1, 2)), (F(1),), (F(0), F(1))
+
+
+@pytest.mark.parametrize("answer", [_wrong_violation, _wrong_cover])
+@pytest.mark.parametrize(
+    "call",
+    [lambda f, phi: dominated_by_max(f, phi), lambda f, phi: interpolate([f], phi)],
+    ids=["dominated_by_max", "interpolate"],
+)
+def test_one_checker_rejects_a_wrong_margin_answer_for_every_caller(monkeypatch, call, answer):
+    functionals = importlib.import_module("conedual.functionals")
+    f, phi = LinFun([3, 3]), SublinFun([[3, 3], [6, 0]])
+    monkeypatch.setattr(functionals, "_margin", answer)
+    with pytest.raises(AssertionError):
+        call(f, phi)
