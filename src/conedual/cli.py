@@ -101,8 +101,8 @@ def _decode_dominates(payload, args):
 
 
 def _encode_dominates(answer):
-    ok, lam = answer
-    return {"dominated": ok, "certificate": encode_fractions(lam) if ok else None}
+    ok, cert = answer
+    return {"dominated": ok, "certificate": encode_fractions(cert) if ok else encode_vector(cert)}
 
 
 def _decode_minkowski(payload, args):

@@ -14,7 +14,7 @@ from math import lcm
 
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
 from .extreal import ONE, ZERO, ExtReal, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
-from .lp import Constraint, EQ, GEQ, LPProblem, solve_lp
+from .lp import Constraint, GEQ, LEQ, LPProblem, solve_lp
 
 
 class LinFun:
@@ -172,30 +172,37 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
 def _margin(gvecs, hvecs):
     """One LP deciding min_i g_i <= max_k h_k on the orthant (finite entries).
 
-    By homogeneity the standard simplex suffices: maximise t with
-    (g_i - h_k) . y >= t for every pair, a row of ints times L, the lcm of
-    the two denominators; the order holds iff t <= 0.  Returns t, y, and
-    simplex weights a_i = sum_k mu_ik, lambda_k = sum_i mu_ik from
-    mu = -L * dual of the pair rows (the free t puts mu on the simplex), so
-    sum_i a_i g_i <= sum_k lambda_k h_k + t coordinatewise.
+    Maximise t >= 0 with sum_j y_j <= 1 and (g_i - h_k) . y >= t for every
+    pair, a row of ints times L, the lcm of the two denominators.  The
+    origin is feasible, so every row starts with its slack basic and the
+    solver runs no phase 1.  As the rows are homogeneous, the optimum is
+    max(0, t*) for the largest margin t* over the simplex: it is positive,
+    at a point with sum_j y_j = 1, exactly when the order fails.  Returns
+    the value, y, and simplex weights a_i = sum_k mu_ik, lambda_k =
+    sum_i mu_ik from mu = -L * dual of the pair rows divided by its sum,
+    which is at least 1.  On a zero value the dual of the sum row is zero,
+    so sum_i a_i g_i <= sum_k lambda_k h_k coordinatewise.
     """
     gforms = [as_extvec(g)._form for g in gvecs]
     hforms = [as_extvec(h)._form for h in hvecs]
     dim = len(gforms[0][0])
     k = len(hforms)
-    # variables: y_0 .. y_{dim-1}, then the split margin t = tp - tm
-    constraints = [Constraint._of_ints((1,) * dim + (0, 0), EQ, 1)]
+    # variables: y_0 .. y_{dim-1}, then the margin t
+    constraints = [Constraint._of_ints((1,) * dim + (0,), LEQ, 1)]
     scales = []
     for gn, gd, _, _ in gforms:
         for hn, hd, _, _ in hforms:
             L = lcm(gd, hd)
             gs, hs = L // gd, L // hd
-            row = tuple(g * gs - h * hs for g, h in zip(gn, hn)) + (-L, L)
+            row = tuple(g * gs - h * hs for g, h in zip(gn, hn)) + (-L,)
             constraints.append(Constraint._of_ints(row, GEQ, 0))
             scales.append(L)
-    objective = (0,) * dim + (1, -1)
-    res = solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max"))
+    objective = (0,) * dim + (1,)
+    res = solve_lp(LPProblem(dim + 1, tuple(constraints), objective, "max"))
     mu = [-L * v for L, v in zip(scales, res.dual[1:])]
+    total = sum(mu)
+    if total != 1:
+        mu = [m / total for m in mu]
     a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gforms)))
     lam = tuple(sum(mu[kk::k]) for kk in range(k))
     return res.value, res.point[:dim], a, lam
@@ -235,12 +242,13 @@ def dominated_by_max(f: LinFun, phi: SublinFun):
     A linear functional sits below a maximum of linear ones on the
     nonnegative orthant exactly when it sits below a convex combination of
     them coordinatewise.  The checked margin decision of the one-member
-    clause [f] decides it, and its dual weights are the certificate.
+    clause [f] decides it: (True, lambda) with its dual weights, or
+    (False, y) with a point where phi(y) < f(y).
     """
     if f.dim != phi.dim:
         raise DimensionMismatch(f"{f.dim} versus {phi.dim}")
     y, _, lam, _ = _decide([f._finite()], [h._finite() for h in phi.branches])
-    return (False, None) if y is not None else (True, lam)
+    return (False, y) if y is not None else (True, lam)
 
 
 def specialization_leq(y, y_prime, c_gens) -> bool:
@@ -270,10 +278,10 @@ def leq_functional(phi, psi):
     evaluation.  A maximum is below psi iff every branch is, and phi is
     below a minimum iff below every branch, so phi is read as min-clauses
     and psi as max-sets, and every pair must hold.  A minimum of g_i
-    against a maximum of h_k is one margin LP on the coordinates R where
-    every h_k is finite (psi is infinite off R), without the g_i that are
-    infinite on R: adding a slice of 1_R to its violating point makes those
-    infinite and keeps the violation strict.
+    against a maximum of h_k is one checked margin decision on the
+    coordinates R where every h_k is finite (psi is infinite off R),
+    without the g_i that are infinite on R: adding a slice of 1_R to its
+    violating point makes those infinite and keeps the violation strict.
     """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"{phi.dim} versus {psi.dim}")
@@ -290,15 +298,16 @@ def leq_functional(phi, psi):
             ]
             hvecs = [ExtVec([h.coeffs[j] for j in rest]) for h in hs]
             # with no g_i left, every one is infinite at the witness 1_R
-            y, eps = [0] * len(rest), 1
+            y, eps = [ZERO] * len(rest), 1
             if gvecs:
-                value, y, _, _ = _margin(gvecs, hvecs)
-                if value <= 0:
+                y = _decide(gvecs, hvecs)[0]
+                if y is None:
                     continue
-                eps = value / (1 + max(sum(h).as_fraction() for h in hvecs))
+                gap = ext_min(g.dot(y) for g in gvecs) - ext_max(h.dot(y) for h in hvecs)
+                eps = gap.as_fraction() / (1 + max(sum(h).as_fraction() for h in hvecs))
             full = [ZERO] * dim
             for j, v in zip(rest, y):
-                full[j] = ExtReal.from_fraction(v + eps)
+                full[j] = ExtReal.from_fraction(v.as_fraction() + eps)
             witness = ExtVec(full)
             if not psi.eval(witness) < phi.eval(witness):
                 raise AssertionError("internal error: order witness failed verification")

@@ -59,11 +59,12 @@ def check_min_below(clause, phi: SublinFun):
 def interpolate(clause, phi: SublinFun) -> InterpolationResult:
     """Produce weights a and certificate lambda realising the sandwich.
 
-    One margin LP maximises t with (g_i - h_k) . y >= t over the simplex.
-    A positive optimum makes its point a violation of the hypothesis;
-    otherwise its dual gives the weights and the certificate.  The left
-    inequality min_i g_i <= sum a_i g_i is automatic for simplex weights;
-    the right one follows from the coordinatewise certificate.
+    One margin LP maximises t >= 0 with (g_i - h_k) . y >= t and
+    sum_j y_j <= 1, starting feasible at the origin.  A positive optimum
+    makes its point a violation of the hypothesis; otherwise its dual gives
+    the weights and the certificate.  The left inequality min_i g_i <=
+    sum a_i g_i is automatic for simplex weights; the right one follows
+    from the coordinatewise certificate.
     """
     y, result, _ = _interpolate(clause, phi)
     if y is not None:

@@ -140,7 +140,8 @@ def test_dominates_command(tmp_path):
     payload["f"] = ["2", "1"]
     code, out = run_cli(tmp_path, "dominates", payload)
     assert code == 0
-    assert json.loads(out) == {"certificate": None, "dominated": False}
+    # the refuting point y = (1/2, 1/2): f(y) = 3/2 > 1 = phi(y)
+    assert json.loads(out) == {"certificate": ["1/2", "1/2"], "dominated": False}
 
 
 def test_minkowski_command(tmp_path):
@@ -390,7 +391,7 @@ OUTCOMES = [
     (["sep"], {"dim": 2, "generators": [["2", "0"], ["0", "2"]]}, 0,
      '{"outcome":"separated","weights":["1/2","1/2"]}\n'),
     (["dominates"], {"f": ["2", "1"], "phi": {"kind": "max", "branches": [["2", "0"], ["0", "2"]]}}, 0,
-     '{"certificate":null,"dominated":false}\n'),
+     '{"certificate":["1/2","1/2"],"dominated":false}\n'),
     (["check", "--suite", "extreal"], "", 0,
      '{"reports":[{"failure_count":0,"passed":true,"seed":1729,"suite":"extreal"}],"seed":1729}\n'),
     (["sep"], {"dim": 2, "generators": [["3", "0"], ["0", "3"]]}, 2,

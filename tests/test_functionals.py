@@ -125,8 +125,8 @@ def test_dominated_by_max_examples():
     assert ok and lam == (F(1, 2), F(1, 2))
     ok, lam = dominated_by_max(LinFun([2, 0]), SublinFun([[2, 0]]))
     assert ok and lam == (F(1),)
-    ok, lam = dominated_by_max(LinFun([2, 1]), SublinFun([[2, 0], [0, 2]]))
-    assert not ok and lam is None
+    ok, y = dominated_by_max(LinFun([2, 1]), SublinFun([[2, 0], [0, 2]]))
+    assert not ok and y == ExtVec([F(1, 2), F(1, 2)])
     with pytest.raises(InfiniteCoefficient):
         dominated_by_max(LinFun([INF, 0]), SublinFun([[2, 0]]))
 
@@ -137,15 +137,18 @@ def test_dominated_by_max_agrees_with_grid_oracle():
         dim = rng.randint(1, 3)
         f = _rand_linfun(rng, dim)
         phi = SublinFun([_rand_linfun(rng, dim) for _ in range(rng.randint(1, 3))])
-        ok, lam = dominated_by_max(f, phi)
+        ok, cert = dominated_by_max(f, phi)
         assert ok == dominates_on_grid(f, phi)
         if ok:
             # the certificate really is a simplex combination sitting above f
-            assert sum(lam) == 1 and all(v >= 0 for v in lam)
+            assert sum(cert) == 1 and all(v >= 0 for v in cert)
             fc = f.fraction_coeffs()
             branches = [h.fraction_coeffs() for h in phi.branches]
             for j in range(dim):
-                assert sum(l * b[j] for l, b in zip(lam, branches)) >= fc[j]
+                assert sum(l * b[j] for l, b in zip(cert, branches)) >= fc[j]
+        else:
+            # a refuting point
+            assert phi.eval(cert) < f.eval(cert)
 
 
 def test_specialization_order_examples():
@@ -275,6 +278,23 @@ def test_leq_functional_margin_lp_on_the_finite_rest():
     assert psi.eval(wit) < phi.eval(wit)
     # psi infinite on coordinate 1 leaves y1 <= max(2 y1, 0) on the rest
     assert leq_functional(LinFun([1, INF]), SublinFun([[2, 0], [0, INF]])) == (True, None)
+
+
+def test_margin_scales_a_larger_dual_onto_the_simplex(monkeypatch):
+    # y <= max(2 y, 3 y) on y >= 0: the optimum is y = t = 0, where any
+    # pair multipliers with sum mu >= 1 are an optimal dual; mu = (1, 1)
+    # gives weights divided by sum mu = 2
+    from conedual import functionals
+    from conedual.lp import LPOptimal, verify_lp_result
+
+    def solve(problem):
+        res = LPOptimal((F(0), F(0)), F(0), (F(0), F(-1), F(-1)))
+        assert verify_lp_result(problem, res)
+        return res
+
+    monkeypatch.setattr(functionals, "solve_lp", solve)
+    value, _, a, lam = _margin([ExtVec([1])], [ExtVec([2]), ExtVec([3])])
+    assert value == 0 and a == (F(1),) and lam == (F(1, 2), F(1, 2))
 
 
 def test_unit_level_set_laws_pointwise():

@@ -16,6 +16,7 @@ from conedual import (
     clause_witnesses,
     dominated_by_max,
     interpolate,
+    leq_functional,
     member_a,
     separate,
 )
@@ -302,8 +303,12 @@ def _wrong_cover(gvecs, hvecs):
 @pytest.mark.parametrize("answer", [_wrong_violation, _wrong_cover])
 @pytest.mark.parametrize(
     "call",
-    [lambda f, phi: dominated_by_max(f, phi), lambda f, phi: interpolate([f], phi)],
-    ids=["dominated_by_max", "interpolate"],
+    [
+        lambda f, phi: dominated_by_max(f, phi),
+        lambda f, phi: interpolate([f], phi),
+        lambda f, phi: leq_functional(f, phi),
+    ],
+    ids=["dominated_by_max", "interpolate", "leq_functional"],
 )
 def test_one_checker_rejects_a_wrong_margin_answer_for_every_caller(monkeypatch, call, answer):
     functionals = importlib.import_module("conedual.functionals")

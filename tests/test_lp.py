@@ -1063,21 +1063,46 @@ def _fraction_row_separate(generators, dim):
 
 
 def _fraction_row_margin(gcoeffs, hcoeffs):
-    """``_margin`` as it was when each pair row entered as the ``Fraction``
-    differences ``g - h`` followed by ``(-1, 1)``: the reference."""
+    """``_margin`` with each pair row entered as the ``Fraction``
+    differences ``g - h`` followed by ``-1``: the reference."""
     dim = len(gcoeffs[0])
     k = len(hcoeffs)
+    constraints = [Constraint((1,) * dim + (0,), "<=", 1)]
+    for gc in gcoeffs:
+        for hc in hcoeffs:
+            row = tuple(g - h for g, h in zip(gc, hc)) + (-1,)
+            constraints.append(Constraint(row, ">=", 0))
+    objective = (0,) * dim + (1,)
+    res = solve_lp(LPProblem(dim + 1, tuple(constraints), objective, "max"))
+    mu = [-v for v in res.dual[1:]]
+    total = sum(mu)
+    a = tuple(sum(mu[i * k:(i + 1) * k]) / total for i in range(len(gcoeffs)))
+    lam = tuple(sum(mu[kk::k]) / total for kk in range(k))
+    return res.value, res.point[:dim], a, lam
+
+
+def _simplex_margin(gcoeffs, hcoeffs):
+    """The largest margin t with (g_i - h_k) . y >= t over the simplex
+    sum y = 1, t = tp - tm free: an independent formulation whose phase 1
+    must first reach the simplex.  The oracle for verdicts and values."""
+    dim = len(gcoeffs[0])
     constraints = [Constraint((1,) * dim + (0, 0), "==", 1)]
     for gc in gcoeffs:
         for hc in hcoeffs:
             row = tuple(g - h for g, h in zip(gc, hc)) + (-1, 1)
             constraints.append(Constraint(row, ">=", 0))
     objective = (0,) * dim + (1, -1)
-    res = solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max"))
-    mu = [-v for v in res.dual[1:]]
-    a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gcoeffs)))
-    lam = tuple(sum(mu[kk::k]) for kk in range(k))
-    return res.value, res.point[:dim], a, lam
+    return solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max")).value
+
+
+def _starts_all_slack_basic(problem):
+    """True when ``solve_lp`` starts every row with its slack basic, so it
+    adds no artificial: each row is ``<=`` with a nonnegative right-hand
+    side or ``>=`` with a nonpositive one."""
+    return all(
+        (c.rel == "<=" and c.rhs >= 0) or (c.rel == ">=" and c.rhs <= 0)
+        for c in problem.constraints
+    )
 
 
 def _assert_rows_are_ints(problems):
@@ -1157,14 +1182,29 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
     assert restricted >= 10, restricted
 
     problems = _capture_problems(monkeypatch, functionals)
+    pivots = _spy_pivots(monkeypatch)
     held = violated = 0
+    spent = simplex_spent = 0
     for gcoeffs, hcoeffs in calls:
         want = _fraction_row_margin(gcoeffs, hcoeffs)
+        before = len(pivots)
         got = functionals._margin([ExtVec(g) for g in gcoeffs], hcoeffs)
+        spent += len(pivots) - before
         assert got == want, (gcoeffs, hcoeffs, got, want)
-        if got[0] <= 0:
+        before = len(pivots)
+        t = _simplex_margin(gcoeffs, hcoeffs)
+        simplex_spent += len(pivots) - before
+        # the same verdict, and the same value where the order fails
+        assert got[0] == max(t, 0), (gcoeffs, hcoeffs, got[0], t)
+        if got[0] == 0:
             held += 1
+            assert sum(got[2]) == 1 and sum(got[3]) == 1
         else:
             violated += 1
+            assert sum(got[1]) == 1
     _assert_rows_are_ints(problems)
     assert held >= 10 and violated >= 10, (held, violated)
+    # the origin is a feasible start: no phase 1, and fewer pivots in all
+    assert len(problems) == len(calls)
+    assert all(_starts_all_slack_basic(prob) for prob in problems)
+    assert spent < simplex_spent, (spent, simplex_spent)
