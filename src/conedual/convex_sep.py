@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ExtVec, _weighted_sum, as_extvec
-from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
+from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp
 
 
 def in_corner(x: ExtVec) -> bool:
@@ -105,8 +105,11 @@ def separate(generators, dim: int):
         return _verified(gens, dim, Separated(SeparationWeights(tuple(full))))
 
     assert isinstance(res, LPInfeasible)
-    # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1
-    w = [-v * form[1] for v, form in zip(res.certificate[1:], forms)]
+    # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
+    # the multipliers stay over the certificate's denominator, which the
+    # witness normalises away
+    zn, _ = _answer(res)
+    w = [-v * form[1] for v, form in zip(zn[1:], forms)]
     witness = _witness_from_certificate(gens, fin, inf_coords, w)
     return _verified(gens, dim, MeetsCorner(witness))
 
@@ -133,7 +136,7 @@ def _witness_from_certificate(gens, fin, inf_coords, w):
     coordinate back to one.
     """
     total = sum(w)
-    base = {j: wj / total for j, wj in enumerate(w) if wj > 0}
+    base = {j: Fraction(wj, total) for j, wj in enumerate(w) if wj > 0}
 
     if not inf_coords:
         return tuple(sorted(base.items()))

@@ -10,11 +10,12 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from math import lcm
 
 from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
 from .extreal import ONE, ZERO, ExtReal, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
-from .lp import Constraint, GEQ, LEQ, LPProblem, solve_lp
+from .lp import Constraint, GEQ, LEQ, LPProblem, _answer, solve_lp
 
 
 class LinFun:
@@ -199,12 +200,12 @@ def _margin(gvecs, hvecs):
             scales.append(L)
     objective = (0,) * dim + (1,)
     res = solve_lp(LPProblem(dim + 1, tuple(constraints), objective, "max"))
-    mu = [-L * v for L, v in zip(scales, res.dual[1:])]
+    # mu over the dual's denominator, which the division by sum mu cancels
+    _, _, _, _, yn, _ = _answer(res)
+    mu = [-L * v for L, v in zip(scales, yn[1:])]
     total = sum(mu)
-    if total != 1:
-        mu = [m / total for m in mu]
-    a = tuple(sum(mu[i * k:(i + 1) * k]) for i in range(len(gforms)))
-    lam = tuple(sum(mu[kk::k]) for kk in range(k))
+    a = tuple(Fraction(sum(mu[i * k:(i + 1) * k]), total) for i in range(len(gforms)))
+    lam = tuple(Fraction(sum(mu[kk::k]), total) for kk in range(k))
     return res.value, res.point[:dim], a, lam
 
 

@@ -12,7 +12,17 @@ determinant of the current basis, every division is exact, and no gcd
 runs inside the simplex loop.  A ``<=`` row with a nonnegative right-hand
 side, or a ``>=`` row with a nonpositive one after negation, starts with
 its slack in the basis, so phase 1 adds artificials only to the other
-rows.  Values become ``Fraction`` only when the answer is read off.
+rows.
+
+Each answer is read off once, as integers over one positive denominator:
+the point, the Farkas certificate and the ray over ``D``, the dual over
+``D`` times the objective's denominator.  One integer verifier,
+``_verify``, checks that form before ``solve_lp`` returns.  The result's
+``Fraction`` fields are built from it, and the form rides on the result
+outside the dataclass fields, so the package's callers read the integers
+back through ``_answer`` without a ``Fraction`` round trip.
+``verify_lp_result`` puts a given result's fields over one denominator
+each, once, and runs the same verifier.
 
 Rows the package builds from integer forms enter as ints, unconverted; a
 public ``Constraint`` converts every entry to ``Fraction``.  A multiplier
@@ -44,14 +54,15 @@ For ``max`` the dual has ``y_i >= 0`` on ``<=`` rows, ``<= 0`` on ``>=``
 rows and ``A^T y >= c``; for ``min`` the signs and the inequality flip.
 ``verify_lp_result`` re-checks any answer against the original problem at
 zero tolerance, an optimum's dual included with ``b . y == c . x``;
-``solve_lp`` runs it internally before returning.  The check runs on integer
-rows with cleared denominators, built once from the problem data and not
-from the tableau, and on each certificate as integers over one common
-denominator, so every test is an integer dot product, or one ``_fold``,
-the weighted sum of rows that ``ExtVec`` combinations also run, plus a sign
-or equality test (Dhiflaoui et al. 2003).  The solver starts its tableau from the same rows
-and reads an optimum's value off them, over the objective's denominator
-times ``D``.
+``solve_lp`` runs the same check before returning.  The check runs on
+integer rows with cleared denominators, built once from the problem data
+and not from the tableau, and on each certificate as integers over one
+common denominator, so every test is an integer dot product, or one
+``_fold``, the weighted sum of rows that ``ExtVec`` combinations also run,
+plus a sign or equality test (Dhiflaoui et al. 2003).  The solver starts
+its tableau from the same rows and reads an optimum's value off them, over
+the objective's denominator times ``D``.  Keeping the answer in integers
+end to end follows Applegate, Cook, Dash & Espinoza 2007.
 """
 
 from __future__ import annotations
@@ -69,11 +80,17 @@ GEQ = ">="
 EQ = "=="
 _RELS = (LEQ, GEQ, EQ)
 
+_ZERO = Fraction(0)
+
+
 def _frac(v):
+    """``v`` as a ``Fraction``; a ``bool`` is not a number, as in ``_exact``."""
     if type(v) is Fraction:
         return v
     if isinstance(v, float):
         raise MalformedProblem("floating point coefficients are not accepted")
+    if type(v) is bool:
+        raise MalformedProblem(f"not a rational coefficient: {v!r}")
     try:
         return Fraction(v)
     except (TypeError, ValueError) as exc:
@@ -108,7 +125,7 @@ class LPProblem:
     sense: str = "max"
 
     def __post_init__(self):
-        if not isinstance(self.n_vars, int) or self.n_vars < 1:
+        if type(self.n_vars) is not int or self.n_vars < 1:
             raise MalformedProblem("n_vars must be a positive integer")
         if self.sense not in ("max", "min"):
             raise MalformedProblem(f"unknown sense {self.sense!r}")
@@ -116,7 +133,9 @@ class LPProblem:
             c if isinstance(c, Constraint) else Constraint(*c) for c in self.constraints
         )
         object.__setattr__(self, "constraints", cons)
-        object.__setattr__(self, "objective", tuple(_frac(v) for v in self.objective))
+        # an int objective entry is already exact and stays an int
+        objective = tuple(v if type(v) is int else _frac(v) for v in self.objective)
+        object.__setattr__(self, "objective", objective)
         if len(self.objective) != self.n_vars:
             raise MalformedProblem("objective length disagrees with n_vars")
         for k, c in enumerate(cons):
@@ -240,10 +259,20 @@ def _int_rows(problem):
         rows = []
         scales = []
         for c in problem.constraints:
+            if type(c.rhs) is int:
+                # a row of ``Constraint._of_ints``: ints already, as a public
+                # ``Constraint`` holds only ``Fraction``s
+                rows.append(c.coeffs + (c.rhs,))
+                scales.append(1)
+                continue
             nums, den = _over(c.coeffs + (c.rhs,))
             rows.append(tuple(nums))
             scales.append(den)
-        cnums, cden = _over(problem.objective)
+        objective = problem.objective
+        if all(type(v) is int for v in objective):
+            cnums, cden = objective, 1
+        else:
+            cnums, cden = _over(objective)
         cached = (tuple(rows), tuple(scales), (tuple(cnums), cden))
         object.__setattr__(problem, "_rows", cached)
     return cached
@@ -318,13 +347,9 @@ def solve_lp(problem: LPProblem):
         # The simplex multipliers of the artificial objective prove
         # infeasibility: y_i = c_j - d_j for the variable j row i started with.
         d = _reduced(cost, basis, m)
-        cert = tuple(
-            Fraction(scale[i] * ((D if start[i] >= width else 0) - d[start[i]]), D)
-            for i in range(m)
-        )
-        result = LPInfeasible(cert)
-        _require(verify_lp_result(problem, result), "invalid infeasibility certificate")
-        return result
+        zn = [scale[i] * ((D if start[i] >= width else 0) - d[start[i]]) for i in range(m)]
+        return _answered(problem, LPInfeasible(_fractions(zn, D)), (zn, D),
+                         "invalid infeasibility certificate")
 
     # Drive leftover artificials out of the basis, each on the column of the
     # smallest variable with a nonzero entry in its row; a row that cannot
@@ -342,7 +367,6 @@ def solve_lp(problem: LPProblem):
 
     sign = -1 if problem.sense == "max" else 1
     cmin = [sign * v for v in cnums] + [0] * (width + k - n)
-    cscale = sign * cden
     cost = [D * cmin[j] for j in basis[m:]] + [0]
     for b, row in zip(basis[:m], T):
         cb = cmin[b]
@@ -351,28 +375,58 @@ def solve_lp(problem: LPProblem):
     T.append(cost)
 
     D, status = _iterate(T, basis, D, m, limit=width)
+    xn = [0] * n
     if status is None:
-        point = [Fraction(0)] * n
         for i, b in enumerate(basis[:m]):
             if b < n:
-                point[b] = Fraction(T[i][-1], D)
-        # c . x, with c = cnums / cden and x_b = T[i][-1] / D
-        value = Fraction(sum(cnums[b] * T[i][-1] for i, b in enumerate(basis[:m]) if b < n), cden * D)
-        # y_i = -d_j / D for the variable j row i started with, unscaled
+                xn[b] = T[i][-1]
+        # c . x, with c = cnums / cden and x = xn / D
+        vn, vd = sum(map(mul, cnums, xn)), cden * D
+        # y_i = -d_j / (D * sign * cden) for the variable j row i started
+        # with, unscaled; sign is +-1, so it moves to the numerator
         d = _reduced(T[m], basis, m)
-        dual = tuple(Fraction(-scale[i] * d[start[i]], D * cscale) for i in range(m))
-        result = LPOptimal(tuple(point), value, dual)
-    else:
-        ray = [Fraction(0)] * n
-        j = basis[m + status]
-        if j < n:
-            ray[j] = Fraction(1)
-        for i, b in enumerate(basis[:m]):
-            if b < n:
-                ray[b] = Fraction(-T[i][status], D)
-        result = LPUnbounded(tuple(ray))
-    _require(verify_lp_result(problem, result), "solver output failed verification")
+        yn = [-sign * scale[i] * d[start[i]] for i in range(m)]
+        yd = D * cden
+        result = LPOptimal(_fractions(xn, D), Fraction(vn, vd), _fractions(yn, yd))
+        return _answered(problem, result, (xn, D, vn, vd, yn, yd),
+                         "solver output failed verification")
+    j = basis[m + status]
+    if j < n:
+        xn[j] = D
+    for i, b in enumerate(basis[:m]):
+        if b < n:
+            xn[b] = -T[i][status]
+    return _answered(problem, LPUnbounded(_fractions(xn, D)), (xn, D),
+                     "solver output failed verification")
+
+
+def _fractions(nums, den):
+    """The ``Fraction``s ``nums[i] / den``, zeros shared."""
+    return tuple(Fraction(v, den) if v else _ZERO for v in nums)
+
+
+def _answered(problem, result, form, failure):
+    """``result`` carrying its integer ``form``, once ``_verify`` accepts it.
+
+    The form sits outside the dataclass fields, as ``_int_rows`` caches on
+    the problem, so ``==``, ``hash`` and ``repr`` of the result do not see it.
+    """
+    _require(_verify(problem, result, form), failure)
+    object.__setattr__(result, "_ints", form)
     return result
+
+
+def _answer(result):
+    """``result`` as integers, the layout ``_verify`` reads.
+
+    ``(xn, xd, vn, vd, yn, yd)`` for an optimum: the point ``xn / xd``, the
+    value ``vn / vd`` and the dual ``yn / yd``; ``(zn, zd)`` for the Farkas
+    certificate and ``(rn, rd)`` for the ray.  Every denominator is
+    positive.  This is the form ``solve_lp`` attached; a result built by
+    hand has its public fields put over one denominator each, once.
+    """
+    form = result.__dict__.get("_ints")
+    return form if form is not None else _over_fields(result)
 
 
 def _exact(values):
@@ -380,24 +434,45 @@ def _exact(values):
     return all(type(v) is int or type(v) is Fraction for v in values)
 
 
+def _over_fields(result):
+    """``result``'s public fields in the layout of ``_answer``, each field
+    over the lcm of its denominators; None when an entry is not an ``int``
+    or a ``Fraction``, the dual is missing, or ``result`` is no LP answer."""
+    if isinstance(result, LPOptimal):
+        x, value, y = result.point, result.value, result.dual
+        if y is None or not (_exact(x) and _exact((value,)) and _exact(y)):
+            return None
+        return (*_over(x), value.numerator, value.denominator, *_over(y))
+    if isinstance(result, LPInfeasible):
+        field = result.certificate
+    elif isinstance(result, LPUnbounded):
+        field = result.ray
+    else:
+        return None
+    return _over(field) if _exact(field) else None
+
+
 def verify_lp_result(problem: LPProblem, result) -> bool:
     """Re-check a solver answer against the problem, trusting nothing.
 
     Every entry of the answer must be an ``int`` or a ``Fraction``: a float
     or any other type makes the answer invalid, as it cannot be checked
-    exactly.
+    exactly.  The fields are put over one denominator each and checked by
+    ``_verify``, the check ``solve_lp`` runs on every answer.
     """
+    form = _over_fields(result)
+    return form is not None and _verify(problem, result, form)
+
+
+def _verify(problem, result, form):
+    """The one check of an answer, on its integer form (see ``_answer``)."""
     n = problem.n_vars
     cons = problem.constraints
     rows, scales, (cnums, cden) = _int_rows(problem)
 
     if isinstance(result, LPOptimal):
-        x = result.point
-        value = result.value
-        if len(x) != n or not _exact(x) or not _exact((value,)):
-            return False
-        xn, xd = _over(x)
-        if any(v < 0 for v in xn):
+        xn, xd, vnum, vden, yn, yd = form
+        if len(xn) != n or any(v < 0 for v in xn):
             return False
         for row, c in zip(rows, cons):
             lhs = sum(map(mul, row, xn))
@@ -408,15 +483,12 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
                 return False
             if c.rel == EQ and lhs != rhs:
                 return False
-        vnum, vden = value.numerator, value.denominator
         if sum(map(mul, cnums, xn)) * vden != vnum * cden * xd:
             return False
         # Optimality: a dual y with the signs of the dual LP, A^T y >= c for
         # max (<= c for min), and b . y equal to the primal value.
-        y = result.dual
-        if y is None or len(y) != len(cons) or not _exact(y):
+        if len(yn) != len(cons):
             return False
-        yn, yd = _over(y)
         flip = 1 if problem.sense == "max" else -1
         for v, c in zip(yn, cons):
             if c.rel == LEQ and flip * v < 0:
@@ -430,10 +502,9 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
         return combined[n] * vden == vnum * d
 
     if isinstance(result, LPInfeasible):
-        z = result.certificate
-        if len(z) != len(cons) or not _exact(z):
+        zn, zd = form
+        if len(zn) != len(cons):
             return False
-        zn, zd = _over(z)
         for v, c in zip(zn, cons):
             if c.rel == LEQ and v > 0:
                 return False
@@ -443,22 +514,16 @@ def verify_lp_result(problem: LPProblem, result) -> bool:
         # On x >= 0 the combination forces (<= 0) > 0, a contradiction.
         return all(v <= 0 for v in combined[:n]) and combined[n] > 0
 
-    if isinstance(result, LPUnbounded):
-        r = result.ray
-        if len(r) != n or not _exact(r):
+    rn, _ = form
+    if len(rn) != n or any(v < 0 for v in rn) or not any(rn):
+        return False
+    for row, c in zip(rows, cons):
+        d = sum(map(mul, row, rn))
+        if c.rel == LEQ and d > 0:
             return False
-        rn, _ = _over(r)
-        if any(v < 0 for v in rn) or not any(rn):
+        if c.rel == GEQ and d < 0:
             return False
-        for row, c in zip(rows, cons):
-            d = sum(map(mul, row, rn))
-            if c.rel == LEQ and d > 0:
-                return False
-            if c.rel == GEQ and d < 0:
-                return False
-            if c.rel == EQ and d != 0:
-                return False
-        gain = sum(map(mul, cnums, rn))
-        return gain > 0 if problem.sense == "max" else gain < 0
-
-    return False
+        if c.rel == EQ and d != 0:
+            return False
+    gain = sum(map(mul, cnums, rn))
+    return gain > 0 if problem.sense == "max" else gain < 0

@@ -80,3 +80,76 @@ def test_the_check_finds_a_margin_import():
 )
 def test_only_functionals_reads_the_margin_lp(path):
     assert _margin_uses(path.read_text(encoding="utf-8")) == []
+
+
+# The traced benchmark times each LP by wrapping the public ``solve_lp`` where
+# a caller binds it at module level.  A call through a private solve, a
+# nested import or the ``lp`` module object would drop that caller's LPs
+# from the traced counts without a failure.
+SOLVER_CALLERS = ("convex_sep", "functionals")
+
+
+def _solver_reach(source):
+    """``(top, other, calls)``: the names a module's module-level imports from
+    ``lp`` bind, every other import of ``lp`` (nested, or of the module
+    object), and the callees whose name mentions ``solve``, an attribute
+    call written as ``.name``."""
+    tree = ast.parse(source)
+    top, other, calls = [], [], []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.module in ("lp", "conedual.lp"):
+            top += [a.asname or a.name for a in node.names]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.module in ("lp", "conedual.lp") and node not in tree.body:
+                other += [a.name for a in node.names]
+            elif node.module in (None, "conedual"):
+                other += [a.name for a in node.names if a.name == "lp"]
+        elif isinstance(node, ast.Import):
+            other += [a.name for a in node.names if a.name == "conedual.lp"]
+        elif isinstance(node, ast.Call):
+            if isinstance(node.func, ast.Name) and "solve" in node.func.id:
+                calls.append(node.func.id)
+            elif isinstance(node.func, ast.Attribute) and "solve" in node.func.attr:
+                calls.append("." + node.func.attr)
+    return top, other, calls
+
+
+def test_the_check_finds_every_way_to_the_solver():
+    source = (
+        "from .lp import LPProblem, _solve as solve_lp\n"
+        "from . import lp\n"
+        "def f(p):\n"
+        "    from .lp import _solve\n"
+        "    return solve_lp(p), lp._solve(p), _solve(p)\n"
+    )
+    top, other, calls = _solver_reach(source)
+    assert top == ["LPProblem", "solve_lp"]
+    assert sorted(other) == ["_solve", "lp"]
+    assert calls == ["solve_lp", "._solve", "_solve"]
+
+
+def _private_lp_imports(source):
+    """The private names a module imports from ``lp``, wherever it does."""
+    return [a.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) and node.module in ("lp", "conedual.lp")
+            for a in node.names if a.name.startswith("_")]
+
+
+@pytest.mark.parametrize("stem", SOLVER_CALLERS)
+def test_lp_callers_reach_the_solver_through_module_level_solve_lp(stem):
+    source = (PACKAGE / f"{stem}.py").read_text(encoding="utf-8")
+    top, other, calls = _solver_reach(source)
+    assert "solve_lp" in top, f"{stem} binds no module-level solve_lp"
+    assert other == [], f"{stem} also reaches lp through {other}"
+    assert calls and set(calls) == {"solve_lp"}, f"{stem} calls {calls}"
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "lp.py"),
+    ids=lambda p: p.stem,
+)
+def test_no_module_imports_a_private_solve(path):
+    names = _private_lp_imports(path.read_text(encoding="utf-8"))
+    assert [n for n in names if "solve" in n] == [], f"{path.name} imports {names}"

@@ -167,6 +167,24 @@ def test_malformed_problems():
         LPProblem(1, (), (1,), "maximize")
 
 
+def test_bool_is_not_an_lp_number():
+    # the rule of the verifier's ``_exact``: a bool is not an int
+    for bad in (
+        lambda: LPProblem(True, (Constraint((1,), "<=", 1),), (1,)),
+        lambda: LPProblem(1, (Constraint((1,), "<=", 1),), (True,)),
+        lambda: Constraint((True,), "<=", 1),
+        lambda: Constraint((1,), "<=", False),
+        lambda: LPProblem(True, (Constraint((True,), "<=", True),), (True,)),
+    ):
+        with pytest.raises(MalformedProblem):
+            bad()
+    # an int objective entry stays an int, any other passes through _frac
+    prob = LPProblem(2, (Constraint((1, 1), "<=", 1),), (1, F(1, 2)))
+    assert [type(v) for v in prob.objective] == [int, F]
+    assert prob == LPProblem(2, (Constraint((1, 1), "<=", 1),), (F(1), F(1, 2)))
+    assert solve_lp(prob) == LPOptimal((F(1), F(0)), F(1), (F(1),))
+
+
 def test_verifier_rejects_tampered_certificates():
     prob = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
     res = solve_lp(prob)
@@ -686,6 +704,16 @@ def _perturb(rng, result):
     return type(result)(**fields)
 
 
+def _scaled(form, k):
+    """An integer form with every numerator and denominator times ``k``: the
+    same rationals over a denominator that is not the lcm, as ``solve_lp``'s
+    ``D`` is not."""
+    out = []
+    for nums, den in zip(form[::2], form[1::2]):
+        out += [[k * v for v in nums] if isinstance(nums, list) else k * nums, k * den]
+    return tuple(out)
+
+
 def test_integer_verifier_agrees_on_perturbed_certificates():
     rng = random.Random(4242)
     counts = {True: 0, False: 0}
@@ -694,9 +722,41 @@ def test_integer_verifier_agrees_on_perturbed_certificates():
             bad = _perturb(rng, res)
             verdict = verify_lp_result(prob, bad)
             assert verdict == fraction_verify(prob, bad), (prob, bad)
+            # the integer verifier, fed the integer form over a larger denominator
+            form = _scaled(lp._answer(bad), 6)
+            assert lp._verify(prob, bad, form) == verdict, (prob, bad, form)
             counts[verdict] += 1
     # a nudge can land on another valid certificate, and usually does not
     assert counts[True] > 0 and counts[False] > 0, counts
+
+
+def _as_rationals(form):
+    """An integer form as one tuple of ``Fraction``s per field."""
+    out = []
+    for nums, den in zip(form[::2], form[1::2]):
+        out.append(tuple(F(v, den) for v in (nums if isinstance(nums, list) else [nums])))
+    return out
+
+
+def test_attached_integer_form_equals_the_public_fields():
+    infeasible = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
+    unbounded = LPProblem(2, (Constraint((1, -1), ">=", F(1, 3)),), (1, F(1, 2)), "max")
+    cases = _differential_results() + [(p, solve_lp(p)) for p in (infeasible, unbounded)]
+    kinds = set()
+    for prob, res in cases:
+        attached = res.__dict__.get("_ints")
+        if attached is None:
+            continue  # a reference solution, built by hand
+        kinds.add(type(res))
+        public = lp._over_fields(res)
+        assert len(attached) == len(public)
+        assert _as_rationals(attached) == _as_rationals(public), (prob, res)
+        assert all(den > 0 for den in attached[1::2])
+        assert lp._answer(res) is attached
+    assert kinds == {LPOptimal, LPInfeasible, LPUnbounded}
+    # a result built by hand has its fields put over their lcm
+    hand = LPOptimal((F(1, 2), F(1, 3)), F(5, 6), (F(1), F(0)))
+    assert lp._answer(hand) == ([3, 2], 6, 5, 6, [1, 0], 1)
 
 
 def test_verifier_rejects_inexact_certificate_entries():
