@@ -9,9 +9,9 @@ re-verified here with extended-real arithmetic before being returned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ExtVec, _weighted_sum, as_extvec
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp
@@ -23,14 +23,14 @@ def in_corner(x: ExtVec) -> bool:
     return all(inf >> i & 1 or n > d for i, n in enumerate(nums))
 
 
-@dataclass(frozen=True)
-class SeparationWeights:
+class SeparationWeights(Record):
     """A point of the standard simplex: nonnegative rationals summing to one."""
 
     values: tuple
 
     def __post_init__(self):
-        vals = tuple(Fraction(v) for v in self.values)
+        # a Fraction entry is kept as it is, as lp._frac keeps one
+        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
         object.__setattr__(self, "values", vals)
         if any(v < 0 for v in vals):
             raise ValueError("weights must be nonnegative")
@@ -47,13 +47,11 @@ class SeparationWeights:
         return self.values[i]
 
 
-@dataclass(frozen=True)
-class Separated:
+class Separated(Record):
     weights: SeparationWeights
 
 
-@dataclass(frozen=True)
-class MeetsCorner:
+class MeetsCorner(Record):
     """The hull meets the corner; witness pairs (generator index, weight)."""
 
     witness: tuple

@@ -12,8 +12,7 @@ clauses and turns that answer into results and errors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from ._record import Record
 from .errors import (
     DimensionMismatch,
     EmptyList,
@@ -25,8 +24,7 @@ from .functionals import LinFun, SublinFun, SuperlinFun, _decide
 _VIOLATED = "the minimum of the clause exceeds the target functional"
 
 
-@dataclass(frozen=True)
-class InterpolationResult:
+class InterpolationResult(Record):
     """Simplex weights over the clause and a branch certificate for phi.
 
     The coordinatewise inequality sum_i weights_i g_i <= sum_k certificate_k h_k
@@ -85,8 +83,7 @@ def _interpolate(clause, phi):
     return None, InterpolationResult(a, lam), LinFun(mix)
 
 
-@dataclass(frozen=True)
-class ClauseWitness:
+class ClauseWitness(Record):
     """A cone element realising one clause: fun = sum_i weights_i gen_i."""
 
     fun: LinFun

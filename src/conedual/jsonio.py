@@ -44,7 +44,9 @@ def decode_vector(obj, path) -> ExtVec:
     infinity and nonzero masks, with the same ``strip``, ``partition`` and
     ``int`` calls as ``parse_extreal``, so it accepts the same strings;
     anything else goes through ``_entry``, which gives the value or the
-    error message.  No ``ExtReal`` is built.
+    error message.  No ``ExtReal`` is built.  Every error message starts
+    with ``path``, so a caller may pass ``""`` and prefix the message with
+    the vector's path only when it fails.
     """
     if not isinstance(obj, list) or not obj:
         fail(path, "a nonempty array of extended rationals", obj)
@@ -84,10 +86,25 @@ def decode_vector(obj, path) -> ExtVec:
 
 
 def decode_vectors(obj, path, expected) -> list:
-    """A nonempty array of vectors; ``expected`` names it in the error."""
+    """A nonempty array of vectors; ``expected`` names it in the error.
+
+    As in ``decode_vector``, every error message starts with ``path``.
+    """
     if not isinstance(obj, list) or not obj:
         fail(path, expected, obj)
-    return [decode_vector(v, f"{path}[{i}]") for i, v in enumerate(obj)]
+    return _decode_each(obj, decode_vector, path)
+
+
+def _decode_each(items, decode, path):
+    """``decode(item, "")`` for each item of the array at ``path``; an item's
+    path, ``path[i]``, is put in front of its error message only when it fails."""
+    out = []
+    for item in items:
+        try:
+            out.append(decode(item, ""))
+        except ParseError as exc:
+            raise ParseError(f"{path}[{len(out)}]{exc}") from None
+    return out
 
 
 def _vector_entry(v, path, i):
@@ -143,7 +160,7 @@ def decode_open_set(obj, path) -> OpenSetRep:
     raw = require_key(obj, "blocks", path)
     if not isinstance(raw, list):
         fail(f"{path}.blocks", "an array of blocks", raw)
-    blocks = [decode_vectors(b, f"{path}.blocks[{i}]", _COEFF_ARRAYS) for i, b in enumerate(raw)]
+    blocks = _decode_each(raw, lambda b, p: decode_vectors(b, p, _COEFF_ARRAYS), f"{path}.blocks")
     return OpenSetRep(blocks)
 
 
@@ -204,7 +221,7 @@ def decode_open_table(obj, poset, path) -> ValuationOnOpens:
 
 
 def encode_fraction(v) -> str:
-    f = Fraction(v)
+    f = v if type(v) is Fraction else Fraction(v)
     return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
 
 

@@ -19,7 +19,7 @@ the point, the Farkas certificate and the ray over ``D``, the dual over
 ``D`` times the objective's denominator.  One integer verifier,
 ``_verify``, checks that form before ``solve_lp`` returns.  The result's
 ``Fraction`` fields are built from it, and the form rides on the result
-outside the dataclass fields, so the package's callers read the integers
+outside the record fields, so the package's callers read the integers
 back through ``_answer`` without a ``Fraction`` round trip.
 ``verify_lp_result`` puts a given result's fields over one denominator
 each, once, and runs the same verifier.
@@ -67,11 +67,11 @@ end to end follows Applegate, Cook, Dash & Espinoza 2007.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
 from operator import mul
 
+from ._record import Record
 from .errors import MalformedProblem
 from .extreal import _fold
 
@@ -97,8 +97,7 @@ def _frac(v):
         raise MalformedProblem(f"not a rational coefficient: {v!r}") from exc
 
 
-@dataclass(frozen=True)
-class Constraint:
+class Constraint(Record):
     coeffs: tuple
     rel: str
     rhs: Fraction
@@ -117,8 +116,7 @@ class Constraint:
         return c
 
 
-@dataclass(frozen=True)
-class LPProblem:
+class LPProblem(Record):
     n_vars: int
     constraints: tuple
     objective: tuple
@@ -143,20 +141,17 @@ class LPProblem:
                 raise MalformedProblem(f"constraint {k} has {len(c.coeffs)} coefficients, expected {self.n_vars}")
 
 
-@dataclass(frozen=True)
-class LPOptimal:
+class LPOptimal(Record):
     point: tuple
     value: Fraction
     dual: tuple
 
 
-@dataclass(frozen=True)
-class LPInfeasible:
+class LPInfeasible(Record):
     certificate: tuple
 
 
-@dataclass(frozen=True)
-class LPUnbounded:
+class LPUnbounded(Record):
     ray: tuple
 
 
@@ -251,7 +246,7 @@ def _int_rows(problem):
     Returns ``(rows, scales, (cnums, cden))``: row ``i`` is constraint ``i``'s
     coefficients followed by its right-hand side, all times ``scales[i]``,
     the lcm of that row's own denominators; the objective is ``cnums / cden``.
-    The cache sits outside the dataclass fields, so ``==`` and ``hash`` of
+    The cache sits outside the record fields, so ``==`` and ``hash`` of
     the problem do not see it.
     """
     cached = problem.__dict__.get("_rows")
@@ -408,7 +403,7 @@ def _fractions(nums, den):
 def _answered(problem, result, form, failure):
     """``result`` carrying its integer ``form``, once ``_verify`` accepts it.
 
-    The form sits outside the dataclass fields, as ``_int_rows`` caches on
+    The form sits outside the record fields, as ``_int_rows`` caches on
     the problem, so ``==``, ``hash`` and ``repr`` of the result do not see it.
     """
     _require(_verify(problem, result, form), failure)

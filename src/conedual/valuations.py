@@ -14,7 +14,6 @@ element certifies that the dominated grid functions are directed.
 
 from __future__ import annotations
 
-import random
 from itertools import product
 
 from .errors import (
@@ -203,8 +202,9 @@ def recover_function(phi: DualFunctional, poset: FinitePoset) -> LscFun:
     return LscFun(poset, _dirac_values(phi, poset))
 
 
-def random_simple_valuation(rng: random.Random, poset: FinitePoset, inf_chance: int = 10) -> SimpleValuation:
-    """Seeded draw with weights from zero, small rationals, and infinity."""
+def random_simple_valuation(rng, poset: FinitePoset, inf_chance: int = 10) -> SimpleValuation:
+    """Seeded draw from ``rng``, a ``random.Random``, with weights from zero,
+    small rationals, and infinity."""
     weights = []
     for _ in range(poset.n):
         if rng.randrange(inf_chance) == 0:

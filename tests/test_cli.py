@@ -230,6 +230,29 @@ def test_check_other_fast_suites(tmp_path):
     assert code == 0
 
 
+def test_check_names_its_suites_and_default_seed_as_the_suites_module_does():
+    from conedual import cli, suites
+
+    assert cli._SUITES == tuple(suites.SUITES)
+    assert cli.DEFAULT_SEED == suites.DEFAULT_SEED
+    commands = next(a for a in cli._PARSER._actions if a.dest == "command").choices
+    suite = next(a for a in commands["check"]._actions if a.dest == "suite")
+    assert suite.choices == ["all", *suites.SUITES]
+    for name in commands:
+        assert cli._PARSER.parse_args([name]).seed == suites.DEFAULT_SEED
+
+
+# the bytes the CI step compares the installed console script's output against
+CHECK_EXTREAL = ('{"reports":[{"cases":7,"checks":1945,"failure_count":0,"failures":[],'
+                 '"passed":true,"seed":1729,"suite":"extreal"}],"seed":1729}\n')
+
+
+def test_check_imports_the_suites_when_it_runs():
+    proc = subprocess.run([sys.executable, "-m", "conedual", "check", "--suite", "extreal"],
+                          capture_output=True, text=True)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, CHECK_EXTREAL, "")
+
+
 def test_byte_identical_reruns(tmp_path):
     first = run_cli(tmp_path, "check", extra=["--suite", "extreal", "--seed", "5"])
     second = run_cli(tmp_path, "check", extra=["--suite", "extreal", "--seed", "5"])

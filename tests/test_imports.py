@@ -1,10 +1,14 @@
-"""Every module of the package uses every name it imports.
+"""Every module of the package uses every name it imports, and the command
+line imports only what its commands need.
 
 No linter runs on the package, and moving a helper from one module to
 another tends to leave its old import behind; this is the stdlib check.
 """
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,3 +157,24 @@ def test_lp_callers_reach_the_solver_through_module_level_solve_lp(stem):
 def test_no_module_imports_a_private_solve(path):
     names = _private_lp_imports(path.read_text(encoding="utf-8"))
     assert [n for n in names if "solve" in n] == [], f"{path.name} imports {names}"
+
+
+# Every conedual process pays for what ``import conedual.cli`` loads.  Only
+# ``check`` needs the property suites and their oracles, and no command needs
+# these stdlib modules.
+NOT_LOADED_BY_CLI = ("conedual.suites", "conedual.oracles", "dataclasses", "inspect", "random",
+                     "pathlib")
+# the layers perfbench/spans.py wraps, which it finds loaded once cli is
+TRACED_LAYERS = ("cli", "jsonio", "convex_sep", "interpolate", "functionals", "lp", "extreal",
+                 "finspace", "valuations")
+
+
+def test_importing_the_cli_loads_only_what_every_command_needs():
+    code = ("import sys; before = set(sys.modules); import conedual.cli; "
+            "print(' '.join(sorted(set(sys.modules) - before)))")
+    path = os.pathsep.join(filter(None, [str(PACKAGE.parent), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, env=dict(os.environ, PYTHONPATH=path))
+    loaded = set(proc.stdout.split())
+    assert {f"conedual.{layer}" for layer in TRACED_LAYERS} <= loaded
+    assert sorted(loaded.intersection(NOT_LOADED_BY_CLI)) == []

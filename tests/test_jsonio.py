@@ -179,3 +179,23 @@ def test_holders_keep_a_decoded_vector_whole():
         assert hash(held) == hash(twin)
         assert vec_of(held) is v and v._entries is None
         assert vec_of(twin)._entries is None
+
+
+@pytest.mark.parametrize("command, payload, message", [
+    ("sep", {"dim": 2, "generators": [["1", "1"], ["1", "x"]]},
+     "$.generators[1][1]: not an extended rational: 'x'"),
+    ("sep", {"dim": 2, "generators": [["1", "1"], []]},
+     "$.generators[1]: expected a nonempty array of extended rationals, got []"),
+    ("spec-order", {"c_gens": [["1"], ["2"], [-1]], "y": ["1"], "y_prime": ["1"]},
+     "$.c_gens[2][0]: expected a nonnegative value, got -1"),
+    ("minkowski", {"blocks": [[["1"]], [["1"], ["0", "1/0"]]], "y": ["1"]},
+     "$.blocks[1][1][1]: zero denominator: '1/0'"),
+    ("minkowski", {"blocks": [[["1"]], [["1"], "2"]], "y": ["1"]},
+     "$.blocks[1][1]: expected a nonempty array of extended rationals, got '2'"),
+    ("minkowski", {"blocks": [[["1"]], {}], "y": ["1"]},
+     "$.blocks[1]: expected a nonempty array of coefficient arrays, got {}"),
+])
+def test_vector_arrays_name_the_failing_vector_in_full(tmp_path, command, payload, message):
+    # decode_vectors and decode_open_set build a vector's path only when it fails
+    assert _cli_message(tmp_path, command, payload) == (
+        1, {"error": "malformed_input", "message": message})

@@ -699,7 +699,7 @@ def _perturb(rng, result):
     v = entries[k]
     entries[k] = rng.choice((v + 1, v - 1, v + F(1, 7), v - F(1, 7), -v))
     new = entries[0] if scalar else tuple(entries)
-    fields = {name: getattr(result, name) for name in result.__dataclass_fields__}
+    fields = {name: getattr(result, name) for name in result._fields}
     fields[field] = new
     return type(result)(**fields)
 
