@@ -6,7 +6,6 @@ from .convex_sep import (
     SeparationWeights,
     Separated,
     combination_point,
-    hull_disjoint_from_corner,
     in_corner,
     separate,
     verify_meets_corner,
@@ -20,7 +19,6 @@ from .extreal import (
     ExtVec,
     ext_max,
     ext_min,
-    ext_sup,
     parse_extreal,
     sub_partial,
 )
@@ -32,7 +30,6 @@ from .finspace import (
     posets_up_to_iso,
     step,
     to_steps,
-    validate_poset,
 )
 from .functionals import (
     LinFun,
@@ -73,7 +70,6 @@ from .valuations import (
     random_simple_valuation,
     recover_function,
     to_opens,
-    weakstar_member,
 )
 from . import errors
 

@@ -5,9 +5,9 @@ or --output), in three stages: the command's ``_decode_*`` validates all of
 the JSON and returns a library function with its arguments; ``main`` calls
 it, and ``_DOMAIN_ERRORS`` turns a domain exception of the call into its
 payload; the command's ``_encode_*`` turns the result into the document.
-Exit codes: 0 on success, 1 on malformed input, 2 on domain outcomes (the
-documents with an "error" key), which report the error kind and the witness.
-Output is deterministic for a fixed seed.
+Exit codes: 0 on success, 1 on malformed input or unwritable output, 2 on
+domain outcomes (the documents with an "error" key), which report the error
+kind and the witness.  Output is deterministic for a fixed seed.
 """
 
 from __future__ import annotations
@@ -250,12 +250,12 @@ def _read_payload(args):
         raise ParseError("input is not valid JSON: nested too deeply") from None
 
 
-def _write(args, payload):
+def _write(output, payload):
     text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
-    if args.output == "-":
+    if output == "-":
         sys.stdout.write(text)
     else:
-        with open(args.output, "w", encoding="utf-8") as fh:
+        with open(output, "w", encoding="utf-8") as fh:
             fh.write(text)
 
 
@@ -278,9 +278,13 @@ def main(argv=None) -> int:
         witness = getattr(exc, "witness", None)
         if witness is not None:
             doc["witness"] = list(witness) if isinstance(witness, tuple) else witness
+    try:
+        _write(args.output, doc)
+    except OSError as exc:
+        _write("-", {"error": "malformed_input", "message": f"cannot write output: {exc}"})
+        return 1
     if args.verbose and code == 0:
         print(f"{args.command}: ok", file=sys.stderr)
-    _write(args, doc)
     return code
 
 

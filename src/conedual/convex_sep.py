@@ -112,11 +112,6 @@ def separate(generators, dim: int):
     return _verified(gens, dim, MeetsCorner(witness))
 
 
-def hull_disjoint_from_corner(generators, dim: int) -> bool:
-    """Decision form: True iff a separating weight vector exists."""
-    return isinstance(separate(generators, dim), Separated)
-
-
 def _cover_witness(gens, inf_coords):
     """Uniform combination of generators covering every infinite coordinate."""
     cover = sorted({next(j for j, g in enumerate(gens) if g._form[2] >> i & 1) for i in inf_coords})

@@ -40,10 +40,6 @@ class MalformedProblem(ConeDualError):
     """A problem instance violates its structural contract."""
 
 
-class InfiniteCoefficient(ConeDualError):
-    """A finite rational coefficient was required."""
-
-
 class PreconditionViolated(ConeDualError):
     """An operation's hypothesis fails; ``witness`` is a refuting point."""
 

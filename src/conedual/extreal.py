@@ -26,7 +26,6 @@ __all__ = [
     "as_extvec",
     "ext_min",
     "ext_max",
-    "ext_sup",
     "sub_partial",
     "parse_extreal",
 ]
@@ -252,10 +251,6 @@ def ext_max(values) -> ExtReal:
         if out < v:
             out = v
     return out
-
-
-# For nonempty finite collections the supremum is attained.
-ext_sup = ext_max
 
 
 def parse_extreal(text: str) -> ExtReal:

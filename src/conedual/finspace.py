@@ -109,11 +109,6 @@ class FinitePoset:
         return f"FinitePoset(n={self.n}, leq={rel})"
 
 
-def validate_poset(table) -> FinitePoset:
-    """Validate a square relation table; raises with a witness on failure."""
-    return FinitePoset(table)
-
-
 def all_opens(poset: FinitePoset, max_size: int = _MAX_OPENS_SIZE):
     """All up-sets as bitmasks, in ascending mask order."""
     if poset.n > max_size:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from .errors import DimensionMismatch, EmptyList, InfiniteCoefficient
+from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ZERO, ExtReal, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
 from .lp import Constraint, GEQ, LEQ, LPProblem, _answer, solve_lp
 
@@ -29,19 +29,6 @@ class LinFun:
     @property
     def dim(self) -> int:
         return self.coeffs.dim
-
-    @property
-    def is_finite(self) -> bool:
-        return not self.coeffs._form[2]
-
-    def _finite(self) -> ExtVec:
-        """The coefficient vector; raises when some entry is infinite."""
-        if self.coeffs._form[2]:
-            raise InfiniteCoefficient(f"{self!r} has an infinite coefficient")
-        return self.coeffs
-
-    def fraction_coeffs(self):
-        return tuple(e.as_fraction() for e in self._finite())
 
     def eval(self, y) -> ExtReal:
         """The pairing with y; see ``ExtVec.dot``."""
@@ -77,10 +64,6 @@ class _BranchFun:
     @property
     def dim(self) -> int:
         return self.branches[0].dim
-
-    @property
-    def is_finite(self) -> bool:
-        return all(b.is_finite for b in self.branches)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -218,37 +201,69 @@ def _covered(vec, lam, hvecs) -> bool:
 
 
 def _decide(gvecs, hvecs):
-    """Decide min_i g_i <= max_k h_k by ``_margin`` and check its answer.
+    """Decide min_i g_i <= max_k h_k on the extended orthant, checking the answer.
 
-    Returns (y, None, None, None) with an ``ExtVec`` y where max_k h_k . y <
-    min_i g_i . y, or (None, a, lambda, mix) with mix = sum_i a_i g_i <=
-    sum_k lambda_k h_k coordinatewise.  An answer failing its check is an
+    max_k h_k is infinite off R, the coordinates where every h_k is finite,
+    and a g_i infinite on R exceeds it at any point positive on R, so
+    ``_margin`` decides the other g_i on R.  Returns (y, None, None, None)
+    with an ``ExtVec`` y where max_k h_k . y < min_i g_i . y: the LP's point,
+    0 off R and lifted by a slice of 1_R when a g_i was dropped, or 1_R when
+    none is left.  Otherwise (None, a, lambda, mix) with a_i = 0 for each
+    dropped g_i and mix = sum_i a_i g_i <= sum_k lambda_k h_k on R; weight 1
+    on the first member and branch when R is empty.  A failed check is an
     internal error.
     """
-    value, y, a, lam = _margin(gvecs, hvecs)
+    dim = hvecs[0].dim
+    off = 0
+    for h in hvecs:
+        off |= h._form[2]
+    rest = [j for j in range(dim) if not off >> j & 1]
+    kept = [i for i, g in enumerate(gvecs) if not g._form[2] & ~off]
+    # with no h_k infinite the vectors go to _margin as they are
+    cut = (lambda v: ExtVec([v[j] for j in rest])) if off else (lambda v: v)
+    if not rest:
+        value, a, lam = 0, (Fraction(1),), (Fraction(1),) + (Fraction(0),) * (len(hvecs) - 1)
+    else:
+        gr, hr = [cut(gvecs[i]) for i in kept], [cut(h) for h in hvecs]
+        if gr:
+            value, y, a, lam = _margin(gr, hr)
+        else:
+            value, y = 1, (0,) * len(rest)
     if value > 0:
-        y = ExtVec(y)
+        if len(kept) < len(gvecs):
+            # h_k . (y + eps 1_R) = h_k . y + eps sum(h_k) stays below min_i g_i . y
+            eps = value / (1 + max(sum(h).as_fraction() for h in hr)) if gr else 1
+            y = [v + eps for v in y]
+        full = [0] * dim
+        for j, v in zip(rest, y):
+            full[j] = v
+        y = ExtVec(full)
         if not ext_max(h.dot(y) for h in hvecs) < ext_min(g.dot(y) for g in gvecs):
             raise AssertionError("internal error: violation witness failed verification")
         return y, None, None, None
-    mix = _weighted_sum(a, gvecs, gvecs[0].dim)
-    if not _covered(mix, lam, hvecs):
+    weights = [Fraction(0)] * len(gvecs)
+    for i, w in zip(kept, a):
+        weights[i] = w
+    mix = _weighted_sum(weights, gvecs, dim)
+    if rest and not _covered(cut(mix), lam, hr):
         raise AssertionError("internal error: certificate fails coordinatewise")
-    return None, a, lam, mix
+    return None, tuple(weights), lam, mix
 
 
 def dominated_by_max(f: LinFun, phi: SublinFun):
-    """Decide f <= phi on the whole orthant; finite coefficients only.
+    """Decide f <= phi on the whole extended orthant.
 
     A linear functional sits below a maximum of linear ones on the
-    nonnegative orthant exactly when it sits below a convex combination of
-    them coordinatewise.  The checked margin decision of the one-member
-    clause [f] decides it: (True, lambda) with its dual weights, or
-    (False, y) with a point where phi(y) < f(y).
+    orthant exactly when it sits below a convex combination of them
+    coordinatewise on R, the coordinates where every branch of phi is
+    finite (phi is infinite off R).  The checked margin decision of the
+    one-member clause [f] decides it: (True, lambda) with its dual weights,
+    f <= sum_k lambda_k h_k on R, or (False, y) with a point where
+    phi(y) < f(y).
     """
     if f.dim != phi.dim:
         raise DimensionMismatch(f"{f.dim} versus {phi.dim}")
-    y, _, lam, _ = _decide([f._finite()], [h._finite() for h in phi.branches])
+    y, _, lam, _ = _decide([f.coeffs], [h.coeffs for h in phi.branches])
     return (False, y) if y is not None else (True, lam)
 
 
@@ -266,10 +281,12 @@ def specialization_leq(y, y_prime, c_gens) -> bool:
 
 
 def _parts(fun, split):
-    """``fun``'s branches as one group, or one group per branch when it is a ``split``."""
+    """``fun``'s coefficient vectors as one group, or one group per branch when it is a ``split``."""
     if isinstance(fun, LinFun):
-        return [(fun,)]
-    return [(b,) for b in fun.branches] if isinstance(fun, split) else [fun.branches]
+        return [(fun.coeffs,)]
+    if isinstance(fun, split):
+        return [(b.coeffs,) for b in fun.branches]
+    return [tuple(b.coeffs for b in fun.branches)]
 
 
 def leq_functional(phi, psi):
@@ -279,38 +296,15 @@ def leq_functional(phi, psi):
     evaluation.  A maximum is below psi iff every branch is, and phi is
     below a minimum iff below every branch, so phi is read as min-clauses
     and psi as max-sets, and every pair must hold.  A minimum of g_i
-    against a maximum of h_k is one checked margin decision on the
-    coordinates R where every h_k is finite (psi is infinite off R),
-    without the g_i that are infinite on R: adding a slice of 1_R to its
-    violating point makes those infinite and keeps the violation strict.
+    against a maximum of h_k is one checked margin decision, ``_decide``.
     """
     if phi.dim != psi.dim:
         raise DimensionMismatch(f"{phi.dim} versus {psi.dim}")
-    dim = phi.dim
     for gs in _parts(phi, SublinFun):
         for hs in _parts(psi, SuperlinFun):
-            rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in hs)]
-            if not rest:
-                continue
-            gvecs = [
-                ExtVec([g.coeffs[j] for j in rest])
-                for g in gs
-                if all(g.coeffs[j].is_finite for j in rest)
-            ]
-            hvecs = [ExtVec([h.coeffs[j] for j in rest]) for h in hs]
-            # with no g_i left, every one is infinite at the witness 1_R
-            y, eps = [ZERO] * len(rest), 1
-            if gvecs:
-                y = _decide(gvecs, hvecs)[0]
-                if y is None:
-                    continue
-                gap = ext_min(g.dot(y) for g in gvecs) - ext_max(h.dot(y) for h in hvecs)
-                eps = gap.as_fraction() / (1 + max(sum(h).as_fraction() for h in hvecs))
-            full = [ZERO] * dim
-            for j, v in zip(rest, y):
-                full[j] = ExtReal.from_fraction(v.as_fraction() + eps)
-            witness = ExtVec(full)
-            if not psi.eval(witness) < phi.eval(witness):
-                raise AssertionError("internal error: order witness failed verification")
-            return False, witness
+            y = _decide(gs, hs)[0]
+            if y is not None:
+                if not psi.eval(y) < phi.eval(y):
+                    raise AssertionError("internal error: order witness failed verification")
+                return False, y
     return True, None

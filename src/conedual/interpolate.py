@@ -1,12 +1,13 @@
 """Interpolation of a convex combination between a minimum of linear
 functionals and a dominating sublinear functional.
 
-Given linear g_1 .. g_n with min_i g_i <= phi on the orthant, there are
-simplex weights a with min_i g_i <= sum_i a_i g_i <= phi pointwise.  The
-checked margin decision ``functionals._decide`` answers the hypothesis:
-a violating point, checked by evaluation, or the weights a and a
-certificate lambda over phi's branches, with the coordinatewise domination
-sum_i a_i g_i <= sum_k lambda_k h_k checked.  This module only validates
+Given linear g_1 .. g_n with min_i g_i <= phi on the extended orthant,
+there are simplex weights a with min_i g_i <= sum_i a_i g_i <= phi
+pointwise.  The checked margin decision ``functionals._decide`` answers
+the hypothesis: a violating point, checked by evaluation, or the weights a
+and a certificate lambda over phi's branches, with the domination sum_i
+a_i g_i <= sum_k lambda_k h_k checked coordinatewise where phi is finite.
+Coefficients may be infinite.  This module only validates
 clauses and turns that answer into results and errors.
 """
 
@@ -27,8 +28,11 @@ _VIOLATED = "the minimum of the clause exceeds the target functional"
 class InterpolationResult(Record):
     """Simplex weights over the clause and a branch certificate for phi.
 
-    The coordinatewise inequality sum_i weights_i g_i <= sum_k certificate_k h_k
-    holds exactly, which pins the interpolant below phi on the whole orthant.
+    The inequality sum_i weights_i g_i <= sum_k certificate_k h_k holds
+    exactly, coordinatewise on the coordinates where every branch h_k is
+    finite; phi is infinite at any point with support elsewhere, so this
+    pins the interpolant below phi on the whole extended orthant.  A
+    clause member that is infinite on those coordinates gets weight 0.
     """
 
     weights: tuple
@@ -77,7 +81,7 @@ def _interpolate(clause, phi):
     for g in gs:
         if g.dim != phi.dim:
             raise DimensionMismatch(f"{g.dim} versus {phi.dim}")
-    y, a, lam, mix = _decide([g._finite() for g in gs], [h._finite() for h in phi.branches])
+    y, a, lam, mix = _decide([g.coeffs for g in gs], [h.coeffs for h in phi.branches])
     if y is not None:
         return y, None, None
     return None, InterpolationResult(a, lam), LinFun(mix)

@@ -70,11 +70,6 @@ def eval_valuation(mu: SimpleValuation, f: LscFun) -> ExtReal:
     return mu._vec.dot(f._vec)
 
 
-def weakstar_member(mu: SimpleValuation, f: LscFun) -> bool:
-    """Membership in the subbasic open {mu | mu(f) > 1}."""
-    return ONE < eval_valuation(mu, f)
-
-
 class ValuationOnOpens:
     """A valuation recorded by its values on every open set."""
 

@@ -478,6 +478,22 @@ def test_hostile_input_exits_one_without_a_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("case", ["missing directory", "a directory"])
+def test_an_unwritable_output_exits_one_without_a_traceback(tmp_path, case):
+    output = str(tmp_path / "missing" / "out.json") if case == "missing directory" else str(tmp_path)
+    reason = ("[Errno 2] No such file or directory" if case == "missing directory"
+              else "[Errno 21] Is a directory")
+    proc = subprocess.run([sys.executable, "-m", "conedual", "sep", "--output", output, "--verbose"],
+                          input='{"dim": 2, "generators": [["2","0"],["0","2"]]}',
+                          capture_output=True, text=True)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout) == {"error": "malformed_input",
+                                       "message": f"cannot write output: {reason}: {output!r}"}
+    assert proc.stdout.count("\n") == 1
+    # the request was answered but not delivered, so it is no success
+    assert proc.stderr == ""
+
+
 @pytest.mark.parametrize("argv, payload, start", [
     (["sep"], {"dim": "7" * 1_000_000, "generators": [["1"]]},
      "$.dim: expected an integer, got '777"),

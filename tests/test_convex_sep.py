@@ -13,7 +13,6 @@ from conedual import (
     SeparationWeights,
     Separated,
     combination_point,
-    hull_disjoint_from_corner,
     in_corner,
     separate,
     verify_meets_corner,
@@ -83,9 +82,9 @@ def test_separate_mixed_infinite_and_finite_witness():
 
 
 def test_hull_disjoint_examples():
-    assert hull_disjoint_from_corner([ExtVec([2, 0]), ExtVec([0, 2])], 2)
-    assert not hull_disjoint_from_corner([ExtVec([3, 0]), ExtVec([0, 3])], 2)
-    assert hull_disjoint_from_corner([ExtVec([1, 1])], 2)
+    assert isinstance(separate([ExtVec([2, 0]), ExtVec([0, 2])], 2), Separated)
+    assert not isinstance(separate([ExtVec([3, 0]), ExtVec([0, 3])], 2), Separated)
+    assert isinstance(separate([ExtVec([1, 1])], 2), Separated)
 
 
 def test_input_validation():
@@ -112,10 +111,10 @@ def test_outcomes_are_exclusive_and_exhaustive():
         out = separate(gens, dim)
         if isinstance(out, Separated):
             assert verify_separated(gens, out.weights, dim)
-            assert hull_disjoint_from_corner(gens, dim)
+            assert isinstance(separate(gens, dim), Separated)
         else:
             assert verify_meets_corner(gens, out.witness)
-            assert not hull_disjoint_from_corner(gens, dim)
+            assert not isinstance(separate(gens, dim), Separated)
 
 
 def test_separated_weights_score_corner_points_above_one():

@@ -12,7 +12,6 @@ from conedual import (
     ExtVec,
     ext_max,
     ext_min,
-    ext_sup,
     parse_extreal,
     sub_partial,
 )
@@ -68,7 +67,7 @@ def test_subtraction_examples():
 def test_order_examples():
     assert ext_min([ExtReal(2), INF, ExtReal(1, 2)]) == ExtReal(1, 2)
     assert ext_max([ExtReal(2), INF]) == INF
-    assert ext_sup([ExtReal(2), ExtReal(3)]) == ExtReal(3)
+    assert ext_max([ExtReal(2), ExtReal(3)]) == ExtReal(3)
     assert ExtReal(3, 7) <= ExtReal(1, 2)
     assert not ExtReal(1, 2) <= ExtReal(3, 7)
     with pytest.raises(EmptyList):

@@ -14,7 +14,6 @@ from conedual import (
     posets_up_to_iso,
     step,
     to_steps,
-    validate_poset,
 )
 from conedual.errors import (
     EmptyList,
@@ -35,24 +34,24 @@ CHAIN3 = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_validate_poset_examples():
-    chain = validate_poset([[True, True], [False, True]])
+    chain = FinitePoset([[True, True], [False, True]])
     assert chain.leq(0, 1) and not chain.leq(1, 0)
-    two = validate_poset([[True, False], [False, True]])
+    two = FinitePoset([[True, False], [False, True]])
     assert not two.leq(0, 1) and not two.leq(1, 0)
 
 
 def test_validate_poset_failures_carry_witnesses():
     with pytest.raises(NotReflexive) as info:
-        validate_poset([[False]])
+        FinitePoset([[False]])
     assert info.value.witness == 0
     with pytest.raises(NotAntisymmetric) as info:
-        validate_poset([[True, True], [True, True]])
+        FinitePoset([[True, True], [True, True]])
     assert info.value.witness == (0, 1)
     with pytest.raises(NotTransitive) as info:
         FinitePoset.from_pairs(3, [(0, 1), (1, 2)])
     assert info.value.witness == (0, 1, 2)
     with pytest.raises(ValueError):
-        validate_poset([[True, True], [False]])
+        FinitePoset([[True, True], [False]])
 
 
 def test_is_lsc_examples():
@@ -287,7 +286,7 @@ def test_bitmask_validation_matches_triple_loop():
         except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
             expected = (type(exc), exc.witness)
         try:
-            poset = validate_poset(table)
+            poset = FinitePoset(table)
             got = None
         except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
             got = (type(exc), exc.witness)

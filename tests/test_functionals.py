@@ -13,6 +13,8 @@ from conedual import (
     OpenSetRep,
     SublinFun,
     SuperlinFun,
+    check_min_below,
+    clause_witnesses,
     dominated_by_max,
     leq_functional,
     member_a,
@@ -21,7 +23,7 @@ from conedual import (
     parse_extreal,
     specialization_leq,
 )
-from conedual.errors import DimensionMismatch, EmptyList, InfiniteCoefficient
+from conedual.errors import DimensionMismatch, EmptyList
 from conedual.functionals import _margin
 from conedual.oracles import dominates_on_grid, minkowski_by_scaling_scan
 
@@ -127,8 +129,15 @@ def test_dominated_by_max_examples():
     assert ok and lam == (F(1),)
     ok, y = dominated_by_max(LinFun([2, 1]), SublinFun([[2, 0], [0, 2]]))
     assert not ok and y == ExtVec([F(1, 2), F(1, 2)])
-    with pytest.raises(InfiniteCoefficient):
-        dominated_by_max(LinFun([INF, 0]), SublinFun([[2, 0]]))
+    # f is infinite where every branch is finite, so 1 on those coordinates refutes it
+    assert dominated_by_max(LinFun([INF, 0]), SublinFun([[2, 0]])) == (False, ExtVec([1, 1]))
+    assert dominated_by_max(LinFun([INF, 1]), SublinFun([[2, 0], [0, 2]])) == (False, ExtVec([1, 1]))
+    # phi is infinite off coordinate 1, where f = 1 <= (0 + 2) / 2
+    assert dominated_by_max(LinFun([INF, 1]), SublinFun([[INF, 0], [0, 2]])) == (True, (F(1, 2), F(1, 2)))
+    # the LP's point (0, 1), where the infinite coefficient meets a zero
+    assert dominated_by_max(LinFun([INF, 3]), SublinFun([[INF, 0], [0, 2]])) == (False, ExtVec([0, 1]))
+    # every coordinate has an infinite branch: phi is infinite off the origin
+    assert dominated_by_max(LinFun([5, 3]), SublinFun([[INF, 0], [0, INF]])) == (True, (F(1), F(0)))
 
 
 def test_dominated_by_max_agrees_with_grid_oracle():
@@ -142,8 +151,8 @@ def test_dominated_by_max_agrees_with_grid_oracle():
         if ok:
             # the certificate really is a simplex combination sitting above f
             assert sum(cert) == 1 and all(v >= 0 for v in cert)
-            fc = f.fraction_coeffs()
-            branches = [h.fraction_coeffs() for h in phi.branches]
+            fc = tuple(e.as_fraction() for e in f.coeffs)
+            branches = [tuple(e.as_fraction() for e in h.coeffs) for h in phi.branches]
             for j in range(dim):
                 assert sum(l * b[j] for l, b in zip(cert, branches)) >= fc[j]
         else:
@@ -560,3 +569,69 @@ def test_leq_functional_verdicts_match_the_recursive_reference():
         seen.add((phi_kind, psi_kind, ok))
     # every pairing of representations, each with both verdicts
     assert len(seen) == 18, sorted((a.__name__, b.__name__, ok) for a, b, ok in seen)
+
+
+def _on_finite_rest(a, gs, lam, hs):
+    """sum_i a_i g_i <= sum_k lam_k h_k on every coordinate where each h_k is
+    finite, by ``ExtReal`` arithmetic (0 * inf = 0), with the left side finite."""
+    for j in range(hs[0].dim):
+        if all(h.coeffs[j].is_finite for h in hs):
+            left = ZERO
+            for w, g in zip(a, gs):
+                left = left + ExtReal.from_fraction(w) * g.coeffs[j]
+            right = ZERO
+            for w, h in zip(lam, hs):
+                right = right + ExtReal.from_fraction(w) * h.coeffs[j]
+            if not (left.is_finite and left <= right):
+                return False
+    return True
+
+
+def test_interpolate_and_dominates_decide_the_extended_orthant():
+    # clauses, targets and f with about one entry in five infinite
+    rng = random.Random(2718)
+    seen = set()
+    inf_points = 0
+
+    def has_inf(*funs):
+        return any(f.coeffs._form[2] for f in funs)
+
+    for _ in range(240):
+        dim = rng.randint(1, 4)
+        gs = [_rand_linfun(rng, dim, 5) for _ in range(rng.randint(1, 3))]
+        phi = SublinFun([_rand_linfun(rng, dim, 5) for _ in range(rng.randint(1, 3))])
+        low = SuperlinFun(gs)
+        ok, y = check_min_below(gs, phi)
+        assert ok == _recursive_leq(low, phi)[0], (gs, phi)
+        seen.add(("clause", ok, has_inf(*gs, *phi.branches)))
+        if not ok:
+            assert phi.eval(y) < low.eval(y)
+        else:
+            assert y is None
+            (w,) = clause_witnesses([list(range(len(gs)))], gs, phi)
+            mix = [ZERO] * dim
+            for a, g in zip(w.weights, gs):
+                mix = [m + ExtReal.from_fraction(a) * c for m, c in zip(mix, g.coeffs)]
+            assert w.fun == LinFun(mix)
+            assert sum(w.weights) == 1 and sum(w.certificate) == 1
+            rest = [j for j in range(dim) if all(h.coeffs[j].is_finite for h in phi.branches)]
+            for a, g in zip(w.weights, gs):
+                if any(g.coeffs[j].is_infinite for j in rest):
+                    assert a == 0
+            assert leq_functional(w.fun, phi) == (True, None)
+            assert _on_finite_rest(w.weights, gs, w.certificate, phi.branches)
+            for _ in range(20):
+                p = _rand_point(rng, dim, inf_chance=3)
+                inf_points += any(e.is_infinite for e in p)
+                assert low.eval(p) <= w.fun.eval(p) <= phi.eval(p)
+        f = gs[0]
+        ok, cert = dominated_by_max(f, phi)
+        assert ok == _recursive_leq(f, phi)[0], (f, phi)
+        seen.add(("dominates", ok, has_inf(f, *phi.branches)))
+        if ok:
+            assert sum(cert) == 1 and _on_finite_rest((F(1),), [f], cert, phi.branches)
+        else:
+            assert phi.eval(cert) < f.eval(cert)
+    # both verdicts, with and without infinite coefficients, for both callers
+    assert len(seen) == 8, sorted(seen)
+    assert inf_points > 100

@@ -8,6 +8,7 @@ from conedual import (
     INF,
     ExtReal,
     ExtVec,
+    InterpolationResult,
     LinFun,
     Separated,
     SublinFun,
@@ -22,7 +23,6 @@ from conedual import (
 )
 from conedual.errors import (
     EmptyList,
-    InfiniteCoefficient,
     MalformedProblem,
     PreconditionViolated,
 )
@@ -52,9 +52,26 @@ def test_check_min_below_examples():
     assert ok
 
 
-def test_check_min_below_rejects_infinite_coefficients():
-    with pytest.raises(InfiniteCoefficient):
-        check_min_below(SuperlinFun([[INF, 0]]), SublinFun([[1, 1]]))
+def test_check_min_below_decides_infinite_coefficients():
+    # the member is infinite where phi is finite, so 1 there refutes the hypothesis
+    assert check_min_below(SuperlinFun([[INF, 0]]), SublinFun([[1, 1]])) == (False, ExtVec([1, 1]))
+    # the member (inf, 0) drops out; the LP's point (0, 1) is lifted by
+    # 2/3 = t / (1 + 2) so that it is infinite at the lifted point
+    ok, y = check_min_below(SuperlinFun([[INF, 0], [1, 3]]), SublinFun([[1, 1]]))
+    assert not ok and y == ExtVec([F(2, 3), F(5, 3)])
+    assert check_min_below(SuperlinFun([[INF, 0], [0, 1]]), SublinFun([[1, 1]])) == (True, None)
+
+
+def test_interpolate_gives_a_dropped_member_weight_zero():
+    # phi is infinite on coordinate 2, and (inf, inf, 0) is infinite on the rest
+    gs = [[2, 0, INF], [0, 2, 1], [INF, INF, 0]]
+    result = interpolate(gs, SublinFun([[1, 1, INF]]))
+    assert result == InterpolationResult((F(1, 2), F(1, 2), F(0)), (F(1),))
+    (w,) = clause_witnesses([[0, 1, 2]], gs, SublinFun([[1, 1, INF]]))
+    assert w.fun == LinFun([1, 1, INF])
+    # every coordinate has an infinite branch: phi is infinite off the origin
+    result = interpolate(gs, SublinFun([[INF, 0, 0], [0, INF, INF]]))
+    assert result == InterpolationResult((F(1), F(0), F(0)), (F(1), F(0)))
 
 
 def test_interpolate_unique_weights():
@@ -96,7 +113,7 @@ def test_sandwich_holds_everywhere_sampled():
     assert ok
     result = interpolate(gs, phi)
     low = SuperlinFun(gs)
-    gcoeffs = [g.fraction_coeffs() for g in gs]
+    gcoeffs = [tuple(e.as_fraction() for e in g.coeffs) for g in gs]
     mid = LinFun(
         [
             ExtReal.from_fraction(sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs)))
@@ -123,7 +140,7 @@ def test_weighted_average_dominates_min():
             raw[0] = 1
         total = sum(raw)
         weights = [F(v, total) for v in raw]
-        gcoeffs = [g.fraction_coeffs() for g in gs]
+        gcoeffs = [tuple(e.as_fraction() for e in g.coeffs) for g in gs]
         mix = LinFun(
             [
                 ExtReal.from_fraction(sum(a * gc[j] for a, gc in zip(weights, gcoeffs)))
@@ -142,8 +159,8 @@ def test_certificate_is_checkable_without_the_solver():
     ok, _ = check_min_below(gs, phi)
     assert ok
     result = interpolate(gs, phi)
-    gcoeffs = [g.fraction_coeffs() for g in gs]
-    hcoeffs = [h.fraction_coeffs() for h in phi.branches]
+    gcoeffs = [tuple(e.as_fraction() for e in g.coeffs) for g in gs]
+    hcoeffs = [tuple(e.as_fraction() for e in h.coeffs) for h in phi.branches]
     assert sum(result.weights) == 1
     assert sum(result.certificate) == 1
     for j in range(2):

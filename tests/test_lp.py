@@ -1214,7 +1214,7 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
                     for _ in range(count)]
 
         calls.append((rows(rng.randint(1, 4)), rows(rng.randint(1, 4))))
-    # and the rows leq_functional restricts to where every h_k is finite
+    # and the rows _decide restricts to where every h_k is finite, through leq_functional
     real = functionals._margin
 
     def record(gvecs, hvecs):

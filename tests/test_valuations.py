@@ -29,7 +29,6 @@ from conedual import (
     step,
     to_opens,
     to_steps,
-    weakstar_member,
 )
 from conedual.errors import (
     ConeDualError,
@@ -96,9 +95,9 @@ def test_evaluation_preserves_finite_increasing_sups():
 
 
 def test_weakstar_membership_examples():
-    assert weakstar_member(SimpleValuation.dirac(SIGMA, 1), LscFun(SIGMA, [0, 2]))
-    assert not weakstar_member(SimpleValuation.dirac(SIGMA, 0), LscFun(SIGMA, [0, 2]))
-    assert not weakstar_member(SimpleValuation(SIGMA, [0, 0]), LscFun(SIGMA, [5, 5]))
+    assert ONE < eval_valuation(SimpleValuation.dirac(SIGMA, 1), LscFun(SIGMA, [0, 2]))
+    assert not ONE < eval_valuation(SimpleValuation.dirac(SIGMA, 0), LscFun(SIGMA, [0, 2]))
+    assert not ONE < eval_valuation(SimpleValuation(SIGMA, [0, 0]), LscFun(SIGMA, [5, 5]))
 
 
 def test_mobius_examples():
