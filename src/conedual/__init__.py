@@ -28,8 +28,6 @@ from .finspace import (
     all_opens,
     is_lsc,
     posets_up_to_iso,
-    step,
-    to_steps,
 )
 from .functionals import (
     LinFun,
@@ -73,4 +71,4 @@ from .valuations import (
 )
 from . import errors
 
-__version__ = "0.1.0"
+__version__ = "0.2.0"

@@ -175,7 +175,7 @@ def verify_meets_corner(generators, witness) -> bool:
     coeffs = [Fraction(c) for _, c in witness]
     idxs = [j for j, _ in witness]
     gens = [as_extvec(g) for g in generators]
-    if any(j < 0 or j >= len(gens) for j in idxs):
+    if any(type(j) is not int or j < 0 or j >= len(gens) for j in idxs):
         return False
     if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
         return False

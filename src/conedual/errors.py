@@ -71,14 +71,6 @@ class TooLarge(ConeDualError):
     """An enumeration exceeds its configured size bound."""
 
 
-class NotUpSet(ConeDualError):
-    """A set of elements is not closed upward in the poset order."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
-
-
 class PosetMismatch(ConeDualError):
     """Operands live over different posets."""
 

@@ -17,11 +17,10 @@ from .errors import (
     NotLSC,
     NotReflexive,
     NotTransitive,
-    NotUpSet,
     PosetMismatch,
     TooLarge,
 )
-from .extreal import ZERO, ExtReal, ExtVec, as_extreal, as_extvec, ext_max, ext_min
+from .extreal import ExtReal, ExtVec, as_extreal, as_extvec, ext_max
 
 _MAX_OPENS_SIZE = 12
 _MAX_ISO_SIZE = 5
@@ -49,8 +48,9 @@ class FinitePoset:
         self._set_up(tuple(sum(1 << j for j in compress(range(n), row)) for row in rows))
 
     @classmethod
-    def from_pairs(cls, size, pairs, add_reflexive=True):
-        up = [1 << i for i in range(size)] if add_reflexive else [0] * size
+    def from_pairs(cls, size, pairs):
+        """The reflexive closure of ``pairs`` on elements 0 .. size-1."""
+        up = [1 << i for i in range(size)]
         for i, j in pairs:
             if not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"pair ({i}, {j}) outside 0..{size - 1}")
@@ -109,10 +109,10 @@ class FinitePoset:
         return f"FinitePoset(n={self.n}, leq={rel})"
 
 
-def all_opens(poset: FinitePoset, max_size: int = _MAX_OPENS_SIZE):
+def all_opens(poset: FinitePoset):
     """All up-sets as bitmasks, in ascending mask order."""
-    if poset.n > max_size:
-        raise TooLarge(f"open-set enumeration is capped at {max_size} elements")
+    if poset.n > _MAX_OPENS_SIZE:
+        raise TooLarge(f"open-set enumeration is capped at {_MAX_OPENS_SIZE} elements")
     return [mask for mask in range(1 << poset.n) if poset.is_up_closed(mask)]
 
 
@@ -157,15 +157,6 @@ class LscFun:
     def __getitem__(self, i) -> ExtReal:
         return self._vec.entries[i]
 
-    def __add__(self, other):
-        if not isinstance(other, LscFun):
-            return NotImplemented
-        _same_poset(self, other)
-        return LscFun(self.poset, self._vec + other._vec)
-
-    def scale(self, r) -> "LscFun":
-        return LscFun(self.poset, self._vec.scale(r))
-
     @classmethod
     def sup(cls, funs):
         funs = list(funs)
@@ -175,16 +166,6 @@ class LscFun:
             _same_poset(funs[0], f)
         n = funs[0].poset.n
         return cls(funs[0].poset, tuple(ext_max(f[i] for f in funs) for i in range(n)))
-
-    @classmethod
-    def inf(cls, funs):
-        funs = list(funs)
-        if not funs:
-            raise EmptyList("inf over an empty family")
-        for f in funs[1:]:
-            _same_poset(funs[0], f)
-        n = funs[0].poset.n
-        return cls(funs[0].poset, tuple(ext_min(f[i] for f in funs) for i in range(n)))
 
     def __eq__(self, other):
         if not isinstance(other, LscFun):
@@ -201,28 +182,6 @@ class LscFun:
 def _same_poset(a, b):
     if a.poset != b.poset:
         raise PosetMismatch("operands live over different posets")
-
-
-def step(poset: FinitePoset, r, open_mask: int) -> LscFun:
-    """The function r on the open set and zero elsewhere."""
-    if not poset.is_up_closed(open_mask):
-        raise NotUpSet(f"mask {open_mask:b} is not an up-set", witness=open_mask)
-    r = as_extreal(r)
-    return LscFun(poset, tuple(r if open_mask >> i & 1 else ZERO for i in range(poset.n)))
-
-
-def to_steps(f: LscFun):
-    """Decompose into steps whose pointwise supremum is exactly f.
-
-    One step per distinct nonzero value v, supported on the up-set where f
-    reaches at least v.  Returned in ascending value order.
-    """
-    levels = sorted({v for v in f.values if not v.is_zero})
-    out = []
-    for v in levels:
-        mask = sum(1 << i for i in range(f.poset.n) if v <= f[i])
-        out.append((v, mask))
-    return out
 
 
 def posets_up_to_iso(n: int):

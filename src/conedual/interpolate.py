@@ -109,7 +109,7 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
         idxs = list(clause)
         if not idxs:
             raise EmptyList(f"clause {pos} is empty")
-        if any(not isinstance(i, int) or i < 0 or i >= len(gens) for i in idxs):
+        if any(type(i) is not int or i < 0 or i >= len(gens) for i in idxs):
             raise MalformedProblem(f"clause {pos} indexes outside the generator list")
         members = [gens[i] for i in idxs]
         y, result, mix = _interpolate(members, phi)

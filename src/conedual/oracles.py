@@ -122,25 +122,6 @@ def _drop_dominated(gens):
     return keep
 
 
-def dominates_on_grid(f, phi, grid_denominator: int = 4, grid_max: int = 3) -> bool:
-    """Sample f <= phi over a dense rational grid on the orthant.
-
-    Used to validate the LP reformulation of pointwise domination.  By
-    homogeneity a grid on a box is as good as one on the simplex.
-    """
-    from itertools import product
-
-    from .extreal import ExtReal, ExtVec
-
-    dim = f.dim
-    axis = [ExtReal(k, grid_denominator) for k in range(grid_max * grid_denominator + 1)]
-    for point in product(axis, repeat=dim):
-        y = ExtVec(point)
-        if not f.eval(y) <= phi.eval(y):
-            return False
-    return True
-
-
 def minkowski_by_scaling_scan(rep, y, probes) -> bool:
     """Bracket the closed-form Minkowski value by raw membership tests.
 

@@ -197,12 +197,12 @@ def recover_function(phi: DualFunctional, poset: FinitePoset) -> LscFun:
     return LscFun(poset, _dirac_values(phi, poset))
 
 
-def random_simple_valuation(rng, poset: FinitePoset, inf_chance: int = 10) -> SimpleValuation:
+def random_simple_valuation(rng, poset: FinitePoset) -> SimpleValuation:
     """Seeded draw from ``rng``, a ``random.Random``, with weights from zero,
-    small rationals, and infinity."""
+    small rationals, and infinity (one weight in ten)."""
     weights = []
     for _ in range(poset.n):
-        if rng.randrange(inf_chance) == 0:
+        if rng.randrange(10) == 0:
             weights.append(INF)
         else:
             weights.append(ExtReal(rng.randrange(0, 9), rng.randrange(1, 5)))

@@ -58,6 +58,13 @@ def test_separate_meets_corner_with_witness():
     assert in_corner(point)
 
 
+def test_verify_meets_corner_takes_no_bool_as_an_index():
+    # False == 0, but a bool is no number here, as in the JSON decoder
+    gens = [[2, 2], [0, 0]]
+    assert verify_meets_corner(gens, [(0, 1)])
+    assert not verify_meets_corner(gens, [(False, 1)])
+
+
 def test_separate_infinite_coordinate_forced_to_zero():
     out = separate([ExtVec([INF, 0])], 2)
     assert isinstance(out, Separated)

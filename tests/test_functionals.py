@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -25,7 +26,7 @@ from conedual import (
 )
 from conedual.errors import DimensionMismatch, EmptyList
 from conedual.functionals import _margin
-from conedual.oracles import dominates_on_grid, minkowski_by_scaling_scan
+from conedual.oracles import minkowski_by_scaling_scan
 
 F = Fraction
 
@@ -38,6 +39,20 @@ def _rand_linfun(rng, dim, inf_chance=0):
         else:
             entries.append(ExtReal(rng.randint(0, 6), rng.randint(1, 3)))
     return LinFun(entries)
+
+
+def _dominates_on_grid(f, phi):
+    """Sample f <= phi over the grid of quarters on the box [0, 3]^dim.
+
+    Used to validate the LP reformulation of pointwise domination.  By
+    homogeneity a grid on a box is as good as one on the simplex.
+    """
+    axis = [ExtReal(k, 4) for k in range(3 * 4 + 1)]
+    for point in product(axis, repeat=f.dim):
+        y = ExtVec(point)
+        if not f.eval(y) <= phi.eval(y):
+            return False
+    return True
 
 
 def _rand_point(rng, dim, inf_chance=8):
@@ -147,7 +162,7 @@ def test_dominated_by_max_agrees_with_grid_oracle():
         f = _rand_linfun(rng, dim)
         phi = SublinFun([_rand_linfun(rng, dim) for _ in range(rng.randint(1, 3))])
         ok, cert = dominated_by_max(f, phi)
-        assert ok == dominates_on_grid(f, phi)
+        assert ok == _dominates_on_grid(f, phi)
         if ok:
             # the certificate really is a simplex combination sitting above f
             assert sum(cert) == 1 and all(v >= 0 for v in cert)
@@ -215,7 +230,7 @@ def test_leq_functional_examples():
     ok, wit = leq_functional(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
     assert ok
     # the exact verdict agrees with a dense grid scan
-    assert dominates_on_grid(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
+    assert _dominates_on_grid(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
     ok, wit = leq_functional(LinFun([1, 1]), SuperlinFun([[2, 0], [0, 2]]))
     assert not ok
     assert ONE < LinFun([1, 1]).eval(wit) or not SuperlinFun([[2, 0], [0, 2]]).eval(wit) >= LinFun([1, 1]).eval(wit)

@@ -1,5 +1,6 @@
-"""Every module of the package uses every name it imports, and the command
-line imports only what its commands need.
+"""Every module of the package uses every name it imports, every name it
+exports or defines at module level is read somewhere in it or named in the
+README, and the command line imports only what its commands need.
 
 No linter runs on the package, and moving a helper from one module to
 another tends to leave its old import behind; this is the stdlib check.
@@ -7,6 +8,7 @@ another tends to leave its old import behind; this is the stdlib check.
 
 import ast
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -178,3 +180,102 @@ def test_importing_the_cli_loads_only_what_every_command_needs():
     loaded = set(proc.stdout.split())
     assert {f"conedual.{layer}" for layer in TRACED_LAYERS} <= loaded
     assert sorted(loaded.intersection(NOT_LOADED_BY_CLI)) == []
+
+
+# Every name the package exports, and every module-level def and class, is
+# read somewhere in the package or named in the README; what only its own
+# tests call is dead weight on the public surface.
+README = PACKAGE.parent.parent / "README.md"
+
+
+def _module_reads(source):
+    """The names a module reads: loaded names, attribute names and the
+    modules it imports from.  A module-level def or class reading its own
+    name inside its body does not count."""
+    reads = set()
+    for top in ast.parse(source).body:
+        own = top.name if isinstance(top, (ast.FunctionDef, ast.ClassDef)) else None
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                name = node.id
+            elif isinstance(node, ast.Attribute):
+                name = node.attr
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                name = node.module.rsplit(".", 1)[-1]
+            else:
+                continue
+            if name != own:
+                reads.add(name)
+    return reads
+
+
+def _definitions(source):
+    """The names of a module's module-level ``def`` and ``class`` statements."""
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def _exports(init_source):
+    """The names ``__init__`` binds in its ``from ... import`` blocks."""
+    return [a.asname or a.name for node in ast.parse(init_source).body
+            if isinstance(node, ast.ImportFrom) for a in node.names]
+
+
+def _readme_names(text):
+    """The identifiers inside the README's code spans and code blocks."""
+    return {word for span in re.findall(r"`+([^`]+)`+", text)
+            for word in re.findall(r"[A-Za-z_]\w*", span)}
+
+
+def _unread(sources, readme):
+    """``(exports, definitions)`` that no module reads and the README does
+    not name, given the package as ``{stem: source}``."""
+    named = _readme_names(readme)
+    reads = set()
+    defined = []
+    for stem, source in sources.items():
+        if stem == "__init__":
+            continue
+        defined += _definitions(source)
+        reads |= _module_reads(source)
+    known = reads | named
+    exports = [name for name in _exports(sources["__init__"]) if name not in known]
+    return exports, [name for name in defined if name not in known]
+
+
+def test_the_check_finds_an_unused_export_and_an_unused_helper():
+    sources = {
+        "__init__": "from .a import used, unused\nfrom . import b, c\n",
+        "a": ("def used():\n    return _helper()\n\n"
+              "def _helper():\n    return 1\n\n"
+              "def unused():\n    return used()\n\n"
+              "def _orphan():\n    return _orphan()\n"),
+        "b": "from .a import used\n\nclass Shown:\n    pass\n\nused()\n",
+        "c": "from .b import Shown\n\nShown()\n",
+    }
+    readme = "Call `Shown()`; the word unused names nothing.\n"
+    assert _unread(sources, readme) == (["unused", "c"], ["unused", "_orphan"])
+
+
+def _package_unread():
+    sources = {p.stem: p.read_text(encoding="utf-8") for p in sorted(PACKAGE.glob("*.py"))}
+    return _unread(sources, README.read_text(encoding="utf-8"))
+
+
+def test_every_export_is_read_by_the_package_or_named_in_the_readme():
+    exports = _package_unread()[0]
+    assert exports == [], f"exported but unused: {exports}"
+
+
+def test_every_module_level_definition_is_read_by_the_package_or_named_in_the_readme():
+    definitions = _package_unread()[1]
+    assert definitions == [], f"defined but unused: {definitions}"
+
+
+def test_the_package_and_pyproject_agree_on_the_version():
+    pyproject = (PACKAGE.parent.parent / "pyproject.toml").read_text(encoding="utf-8")
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M).group(1)
+    init = ast.parse((PACKAGE / "__init__.py").read_text(encoding="utf-8"))
+    version = next(node.value.value for node in init.body if isinstance(node, ast.Assign)
+                   and [t.id for t in node.targets] == ["__version__"])
+    assert version == declared

@@ -207,6 +207,12 @@ def test_clause_witnesses_validation_and_errors():
     assert info.value.clause_index == 0
 
 
+def test_clause_witnesses_take_no_bool_as_an_index():
+    # True == 1, but a bool is no number here, as in the JSON decoder
+    with pytest.raises(MalformedProblem):
+        clause_witnesses([[True]], [[1, 0], [0, 1]], SublinFun([[1, 1]]))
+
+
 def test_image_vectors_of_dominated_points_avoid_the_corner():
     # points below phi map under the clause evaluations to hull points the
     # separation routine keeps away from the corner, and its weights bound

@@ -20,15 +20,14 @@ from conedual import (
     check_dominated_directed,
     check_sup_representation,
     eval_valuation,
+    ext_min,
     from_opens,
     is_lsc,
     parse_extreal,
     posets_up_to_iso,
     random_simple_valuation,
     recover_function,
-    step,
     to_opens,
-    to_steps,
 )
 from conedual.errors import (
     ConeDualError,
@@ -53,6 +52,13 @@ def _monotone(poset, raw):
     ]
 
 
+def _steps(f):
+    """The steps r * 1_U, one per nonzero level r of f with U = {f >= r},
+    ascending; their pointwise supremum is f."""
+    levels = sorted({v for v in f.values if not v.is_zero})
+    return [LscFun(f.poset, [r if r <= v else ZERO for v in f.values]) for r in levels]
+
+
 def test_evaluation_examples():
     f = LscFun(SIGMA, [1, 2])
     assert eval_valuation(SimpleValuation.dirac(SIGMA, 1), f) == ExtReal(2)
@@ -72,8 +78,9 @@ def test_evaluation_is_linear():
                 f = LscFun(poset, _monotone(poset, [ExtReal(rng.randint(0, 5)) for _ in range(n)]))
                 g = LscFun(poset, _monotone(poset, [ExtReal(rng.randint(0, 5)) for _ in range(n)]))
                 r = ExtReal(rng.randint(0, 4), rng.randint(1, 3))
-                assert eval_valuation(mu, f + g) == eval_valuation(mu, f) + eval_valuation(mu, g)
-                assert eval_valuation(mu, f.scale(r)) == r * eval_valuation(mu, f)
+                f_plus_g = LscFun(poset, f._vec + g._vec)
+                assert eval_valuation(mu, f_plus_g) == eval_valuation(mu, f) + eval_valuation(mu, g)
+                assert eval_valuation(mu, LscFun(poset, f._vec.scale(r))) == r * eval_valuation(mu, f)
 
 
 def test_evaluation_preserves_finite_increasing_sups():
@@ -88,7 +95,7 @@ def test_evaluation_preserves_finite_increasing_sups():
                     poset,
                     _monotone(poset, [ExtReal(rng.randint(0, 3)) for _ in range(poset.n)]),
                 )
-                current = current + bump
+                current = LscFun(poset, current._vec + bump._vec)
                 chain.append(current)
             values = [eval_valuation(mu, f) for f in chain]
             assert eval_valuation(mu, chain[-1]) == max(values)
@@ -251,7 +258,7 @@ def test_sup_representation_examples():
     phi = DualFunctional([1, 2])
     f = recover_function(phi, CHAIN2)
     assert check_sup_representation(phi, CHAIN2, [f])
-    pieces = [step(CHAIN2, r, mask) for r, mask in to_steps(f)]
+    pieces = _steps(f)
     assert check_sup_representation(phi, CHAIN2, pieces)
     assert not check_sup_representation(phi, CHAIN2, [LscFun(CHAIN2, [0, 0])])
 
@@ -265,7 +272,7 @@ def test_sup_representation_step_families_everywhere():
             )
             phi = DualFunctional(coeffs)
             f = recover_function(phi, poset)
-            family = [step(poset, r, mask) for r, mask in to_steps(f)]
+            family = _steps(f)
             if family:
                 assert check_sup_representation(phi, poset, family)
 
@@ -394,10 +401,12 @@ def test_exact_sup_representation_matches_the_sampled_oracle():
         poset = rng.choice(_POSETS_UP_TO_4)
         n = poset.n
         g = LscFun(poset, _monotone(poset, [_rand_coeff(rng) for _ in range(n)]))
-        family = [step(poset, r, mask) for r, mask in to_steps(g)] or [g]
+        family = _steps(g) or [g]
         for _ in range(rng.randrange(3)):
             h = LscFun(poset, _monotone(poset, [_rand_coeff(rng) for _ in range(n)]))
-            family.append(LscFun.inf([g, h]) if rng.randrange(3) else h)
+            if rng.randrange(3):
+                h = LscFun(poset, [ext_min(pair) for pair in zip(g.values, h.values)])
+            family.append(h)
         if len(family) > 1 and rng.randrange(4) == 0:
             family.pop(rng.randrange(len(family)))
         coeffs = list(g.values)
