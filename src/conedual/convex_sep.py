@@ -23,14 +23,24 @@ def in_corner(x: ExtVec) -> bool:
     return all(inf >> i & 1 or n > d for i, n in enumerate(nums))
 
 
+def _fractions(values):
+    """The values as ``Fraction``s, a ``Fraction`` kept as it is, or None when
+    one is a ``bool`` or a ``float``, which ``lp._frac`` refuses as well."""
+    values = tuple(values)
+    if any(isinstance(v, (bool, float)) for v in values):
+        return None
+    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+
+
 class SeparationWeights(Record):
     """A point of the standard simplex: nonnegative rationals summing to one."""
 
     values: tuple
 
     def __post_init__(self):
-        # a Fraction entry is kept as it is, as lp._frac keeps one
-        vals = tuple(v if type(v) is Fraction else Fraction(v) for v in self.values)
+        vals = _fractions(self.values)
+        if vals is None:
+            raise ValueError("weights must be rationals, not bools or floats")
         object.__setattr__(self, "values", vals)
         if any(v < 0 for v in vals):
             raise ValueError("weights must be nonnegative")
@@ -161,23 +171,23 @@ def verify_separated(generators, weights, dim=None) -> bool:
     gens = [as_extvec(g) for g in generators]
     if dim is not None and any(g.dim != dim for g in gens):
         return False
-    vals = list(weights)
-    if any(g.dim != len(vals) for g in gens):
+    vals = _fractions(weights)
+    if vals is None or any(g.dim != len(vals) for g in gens):
         return False
     if any(v < 0 for v in vals) or sum(vals) != 1:
         return False
-    w = ExtVec([Fraction(v) for v in vals])
+    w = ExtVec(vals)
     return all(w.dot(g) <= ONE for g in gens)
 
 
 def verify_meets_corner(generators, witness) -> bool:
     """Exact recheck: witness weights form a simplex point landing in the corner."""
-    coeffs = [Fraction(c) for _, c in witness]
+    coeffs = _fractions(c for _, c in witness)
     idxs = [j for j, _ in witness]
     gens = [as_extvec(g) for g in generators]
     if any(type(j) is not int or j < 0 or j >= len(gens) for j in idxs):
         return False
-    if any(c < 0 for c in coeffs) or sum(coeffs) != 1:
+    if coeffs is None or any(c < 0 for c in coeffs) or sum(coeffs) != 1:
         return False
     return in_corner(combination_point(gens, witness))
 

@@ -276,23 +276,31 @@ def parse_extreal(text: str) -> ExtReal:
     return ExtReal._raw(num // g, den // g)
 
 
-def _canonical_form(nums, dens, inf, nonzero):
+def _canonical_form(nums, dens, inf, nonzero, reduced=False):
     """``ExtVec``'s form: (numerators over d, d, infinity mask, nonzero mask),
     d the lcm of the reduced finite denominators (1 when there are none).
 
-    The arguments are numerators over their own denominators, reduced or
-    not, with 0 over 1 at infinite coordinates, whose bits are set in both
-    masks.  The numerators are put over the lcm of the denominators, then
-    it and every numerator are divided by their gcd: no gcd per entry.
-    Equal vectors get equal forms.
+    The arguments are numerators over their own denominators, with 0 over 1
+    at infinite coordinates, whose bits are set in both masks.  The
+    numerators are put over the lcm of the denominators, then it and every
+    numerator are divided by their gcd: no gcd per entry.  Equal vectors
+    get equal forms.
+
+    With ``reduced`` the caller promises every ratio ``n_j / q_j`` is in
+    lowest terms, and the gcd is skipped, since it is then 1: a prime ``p``
+    with ``p^k`` exactly dividing ``d = lcm(q_i)`` divides some ``q_j``
+    exactly ``k`` times, so ``p`` divides neither ``n_j`` (the ratio is
+    reduced) nor ``d / q_j``, hence not the new numerator ``n_j * d / q_j``,
+    and no prime divides ``d`` and every new numerator.
     """
     d = lcm(*dens)
     if d != 1:
         nums = [n * (d // q) for n, q in zip(nums, dens)]
-        g = gcd(d, *nums)
-        if g != 1:
-            d //= g
-            nums = [n // g for n in nums]
+        if not reduced:
+            g = gcd(d, *nums)
+            if g != 1:
+                d //= g
+                nums = [n // g for n in nums]
     return (tuple(nums), d, inf, nonzero)
 
 
@@ -371,14 +379,15 @@ class ExtVec:
                 nonzero |= bit
             bit <<= 1
         self._entries = entries
-        self._form = _canonical_form(nums, dens, inf, nonzero)
+        # ExtReal entries are in lowest terms
+        self._form = _canonical_form(nums, dens, inf, nonzero, reduced=True)
 
     @classmethod
-    def _from_ratios(cls, nums, dens, inf, nonzero):
+    def _from_ratios(cls, nums, dens, inf, nonzero, reduced=False):
         """A vector straight from ``_canonical_form``'s arguments."""
         v = object.__new__(cls)
         v._entries = None
-        v._form = _canonical_form(nums, dens, inf, nonzero)
+        v._form = _canonical_form(nums, dens, inf, nonzero, reduced)
         return v
 
     @property

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, _echo
-from .extreal import ExtReal, ExtVec, parse_extreal
+from .extreal import INF, ExtReal, ExtVec, parse_extreal
 from .finspace import FinitePoset, _bits
 from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
 from .valuations import SimpleValuation, ValuationOnOpens
@@ -30,44 +30,63 @@ def _entry(obj) -> ExtReal:
     return ExtReal._raw(int(obj), 1)
 
 
+# Entry strings already parsed, each to its reduced (num, den), inf as den 0.
+# Input repeats few distinct strings many times, so most entries are hits,
+# which skip parse_extreal.  Bounded against input that never repeats: a key
+# has at most _KEY_MAX characters, and the memo is cleared once it holds
+# _ENTRIES_MAX keys.  A value depends on its key alone, so every caller in the
+# process may share it.
+_ENTRIES = {}
+_KEY_MAX = 32
+_ENTRIES_MAX = 4096
+
+
+def _miss(obj):
+    """(num, den) of an entry the memo lacks, inf as den 0, through ``_entry``;
+    a ``str`` of at most ``_KEY_MAX`` characters is stored once it parses."""
+    e = _entry(obj)
+    pair = e.num, e.den
+    if type(obj) is str and len(obj) <= _KEY_MAX:
+        if len(_ENTRIES) >= _ENTRIES_MAX:
+            _ENTRIES.clear()
+        _ENTRIES[obj] = pair
+    return pair
+
+
 def decode_extreal(obj, path) -> ExtReal:
-    try:
-        return _entry(obj)
-    except ParseError as exc:
-        raise ParseError(f"{path}: {exc}") from None
+    pair = _ENTRIES.get(obj) if type(obj) is str else None
+    if pair is None:
+        try:
+            pair = _miss(obj)
+        except ParseError as exc:
+            raise ParseError(f"{path}: {exc}") from None
+    num, den = pair
+    return ExtReal._raw(num, den) if den else INF
 
 
 def decode_vector(obj, path) -> ExtVec:
     """A vector decoded straight into ``ExtVec``'s integer form.
 
     One pass over the entries collects numerators, denominators and the
-    infinity and nonzero masks, with the same ``strip``, ``partition`` and
-    ``int`` calls as ``parse_extreal``, so it accepts the same strings;
-    anything else goes through ``_entry``, which gives the value or the
-    error message.  No ``ExtReal`` is built.  Every error message starts
-    with ``path``, so a caller may pass ``""`` and prefix the message with
-    the vector's path only when it fails.
+    infinity and nonzero masks.  A ``str`` entry is looked up in
+    ``_ENTRIES``; a miss, and any entry but a nonnegative ``int``, goes
+    through ``_miss``, which gives the value or the error message.  No
+    ``ExtReal`` is built, and every ratio is in lowest terms, so the form
+    needs no gcd.  Every error message starts with ``path``, so a caller
+    may pass ``""`` and prefix the message with the vector's path only when
+    it fails.
     """
     if not isinstance(obj, list) or not obj:
         fail(path, "a nonempty array of extended rationals", obj)
+    entry = _ENTRIES.get
     nums = []
     dens = []
     inf = nonzero = 0
     bit = 1
     for v in obj:
         if type(v) is str:
-            s = v.strip()
-            if s == "inf":
-                num, den = 0, 0
-            else:
-                num_s, sep, den_s = s.partition("/")
-                try:
-                    num = int(num_s)
-                    den = int(den_s) if sep else 1
-                except ValueError:
-                    num = den = -1
-                if num < 0 or den <= 0:
-                    num, den = _vector_entry(v, path, len(nums))
+            # a stored pair is a nonempty tuple, so a miss alone parses
+            num, den = entry(v) or _vector_entry(v, path, len(nums))
         elif type(v) is int and v >= 0:
             num, den = v, 1
         else:
@@ -82,7 +101,7 @@ def decode_vector(obj, path) -> ExtVec:
         nums.append(num)
         dens.append(den)
         bit <<= 1
-    return ExtVec._from_ratios(nums, dens, inf, nonzero)
+    return ExtVec._from_ratios(nums, dens, inf, nonzero, reduced=True)
 
 
 def decode_vectors(obj, path, expected) -> list:
@@ -108,13 +127,12 @@ def _decode_each(items, decode, path):
 
 
 def _vector_entry(v, path, i):
-    """(num, den) of entry i through ``_entry``, INF as den 0; its error
+    """(num, den) of entry i through ``_miss``, INF as den 0; its error
     message gets the entry's path, built only here."""
     try:
-        e = _entry(v)
+        return _miss(v)
     except ParseError as exc:
         raise ParseError(f"{path}[{i}]: {exc}") from None
-    return e.num, e.den
 
 
 def decode_int(obj, path, minimum=None) -> int:

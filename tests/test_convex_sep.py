@@ -65,6 +65,21 @@ def test_verify_meets_corner_takes_no_bool_as_an_index():
     assert not verify_meets_corner(gens, [(False, 1)])
 
 
+def test_simplex_weights_take_no_bool_and_no_float():
+    # True == 1 and 0.5 == 1/2, but neither is a rational weight, as in lp._frac
+    assert verify_separated([[0, 0]], [1, 0])
+    assert verify_separated([[0, 0]], [F(1, 2), F(1, 2)])
+    assert not verify_separated([[0, 0]], [True, False])
+    assert not verify_separated([[0, 0]], [0.5, 0.5])
+    assert verify_meets_corner([[2, 2]], [(0, 1)])
+    assert not verify_meets_corner([[2, 2]], [(0, 1.0)])
+    assert not verify_meets_corner([[2, 2]], [(0, True)])
+    assert SeparationWeights((1, 0)).values == (F(1), F(0))
+    for values in [(True, False), (0.5, 0.5), (F(1, 2), 0.5)]:
+        with pytest.raises(ValueError):
+            SeparationWeights(values)
+
+
 def test_separate_infinite_coordinate_forced_to_zero():
     out = separate([ExtVec([INF, 0])], 2)
     assert isinstance(out, Separated)

@@ -15,7 +15,8 @@ from conedual import (
 )
 from conedual.cli import main
 from conedual.errors import ParseError
-from conedual.jsonio import _entry, decode_vector, encode_vector
+from conedual import jsonio
+from conedual.jsonio import _entry, decode_extreal, decode_vector, encode_vector
 
 
 def reference_decode(obj, path):
@@ -107,6 +108,91 @@ def test_decoder_matches_parse_extreal_plus_extvec():
     assert seen == {"str", "int", "unreduced", "padded", "wide", "all inf", "all zero"}
 
 
+_BAD = [1.5, 0.0, 2e300, True, False, "-3", -1, "-1/2", "1/0", "1/-2", "0/0",
+        "x", "", " ", "1/", "/2", "1/2/3", "inf/1", "1.5", "1e3", "Infinity",
+        None, ["1"], [], {"num": 1}]
+
+
+def _outcome(decode, obj):
+    """The form a decoder gives, or its error message."""
+    try:
+        return decode(obj, "$.y")._form
+    except ParseError as exc:
+        return str(exc)
+
+
+def test_memo_gives_the_same_forms_and_messages_cold_and_warm():
+    rng = random.Random(2024)
+    vectors = [_random_vector(rng) for _ in range(3000)]
+    # the first 1,000 again, each with one rejected entry spliced in, for the messages
+    rng = random.Random(2025)
+    for obj in vectors[:1000]:
+        y = list(obj)
+        y.insert(rng.randint(0, len(y)), rng.choice(_BAD))
+        vectors.append(y)
+    expected = [_outcome(reference_decode, obj) for obj in vectors]
+    assert sum(type(e) is str for e in expected) == 1000
+    jsonio._ENTRIES.clear()
+    cold = [_outcome(decode_vector, obj) for obj in vectors]
+    assert jsonio._ENTRIES
+    warm = [_outcome(decode_vector, obj) for obj in vectors]
+    assert cold == expected
+    assert warm == expected
+
+
+def test_memo_stores_only_short_strings_that_parse():
+    jsonio._ENTRIES.clear()
+    rng = random.Random(11)
+    for _ in range(200):
+        y = [_random_entry(rng) for _ in range(rng.randint(0, 3))] + [rng.choice(_BAD)]
+        with pytest.raises(ParseError):
+            decode_vector(y, "$.y")
+    for bad in _BAD:
+        with pytest.raises(ParseError):
+            decode_extreal(bad, "$.v")
+    assert jsonio._ENTRIES
+    for key, (num, den) in jsonio._ENTRIES.items():
+        assert type(key) is str and len(key) <= 32
+        e = _entry(key)  # a rejected string would raise here
+        assert (e.num, e.den) == (num, den)
+    # 32 characters are stored, 33 are not, and both decode alike
+    for text in ["1/" + "0" * 29 + "7", "1/" + "0" * 30 + "7"]:
+        assert decode_vector([text], "$")._form == ExtVec([_entry(text)])._form
+        assert (text in jsonio._ENTRIES) == (len(text) == 32)
+
+
+def test_memo_is_bounded():
+    jsonio._ENTRIES.clear()
+    for k in range(10_000):
+        decode_vector([str(k), f"{k}/7"], "$")
+        assert len(jsonio._ENTRIES) <= 4096
+    assert jsonio._ENTRIES
+    assert decode_vector(["9999/7"], "$") == ExtVec([ExtReal(9999, 7)])
+
+
+def test_decode_extreal_is_the_same_on_a_hit_and_on_a_miss():
+    entries = ["3/6", " inf ", "inf", "0/5", "12", "1_0/4", 7, 0] + _BAD
+    expected = []
+    for v in entries:
+        try:
+            expected.append((_entry(v), None))
+        except ParseError as exc:
+            expected.append((None, f"$.v: {exc}"))
+    jsonio._ENTRIES.clear()
+    for _ in range(2):  # cold, then warm
+        got = []
+        for v in entries:
+            try:
+                e = decode_extreal(v, "$.v")
+            except ParseError as exc:
+                got.append((None, str(exc)))
+            else:
+                assert type(e) is ExtReal and (e is INF) == (e.den == 0)
+                got.append((e, None))
+        assert got == expected
+        assert {"3/6", " inf ", "inf", "0/5", "12", "1_0/4"} <= set(jsonio._ENTRIES)
+
+
 def _cli_message(tmp_path, command, payload):
     inp = tmp_path / "in.json"
     inp.write_text(json.dumps(payload))
@@ -117,11 +203,8 @@ def _cli_message(tmp_path, command, payload):
 
 
 def test_decoder_rejects_exactly_what_parse_extreal_rejects(tmp_path):
-    bad = [1.5, 0.0, 2e300, True, False, "-3", -1, "-1/2", "1/0", "1/-2", "0/0",
-           "x", "", " ", "1/", "/2", "1/2/3", "inf/1", "1.5", "1e3", "Infinity",
-           None, ["1"], [], {"num": 1}]
     rng = random.Random(7)
-    for entry in bad:
+    for entry in _BAD:
         good = [_random_entry(rng) for _ in range(rng.randint(0, 4))]
         y = good + [entry] + [_random_entry(rng) for _ in range(rng.randint(0, 2))]
         with pytest.raises(ParseError) as ref_exc:
