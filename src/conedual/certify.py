@@ -1,0 +1,83 @@
+"""Exact checks of the package's certificates, each written once.
+
+A separation answer is a simplex point whose pairing with every generator
+stays at or below one, or a convex combination of generators inside the
+open corner; an order answer is a point where the maximum of the branches
+falls below the minimum of the clause, or a branch cover of the clause's
+mix.  The checks here use extended-real arithmetic only and run no LP, so
+a checker never trusts the algorithm it checks (McConnell et al. 2011,
+"Certifying algorithms").  ``require`` is the package's one internal error.
+"""
+
+from __future__ import annotations
+
+from fractions import Fraction
+
+from .extreal import ONE, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
+
+
+def require(ok, what):
+    """Raise the internal error ``what`` unless ``ok``: an answer failed its own check."""
+    if not ok:
+        raise AssertionError(f"internal error: {what}")
+
+
+def simplex(values):
+    """``values`` as a simplex point, or None: ``int``s or ``Fraction``s, never a
+    ``bool`` or a ``float`` (as in ``lp._frac``), none negative, summing to
+    one exactly.  A ``Fraction`` is kept as it is, an ``int`` becomes one."""
+    values = tuple(values)
+    if any(type(v) is not int and type(v) is not Fraction for v in values):
+        return None
+    out = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
+    return None if any(v < 0 for v in out) or sum(out) != 1 else out
+
+
+def in_corner(x: ExtVec) -> bool:
+    """True iff every coordinate strictly exceeds one (infinity counts)."""
+    nums, d, inf, _ = as_extvec(x)._form
+    return all(inf >> i & 1 or n > d for i, n in enumerate(nums))
+
+
+def combination_point(generators, witness) -> ExtVec:
+    """Evaluate a weighted combination of generators as one weighted sum."""
+    gens = [as_extvec(g) for g in generators]
+    members = [gens[j] for j, _ in witness]
+    return _weighted_sum([Fraction(c) for _, c in witness], members, gens[0].dim)
+
+
+def verify_separated(generators, weights, dim=None) -> bool:
+    """Exact recheck: weights in the simplex and every pairing at most one."""
+    gens = [as_extvec(g) for g in generators]
+    vals = simplex(weights)
+    if vals is None or any(g.dim != len(vals) or dim not in (None, g.dim) for g in gens):
+        return False
+    w = ExtVec(vals)
+    return all(w.dot(g) <= ONE for g in gens)
+
+
+def verify_meets_corner(generators, witness) -> bool:
+    """Exact recheck: witness weights form a simplex point landing in the corner."""
+    gens = [as_extvec(g) for g in generators]
+    if any(type(j) is not int or j < 0 or j >= len(gens) for j, _ in witness):
+        return False
+    coeffs = simplex(c for _, c in witness)
+    members = [gens[j] for j, _ in witness]
+    return coeffs is not None and in_corner(_weighted_sum(coeffs, members, gens[0].dim))
+
+
+def covered(vec, lam, hvecs) -> bool:
+    """``vec <= sum_k lam_k h_k`` on R, the coordinates where every h_k is finite,
+    since off R the maximum of the h_k is infinite; on integers, by
+    cross-multiplying the two denominators."""
+    cn, cd, c_inf, _ = vec._form
+    sn, sd, skip, _ = _weighted_sum(lam, hvecs, len(cn))._form
+    for h in hvecs:
+        skip |= h._form[2]
+    return not c_inf & ~skip and all(
+        skip >> j & 1 or c * sd <= s * cd for j, (c, s) in enumerate(zip(cn, sn)))
+
+
+def refutes(y, gvecs, hvecs) -> bool:
+    """``max_k h_k . y < min_i g_i . y``: y shows that min_i g_i <= max_k h_k fails."""
+    return ext_max(h.dot(y) for h in hvecs) < ext_min(g.dot(y) for g in gvecs)

@@ -4,7 +4,7 @@ from the open corner (all coordinates strictly above one).
 Either outcome comes with an exact certificate: simplex weights whose
 pairing with every generator stays at or below one, or an explicit convex
 combination of generators that lands inside the corner.  Certificates are
-re-verified here with extended-real arithmetic before being returned.
+re-verified with the checks of ``certify`` before being returned.
 """
 
 from __future__ import annotations
@@ -12,24 +12,11 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
+from .certify import (combination_point, in_corner, require, simplex, verify_meets_corner,
+                      verify_separated)
 from .errors import DimensionMismatch, EmptyList
-from .extreal import ONE, ExtVec, _weighted_sum, as_extvec
+from .extreal import as_extvec
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp
-
-
-def in_corner(x: ExtVec) -> bool:
-    """True iff every coordinate strictly exceeds one (infinity counts)."""
-    nums, d, inf, _ = as_extvec(x)._form
-    return all(inf >> i & 1 or n > d for i, n in enumerate(nums))
-
-
-def _fractions(values):
-    """The values as ``Fraction``s, a ``Fraction`` kept as it is, or None when
-    one is a ``bool`` or a ``float``, which ``lp._frac`` refuses as well."""
-    values = tuple(values)
-    if any(isinstance(v, (bool, float)) for v in values):
-        return None
-    return tuple(v if type(v) is Fraction else Fraction(v) for v in values)
 
 
 class SeparationWeights(Record):
@@ -38,14 +25,10 @@ class SeparationWeights(Record):
     values: tuple
 
     def __post_init__(self):
-        vals = _fractions(self.values)
+        vals = simplex(self.values)
         if vals is None:
-            raise ValueError("weights must be rationals, not bools or floats")
+            raise ValueError("weights must be nonnegative ints or Fractions and must sum to one")
         object.__setattr__(self, "values", vals)
-        if any(v < 0 for v in vals):
-            raise ValueError("weights must be nonnegative")
-        if sum(vals) != 1:
-            raise ValueError("weights must sum to one exactly")
 
     def __iter__(self):
         return iter(self.values)
@@ -98,7 +81,9 @@ def separate(generators, dim: int):
     fin = [i for i in range(dim) if not inf_mask >> i & 1]
 
     if not fin:
-        return _verified(gens, dim, MeetsCorner(_cover_witness(gens, inf_coords)))
+        witness = _cover_witness(gens, inf_coords)
+        require(verify_meets_corner(gens, witness), "corner witness failed verification")
+        return MeetsCorner(witness)
 
     k = len(fin)
     constraints = [Constraint._of_ints((1,) * k, EQ, 1)]
@@ -110,7 +95,9 @@ def separate(generators, dim: int):
         full = [0] * dim
         for pos, i in enumerate(fin):
             full[i] = res.point[pos]
-        return _verified(gens, dim, Separated(SeparationWeights(tuple(full))))
+        weights = SeparationWeights(tuple(full))
+        require(verify_separated(gens, weights, dim), "separation weights failed verification")
+        return Separated(weights)
 
     assert isinstance(res, LPInfeasible)
     # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
@@ -119,7 +106,8 @@ def separate(generators, dim: int):
     zn, _ = _answer(res)
     w = [-v * form[1] for v, form in zip(zn[1:], forms)]
     witness = _witness_from_certificate(gens, fin, inf_coords, w)
-    return _verified(gens, dim, MeetsCorner(witness))
+    require(verify_meets_corner(gens, witness), "corner witness failed verification")
+    return MeetsCorner(witness)
 
 
 def _cover_witness(gens, inf_coords):
@@ -157,46 +145,3 @@ def _witness_from_certificate(gens, fin, inf_coords, w):
     for j, share in cover:
         combo[j] = combo.get(j, 0) + eps * share
     return tuple(sorted((j, v) for j, v in combo.items() if v > 0))
-
-
-def combination_point(generators, witness) -> ExtVec:
-    """Evaluate a weighted combination of generators as one weighted sum."""
-    gens = [as_extvec(g) for g in generators]
-    members = [gens[j] for j, _ in witness]
-    return _weighted_sum([Fraction(c) for _, c in witness], members, gens[0].dim)
-
-
-def verify_separated(generators, weights, dim=None) -> bool:
-    """Exact recheck: weights in the simplex and every pairing at most one."""
-    gens = [as_extvec(g) for g in generators]
-    if dim is not None and any(g.dim != dim for g in gens):
-        return False
-    vals = _fractions(weights)
-    if vals is None or any(g.dim != len(vals) for g in gens):
-        return False
-    if any(v < 0 for v in vals) or sum(vals) != 1:
-        return False
-    w = ExtVec(vals)
-    return all(w.dot(g) <= ONE for g in gens)
-
-
-def verify_meets_corner(generators, witness) -> bool:
-    """Exact recheck: witness weights form a simplex point landing in the corner."""
-    coeffs = _fractions(c for _, c in witness)
-    idxs = [j for j, _ in witness]
-    gens = [as_extvec(g) for g in generators]
-    if any(type(j) is not int or j < 0 or j >= len(gens) for j in idxs):
-        return False
-    if coeffs is None or any(c < 0 for c in coeffs) or sum(coeffs) != 1:
-        return False
-    return in_corner(combination_point(gens, witness))
-
-
-def _verified(gens, dim, outcome):
-    if isinstance(outcome, Separated):
-        ok = verify_separated(gens, outcome.weights, dim)
-    else:
-        ok = verify_meets_corner(gens, outcome.witness)
-    if not ok:
-        raise AssertionError("internal error: separation certificate failed verification")
-    return outcome

@@ -255,11 +255,17 @@ def ext_max(values) -> ExtReal:
 
 def parse_extreal(text: str) -> ExtReal:
     """Parse "p/q" (reduced or not), the integer shorthand "p", or "inf"."""
+    num, den = _parse_ratio(text)
+    return ExtReal._raw(num, den) if den else INF
+
+
+def _parse_ratio(text):
+    """The one parser: ``parse_extreal``'s value as ``(num, den)``, inf as ``(1, 0)``."""
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
     s = text.strip()
     if s == "inf":
-        return INF
+        return 1, 0
     num_s, sep, den_s = s.partition("/")
     try:
         num = int(num_s)
@@ -273,7 +279,7 @@ def parse_extreal(text: str) -> ExtReal:
     if den < 0:
         raise ParseError(f"negative denominator: {_echo(text)}")
     g = gcd(num, den)
-    return ExtReal._raw(num // g, den // g)
+    return num // g, den // g
 
 
 def _canonical_form(nums, dens, inf, nonzero, reduced=False):

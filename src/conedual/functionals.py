@@ -13,6 +13,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
+from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ZERO, ExtReal, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
 from .lp import Constraint, GEQ, LEQ, LPProblem, _answer, solve_lp
@@ -192,14 +193,6 @@ def _margin(gvecs, hvecs):
     return res.value, res.point[:dim], a, lam
 
 
-def _covered(vec, lam, hvecs) -> bool:
-    """Exact coordinatewise check vec <= sum_k lambda_k h_k on finite
-    vectors, made on integers by cross-multiplying the two denominators."""
-    cn, cd, _, _ = vec._form
-    sn, sd, _, _ = _weighted_sum(lam, hvecs, len(cn))._form
-    return all(c * sd <= s * cd for c, s in zip(cn, sn))
-
-
 def _decide(gvecs, hvecs):
     """Decide min_i g_i <= max_k h_k on the extended orthant, checking the answer.
 
@@ -238,15 +231,13 @@ def _decide(gvecs, hvecs):
         for j, v in zip(rest, y):
             full[j] = v
         y = ExtVec(full)
-        if not ext_max(h.dot(y) for h in hvecs) < ext_min(g.dot(y) for g in gvecs):
-            raise AssertionError("internal error: violation witness failed verification")
+        require(refutes(y, gvecs, hvecs), "violation witness failed verification")
         return y, None, None, None
     weights = [Fraction(0)] * len(gvecs)
     for i, w in zip(kept, a):
         weights[i] = w
     mix = _weighted_sum(weights, gvecs, dim)
-    if rest and not _covered(cut(mix), lam, hr):
-        raise AssertionError("internal error: certificate fails coordinatewise")
+    require(covered(mix, lam, hvecs), "certificate fails coordinatewise")
     return None, tuple(weights), lam, mix
 
 
@@ -304,7 +295,6 @@ def leq_functional(phi, psi):
         for hs in _parts(psi, SuperlinFun):
             y = _decide(gs, hs)[0]
             if y is not None:
-                if not psi.eval(y) < phi.eval(y):
-                    raise AssertionError("internal error: order witness failed verification")
+                require(psi.eval(y) < phi.eval(y), "order witness failed verification")
                 return False, y
     return True, None

@@ -9,7 +9,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import ParseError, _echo
-from .extreal import INF, ExtReal, ExtVec, parse_extreal
+from .extreal import INF, ExtReal, ExtVec, _parse_ratio
 from .finspace import FinitePoset, _bits
 from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
 from .valuations import SimpleValuation, ValuationOnOpens
@@ -19,20 +19,9 @@ def fail(path, expected, got):
     raise ParseError(f"{path}: expected {expected}, got {_echo(got)}")
 
 
-def _entry(obj) -> ExtReal:
-    """An extended rational from JSON; errors lack the path, which callers add."""
-    if isinstance(obj, str):
-        return parse_extreal(obj)
-    if isinstance(obj, bool) or not isinstance(obj, int):
-        raise ParseError(f'expected "p/q", "p", or "inf", got {_echo(obj)}')
-    if obj < 0:
-        raise ParseError(f"expected a nonnegative value, got {_echo(obj)}")
-    return ExtReal._raw(int(obj), 1)
-
-
 # Entry strings already parsed, each to its reduced (num, den), inf as den 0.
 # Input repeats few distinct strings many times, so most entries are hits,
-# which skip parse_extreal.  Bounded against input that never repeats: a key
+# which skip the parser.  Bounded against input that never repeats: a key
 # has at most _KEY_MAX characters, and the memo is cleared once it holds
 # _ENTRIES_MAX keys.  A value depends on its key alone, so every caller in the
 # process may share it.
@@ -42,15 +31,20 @@ _ENTRIES_MAX = 4096
 
 
 def _miss(obj):
-    """(num, den) of an entry the memo lacks, inf as den 0, through ``_entry``;
-    a ``str`` of at most ``_KEY_MAX`` characters is stored once it parses."""
-    e = _entry(obj)
-    pair = e.num, e.den
-    if type(obj) is str and len(obj) <= _KEY_MAX:
-        if len(_ENTRIES) >= _ENTRIES_MAX:
-            _ENTRIES.clear()
-        _ENTRIES[obj] = pair
-    return pair
+    """(num, den) of an entry the memo lacks, inf as den 0; errors lack the path,
+    which callers add.  A ``str`` of at most ``_KEY_MAX`` characters that parses is stored."""
+    if isinstance(obj, str):
+        pair = _parse_ratio(obj)
+        if type(obj) is str and len(obj) <= _KEY_MAX:
+            if len(_ENTRIES) >= _ENTRIES_MAX:
+                _ENTRIES.clear()
+            _ENTRIES[obj] = pair
+        return pair
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParseError(f'expected "p/q", "p", or "inf", got {_echo(obj)}')
+    if obj < 0:
+        raise ParseError(f"expected a nonnegative value, got {_echo(obj)}")
+    return int(obj), 1
 
 
 def decode_extreal(obj, path) -> ExtReal:

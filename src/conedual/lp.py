@@ -72,6 +72,7 @@ from math import lcm
 from operator import mul
 
 from ._record import Record
+from .certify import require
 from .errors import MalformedProblem
 from .extreal import _fold
 
@@ -153,11 +154,6 @@ class LPInfeasible(Record):
 
 class LPUnbounded(Record):
     ray: tuple
-
-
-def _require(cond, message):
-    if not cond:
-        raise AssertionError(f"internal solver error: {message}")
 
 
 def _pivot(T, basis, D, pr, pc):
@@ -335,7 +331,7 @@ def solve_lp(problem: LPProblem):
     T.append(cost)
 
     D, status = _iterate(T, basis, 1, m, limit=width)
-    _require(status is None, "phase 1 cannot be unbounded")
+    require(status is None, "phase 1 cannot be unbounded")
 
     cost = T.pop()
     if cost[-1] < 0:
@@ -406,7 +402,7 @@ def _answered(problem, result, form, failure):
     The form sits outside the record fields, as ``_int_rows`` caches on
     the problem, so ``==``, ``hash`` and ``repr`` of the result do not see it.
     """
-    _require(_verify(problem, result, form), failure)
+    require(_verify(problem, result, form), failure)
     object.__setattr__(result, "_ints", form)
     return result
 

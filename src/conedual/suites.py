@@ -13,13 +13,8 @@ from fractions import Fraction
 from itertools import product
 
 from . import oracles
-from .convex_sep import (
-    MeetsCorner,
-    Separated,
-    separate,
-    verify_meets_corner,
-    verify_separated,
-)
+from .certify import verify_meets_corner, verify_separated
+from .convex_sep import MeetsCorner, Separated, separate
 from .extreal import (
     INF,
     ONE,

@@ -16,8 +16,9 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conedual"
-# cli binds jsonio only for the traced benchmark, which wraps names through it
-ALLOWED = {("cli", "jsonio")}
+# cli binds jsonio only for the traced benchmark, which wraps names through it;
+# convex_sep keeps in_corner, now in certify, reachable as conedual.convex_sep.in_corner
+ALLOWED = {("cli", "jsonio"), ("convex_sep", "in_corner")}
 
 
 def _unused_imports(source):
@@ -54,8 +55,8 @@ def test_module_uses_every_import(path):
     assert unused == [], f"{path.name} imports {unused} without using them"
 
 
-# the margin LP and its certificate check are read and checked in one place
-MARGIN_NAMES = {"_margin", "_covered"}
+# the margin LP is read in one place
+MARGIN_NAMES = {"_margin"}
 
 
 def _margin_uses(source):
@@ -71,12 +72,12 @@ def _margin_uses(source):
 
 def test_the_check_finds_a_margin_import():
     source = (
-        "from .functionals import LinFun, _covered\n"
+        "from .functionals import LinFun, _margin\n"
         "from . import functionals\n"
         "functionals._margin([], [])\n"
         "_margin_free = 1\n"
     )
-    assert _margin_uses(source) == ["_covered", "_margin"]
+    assert _margin_uses(source) == ["_margin", "_margin"]
 
 
 @pytest.mark.parametrize(
@@ -86,6 +87,70 @@ def test_the_check_finds_a_margin_import():
 )
 def test_only_functionals_reads_the_margin_lp(path):
     assert _margin_uses(path.read_text(encoding="utf-8")) == []
+
+
+# Every check of a certificate is in certify, which runs none of the
+# algorithms it checks, and raises the package's one internal error.
+CHECKER_DEPS = {"extreal"}
+# certify's functions and the private checks they replaced
+CHECKS = {"require", "simplex", "in_corner", "combination_point", "verify_separated",
+          "verify_meets_corner", "covered", "refutes", "_verified", "_covered", "_require"}
+
+
+def _package_imports(source):
+    """The package modules a module imports from, as relative import stems."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            if node.module:
+                found.add(node.module.split(".")[0])
+            else:
+                found |= {a.name for a in node.names}
+    return found
+
+
+def _raises_assertion(source):
+    """True when the module raises ``AssertionError`` itself, called or not."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "AssertionError":
+                return True
+    return False
+
+
+def test_the_checks_find_package_imports_and_raised_assertions():
+    source = (
+        "from . import lp\n"
+        "from .extreal import ONE\n"
+        "from fractions import Fraction\n"
+        "def f(ok):\n"
+        "    assert ok\n"
+        "    raise AssertionError\n"
+    )
+    assert _package_imports(source) == {"lp", "extreal"}
+    assert _raises_assertion(source)
+    assert not _raises_assertion("raise ValueError('x')\nassert False\n")
+
+
+def test_certify_imports_nothing_from_the_package_but_extreal():
+    source = (PACKAGE / "certify.py").read_text(encoding="utf-8")
+    assert _package_imports(source) == CHECKER_DEPS
+    assert _raises_assertion(source)
+
+
+@pytest.mark.parametrize(
+    "path",
+    sorted(p for p in PACKAGE.glob("*.py") if p.name != "certify.py"),
+    ids=lambda p: p.stem,
+)
+def test_only_certify_raises_an_internal_error_or_defines_a_check(path):
+    source = path.read_text(encoding="utf-8")
+    assert not _raises_assertion(source), f"{path.name} raises AssertionError"
+    defined = sorted(CHECKS.intersection(_definitions(source)))
+    assert defined == [], f"{path.name} defines {defined}"
+    if path.stem == "convex_sep":
+        assert "_fractions" not in _definitions(source)
 
 
 # The traced benchmark times each LP by wrapping the public ``solve_lp`` where

@@ -270,10 +270,12 @@ def test_clause_witnesses_solve_one_lp_per_clause(monkeypatch):
     assert len(calls) == len(clauses)
 
 
-def _fold_covered(coeffs, lam, hcoeffs):
-    """The Fraction fold the integer check replaced: the reference."""
+def _fold_covered(coeffs, lam, hcoeffs, off=()):
+    """The Fraction fold the integer check replaced, on the coordinates
+    outside ``off``: the reference."""
     return all(
-        c <= sum(lk * hc[j] for lk, hc in zip(lam, hcoeffs)) for j, c in enumerate(coeffs)
+        c <= sum(lk * hc[j] for lk, hc in zip(lam, hcoeffs))
+        for j, c in enumerate(coeffs) if j not in off
     )
 
 
@@ -289,8 +291,8 @@ def _rand_fraction(rng):
 
 
 def test_integer_coordinatewise_checks_match_fraction_folds():
+    from conedual.certify import covered
     from conedual.extreal import _weighted_sum
-    from conedual.functionals import _covered
 
     rng = random.Random(31)
     verdicts = set()
@@ -307,10 +309,20 @@ def test_integer_coordinatewise_checks_match_fraction_folds():
         ]
         # coordinates at, just above and just below the combination
         coeffs = [m + rng.choice((0, 0, F(1, 10**6), -min(m, F(1, 10**6)))) for m in mix]
-        got = _covered(ExtVec(coeffs), weights, [ExtVec(r) for r in rows])
+        got = covered(ExtVec(coeffs), weights, [ExtVec(r) for r in rows])
         assert got == _fold_covered(coeffs, weights, rows)
         verdicts.add((got, coeffs == mix))
-    assert verdicts == {(True, True), (True, False), (False, False)}
+        # the same rows with some branch infinite off R: only R is checked,
+        # and there coeffs may take any value, inf included
+        off = {j for j in range(dim) if rng.randrange(3) == 0}
+        inf_rows = [list(r) for r in rows]
+        for j in off:
+            inf_rows[rng.randrange(k)][j] = INF
+            coeffs[j] = rng.choice((INF, coeffs[j] + 1))
+        got = covered(ExtVec(coeffs), weights, [ExtVec(r) for r in inf_rows])
+        assert got == _fold_covered(coeffs, weights, rows, off)
+        verdicts.add((got, "inf"))
+    assert verdicts == {(True, True), (True, False), (False, False), (True, "inf"), (False, "inf")}
 
 
 def _wrong_violation(gvecs, hvecs):

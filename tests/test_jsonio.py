@@ -14,9 +14,21 @@ from conedual import (
     SimpleValuation,
 )
 from conedual.cli import main
-from conedual.errors import ParseError
-from conedual import jsonio
-from conedual.jsonio import _entry, decode_extreal, decode_vector, encode_vector
+from conedual.errors import ParseError, _echo
+from conedual import jsonio, parse_extreal
+from conedual.jsonio import decode_extreal, decode_vector, encode_vector
+
+
+def _entry(obj):
+    """One JSON entry as an ``ExtReal``: ``parse_extreal`` for a string and a
+    nonnegative int as itself, with the decoder's messages; the reference."""
+    if isinstance(obj, str):
+        return parse_extreal(obj)
+    if isinstance(obj, bool) or not isinstance(obj, int):
+        raise ParseError(f'expected "p/q", "p", or "inf", got {_echo(obj)}')
+    if obj < 0:
+        raise ParseError(f"expected a nonnegative value, got {_echo(obj)}")
+    return ExtReal(obj)
 
 
 def reference_decode(obj, path):
