@@ -20,7 +20,6 @@ from .extreal import (
     ext_max,
     ext_min,
     parse_extreal,
-    sub_partial,
 )
 from .finspace import (
     FinitePoset,
@@ -43,8 +42,6 @@ from .functionals import (
 )
 from .interpolate import (
     ClauseWitness,
-    InterpolationResult,
-    check_min_below,
     clause_witnesses,
     interpolate,
 )
@@ -71,4 +68,4 @@ from .valuations import (
 )
 from . import errors
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"

@@ -39,11 +39,7 @@ from .jsonio import (
     decode_valuation,
     decode_vector,
     decode_vectors,
-    encode_fraction,
-    encode_fractions,
-    encode_vector,
     fail,
-    mask_to_indices,
     require_key,
 )
 from .valuations import DualFunctional, SimpleValuation, from_opens, recover_function, to_opens
@@ -63,9 +59,8 @@ def _decode_sep(payload, args):
 
 def _encode_sep(outcome):
     if isinstance(outcome, MeetsCorner):
-        witness = [[j, encode_fraction(c)] for j, c in outcome.witness]
-        return {"error": "meets_v", "witness": witness}
-    return {"outcome": "separated", "weights": encode_fractions(outcome.weights)}
+        return {"error": "meets_v", "witness": [[j, str(c)] for j, c in outcome.witness]}
+    return {"outcome": "separated", "weights": [str(w) for w in outcome.weights]}
 
 
 def _decode_interpolate(payload, args):
@@ -89,10 +84,10 @@ def _decode_interpolate(payload, args):
 def _encode_interpolate(results):
     return {
         "witnesses": [
-            {"x": encode_vector(r.fun.coeffs), "a": encode_fractions(r.weights)}
+            {"x": [str(v) for v in r.fun.coeffs], "a": [str(w) for w in r.weights]}
             for r in results
         ],
-        "certificates": [encode_fractions(r.certificate) for r in results],
+        "certificates": [[str(c) for c in r.certificate] for r in results],
     }
 
 
@@ -104,7 +99,7 @@ def _decode_dominates(payload, args):
 
 def _encode_dominates(answer):
     ok, cert = answer
-    return {"dominated": ok, "certificate": encode_fractions(cert) if ok else encode_vector(cert)}
+    return {"dominated": ok, "certificate": [str(c) for c in cert]}
 
 
 def _decode_minkowski(payload, args):
@@ -136,7 +131,7 @@ def _decode_ss_recover(payload, args):
 
 
 def _encode_ss_recover(f):
-    return {"f": encode_vector(f.values)}
+    return {"f": [str(v) for v in f.values]}
 
 
 def _decode_mobius(payload, args):
@@ -151,12 +146,16 @@ def _decode_mobius(payload, args):
 
 def _encode_mobius(result):
     if isinstance(result, SimpleValuation):
-        return {"weights": encode_vector(result.weights)}
-    opens = [{"open": mask_to_indices(mask), "value": str(v)} for mask, v in result.items()]
+        return {"weights": [str(w) for w in result.weights]}
+    n = result.poset.n
+    opens = [{"open": [i for i in range(n) if mask >> i & 1], "value": str(v)}
+             for mask, v in result.items()]
     return {"opens": opens}
 
 
 def _decode_check(payload, args):
+    if args.max_size is not None:
+        decode_int(args.max_size, "--max-size", minimum=1)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
     return _run_suites, (names, args.seed, args.max_size)
 
@@ -177,7 +176,7 @@ def _encode_check(result):
 # The domain exceptions a call may raise, each with the builder of its exit-2 payload.
 _DOMAIN_ERRORS = {
     PreconditionViolated: lambda e: {"error": "precondition_violated", "clause": e.clause_index,
-                                     "witness": encode_vector(e.witness)},
+                                     "witness": [str(v) for v in e.witness]},
     NotLSC: lambda e: {"error": "not_lsc", "witness": list(e.witness)},
     UndefinedDifference: lambda e: {"error": "undefined_difference", "message": str(e)},
     NotAValuation: lambda e: {"error": "not_a_valuation", "message": str(e)},

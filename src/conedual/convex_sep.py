@@ -54,7 +54,7 @@ def _check_generators(generators, dim):
     gens = [as_extvec(g) for g in generators]
     if not gens:
         raise EmptyList("at least one generator is required")
-    if not isinstance(dim, int) or dim < 1:
+    if type(dim) is not int or dim < 1:
         raise DimensionMismatch("dimension must be a positive integer")
     for k, g in enumerate(gens):
         if g.dim != dim:

@@ -49,12 +49,6 @@ class PreconditionViolated(ConeDualError):
         self.clause_index = clause_index
 
 
-class NotReflexive(ConeDualError):
-    def __init__(self, element):
-        super().__init__(f"relation lacks ({element}, {element})")
-        self.witness = element
-
-
 class NotAntisymmetric(ConeDualError):
     def __init__(self, i, j):
         super().__init__(f"elements {i} and {j} are related both ways")
@@ -68,7 +62,7 @@ class NotTransitive(ConeDualError):
 
 
 class TooLarge(ConeDualError):
-    """An enumeration exceeds its configured size bound."""
+    """An enumeration or a candidate grid exceeds its configured size bound."""
 
 
 class PosetMismatch(ConeDualError):
@@ -88,7 +82,3 @@ class NotLSC(ConeDualError):
 
 class NotAValuation(ConeDualError):
     """A table over open sets is not induced by pointwise weights."""
-
-
-class GridTooLarge(ConeDualError):
-    """A candidate grid exceeds its configured size bound."""

@@ -26,7 +26,6 @@ __all__ = [
     "as_extvec",
     "ext_min",
     "ext_max",
-    "sub_partial",
     "parse_extreal",
 ]
 
@@ -63,12 +62,6 @@ class ExtReal:
         v.num = num
         v.den = den
         return v
-
-    @classmethod
-    def from_fraction(cls, f: Fraction) -> "ExtReal":
-        if f < 0:
-            raise ValueError("negative values are outside the extended nonnegative reals")
-        return cls._raw(f.numerator, f.denominator)
 
     @property
     def is_infinite(self) -> bool:
@@ -216,19 +209,11 @@ def as_extreal(x):
     """Coerce an int, Fraction, or ExtReal; NotImplemented otherwise."""
     if isinstance(x, ExtReal):
         return x
-    if isinstance(x, int):
+    if isinstance(x, (int, Fraction)):
         if x < 0:
             raise ValueError("negative values are outside the extended nonnegative reals")
-        return ExtReal._raw(x, 1)
-    if isinstance(x, Fraction):
-        return ExtReal.from_fraction(x)
+        return ExtReal._raw(x.numerator, x.denominator)
     return NotImplemented
-
-
-def sub_partial(a, b) -> ExtReal:
-    """a - b, defined only when b is finite and b <= a."""
-    a = as_extreal(a)
-    return a - b
 
 
 def ext_min(values) -> ExtReal:

@@ -9,16 +9,16 @@ elements 0 .. n-1.
 
 from __future__ import annotations
 
-from itertools import compress, permutations
+from itertools import permutations
 
 from .errors import (
     EmptyList,
     NotAntisymmetric,
     NotLSC,
-    NotReflexive,
     NotTransitive,
     PosetMismatch,
     TooLarge,
+    _echo,
 )
 from .extreal import ExtReal, ExtVec, as_extreal, as_extvec, ext_max
 
@@ -40,45 +40,31 @@ class FinitePoset:
 
     __slots__ = ("n", "_up")
 
-    def __init__(self, table):
-        rows = tuple(tuple(map(bool, row)) for row in table)
-        n = len(rows)
-        if n == 0 or any(len(r) != n for r in rows):
-            raise ValueError("relation table must be square and nonempty")
-        self._set_up(tuple(sum(1 << j for j in compress(range(n), row)) for row in rows))
-
-    @classmethod
-    def from_pairs(cls, size, pairs):
+    def __init__(self, size, pairs):
         """The reflexive closure of ``pairs`` on elements 0 .. size-1."""
+        if type(size) is not int:
+            raise TypeError(f"poset size must be an int, got {_echo(size)}")
         up = [1 << i for i in range(size)]
         for i, j in pairs:
+            if type(i) is not int or type(j) is not int:
+                raise TypeError(f"pair {_echo((i, j))} must hold two ints")
             if not (0 <= i < size and 0 <= j < size):
                 raise ValueError(f"pair ({i}, {j}) outside 0..{size - 1}")
             up[i] |= 1 << j
         if not up:
-            raise ValueError("relation table must be square and nonempty")
-        poset = object.__new__(cls)
-        poset._set_up(tuple(up))
-        return poset
-
-    def _set_up(self, up):
-        """Validate the up-set masks of a nonempty relation and keep them."""
-        n = len(up)
+            raise ValueError("a poset needs at least one element")
         # witnesses are the lexicographically first, as a triple loop finds them
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise NotReflexive(i)
-        for i in range(n):
+        for i in range(size):
             for j in _bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
                     raise NotAntisymmetric(i, j)
-        for i in range(n):
+        for i in range(size):
             for j in _bits(up[i]):
                 missing = up[j] & ~up[i]
                 if missing:
                     raise NotTransitive(i, j, (missing & -missing).bit_length() - 1)
-        self.n = n
-        self._up = up
+        self.n = size
+        self._up = tuple(up)
 
     def leq(self, i, j) -> bool:
         return bool(self._up[i] >> j & 1)
@@ -201,7 +187,7 @@ def posets_up_to_iso(n: int):
     for bits in range(1 << len(pairs)):
         rel = [pairs[t] for t in range(len(pairs)) if bits >> t & 1]
         try:
-            poset = FinitePoset.from_pairs(n, rel)
+            poset = FinitePoset(n, rel)
         except NotTransitive:
             continue
         # the least relabelling names the isomorphism class

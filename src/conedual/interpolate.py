@@ -25,16 +25,18 @@ from .functionals import LinFun, SublinFun, SuperlinFun, _decide
 _VIOLATED = "the minimum of the clause exceeds the target functional"
 
 
-class InterpolationResult(Record):
-    """Simplex weights over the clause and a branch certificate for phi.
+class ClauseWitness(Record):
+    """A clause's interpolant fun = sum_i weights_i g_i, with simplex
+    weights over the clause and a branch certificate for phi.
 
-    The inequality sum_i weights_i g_i <= sum_k certificate_k h_k holds
-    exactly, coordinatewise on the coordinates where every branch h_k is
-    finite; phi is infinite at any point with support elsewhere, so this
-    pins the interpolant below phi on the whole extended orthant.  A
-    clause member that is infinite on those coordinates gets weight 0.
+    The inequality fun <= sum_k certificate_k h_k holds exactly,
+    coordinatewise on the coordinates where every branch h_k is finite;
+    phi is infinite at any point with support elsewhere, so this pins fun
+    below phi on the whole extended orthant.  A clause member that is
+    infinite on those coordinates gets weight 0.
     """
 
+    fun: LinFun
     weights: tuple
     certificate: tuple
 
@@ -48,17 +50,7 @@ def _clause_branches(clause):
     return branches
 
 
-def check_min_below(clause, phi: SublinFun):
-    """Decide min_i g_i <= phi everywhere on the orthant.
-
-    Returns (True, None), or (False, y) with a checked violation y; the
-    one margin decision behind ``interpolate`` decides it.
-    """
-    y = _interpolate(clause, phi)[0]
-    return y is None, y
-
-
-def interpolate(clause, phi: SublinFun) -> InterpolationResult:
+def interpolate(clause, phi: SublinFun) -> ClauseWitness:
     """Produce weights a and certificate lambda realising the sandwich.
 
     One margin LP maximises t >= 0 with (g_i - h_k) . y >= t and
@@ -66,33 +58,23 @@ def interpolate(clause, phi: SublinFun) -> InterpolationResult:
     makes its point a violation of the hypothesis; otherwise its dual gives
     the weights and the certificate.  The left inequality min_i g_i <=
     sum a_i g_i is automatic for simplex weights; the right one follows
-    from the coordinatewise certificate.
+    from the coordinatewise certificate.  ``leq_functional`` decides the
+    hypothesis alone.
     """
-    y, result, _ = _interpolate(clause, phi)
-    if y is not None:
-        raise PreconditionViolated(_VIOLATED, witness=y)
-    return result
+    return _interpolate(clause, phi, None)
 
 
-def _interpolate(clause, phi):
-    """``functionals._decide`` on a validated clause, as (y, result, mix):
-    a checked violation y, or the result and the ``LinFun`` sum_i a_i g_i."""
+def _interpolate(clause, phi, pos):
+    """``functionals._decide`` on a validated clause; a checked violation
+    raises, with ``pos`` as its clause index."""
     gs = _clause_branches(clause)
     for g in gs:
         if g.dim != phi.dim:
             raise DimensionMismatch(f"{g.dim} versus {phi.dim}")
     y, a, lam, mix = _decide([g.coeffs for g in gs], [h.coeffs for h in phi.branches])
     if y is not None:
-        return y, None, None
-    return None, InterpolationResult(a, lam), LinFun(mix)
-
-
-class ClauseWitness(Record):
-    """A cone element realising one clause: fun = sum_i weights_i gen_i."""
-
-    fun: LinFun
-    weights: tuple
-    certificate: tuple
+        raise PreconditionViolated(_VIOLATED, witness=y, clause_index=pos)
+    return ClauseWitness(LinFun(mix), a, lam)
 
 
 def clause_witnesses(clauses, c_gens, phi: SublinFun):
@@ -111,9 +93,5 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
             raise EmptyList(f"clause {pos} is empty")
         if any(type(i) is not int or i < 0 or i >= len(gens) for i in idxs):
             raise MalformedProblem(f"clause {pos} indexes outside the generator list")
-        members = [gens[i] for i in idxs]
-        y, result, mix = _interpolate(members, phi)
-        if y is not None:
-            raise PreconditionViolated(_VIOLATED, witness=y, clause_index=pos)
-        out.append(ClauseWitness(mix, result.weights, result.certificate))
+        out.append(_interpolate([gens[i] for i in idxs], phi, pos))
     return out

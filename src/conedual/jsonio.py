@@ -6,11 +6,9 @@ malformed input reports where and what was expected.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .errors import ParseError, _echo
 from .extreal import INF, ExtReal, ExtVec, _parse_ratio
-from .finspace import FinitePoset, _bits
+from .finspace import FinitePoset
 from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
 from .valuations import SimpleValuation, ValuationOnOpens
 
@@ -129,10 +127,10 @@ def _vector_entry(v, path, i):
         raise ParseError(f"{path}[{i}]: {exc}") from None
 
 
-def decode_int(obj, path, minimum=None) -> int:
+def decode_int(obj, path, minimum) -> int:
     if isinstance(obj, bool) or not isinstance(obj, int):
         fail(path, "an integer", obj)
-    if minimum is not None and obj < minimum:
+    if obj < minimum:
         fail(path, f"an integer >= {minimum}", obj)
     return obj
 
@@ -193,7 +191,7 @@ def decode_poset(obj, path) -> FinitePoset:
             if a >= size or b >= size:
                 fail(f"{path}.leq[{i}]", f"indices below {size}", pair)
         pairs.append((a, b))
-    return FinitePoset.from_pairs(size, pairs)
+    return FinitePoset(size, pairs)
 
 
 def decode_valuation(obj, poset, path) -> SimpleValuation:
@@ -231,19 +229,3 @@ def decode_open_table(obj, poset, path) -> ValuationOnOpens:
     except ValueError as exc:
         raise ParseError(f"{path}.table: {exc}") from None
 
-
-def encode_fraction(v) -> str:
-    f = v if type(v) is Fraction else Fraction(v)
-    return str(f.numerator) if f.denominator == 1 else f"{f.numerator}/{f.denominator}"
-
-
-def encode_vector(vec) -> list:
-    return [str(v) for v in vec]
-
-
-def encode_fractions(values) -> list:
-    return [encode_fraction(v) for v in values]
-
-
-def mask_to_indices(mask: int) -> list:
-    return list(_bits(mask))

@@ -19,10 +19,11 @@ from itertools import product
 from .errors import (
     DimensionMismatch,
     EmptyList,
-    GridTooLarge,
     NotAValuation,
     PosetMismatch,
+    TooLarge,
     UndefinedDifference,
+    _echo,
 )
 from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, as_extreal, as_extvec
 from .finspace import FinitePoset, LscFun, all_opens, is_lsc
@@ -76,9 +77,12 @@ class ValuationOnOpens:
     __slots__ = ("poset", "table")
 
     def __init__(self, poset: FinitePoset, table):
-        opens = all_opens(poset)
-        tab = {int(mask): as_extreal(v) for mask, v in dict(table).items()}
-        if set(tab) != set(opens):
+        tab = {}
+        for mask, v in dict(table).items():
+            if type(mask) is not int:
+                raise TypeError(f"open-set masks must be ints, got {_echo(mask)}")
+            tab[mask] = v if type(v) is ExtReal else ExtReal(v)
+        if set(tab) != set(all_opens(poset)):
             raise ValueError("table must cover exactly the open sets of the poset")
         self.poset = poset
         self.table = tab
@@ -215,10 +219,10 @@ def _grid_values(grid_denominator: int, cap: ExtReal, n: int):
     if grid_denominator < 1:
         raise ValueError("grid denominator must be positive")
     if cap.is_infinite:
-        raise GridTooLarge("an infinite cap would need an infinite grid")
+        raise TooLarge("an infinite cap would need an infinite grid")
     count = cap.num * grid_denominator // cap.den + 1
     if count ** n > _GRID_CAP:
-        raise GridTooLarge(f"{count}^{n} candidate tables exceed the bound")
+        raise TooLarge(f"{count}^{n} candidate tables exceed the bound")
     return [ExtReal(k, grid_denominator) for k in range(count)]
 
 

@@ -230,6 +230,15 @@ def test_check_other_fast_suites(tmp_path):
     assert code == 0
 
 
+@pytest.mark.parametrize("suite, size", [("directedness", "0"), ("schroeder-simpson", "-3")])
+def test_check_refuses_a_max_size_below_one(tmp_path, suite, size):
+    # a cap below one would run no case and still report a pass
+    code, out = run_cli(tmp_path, "check", extra=["--suite", suite, "--max-size", size])
+    assert code == 1
+    assert json.loads(out) == {"error": "malformed_input",
+                               "message": f"--max-size: expected an integer >= 1, got {size}"}
+
+
 def test_check_names_its_suites_and_default_seed_as_the_suites_module_does():
     from conedual import cli, suites
 

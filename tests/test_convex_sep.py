@@ -118,6 +118,13 @@ def test_input_validation():
         ExtVec([])
 
 
+def test_separate_refuses_a_bool_dimension():
+    # True == 1, the dimension of the generator (2), which meets the corner
+    with pytest.raises(DimensionMismatch):
+        separate([[2]], True)
+    assert isinstance(separate([[2]], 1), MeetsCorner)
+
+
 def test_separation_weights_invariants():
     with pytest.raises(ValueError):
         SeparationWeights((F(1, 2), F(1, 4)))
@@ -158,7 +165,7 @@ def test_separated_weights_score_corner_points_above_one():
             assert in_corner(y)
             total = ZERO
             for a, yi in zip(out.weights, y):
-                total = total + ExtReal.from_fraction(a) * yi
+                total = total + ExtReal(a) * yi
             assert ONE < total
 
 

@@ -17,38 +17,61 @@ from conedual.errors import (
     EmptyList,
     NotAntisymmetric,
     NotLSC,
-    NotReflexive,
     NotTransitive,
     PosetMismatch,
     TooLarge,
 )
 from conedual.finspace import _bits
-from conedual.jsonio import decode_vector
+from conedual.jsonio import decode_poset, decode_vector
 
-SIGMA = FinitePoset.from_pairs(2, [(0, 1)])
-DISCRETE2 = FinitePoset.from_pairs(2, [])
-CHAIN3 = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+SIGMA = FinitePoset(2, [(0, 1)])
+DISCRETE2 = FinitePoset(2, [])
+CHAIN3 = FinitePoset(3, [(0, 1), (1, 2), (0, 2)])
 
 
 def test_validate_poset_examples():
-    chain = FinitePoset([[True, True], [False, True]])
+    chain = FinitePoset(2, [(0, 1)])
     assert chain.leq(0, 1) and not chain.leq(1, 0)
-    two = FinitePoset([[True, False], [False, True]])
+    two = FinitePoset(2, [])
     assert not two.leq(0, 1) and not two.leq(1, 0)
+    # the order is the reflexive closure, so listing (i, i) changes nothing
+    assert FinitePoset(2, [(1, 1), (0, 1), (0, 0)]) == chain
 
 
 def test_validate_poset_failures_carry_witnesses():
-    with pytest.raises(NotReflexive) as info:
-        FinitePoset([[False]])
-    assert info.value.witness == 0
     with pytest.raises(NotAntisymmetric) as info:
-        FinitePoset([[True, True], [True, True]])
+        FinitePoset(2, [(0, 1), (1, 0)])
     assert info.value.witness == (0, 1)
     with pytest.raises(NotTransitive) as info:
-        FinitePoset.from_pairs(3, [(0, 1), (1, 2)])
+        FinitePoset(3, [(0, 1), (1, 2)])
     assert info.value.witness == (0, 1, 2)
+    with pytest.raises(ValueError, match=r"pair \(0, 2\) outside 0\.\.1"):
+        FinitePoset(2, [(0, 2)])
     with pytest.raises(ValueError):
-        FinitePoset([[True, True], [False]])
+        FinitePoset(0, [])
+
+
+def test_poset_refuses_a_bool_size_or_index():
+    # a bool is not an int here, as everywhere else in the package
+    for size, pairs in ((True, []), (2, [(0, True)]), (2, [(False, 1)]), (2.0, [])):
+        with pytest.raises(TypeError):
+            FinitePoset(size, pairs)
+
+
+def test_every_poset_is_built_through_init(monkeypatch):
+    # the traced benchmark spans FinitePoset.__init__, so a constructor that
+    # skips it would drop posets from the finspace counts without a failure
+    made = []
+    init = FinitePoset.__init__
+
+    def counted(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(FinitePoset, "__init__", counted)
+    built = posets_up_to_iso(4) + [decode_poset({"size": 3, "leq": [[0, 1], [1, 2], [0, 2]]}, "$")]
+    assert len(built) == 17
+    assert all(any(p is q for q in made) for p in built)
 
 
 def test_is_lsc_examples():
@@ -99,10 +122,10 @@ def test_is_lsc_matches_open_preimage_definition():
 def test_all_opens_examples():
     assert all_opens(SIGMA) == [0b00, 0b10, 0b11]
     assert all_opens(DISCRETE2) == [0b00, 0b01, 0b10, 0b11]
-    anti = FinitePoset.from_pairs(4, [])
+    anti = FinitePoset(4, [])
     assert len(all_opens(anti)) == 16
     with pytest.raises(TooLarge):
-        all_opens(FinitePoset.from_pairs(13, []))
+        all_opens(FinitePoset(13, []))
 
 
 def test_opens_are_up_sets():
@@ -162,7 +185,7 @@ def _set_transitive(n, rel):
 
 def _enumerate_with_set_transitivity(n):
     """The enumeration that filtered candidates with its own set-based
-    transitivity test before ``from_pairs`` decided it: the reference."""
+    transitivity test before the constructor decided it: the reference."""
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     found = {}
     for bits in range(1 << len(pairs)):
@@ -173,7 +196,7 @@ def _enumerate_with_set_transitivity(n):
             tuple(sorted((perm[i], perm[j]) for i, j in rel)) for perm in permutations(range(n))
         )
         found.setdefault(key, rel)
-    return [FinitePoset.from_pairs(n, found[key]) for key in sorted(found)]
+    return [FinitePoset(n, found[key]) for key in sorted(found)]
 
 
 def test_posets_up_to_iso_match_the_set_transitivity_enumeration():
@@ -194,12 +217,10 @@ def test_posets_are_topologically_labelled_and_deterministic():
 
 
 def _triple_loop_validate(table):
-    """The cubic validation that bitmask rows replaced: the reference."""
+    """The cubic validation that bitmask rows replaced, on a reflexive
+    table: the reference."""
     rows = [tuple(bool(v) for v in row) for row in table]
     n = len(rows)
-    for i in range(n):
-        if not rows[i][i]:
-            raise NotReflexive(i)
     for i in range(n):
         for j in range(n):
             if i != j and rows[i][j] and rows[j][i]:
@@ -238,31 +259,35 @@ def test_bitmask_validation_matches_triple_loop():
     outcomes = set()
     for _ in range(400):
         table = _near_poset(rng, rng.randint(1, 9))
+        n = len(table)
+        # the constructor takes the reflexive closure of the pairs
+        for i in range(n):
+            table[i][i] = True
+        pairs = [(i, j) for i in range(n) for j in range(n) if table[i][j]]
         try:
             _triple_loop_validate(table)
             expected = None
-        except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
+        except (NotAntisymmetric, NotTransitive) as exc:
             expected = (type(exc), exc.witness)
         try:
-            poset = FinitePoset(table)
+            poset = FinitePoset(n, pairs)
             got = None
-        except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
+        except (NotAntisymmetric, NotTransitive) as exc:
             got = (type(exc), exc.witness)
         assert got == expected
         outcomes.add(None if got is None else got[0])
         if got is None:
-            n = len(table)
             assert all(poset.leq(i, j) == table[i][j] for i in range(n) for j in range(n))
             assert all(
                 poset.up_mask(i) == sum(1 << j for j in range(n) if table[i][j])
                 for i in range(n)
             )
-    assert outcomes == {None, NotReflexive, NotAntisymmetric, NotTransitive}
+    assert outcomes == {None, NotAntisymmetric, NotTransitive}
 
 
 def test_posets_hash_by_their_order():
-    a = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
-    b = FinitePoset.from_pairs(3, [(1, 2), (0, 2), (0, 1)])
+    a = FinitePoset(3, [(0, 1), (1, 2), (0, 2)])
+    b = FinitePoset(3, [(1, 2), (0, 2), (0, 1)])
     assert a == b and hash(a) == hash(b)
     assert len({a, b, DISCRETE2, SIGMA}) == 3
     assert hash(LscFun(SIGMA, [ZERO, INF])) == hash(LscFun(SIGMA, [ZERO, INF]))
@@ -272,7 +297,7 @@ class _TablePoset:
     """The table-based poset that up-set masks replaced: the reference.
 
     It kept the order twice, as a bool table next to the masks, and built
-    the table for ``from_pairs`` as well.
+    the table from the pairs as well.
     """
 
     def __init__(self, table):
@@ -281,9 +306,6 @@ class _TablePoset:
         if n == 0 or any(len(r) != n for r in rows):
             raise ValueError("relation table must be square and nonempty")
         up = tuple(sum(1 << j for j in compress(range(n), row)) for row in rows)
-        for i in range(n):
-            if not up[i] >> i & 1:
-                raise NotReflexive(i)
         for i in range(n):
             for j in _bits(up[i] & ~(1 << i)):
                 if up[j] >> i & 1:
@@ -299,6 +321,9 @@ class _TablePoset:
 
     @classmethod
     def from_pairs(cls, size, pairs):
+        # FinitePoset's message for a poset with no elements
+        if size < 1 and not pairs:
+            raise ValueError("a poset needs at least one element")
         table = [[False] * size for _ in range(size)]
         for i in range(size):
             table[i][i] = True
@@ -328,7 +353,7 @@ class _TablePoset:
 def _outcome(build):
     try:
         return build(), None
-    except (NotReflexive, NotAntisymmetric, NotTransitive) as exc:
+    except (NotAntisymmetric, NotTransitive) as exc:
         return None, (type(exc), exc.witness)
     except ValueError as exc:
         return None, (ValueError, str(exc))
@@ -340,7 +365,7 @@ def test_up_set_masks_match_the_table_poset():
     for _ in range(500):
         n = rng.randint(1, 8)
         table = _near_poset(rng, n)
-        # from_pairs adds every (i, i) itself; now and then the pairs list it too
+        # the constructor adds every (i, i) itself; now and then the pairs list it too
         listed = rng.random() >= 0.8
         pairs = [(i, j) for i in range(n) for j in range(n)
                  if table[i][j] and (i != j or listed)]
@@ -348,25 +373,18 @@ def test_up_set_masks_match_the_table_poset():
         size = n
         if rng.random() < 0.05:
             size = rng.choice((0, -1, n - 1))  # pairs outside, or no elements
-        cases = [
-            (lambda: FinitePoset(table), lambda: _TablePoset(table)),
-            (lambda: FinitePoset.from_pairs(size, pairs),
-             lambda: _TablePoset.from_pairs(size, pairs)),
-        ]
-        for new, old in cases:
-            got, got_err = _outcome(new)
-            want, want_err = _outcome(old)
-            assert got_err == want_err
-            errors.add(None if got_err is None else got_err[0])
-            if got is None:
-                continue
-            assert got.n == want.n
-            assert all(got.leq(i, j) is want.leq(i, j)
-                       for i in range(got.n) for j in range(got.n))
-            assert got.pairs() == want.pairs()
-            assert repr(got) == repr(want)
-            built.append((got, want))
-    assert errors == {None, NotReflexive, NotAntisymmetric, NotTransitive, ValueError}
+        got, got_err = _outcome(lambda: FinitePoset(size, pairs))
+        want, want_err = _outcome(lambda: _TablePoset.from_pairs(size, pairs))
+        assert got_err == want_err
+        errors.add(None if got_err is None else got_err[0])
+        if got is None:
+            continue
+        assert got.n == want.n
+        assert all(got.leq(i, j) is want.leq(i, j) for i in range(got.n) for j in range(got.n))
+        assert got.pairs() == want.pairs()
+        assert repr(got) == repr(want)
+        built.append((got, want))
+    assert errors == {None, NotAntisymmetric, NotTransitive, ValueError}
     sample = built[::7]
     for a, a_old in sample:
         for b, b_old in sample:

@@ -8,12 +8,10 @@ from conedual import (
     INF,
     ExtReal,
     ExtVec,
-    InterpolationResult,
     LinFun,
     Separated,
     SublinFun,
     SuperlinFun,
-    check_min_below,
     clause_witnesses,
     dominated_by_max,
     interpolate,
@@ -41,37 +39,38 @@ def _rand_point(rng, dim, inf_chance=8):
 
 
 def test_check_min_below_examples():
-    ok, wit = check_min_below(SuperlinFun([[2, 0], [0, 2]]), SublinFun([[1, 1]]))
+    # leq_functional decides a clause minimum below phi with one margin decision
+    ok, wit = leq_functional(SuperlinFun([[2, 0], [0, 2]]), SublinFun([[1, 1]]))
     assert ok and wit is None
-    ok, wit = check_min_below(SuperlinFun([[3, 3]]), SublinFun([[1, 1]]))
+    ok, wit = leq_functional(SuperlinFun([[3, 3]]), SublinFun([[1, 1]]))
     assert not ok
     # the witness refutes the hypothesis exactly
     assert SublinFun([[1, 1]]).eval(wit) < SuperlinFun([[3, 3]]).eval(wit)
     g = SuperlinFun([[2, 5]])
-    ok, _ = check_min_below(g, SublinFun([[2, 5]]))
+    ok, _ = leq_functional(g, SublinFun([[2, 5]]))
     assert ok
 
 
 def test_check_min_below_decides_infinite_coefficients():
     # the member is infinite where phi is finite, so 1 there refutes the hypothesis
-    assert check_min_below(SuperlinFun([[INF, 0]]), SublinFun([[1, 1]])) == (False, ExtVec([1, 1]))
+    assert leq_functional(SuperlinFun([[INF, 0]]), SublinFun([[1, 1]])) == (False, ExtVec([1, 1]))
     # the member (inf, 0) drops out; the LP's point (0, 1) is lifted by
     # 2/3 = t / (1 + 2) so that it is infinite at the lifted point
-    ok, y = check_min_below(SuperlinFun([[INF, 0], [1, 3]]), SublinFun([[1, 1]]))
+    ok, y = leq_functional(SuperlinFun([[INF, 0], [1, 3]]), SublinFun([[1, 1]]))
     assert not ok and y == ExtVec([F(2, 3), F(5, 3)])
-    assert check_min_below(SuperlinFun([[INF, 0], [0, 1]]), SublinFun([[1, 1]])) == (True, None)
+    assert leq_functional(SuperlinFun([[INF, 0], [0, 1]]), SublinFun([[1, 1]])) == (True, None)
 
 
 def test_interpolate_gives_a_dropped_member_weight_zero():
     # phi is infinite on coordinate 2, and (inf, inf, 0) is infinite on the rest
     gs = [[2, 0, INF], [0, 2, 1], [INF, INF, 0]]
     result = interpolate(gs, SublinFun([[1, 1, INF]]))
-    assert result == InterpolationResult((F(1, 2), F(1, 2), F(0)), (F(1),))
+    assert (result.weights, result.certificate) == ((F(1, 2), F(1, 2), F(0)), (F(1),))
     (w,) = clause_witnesses([[0, 1, 2]], gs, SublinFun([[1, 1, INF]]))
-    assert w.fun == LinFun([1, 1, INF])
+    assert w.fun == LinFun([1, 1, INF]) and w == result
     # every coordinate has an infinite branch: phi is infinite off the origin
     result = interpolate(gs, SublinFun([[INF, 0, 0], [0, INF, INF]]))
-    assert result == InterpolationResult((F(1), F(0), F(0)), (F(1), F(0)))
+    assert (result.weights, result.certificate) == ((F(1), F(0), F(0)), (F(1), F(0)))
 
 
 def test_interpolate_unique_weights():
@@ -109,14 +108,14 @@ def test_sandwich_holds_everywhere_sampled():
     rng = random.Random(13)
     gs = [LinFun([3, 0, 1]), LinFun([0, 3, 1]), LinFun([1, 1, 2])]
     phi = SublinFun([[2, 2, 2], [1, 2, 3]])
-    ok, _ = check_min_below(gs, phi)
+    ok, _ = leq_functional(SuperlinFun(gs), phi)
     assert ok
     result = interpolate(gs, phi)
     low = SuperlinFun(gs)
     gcoeffs = [tuple(e.as_fraction() for e in g.coeffs) for g in gs]
     mid = LinFun(
         [
-            ExtReal.from_fraction(sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs)))
+            ExtReal(sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs)))
             for j in range(3)
         ]
     )
@@ -143,7 +142,7 @@ def test_weighted_average_dominates_min():
         gcoeffs = [tuple(e.as_fraction() for e in g.coeffs) for g in gs]
         mix = LinFun(
             [
-                ExtReal.from_fraction(sum(a * gc[j] for a, gc in zip(weights, gcoeffs)))
+                ExtReal(sum(a * gc[j] for a, gc in zip(weights, gcoeffs)))
                 for j in range(dim)
             ]
         )
@@ -156,7 +155,7 @@ def test_weighted_average_dominates_min():
 def test_certificate_is_checkable_without_the_solver():
     gs = [LinFun([4, 0]), LinFun([0, 4]), LinFun([2, 2])]
     phi = SublinFun([[3, 1], [1, 3]])
-    ok, _ = check_min_below(gs, phi)
+    ok, _ = leq_functional(SuperlinFun(gs), phi)
     assert ok
     result = interpolate(gs, phi)
     gcoeffs = [tuple(e.as_fraction() for e in g.coeffs) for g in gs]
@@ -220,7 +219,7 @@ def test_image_vectors_of_dominated_points_avoid_the_corner():
     rng = random.Random(43)
     gs = [LinFun([3, 0]), LinFun([0, 3]), LinFun([2, 2])]
     phi = SublinFun([[2, 1], [1, 2]])
-    ok, _ = check_min_below(gs, phi)
+    ok, _ = leq_functional(SuperlinFun(gs), phi)
     assert ok
     sampled = []
     while len(sampled) < 12:
@@ -233,7 +232,7 @@ def test_image_vectors_of_dominated_points_avoid_the_corner():
     for y, img in zip(sampled, images):
         total = ExtReal(0)
         for a, v in zip(out.weights, img):
-            total = total + ExtReal.from_fraction(a) * v
+            total = total + ExtReal(a) * v
         assert total <= ExtReal(1)
         low = SuperlinFun(gs).eval(y)
         assert low <= total

@@ -1009,7 +1009,7 @@ def test_condensed_tableau_matches_full_tableau_on_separation_lps(monkeypatch):
         dim = rng.randint(2, 8)
         top = rng.choice((2, 3, 6, 12))
         gens = [
-            ExtVec([ExtReal.from_fraction(F(rng.randint(0, top), rng.randint(1, 4)))
+            ExtVec([ExtReal(F(rng.randint(0, top), rng.randint(1, 4)))
                     if rng.random() > 0.03 else INF
                     for _ in range(dim)])
             for _ in range(rng.randint(2, 16))
@@ -1185,7 +1185,7 @@ def test_integer_separation_rows_match_fraction_rows(monkeypatch):
         dim = rng.randint(1, 7)
         top = rng.choice((2, 3, 6, 12))
         gens = [
-            ExtVec([ExtReal.from_fraction(F(rng.randint(0, top), rng.randint(1, 4)))
+            ExtVec([ExtReal(F(rng.randint(0, top), rng.randint(1, 4)))
                     if rng.random() > 0.05 else INF
                     for _ in range(dim)])
             for _ in range(rng.randint(1, 12))

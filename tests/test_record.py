@@ -1,6 +1,6 @@
 """The package's result records behave as frozen dataclasses did.
 
-Each of the ten record types keeps positional and keyword construction,
+Each of the nine record types keeps positional and keyword construction,
 its ``__post_init__``, ``==`` only within one class, ``hash`` of the field
 tuple, the dataclass ``repr`` bytes and an ``AttributeError`` on
 assignment; the pinned reprs are the ones ``@dataclass(frozen=True)``
@@ -14,7 +14,6 @@ import pytest
 from conedual import (
     ClauseWitness,
     Constraint,
-    InterpolationResult,
     LinFun,
     LPInfeasible,
     LPOptimal,
@@ -55,9 +54,6 @@ RECORDS = [
     (MeetsCorner(((0, F(1, 2)), (1, F(1, 2)))),
      dict(witness=((0, F(1, 2)), (1, F(1, 2)))),
      "MeetsCorner(witness=((0, Fraction(1, 2)), (1, Fraction(1, 2))))"),
-    (InterpolationResult((F(1, 2), F(1, 2)), (F(1),)),
-     dict(weights=(F(1, 2), F(1, 2)), certificate=(F(1),)),
-     "InterpolationResult(weights=(Fraction(1, 2), Fraction(1, 2)), certificate=(Fraction(1, 1),))"),
     (ClauseWitness(LinFun([1, 1]), (F(1),), (F(1, 2),)),
      dict(fun=LinFun([1, 1]), weights=(F(1),), certificate=(F(1, 2),)),
      "ClauseWitness(fun=LinFun(1, 1), weights=(Fraction(1, 1),), certificate=(Fraction(1, 2),))"),
@@ -98,7 +94,7 @@ def test_equality_stays_within_one_class():
     cert = (F(1), F(0))
     assert LPInfeasible(cert) != LPUnbounded(cert)
     assert LPUnbounded(cert) != LPInfeasible(cert)
-    assert InterpolationResult((F(1),), (F(1),)) != ClauseWitness(LinFun([1]), (F(1),), (F(1),))
+    assert MeetsCorner(cert) != LPInfeasible(cert) and LPInfeasible(cert) != MeetsCorner(cert)
     assert len({LPInfeasible(cert), LPInfeasible(cert), LPUnbounded(cert)}) == 2
 
 

@@ -33,14 +33,14 @@ from conedual.errors import (
     ConeDualError,
     DimensionMismatch,
     EmptyList,
-    GridTooLarge,
     NotAValuation,
     NotLSC,
     PosetMismatch,
+    TooLarge,
     UndefinedDifference,
 )
 
-SIGMA = FinitePoset.from_pairs(2, [(0, 1)])
+SIGMA = FinitePoset(2, [(0, 1)])
 CHAIN2 = SIGMA
 
 
@@ -66,7 +66,7 @@ def test_evaluation_examples():
     zero_at_weighted = eval_valuation(SimpleValuation(SIGMA, [INF, 0]), LscFun(SIGMA, [0, 1]))
     assert zero_at_weighted == ZERO
     with pytest.raises(PosetMismatch):
-        eval_valuation(SimpleValuation(FinitePoset.from_pairs(2, []), [1, 1]), f)
+        eval_valuation(SimpleValuation(FinitePoset(2, []), [1, 1]), f)
 
 
 def test_evaluation_is_linear():
@@ -136,7 +136,7 @@ def test_to_opens_table_passes_the_full_validation():
     # to_opens builds its table without validating it; the validating
     # constructor accepts it unchanged, infinite weights included
     rng = random.Random(2718)
-    values = [ZERO, ONE, ExtReal(2), INF, ExtReal.from_fraction(Fraction(1, 3))]
+    values = [ZERO, ONE, ExtReal(2), INF, ExtReal(Fraction(1, 3))]
     for n in range(1, 5):
         for poset in posets_up_to_iso(n):
             mu = SimpleValuation(poset, [rng.choice(values) for _ in range(n)])
@@ -165,7 +165,7 @@ def test_open_tables_are_monotone_and_modular():
 
 
 def test_from_opens_rejects_non_valuations():
-    anti = FinitePoset.from_pairs(2, [])
+    anti = FinitePoset(2, [])
     # additivity fails: the two singletons sum to 2 but the whole space says 3
     bad = ValuationOnOpens(anti, {0b00: 0, 0b01: 1, 0b10: 1, 0b11: 3})
     with pytest.raises(NotAValuation):
@@ -236,12 +236,12 @@ def test_recovery_is_injective_on_monotone_coefficients():
 def test_directedness_examples():
     ok, pair = check_dominated_directed(DualFunctional([1, 2]), CHAIN2, 1, ExtReal(2))
     assert ok and pair is None
-    single = FinitePoset.from_pairs(1, [])
+    single = FinitePoset(1, [])
     ok, _ = check_dominated_directed(DualFunctional([1]), single, 2, ExtReal(2))
     assert ok
     ok, _ = check_dominated_directed(DualFunctional([2, 1]), CHAIN2, 2, ExtReal(2))
     assert ok
-    with pytest.raises(GridTooLarge):
+    with pytest.raises(TooLarge):
         check_dominated_directed(DualFunctional([1, 2]), CHAIN2, 1, INF)
 
 
@@ -287,7 +287,7 @@ def _sampled_grid_values(grid_denominator, cap):
     if grid_denominator < 1:
         raise ValueError("grid denominator must be positive")
     if cap.is_infinite:
-        raise GridTooLarge("an infinite cap would need an infinite grid")
+        raise TooLarge("an infinite cap would need an infinite grid")
     values = []
     k = 0
     while True:
@@ -305,7 +305,7 @@ def _sampled_dominated_directed(
     values = _sampled_grid_values(grid_denominator, ExtReal(cap))
     n = poset.n
     if len(values) ** n > 200_000:
-        raise GridTooLarge(f"{len(values)}^{n} candidate tables exceed the bound")
+        raise TooLarge(f"{len(values)}^{n} candidate tables exceed the bound")
     candidates = [
         vals for vals in product(values, repeat=n) if is_lsc(vals, poset)[0]
     ]
@@ -391,7 +391,7 @@ def test_exact_directedness_matches_the_sampled_oracle():
         if type(want) is tuple and isinstance(want[0], type):
             raised.add(want[0])
     # every kind of exception occurred, each with the oracle's message
-    assert raised == {DimensionMismatch, GridTooLarge, ValueError}
+    assert raised == {DimensionMismatch, TooLarge, ValueError}
 
 
 def test_exact_sup_representation_matches_the_sampled_oracle():
@@ -420,7 +420,7 @@ def test_exact_sup_representation_matches_the_sampled_oracle():
 
 
 def test_sup_representation_raises_as_the_sampled_oracle():
-    chain3 = FinitePoset.from_pairs(3, [(0, 1), (1, 2), (0, 2)])
+    chain3 = FinitePoset(3, [(0, 1), (1, 2), (0, 2)])
     f = LscFun(CHAIN2, [1, INF])
     cases = [
         (DualFunctional([1, 2, 3]), CHAIN2, [f]),
@@ -442,10 +442,10 @@ def test_sup_representation_raises_as_the_sampled_oracle():
 
 def test_grid_bound_is_checked_before_the_grid_is_built():
     # a million grid values on one element: the bound alone must refuse it
-    single = FinitePoset.from_pairs(1, [])
+    single = FinitePoset(1, [])
     tracemalloc.start()
     try:
-        with pytest.raises(GridTooLarge):
+        with pytest.raises(TooLarge):
             check_dominated_directed(DualFunctional([1]), single, 1, ExtReal(10**6))
         _, peak = tracemalloc.get_traced_memory()
     finally:
@@ -506,13 +506,21 @@ def test_pairings_match_the_fold_oracle():
 
 def test_constructors_reject_non_numbers():
     with pytest.raises(TypeError):
-        SimpleValuation(FinitePoset.from_pairs(1, []), ["x"])
+        SimpleValuation(FinitePoset(1, []), ["x"])
     with pytest.raises(TypeError):
         DualFunctional(["x"])
+
+
+def test_open_tables_refuse_a_bool_mask_and_a_non_number():
+    single = FinitePoset(1, [])
+    assert ValuationOnOpens(single, {0: 0, 1: Fraction(1, 2)}).value(1) == ExtReal(1, 2)
+    for table in ({0: 0, True: 1}, {0: 0.5, 1: "x"}, {0: 0, 1: "x"}):
+        with pytest.raises(TypeError):
+            ValuationOnOpens(single, table)
 
 
 def test_directedness_rejects_a_functional_of_the_wrong_dimension():
     with pytest.raises(DimensionMismatch):
         check_dominated_directed(
-            DualFunctional([1, 1]), FinitePoset.from_pairs(3, []), 1, ExtReal(1)
+            DualFunctional([1, 1]), FinitePoset(3, []), 1, ExtReal(1)
         )
