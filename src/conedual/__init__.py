@@ -68,4 +68,4 @@ from .valuations import (
 )
 from . import errors
 
-__version__ = "0.3.0"
+__version__ = "0.4.0"

@@ -5,9 +5,10 @@ or --output), in three stages: the command's ``_decode_*`` validates all of
 the JSON and returns a library function with its arguments; ``main`` calls
 it, and ``_DOMAIN_ERRORS`` turns a domain exception of the call into its
 payload; the command's ``_encode_*`` turns the result into the document.
-Exit codes: 0 on success, 1 on malformed input or unwritable output, 2 on
-domain outcomes (the documents with an "error" key), which report the error
-kind and the witness.  Output is deterministic for a fixed seed.
+Exit codes: 0 on success, 1 on a rejected command line, malformed input or
+unwritable output, 2 on domain outcomes (the documents with an "error"
+key), which report the error kind and the witness.  Output is deterministic,
+for ``check`` given its seed.
 """
 
 from __future__ import annotations
@@ -200,19 +201,25 @@ _COMMANDS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a rejected command line as ``ParseError``, so ``main`` answers it
+    with a ``malformed_input`` document and exit code 1."""
+
+    def error(self, message):
+        raise ParseError(message)
+
+
 def _build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="conedual",
         description="Exact separation, interpolation, and duality instances over extended orthants.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
     for name, (_, _, help_text) in _COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        p.add_argument("--input", default="-", help="input JSON path, - for stdin")
-        p.add_argument("--output", default="-", help="output JSON path, - for stdout")
-        p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for randomized suites")
-        p.add_argument("--verbose", action="store_true", help="log progress to stderr")
+        # check reads no instance, and only its suites draw at random
         if name == "check":
+            p.add_argument("--seed", type=int, default=DEFAULT_SEED, help="seed for the suites")
             p.add_argument(
                 "--suite",
                 default="all",
@@ -225,6 +232,10 @@ def _build_parser():
                 default=None,
                 help="cap the poset sizes explored by enumeration suites",
             )
+        else:
+            p.add_argument("--input", default="-", help="input JSON path, - for stdin")
+        p.add_argument("--output", default="-", help="output JSON path, - for stdout")
+        p.add_argument("--verbose", action="store_true", help="log progress to stderr")
     return parser
 
 
@@ -259,9 +270,11 @@ def _write(output, payload):
 
 
 def main(argv=None) -> int:
-    args = _PARSER.parse_args(argv)
-    decode, encode, _ = _COMMANDS[args.command]
+    output = "-"
     try:
+        args = _PARSER.parse_args(argv)
+        output = args.output
+        decode, encode, _ = _COMMANDS[args.command]
         fn, call_args = decode(_read_payload(args), args)
         try:
             result = fn(*call_args)
@@ -278,11 +291,11 @@ def main(argv=None) -> int:
         if witness is not None:
             doc["witness"] = list(witness) if isinstance(witness, tuple) else witness
     try:
-        _write(args.output, doc)
+        _write(output, doc)
     except OSError as exc:
         _write("-", {"error": "malformed_input", "message": f"cannot write output: {exc}"})
         return 1
-    if args.verbose and code == 0:
+    if code == 0 and args.verbose:
         print(f"{args.command}: ok", file=sys.stderr)
     return code
 

@@ -39,14 +39,16 @@ class ExtReal:
     __slots__ = ("num", "den")
 
     def __init__(self, num=0, den=1):
+        # a bool is not an int here, as everywhere in the package
         if type(num) is not int or type(den) is not int:
-            if isinstance(num, Fraction) and den == 1:
-                num, den = num.numerator, num.denominator
-            if isinstance(num, ExtReal) and den == 1:
-                self.num = num.num
-                self.den = num.den
-                return
-            if not isinstance(num, int) or not isinstance(den, int):
+            if type(den) is int and den == 1:
+                if isinstance(num, Fraction):
+                    num, den = num.numerator, num.denominator
+                elif isinstance(num, ExtReal):
+                    self.num = num.num
+                    self.den = num.den
+                    return
+            if type(num) is not int or type(den) is not int:
                 raise TypeError(f"expected integers, got {num!r}/{den!r}")
         if den <= 0:
             raise ValueError("denominator must be positive")
@@ -206,10 +208,10 @@ INF = ExtReal._raw(1, 0)
 
 
 def as_extreal(x):
-    """Coerce an int, Fraction, or ExtReal; NotImplemented otherwise."""
+    """Coerce an int, Fraction, or ExtReal; NotImplemented otherwise, a bool included."""
     if isinstance(x, ExtReal):
         return x
-    if isinstance(x, (int, Fraction)):
+    if type(x) is int or isinstance(x, Fraction):
         if x < 0:
             raise ValueError("negative values are outside the extended nonnegative reals")
         return ExtReal._raw(x.numerator, x.denominator)

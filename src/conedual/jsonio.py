@@ -1,4 +1,4 @@
-"""Decoding and encoding of the wire formats used by the CLI.
+"""Decoding of the wire formats used by the CLI.
 
 Decoders raise ParseError with the JSON path of the offending field, so
 malformed input reports where and what was expected.
@@ -9,7 +9,7 @@ from __future__ import annotations
 from .errors import ParseError, _echo
 from .extreal import INF, ExtReal, ExtVec, _parse_ratio
 from .finspace import FinitePoset
-from .functionals import LinFun, OpenSetRep, SublinFun, SuperlinFun
+from .functionals import LinFun, OpenSetRep, SublinFun
 from .valuations import SimpleValuation, ValuationOnOpens
 
 
@@ -146,24 +146,15 @@ def require_key(obj, key, path):
 _COEFF_ARRAYS = "a nonempty array of coefficient arrays"
 
 
-def decode_functional(obj, path):
+def decode_sublinear(obj, path) -> SublinFun:
     kind = require_key(obj, "kind", path)
     if kind == "lin":
-        return LinFun(decode_vector(require_key(obj, "coeffs", path), f"{path}.coeffs"))
-    if kind in ("max", "min"):
+        coeffs = decode_vector(require_key(obj, "coeffs", path), f"{path}.coeffs")
+        return SublinFun([LinFun(coeffs)])
+    if kind == "max":
         raw = require_key(obj, "branches", path)
-        branches = decode_vectors(raw, f"{path}.branches", _COEFF_ARRAYS)
-        return SublinFun(branches) if kind == "max" else SuperlinFun(branches)
-    fail(f"{path}.kind", '"lin", "max", or "min"', kind)
-
-
-def decode_sublinear(obj, path) -> SublinFun:
-    f = decode_functional(obj, path)
-    if isinstance(f, LinFun):
-        return SublinFun([f])
-    if isinstance(f, SublinFun):
-        return f
-    fail(f"{path}.kind", '"lin" or "max"', "min")
+        return SublinFun(decode_vectors(raw, f"{path}.branches", _COEFF_ARRAYS))
+    fail(f"{path}.kind", '"lin" or "max"', kind)
 
 
 def decode_open_set(obj, path) -> OpenSetRep:

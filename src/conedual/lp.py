@@ -85,17 +85,14 @@ _ZERO = Fraction(0)
 
 
 def _frac(v):
-    """``v`` as a ``Fraction``; a ``bool`` is not a number, as in ``_exact``."""
+    """``v`` as a ``Fraction``: an ``int`` or a ``Fraction``, the rule of ``_exact``."""
     if type(v) is Fraction:
         return v
+    if type(v) is int:
+        return Fraction(v)
     if isinstance(v, float):
         raise MalformedProblem("floating point coefficients are not accepted")
-    if type(v) is bool:
-        raise MalformedProblem(f"not a rational coefficient: {v!r}")
-    try:
-        return Fraction(v)
-    except (TypeError, ValueError) as exc:
-        raise MalformedProblem(f"not a rational coefficient: {v!r}") from exc
+    raise MalformedProblem(f"not a rational coefficient: {v!r}")
 
 
 class Constraint(Record):

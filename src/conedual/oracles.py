@@ -11,9 +11,12 @@ from math import lcm
 
 from .extreal import ONE, as_extvec
 
+# the weights are the multiples of 1/_STEPS
+_STEPS = 32
 
-def hull_meets_corner_dyadic(generators, dim: int, denominator: int = 32) -> bool:
-    """Search all convex combinations with weights k/denominator.
+
+def hull_meets_corner_dyadic(generators, dim: int) -> bool:
+    """Search all convex combinations with weights k/32.
 
     Exhaustive over weight compositions, with two decision-preserving
     reductions: generators dominated coordinatewise by another are dropped
@@ -39,8 +42,8 @@ def hull_meets_corner_dyadic(generators, dim: int, denominator: int = 32) -> boo
     m = len(gens)
 
     # per-coordinate integer scaling: weights become integers k_j summing to
-    # the denominator, and coordinate i passes when the scaled sum exceeds
-    # denominator * scale_i (or an infinite entry carries positive weight)
+    # _STEPS, and coordinate i passes when the scaled sum exceeds
+    # _STEPS * scale_i (or an infinite entry carries positive weight)
     scales = []
     fin = []
     infmask = []
@@ -58,7 +61,7 @@ def hull_meets_corner_dyadic(generators, dim: int, denominator: int = 32) -> boo
                 row.append(g[i].num * (scales[i] // g[i].den))
         fin.append(row)
         infmask.append(mask)
-    targets = [denominator * s for s in scales]
+    targets = [_STEPS * s for s in scales]
 
     # suffix data for pruning: the best finite entry and whether an infinite
     # entry is still ahead, per coordinate
@@ -104,7 +107,7 @@ def hull_meets_corner_dyadic(generators, dim: int, denominator: int = 32) -> boo
                 return True
         return False
 
-    return dfs(0, denominator, [0] * dim, 0)
+    return dfs(0, _STEPS, [0] * dim, 0)
 
 
 def _drop_dominated(gens):

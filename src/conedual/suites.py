@@ -54,16 +54,33 @@ DEFAULT_SEED = 1729
 _FAILURE_LIMIT = 25
 
 
-def _report(name, seed, cases, checks, failures):
-    return {
-        "suite": name,
-        "seed": seed,
-        "cases": cases,
-        "checks": checks,
-        "failures": failures[:_FAILURE_LIMIT],
-        "failure_count": len(failures),
-        "passed": not failures,
-    }
+class _Tally:
+    """A suite's count of checks and the labels of the ones that failed."""
+
+    __slots__ = ("checks", "failures")
+
+    def __init__(self):
+        self.checks = 0
+        self.failures = []
+
+    def expect(self, ok, label, *args):
+        """Count one check; when it fails, keep ``label.format(*args)``.
+        Returns ``ok``, so a caller can skip the rest of a case."""
+        self.checks += 1
+        if not ok:
+            self.failures.append(label.format(*args))
+        return ok
+
+    def report(self, name, seed, cases):
+        return {
+            "suite": name,
+            "seed": seed,
+            "cases": cases,
+            "checks": self.checks,
+            "failures": self.failures[:_FAILURE_LIMIT],
+            "failure_count": len(self.failures),
+            "passed": not self.failures,
+        }
 
 
 def _rand_entry(rng, num_max, den_max, inf_chance):
@@ -101,37 +118,29 @@ def _rand_corner_point(rng, dim):
 
 def suite_extreal(seed: int = DEFAULT_SEED):
     grid = [ZERO, ExtReal(1, 3), ExtReal(1, 2), ONE, ExtReal(2), ExtReal(3), INF]
-    failures = []
-    checks = 0
-
-    def expect(cond, label):
-        nonlocal checks
-        checks += 1
-        if not cond:
-            failures.append(label)
-
+    tally = _Tally()
     for a in grid:
-        expect(a + ZERO == a, f"{a} + 0")
-        expect(ONE * a == a, f"1 * {a}")
-        expect(ZERO * a == ZERO, f"0 * {a} must be 0")
+        tally.expect(a + ZERO == a, "{} + 0", a)
+        tally.expect(ONE * a == a, "1 * {}", a)
+        tally.expect(ZERO * a == ZERO, "0 * {} must be 0", a)
         if not a.is_zero:
-            expect(a * INF == INF, f"{a} * inf must be inf")
-        expect(a + INF == INF and INF + a == INF, f"{a} + inf")
-        expect(parse_extreal(str(a)) == a, f"parse round trip {a}")
+            tally.expect(a * INF == INF, "{} * inf must be inf", a)
+        tally.expect(a + INF == INF and INF + a == INF, "{} + inf", a)
+        tally.expect(parse_extreal(str(a)) == a, "parse round trip {}", a)
         for b in grid:
-            expect(a + b == b + a, f"{a} + {b} commutes")
-            expect(a * b == b * a, f"{a} * {b} commutes")
+            tally.expect(a + b == b + a, "{} + {} commutes", a, b)
+            tally.expect(a * b == b * a, "{} * {} commutes", a, b)
             if b.is_finite:
-                expect(a + b - b == a, f"({a} + {b}) - {b}")
+                tally.expect(a + b - b == a, "({0} + {1}) - {1}", a, b)
             for c in grid:
-                expect((a + b) + c == a + (b + c), f"assoc + {a},{b},{c}")
-                expect((a * b) * c == a * (b * c), f"assoc * {a},{b},{c}")
-                expect(a * (b + c) == a * b + a * c, f"distrib {a},{b},{c}")
-                expect((a + b) * c == a * c + b * c, f"distrib right {a},{b},{c}")
+                tally.expect((a + b) + c == a + (b + c), "assoc + {},{},{}", a, b, c)
+                tally.expect((a * b) * c == a * (b * c), "assoc * {},{},{}", a, b, c)
+                tally.expect(a * (b + c) == a * b + a * c, "distrib {},{},{}", a, b, c)
+                tally.expect((a + b) * c == a * c + b * c, "distrib right {},{},{}", a, b, c)
                 if a <= b:
-                    expect(a + c <= b + c, f"monotone + {a},{b},{c}")
-                    expect(a * c <= b * c, f"monotone * {a},{b},{c}")
-    return _report("extreal", seed, len(grid), checks, failures)
+                    tally.expect(a + c <= b + c, "monotone + {},{},{}", a, b, c)
+                    tally.expect(a * c <= b * c, "monotone * {},{},{}", a, b, c)
+    return tally.report("extreal", seed, len(grid))
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +150,7 @@ def suite_extreal(seed: int = DEFAULT_SEED):
 def suite_separation(seed: int = DEFAULT_SEED):
     instances = 500
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for t in range(instances):
         dim = rng.randint(1, 6)
         count = rng.randint(1, 8)
@@ -151,26 +159,22 @@ def suite_separation(seed: int = DEFAULT_SEED):
             for _ in range(count)
         ]
         outcome = separate(gens, dim)
-        checks += 1
         if isinstance(outcome, Separated):
-            if not verify_separated(gens, outcome.weights, dim):
-                failures.append(f"instance {t}: separated weights failed recheck")
+            tally.expect(verify_separated(gens, outcome.weights, dim),
+                         "instance {}: separated weights failed recheck", t)
             w = ExtVec(outcome.weights)
             for _ in range(2):
                 y = _rand_corner_point(rng, dim)
-                checks += 1
-                if not ONE < w.dot(y):
-                    failures.append(f"instance {t}: corner point {y} not above one")
+                tally.expect(ONE < w.dot(y), "instance {}: corner point {} not above one", t, y)
         else:
-            if not verify_meets_corner(gens, outcome.witness):
-                failures.append(f"instance {t}: corner witness failed recheck")
+            tally.expect(verify_meets_corner(gens, outcome.witness),
+                         "instance {}: corner witness failed recheck", t)
         # the dyadic oracle enumerates weight compositions: keep it to dim 3
         if dim <= 3:
-            checks += 1
-            meets = oracles.hull_meets_corner_dyadic(gens, dim, 32)
-            if meets != isinstance(outcome, MeetsCorner):
-                failures.append(f"instance {t}: dyadic oracle disagrees")
-    return _report("separation", seed, instances, checks, failures)
+            meets = oracles.hull_meets_corner_dyadic(gens, dim)
+            tally.expect(meets == isinstance(outcome, MeetsCorner),
+                         "instance {}: dyadic oracle disagrees", t)
+    return tally.report("separation", seed, instances)
 
 
 # ---------------------------------------------------------------------------
@@ -222,26 +226,22 @@ def _violating_instance(rng):
 def suite_interpolation(seed: int = DEFAULT_SEED):
     instances, violations, points = 300, 100, 1000
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for t in range(instances):
         gs, phi = _hypothesis_instance(rng)
         dim = phi.dim
         ok, _ = leq_functional(SuperlinFun(gs), phi)
-        checks += 1
-        if not ok:
-            failures.append(f"instance {t}: constructed hypothesis rejected")
+        if not tally.expect(ok, "instance {}: constructed hypothesis rejected", t):
             continue
         result = interpolate(gs, phi)
         gcoeffs = [[e.as_fraction() for e in g.coeffs] for g in gs]
         hcoeffs = [[e.as_fraction() for e in h.coeffs] for h in phi.branches]
-        checks += 1
         mix = [sum(a * gc[j] for a, gc in zip(result.weights, gcoeffs)) for j in range(dim)]
         cover = [
             sum(lk * hc[j] for lk, hc in zip(result.certificate, hcoeffs)) for j in range(dim)
         ]
-        if any(left > right for left, right in zip(mix, cover)):
-            failures.append(f"instance {t}: certificate fails coordinatewise")
+        if not tally.expect(all(left <= right for left, right in zip(mix, cover)),
+                            "instance {}: certificate fails coordinatewise", t):
             continue
         mid = LinFun(mix)
         low = SuperlinFun(gs)
@@ -250,21 +250,17 @@ def suite_interpolation(seed: int = DEFAULT_SEED):
             lo = low.eval(y)
             md = mid.eval(y)
             hi = phi.eval(y)
-            checks += 1
-            if not (lo <= md and md <= hi):
-                failures.append(f"instance {t}: sandwich fails at {y}")
+            if not tally.expect(lo <= md and md <= hi, "instance {}: sandwich fails at {}", t, y):
                 break
     for t in range(violations):
         gs, phi = _violating_instance(rng)
         ok, witness = leq_functional(SuperlinFun(gs), phi)
-        checks += 1
         if ok or witness is None:
-            failures.append(f"violation {t}: hypothesis unexpectedly accepted")
-            continue
-        low = SuperlinFun(gs).eval(witness)
-        if not phi.eval(witness) < low:
-            failures.append(f"violation {t}: witness not verified at {witness}")
-    return _report("interpolation", seed, instances + violations, checks, failures)
+            tally.expect(False, "violation {}: hypothesis unexpectedly accepted", t)
+        else:
+            tally.expect(phi.eval(witness) < SuperlinFun(gs).eval(witness),
+                         "violation {}: witness not verified at {}", t, witness)
+    return tally.report("interpolation", seed, instances + violations)
 
 
 # ---------------------------------------------------------------------------
@@ -274,8 +270,7 @@ def suite_interpolation(seed: int = DEFAULT_SEED):
 def suite_minkowski(seed: int = DEFAULT_SEED):
     families = 200
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     for t in range(families):
         dim = rng.randint(1, 4)
         nblocks = rng.randint(1, 3)
@@ -297,38 +292,28 @@ def suite_minkowski(seed: int = DEFAULT_SEED):
             samples.append(_rand_point(rng, dim, inf_chance=8))
 
         zero = samples[0]
-        checks += 1
-        if not (member_a(flat, zero) and not member_u(flat, zero)):
-            failures.append(f"family {t}: zero escapes the closed side")
+        tally.expect(member_a(flat, zero) and not member_u(flat, zero),
+                     "family {}: zero escapes the closed side", t)
 
         for y in samples:
             for block in blocks:
-                checks += 1
                 single = OpenSetRep([block])
-                if minkowski(single, y) != SuperlinFun(block).eval(y):
-                    failures.append(f"family {t}: block closed form differs at {y}")
-                checks += 1
+                tally.expect(minkowski(single, y) == SuperlinFun(block).eval(y),
+                             "family {}: block closed form differs at {}", t, y)
                 want = all(member_u(f, y) for f in block)
-                if member_u(SuperlinFun(block), y) != want:
-                    failures.append(f"family {t}: intersection law fails at {y}")
-            checks += 1
-            if member_u(heads, y) != any(member_u(h, y) for h in heads.branches):
-                failures.append(f"family {t}: union law fails at {y}")
-            checks += 1
-            grows = minkowski(rep, y)
+                tally.expect(member_u(SuperlinFun(block), y) == want,
+                             "family {}: intersection law fails at {}", t, y)
+            tally.expect(member_u(heads, y) == any(member_u(h, y) for h in heads.branches),
+                         "family {}: union law fails at {}", t, y)
             alt = ext_max(SuperlinFun(block).eval(y) for block in blocks)
-            if grows != alt:
-                failures.append(f"family {t}: union of blocks closed form at {y}")
+            tally.expect(minkowski(rep, y) == alt,
+                         "family {}: union of blocks closed form at {}", t, y)
             for r in (ExtReal(1, 2), ExtReal(2), ExtReal(7, 3)):
-                checks += 1
-                if flat.eval(y.scale(r)) != r * flat.eval(y):
-                    failures.append(f"family {t}: max rep not homogeneous at {y}")
-                checks += 1
-                if first_min.eval(y.scale(r)) != r * first_min.eval(y):
-                    failures.append(f"family {t}: min rep not homogeneous at {y}")
-            checks += 1
-            if flat.eval(y.scale(ZERO)) != ZERO:
-                failures.append(f"family {t}: scaling by zero at {y}")
+                tally.expect(flat.eval(y.scale(r)) == r * flat.eval(y),
+                             "family {}: max rep not homogeneous at {}", t, y)
+                tally.expect(first_min.eval(y.scale(r)) == r * first_min.eval(y),
+                             "family {}: min rep not homogeneous at {}", t, y)
+            tally.expect(flat.eval(y.scale(ZERO)) == ZERO, "family {}: scaling by zero at {}", t, y)
 
         for y in samples[:4]:
             value = minkowski(rep, y)
@@ -336,9 +321,8 @@ def suite_minkowski(seed: int = DEFAULT_SEED):
             if value.is_finite and not value.is_zero:
                 v = value.as_fraction()
                 probes += [ExtReal(v / 2), value, ExtReal(2 * v)]
-            checks += 1
-            if not oracles.minkowski_by_scaling_scan(rep, y, probes):
-                failures.append(f"family {t}: scaling scan disagrees at {y}")
+            tally.expect(oracles.minkowski_by_scaling_scan(rep, y, probes),
+                         "family {}: scaling scan disagrees at {}", t, y)
 
         inside_a = [y for y in samples if member_a(flat, y)]
         ts = [Fraction(0), Fraction(1, 4), Fraction(1, 2), Fraction(3, 4), Fraction(1)]
@@ -346,18 +330,14 @@ def suite_minkowski(seed: int = DEFAULT_SEED):
             for b in inside_a[:4]:
                 for tt in ts:
                     combo = a.scale(tt) + b.scale(1 - tt)
-                    checks += 1
-                    if not member_a(flat, combo):
-                        failures.append(f"family {t}: closed side not convex")
+                    tally.expect(member_a(flat, combo), "family {}: closed side not convex", t)
         inside_u = [y for y in samples if member_u(first_min, y)]
         for a in inside_u[:4]:
             for b in inside_u[:4]:
                 for tt in ts:
                     combo = a.scale(tt) + b.scale(1 - tt)
-                    checks += 1
-                    if not member_u(first_min, combo):
-                        failures.append(f"family {t}: open side not convex")
-    return _report("minkowski", seed, families, checks, failures)
+                    tally.expect(member_u(first_min, combo), "family {}: open side not convex", t)
+    return tally.report("minkowski", seed, families)
 
 
 # ---------------------------------------------------------------------------
@@ -379,14 +359,14 @@ def _rand_coeffs(rng, poset):
     return raw
 
 
-def suite_schroeder_simpson(seed: int = DEFAULT_SEED, max_size: int = 5,
-                            mobius_max_size: int = 4):
+def suite_schroeder_simpson(seed: int = DEFAULT_SEED, max_size: int = 5):
+    """Recovery on every poset of up to ``max_size`` elements, at most 5,
+    and the Möbius round trips on those of up to 4."""
     vectors, valuations = 50, 200
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     cases = 0
-    for n in range(1, max_size + 1):
+    for n in range(1, min(max_size, 5) + 1):
         for p_idx, poset in enumerate(posets_up_to_iso(n)):
             mus = [random_simple_valuation(rng, poset) for _ in range(valuations)]
             for v in range(vectors):
@@ -396,43 +376,35 @@ def suite_schroeder_simpson(seed: int = DEFAULT_SEED, max_size: int = 5,
                 ok, pair = is_lsc(coeffs, poset)
                 if ok:
                     f = recover_function(phi, poset)
-                    checks += 1
-                    if f.values != tuple(coeffs):
-                        failures.append(f"poset {n}/{p_idx} vector {v}: wrong recovery")
+                    if not tally.expect(f.values == tuple(coeffs),
+                                        "poset {}/{} vector {}: wrong recovery", n, p_idx, v):
                         continue
                     for mu in mus:
-                        checks += 1
-                        if eval_valuation(mu, f) != phi.eval(mu):
-                            failures.append(
-                                f"poset {n}/{p_idx} vector {v}: evaluation mismatch"
-                            )
+                        if not tally.expect(eval_valuation(mu, f) == phi.eval(mu),
+                                            "poset {}/{} vector {}: evaluation mismatch",
+                                            n, p_idx, v):
                             break
                 else:
-                    checks += 1
                     try:
                         recover_function(phi, poset)
-                        failures.append(
-                            f"poset {n}/{p_idx} vector {v}: non-monotone accepted"
-                        )
                     except NotLSC as exc:
                         x, y = exc.witness
-                        if not (poset.leq(x, y) and not coeffs[x] <= coeffs[y]):
-                            failures.append(
-                                f"poset {n}/{p_idx} vector {v}: invalid witness pair"
-                            )
-    for n in range(1, mobius_max_size + 1):
+                        tally.expect(poset.leq(x, y) and not coeffs[x] <= coeffs[y],
+                                     "poset {}/{} vector {}: invalid witness pair", n, p_idx, v)
+                    else:
+                        tally.expect(False, "poset {}/{} vector {}: non-monotone accepted",
+                                     n, p_idx, v)
+    for n in range(1, min(max_size, 4) + 1):
         for p_idx, poset in enumerate(posets_up_to_iso(n)):
             for weights in product((0, 1, 2, 3), repeat=n):
                 cases += 1
                 mu = SimpleValuation(poset, weights)
                 nu = to_opens(mu)
-                checks += 1
-                if from_opens(nu) != mu:
-                    failures.append(f"mobius {n}/{p_idx} {weights}: weight round trip")
-                checks += 1
-                if to_opens(from_opens(nu)) != nu:
-                    failures.append(f"mobius {n}/{p_idx} {weights}: table round trip")
-    return _report("schroeder-simpson", seed, cases, checks, failures)
+                tally.expect(from_opens(nu) == mu,
+                             "mobius {}/{} {}: weight round trip", n, p_idx, weights)
+                tally.expect(to_opens(from_opens(nu)) == nu,
+                             "mobius {}/{} {}: table round trip", n, p_idx, weights)
+    return tally.report("schroeder-simpson", seed, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -440,22 +412,17 @@ def suite_schroeder_simpson(seed: int = DEFAULT_SEED, max_size: int = 5,
 
 
 def suite_regression(seed: int = DEFAULT_SEED):
-    failures = []
-    checks = 0
+    tally = _Tally()
     c_gens = [LinFun([ONE, ZERO]), LinFun([ONE, ONE])]
     y = ExtVec([ONE, ONE])
     y_prime = ExtVec([ExtReal(2), ZERO])
-    checks += 1
-    if not specialization_leq(y, y_prime, c_gens):
-        failures.append("(1,1) should precede (2,0) in the induced order")
+    tally.expect(specialization_leq(y, y_prime, c_gens),
+                 "(1,1) should precede (2,0) in the induced order")
     proj = LinFun([ZERO, ONE])
-    checks += 1
-    if not (proj.eval(y) == ONE and proj.eval(y_prime) == ZERO):
-        failures.append("second projection values changed")
-    checks += 1
-    if proj.eval(y) <= proj.eval(y_prime):
-        failures.append("second projection unexpectedly monotone")
-    return _report("regression", seed, 1, checks, failures)
+    tally.expect(proj.eval(y) == ONE and proj.eval(y_prime) == ZERO,
+                 "second projection values changed")
+    tally.expect(not proj.eval(y) <= proj.eval(y_prime), "second projection unexpectedly monotone")
+    return tally.report("regression", seed, 1)
 
 
 # ---------------------------------------------------------------------------
@@ -466,23 +433,20 @@ def suite_regression(seed: int = DEFAULT_SEED):
 
 
 def suite_directedness(seed: int = DEFAULT_SEED, max_size: int = 4):
+    """Every poset of up to ``max_size`` elements, at most 4."""
     rng = random.Random(seed)
-    failures = []
-    checks = 0
+    tally = _Tally()
     cases = 0
-    for n in range(1, max_size + 1):
+    for n in range(1, min(max_size, 4) + 1):
         for p_idx, poset in enumerate(posets_up_to_iso(n)):
             for v in range(3):
                 cases += 1
                 coeffs = _rand_coeffs(rng, poset)
                 phi = DualFunctional(coeffs)
                 ok, pair = check_dominated_directed(phi, poset, 2, ExtReal(2))
-                checks += 1
-                if not ok:
-                    failures.append(
-                        f"poset {n}/{p_idx} functional {v}: pair without upper bound {pair}"
-                    )
-    return _report("directedness", seed, cases, checks, failures)
+                tally.expect(ok, "poset {}/{} functional {}: pair without upper bound {}",
+                             n, p_idx, v, pair)
+    return tally.report("directedness", seed, cases)
 
 
 SUITES = {
@@ -497,9 +461,7 @@ SUITES = {
 
 
 def run_suite(name: str, seed: int = DEFAULT_SEED, max_size: int = None):
-    fn = SUITES[name]
-    if max_size is not None and name == "schroeder-simpson":
-        return fn(seed, max_size=min(max_size, 5), mobius_max_size=min(max_size, 4))
-    if max_size is not None and name == "directedness":
-        return fn(seed, max_size=min(max_size, 4))
-    return fn(seed)
+    """``max_size`` caps the poset suites, which clamp it themselves; the others ignore it."""
+    if max_size is not None and name in ("schroeder-simpson", "directedness"):
+        return SUITES[name](seed, max_size)
+    return SUITES[name](seed)

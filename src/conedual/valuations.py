@@ -216,6 +216,8 @@ def random_simple_valuation(rng, poset: FinitePoset) -> SimpleValuation:
 def _grid_values(grid_denominator: int, cap: ExtReal, n: int):
     """The grid 0, 1/d, .., cap, ascending; its size is bounded before any
     value is built."""
+    if type(grid_denominator) is not int:
+        raise TypeError(f"the grid denominator must be an int, got {_echo(grid_denominator)}")
     if grid_denominator < 1:
         raise ValueError("grid denominator must be positive")
     if cap.is_infinite:

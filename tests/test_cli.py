@@ -247,8 +247,10 @@ def test_check_names_its_suites_and_default_seed_as_the_suites_module_does():
     commands = next(a for a in cli._PARSER._actions if a.dest == "command").choices
     suite = next(a for a in commands["check"]._actions if a.dest == "suite")
     assert suite.choices == ["all", *suites.SUITES]
+    # only check takes a seed
     for name in commands:
-        assert cli._PARSER.parse_args([name]).seed == suites.DEFAULT_SEED
+        seed = getattr(cli._PARSER.parse_args([name]), "seed", None)
+        assert seed == (suites.DEFAULT_SEED if name == "check" else None)
 
 
 # the bytes the CI step compares the installed console script's output against
@@ -468,6 +470,37 @@ def test_every_outcome_kind_prints_its_exact_bytes(monkeypatch, capsys, argv, st
     out, err = capsys.readouterr()
     assert out == stdout
     assert err == (f"{argv[0]}: ok\n" if verbose and code == 0 else "")
+
+
+# command lines the parser rejects, each with its message; the wording of an
+# invalid choice varies between Python versions, so only its start is pinned
+REJECTED = [
+    (["sep", "--bogus"], "unrecognized arguments: --bogus"),
+    ([], "the following arguments are required: command"),
+    (["check", "--suite", "nope"], "argument --suite: invalid choice: 'nope'"),
+    (["check", "--seed", "x"], "argument --seed: invalid int value: 'x'"),
+    (["sep", "--seed", "5"], "unrecognized arguments: --seed 5"),
+    (["check", "--input", "x"], "unrecognized arguments: --input x"),
+    (["minkowski", "--max-size", "2"], "unrecognized arguments: --max-size 2"),
+]
+
+
+@pytest.mark.parametrize("argv, message", REJECTED)
+def test_a_rejected_command_line_exits_one_with_one_document(monkeypatch, capsys, argv, message):
+    monkeypatch.setattr(sys, "stdin", io.StringIO("{}"))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    doc = json.loads(out)
+    assert out.count("\n") == 1 and err == ""
+    assert set(doc) == {"error", "message"} and doc["error"] == "malformed_input"
+    assert doc["message"].startswith(message)
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["sep", "--help"])
+    assert exc.value.code == 0
+    assert "--input" in capsys.readouterr().out
 
 
 @pytest.mark.parametrize("case", ["nested 100,000 deep", "missing input file"])

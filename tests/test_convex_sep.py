@@ -175,7 +175,7 @@ def test_agreement_with_dyadic_oracle():
         dim = rng.randint(1, 3)
         gens = [_rand_vec(rng, dim) for _ in range(rng.randint(1, 8))]
         lp_meets = isinstance(separate(gens, dim), MeetsCorner)
-        assert hull_meets_corner_dyadic(gens, dim, 32) == lp_meets
+        assert hull_meets_corner_dyadic(gens, dim) == lp_meets
 
 
 def test_oracle_handles_edge_cases():

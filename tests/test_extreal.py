@@ -285,3 +285,13 @@ def test_vector_combinations_keep_their_exceptions():
         combination_point([v], [(0, -1)])
     # an empty combination is the zero vector of the generators' dimension
     _same(combination_point([v, v], []), ExtVec([0, 0]))
+
+
+def test_a_bool_is_not_a_number():
+    for bad in (lambda: ExtReal(True), lambda: ExtReal(1, True),
+                lambda: ExtReal(Fraction(1, 2), True), lambda: ExtVec([True]),
+                lambda: ExtVec([1, False]), lambda: ONE + True):
+        with pytest.raises(TypeError):
+            bad()
+    assert as_extreal(False) is NotImplemented
+    assert as_extreal(1) == ExtReal(1, 1) and ExtReal(ExtReal(1, 2), 1) == ExtReal(1, 2)

@@ -295,3 +295,11 @@ def test_vector_arrays_name_the_failing_vector_in_full(tmp_path, command, payloa
     # decode_vectors and decode_open_set build a vector's path only when it fails
     assert _cli_message(tmp_path, command, payload) == (
         1, {"error": "malformed_input", "message": message})
+
+
+@pytest.mark.parametrize("kind", ["min", "sup"])
+def test_a_sublinear_functional_is_lin_or_max(tmp_path, kind):
+    payload = {"f": ["1"], "phi": {"kind": kind, "branches": [["1"]]}}
+    assert _cli_message(tmp_path, "dominates", payload) == (
+        1, {"error": "malformed_input",
+            "message": f'$.phi.kind: expected "lin" or "max", got {kind!r}'})

@@ -1,4 +1,5 @@
 import random
+from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
 
@@ -183,6 +184,18 @@ def test_bool_is_not_an_lp_number():
     assert [type(v) for v in prob.objective] == [int, F]
     assert prob == LPProblem(2, (Constraint((1, 1), "<=", 1),), (F(1), F(1, 2)))
     assert solve_lp(prob) == LPOptimal((F(1), F(0)), F(1), (F(1),))
+
+
+def test_an_lp_number_is_an_int_or_a_fraction_only():
+    # the rule of verify_lp_result: strings and decimals are refused as well
+    for bad in (
+        lambda: Constraint(("1/2",), "<=", Decimal("1.5")),
+        lambda: Constraint((1,), "<=", Decimal("1.5")),
+        lambda: Constraint(("1/2",), "<=", 1),
+        lambda: LPProblem(1, (Constraint((1,), "<=", 1),), ("1",)),
+    ):
+        with pytest.raises(MalformedProblem):
+            bad()
 
 
 def test_verifier_rejects_tampered_certificates():

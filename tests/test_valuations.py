@@ -519,6 +519,17 @@ def test_open_tables_refuse_a_bool_mask_and_a_non_number():
             ValuationOnOpens(single, table)
 
 
+def test_a_bool_is_not_a_weight_a_value_or_a_grid_denominator():
+    single = FinitePoset(1, [])
+    for bad in (lambda: SimpleValuation(single, [True]),
+                lambda: DualFunctional([False]),
+                lambda: ValuationOnOpens(single, {0: False, 1: True}),
+                lambda: check_dominated_directed(DualFunctional([1]), single, True, 1)):
+        with pytest.raises(TypeError):
+            bad()
+    assert check_dominated_directed(DualFunctional([1]), single, 1, 1) == (True, None)
+
+
 def test_directedness_rejects_a_functional_of_the_wrong_dimension():
     with pytest.raises(DimensionMismatch):
         check_dominated_directed(
