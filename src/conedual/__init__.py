@@ -1,15 +1,17 @@
 """Exact-arithmetic convex separation, interpolation, and duality over
 extended nonnegative orthants and finite T0 spaces."""
 
+from .certify import (
+    combination_point,
+    in_corner,
+    verify_meets_corner,
+    verify_separated,
+)
 from .convex_sep import (
     MeetsCorner,
     SeparationWeights,
     Separated,
-    combination_point,
-    in_corner,
     separate,
-    verify_meets_corner,
-    verify_separated,
 )
 from .extreal import (
     INF,
@@ -68,4 +70,4 @@ from .valuations import (
 )
 from . import errors
 
-__version__ = "0.4.0"
+__version__ = "0.5.0"

@@ -28,6 +28,7 @@ from .errors import (
     ParseError,
     PreconditionViolated,
     UndefinedDifference,
+    _cut,
 )
 from .functionals import LinFun, dominated_by_max, minkowski, specialization_leq
 from .interpolate import clause_witnesses
@@ -155,16 +156,14 @@ def _encode_mobius(result):
 
 
 def _decode_check(payload, args):
-    if args.max_size is not None:
-        decode_int(args.max_size, "--max-size", minimum=1)
     names = list(_SUITES) if args.suite == "all" else [args.suite]
-    return _run_suites, (names, args.seed, args.max_size)
+    return _run_suites, (names, args.seed)
 
 
-def _run_suites(names, seed, max_size):
+def _run_suites(names, seed):
     from . import suites
 
-    reports = [suites.run_suite(n, seed=seed, max_size=max_size) for n in names]
+    reports = [suites.SUITES[name](seed) for name in names]
     return {"seed": seed, "reports": reports}
 
 
@@ -201,12 +200,16 @@ _COMMANDS = {
 }
 
 
+# argparse repeats the offending arguments in full, so a message is cut here
+_PARSE_MESSAGE_LIMIT = 200
+
+
 class _Parser(argparse.ArgumentParser):
     """Reports a rejected command line as ``ParseError``, so ``main`` answers it
     with a ``malformed_input`` document and exit code 1."""
 
     def error(self, message):
-        raise ParseError(message)
+        raise ParseError(_cut(message, _PARSE_MESSAGE_LIMIT))
 
 
 def _build_parser():
@@ -226,16 +229,9 @@ def _build_parser():
                 choices=["all", *_SUITES],
                 help="which suite to run",
             )
-            p.add_argument(
-                "--max-size",
-                type=int,
-                default=None,
-                help="cap the poset sizes explored by enumeration suites",
-            )
         else:
             p.add_argument("--input", default="-", help="input JSON path, - for stdin")
         p.add_argument("--output", default="-", help="output JSON path, - for stdout")
-        p.add_argument("--verbose", action="store_true", help="log progress to stderr")
     return parser
 
 
@@ -295,8 +291,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         _write("-", {"error": "malformed_input", "message": f"cannot write output: {exc}"})
         return 1
-    if code == 0 and args.verbose:
-        print(f"{args.command}: ok", file=sys.stderr)
     return code
 
 

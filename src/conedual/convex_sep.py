@@ -12,8 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .certify import (combination_point, in_corner, require, simplex, verify_meets_corner,
-                      verify_separated)
+from .certify import combination_point, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
 from .extreal import as_extvec
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp

@@ -8,12 +8,16 @@ A message that repeats an input value renders it through ``_echo``.
 _ECHO_LIMIT = 80
 
 
+def _cut(text: str, limit: int) -> str:
+    """``text``, cut at ``limit`` characters with its length appended."""
+    if len(text) <= limit:
+        return text
+    return f"{text[:limit]}... ({len(text)} characters)"
+
+
 def _echo(value) -> str:
     """``repr(value)``, cut at ``_ECHO_LIMIT`` characters with its length appended."""
-    text = repr(value)
-    if len(text) <= _ECHO_LIMIT:
-        return text
-    return f"{text[:_ECHO_LIMIT]}... ({len(text)} characters)"
+    return _cut(repr(value), _ECHO_LIMIT)
 
 
 class ConeDualError(Exception):

@@ -20,7 +20,7 @@ from .errors import (
     TooLarge,
     _echo,
 )
-from .extreal import ExtReal, ExtVec, as_extreal, as_extvec, ext_max
+from .extreal import ExtReal, as_extvec, ext_max
 
 _MAX_OPENS_SIZE = 12
 _MAX_ISO_SIZE = 5
@@ -104,15 +104,12 @@ def all_opens(poset: FinitePoset):
 
 def is_lsc(values, poset: FinitePoset):
     """Monotonicity check; returns (True, None) or (False, violating pair)."""
-    if type(values) is ExtVec:
-        # the form's numerators order the finite entries; inf goes above them
-        nums, _, inf, _ = values._form
-        top = max(nums) + 1
-        vals = [top if inf >> i & 1 else v for i, v in enumerate(nums)]
-    else:
-        vals = [as_extreal(v) for v in values]
-    if len(vals) != poset.n:
-        raise ValueError(f"expected {poset.n} values, got {len(vals)}")
+    # the form's numerators order the finite entries; inf goes above them
+    nums, _, inf, _ = as_extvec(values)._form
+    if len(nums) != poset.n:
+        raise ValueError(f"expected {poset.n} values, got {len(nums)}")
+    top = max(nums) + 1
+    vals = [top if inf >> i & 1 else v for i, v in enumerate(nums)]
     # only the pairs of the order, ascending, so the first witness is the
     # lexicographically first violating pair
     for i, v in enumerate(vals):
@@ -128,13 +125,12 @@ class LscFun:
     __slots__ = ("poset", "_vec")
 
     def __init__(self, poset: FinitePoset, values):
-        if type(values) is not ExtVec:
-            values = tuple(values)
-        ok, pair = is_lsc(values, poset)
+        vec = as_extvec(values)
+        ok, pair = is_lsc(vec, poset)
         if not ok:
             raise NotLSC(pair)
         self.poset = poset
-        self._vec = as_extvec(values)
+        self._vec = vec
 
     @property
     def values(self) -> tuple:

@@ -106,32 +106,25 @@ def member_a(f, y) -> bool:
 
 
 class OpenSetRep:
-    """Union of basic opens, one block (finite set of LinFun) per basic open."""
+    """Union of basic opens, one block per basic open: the ``SuperlinFun`` of
+    the block's linear functionals, whose basic open is where it exceeds one."""
 
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        out = []
-        dim = None
-        for block in blocks:
-            funs = tuple(b if isinstance(b, LinFun) else LinFun(b) for b in block)
-            if not funs:
-                raise EmptyList("blocks must be nonempty")
-            for f in funs:
-                if dim is None:
-                    dim = f.dim
-                elif f.dim != dim:
-                    raise DimensionMismatch("blocks disagree on dimension")
-            out.append(funs)
-        self.blocks = tuple(out)
+        blocks = tuple(SuperlinFun(block) for block in blocks)
+        for block in blocks[1:]:
+            if block.dim != blocks[0].dim:
+                raise DimensionMismatch("blocks disagree on dimension")
+        self.blocks = blocks
 
     @property
     def dim(self):
-        return self.blocks[0][0].dim if self.blocks else None
+        return self.blocks[0].dim if self.blocks else None
 
     def contains(self, y) -> bool:
         y = as_extvec(y)
-        return any(all(ONE < f.eval(y) for f in block) for block in self.blocks)
+        return any(all(ONE < f.eval(y) for f in block.branches) for block in self.blocks)
 
     def __repr__(self):
         return f"OpenSetRep(blocks={len(self.blocks)})"
@@ -148,7 +141,7 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
         raise DimensionMismatch(f"{rep.dim} versus {y.dim}")
     best = ZERO
     for block in rep.blocks:
-        v = ext_min(f.eval(y) for f in block)
+        v = block.eval(y)
         if best < v:
             best = v
     return best

@@ -359,14 +359,14 @@ def _rand_coeffs(rng, poset):
     return raw
 
 
-def suite_schroeder_simpson(seed: int = DEFAULT_SEED, max_size: int = 5):
-    """Recovery on every poset of up to ``max_size`` elements, at most 5,
-    and the Möbius round trips on those of up to 4."""
+def suite_schroeder_simpson(seed: int = DEFAULT_SEED):
+    """Recovery on every poset of up to 5 elements, and the Möbius round
+    trips on those of up to 4."""
     vectors, valuations = 50, 200
     rng = random.Random(seed)
     tally = _Tally()
     cases = 0
-    for n in range(1, min(max_size, 5) + 1):
+    for n in range(1, 6):
         for p_idx, poset in enumerate(posets_up_to_iso(n)):
             mus = [random_simple_valuation(rng, poset) for _ in range(valuations)]
             for v in range(vectors):
@@ -394,7 +394,7 @@ def suite_schroeder_simpson(seed: int = DEFAULT_SEED, max_size: int = 5):
                     else:
                         tally.expect(False, "poset {}/{} vector {}: non-monotone accepted",
                                      n, p_idx, v)
-    for n in range(1, min(max_size, 4) + 1):
+    for n in range(1, 5):
         for p_idx, poset in enumerate(posets_up_to_iso(n)):
             for weights in product((0, 1, 2, 3), repeat=n):
                 cases += 1
@@ -432,12 +432,12 @@ def suite_regression(seed: int = DEFAULT_SEED):
 # valid input; the suite runs its running-maximum self-check on every poset.
 
 
-def suite_directedness(seed: int = DEFAULT_SEED, max_size: int = 4):
-    """Every poset of up to ``max_size`` elements, at most 4."""
+def suite_directedness(seed: int = DEFAULT_SEED):
+    """Every poset of up to 4 elements."""
     rng = random.Random(seed)
     tally = _Tally()
     cases = 0
-    for n in range(1, min(max_size, 4) + 1):
+    for n in range(1, 5):
         for p_idx, poset in enumerate(posets_up_to_iso(n)):
             for v in range(3):
                 cases += 1
@@ -458,10 +458,3 @@ SUITES = {
     "regression": suite_regression,
     "directedness": suite_directedness,
 }
-
-
-def run_suite(name: str, seed: int = DEFAULT_SEED, max_size: int = None):
-    """``max_size`` caps the poset suites, which clamp it themselves; the others ignore it."""
-    if max_size is not None and name in ("schroeder-simpson", "directedness"):
-        return SUITES[name](seed, max_size)
-    return SUITES[name](seed)

@@ -82,25 +82,14 @@ def test_criterion_7_directedness():
 
 
 def test_criterion_8_determinism():
-    # identical seeds reproduce byte-identical reports for every suite; the
-    # instance counts are fixed, so every suite reruns at full size but for
-    # the poset-size caps
-    reruns = {
-        "extreal": {},
-        "separation": {},
-        "interpolation": {},
-        "minkowski": {},
-        "schroeder-simpson": {"max_size": 4},
-        "regression": {},
-        "directedness": {"max_size": 3},
-    }
+    # identical seeds reproduce byte-identical reports for every suite, each
+    # rerun at full size
     failures = []
-    for name, kwargs in reruns.items():
-        fn = suites.SUITES[name]
-        first = json.dumps(fn(seed=424242, **kwargs), sort_keys=True)
-        second = json.dumps(fn(seed=424242, **kwargs), sort_keys=True)
+    for name, fn in suites.SUITES.items():
+        first = json.dumps(fn(seed=424242), sort_keys=True)
+        second = json.dumps(fn(seed=424242), sort_keys=True)
         if first != second:
             failures.append(name)
     status = "PASS" if not failures else "FAIL"
-    print(f"criterion 8 [deterministic reruns]: {status} ({len(reruns)} suites)")
+    print(f"criterion 8 [deterministic reruns]: {status} ({len(suites.SUITES)} suites)")
     assert not failures, failures

@@ -14,7 +14,7 @@ from conedual import (
     ext_min,
     parse_extreal,
 )
-from conedual.convex_sep import combination_point
+from conedual.certify import combination_point
 from conedual.errors import DimensionMismatch, EmptyList, ParseError, UndefinedDifference
 from conedual.extreal import _weighted_sum, as_extreal, as_extvec
 

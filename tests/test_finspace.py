@@ -7,6 +7,7 @@ from conedual import (
     INF,
     ZERO,
     ExtReal,
+    ExtVec,
     FinitePoset,
     LscFun,
     all_opens,
@@ -79,6 +80,7 @@ def test_is_lsc_examples():
     assert is_lsc([2, 1], SIGMA) == (False, (0, 1))
     assert is_lsc([5, 5, 5], CHAIN3) == (True, None)
     assert is_lsc([0, INF], SIGMA) == (True, None)
+    assert is_lsc((INF, 2), SIGMA) == is_lsc(ExtVec([INF, 2]), SIGMA) == (False, (0, 1))
 
 
 def test_is_lsc_on_a_vector_matches_is_lsc_on_its_entries():

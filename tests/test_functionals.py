@@ -78,6 +78,13 @@ def test_eval_validation():
         SublinFun([])
     with pytest.raises(DimensionMismatch):
         SublinFun([[1, 2], [1, 2, 3]])
+    # an open set's blocks are validated as SuperlinFun, and then against each other
+    with pytest.raises(EmptyList):
+        OpenSetRep([[]])
+    with pytest.raises(DimensionMismatch, match="branches disagree"):
+        OpenSetRep([[[1, 2], [1, 2, 3]]])
+    with pytest.raises(DimensionMismatch, match="blocks disagree"):
+        OpenSetRep([[[1, 2]], [[1, 2, 3]]])
 
 
 def test_membership_examples():

@@ -16,9 +16,8 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "conedual"
-# cli binds jsonio only for the traced benchmark, which wraps names through it;
-# convex_sep keeps in_corner, now in certify, reachable as conedual.convex_sep.in_corner
-ALLOWED = {("cli", "jsonio"), ("convex_sep", "in_corner")}
+# cli binds jsonio only for the traced benchmark, which wraps names through it
+ALLOWED = {("cli", "jsonio")}
 
 
 def _unused_imports(source):
