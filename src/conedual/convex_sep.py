@@ -12,7 +12,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ._record import Record
-from .certify import combination_point, require, simplex, verify_meets_corner, verify_separated
+from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
 from .extreal import as_extvec
 from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp
@@ -65,25 +65,70 @@ def separate(generators, dim: int):
     """Separate the convex hull of the generators from the open corner.
 
     Weights at coordinates where some generator is infinite are forced to
-    zero (a positive weight there would push the pairing to infinity), and
-    an exact LP runs on the remaining coordinates.  Infeasibility of that
-    LP means the hull meets the corner, and the Farkas certificate is
-    turned into an explicit witness combination.
+    zero (a positive weight there would push the pairing to infinity).  On
+    the remaining coordinates the screens of ``_screen`` run first, then at
+    most one exact LP when they find nothing.  Infeasibility of that LP
+    means the hull meets the corner, and the Farkas certificate is turned
+    into an explicit witness combination.  Every answer is checked the
+    same way, whichever path found it.
     """
     gens = _check_generators(generators, dim)
-    # the generators' integer forms: (numerators over d, d, infinity mask, ...)
-    forms = [g._form for g in gens]
     inf_mask = 0
-    for form in forms:
-        inf_mask |= form[2]
+    for g in gens:
+        inf_mask |= g._form[2]
     inf_coords = [i for i in range(dim) if inf_mask >> i & 1]
     fin = [i for i in range(dim) if not inf_mask >> i & 1]
 
     if not fin:
-        witness = _cover_witness(gens, inf_coords)
-        require(verify_meets_corner(gens, witness), "corner witness failed verification")
-        return MeetsCorner(witness)
+        found = MeetsCorner(_cover_witness(gens, inf_coords))
+    else:
+        found = _screen(gens, dim, fin)
+        if found is None:
+            found = _separation_lp(gens, dim, fin, inf_coords)
+    if type(found) is Separated:
+        require(verify_separated(gens, found.weights, dim), "separation weights failed verification")
+    else:
+        require(verify_meets_corner(gens, found.witness), "corner witness failed verification")
+    return found
 
+
+def _screen(gens, dim, fin):
+    """``separate``'s answer where one pass over the generators' forms holds
+    it, else None.
+
+    A generator above one at every coordinate is in the corner by itself.
+    A finite coordinate k where every generator is at most one is
+    separated by the weights e_k, and the uniform weights on the finite
+    coordinates separate when every generator's sum there is at most
+    their count.  Each compare is on integers and stops at the first
+    failing generator or coordinate.
+    """
+    for j, g in enumerate(gens):
+        if in_corner(g):
+            return MeetsCorner(((j, Fraction(1)),))
+    # (numerators over d, d, infinity mask, nonzero mask)
+    forms = [g._form for g in gens]
+    for k in fin:
+        if all(nums[k] <= d for nums, d, _, _ in forms):
+            weights = [0] * dim
+            weights[k] = 1
+            return Separated(SeparationWeights(tuple(weights)))
+    count = len(fin)
+    pick = (lambda nums: nums) if count == dim else (lambda nums: [nums[i] for i in fin])
+    if all(sum(pick(nums)) <= d * count for nums, d, _, _ in forms):
+        share = Fraction(1, count)
+        weights = [0] * dim
+        for i in fin:
+            weights[i] = share
+        return Separated(SeparationWeights(tuple(weights)))
+    return None
+
+
+def _separation_lp(gens, dim, fin, inf_coords):
+    """The one LP on the finite coordinates: weights w in the simplex with
+    w . g_j <= 1 for every generator, or the corner witness its Farkas
+    certificate gives."""
+    forms = [g._form for g in gens]
     k = len(fin)
     constraints = [Constraint._of_ints((1,) * k, EQ, 1)]
     for nums, d, _, _ in forms:
@@ -94,9 +139,7 @@ def separate(generators, dim: int):
         full = [0] * dim
         for pos, i in enumerate(fin):
             full[i] = res.point[pos]
-        weights = SeparationWeights(tuple(full))
-        require(verify_separated(gens, weights, dim), "separation weights failed verification")
-        return Separated(weights)
+        return Separated(SeparationWeights(tuple(full)))
 
     assert isinstance(res, LPInfeasible)
     # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
@@ -104,9 +147,7 @@ def separate(generators, dim: int):
     # witness normalises away
     zn, _ = _answer(res)
     w = [-v * form[1] for v, form in zip(zn[1:], forms)]
-    witness = _witness_from_certificate(gens, fin, inf_coords, w)
-    require(verify_meets_corner(gens, witness), "corner witness failed verification")
-    return MeetsCorner(witness)
+    return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, w))
 
 
 def _cover_witness(gens, inf_coords):

@@ -11,7 +11,9 @@ the closed form max-over-blocks of min-over-block pairings.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import repeat
 from math import lcm
+from operator import le, mul
 
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
@@ -186,18 +188,60 @@ def _margin(gvecs, hvecs):
     return res.value, res.point[:dim], a, lam
 
 
+_F0, _F1 = Fraction(0), Fraction(1)
+
+
+def _unit(i, n):
+    """The simplex vertex e_i of length n, in ``Fraction``s as ``_margin`` returns them."""
+    return (_F0,) * i + (_F1,) + (_F0,) * (n - i - 1)
+
+
+def _screen(gvecs, hvecs):
+    """``_margin``'s answer where one pass over the finite forms holds it, else None.
+
+    A member at most a branch coordinatewise, g_i <= h_k, is covered with
+    a = e_i and lambda = e_k.  A coordinate j where every g_i[j] exceeds
+    every h_k[j] is refuted by y = e_j, with margin min_i g_i[j] - max_k
+    h_k[j] > 0.  These are the dominated rows and columns of LP presolve
+    (Andersen & Andersen 1995, "Presolving in linear programming"); each
+    compare is on integers and stops at the first failing coordinate, and
+    ``_decide`` checks the answer as it checks the LP's.
+    """
+    gforms = [g._form for g in gvecs]
+    hforms = [h._form for h in hvecs]
+    for i, (gn, gd, _, _) in enumerate(gforms):
+        for k, (hn, hd, _, _) in enumerate(hforms):
+            # g_i <= h_k as gn * hd <= hn * gd, entry by entry
+            if all(map(le, map(mul, gn, repeat(hd)), map(mul, hn, repeat(gd)))):
+                return 0, None, _unit(i, len(gforms)), _unit(k, len(hforms))
+    dim = len(gforms[0][0])
+    for j in range(dim):
+        # the largest h_k[j] is top / over
+        top, over = 0, 1
+        for hn, hd, _, _ in hforms:
+            if hn[j] * over > top * hd:
+                top, over = hn[j], hd
+        if all(gn[j] * over > top * gd for gn, gd, _, _ in gforms):
+            low = min(Fraction(gn[j], gd) for gn, gd, _, _ in gforms)
+            y = [0] * dim
+            y[j] = 1
+            return low - Fraction(top, over), y, None, None
+    return None
+
+
 def _decide(gvecs, hvecs):
     """Decide min_i g_i <= max_k h_k on the extended orthant, checking the answer.
 
     max_k h_k is infinite off R, the coordinates where every h_k is finite,
-    and a g_i infinite on R exceeds it at any point positive on R, so
-    ``_margin`` decides the other g_i on R.  Returns (y, None, None, None)
-    with an ``ExtVec`` y where max_k h_k . y < min_i g_i . y: the LP's point,
-    0 off R and lifted by a slice of 1_R when a g_i was dropped, or 1_R when
-    none is left.  Otherwise (None, a, lambda, mix) with a_i = 0 for each
-    dropped g_i and mix = sum_i a_i g_i <= sum_k lambda_k h_k on R; weight 1
-    on the first member and branch when R is empty.  A failed check is an
-    internal error.
+    and a g_i infinite on R exceeds it at any point positive on R, so the
+    other g_i are decided on R: by the screens of ``_screen``, then at most
+    one LP, ``_margin``, when they find nothing.  Returns (y, None, None,
+    None) with an ``ExtVec`` y where max_k h_k . y < min_i g_i . y: the
+    answer's point, 0 off R and lifted by a slice of 1_R when a g_i was
+    dropped, or 1_R when none is left.  Otherwise (None, a, lambda, mix)
+    with a_i = 0 for each dropped g_i and mix = sum_i a_i g_i <= sum_k
+    lambda_k h_k on R; weight 1 on the first member and branch when R is
+    empty.  A failed check is an internal error.
     """
     dim = hvecs[0].dim
     off = 0
@@ -205,14 +249,14 @@ def _decide(gvecs, hvecs):
         off |= h._form[2]
     rest = [j for j in range(dim) if not off >> j & 1]
     kept = [i for i, g in enumerate(gvecs) if not g._form[2] & ~off]
-    # with no h_k infinite the vectors go to _margin as they are
+    # with no h_k infinite the vectors are screened and go to _margin as they are
     cut = (lambda v: ExtVec([v[j] for j in rest])) if off else (lambda v: v)
     if not rest:
-        value, a, lam = 0, (Fraction(1),), (Fraction(1),) + (Fraction(0),) * (len(hvecs) - 1)
+        value, a, lam = 0, _unit(0, 1), _unit(0, len(hvecs))
     else:
         gr, hr = [cut(gvecs[i]) for i in kept], [cut(h) for h in hvecs]
         if gr:
-            value, y, a, lam = _margin(gr, hr)
+            value, y, a, lam = _screen(gr, hr) or _margin(gr, hr)
         else:
             value, y = 1, (0,) * len(rest)
     if value > 0:
@@ -241,7 +285,7 @@ def dominated_by_max(f: LinFun, phi: SublinFun):
     orthant exactly when it sits below a convex combination of them
     coordinatewise on R, the coordinates where every branch of phi is
     finite (phi is infinite off R).  The checked margin decision of the
-    one-member clause [f] decides it: (True, lambda) with its dual weights,
+    one-member clause [f] decides it: (True, lambda) with its branch weights,
     f <= sum_k lambda_k h_k on R, or (False, y) with a point where
     phi(y) < f(y).
     """

@@ -53,10 +53,13 @@ def _clause_branches(clause):
 def interpolate(clause, phi: SublinFun) -> ClauseWitness:
     """Produce weights a and certificate lambda realising the sandwich.
 
-    One margin LP maximises t >= 0 with (g_i - h_k) . y >= t and
-    sum_j y_j <= 1, starting feasible at the origin.  A positive optimum
-    makes its point a violation of the hypothesis; otherwise its dual gives
-    the weights and the certificate.  The left inequality min_i g_i <=
+    Screens first, then at most one LP.  A member at most a branch
+    coordinatewise gives a = e_i and lambda = e_k, and a coordinate where
+    every member exceeds every branch is a violation.  Otherwise one
+    margin LP maximises t >= 0 with (g_i - h_k) . y >= t and sum_j y_j <=
+    1, starting feasible at the origin.  A positive optimum makes its
+    point a violation of the hypothesis; otherwise its dual gives the
+    weights and the certificate.  The left inequality min_i g_i <=
     sum a_i g_i is automatic for simplex weights; the right one follows
     from the coordinatewise certificate.  ``leq_functional`` decides the
     hypothesis alone.
@@ -81,8 +84,9 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
     """Interpolate every clause of generator indices against phi.
 
     Each clause yields the convex combination of its generators produced by
-    ``interpolate``, one LP per clause; the emitted coefficients are the
-    mix that was checked exactly against the branch certificate.
+    ``interpolate``: the screens, then at most one LP per clause; the
+    emitted coefficients are the mix that was checked exactly against the
+    branch certificate.
     Output order follows the input clause order.
     """
     gens = [g if isinstance(g, LinFun) else LinFun(g) for g in c_gens]

@@ -153,8 +153,8 @@ def test_dominated_by_max_examples():
     # f is infinite where every branch is finite, so 1 on those coordinates refutes it
     assert dominated_by_max(LinFun([INF, 0]), SublinFun([[2, 0]])) == (False, ExtVec([1, 1]))
     assert dominated_by_max(LinFun([INF, 1]), SublinFun([[2, 0], [0, 2]])) == (False, ExtVec([1, 1]))
-    # phi is infinite off coordinate 1, where f = 1 <= (0 + 2) / 2
-    assert dominated_by_max(LinFun([INF, 1]), SublinFun([[INF, 0], [0, 2]])) == (True, (F(1, 2), F(1, 2)))
+    # phi is infinite off coordinate 1, where f = 1 <= 2, the second branch
+    assert dominated_by_max(LinFun([INF, 1]), SublinFun([[INF, 0], [0, 2]])) == (True, (F(0), F(1)))
     # the LP's point (0, 1), where the infinite coefficient meets a zero
     assert dominated_by_max(LinFun([INF, 3]), SublinFun([[INF, 0], [0, 2]])) == (False, ExtVec([0, 1]))
     # every coordinate has an infinite branch: phi is infinite off the origin

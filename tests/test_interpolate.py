@@ -248,10 +248,21 @@ def test_witness_stays_below_phi_by_independent_check():
 
 
 def test_clause_witnesses_solve_one_lp_per_clause(monkeypatch):
-    # every module that binds the solver is spied on, so an LP anywhere in
-    # the pipeline is counted (the package attribute ``interpolate`` is the
-    # function, so the modules come from importlib)
+    # at most one: an LP for each clause the screens leave open, none for a
+    # clause they answer.  Every module that binds the solver is spied on, so
+    # an LP anywhere in the pipeline is counted (the package attribute
+    # ``interpolate`` is the function, so the modules come from importlib)
     calls = []
+    functionals = importlib.import_module("conedual.functionals")
+    real_screen = functionals._screen
+    misses = []
+
+    def screen(gvecs, hvecs):
+        found = real_screen(gvecs, hvecs)
+        misses.append(found is None)
+        return found
+
+    monkeypatch.setattr(functionals, "_screen", screen)
     for name in ("convex_sep", "functionals", "interpolate"):
         mod = importlib.import_module(f"conedual.{name}")
         real = getattr(mod, "solve_lp", None)
@@ -261,12 +272,15 @@ def test_clause_witnesses_solve_one_lp_per_clause(monkeypatch):
                 return real(problem)
 
             monkeypatch.setattr(mod, "solve_lp", spy)
-    gens = [LinFun([2, 0]), LinFun([0, 2]), LinFun([1, 1]), LinFun([1, 0])]
-    phi = SublinFun([[2, 1], [1, 2]])
-    clauses = [[0, 1, 2], [3], [0, 1], [2]]
+    # (2, 2) is below neither branch and above neither at any coordinate,
+    # while each other generator is below the branch (3, 1) or (1, 3)
+    gens = [LinFun([2, 0]), LinFun([0, 2]), LinFun([1, 1]), LinFun([1, 0]), LinFun([2, 2])]
+    phi = SublinFun([[3, 1], [1, 3]])
+    clauses = [[0, 1, 2], [3], [4], [0, 1], [4, 4], [2, 4]]
     ws = clause_witnesses(clauses, gens, phi)
     assert len(ws) == len(clauses)
-    assert len(calls) == len(clauses)
+    assert misses == [False, False, True, False, True, False]
+    assert len(calls) == sum(misses)
 
 
 def _fold_covered(coeffs, lam, hcoeffs, off=()):
@@ -330,12 +344,11 @@ def _wrong_violation(gvecs, hvecs):
 
 
 def _wrong_cover(gvecs, hvecs):
-    # a nonpositive margin whose certificate (0, 1) leaves g = (3, 3) uncovered
+    # a nonpositive margin whose certificate (0, 1) leaves g = (2, 2) uncovered
     return F(0), (F(1, 2), F(1, 2)), (F(1),), (F(0), F(1))
 
 
-@pytest.mark.parametrize("answer", [_wrong_violation, _wrong_cover])
-@pytest.mark.parametrize(
+_CALLERS = pytest.mark.parametrize(
     "call",
     [
         lambda f, phi: dominated_by_max(f, phi),
@@ -344,9 +357,26 @@ def _wrong_cover(gvecs, hvecs):
     ],
     ids=["dominated_by_max", "interpolate", "leq_functional"],
 )
+
+
+@pytest.mark.parametrize("answer", [_wrong_violation, _wrong_cover])
+@_CALLERS
 def test_one_checker_rejects_a_wrong_margin_answer_for_every_caller(monkeypatch, call, answer):
     functionals = importlib.import_module("conedual.functionals")
-    f, phi = LinFun([3, 3]), SublinFun([[3, 3], [6, 0]])
+    # f = (h_1 + h_2) / 2, and no screen answers, so the LP's answer is checked
+    f, phi = LinFun([2, 2]), SublinFun([[3, 1], [1, 3]])
+    assert functionals._screen([f.coeffs], [h.coeffs for h in phi.branches]) is None
     monkeypatch.setattr(functionals, "_margin", answer)
+    with pytest.raises(AssertionError):
+        call(f, phi)
+
+
+@pytest.mark.parametrize("answer", [_wrong_violation, _wrong_cover])
+@_CALLERS
+def test_one_checker_rejects_a_wrong_screen_answer_for_every_caller(monkeypatch, call, answer):
+    # a screen answers in the shape of the margin LP, and the same check runs on it
+    functionals = importlib.import_module("conedual.functionals")
+    f, phi = LinFun([2, 2]), SublinFun([[3, 1], [1, 3]])
+    monkeypatch.setattr(functionals, "_screen", answer)
     with pytest.raises(AssertionError):
         call(f, phi)

@@ -1017,6 +1017,8 @@ def _capture_problems(monkeypatch, module):
 
 def test_condensed_tableau_matches_full_tableau_on_separation_lps(monkeypatch):
     problems = _capture_problems(monkeypatch, convex_sep)
+    # every instance reaches the LP, the screens' answers included
+    monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
     rng = random.Random(8128)
     for _ in range(100):
         dim = rng.randint(2, 8)
@@ -1205,6 +1207,8 @@ def test_integer_separation_rows_match_fraction_rows(monkeypatch):
         ]
         cases.append((gens, dim, _fraction_row_separate(gens, dim)))
     problems = _capture_problems(monkeypatch, convex_sep)
+    # every instance reaches the LP, the screens' answers included
+    monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
     kinds = {}
     for gens, dim, want in cases:
         got = convex_sep.separate(gens, dim)
@@ -1236,6 +1240,8 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
         return real(gvecs, hvecs)
 
     monkeypatch.setattr(functionals, "_margin", record)
+    # every restricted pair reaches the LP, the screens' answers included
+    monkeypatch.setattr(functionals, "_screen", lambda gvecs, hvecs: None)
     rng = random.Random(97)
     restricted = 0
     for _ in range(150):

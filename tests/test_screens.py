@@ -1,0 +1,156 @@
+"""The exact screens that answer order and separation questions before the LP.
+
+Each screen's verdict must be the LP's verdict on the same question, and
+its answer goes through the same final check as the LP's answer.
+"""
+
+import importlib
+import random
+from fractions import Fraction
+
+import pytest
+
+from conedual import (
+    INF,
+    ExtReal,
+    ExtVec,
+    MeetsCorner,
+    SeparationWeights,
+    Separated,
+    separate,
+)
+
+F = Fraction
+functionals = importlib.import_module("conedual.functionals")
+convex_sep = importlib.import_module("conedual.convex_sep")
+
+
+def _spy_screen(monkeypatch, module):
+    """Record each answer ``module._screen`` gives, None for a miss."""
+    real = module._screen
+    seen = []
+
+    def screen(*args):
+        found = real(*args)
+        seen.append(found)
+        return found
+
+    monkeypatch.setattr(module, "_screen", screen)
+    return seen
+
+
+def _rand_vec(rng, dim, inf_rate, top):
+    return ExtVec([INF if rng.random() < inf_rate else ExtReal(rng.randint(0, top), rng.randint(1, 3))
+                   for _ in range(dim)])
+
+
+def test_order_screens_give_the_lps_verdicts(monkeypatch):
+    rng = random.Random(4099)
+    cases = []
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        hvecs = [_rand_vec(rng, dim, 0.1, 6) for _ in range(rng.randint(1, 3))]
+        if len(hvecs) > 1 and rng.random() < 0.4:
+            # the midpoint of two branches, which only a mix covers, or just above it
+            mid = hvecs[0].scale(ExtReal(1, 2)) + hvecs[1].scale(ExtReal(1, 2))
+            gvecs = [mid + ExtVec([ExtReal(rng.randint(0, 1), 8)] * dim)]
+        else:
+            gvecs = [_rand_vec(rng, dim, 0.1, 6) for _ in range(rng.randint(1, 3))]
+        cases.append((gvecs, hvecs))
+    seen = _spy_screen(monkeypatch, functionals)
+    verdicts = []
+    for gvecs, hvecs in cases:
+        before = len(seen)
+        y = functionals._decide(gvecs, hvecs)[0]
+        # a pair (value 0), a vertex (value > 0) or a miss; nothing when _decide answers first
+        rule = None
+        if len(seen) > before:
+            found = seen[-1]
+            rule = "miss" if found is None else "pair" if found[0] == 0 else "vertex"
+        verdicts.append((y is None, rule))
+    monkeypatch.setattr(functionals, "_screen", lambda gvecs, hvecs: None)
+    rules = {}
+    screened_inf = 0
+    for (gvecs, hvecs), (held, rule) in zip(cases, verdicts):
+        assert (functionals._decide(gvecs, hvecs)[0] is None) == held, (gvecs, hvecs, rule)
+        rules[rule, held] = rules.get((rule, held), 0) + 1
+        screened_inf += rule in ("pair", "vertex") and any(v._form[2] for v in gvecs + hvecs)
+    # the pair screen answers only a held order and the vertex screen only a failed one
+    assert {key for key in rules if key[0] in ("pair", "vertex")} == {("pair", True), ("vertex", False)}
+    assert min(rules["pair", True], rules["vertex", False]) >= 10, rules
+    assert min(rules.get(("miss", True), 0), rules.get(("miss", False), 0)) >= 10, rules
+    # the screens also answer on what is left once _decide has cut the inf entries
+    assert screened_inf >= 10, screened_inf
+
+
+def test_separation_screens_give_the_lps_verdicts(monkeypatch):
+    rng = random.Random(8191)
+    cases = []
+    for _ in range(300):
+        dim = rng.randint(1, 6)
+        if dim > 1 and rng.random() < 0.4:
+            # one large entry per generator, each coordinate large somewhere:
+            # no e_k separates, the uniform weights may
+            gens = []
+            for j in range(rng.randint(dim, dim + 3)):
+                g = [ExtReal(rng.choice((0, 0, 1)), rng.randint(2, 4)) for _ in range(dim)]
+                g[j % dim] = ExtReal(rng.randint(2, dim))
+                gens.append(g)
+            if rng.randrange(2):
+                # and a last coordinate, large but infinite at one generator, so dropped
+                for g in gens:
+                    g.append(ExtReal(rng.randint(0, 9)))
+                rng.choice(gens)[-1] = INF
+                dim += 1
+            gens = [ExtVec(g) for g in gens]
+        else:
+            top = rng.choice((2, 3, 4))
+            gens = [_rand_vec(rng, dim, 0.05, top) for _ in range(rng.randint(1, 8))]
+        cases.append((gens, dim))
+    seen = _spy_screen(monkeypatch, convex_sep)
+    verdicts = []
+    for gens, dim in cases:
+        before = len(seen)
+        out = separate(gens, dim)
+        rule = None
+        if len(seen) > before:
+            found = seen[-1]
+            if found is None:
+                rule = "miss"
+            elif type(found) is MeetsCorner:
+                rule = "corner"
+            else:
+                # e_k has one positive weight; the uniform weights fire only
+                # where no e_k does, so on two finite coordinates or more
+                rule = "e_k" if sum(w > 0 for w in found.weights) == 1 else "uniform"
+        verdicts.append((type(out), rule))
+    monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
+    rules = {}
+    for (gens, dim), (kind, rule) in zip(cases, verdicts):
+        assert type(separate(gens, dim)) is kind, (gens, rule)
+        rules[rule, kind] = rules.get((rule, kind), 0) + 1
+        if any(g._form[2] for g in gens):
+            rules[rule, kind, "inf"] = rules.get((rule, kind, "inf"), 0) + 1
+    assert {key[:2] for key in rules if key[0] in ("corner", "e_k", "uniform")} == {
+        ("corner", MeetsCorner), ("e_k", Separated), ("uniform", Separated)}
+    assert min(rules["corner", MeetsCorner], rules["e_k", Separated], rules["uniform", Separated]) >= 5, rules
+    assert min(rules.get(("miss", Separated), 0), rules.get(("miss", MeetsCorner), 0)) >= 5, rules
+    # every screen also answers once separate has dropped the inf coordinates
+    assert min(rules.get((rule, kind, "inf"), 0) for rule, kind in (
+        ("corner", MeetsCorner), ("e_k", Separated), ("uniform", Separated))) >= 3, rules
+
+
+@pytest.mark.parametrize(
+    "answer",
+    [
+        # weights e_1, which pair the generator (2, 0) to 2
+        Separated(SeparationWeights((1, 0))),
+        # the generator (2, 0) alone, which is not in the corner
+        MeetsCorner(((0, F(1)),)),
+    ],
+    ids=["weights_above_one", "witness_outside_the_corner"],
+)
+def test_one_checker_rejects_a_wrong_separation_screen_answer(monkeypatch, answer):
+    monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: answer)
+    with pytest.raises(AssertionError):
+        separate([ExtVec([2, 0]), ExtVec([0, 2])], 2)
