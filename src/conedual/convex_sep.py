@@ -1,15 +1,19 @@
 """Separation of finitely generated convex subsets of the extended orthant
 from the open corner (all coordinates strictly above one).
 
-Either outcome comes with an exact certificate: simplex weights whose
-pairing with every generator stays at or below one, or an explicit convex
-combination of generators that lands inside the corner.  Certificates are
-re-verified with the checks of ``certify`` before being returned.
+Exact screens run first, then LP rounds on a growing subset of the
+generators.  Either outcome comes with an exact certificate: simplex
+weights whose pairing with every generator stays at or below one, or an
+explicit convex combination of generators that lands inside the corner.
+Certificates are re-verified against every generator with the checks of
+``certify`` before being returned.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
+from operator import mul
 
 from ._record import Record
 from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
@@ -66,11 +70,12 @@ def separate(generators, dim: int):
 
     Weights at coordinates where some generator is infinite are forced to
     zero (a positive weight there would push the pairing to infinity).  On
-    the remaining coordinates the screens of ``_screen`` run first, then at
-    most one exact LP when they find nothing.  Infeasibility of that LP
-    means the hull meets the corner, and the Farkas certificate is turned
-    into an explicit witness combination.  Every answer is checked the
-    same way, whichever path found it.
+    the remaining coordinates the screens of ``_screen`` run first, then,
+    when they find nothing, exact LP rounds on a growing subset of the
+    generators (``_separation_lp``).  An infeasible round means the hull
+    meets the corner, and its Farkas certificate is turned into an explicit
+    witness combination.  Every answer is checked against all generators
+    the same way, whichever path found it.
     """
     gens = _check_generators(generators, dim)
     inf_mask = 0
@@ -125,29 +130,70 @@ def _screen(gens, dim, fin):
 
 
 def _separation_lp(gens, dim, fin, inf_coords):
-    """The one LP on the finite coordinates: weights w in the simplex with
-    w . g_j <= 1 for every generator, or the corner witness its Farkas
-    certificate gives."""
-    forms = [g._form for g in gens]
+    """LP rounds on a growing subset ``S`` of the generators, over the finite
+    coordinates: weights w in the simplex with w . g_j <= 1 for every j in
+    ``S``, or the corner witness a Farkas certificate on ``S`` gives.
+
+    ``S`` starts as the ``len(fin)`` generators of largest uniform pairing,
+    ``sum(nums) / d`` on the finite coordinates.  A hull meets the corner as
+    soon as the hull of a subset does, so a certificate on ``S`` holds for
+    all generators, with multiplier zero outside ``S``.  Weights are the
+    answer once they pass every generator outside ``S``; until then the
+    ``max(1, len(fin) // 2)`` most violated generators join ``S`` and the LP
+    is solved again from scratch (delayed constraint generation: Kelley
+    1960; Bertsimas & Tsitsiklis 1997, ch. 6).
+    """
     k = len(fin)
-    constraints = [Constraint._of_ints((1,) * k, EQ, 1)]
-    for nums, d, _, _ in forms:
-        constraints.append(Constraint._of_ints(tuple(nums[i] for i in fin), LEQ, d))
-    res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
+    forms = [g._form for g in gens]
+    dens = [form[1] for form in forms]
+    rows = [nums if k == dim else tuple(nums[i] for i in fin) for nums, _, _, _ in forms]
+    # sum(nums) / d compared over the lcm of the denominators, as integers
+    common = lcm(*dens)
+    ranked = sorted(range(len(gens)), key=lambda j: sum(rows[j]) * (common // dens[j]), reverse=True)
+    subset = sorted(ranked[:k])
+    grow = max(1, k // 2)
+    simplex_row = Constraint._of_ints((1,) * k, EQ, 1)
+    while True:
+        constraints = [simplex_row]
+        constraints += [Constraint._of_ints(rows[j], LEQ, dens[j]) for j in subset]
+        res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
 
-    if isinstance(res, LPOptimal):
-        full = [0] * dim
-        for pos, i in enumerate(fin):
-            full[i] = res.point[pos]
-        return Separated(SeparationWeights(tuple(full)))
+        if isinstance(res, LPInfeasible):
+            # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
+            # the multipliers stay over the certificate's denominator, which the
+            # witness normalises away
+            zn, _ = _answer(res)
+            w = [0] * len(gens)
+            for j, v in zip(subset, zn[1:]):
+                w[j] = -v * dens[j]
+            return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, w))
 
-    assert isinstance(res, LPInfeasible)
-    # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
-    # the multipliers stay over the certificate's denominator, which the
-    # witness normalises away
-    zn, _ = _answer(res)
-    w = [-v * form[1] for v, form in zip(zn[1:], forms)]
-    return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, w))
+        assert isinstance(res, LPOptimal)
+        xn, xd = _answer(res)[:2]
+        inside = set(subset)
+        outside = [j for j in range(len(gens)) if j not in inside]
+        violated = _violated(rows, dens, outside, xn, xd)
+        if not violated:
+            full = [0] * dim
+            for pos, i in enumerate(fin):
+                full[i] = res.point[pos]
+            return Separated(SeparationWeights(tuple(full)))
+        subset = sorted(subset + violated[:grow])
+
+
+def _violated(rows, dens, outside, xn, xd):
+    """The generators of ``outside`` that the weights ``xn / xd`` pair above
+    one, ``xn . nums_j > d_j * xd`` on the integer forms, most violated
+    first: ranked by ``xn . nums_j / (d_j * xd)``, ties by index."""
+    found = []
+    for j in outside:
+        lhs = sum(map(mul, xn, rows[j]))
+        if lhs > dens[j] * xd:
+            found.append((lhs, j))
+    # xd is common, so lhs / d_j ranks them, compared over the lcm of the d_j
+    common = lcm(*(dens[j] for _, j in found))
+    found.sort(key=lambda item: item[0] * (common // dens[item[1]]), reverse=True)
+    return [j for _, j in found]
 
 
 def _cover_witness(gens, inf_coords):

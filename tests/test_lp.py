@@ -1110,33 +1110,6 @@ def test_witness_builder_matches_the_fraction_reference():
     assert mixed >= 200, mixed
 
 
-def _fraction_row_separate(generators, dim):
-    """``separate`` as it was when every generator row entered as the
-    ``Fraction``s ``nums[i] / d`` with right-hand side 1: the reference."""
-    gens = convex_sep._check_generators(generators, dim)
-    forms = [g._form for g in gens]
-    inf_mask = 0
-    for form in forms:
-        inf_mask |= form[2]
-    inf_coords = [i for i in range(dim) if inf_mask >> i & 1]
-    fin = [i for i in range(dim) if not inf_mask >> i & 1]
-    if not fin:
-        return convex_sep.MeetsCorner(convex_sep._cover_witness(gens, inf_coords))
-    k = len(fin)
-    constraints = [Constraint((1,) * k, "==", 1)]
-    for nums, d, _, _ in forms:
-        constraints.append(Constraint(tuple(F(nums[i], d) for i in fin), "<=", 1))
-    res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
-    if isinstance(res, LPOptimal):
-        full = [0] * dim
-        for pos, i in enumerate(fin):
-            full[i] = res.point[pos]
-        return convex_sep.Separated(convex_sep.SeparationWeights(tuple(full)))
-    w = [-z for z in res.certificate[1:]]
-    witness = _oracle_witness_from_certificate(gens, fin, inf_coords, w)
-    return convex_sep.MeetsCorner(witness)
-
-
 def _fraction_row_margin(gcoeffs, hcoeffs):
     """``_margin`` with each pair row entered as the ``Fraction``
     differences ``g - h`` followed by ``-1``: the reference."""
@@ -1193,6 +1166,15 @@ def test_public_constraints_still_hold_fractions():
     assert c.coeffs == (F(1), F(2)) and c.rhs == F(3)
 
 
+def _fraction_rows(problem):
+    """``problem`` with each integer row divided by its right-hand side, so a
+    generator row enters as the ``Fraction``s ``nums[i] / d`` with right-hand
+    side 1, as every row did before ``separate`` built them from ints."""
+    return LPProblem(problem.n_vars, tuple(
+        Constraint(tuple(F(v, c.rhs) for v in c.coeffs), c.rel, 1) for c in problem.constraints
+    ), problem.objective, problem.sense)
+
+
 def test_integer_separation_rows_match_fraction_rows(monkeypatch):
     rng = random.Random(8128)
     cases = []
@@ -1205,17 +1187,27 @@ def test_integer_separation_rows_match_fraction_rows(monkeypatch):
                     for _ in range(dim)])
             for _ in range(rng.randint(1, 12))
         ]
-        cases.append((gens, dim, _fraction_row_separate(gens, dim)))
+        cases.append((gens, dim))
     problems = _capture_problems(monkeypatch, convex_sep)
     # every instance reaches the LP, the screens' answers included
     monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
     kinds = {}
-    for gens, dim, want in cases:
+    for gens, dim in cases:
         got = convex_sep.separate(gens, dim)
-        assert got == want, (gens, got, want)
         infinite = any(g._form[2] for g in gens)
         kinds[type(got), infinite] = kinds.get((type(got), infinite), 0) + 1
     _assert_rows_are_ints(problems)
+    # every LP of every round solves the same from Fraction rows; a row built
+    # d times larger gets 1/d of the multiplier
+    for prob in problems:
+        got, want = solve_lp(prob), solve_lp(_fraction_rows(prob))
+        assert type(got) is type(want), prob
+        if isinstance(got, LPOptimal):
+            assert (got.point, got.value) == (want.point, want.value), prob
+            multipliers = got.dual, want.dual
+        else:
+            multipliers = got.certificate, want.certificate
+        assert [v * c.rhs for v, c in zip(multipliers[0], prob.constraints)] == list(multipliers[1]), prob
     # both outcomes, with and without infinite coordinates
     assert len(kinds) == 4 and min(kinds.values()) >= 5, kinds
 
