@@ -12,8 +12,9 @@ a checker never trusts the algorithm it checks (McConnell et al. 2011,
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import mul
 
-from .extreal import ONE, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
+from .extreal import ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
 
 
 def require(ok, what):
@@ -40,20 +41,28 @@ def in_corner(x: ExtVec) -> bool:
 
 
 def combination_point(generators, witness) -> ExtVec:
-    """Evaluate a weighted combination of generators as one weighted sum."""
+    """Evaluate a weighted combination of generators as one weighted sum.
+    The weights are ``int``s, ``Fraction``s or ``ExtReal``s, as ``ExtReal``
+    takes them: a ``bool``, a ``float`` or a string raises ``TypeError``."""
     gens = [as_extvec(g) for g in generators]
     members = [gens[j] for j, _ in witness]
-    return _weighted_sum([Fraction(c) for _, c in witness], members, gens[0].dim)
+    return _weighted_sum([c for _, c in witness], members, gens[0].dim)
 
 
 def verify_separated(generators, weights, dim=None) -> bool:
-    """Exact recheck: weights in the simplex and every pairing at most one."""
+    """Exact recheck: weights in the simplex and every pairing at most one.
+
+    On the integer forms, ``w . g <= 1`` reads ``sum wn * gn <= wd * gd``; it
+    fails where a positive weight meets an infinite entry of ``g``, and holds
+    there for a zero weight (``0 * inf = 0``), as ``ExtVec.dot`` pairs them.
+    """
     gens = [as_extvec(g) for g in generators]
     vals = simplex(weights)
     if vals is None or any(g.dim != len(vals) or dim not in (None, g.dim) for g in gens):
         return False
-    w = ExtVec(vals)
-    return all(w.dot(g) <= ONE for g in gens)
+    wn, wd, _, w_nonzero = ExtVec(vals)._form
+    return all(not g_inf & w_nonzero and sum(map(mul, wn, gn)) <= wd * gd
+               for gn, gd, g_inf, _ in (g._form for g in gens))
 
 
 def verify_meets_corner(generators, witness) -> bool:

@@ -43,13 +43,17 @@ class ExtReal:
         if type(num) is not int or type(den) is not int:
             if type(den) is int and den == 1:
                 if isinstance(num, Fraction):
-                    num, den = num.numerator, num.denominator
-                elif isinstance(num, ExtReal):
+                    # a Fraction is in lowest terms with a positive denominator
+                    if num.numerator < 0:
+                        raise ValueError("negative values are outside the extended nonnegative reals")
+                    self.num = num.numerator
+                    self.den = num.denominator
+                    return
+                if isinstance(num, ExtReal):
                     self.num = num.num
                     self.den = num.den
                     return
-            if type(num) is not int or type(den) is not int:
-                raise TypeError(f"expected integers, got {num!r}/{den!r}")
+            raise TypeError(f"expected integers, got {num!r}/{den!r}")
         if den <= 0:
             raise ValueError("denominator must be positive")
         if num < 0:
@@ -310,11 +314,37 @@ def _fold(terms, den, width):
     return combined, den * big
 
 
+def _lone_unit(weights, vecs, dim):
+    """The vector whose weight is one when every other weight is zero, each
+    an ``int``, a ``Fraction`` or an ``ExtReal`` (never a ``bool``), else None.
+
+    The pairs are read in ``_weighted_sum``'s order, and a vector of another
+    dimension raises as there, once its weight and every earlier one passed.
+    """
+    lone = None
+    for w, v in zip(weights, vecs):
+        t = type(w)
+        if t is not int and t is not Fraction and t is not ExtReal:
+            return None
+        if w:
+            if lone is not None or w != 1:
+                return None
+            lone = v
+        if len(v._form[0]) != dim:
+            raise DimensionMismatch(f"{dim} versus {len(v._form[0])}")
+    return lone
+
+
 def _weighted_sum(weights, vecs, dim):
     """``sum_k weights_k vecs_k`` for nonnegative extended weights, from the
-    forms of vectors of dimension ``dim``.  A coordinate is infinite where a
-    positive weight meets an infinite entry, or an infinite weight a nonzero
-    one; the rest is one ``_fold``, each weight's denominator in its vector's."""
+    forms of vectors of dimension ``dim``.  A lone weight of one among zeros,
+    the vertex certificate the screens give, returns its vector as it is.
+    Otherwise a coordinate is infinite where a positive weight meets an
+    infinite entry, or an infinite weight a nonzero one; the rest is one
+    ``_fold``, each weight's denominator in its vector's."""
+    lone = _lone_unit(weights, vecs, dim)
+    if lone is not None:
+        return lone
     terms = []
     inf = nonzero = 0
     for w, v in zip(weights, vecs):

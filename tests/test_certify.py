@@ -6,8 +6,8 @@ from fractions import Fraction
 
 import pytest
 
-from conedual import INF, ExtVec
-from conedual.extreal import _weighted_sum
+from conedual import INF, ONE, ExtVec
+from conedual.extreal import _weighted_sum, as_extvec
 from conedual.certify import (
     covered,
     refutes,
@@ -73,6 +73,48 @@ def test_mutated_separation_weights_are_rejected():
         moved = list(w)
         moved[rng.choice(sorted(inf_coords))], moved[j] = w[j], F(0)
         assert not verify_separated(gens, moved, dim)
+
+
+def _oracle_separated(generators, weights, dim):
+    """``verify_separated`` as it was, one ``ExtVec.dot`` per generator: the reference."""
+    gens = [as_extvec(g) for g in generators]
+    vals = simplex(weights)
+    if vals is None or any(g.dim != len(vals) or dim not in (None, g.dim) for g in gens):
+        return False
+    w = ExtVec(vals)
+    return all(w.dot(g) <= ONE for g in gens)
+
+
+def test_separation_verdicts_on_forms_match_the_pairing():
+    rng = random.Random(59)
+    seen = set()
+    for _ in range(1500):
+        dim = rng.randint(1, 6)
+        w = [F(0)] * dim
+        support = rng.sample(range(dim), rng.randint(1, dim))
+        for j, v in zip(support, _simplex_point(rng, len(support))):
+            w[j] = v
+        gens = []
+        for _ in range(rng.randint(1, 5)):
+            g = [rng.choice((F(0), INF, F(rng.randint(0, 9), rng.randint(1, 9)),
+                             F(rng.getrandbits(70), rng.getrandbits(70) | 1)))
+                 for _ in range(dim)]
+            finite = [(wj, gj) for wj, gj in zip(w, g) if gj is not INF]
+            total = sum(wj * gj for wj, gj in finite)
+            if total and rng.randrange(2):
+                # pairing one exactly or just around it on the finite entries
+                scale = total / rng.choice((1, 1 - NUDGE, 1 + NUDGE))
+                g = [gj if gj is INF else gj / scale for gj in g]
+            gens.append(g)
+        want = _oracle_separated(gens, w, dim)
+        assert verify_separated(gens, w, dim) is want, (gens, w)
+        zero_on_inf = any(gj is INF and wj == 0 for g in gens for wj, gj in zip(w, g))
+        weight_on_inf = any(gj is INF and wj > 0 for g in gens for wj, gj in zip(w, g))
+        seen.add((want, zero_on_inf, weight_on_inf))
+    # accepted with 0 * inf = 0, rejected for a positive weight on inf, and both without inf
+    assert {(True, True, False), (False, False, True), (True, False, False), (False, False, False)} <= seen
+    assert verify_separated([ExtVec([INF, 0])], [0, 1], 2)
+    assert not verify_separated([ExtVec([INF, 0])], [F(1, 2)] * 2, 2)
 
 
 def _corner_instance(rng):

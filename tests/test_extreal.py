@@ -295,3 +295,76 @@ def test_a_bool_is_not_a_number():
             bad()
     assert as_extreal(False) is NotImplemented
     assert as_extreal(1) == ExtReal(1, 1) and ExtReal(ExtReal(1, 2), 1) == ExtReal(1, 2)
+
+
+def test_a_lone_unit_weight_returns_its_vector():
+    rng = random.Random(8191)
+    seen = set()
+    for _ in range(1500):
+        dim = rng.randint(1, 6)
+        vecs = []
+        for _ in range(rng.randint(1, 5)):
+            if rng.randrange(5) == 0:
+                vecs.append(ExtVec([rng.choice((ZERO, 0, Fraction(0)))] * dim))
+            else:
+                vecs.append(ExtVec([_rand_entry(rng) for _ in range(dim)]))
+        idx = [rng.randrange(len(vecs)) for _ in range(rng.randint(1, 6))]
+        lone = rng.randrange(len(idx))
+        weights = [rng.choice((0, Fraction(0), ZERO)) for _ in idx]
+        weights[lone] = rng.choice((1, Fraction(1), ONE))
+        members = [vecs[j] for j in idx]
+        got = _weighted_sum(weights, members, dim)
+        assert got is members[lone]
+        want = ExtVec((ZERO,) * dim)
+        for wt, j in zip(weights, idx):
+            want = _oracle_add(want, _oracle_scale(vecs[j], wt))
+        _same(got, want)
+        seen.add(("inf", any(e.is_infinite for e in got)))
+        seen.add(("all zero", all(e.is_zero for e in got)))
+        seen.add(("weight type", type(weights[lone]).__name__))
+        seen.add(("zeros beside it", len(idx) > 1))
+    assert {("inf", True), ("all zero", True), ("zeros beside it", True),
+            ("weight type", "int"), ("weight type", "Fraction"), ("weight type", "ExtReal")} <= seen
+
+
+def test_weights_the_lone_unit_path_does_not_take_are_refused_as_before():
+    v, w = ExtVec([1, INF]), ExtVec([2, 0])
+    for weights in [(True,), (False, 1), (1, 0.0)]:
+        with pytest.raises(TypeError):
+            _weighted_sum(weights, [v, w][:len(weights)], 2)
+    with pytest.raises(ValueError):
+        _weighted_sum((-1,), [v], 2)
+    for weights in [(1,), (Fraction(1),), (ONE,)]:
+        with pytest.raises(DimensionMismatch, match="3 versus 2"):
+            _weighted_sum(weights, [v], 3)
+    # a vector of another dimension beside the lone one, with weight zero
+    with pytest.raises(DimensionMismatch, match="2 versus 1"):
+        _weighted_sum((1, 0), [v, ExtVec([5])], 2)
+    # a negative weight ahead of the mismatch raises first, as in the fold
+    with pytest.raises(ValueError):
+        _weighted_sum((-1, 1), [v, ExtVec([5])], 2)
+    # two unit weights, or a unit with an infinite one, take the fold
+    _same(_weighted_sum((1, ONE), [w, w], 2), ExtVec([4, 0]))
+    _same(_weighted_sum((1, INF), [v, w], 2), ExtVec([INF, INF]))
+
+
+def test_a_fraction_enters_as_it_is_reduced():
+    rng = random.Random(131)
+    for _ in range(500):
+        num = rng.getrandbits(rng.choice((3, 40, 90)))
+        den = rng.getrandbits(rng.choice((3, 40, 90))) + 1
+        got = ExtReal(Fraction(num, den))
+        assert (got.num, got.den) == (ExtReal(num, den).num, ExtReal(num, den).den)
+    for bad in (Fraction(-1, 2), Fraction(-3)):
+        with pytest.raises(ValueError):
+            ExtReal(bad)
+
+
+def test_combination_point_refuses_what_extreal_refuses():
+    gens = [ExtVec([2, 0]), ExtVec([0, 2])]
+    for bad in (True, False, 0.5, "1/2", None):
+        with pytest.raises(TypeError):
+            combination_point(gens, [(0, bad), (1, Fraction(1, 2))])
+    with pytest.raises(TypeError):
+        combination_point(gens, [(0, True)])
+    _same(combination_point(gens, [(0, Fraction(1, 2)), (1, ExtReal(1, 2))]), ExtVec([1, 1]))
