@@ -96,10 +96,24 @@ class FinitePoset:
 
 
 def all_opens(poset: FinitePoset):
-    """All up-sets as bitmasks, in ascending mask order."""
+    """All up-sets as bitmasks, in ascending mask order.
+
+    The elements are visited by ascending up-set size, so each comes after
+    every element strictly above it, and the visited ones always form an
+    up-set.  The up-sets inside it are those found so far, and those plus
+    the new element x that hold x's strict up-set; so each up-set is built
+    once, in ``O(n)`` steps per up-set instead of ``n`` steps per mask.
+    """
     if poset.n > _MAX_OPENS_SIZE:
         raise TooLarge(f"open-set enumeration is capped at {_MAX_OPENS_SIZE} elements")
-    return [mask for mask in range(1 << poset.n) if poset.is_up_closed(mask)]
+    up = poset._up
+    opens = [0]
+    for x in sorted(range(poset.n), key=lambda i: up[i].bit_count()):
+        bit = 1 << x
+        above = up[x] ^ bit
+        opens += [u | bit for u in opens if u & above == above]
+    opens.sort()
+    return opens
 
 
 def is_lsc(values, poset: FinitePoset):

@@ -17,7 +17,7 @@ from operator import le, mul
 
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
-from .extreal import ONE, ZERO, ExtReal, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
+from .extreal import INF, ONE, ExtReal, ExtVec, _extreme_pairing, _reduced, _weighted_sum, as_extvec
 from .lp import Constraint, GEQ, LEQ, LPProblem, _answer, solve_lp
 
 
@@ -85,16 +85,16 @@ class SublinFun(_BranchFun):
     """Pointwise maximum of finitely many linear functionals."""
 
     def eval(self, y) -> ExtReal:
-        y = as_extvec(y)
-        return ext_max(b.eval(y) for b in self.branches)
+        forms = [b.coeffs._form for b in self.branches]
+        return _reduced(*_extreme_pairing(forms, as_extvec(y)._form, largest=True))
 
 
 class SuperlinFun(_BranchFun):
     """Pointwise minimum of finitely many linear functionals."""
 
     def eval(self, y) -> ExtReal:
-        y = as_extvec(y)
-        return ext_min(b.eval(y) for b in self.branches)
+        forms = [b.coeffs._form for b in self.branches]
+        return _reduced(*_extreme_pairing(forms, as_extvec(y)._form))
 
 
 def member_u(f, y) -> bool:
@@ -125,8 +125,13 @@ class OpenSetRep:
         return self.blocks[0].dim if self.blocks else None
 
     def contains(self, y) -> bool:
-        y = as_extvec(y)
-        return any(all(ONE < f.eval(y) for f in block.branches) for block in self.blocks)
+        """Some block's least pairing with y exceeds one."""
+        y_form = as_extvec(y)._form
+        for block in self.blocks:
+            num, den = _extreme_pairing([b.coeffs._form for b in block.branches], y_form)
+            if num > den:
+                return True
+        return False
 
     def __repr__(self):
         return f"OpenSetRep(blocks={len(self.blocks)})"
@@ -141,12 +146,16 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
     y = as_extvec(y)
     if rep.dim is not None and rep.dim != y.dim:
         raise DimensionMismatch(f"{rep.dim} versus {y.dim}")
-    best = ZERO
+    # the best block so far is top / over; every block has y's dimension
+    y_form = y._form
+    top, over = 0, 1
     for block in rep.blocks:
-        v = block.eval(y)
-        if best < v:
-            best = v
-    return best
+        num, den = _extreme_pairing([b.coeffs._form for b in block.branches], y_form)
+        if not den:
+            return INF
+        if num * over > top * den:
+            top, over = num, den
+    return _reduced(top, over)
 
 
 def _margin(gvecs, hvecs):
@@ -296,14 +305,26 @@ def dominated_by_max(f: LinFun, phi: SublinFun):
 
 
 def specialization_leq(y, y_prime, c_gens) -> bool:
-    """Order induced by pairing against every generator of the dual cone."""
-    y = as_extvec(y)
-    y_prime = as_extvec(y_prime)
-    if y.dim != y_prime.dim:
-        raise DimensionMismatch(f"{y.dim} versus {y_prime.dim}")
-    for x in c_gens:
-        x = x if isinstance(x, LinFun) else LinFun(x)
-        if not x.eval(y) <= x.eval(y_prime):
+    """Order induced by pairing against every generator of the dual cone.
+
+    ``x . y <= x . y'`` reads ``xn . z <= 0`` on the integer forms, with
+    ``z = yn * y'd - y'n * yd`` built once; a pairing is infinite where the
+    masks say so, and there the finite numerators are not read.  Every
+    generator's dimension is checked before any is compared.
+    """
+    yn, yd, y_inf, y_nonzero = as_extvec(y)._form
+    pn, pd, p_inf, p_nonzero = as_extvec(y_prime)._form
+    if len(yn) != len(pn):
+        raise DimensionMismatch(f"{len(yn)} versus {len(pn)}")
+    forms = [x.coeffs._form if isinstance(x, LinFun) else as_extvec(x)._form for x in c_gens]
+    for xn, _, _, _ in forms:
+        if len(xn) != len(yn):
+            raise DimensionMismatch(f"{len(xn)} versus {len(yn)}")
+    z = [a * pd - b * yd for a, b in zip(yn, pn)]
+    for xn, _, x_inf, x_nonzero in forms:
+        if x_inf & p_nonzero or p_inf & x_nonzero:
+            continue
+        if x_inf & y_nonzero or y_inf & x_nonzero or sum(map(mul, xn, z)) > 0:
             return False
     return True
 

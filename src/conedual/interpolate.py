@@ -87,9 +87,13 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
     ``interpolate``: the screens, then at most one LP per clause; the
     emitted coefficients are the mix that was checked exactly against the
     branch certificate.
-    Output order follows the input clause order.
+    Output order follows the input clause order.  Every generator's
+    dimension is checked before any clause is decided.
     """
     gens = [g if isinstance(g, LinFun) else LinFun(g) for g in c_gens]
+    for g in gens:
+        if g.dim != phi.dim:
+            raise DimensionMismatch(f"{g.dim} versus {phi.dim}")
     out = []
     for pos, clause in enumerate(clauses):
         idxs = list(clause)

@@ -132,6 +132,19 @@ def test_interpolate_rejects_a_clause_with_members_of_two_dimensions(tmp_path, c
     assert json.loads(out) == {"error": "dimensionmismatch", "message": "3 versus 2"}
 
 
+@pytest.mark.parametrize("clauses", [[[0], [1]], [[1], [0]]])
+def test_interpolate_checks_every_generator_dimension_before_any_clause(tmp_path, clauses):
+    # clause [0] alone violates phi, but the second generator's dimension is checked first
+    payload = {
+        "c_gens": [["5", "5"], ["1"]],
+        "clauses": clauses,
+        "phi": {"kind": "lin", "coeffs": ["1", "1"]},
+    }
+    code, out = run_cli(tmp_path, "interpolate", payload)
+    assert code == 1
+    assert json.loads(out) == {"error": "dimensionmismatch", "message": "1 versus 2"}
+
+
 def test_dominates_command(tmp_path):
     payload = {"f": ["1", "1"], "phi": {"kind": "max", "branches": [["2", "0"], ["0", "2"]]}}
     code, out = run_cli(tmp_path, "dominates", payload)
@@ -156,6 +169,14 @@ def test_spec_order_command(tmp_path):
     code, out = run_cli(tmp_path, "spec-order", payload)
     assert code == 0
     assert json.loads(out) == {"leq": True}
+
+
+@pytest.mark.parametrize("y, y_prime", [(["1", "0"], ["0", "1"]), (["0", "1"], ["1", "0"])])
+def test_spec_order_checks_every_generator_dimension_before_comparing(tmp_path, y, y_prime):
+    payload = {"c_gens": [["1", "0"], ["1"]], "y": y, "y_prime": y_prime}
+    code, out = run_cli(tmp_path, "spec-order", payload)
+    assert code == 1
+    assert json.loads(out) == {"error": "dimensionmismatch", "message": "1 versus 2"}
 
 
 def test_ss_recover_command(tmp_path):

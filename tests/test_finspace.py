@@ -130,6 +130,41 @@ def test_all_opens_examples():
         all_opens(FinitePoset(13, []))
 
 
+def _scan_opens(poset):
+    """Every mask below 2^n that is up-closed: the reference enumeration."""
+    return [mask for mask in range(1 << poset.n) if poset.is_up_closed(mask)]
+
+
+def _random_poset(rng, n):
+    """The transitive closure of random pairs i < j, under a random relabelling,
+    so that labels need not follow the order."""
+    up = [1 << i for i in range(n)]
+    for i in reversed(range(n)):
+        for j in range(i + 1, n):
+            if rng.randrange(4) == 0:
+                up[i] |= up[j]
+    label = list(range(n))
+    rng.shuffle(label)
+    return FinitePoset(n, [(label[i], label[j]) for i in range(n) for j in _bits(up[i])])
+
+
+def test_all_opens_matches_the_mask_scan():
+    for n in range(1, 6):
+        for poset in posets_up_to_iso(n):
+            assert all_opens(poset) == _scan_opens(poset)
+    rng = random.Random(17)
+    for n in list(range(6, 13)) * 2:
+        poset = _random_poset(rng, n)
+        assert all_opens(poset) == _scan_opens(poset)
+    chain = FinitePoset(12, [(i, j) for i in range(12) for j in range(i, 12)])
+    assert all_opens(chain) == _scan_opens(chain)
+    assert len(all_opens(chain)) == 13
+    antichain = FinitePoset(12, [])
+    assert all_opens(antichain) == list(range(4096))
+    with pytest.raises(TooLarge, match="^open-set enumeration is capped at 12 elements$"):
+        all_opens(FinitePoset(13, []))
+
+
 def test_opens_are_up_sets():
     for n in range(1, 5):
         for poset in posets_up_to_iso(n):
