@@ -17,7 +17,7 @@ from operator import le, mul
 
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
-from .extreal import INF, ONE, ExtReal, ExtVec, _extreme_pairing, _reduced, _weighted_sum, as_extvec
+from .extreal import ONE, ZERO, ExtReal, ExtVec, _extreme_pairing, _reduced, _weighted_sum, as_extvec
 from .lp import Constraint, GEQ, LEQ, LPProblem, _answer, solve_lp
 
 
@@ -126,12 +126,8 @@ class OpenSetRep:
 
     def contains(self, y) -> bool:
         """Some block's least pairing with y exceeds one."""
-        y_form = as_extvec(y)._form
-        for block in self.blocks:
-            num, den = _extreme_pairing([b.coeffs._form for b in block.branches], y_form)
-            if num > den:
-                return True
-        return False
+        y = as_extvec(y)
+        return any(ONE < block.eval(y) for block in self.blocks)
 
     def __repr__(self):
         return f"OpenSetRep(blocks={len(self.blocks)})"
@@ -146,16 +142,12 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
     y = as_extvec(y)
     if rep.dim is not None and rep.dim != y.dim:
         raise DimensionMismatch(f"{rep.dim} versus {y.dim}")
-    # the best block so far is top / over; every block has y's dimension
-    y_form = y._form
-    top, over = 0, 1
+    best = ZERO
     for block in rep.blocks:
-        num, den = _extreme_pairing([b.coeffs._form for b in block.branches], y_form)
-        if not den:
-            return INF
-        if num * over > top * den:
-            top, over = num, den
-    return _reduced(top, over)
+        v = block.eval(y)
+        if best < v:
+            best = v
+    return best
 
 
 def _margin(gvecs, hvecs):
@@ -310,21 +302,26 @@ def specialization_leq(y, y_prime, c_gens) -> bool:
     ``x . y <= x . y'`` reads ``xn . z <= 0`` on the integer forms, with
     ``z = yn * y'd - y'n * yd`` built once; a pairing is infinite where the
     masks say so, and there the finite numerators are not read.  Every
-    generator's dimension is checked before any is compared.
+    generator's dimension is checked before any is compared, and a
+    generator that refutes the order is checked by evaluation.
     """
-    yn, yd, y_inf, y_nonzero = as_extvec(y)._form
-    pn, pd, p_inf, p_nonzero = as_extvec(y_prime)._form
+    y, y_prime = as_extvec(y), as_extvec(y_prime)
+    yn, yd, y_inf, y_nonzero = y._form
+    pn, pd, p_inf, p_nonzero = y_prime._form
     if len(yn) != len(pn):
         raise DimensionMismatch(f"{len(yn)} versus {len(pn)}")
-    forms = [x.coeffs._form if isinstance(x, LinFun) else as_extvec(x)._form for x in c_gens]
-    for xn, _, _, _ in forms:
-        if len(xn) != len(yn):
-            raise DimensionMismatch(f"{len(xn)} versus {len(yn)}")
+    gens = [x.coeffs if isinstance(x, LinFun) else as_extvec(x) for x in c_gens]
+    for x in gens:
+        if x.dim != len(yn):
+            raise DimensionMismatch(f"{x.dim} versus {len(yn)}")
     z = [a * pd - b * yd for a, b in zip(yn, pn)]
-    for xn, _, x_inf, x_nonzero in forms:
+    for x in gens:
+        xn, _, x_inf, x_nonzero = x._form
         if x_inf & p_nonzero or p_inf & x_nonzero:
             continue
         if x_inf & y_nonzero or y_inf & x_nonzero or sum(map(mul, xn, z)) > 0:
+            witness = LinFun(x)
+            require(witness.eval(y_prime) < witness.eval(y), "order witness failed verification")
             return False
     return True
 

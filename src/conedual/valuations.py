@@ -26,7 +26,7 @@ from .errors import (
     _echo,
 )
 from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, _reduced, as_extreal, as_extvec
-from .finspace import FinitePoset, LscFun, all_opens, is_lsc
+from .finspace import FinitePoset, LscFun, _bits, all_opens, is_lsc
 
 _GRID_CAP = 200_000
 
@@ -111,31 +111,15 @@ class ValuationOnOpens:
         return f"ValuationOnOpens({len(self.table)} opens)"
 
 
-def _subset_sums(values):
-    """``sums[m]``, the sum of ``values[i]`` over the bits i of m, for every m
-    below ``2 ** len(values)``."""
-    sums = [0]
-    for v in values:
-        sums += [s + v for s in sums]
-    return sums
-
-
 def to_opens(mu: SimpleValuation) -> ValuationOnOpens:
     """Tabulate nu(U) = mu(1_U), the pairing with U's indicator, over all
     opens: ``inf`` where U meets an infinite weight, else the sum of the
-    weight numerators over U's bits, over their common denominator.
-
-    The sums are read from two tables of subset sums, one for each half of
-    the elements, so no indicator vector is built and the tables hold
-    ``2 * 2 ** (n / 2)`` entries, not ``2 ** n``.
-    """
+    weight numerators over U's bits, over their common denominator.  No
+    indicator vector is built."""
     nums, den, inf, _ = mu._vec._form
-    half = len(nums) // 2
-    low, high = _subset_sums(nums[:half]), _subset_sums(nums[half:])
-    cut = (1 << half) - 1
     table = {}
     for mask in all_opens(mu.poset):
-        table[mask] = INF if mask & inf else _reduced(low[mask & cut] + high[mask >> half], den)
+        table[mask] = INF if mask & inf else _reduced(sum(nums[i] for i in _bits(mask)), den)
     return ValuationOnOpens._of_opens(mu.poset, table)
 
 

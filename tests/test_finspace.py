@@ -126,7 +126,7 @@ def test_all_opens_examples():
     assert all_opens(DISCRETE2) == [0b00, 0b01, 0b10, 0b11]
     anti = FinitePoset(4, [])
     assert len(all_opens(anti)) == 16
-    with pytest.raises(TooLarge):
+    with pytest.raises(TooLarge, match="^open-set enumeration is capped at 12 elements$"):
         all_opens(FinitePoset(13, []))
 
 
@@ -161,8 +161,6 @@ def test_all_opens_matches_the_mask_scan():
     assert len(all_opens(chain)) == 13
     antichain = FinitePoset(12, [])
     assert all_opens(antichain) == list(range(4096))
-    with pytest.raises(TooLarge, match="^open-set enumeration is capped at 12 elements$"):
-        all_opens(FinitePoset(13, []))
 
 
 def test_opens_are_up_sets():
