@@ -55,14 +55,24 @@ class _BranchFun:
     __slots__ = ("branches",)
 
     def __init__(self, branches):
-        branches = tuple(b if isinstance(b, LinFun) else LinFun(b) for b in branches)
-        if not branches:
+        # an ExtVec, as the decoder gives it, goes into its LinFun as it is
+        out = []
+        dims = set()
+        for b in branches:
+            if type(b) is ExtVec:
+                f = object.__new__(LinFun)
+                f.coeffs = b
+            elif isinstance(b, LinFun):
+                f = b
+            else:
+                f = LinFun(b)
+            out.append(f)
+            dims.add(len(f.coeffs._form[0]))
+        if not out:
             raise EmptyList("at least one branch is required")
-        d = branches[0].dim
-        for b in branches[1:]:
-            if b.dim != d:
-                raise DimensionMismatch("branches disagree on dimension")
-        self.branches = branches
+        if len(dims) > 1:
+            raise DimensionMismatch("branches disagree on dimension")
+        self.branches = tuple(out)
 
     @property
     def dim(self) -> int:
@@ -114,10 +124,9 @@ class OpenSetRep:
     __slots__ = ("blocks",)
 
     def __init__(self, blocks):
-        blocks = tuple(SuperlinFun(block) for block in blocks)
-        for block in blocks[1:]:
-            if block.dim != blocks[0].dim:
-                raise DimensionMismatch("blocks disagree on dimension")
+        blocks = tuple([SuperlinFun(block) for block in blocks])
+        if len({len(block.branches[0].coeffs._form[0]) for block in blocks}) > 1:
+            raise DimensionMismatch("blocks disagree on dimension")
         self.blocks = blocks
 
     @property

@@ -57,43 +57,9 @@ def decode_extreal(obj, path) -> ExtReal:
 
 
 def decode_vector(obj, path) -> ExtVec:
-    """A vector decoded straight into ``ExtVec``'s integer form.
-
-    One pass over the entries collects numerators, denominators and the
-    infinity and nonzero masks.  A ``str`` entry is looked up in
-    ``_ENTRIES``; a miss, and any entry but a nonnegative ``int``, goes
-    through ``_miss``, which gives the value or the error message.  No
-    ``ExtReal`` is built, and every ratio is in lowest terms, so the form
-    needs no gcd.  Every error message starts with ``path``, so a caller
-    may pass ``""`` and prefix the message with the vector's path only when
-    it fails.
-    """
-    if not isinstance(obj, list) or not obj:
-        fail(path, "a nonempty array of extended rationals", obj)
-    entry = _ENTRIES.get
-    nums = []
-    dens = []
-    inf = nonzero = 0
-    bit = 1
-    for v in obj:
-        if type(v) is str:
-            # a stored pair is a nonempty tuple, so a miss alone parses
-            num, den = entry(v) or _vector_entry(v, path, len(nums))
-        elif type(v) is int and v >= 0:
-            num, den = v, 1
-        else:
-            num, den = _vector_entry(v, path, len(nums))
-        if not den:
-            # infinity: numerator 0, its bit in both masks
-            num, den = 0, 1
-            inf |= bit
-            nonzero |= bit
-        elif num:
-            nonzero |= bit
-        nums.append(num)
-        dens.append(den)
-        bit <<= 1
-    return ExtVec._from_ratios(nums, dens, inf, nonzero, reduced=True)
+    """A vector decoded straight into ``ExtVec``'s integer form; see
+    ``_decode_family``.  Every error message starts with ``path``."""
+    return _decode_family((obj,), path, False)[0]
 
 
 def decode_vectors(obj, path, expected) -> list:
@@ -103,28 +69,63 @@ def decode_vectors(obj, path, expected) -> list:
     """
     if not isinstance(obj, list) or not obj:
         fail(path, expected, obj)
-    return _decode_each(obj, decode_vector, path)
+    return _decode_family(obj, path, True)
 
 
-def _decode_each(items, decode, path):
-    """``decode(item, "")`` for each item of the array at ``path``; an item's
-    path, ``path[i]``, is put in front of its error message only when it fails."""
+def _decode_family(items, path, indexed):
+    """The vectors of ``items`` in one pass over them and their entries.
+
+    Each entry is read into numerators, denominators and the infinity and
+    nonzero masks.  A ``str`` entry is looked up in ``_ENTRIES``; a miss,
+    and any entry but a nonnegative ``int``, goes through ``_miss``, which
+    gives the value or the error message.  No ``ExtReal`` is built, and
+    every ratio is in lowest terms, so ``ExtVec._from_ratios`` builds each
+    vector's form once with no gcd.  Item ``i``'s path is ``path[i]`` when
+    ``indexed``, else ``path``; it is built only when the item fails.
+    """
+    entry = _ENTRIES.get
+    from_ratios = ExtVec._from_ratios
     out = []
-    for item in items:
-        try:
-            out.append(decode(item, ""))
-        except ParseError as exc:
-            raise ParseError(f"{path}[{len(out)}]{exc}") from None
+    for obj in items:
+        if not isinstance(obj, list) or not obj:
+            fail(_item_path(path, indexed, len(out)), "a nonempty array of extended rationals", obj)
+        nums = []
+        dens = []
+        inf = nonzero = 0
+        bit = 1
+        for v in obj:
+            if type(v) is str:
+                # a stored pair is a nonempty tuple, so a miss alone parses
+                num, den = entry(v) or _vector_entry(v, path, indexed, len(out), len(nums))
+            elif type(v) is int and v >= 0:
+                num, den = v, 1
+            else:
+                num, den = _vector_entry(v, path, indexed, len(out), len(nums))
+            if not den:
+                # infinity: numerator 0, its bit in both masks
+                num, den = 0, 1
+                inf |= bit
+                nonzero |= bit
+            elif num:
+                nonzero |= bit
+            nums.append(num)
+            dens.append(den)
+            bit <<= 1
+        out.append(from_ratios(nums, dens, inf, nonzero, reduced=True))
     return out
 
 
-def _vector_entry(v, path, i):
-    """(num, den) of entry i through ``_miss``, INF as den 0; its error
-    message gets the entry's path, built only here."""
+def _item_path(path, indexed, i):
+    return f"{path}[{i}]" if indexed else path
+
+
+def _vector_entry(v, path, indexed, i, k):
+    """(num, den) of entry k of item i through ``_miss``, INF as den 0; its
+    error message gets the entry's path, built only here."""
     try:
         return _miss(v)
     except ParseError as exc:
-        raise ParseError(f"{path}[{i}]: {exc}") from None
+        raise ParseError(f"{_item_path(path, indexed, i)}[{k}]: {exc}") from None
 
 
 def decode_int(obj, path, minimum) -> int:
@@ -161,7 +162,13 @@ def decode_open_set(obj, path) -> OpenSetRep:
     raw = require_key(obj, "blocks", path)
     if not isinstance(raw, list):
         fail(f"{path}.blocks", "an array of blocks", raw)
-    blocks = _decode_each(raw, lambda b, p: decode_vectors(b, p, _COEFF_ARRAYS), f"{path}.blocks")
+    blocks = []
+    try:
+        for block in raw:
+            blocks.append(decode_vectors(block, "", _COEFF_ARRAYS))
+    except ParseError as exc:
+        # a block's path is built only when it fails
+        raise ParseError(f"{path}.blocks[{len(blocks)}]{exc}") from None
     return OpenSetRep(blocks)
 
 

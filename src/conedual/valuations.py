@@ -116,11 +116,16 @@ def to_opens(mu: SimpleValuation) -> ValuationOnOpens:
     opens: ``inf`` where U meets an infinite weight, else the sum of the
     weight numerators over U's bits, over their common denominator.  No
     indicator vector is built."""
-    nums, den, inf, _ = mu._vec._form
+    return ValuationOnOpens._of_opens(mu.poset, _tabulate(mu._vec, all_opens(mu.poset)))
+
+
+def _tabulate(vec, masks):
+    """``{mask: vec . 1_mask}`` over ``masks`` from the weights' integer form."""
+    nums, den, inf, _ = vec._form
     table = {}
-    for mask in all_opens(mu.poset):
+    for mask in masks:
         table[mask] = INF if mask & inf else _reduced(sum(nums[i] for i in _bits(mask)), den)
-    return ValuationOnOpens._of_opens(mu.poset, table)
+    return table
 
 
 def from_opens(nu: ValuationOnOpens) -> SimpleValuation:
@@ -148,7 +153,8 @@ def from_opens(nu: ValuationOnOpens) -> SimpleValuation:
             raise NotAValuation(f"element {x} would need a negative weight")
         weights.append(a - b)
     mu = SimpleValuation(poset, weights)
-    if to_opens(mu) != nu:
+    # the table's keys are the opens of the poset, so they are not listed again
+    if _tabulate(mu._vec, nu.table) != nu.table:
         raise NotAValuation("table is not induced by pointwise weights")
     return mu
 

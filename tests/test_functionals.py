@@ -656,3 +656,51 @@ def test_interpolate_and_dominates_decide_the_extended_orthant():
     # both verdicts, with and without infinite coefficients, for both callers
     assert len(seen) == 8, sorted(seen)
     assert inf_points > 100
+
+
+def test_branch_construction_is_the_same_from_vectors_functionals_and_entries():
+    rng = random.Random(29)
+    for _ in range(200):
+        dim = rng.randint(1, 5)
+        rows = [[rng.choice([0, 1, 3, INF, ExtReal(2, 3)]) for _ in range(dim)]
+                for _ in range(rng.randint(1, 4))]
+        vecs = [ExtVec(r) for r in rows]
+        for cls in (SublinFun, SuperlinFun):
+            mixed = [(v, LinFun(r), r)[i % 3] for i, (v, r) in enumerate(zip(vecs, rows))]
+            made = [cls(rows), cls(vecs), cls([LinFun(r) for r in rows]), cls(mixed)]
+            for fun in made:
+                assert fun == made[0] and hash(fun) == hash(made[0])
+                assert type(fun.branches) is tuple
+                assert all(type(b) is LinFun for b in fun.branches)
+                assert [b.coeffs for b in fun.branches] == vecs
+        # an ExtVec goes into its LinFun as it is; a LinFun is kept
+        f = LinFun(rows[0])
+        assert SublinFun(vecs).branches[0].coeffs is vecs[0]
+        assert SuperlinFun([f]).branches[0] is f
+        blocks = [vecs, [LinFun(r) for r in rows], rows]
+        rep = OpenSetRep(blocks)
+        assert rep.blocks == (SuperlinFun(rows),) * 3 and rep.dim == dim
+        y = ExtVec([rng.choice([0, 1, 2, INF]) for _ in range(dim)])
+        assert minkowski(rep, y) == SuperlinFun(rows).eval(y)
+
+
+@pytest.mark.parametrize("make, error, message", [
+    (lambda: SublinFun([]), EmptyList, "at least one branch is required"),
+    (lambda: SuperlinFun(iter([])), EmptyList, "at least one branch is required"),
+    (lambda: SublinFun([ExtVec([1]), [1, 2]]), DimensionMismatch, "branches disagree on dimension"),
+    (lambda: SuperlinFun([LinFun([1, 2]), ExtVec([1])]), DimensionMismatch,
+     "branches disagree on dimension"),
+    (lambda: SublinFun([[1, 2], [1, 2], [3]]), DimensionMismatch, "branches disagree on dimension"),
+    # every branch is built before the dimensions are compared
+    (lambda: SublinFun([[1, 2], [1], [-1]]), ValueError,
+     "negative values are outside the extended nonnegative reals"),
+    (lambda: OpenSetRep([[ExtVec([1])], []]), EmptyList, "at least one branch is required"),
+    (lambda: OpenSetRep([[ExtVec([1])], [ExtVec([1]), ExtVec([1, 2])]]), DimensionMismatch,
+     "branches disagree on dimension"),
+    (lambda: OpenSetRep([[ExtVec([1])], [LinFun([1]), [1]], [ExtVec([1, 2])]]), DimensionMismatch,
+     "blocks disagree on dimension"),
+])
+def test_branch_construction_errors(make, error, message):
+    with pytest.raises(error) as exc:
+        make()
+    assert type(exc.value) is error and str(exc.value) == message

@@ -16,7 +16,7 @@ from conedual import (
 from conedual.cli import main
 from conedual.errors import ParseError, _echo
 from conedual import jsonio, parse_extreal
-from conedual.jsonio import decode_extreal, decode_vector
+from conedual.jsonio import decode_extreal, decode_open_set, decode_vector, decode_vectors
 
 
 def _entry(obj):
@@ -76,6 +76,51 @@ def _random_vector(rng):
     if shape == 1:
         return [rng.choice(["inf", " inf "]) for _ in range(dim)]
     return [_random_entry(rng) for _ in range(dim)]
+
+
+def _long_entry(rng):
+    """An entry string longer than the memo's key limit, so it is parsed on every call."""
+    text = rng.choice([f"{_big(rng)}/{_big(rng)}", "inf", f"{rng.randint(0, 9)}/{rng.randint(1, 9)}"])
+    return text.center(jsonio._KEY_MAX + rng.randint(1, 8))
+
+
+def test_family_decoder_matches_the_reference_per_vector():
+    rng = random.Random(29)
+    seen = set()
+    for _ in range(600):
+        family = []
+        for _ in range(rng.randint(1, 6)):
+            vec = _random_vector(rng)
+            if rng.randrange(4) == 0:
+                vec[rng.randrange(len(vec))] = _long_entry(rng)
+            family.append(vec)
+        got = decode_vectors(family, "$.c_gens", "vectors")
+        assert len(got) == len(family)
+        for vec, obj in zip(got, family):
+            ref = ExtVec([_entry(e) for e in obj])
+            assert vec._entries is None
+            assert vec._form == ref._form and vec == ref and hash(vec) == hash(ref)
+            for e in obj:
+                if type(e) is int:
+                    seen.add("int")
+                    continue
+                if len(e) > jsonio._KEY_MAX:
+                    seen.add("long")
+                    assert e not in jsonio._ENTRIES
+                if e.strip() in ("inf", "0"):
+                    seen.add(e.strip())
+                if e != e.strip():
+                    seen.add("padded")
+            if any(e.num.bit_length() >= 70 for e in ref.entries):
+                seen.add("70-bit")
+        if len({len(v) for v in family}) == 1:
+            # a block of an open set decodes as the same family
+            rep = decode_open_set({"blocks": [family]}, "$")
+            assert [b.coeffs for b in rep.blocks[0].branches] == got
+            seen.add("block")
+    assert seen >= {"long", "inf", "0", "padded", "int", "70-bit", "block"}
+    assert decode_vectors([["4/6", " 0 "], ["inf", "2/3"]], "$", "vectors") == [
+        ExtVec([ExtReal(2, 3), 0]), ExtVec([INF, ExtReal(2, 3)])]
 
 
 def _structure(vec):
@@ -290,9 +335,24 @@ def test_holders_keep_a_decoded_vector_whole():
      "$.blocks[1][1]: expected a nonempty array of extended rationals, got '2'"),
     ("minkowski", {"blocks": [[["1"]], {}], "y": ["1"]},
      "$.blocks[1]: expected a nonempty array of coefficient arrays, got {}"),
+    ("minkowski", {"blocks": [[["1", "2"]], [["1", "x"]]], "y": ["1", "1"]},
+     "$.blocks[1][0][1]: not an extended rational: 'x'"),
+    ("spec-order", {"c_gens": [["1", "2"], ["1", "x"]], "y": ["1", "1"], "y_prime": ["1", "1"]},
+     "$.c_gens[1][1]: not an extended rational: 'x'"),
+    ("spec-order", {"c_gens": [["1", "2"], "3"], "y": ["1", "1"], "y_prime": ["1", "1"]},
+     "$.c_gens[1]: expected a nonempty array of extended rationals, got '3'"),
+    ("spec-order", {"c_gens": [["1", "2"], [True]], "y": ["1", "1"], "y_prime": ["1", "1"]},
+     '$.c_gens[1][0]: expected "p/q", "p", or "inf", got True'),
+    ("spec-order", {"c_gens": [["1", "2"], ["1", 1.5]], "y": ["1", "1"], "y_prime": ["1", "1"]},
+     '$.c_gens[1][1]: expected "p/q", "p", or "inf", got 1.5'),
+    ("spec-order", {"c_gens": [["1", "2"], ["1", "1/0"]], "y": ["1", "1"], "y_prime": ["1", "1"]},
+     "$.c_gens[1][1]: zero denominator: '1/0'"),
+    ("sep", {"dim": 2, "generators": [["1", "2"], "3"]},
+     "$.generators[1]: expected a nonempty array of extended rationals, got '3'"),
 ])
 def test_vector_arrays_name_the_failing_vector_in_full(tmp_path, command, payload, message):
-    # decode_vectors and decode_open_set build a vector's path only when it fails
+    # decode_vectors and decode_open_set build a vector's path only when it fails;
+    # each message is pinned as the decoder printed it before families were read in one pass
     assert _cli_message(tmp_path, command, payload) == (
         1, {"error": "malformed_input", "message": message})
 
