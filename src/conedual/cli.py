@@ -237,34 +237,6 @@ def _build_parser():
 
 _PARSER = _build_parser()
 
-# Command lines already parsed, each to its Namespace, which nothing writes
-# to.  A process that calls ``main`` many times passes a few command lines
-# over and over, so most calls skip argparse.  Bounded as ``jsonio._ENTRIES``
-# is: a key has at most _ARGV_CHARS_MAX characters, and the memo is cleared
-# once it holds _ARGV_MAX keys.  Only command lines that parse are stored.
-_ARGV = {}
-_ARGV_CHARS_MAX = 1024
-_ARGV_MAX = 256
-
-
-def _parse_args(argv):
-    """``_PARSER.parse_args(argv)``, through ``_ARGV`` when every element of
-    ``argv`` is a ``str``; ``None`` reads ``sys.argv`` as argparse does."""
-    if argv is None:
-        return _PARSER.parse_args()
-    key = tuple(argv)
-    if not all(type(a) is str for a in key):
-        return _PARSER.parse_args(key)
-    args = _ARGV.get(key)
-    if args is None:
-        # a rejected command line raises here, so it is never stored
-        args = _PARSER.parse_args(key)
-        if sum(map(len, key)) <= _ARGV_CHARS_MAX:
-            if len(_ARGV) >= _ARGV_MAX:
-                _ARGV.clear()
-            _ARGV[key] = args
-    return args
-
 
 def _read_payload(args):
     if args.command == "check":
@@ -296,7 +268,7 @@ def _write(output, payload):
 def main(argv=None) -> int:
     output = "-"
     try:
-        args = _parse_args(argv)
+        args = _PARSER.parse_args(argv)
         output = args.output
         decode, encode, _ = _COMMANDS[args.command]
         fn, call_args = decode(_read_payload(args), args)

@@ -55,24 +55,12 @@ class _BranchFun:
     __slots__ = ("branches",)
 
     def __init__(self, branches):
-        # an ExtVec, as the decoder gives it, goes into its LinFun as it is
-        out = []
-        dims = set()
-        for b in branches:
-            if type(b) is ExtVec:
-                f = object.__new__(LinFun)
-                f.coeffs = b
-            elif isinstance(b, LinFun):
-                f = b
-            else:
-                f = LinFun(b)
-            out.append(f)
-            dims.add(len(f.coeffs._form[0]))
-        if not out:
+        branches = tuple([b if isinstance(b, LinFun) else LinFun(b) for b in branches])
+        if not branches:
             raise EmptyList("at least one branch is required")
-        if len(dims) > 1:
+        if len({len(b.coeffs._form[0]) for b in branches}) > 1:
             raise DimensionMismatch("branches disagree on dimension")
-        self.branches = tuple(out)
+        self.branches = branches
 
     @property
     def dim(self) -> int:
@@ -125,7 +113,7 @@ class OpenSetRep:
 
     def __init__(self, blocks):
         blocks = tuple([SuperlinFun(block) for block in blocks])
-        if len({len(block.branches[0].coeffs._form[0]) for block in blocks}) > 1:
+        if len({block.dim for block in blocks}) > 1:
             raise DimensionMismatch("blocks disagree on dimension")
         self.blocks = blocks
 

@@ -72,9 +72,14 @@ def eval_valuation(mu: SimpleValuation, f: LscFun) -> ExtReal:
 
 
 class ValuationOnOpens:
-    """A valuation recorded by its values on every open set."""
+    """A valuation recorded by its values on every open set.
 
-    __slots__ = ("poset", "table")
+    ``_listed`` keeps the poset and its opens as listed when the table was
+    built; ``from_opens`` rechecks the table against that list while
+    ``poset`` is the same object, so a table changed afterwards fails the
+    recheck as it would against a fresh enumeration."""
+
+    __slots__ = ("poset", "table", "_listed")
 
     def __init__(self, poset: FinitePoset, table):
         tab = {}
@@ -82,18 +87,22 @@ class ValuationOnOpens:
             if type(mask) is not int:
                 raise TypeError(f"open-set masks must be ints, got {_echo(mask)}")
             tab[mask] = v if type(v) is ExtReal else ExtReal(v)
-        if set(tab) != set(all_opens(poset)):
+        opens = all_opens(poset)
+        if set(tab) != set(opens):
             raise ValueError("table must cover exactly the open sets of the poset")
         self.poset = poset
         self.table = tab
+        self._listed = (poset, opens)
 
     @classmethod
-    def _of_opens(cls, poset: FinitePoset, table: dict):
-        """A table whose keys are the opens of ``poset`` and whose values are
-        ``ExtReal``s by construction, so nothing is enumerated or checked."""
+    def _of_opens(cls, poset: FinitePoset, opens: list, table: dict):
+        """A table whose keys are ``opens``, the opens of ``poset``, and whose
+        values are ``ExtReal``s by construction, so nothing is enumerated or
+        checked."""
         nu = cls.__new__(cls)
         nu.poset = poset
         nu.table = table
+        nu._listed = (poset, opens)
         return nu
 
     def value(self, mask: int) -> ExtReal:
@@ -116,7 +125,8 @@ def to_opens(mu: SimpleValuation) -> ValuationOnOpens:
     opens: ``inf`` where U meets an infinite weight, else the sum of the
     weight numerators over U's bits, over their common denominator.  No
     indicator vector is built."""
-    return ValuationOnOpens._of_opens(mu.poset, _tabulate(mu._vec, all_opens(mu.poset)))
+    opens = all_opens(mu.poset)
+    return ValuationOnOpens._of_opens(mu.poset, opens, _tabulate(mu._vec, opens))
 
 
 def _tabulate(vec, masks):
@@ -153,8 +163,11 @@ def from_opens(nu: ValuationOnOpens) -> SimpleValuation:
             raise NotAValuation(f"element {x} would need a negative weight")
         weights.append(a - b)
     mu = SimpleValuation(poset, weights)
-    # the table's keys are the opens of the poset, so they are not listed again
-    if _tabulate(mu._vec, nu.table) != nu.table:
+    # the opens listed when the table was built, unless poset was replaced
+    listed_for, opens = nu._listed
+    if listed_for is not poset:
+        opens = all_opens(poset)
+    if _tabulate(mu._vec, opens) != nu.table:
         raise NotAValuation("table is not induced by pointwise weights")
     return mu
 

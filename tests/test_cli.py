@@ -564,105 +564,3 @@ def test_a_huge_offending_value_is_echoed_cut_short(monkeypatch, capsys, argv, p
     message = json.loads(out)["message"]
     assert message.startswith(start)
     assert message.endswith("... (1000002 characters)")
-
-
-class _CountingParser:
-    """Stands in for ``cli._PARSER`` and counts the command lines it parses."""
-
-    def __init__(self, parser):
-        self.parser = parser
-        self.calls = 0
-
-    def parse_args(self, *args):
-        self.calls += 1
-        return self.parser.parse_args(*args)
-
-
-@pytest.fixture
-def memo(monkeypatch):
-    from conedual import cli
-
-    monkeypatch.setattr(cli, "_ARGV", {})
-    parser = _CountingParser(cli._PARSER)
-    monkeypatch.setattr(cli, "_PARSER", parser)
-    return cli, parser
-
-
-def _main_bytes(monkeypatch, capsys, argv, stdin="{}"):
-    monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
-    code = main(argv)
-    out, err = capsys.readouterr()
-    assert err == ""
-    return code, out
-
-
-def test_a_command_line_is_parsed_once_per_process(monkeypatch, capsys, memo):
-    cli, parser = memo
-    stdin = '{"dim": 2, "generators": [["2","0"],["0","2"]]}'
-    first = _main_bytes(monkeypatch, capsys, ["sep"], stdin)
-    assert first == (0, '{"outcome":"separated","weights":["1/2","1/2"]}\n')
-    stored = cli._ARGV[("sep",)]
-    snapshot = dict(vars(stored))
-    # a list, a tuple and a generator of the same strings are one key
-    for argv in (["sep"], ("sep",), (a for a in ["sep"])):
-        assert _main_bytes(monkeypatch, capsys, argv, stdin) == first
-    assert parser.calls == 1
-    # nothing writes to the stored Namespace
-    assert cli._ARGV == {("sep",): stored} and vars(stored) == snapshot
-
-
-def test_a_rejected_command_line_is_never_stored(monkeypatch, capsys, memo):
-    cli, parser = memo
-    expected = (1, '{"error":"malformed_input","message":"unrecognized arguments: --seed 5"}\n')
-    for n in range(1, 4):
-        assert _main_bytes(monkeypatch, capsys, ["sep", "--seed", "5"]) == expected
-        assert parser.calls == n and cli._ARGV == {}
-    with pytest.raises(SystemExit):
-        main(["sep", "--help"])
-    capsys.readouterr()
-    assert cli._ARGV == {}
-
-
-def test_a_memoized_command_line_reads_its_input_file_on_every_call(tmp_path, memo):
-    cli, parser = memo
-    answers = []
-    for generators in ([["2", "0"], ["0", "2"]], [["3", "0"], ["0", "3"]]):
-        code, out = run_cli(tmp_path, "sep", {"dim": 2, "generators": generators})
-        answers.append((code, out))
-    assert parser.calls == 1 and len(cli._ARGV) == 1
-    assert answers == [(0, b'{"outcome":"separated","weights":["1/2","1/2"]}\n'),
-                       (2, b'{"error":"meets_v","witness":[[0,"1/2"],[1,"1/2"]]}\n')]
-
-
-def test_the_command_line_memo_is_bounded(monkeypatch, capsys, tmp_path, memo):
-    cli, parser = memo
-    # a command line that parses and then fails to read its input is stored too
-    for k in range(2 * cli._ARGV_MAX + 5):
-        code, out = _main_bytes(monkeypatch, capsys, ["sep", "--input", str(tmp_path / f"{k}.json")])
-        assert code == 1 and "cannot read input" in out
-        assert 0 < len(cli._ARGV) <= cli._ARGV_MAX
-    for key in cli._ARGV:
-        assert sum(map(len, key)) <= cli._ARGV_CHARS_MAX
-    # a key of the cap's length is stored, one character more is not
-    cli._ARGV.clear()
-    for extra in (0, 1):
-        path = "x" * (cli._ARGV_CHARS_MAX - len("sep--input") + extra)
-        argv = ["sep", "--input", path]
-        for _ in range(2):
-            assert _main_bytes(monkeypatch, capsys, argv)[0] == 1
-        assert (tuple(argv) in cli._ARGV) == (extra == 0)
-    assert parser.calls == 2 * cli._ARGV_MAX + 5 + 1 + 2
-
-
-def test_a_command_line_from_sys_argv_passes_through(monkeypatch, capsys, memo):
-    cli, parser = memo
-    monkeypatch.setattr(sys, "argv", ["conedual", "sep", "--seed", "5"])
-    for n in (1, 2):
-        code, out = _main_bytes(monkeypatch, capsys, None)
-        assert code == 1 and "unrecognized arguments: --seed 5" in out
-        assert parser.calls == n and cli._ARGV == {}
-    monkeypatch.setattr(sys, "argv", ["conedual", "sep"])
-    stdin = '{"dim": 2, "generators": [["2","0"],["0","2"]]}'
-    assert _main_bytes(monkeypatch, capsys, None, stdin) == (
-        0, '{"outcome":"separated","weights":["1/2","1/2"]}\n')
-    assert parser.calls == 3 and cli._ARGV == {}

@@ -176,6 +176,26 @@ def test_from_opens_rejects_non_valuations():
         from_opens(bad2)
 
 
+def test_from_opens_rechecks_a_table_changed_after_construction():
+    # from_opens reads only the up-sets {0}, {1} and the empty set of the
+    # antichain, so these changes show only in the recheck of every open
+    def changed(change):
+        nu = ValuationOnOpens(FinitePoset(2, []), {0b00: 0, 0b01: 1, 0b10: 1, 0b11: 2})
+        change(nu)
+        return nu
+
+    assert from_opens(changed(lambda nu: None)).weights == (ONE, ONE)
+    for change in (
+        lambda nu: nu.table.pop(0b11),
+        lambda nu: nu.table.update({0b100: ZERO}),
+        lambda nu: nu.table.update({0b11: ExtReal(3)}),
+        # the chain 0 <= 1 has no open {0}, so the table no longer fits it
+        lambda nu: setattr(nu, "poset", FinitePoset(2, [(0, 1)])),
+    ):
+        with pytest.raises(NotAValuation, match="table is not induced by pointwise weights"):
+            from_opens(changed(change))
+
+
 def test_recover_function_examples():
     phi = DualFunctional([1, 2])
     f = recover_function(phi, CHAIN2)
