@@ -47,15 +47,6 @@ from .interpolate import (
     clause_witnesses,
     interpolate,
 )
-from .lp import (
-    Constraint,
-    LPInfeasible,
-    LPOptimal,
-    LPProblem,
-    LPUnbounded,
-    solve_lp,
-    verify_lp_result,
-)
 from .valuations import (
     DualFunctional,
     SimpleValuation,
@@ -70,4 +61,4 @@ from .valuations import (
 )
 from . import errors
 
-__version__ = "0.5.0"
+__version__ = "0.6.0"

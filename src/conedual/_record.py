@@ -1,9 +1,9 @@
 """The frozen record base of the package's small result types.
 
-A subclass lists its fields as class annotations, in order; a field with a
-class attribute of the same name takes it as its default.  It then has what
-``@dataclass(frozen=True)`` would give it, without importing ``dataclasses``
-and executing generated methods for each class when the module loads:
+A subclass lists its fields as class annotations, in order.  It then has
+what ``@dataclass(frozen=True)`` would give it, without importing
+``dataclasses`` and executing generated methods for each class when the
+module loads:
 
 * construction by position or keyword, then ``__post_init__``;
 * ``==`` only between records of the same class, on the field tuple;
@@ -12,8 +12,7 @@ and executing generated methods for each class when the module loads:
 * ``AttributeError`` on any assignment or deletion.
 
 The fields live in the instance ``__dict__``, so ``__post_init__`` can
-normalise one with ``object.__setattr__``, and a private cache can sit
-beside them, outside ``==``, ``hash`` and ``repr``.
+normalise one with ``object.__setattr__``.
 """
 
 
@@ -21,13 +20,10 @@ class Record:
     """Base of a frozen record; ``_fields`` names the fields in order."""
 
     _fields = ()
-    _defaults = {}
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        fields = tuple(cls.__annotations__)
-        cls._fields = cls.__match_args__ = fields
-        cls._defaults = {name: cls.__dict__[name] for name in fields if name in cls.__dict__}
+        cls._fields = cls.__match_args__ = tuple(cls.__annotations__)
 
     def __init__(self, *args, **kwargs):
         cls = type(self)
@@ -40,8 +36,6 @@ class Record:
         for name in fields[len(args):]:
             if name in kwargs:
                 values[name] = kwargs.pop(name)
-            elif name in cls._defaults:
-                values[name] = cls._defaults[name]
             else:
                 raise TypeError(f"{cls.__qualname__}() missing argument {name!r}")
         for name in kwargs:

@@ -25,8 +25,8 @@ def require(ok, what):
 
 def simplex(values):
     """``values`` as a simplex point, or None: ``int``s or ``Fraction``s, never a
-    ``bool`` or a ``float`` (as in ``lp._frac``), none negative, summing to
-    one exactly.  A ``Fraction`` is kept as it is, an ``int`` becomes one."""
+    ``bool`` or a ``float``, none negative, summing to one exactly.  A
+    ``Fraction`` is kept as it is, an ``int`` becomes one."""
     values = tuple(values)
     if any(type(v) is not int and type(v) is not Fraction for v in values):
         return None

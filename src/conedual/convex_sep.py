@@ -19,7 +19,7 @@ from ._record import Record
 from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
 from .extreal import as_extvec
-from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp
+from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
 
 
 class SeparationWeights(Record):
@@ -152,27 +152,25 @@ def _separation_lp(gens, dim, fin, inf_coords):
     ranked = sorted(range(len(gens)), key=lambda j: sum(rows[j]) * (common // dens[j]), reverse=True)
     subset = sorted(ranked[:k])
     grow = max(1, k // 2)
-    simplex_row = Constraint._of_ints((1,) * k, EQ, 1)
+    simplex_row = Constraint((1,) * k, EQ, 1)
     while True:
         constraints = [simplex_row]
-        constraints += [Constraint._of_ints(rows[j], LEQ, dens[j]) for j in subset]
-        res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
+        constraints += [Constraint(rows[j], LEQ, dens[j]) for j in subset]
+        res = solve_lp(LPProblem(k, constraints, (0,) * k))
 
         if isinstance(res, LPInfeasible):
             # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
             # the multipliers stay over the certificate's denominator, which the
             # witness normalises away
-            zn, _ = _answer(res)
             w = [0] * len(gens)
-            for j, v in zip(subset, zn[1:]):
+            for j, v in zip(subset, res.zn[1:]):
                 w[j] = -v * dens[j]
             return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, w))
 
         assert isinstance(res, LPOptimal)
-        xn, xd = _answer(res)[:2]
         inside = set(subset)
         outside = [j for j in range(len(gens)) if j not in inside]
-        violated = _violated(rows, dens, outside, xn, xd)
+        violated = _violated(rows, dens, outside, res.xn, res.d)
         if not violated:
             full = [0] * dim
             for pos, i in enumerate(fin):

@@ -18,7 +18,7 @@ from operator import le, mul
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ZERO, ExtReal, ExtVec, _extreme_pairing, _reduced, _weighted_sum, as_extvec
-from .lp import Constraint, GEQ, LEQ, LPProblem, _answer, solve_lp
+from .lp import Constraint, GEQ, LEQ, LPProblem, solve_lp
 
 
 class LinFun:
@@ -166,20 +166,19 @@ def _margin(gvecs, hvecs):
     dim = len(gforms[0][0])
     k = len(hforms)
     # variables: y_0 .. y_{dim-1}, then the margin t
-    constraints = [Constraint._of_ints((1,) * dim + (0,), LEQ, 1)]
+    constraints = [Constraint((1,) * dim + (0,), LEQ, 1)]
     scales = []
     for gn, gd, _, _ in gforms:
         for hn, hd, _, _ in hforms:
             L = lcm(gd, hd)
             gs, hs = L // gd, L // hd
             row = tuple(g * gs - h * hs for g, h in zip(gn, hn)) + (-L,)
-            constraints.append(Constraint._of_ints(row, GEQ, 0))
+            constraints.append(Constraint(row, GEQ, 0))
             scales.append(L)
     objective = (0,) * dim + (1,)
-    res = solve_lp(LPProblem(dim + 1, tuple(constraints), objective, "max"))
+    res = solve_lp(LPProblem(dim + 1, constraints, objective))
     # mu over the dual's denominator, which the division by sum mu cancels
-    _, _, _, _, yn, _ = _answer(res)
-    mu = [-L * v for L, v in zip(scales, yn[1:])]
+    mu = [-L * v for L, v in zip(scales, res.yn[1:])]
     total = sum(mu)
     a = tuple(Fraction(sum(mu[i * k:(i + 1) * k]), total) for i in range(len(gforms)))
     lam = tuple(Fraction(sum(mu[kk::k]), total) for kk in range(k))

@@ -6,7 +6,7 @@ malformed input reports where and what was expected.
 
 from __future__ import annotations
 
-from .errors import ParseError, _echo
+from .errors import ParseError, TooLarge, _echo
 from .extreal import INF, ExtReal, ExtVec, _parse_ratio
 from .finspace import FinitePoset
 from .functionals import LinFun, OpenSetRep, SublinFun
@@ -172,8 +172,15 @@ def decode_open_set(obj, path) -> OpenSetRep:
     return OpenSetRep(blocks)
 
 
+# FinitePoset builds one mask of up to n bits per element, about n^2 / 16
+# bytes in all, before anything else looks at n; 4,096 elements is 1 MB.
+_MAX_POSET_SIZE = 4096
+
+
 def decode_poset(obj, path) -> FinitePoset:
     size = decode_int(require_key(obj, "size", path), f"{path}.size", minimum=1)
+    if size > _MAX_POSET_SIZE:
+        raise TooLarge(f"{path}.size: a poset has at most {_MAX_POSET_SIZE} elements, got {_echo(size)}")
     raw = require_key(obj, "leq", path)
     if not isinstance(raw, list):
         fail(f"{path}.leq", "an array of [i, j] pairs", raw)

@@ -482,6 +482,33 @@ def test_every_outcome_kind_prints_its_exact_bytes(monkeypatch, capsys, argv, st
     assert err == ""
 
 
+@pytest.mark.parametrize("size", [4097, 200_000, 10**9])
+@pytest.mark.parametrize("argv, rest", [
+    (["ss-recover"], {"coeffs": ["1"]}),
+    (["mobius"], {"direction": "to_opens", "weights": ["1"]}),
+    (["mobius"], {"direction": "from_opens", "table": [{"open": [], "value": "0"}]}),
+])
+def test_an_oversized_poset_exits_one_before_any_mask_is_built(monkeypatch, capsys, argv, rest, size):
+    from conedual import jsonio
+
+    def no_poset(size, pairs):
+        raise AssertionError("a poset was built")
+
+    monkeypatch.setattr(jsonio, "FinitePoset", no_poset)
+    monkeypatch.setattr(sys, "stdin", io.StringIO(json.dumps({"size": size, "leq": [], **rest})))
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ('{"error":"toolarge","message":"$.size: a poset has at most 4096 elements, '
+                   f'got {size}"}}\n')
+    assert err == ""
+
+
+def test_the_largest_poset_still_decodes():
+    from conedual import jsonio
+
+    assert jsonio.decode_poset({"size": 4096, "leq": [[0, 4095]]}, "$").leq(0, 4095)
+
+
 # command lines the parser rejects, each with its message; the wording of an
 # invalid choice varies between Python versions, so only its start is pinned
 REJECTED = [

@@ -66,7 +66,7 @@ def test_verify_meets_corner_takes_no_bool_as_an_index():
 
 
 def test_simplex_weights_take_no_bool_and_no_float():
-    # True == 1 and 0.5 == 1/2, but neither is a rational weight, as in lp._frac
+    # True == 1 and 0.5 == 1/2, but neither is a rational weight, the rule of certify.simplex
     assert verify_separated([[0, 0]], [1, 0])
     assert verify_separated([[0, 0]], [F(1, 2), F(1, 2)])
     assert not verify_separated([[0, 0]], [True, False])

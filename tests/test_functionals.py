@@ -314,12 +314,11 @@ def test_margin_scales_a_larger_dual_onto_the_simplex(monkeypatch):
     # y <= max(2 y, 3 y) on y >= 0: the optimum is y = t = 0, where any
     # pair multipliers with sum mu >= 1 are an optimal dual; mu = (1, 1)
     # gives weights divided by sum mu = 2
-    from conedual import functionals
-    from conedual.lp import LPOptimal, verify_lp_result
+    from conedual import functionals, lp
 
     def solve(problem):
-        res = LPOptimal((F(0), F(0)), F(0), (F(0), F(-1), F(-1)))
-        assert verify_lp_result(problem, res)
+        res = lp.LPOptimal([0, 0], 0, [0, -1, -1], 1)
+        assert lp._verify(problem, res)
         return res
 
     monkeypatch.setattr(functionals, "solve_lp", solve)

@@ -1,30 +1,79 @@
+"""The package's LP engine, on the integer rows that ``separate`` and the
+margin LP build: seeded cross-checks against vertex enumeration, a
+``Fraction`` reference solver, a ``Fraction`` recheck of every answer and
+the full tableau, and the fields the traced benchmark reads."""
+
 import random
-from decimal import Decimal
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 import pytest
 
 from conedual import convex_sep, functionals, lp
-from conedual.errors import MalformedProblem
 from conedual.extreal import INF, ExtReal, ExtVec
-from conedual.lp import (
-    Constraint,
-    LPInfeasible,
-    LPOptimal,
-    LPProblem,
-    LPUnbounded,
-    solve_lp,
-    verify_lp_result,
-)
+from conedual.lp import Constraint, LPInfeasible, LPOptimal, LPProblem, solve_lp
 
 F = Fraction
 
 
+def _ints(values):
+    """``values``, ints or ``Fraction``s, times the lcm of their denominators."""
+    den = lcm(*(F(v).denominator for v in values))
+    return tuple(int(v * den) for v in values)
+
+
+def row(coeffs, rel, rhs):
+    """The row ``coeffs . x  rel  rhs`` with its denominators cleared."""
+    ints = _ints(tuple(coeffs) + (rhs,))
+    return Constraint(ints[:-1], rel, ints[-1])
+
+
+def problem(n, rows, objective):
+    """Maximise ``objective``, its denominators cleared, subject to ``rows``."""
+    return LPProblem(n, list(rows), _ints(objective))
+
+
+def _dual(res):
+    return tuple(F(v, res.d) for v in res.yn)
+
+
+def _as_fractions(res):
+    """An answer as the ``Fraction`` oracles below give theirs: the verdict,
+    then the point, value and dual of an optimum, or the Farkas multipliers;
+    ``("unbounded",)`` for ``None``."""
+    if res is None:
+        return ("unbounded",)
+    if type(res) is LPOptimal:
+        return ("optimal", res.point, res.value, _dual(res))
+    return ("infeasible", res.certificate)
+
+
+def _solve(prob):
+    """``solve_lp``'s answer, or None where it raised on an unbounded phase 2."""
+    try:
+        return solve_lp(prob)
+    except AssertionError as exc:
+        assert str(exc) == "internal error: the package's LPs cannot be unbounded"
+        return None
+
+
+def _optimal(point, value, dual):
+    """A hand-built optimum, every entry over one common denominator."""
+    d = lcm(*(F(v).denominator for v in (*point, value, *dual)))
+    return LPOptimal([int(v * d) for v in point], int(value * d), [int(v * d) for v in dual], d)
+
+
+def _infeasible(cert):
+    """Hand-built Farkas multipliers over one common denominator."""
+    d = lcm(*(F(v).denominator for v in cert))
+    return LPInfeasible([int(v * d) for v in cert], d)
+
+
 def _gauss_solve(M, rhs):
-    """Independent exact solve used only by the oracle below."""
+    """Independent exact solve used only by the oracles below."""
     n = len(M)
-    aug = [list(row) + [r] for row, r in zip(M, rhs)]
+    aug = [[F(v) for v in row] + [F(r)] for row, r in zip(M, rhs)]
     for col in range(n):
         piv = None
         for r in range(col, n):
@@ -66,9 +115,9 @@ def feasible_vertices(problem):
     n = problem.n_vars
     planes = [(tuple(c.coeffs), c.rhs) for c in problem.constraints]
     for j in range(n):
-        axis = [F(0)] * n
-        axis[j] = F(1)
-        planes.append((tuple(axis), F(0)))
+        axis = [0] * n
+        axis[j] = 1
+        planes.append((tuple(axis), 0))
     vertices = []
     for subset in combinations(range(len(planes)), n):
         M = [planes[i][0] for i in subset]
@@ -80,155 +129,87 @@ def feasible_vertices(problem):
 
 
 def test_unique_feasible_point():
-    prob = LPProblem(
-        2,
-        (Constraint((1, 1), "==", 1), Constraint((2, 0), "<=", 1), Constraint((0, 2), "<=", 1)),
-        (0, 0),
-        "max",
-    )
-    res = solve_lp(prob)
+    prob = LPProblem(2, [Constraint((1, 1), "==", 1), Constraint((2, 0), "<=", 1),
+                         Constraint((0, 2), "<=", 1)], (0, 0))
     # a zero objective has the zero dual
-    assert res == LPOptimal((F(1, 2), F(1, 2)), F(0), (F(0), F(0), F(0)))
-    assert verify_lp_result(prob, res)
+    assert _as_fractions(solve_lp(prob)) == ("optimal", (F(1, 2), F(1, 2)), 0, (0, 0, 0))
 
 
 def test_contradictory_constraints_are_infeasible():
-    prob = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
+    prob = LPProblem(1, [Constraint((1,), "==", 1), Constraint((1,), "<=", 0)], (0,))
     res = solve_lp(prob)
     assert isinstance(res, LPInfeasible)
-    assert verify_lp_result(prob, res)
+    assert lp._verify(prob, res)
 
 
-def test_unbounded_ray():
-    prob = LPProblem(1, (Constraint((1,), ">=", 0),), (1,), "max")
-    res = solve_lp(prob)
-    assert res == LPUnbounded((F(1),))
-    assert verify_lp_result(prob, res)
+def test_an_unbounded_problem_is_an_internal_error():
+    # neither of the package's LPs can be unbounded: x >= 0 alone, and x - y == 1,
+    # which pins x to y so that the improving ray moves a basic column too
+    for prob in (LPProblem(1, [Constraint((1,), ">=", 0)], (1,)),
+                 LPProblem(2, [Constraint((1, -1), "==", 1)], (1, 1))):
+        with pytest.raises(AssertionError, match="the package's LPs cannot be unbounded"):
+            solve_lp(prob)
 
 
 def test_optimum_value():
     # maximize x + 2y on the simplex: the best vertex is (0, 1)
-    prob = LPProblem(2, (Constraint((1, 1), "==", 1),), (1, 2), "max")
-    res = solve_lp(prob)
+    res = solve_lp(LPProblem(2, [Constraint((1, 1), "==", 1)], (1, 2)))
     assert isinstance(res, LPOptimal)
     assert res.value == 2
 
 
-def test_minimization():
-    prob = LPProblem(
-        2,
-        (Constraint((1, 1), "==", 1), Constraint((1, 0), ">=", F(1, 4))),
-        (3, 1),
-        "min",
-    )
-    res = solve_lp(prob)
-    assert isinstance(res, LPOptimal)
-    assert res.value == F(3, 2)
-    assert res.point == (F(1, 4), F(3, 4))
-    # min duals satisfy A^T y <= c with y >= 0 on the >= row: 1 + 1/4 * 2 = 3/2
-    assert res.dual == (F(1), F(2))
-
-
 def test_negative_rhs_rows():
-    # -x <= -2 is x >= 2; minimize x
-    prob = LPProblem(1, (Constraint((-1,), "<=", -2),), (1,), "min")
-    res = solve_lp(prob)
-    assert isinstance(res, LPOptimal)
-    assert res.point == (F(2),)
+    # -x <= -2 is x >= 2; maximize -x
+    res = solve_lp(LPProblem(1, [Constraint((-1,), "<=", -2)], (-1,)))
+    assert _as_fractions(res) == ("optimal", (2,), -2, (1,))
 
 
 def test_redundant_equalities_are_dropped():
-    prob = LPProblem(
-        2,
-        (
-            Constraint((1, 1), "==", 1),
-            Constraint((2, 2), "==", 2),
-            Constraint((1, 0), "<=", F(1, 3)),
-        ),
-        (1, 0),
-        "max",
-    )
+    prob = LPProblem(2, [Constraint((1, 1), "==", 1), Constraint((2, 2), "==", 2),
+                         Constraint((3, 0), "<=", 1)], (1, 0))
     res = solve_lp(prob)
     assert isinstance(res, LPOptimal)
     assert res.value == F(1, 3)
 
 
-def test_malformed_problems():
-    with pytest.raises(MalformedProblem):
-        LPProblem(0, (), (), "max")
-    with pytest.raises(MalformedProblem):
-        LPProblem(1, (), (1, 2), "max")
-    with pytest.raises(MalformedProblem):
-        LPProblem(1, (Constraint((1, 2), "<=", 1),), (1,), "max")
-    with pytest.raises(MalformedProblem):
-        Constraint((1,), "<", 1)
-    with pytest.raises(MalformedProblem):
-        Constraint((0.5,), "<=", 1)
-    with pytest.raises(MalformedProblem):
-        LPProblem(1, (), (1,), "maximize")
-
-
-def test_bool_is_not_an_lp_number():
-    # the rule of the verifier's ``_exact``: a bool is not an int
-    for bad in (
-        lambda: LPProblem(True, (Constraint((1,), "<=", 1),), (1,)),
-        lambda: LPProblem(1, (Constraint((1,), "<=", 1),), (True,)),
-        lambda: Constraint((True,), "<=", 1),
-        lambda: Constraint((1,), "<=", False),
-        lambda: LPProblem(True, (Constraint((True,), "<=", True),), (True,)),
+def _tampered_cases():
+    """(problem, answer) pairs for the checker: a solver answer, then
+    certificates that a nudge made invalid."""
+    prob = LPProblem(1, [Constraint((1,), "==", 1), Constraint((1,), "<=", 0)], (0,))
+    res = solve_lp(prob)
+    cases = [(prob, res), (prob, LPInfeasible([-v for v in res.zn], res.d))]
+    # the solver's numerators over a negative denominator: the negated multipliers
+    cases.append((prob, LPInfeasible(res.zn, -res.d)))
+    # a point that breaks x == 1
+    cases.append((LPProblem(1, [Constraint((1,), "==", 1)], (0,)), _optimal((F(1, 2),), 0, (0,))))
+    # max x + 2y on x + y <= 1, 2x <= 1, y >= 0: optimum (0, 1) with dual (2, 0, 0)
+    prob = LPProblem(2, [Constraint((1, 1), "<=", 1), Constraint((2, 0), "<=", 1),
+                         Constraint((0, 1), ">=", 0)], (1, 2))
+    for point, value, dual in (
+        ((0, 1), 2, (2, 0, 0)),
+        # one multiplier short
+        ((0, 1), 2, (2, 0)),
+        # wrongly signed: a <= row needs y >= 0, a >= row y <= 0
+        ((0, 1), 2, (3, -1, 0)),
+        ((0, 1), 2, (2, 0, 1)),
+        # infeasible: A^T y >= c fails on the y column, although b . y == 2
+        ((0, 1), 2, (1, 1, 0)),
+        # feasible but not optimal: b . y = 3 is only an upper bound
+        ((0, 1), 2, (3, 0, 0)),
+        # a value that is not c . x
+        ((0, 1), 3, (2, 0, 0)),
+        # a suboptimal point fails b . y == c . x against any dual
+        ((F(1, 2), F(1, 2)), F(3, 2), (2, 0, 0)),
     ):
-        with pytest.raises(MalformedProblem):
-            bad()
-    # an int objective entry stays an int, any other passes through _frac
-    prob = LPProblem(2, (Constraint((1, 1), "<=", 1),), (1, F(1, 2)))
-    assert [type(v) for v in prob.objective] == [int, F]
-    assert prob == LPProblem(2, (Constraint((1, 1), "<=", 1),), (F(1), F(1, 2)))
-    assert solve_lp(prob) == LPOptimal((F(1), F(0)), F(1), (F(1),))
-
-
-def test_an_lp_number_is_an_int_or_a_fraction_only():
-    # the rule of verify_lp_result: strings and decimals are refused as well
-    for bad in (
-        lambda: Constraint(("1/2",), "<=", Decimal("1.5")),
-        lambda: Constraint((1,), "<=", Decimal("1.5")),
-        lambda: Constraint(("1/2",), "<=", 1),
-        lambda: LPProblem(1, (Constraint((1,), "<=", 1),), ("1",)),
-    ):
-        with pytest.raises(MalformedProblem):
-            bad()
+        cases.append((prob, _optimal(point, value, dual)))
+    # x = -1 on x >= 1, whose numerator passes every row over the negative denominator
+    cases.append((LPProblem(1, [Constraint((-1,), "<=", -1)], (0,)), LPOptimal([1], 0, [0], -1)))
+    return cases
 
 
 def test_verifier_rejects_tampered_certificates():
-    prob = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
-    res = solve_lp(prob)
-    bad = LPInfeasible(tuple(-v for v in res.certificate))
-    assert not verify_lp_result(prob, bad)
-    good_point = LPOptimal((F(1, 2),), F(0), (F(0),))
-    assert not verify_lp_result(
-        LPProblem(1, (Constraint((1,), "==", 1),), (0,), "max"), good_point
-    )
-    # tampered duals; max x + 2y on x + y <= 1, x <= 1/2, y >= 0: optimum (0, 1) with dual (2, 0)
-    prob = LPProblem(
-        2,
-        (Constraint((1, 1), "<=", 1), Constraint((1, 0), "<=", F(1, 2)), Constraint((0, 1), ">=", 0)),
-        (1, 2),
-        "max",
-    )
-    res = solve_lp(prob)
-    assert res == LPOptimal((F(0), F(1)), F(2), (F(2), F(0), F(0)))
-    point, value = res.point, res.value
-    # missing, or one multiplier short
-    assert not verify_lp_result(prob, LPOptimal(point, value, None))
-    assert not verify_lp_result(prob, LPOptimal(point, value, (F(2), F(0))))
-    # wrongly signed: a <= row of a max problem needs y >= 0, a >= row y <= 0
-    assert not verify_lp_result(prob, LPOptimal(point, value, (F(3), F(-1), F(0))))
-    assert not verify_lp_result(prob, LPOptimal(point, value, (F(2), F(0), F(1))))
-    # infeasible: A^T y >= c fails on the y column, although b . y == 2
-    assert not verify_lp_result(prob, LPOptimal(point, value, (F(1), F(2), F(0))))
-    # feasible but not optimal: b . y = 3 is only an upper bound
-    assert not verify_lp_result(prob, LPOptimal(point, value, (F(3), F(0), F(0))))
-    # a suboptimal point fails b . y == c . x against any dual
-    assert not verify_lp_result(prob, LPOptimal((F(1, 2), F(1, 2)), F(3, 2), (F(2), F(0), F(0))))
+    verdicts = [lp._verify(prob, res) for prob, res in _tampered_cases()]
+    assert verdicts == [True, False, False, False, True] + [False] * 8
 
 
 def test_feasibility_agrees_with_vertex_enumeration():
@@ -237,15 +218,14 @@ def test_feasibility_agrees_with_vertex_enumeration():
     for _ in range(120):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
-        cons = [Constraint((F(1),) * n, "==", F(1))]
+        cons = [Constraint((1,) * n, "==", 1)]
         for _ in range(m):
             coeffs = tuple(F(rng.randint(-4, 6), rng.randint(1, 4)) for _ in range(n))
             rel = rng.choice(("<=", ">=", "=="))
             rhs = F(rng.randint(-2, 4), rng.randint(1, 3))
-            cons.append(Constraint(coeffs, rel, rhs))
-        prob = LPProblem(n, tuple(cons), (F(0),) * n, "max")
+            cons.append(row(coeffs, rel, rhs))
+        prob = LPProblem(n, cons, (0,) * n)
         res = solve_lp(prob)
-        assert verify_lp_result(prob, res)
         feasible = bool(feasible_vertices(prob))
         assert isinstance(res, LPOptimal) == feasible
         agree += 1
@@ -256,39 +236,29 @@ def test_optimal_value_agrees_with_vertex_enumeration():
     rng = random.Random(777)
     for _ in range(60):
         n = rng.randint(1, 3)
-        cons = [Constraint((F(1),) * n, "==", F(1))]
+        cons = [Constraint((1,) * n, "==", 1)]
         for _ in range(rng.randint(0, 3)):
             coeffs = tuple(F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n))
-            cons.append(Constraint(coeffs, "<=", F(rng.randint(1, 4), rng.randint(1, 2))))
-        obj = tuple(F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n))
-        prob = LPProblem(n, tuple(cons), obj, "max")
+            cons.append(row(coeffs, "<=", F(rng.randint(1, 4), rng.randint(1, 2))))
+        prob = problem(n, cons, [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
         res = solve_lp(prob)
-        assert verify_lp_result(prob, res)
         vertices = feasible_vertices(prob)
         if not vertices:
             assert isinstance(res, LPInfeasible)
             continue
         # the region sits inside the simplex, so it is bounded and the
         # optimum is attained at a vertex
-        best = max(sum(o * v for o, v in zip(obj, x)) for x in vertices)
+        best = max(sum(o * v for o, v in zip(prob.objective, x)) for x in vertices)
         assert isinstance(res, LPOptimal)
         assert res.value == best
 
 
 def test_determinism():
-    prob = LPProblem(
-        3,
-        (
-            Constraint((1, 1, 1), "==", 1),
-            Constraint((2, 0, 1), "<=", 1),
-            Constraint((0, 2, 1), "<=", 1),
-        ),
-        (1, 1, 0),
-        "max",
-    )
-    first = solve_lp(prob)
+    prob = LPProblem(3, [Constraint((1, 1, 1), "==", 1), Constraint((2, 0, 1), "<=", 1),
+                         Constraint((0, 2, 1), "<=", 1)], (1, 1, 0))
+    first = _as_fractions(solve_lp(prob))
     for _ in range(5):
-        assert solve_lp(prob) == first
+        assert _as_fractions(solve_lp(prob)) == first
 
 
 # ---------------------------------------------------------------------------
@@ -340,11 +310,13 @@ def _reference_iterate(T, basis, m, limit):
 
 
 def reference_solve(problem):
+    """The answer in the layout of ``_as_fractions``, with the ray of an
+    unbounded problem: ``("unbounded", ray)``."""
     n = problem.n_vars
     cons = problem.constraints
     m = len(cons)
     obj = problem.objective
-    obj_min = [-v for v in obj] if problem.sense == "max" else list(obj)
+    obj_min = [-F(v) for v in obj]
     n_slack = sum(1 for c in cons if c.rel != "==")
     width = n + n_slack
 
@@ -353,14 +325,14 @@ def reference_solve(problem):
     for c in cons:
         row = [F(0)] * width
         for j, v in enumerate(c.coeffs):
-            row[j] = v
+            row[j] = F(v)
         if c.rel == "<=":
             row[s] = F(1)
             s += 1
         elif c.rel == ">=":
             row[s] = F(-1)
             s += 1
-        rhs = c.rhs
+        rhs = F(c.rhs)
         if rhs < 0:
             row = [-v for v in row]
             rhs = -rhs
@@ -397,7 +369,7 @@ def reference_solve(problem):
                 rhs.append(F(1))
         y = _gauss_solve(M, rhs)
         assert y is not None
-        return LPInfeasible(tuple(flip[i] * y[i] for i in range(m)))
+        return ("infeasible", tuple(flip[i] * y[i] for i in range(m)))
 
     drop = set()
     for i in range(m):
@@ -426,34 +398,56 @@ def reference_solve(problem):
             xstd[basis2[i]] = T2[i][-1]
         point = tuple(xstd[:n])
         # the simplex multipliers solve B^T y = c_B over the kept rows;
-        # dropped rows get zero, and the row flips and the sense are undone
+        # dropped rows get zero, and the row flips and the minimisation are undone
         M = [[A0[i][col] for i in keep] for col in basis2]
         y = _gauss_solve(M, [cmin[col] for col in basis2]) if keep else []
         assert y is not None
         dual = [F(0)] * m
-        sense = F(-1) if problem.sense == "max" else F(1)
         for pos, i in enumerate(keep):
-            dual[i] = sense * flip[i] * y[pos]
-        return LPOptimal(point, sum(o * p for o, p in zip(obj, point)), tuple(dual))
+            dual[i] = -flip[i] * y[pos]
+        return ("optimal", point, sum(o * p for o, p in zip(obj, point)), tuple(dual))
     ray = [F(0)] * width
     ray[status] = F(1)
     for i in range(m2):
         ray[basis2[i]] = -T2[i][status]
-    return LPUnbounded(tuple(ray[:n]))
+    return ("unbounded", tuple(ray[:n]))
+
+
+def _is_improving_ray(problem, ray):
+    """True when ``x + t * ray`` stays feasible for every t >= 0 and raises
+    the objective: the reference's proof of unboundedness."""
+    if any(v < 0 for v in ray) or not any(ray):
+        return False
+    for c in problem.constraints:
+        d = sum(a * v for a, v in zip(c.coeffs, ray))
+        if (c.rel == "<=" and d > 0) or (c.rel == ">=" and d < 0) or (c.rel == "==" and d != 0):
+            return False
+    return sum(o * v for o, v in zip(problem.objective, ray)) > 0
+
+
+def _checkable(ref):
+    """The reference's optimum or Farkas multipliers as an integer form."""
+    return _optimal(*ref[1:]) if ref[0] == "optimal" else _infeasible(ref[1])
 
 
 def _assert_agrees(prob):
-    res = solve_lp(prob)
+    res = _solve(prob)
     ref = reference_solve(prob)
-    assert verify_lp_result(prob, res)
-    assert verify_lp_result(prob, ref)
-    assert type(res) is type(ref)
-    if isinstance(res, LPOptimal):
-        assert res.value == ref.value
-    return res
+    got = _as_fractions(res)
+    assert got[0] == ref[0], (got, ref)
+    if ref[0] == "unbounded":
+        assert _is_improving_ray(prob, ref[1])
+    else:
+        # the reference's certificates pass the same check as the solver's
+        assert lp._verify(prob, _checkable(ref))
+    if ref[0] == "optimal":
+        assert got[2] == ref[2]
+    return got
 
 
 def _random_lp(rng):
+    """A small LP from ``Fraction`` rows, each entered with its denominators
+    cleared; a drawn ``min`` maximises the negated objective."""
     n = rng.randint(1, 4)
     small = (-3, -2, -1, 0, 0, 0, 1, 1, 2, 3)
 
@@ -467,28 +461,29 @@ def _random_lp(rng):
         rhs = F(rng.randint(-3, 4), rng.choice((1, 1, 2)))
         if rng.random() < 0.3:
             rhs = F(0)
-        cons.append(Constraint(coeffs, rel, rhs))
+        cons.append((coeffs, rel, rhs))
     if rng.random() < 0.3:
         # a redundant equality: a nonzero multiple of another equality row
         base = rng.choice(cons)
-        base = Constraint(base.coeffs, "==", base.rhs)
+        base = (base[0], "==", base[2])
         factor = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
         cons.append(base)
-        cons.append(Constraint(tuple(factor * v for v in base.coeffs), "==", factor * base.rhs))
+        cons.append((tuple(factor * v for v in base[0]), "==", factor * base[2]))
         rng.shuffle(cons)
     if rng.random() < 0.4:
         # a simplex row keeps many instances bounded and ties ratios at 1
-        cons.insert(0, Constraint((F(1),) * n, "==", F(1)))
+        cons.insert(0, ((F(1),) * n, "==", F(1)))
     obj = tuple(entry() for _ in range(n))
-    return LPProblem(n, tuple(cons), obj, rng.choice(("max", "min")))
+    if rng.choice(("max", "min")) == "min":
+        obj = tuple(-v for v in obj)
+    return problem(n, [row(*c) for c in cons], obj)
 
 
 def test_differential_against_reference_solver():
     rng = random.Random(31337)
-    seen = {LPOptimal: 0, LPInfeasible: 0, LPUnbounded: 0}
+    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     for _ in range(300):
-        res = _assert_agrees(_random_lp(rng))
-        seen[type(res)] += 1
+        seen[_assert_agrees(_random_lp(rng))[0]] += 1
     # every outcome is exercised, not just the common one
     assert all(count >= 20 for count in seen.values()), seen
 
@@ -511,71 +506,40 @@ def test_negative_pivot_while_driving_out_artificials(monkeypatch):
     # at level zero and leaves on the entry -1.  Simplex pivots are always
     # positive, so a negative entry can only come from the drive-out.
     pivots = _spy_pivots(monkeypatch)
-    prob = LPProblem(
-        3,
-        (
-            Constraint((-1, -1, 0), "==", 0),
-            Constraint((1, 1, 1), "<=", 3),
-            Constraint((0, 1, 2), ">=", 1),
-        ),
-        (1, 1, 1),
-        "max",
-    )
-    res = _assert_agrees(prob)
+    prob = LPProblem(3, [Constraint((-1, -1, 0), "==", 0), Constraint((1, 1, 1), "<=", 3),
+                         Constraint((0, 1, 2), ">=", 1)], (1, 1, 1))
+    got = _assert_agrees(prob)
     assert any(p < 0 for p in pivots)
-    assert res == LPOptimal((F(0), F(0), F(3)), F(3), (F(0), F(1), F(0)))
+    assert got == ("optimal", (0, 0, 3), 3, (0, 1, 0))
 
 
 def test_redundant_rows_in_both_orientations_are_dropped():
     # The three equalities have rank one, so at least two artificials stay
     # basic on rows that became 0 = 0; the optimum is x = 1/3, y = 2/3.
-    prob = LPProblem(
-        2,
-        (
-            Constraint((1, 1), "==", 1),
-            Constraint((-1, -1), "==", -1),
-            Constraint((F(3, 2), F(3, 2)), "==", F(3, 2)),
-            Constraint((1, 0), ">=", F(1, 3)),
-        ),
-        (-1, 0),
-        "max",
-    )
-    res = _assert_agrees(prob)
-    # the redundant rows carry zero multipliers; x >= 1/3 prices the optimum
-    assert res == LPOptimal((F(1, 3), F(2, 3)), F(-1, 3), (F(0), F(0), F(0), F(-1)))
-
-
-def test_unbounded_ray_through_a_basic_column():
-    # x - y == 1 pins x to y, so the improving ray moves both together
-    prob = LPProblem(2, (Constraint((1, -1), "==", 1),), (1, 1), "max")
-    res = _assert_agrees(prob)
-    assert res == LPUnbounded((F(1), F(1)))
+    prob = LPProblem(2, [Constraint((1, 1), "==", 1), Constraint((-1, -1), "==", -1),
+                         Constraint((3, 3), "==", 3), Constraint((3, 0), ">=", 1)], (-1, 0))
+    got = _assert_agrees(prob)
+    # the redundant rows carry zero multipliers; 3x >= 1 prices the optimum
+    assert got == ("optimal", (F(1, 3), F(2, 3)), F(-1, 3), (0, 0, 0, F(-1, 3)))
 
 
 def test_infeasible_with_slack_and_artificial_rows():
     # Row 0 needs an artificial; rows 1 and 2 start with their slacks.
     # Only a certificate using all three rows refutes the system.
-    prob = LPProblem(
-        2,
-        (
-            Constraint((1, 1), "==", 2),
-            Constraint((1, 0), "<=", F(1, 2)),
-            Constraint((0, 2), "<=", 1),
-        ),
-        (0, 0),
-        "max",
-    )
-    res = _assert_agrees(prob)
-    assert all(z != 0 for z in res.certificate)
-    assert res.certificate[0] > 0
+    prob = LPProblem(2, [Constraint((1, 1), "==", 2), Constraint((2, 0), "<=", 1),
+                         Constraint((0, 2), "<=", 1)], (0, 0))
+    kind, cert = _assert_agrees(prob)
+    assert kind == "infeasible"
+    assert all(z != 0 for z in cert)
+    assert cert[0] > 0
 
 
 # ---------------------------------------------------------------------------
-# The integer verifier against the Fraction verifier it replaced.
+# The integer checker against a ``Fraction`` recheck.
 #
-# ``fraction_verify`` is the earlier ``verify_lp_result``, which rechecked
-# every answer in ``Fraction`` arithmetic.  It lives only here, as the oracle
-# the integer recheck in ``conedual.lp`` is compared against on exact input.
+# ``fraction_verify`` rechecks an answer's ``Fraction`` values, as the
+# verifier once did.  It lives only here, as the oracle the integer check in
+# ``conedual.lp`` is compared against.
 
 
 def fraction_verify(problem, result):
@@ -583,7 +547,9 @@ def fraction_verify(problem, result):
     cons = problem.constraints
 
     if isinstance(result, LPOptimal):
-        x = result.point
+        if result.d <= 0:
+            return False
+        x = [F(v, result.d) for v in result.xn]
         if len(x) != n or any(v < 0 for v in x):
             return False
         for c in cons:
@@ -594,137 +560,90 @@ def fraction_verify(problem, result):
                 return False
             if c.rel == "==" and lhs != c.rhs:
                 return False
-        if sum(o * v for o, v in zip(problem.objective, x)) != result.value:
+        value = F(result.vn, result.d)
+        if sum(o * v for o, v in zip(problem.objective, x)) != value:
             return False
-        y = result.dual
-        if y is None or len(y) != len(cons):
+        y = _dual(result)
+        if len(y) != len(cons):
             return False
-        flip = 1 if problem.sense == "max" else -1
         for yi, c in zip(y, cons):
-            if c.rel == "<=" and flip * yi < 0:
+            if c.rel == "<=" and yi < 0:
                 return False
-            if c.rel == ">=" and flip * yi > 0:
+            if c.rel == ">=" and yi > 0:
                 return False
         for j, cj in enumerate(problem.objective):
-            if flip * (sum(yi * c.coeffs[j] for yi, c in zip(y, cons)) - cj) < 0:
+            if sum(yi * c.coeffs[j] for yi, c in zip(y, cons)) < cj:
                 return False
-        return sum(yi * c.rhs for yi, c in zip(y, cons)) == result.value
+        return sum(yi * c.rhs for yi, c in zip(y, cons)) == value
 
-    if isinstance(result, LPInfeasible):
-        z = result.certificate
-        if len(z) != len(cons):
+    if result.d <= 0:
+        return False
+    z = [F(v, result.d) for v in result.zn]
+    if len(z) != len(cons):
+        return False
+    for zi, c in zip(z, cons):
+        if c.rel == "<=" and zi > 0:
             return False
-        for zi, c in zip(z, cons):
-            if c.rel == "<=" and zi > 0:
-                return False
-            if c.rel == ">=" and zi < 0:
-                return False
-        combined_rhs = F(0)
-        combined = [F(0)] * n
-        for zi, c in zip(z, cons):
-            if zi == 0:
-                continue
-            combined_rhs += zi * c.rhs
-            for j, a in enumerate(c.coeffs):
-                combined[j] += zi * a
-        return all(v <= 0 for v in combined) and combined_rhs > 0
-
-    if isinstance(result, LPUnbounded):
-        r = result.ray
-        if len(r) != n or any(v < 0 for v in r) or all(v == 0 for v in r):
+        if c.rel == ">=" and zi < 0:
             return False
-        for c in cons:
-            d = sum(a * v for a, v in zip(c.coeffs, r))
-            if c.rel == "<=" and d > 0:
-                return False
-            if c.rel == ">=" and d < 0:
-                return False
-            if c.rel == "==" and d != 0:
-                return False
-        gain = sum(o * v for o, v in zip(problem.objective, r))
-        return gain > 0 if problem.sense == "max" else gain < 0
-
-    return False
+    combined_rhs = F(0)
+    combined = [F(0)] * n
+    for zi, c in zip(z, cons):
+        combined_rhs += zi * c.rhs
+        for j, a in enumerate(c.coeffs):
+            combined[j] += zi * a
+    return all(v <= 0 for v in combined) and combined_rhs > 0
 
 
 def _differential_results():
-    """(problem, result) for solve_lp and the reference on the 300-LP set."""
+    """(problem, result) for solve_lp and the reference on the 300-LP set,
+    leaving out the unbounded ones, which have no answer to check."""
     rng = random.Random(31337)
     out = []
     for _ in range(300):
         prob = _random_lp(rng)
-        out.append((prob, solve_lp(prob)))
-        out.append((prob, reference_solve(prob)))
+        ref = reference_solve(prob)
+        if ref[0] != "unbounded":
+            out.append((prob, solve_lp(prob)))
+            out.append((prob, _checkable(ref)))
     return out
-
-
-def _tampered_cases():
-    """Every (problem, answer) pair of test_verifier_rejects_tampered_certificates."""
-    prob = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
-    res = solve_lp(prob)
-    cases = [(prob, res), (prob, LPInfeasible(tuple(-v for v in res.certificate)))]
-    cases.append(
-        (LPProblem(1, (Constraint((1,), "==", 1),), (0,), "max"), LPOptimal((F(1, 2),), F(0), (F(0),)))
-    )
-    prob = LPProblem(
-        2,
-        (Constraint((1, 1), "<=", 1), Constraint((1, 0), "<=", F(1, 2)), Constraint((0, 1), ">=", 0)),
-        (1, 2),
-        "max",
-    )
-    point, value = (F(0), F(1)), F(2)
-    for dual in (
-        (F(2), F(0), F(0)),
-        None,
-        (F(2), F(0)),
-        (F(3), F(-1), F(0)),
-        (F(2), F(0), F(1)),
-        (F(1), F(2), F(0)),
-        (F(3), F(0), F(0)),
-    ):
-        cases.append((prob, LPOptimal(point, value, dual)))
-    cases.append((prob, LPOptimal((F(1, 2), F(1, 2)), F(3, 2), (F(2), F(0), F(0)))))
-    return cases
 
 
 def test_integer_verifier_agrees_with_fraction_verifier():
     cases = _differential_results() + _tampered_cases()
     verdicts = set()
     for prob, res in cases:
-        verdict = verify_lp_result(prob, res)
-        assert verdict == fraction_verify(prob, res), (prob, res)
+        verdict = lp._verify(prob, res)
+        assert verdict == fraction_verify(prob, res), (prob, _as_fractions(res))
         verdicts.add(verdict)
     assert verdicts == {True, False}
 
 
 def _perturb(rng, result):
-    """``result`` with one entry moved by +-1, +-1/7, or its sign flipped."""
+    """``result`` with one entry moved by +-1 or +-1/d, or its sign flipped."""
     if isinstance(result, LPOptimal):
-        field = rng.choice(("point", "value", "dual"))
-    elif isinstance(result, LPInfeasible):
-        field = "certificate"
+        fields = {"xn": list(result.xn), "vn": [result.vn], "yn": list(result.yn)}
+        name = rng.choice(sorted(fields))
     else:
-        field = "ray"
-    entries = getattr(result, field)
-    scalar = field == "value"
-    entries = [entries] if scalar else list(entries)
+        fields = {"zn": list(result.zn)}
+        name = "zn"
+    entries = fields[name]
     k = rng.randrange(len(entries))
-    v = entries[k]
-    entries[k] = rng.choice((v + 1, v - 1, v + F(1, 7), v - F(1, 7), -v))
-    new = entries[0] if scalar else tuple(entries)
-    fields = {name: getattr(result, name) for name in result._fields}
-    fields[field] = new
-    return type(result)(**fields)
+    v, d = entries[k], result.d
+    entries[k] = rng.choice((v + d, v - d, v + 1, v - 1, -v))
+    if isinstance(result, LPOptimal):
+        return LPOptimal(fields["xn"], fields["vn"][0], fields["yn"], d)
+    return LPInfeasible(fields["zn"], d)
 
 
-def _scaled(form, k):
-    """An integer form with every numerator and denominator times ``k``: the
+def _scaled(result, k):
+    """``result`` with every numerator and its denominator times ``k``: the
     same rationals over a denominator that is not the lcm, as ``solve_lp``'s
     ``D`` is not."""
-    out = []
-    for nums, den in zip(form[::2], form[1::2]):
-        out += [[k * v for v in nums] if isinstance(nums, list) else k * nums, k * den]
-    return tuple(out)
+    if isinstance(result, LPOptimal):
+        return LPOptimal([k * v for v in result.xn], k * result.vn, [k * v for v in result.yn],
+                         k * result.d)
+    return LPInfeasible([k * v for v in result.zn], k * result.d)
 
 
 def test_integer_verifier_agrees_on_perturbed_certificates():
@@ -733,92 +652,12 @@ def test_integer_verifier_agrees_on_perturbed_certificates():
     for prob, res in _differential_results():
         for _ in range(3):
             bad = _perturb(rng, res)
-            verdict = verify_lp_result(prob, bad)
-            assert verdict == fraction_verify(prob, bad), (prob, bad)
-            # the integer verifier, fed the integer form over a larger denominator
-            form = _scaled(lp._answer(bad), 6)
-            assert lp._verify(prob, bad, form) == verdict, (prob, bad, form)
+            verdict = lp._verify(prob, bad)
+            assert verdict == fraction_verify(prob, bad), (prob, _as_fractions(bad))
+            assert lp._verify(prob, _scaled(bad, 6)) == verdict
             counts[verdict] += 1
     # a nudge can land on another valid certificate, and usually does not
     assert counts[True] > 0 and counts[False] > 0, counts
-
-
-def _as_rationals(form):
-    """An integer form as one tuple of ``Fraction``s per field."""
-    out = []
-    for nums, den in zip(form[::2], form[1::2]):
-        out.append(tuple(F(v, den) for v in (nums if isinstance(nums, list) else [nums])))
-    return out
-
-
-def test_attached_integer_form_equals_the_public_fields():
-    infeasible = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
-    unbounded = LPProblem(2, (Constraint((1, -1), ">=", F(1, 3)),), (1, F(1, 2)), "max")
-    cases = _differential_results() + [(p, solve_lp(p)) for p in (infeasible, unbounded)]
-    kinds = set()
-    for prob, res in cases:
-        attached = res.__dict__.get("_ints")
-        if attached is None:
-            continue  # a reference solution, built by hand
-        kinds.add(type(res))
-        public = lp._over_fields(res)
-        assert len(attached) == len(public)
-        assert _as_rationals(attached) == _as_rationals(public), (prob, res)
-        assert all(den > 0 for den in attached[1::2])
-        assert lp._answer(res) is attached
-    assert kinds == {LPOptimal, LPInfeasible, LPUnbounded}
-    # a result built by hand has its fields put over their lcm
-    hand = LPOptimal((F(1, 2), F(1, 3)), F(5, 6), (F(1), F(0)))
-    assert lp._answer(hand) == ([3, 2], 6, 5, 6, [1, 0], 1)
-
-
-def test_verifier_rejects_inexact_certificate_entries():
-    prob = LPProblem(
-        2,
-        (Constraint((1, 1), "<=", 1), Constraint((1, 0), "<=", F(1, 2)), Constraint((0, 1), ">=", 0)),
-        (1, 2),
-        "max",
-    )
-    assert verify_lp_result(prob, LPOptimal((0, 1), 2, (2, 0, 0)))
-    # the Fraction recheck accepted floats and bools equal to a valid answer
-    floats = LPOptimal((0.0, 1.0), 2.0, (2.0, 0.0, 0.0))
-    assert fraction_verify(prob, floats)
-    assert not verify_lp_result(prob, floats)
-    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), 2.0, (F(2), F(0), F(0))))
-    assert not verify_lp_result(prob, LPOptimal((False, True), F(2), (F(2), F(0), F(0))))
-    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), F(2), (F(2), False, F(0))))
-    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), True, (F(2), F(0), F(0))))
-    assert not verify_lp_result(prob, LPOptimal(("0", F(1)), F(2), (F(2), F(0), F(0))))
-    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), "2", (F(2), F(0), F(0))))
-    assert not verify_lp_result(prob, LPOptimal((F(0), F(1)), F(2), ("2", F(0), F(0))))
-
-    infeasible = LPProblem(1, (Constraint((1,), "==", 1), Constraint((1,), "<=", 0)), (0,), "max")
-    cert = solve_lp(infeasible).certificate
-    assert verify_lp_result(infeasible, LPInfeasible(cert))
-    for bad in (float(cert[0]), str(cert[0]), True):
-        assert not verify_lp_result(infeasible, LPInfeasible((bad,) + cert[1:]))
-
-    unbounded = LPProblem(1, (Constraint((1,), ">=", 0),), (1,), "max")
-    assert verify_lp_result(unbounded, LPUnbounded((1,)))
-    for bad in (1.0, "1", True):
-        assert not verify_lp_result(unbounded, LPUnbounded((bad,)))
-
-
-def test_verifying_keeps_problem_equality_and_hash():
-    def make():
-        return LPProblem(
-            2,
-            (Constraint((1, F(1, 3)), "<=", F(5, 2)), Constraint((F(2, 7), 1), ">=", 0)),
-            (1, F(1, 2)),
-            "max",
-        )
-
-    first, second = make(), make()
-    before = hash(first)
-    assert verify_lp_result(first, solve_lp(first))
-    assert first == second
-    assert hash(first) == hash(second) == before
-    assert repr(first) == repr(second)
 
 
 # ---------------------------------------------------------------------------
@@ -876,22 +715,22 @@ def _full_iterate(T, basis, D, m, limit, seen):
 
 
 def full_solve_lp(problem, seen):
+    """The answer in the layout of ``_as_fractions``."""
     n = problem.n_vars
     cons = problem.constraints
     m = len(cons)
     obj = problem.objective
     width = n + sum(1 for c in cons if c.rel != "==")
 
-    rows, scales, (cnums, cden) = lp._int_rows(problem)
     T = []
-    scale = []
+    signs = []
     basis = []
     art_rows = []
     s = n
-    for i, c in enumerate(cons):
+    for c in cons:
         sign = -1 if c.rhs < 0 or (c.rel == ">=" and c.rhs == 0) else 1
-        ints = rows[i] if sign > 0 else [-v for v in rows[i]]
-        row = list(ints[:n]) + [0] * (width - n)
+        ints = [sign * v for v in c.coeffs + (c.rhs,)]
+        row = ints[:n] + [0] * (width - n)
         if c.rel == "==":
             unit = 0
         else:
@@ -902,9 +741,9 @@ def full_solve_lp(problem, seen):
             basis.append(s - 1)
         else:
             basis.append(None)
-            art_rows.append(i)
+            art_rows.append(len(T))
         T.append(row + [ints[-1]])
-        scale.append(sign * scales[i])
+        signs.append(sign)
 
     k = len(art_rows)
     T = [row[:width] + [0] * k + row[width:] for row in T]
@@ -924,10 +763,10 @@ def full_solve_lp(problem, seen):
     cost = T.pop()
     if cost[-1] < 0:
         cert = tuple(
-            F(scale[i] * ((D if start[i] >= width else 0) - cost[start[i]]), D)
+            F(signs[i] * ((D if start[i] >= width else 0) - cost[start[i]]), D)
             for i in range(m)
         )
-        return LPInfeasible(cert)
+        return ("infeasible", cert)
 
     for i in range(m):
         if basis[i] >= width:
@@ -935,9 +774,7 @@ def full_solve_lp(problem, seen):
             if pc is not None:
                 D = _full_pivot(T, basis, D, i, pc, seen)
 
-    sign = -1 if problem.sense == "max" else 1
-    cmin = [sign * v for v in cnums] + [0] * (width + k - n)
-    cscale = sign * cden
+    cmin = [-v for v in obj] + [0] * (width + k - n)
     cost = [D * cj for cj in cmin] + [0]
     for b, row in zip(basis, T):
         cb = cmin[b]
@@ -952,15 +789,9 @@ def full_solve_lp(problem, seen):
             if b < n:
                 point[b] = F(T[i][-1], D)
         value = sum(o * p for o, p in zip(obj, point))
-        dual = tuple(F(-scale[i] * T[m][start[i]], D * cscale) for i in range(m))
-        return LPOptimal(tuple(point), value, dual)
-    ray = [F(0)] * n
-    if status < n:
-        ray[status] = F(1)
-    for i, b in enumerate(basis):
-        if b < n:
-            ray[b] = F(-T[i][status], D)
-    return LPUnbounded(tuple(ray))
+        dual = tuple(F(signs[i] * T[m][start[i]], D) for i in range(m))
+        return ("optimal", tuple(point), value, dual)
+    return ("unbounded",)
 
 
 def _spy_pivot_rows(monkeypatch):
@@ -977,27 +808,28 @@ def _spy_pivot_rows(monkeypatch):
 
 
 def _assert_same_as_full_tableau(prob, seen):
-    """``solve_lp`` on ``prob`` against the oracle; returns the result."""
+    """``solve_lp`` on ``prob`` against the oracle; returns the answer in the
+    layout of ``_as_fractions`` and the oracle's pivot count."""
     seen.clear()
-    res = solve_lp(prob)
+    got = _as_fractions(_solve(prob))
     condensed = list(seen)
     full = []
     ref = full_solve_lp(prob, full)
-    assert res == ref, (prob, res, ref)
-    assert [p for p, _ in condensed] == [p for p, _ in full], prob
+    assert got == ref, (got, ref)
+    assert [p for p, _ in condensed] == [p for p, _ in full]
     m = len(prob.constraints)
-    assert all(c == f - m for (_, c), (_, f) in zip(condensed, full)), prob
-    return res, len(full)
+    assert all(c == f - m for (_, c), (_, f) in zip(condensed, full))
+    return got, len(full)
 
 
 def test_condensed_tableau_matches_full_tableau_on_the_differential_set(monkeypatch):
     seen = _spy_pivot_rows(monkeypatch)
     rng = random.Random(31337)
-    outcomes = {LPOptimal: 0, LPInfeasible: 0, LPUnbounded: 0}
+    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
     pivots = 0
     for _ in range(300):
-        res, count = _assert_same_as_full_tableau(_random_lp(rng), seen)
-        outcomes[type(res)] += 1
+        got, count = _assert_same_as_full_tableau(_random_lp(rng), seen)
+        outcomes[got[0]] += 1
         pivots += count
     assert all(count >= 20 for count in outcomes.values()), outcomes
     assert pivots > 300
@@ -1015,27 +847,33 @@ def _capture_problems(monkeypatch, module):
     return problems
 
 
+def _separation_instances(rng, count, dims, sizes, inf_rate):
+    cases = []
+    for _ in range(count):
+        dim = rng.randint(*dims)
+        top = rng.choice((2, 3, 6, 12))
+        gens = [
+            ExtVec([ExtReal(F(rng.randint(0, top), rng.randint(1, 4)))
+                    if rng.random() > inf_rate else INF
+                    for _ in range(dim)])
+            for _ in range(rng.randint(*sizes))
+        ]
+        cases.append((gens, dim))
+    return cases
+
+
 def test_condensed_tableau_matches_full_tableau_on_separation_lps(monkeypatch):
     problems = _capture_problems(monkeypatch, convex_sep)
     # every instance reaches the LP, the screens' answers included
     monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
-    rng = random.Random(8128)
-    for _ in range(100):
-        dim = rng.randint(2, 8)
-        top = rng.choice((2, 3, 6, 12))
-        gens = [
-            ExtVec([ExtReal(F(rng.randint(0, top), rng.randint(1, 4)))
-                    if rng.random() > 0.03 else INF
-                    for _ in range(dim)])
-            for _ in range(rng.randint(2, 16))
-        ]
+    for gens, dim in _separation_instances(random.Random(8128), 100, (2, 8), (2, 16), 0.03):
         convex_sep.separate(gens, dim)
     monkeypatch.undo()
     seen = _spy_pivot_rows(monkeypatch)
-    outcomes = {LPOptimal: 0, LPInfeasible: 0}
+    outcomes = {"optimal": 0, "infeasible": 0}
     for prob in problems:
-        res, _ = _assert_same_as_full_tableau(prob, seen)
-        outcomes[type(res)] += 1
+        got, _ = _assert_same_as_full_tableau(prob, seen)
+        outcomes[got[0]] += 1
     # both a separation and a meet of the corner
     assert all(count >= 20 for count in outcomes.values()), outcomes
 
@@ -1054,12 +892,41 @@ def test_condensed_tableau_matches_full_tableau_on_margin_lps(monkeypatch):
     seen = _spy_pivot_rows(monkeypatch)
     held = violated = 0
     for prob in problems:
-        res, _ = _assert_same_as_full_tableau(prob, seen)
-        if res.value <= 0:
+        got, _ = _assert_same_as_full_tableau(prob, seen)
+        if got[2] <= 0:
             held += 1
         else:
             violated += 1
     assert held >= 10 and violated >= 10, (held, violated)
+
+
+def test_the_fields_the_traced_benchmark_reads(monkeypatch):
+    # perfbench/run.py counts the LPs by their class names, sizes them by
+    # len(problem.constraints) * problem.n_vars, and reads the bit length
+    # of the point and certificate Fractions; perfbench/spans.py wraps
+    # solve_lp where each caller binds it at module level
+    assert convex_sep.solve_lp is functionals.solve_lp is lp.solve_lp
+    separations = _capture_problems(monkeypatch, convex_sep)
+    margins = _capture_problems(monkeypatch, functionals)
+    # the hull of (2, 0), (0, 2) misses the corner and that of (3, 0), (0, 3)
+    # meets it; y <= 2 y holds on y >= 0, a margin LP of value 0
+    assert type(convex_sep._separation_lp([ExtVec([2, 0]), ExtVec([0, 2])], 2, [0, 1], [])) \
+        is convex_sep.Separated
+    assert type(convex_sep._separation_lp([ExtVec([3, 0]), ExtVec([0, 3])], 2, [0, 1], [])) \
+        is convex_sep.MeetsCorner
+    functionals._margin([ExtVec([1])], [ExtVec([2])])
+    problems = separations + margins
+    assert len(problems) == 3
+    results = [solve_lp(prob) for prob in problems]
+    assert [type(r).__name__ for r in results] == ["LPOptimal", "LPInfeasible", "LPOptimal"]
+    for prob in problems:
+        assert type(prob.n_vars) is int and len(prob.constraints) * prob.n_vars > 0
+    fields = [results[0].point, results[1].certificate, results[2].point]
+    for values in fields:
+        assert type(values) is tuple and all(type(v) is F for v in values)
+    assert max(max(v.numerator.bit_length(), v.denominator.bit_length())
+               for values in fields for v in values) > 0
+    assert results[0].point == (F(1, 2), F(1, 2)) and results[2].value == 0
 
 
 def _oracle_witness_from_certificate(gens, fin, inf_coords, w):
@@ -1111,18 +978,22 @@ def test_witness_builder_matches_the_fraction_reference():
 
 
 def _fraction_row_margin(gcoeffs, hcoeffs):
-    """``_margin`` with each pair row entered as the ``Fraction``
-    differences ``g - h`` followed by ``-1``: the reference."""
+    """``_margin`` with each pair row the ``Fraction`` differences ``g - h``
+    followed by ``-1``, entered with that row's own denominators cleared,
+    ``s`` times larger, so its multiplier is ``s`` times the dual: the
+    reference."""
     dim = len(gcoeffs[0])
     k = len(hcoeffs)
     constraints = [Constraint((1,) * dim + (0,), "<=", 1)]
+    scales = []
     for gc in gcoeffs:
         for hc in hcoeffs:
-            row = tuple(g - h for g, h in zip(gc, hc)) + (-1,)
-            constraints.append(Constraint(row, ">=", 0))
-    objective = (0,) * dim + (1,)
-    res = solve_lp(LPProblem(dim + 1, tuple(constraints), objective, "max"))
-    mu = [-v for v in res.dual[1:]]
+            diffs = tuple(F(g) - F(h) for g, h in zip(gc, hc)) + (F(-1),)
+            s = lcm(*(v.denominator for v in diffs))
+            constraints.append(Constraint(tuple(int(v * s) for v in diffs), ">=", 0))
+            scales.append(s)
+    res = solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,)))
+    mu = [-s * v for s, v in zip(scales, _dual(res)[1:])]
     total = sum(mu)
     a = tuple(sum(mu[i * k:(i + 1) * k]) / total for i in range(len(gcoeffs)))
     lam = tuple(sum(mu[kk::k]) / total for kk in range(k))
@@ -1137,10 +1008,8 @@ def _simplex_margin(gcoeffs, hcoeffs):
     constraints = [Constraint((1,) * dim + (0, 0), "==", 1)]
     for gc in gcoeffs:
         for hc in hcoeffs:
-            row = tuple(g - h for g, h in zip(gc, hc)) + (-1, 1)
-            constraints.append(Constraint(row, ">=", 0))
-    objective = (0,) * dim + (1, -1)
-    return solve_lp(LPProblem(dim + 2, tuple(constraints), objective, "max")).value
+            constraints.append(row(tuple(F(g) - F(h) for g, h in zip(gc, hc)) + (-1, 1), ">=", 0))
+    return solve_lp(LPProblem(dim + 2, constraints, (0,) * dim + (1, -1))).value
 
 
 def _starts_all_slack_basic(problem):
@@ -1156,38 +1025,13 @@ def _starts_all_slack_basic(problem):
 def _assert_rows_are_ints(problems):
     assert problems
     for prob in problems:
+        assert all(type(v) is int for v in prob.objective)
         for c in prob.constraints:
             assert all(type(v) is int for v in c.coeffs + (c.rhs,)), c
 
 
-def test_public_constraints_still_hold_fractions():
-    c = Constraint((1, 2), "<=", 3)
-    assert all(type(v) is F for v in c.coeffs + (c.rhs,))
-    assert c.coeffs == (F(1), F(2)) and c.rhs == F(3)
-
-
-def _fraction_rows(problem):
-    """``problem`` with each integer row divided by its right-hand side, so a
-    generator row enters as the ``Fraction``s ``nums[i] / d`` with right-hand
-    side 1, as every row did before ``separate`` built them from ints."""
-    return LPProblem(problem.n_vars, tuple(
-        Constraint(tuple(F(v, c.rhs) for v in c.coeffs), c.rel, 1) for c in problem.constraints
-    ), problem.objective, problem.sense)
-
-
-def test_integer_separation_rows_match_fraction_rows(monkeypatch):
-    rng = random.Random(8128)
-    cases = []
-    for _ in range(120):
-        dim = rng.randint(1, 7)
-        top = rng.choice((2, 3, 6, 12))
-        gens = [
-            ExtVec([ExtReal(F(rng.randint(0, top), rng.randint(1, 4)))
-                    if rng.random() > 0.05 else INF
-                    for _ in range(dim)])
-            for _ in range(rng.randint(1, 12))
-        ]
-        cases.append((gens, dim))
+def test_separation_lps_agree_with_the_reference_solver(monkeypatch):
+    cases = _separation_instances(random.Random(8128), 120, (1, 7), (1, 12), 0.05)
     problems = _capture_problems(monkeypatch, convex_sep)
     # every instance reaches the LP, the screens' answers included
     monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
@@ -1197,17 +1041,11 @@ def test_integer_separation_rows_match_fraction_rows(monkeypatch):
         infinite = any(g._form[2] for g in gens)
         kinds[type(got), infinite] = kinds.get((type(got), infinite), 0) + 1
     _assert_rows_are_ints(problems)
-    # every LP of every round solves the same from Fraction rows; a row built
-    # d times larger gets 1/d of the multiplier
+    # every LP of every round: the reference's verdict and value, and an
+    # answer that the Fraction recheck accepts
     for prob in problems:
-        got, want = solve_lp(prob), solve_lp(_fraction_rows(prob))
-        assert type(got) is type(want), prob
-        if isinstance(got, LPOptimal):
-            assert (got.point, got.value) == (want.point, want.value), prob
-            multipliers = got.dual, want.dual
-        else:
-            multipliers = got.certificate, want.certificate
-        assert [v * c.rhs for v, c in zip(multipliers[0], prob.constraints)] == list(multipliers[1]), prob
+        _assert_agrees(prob)
+        assert fraction_verify(prob, solve_lp(prob))
     # both outcomes, with and without infinite coordinates
     assert len(kinds) == 4 and min(kinds.values()) >= 5, kinds
 
@@ -1274,6 +1112,7 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
             violated += 1
             assert sum(got[1]) == 1
     _assert_rows_are_ints(problems)
+    assert all(fraction_verify(prob, solve_lp(prob)) for prob in problems)
     assert held >= 10 and violated >= 10, (held, violated)
     # the origin is a feasible start: no phase 1, and fewer pivots in all
     assert len(problems) == len(calls)

@@ -20,7 +20,7 @@ from conedual import (
     verify_meets_corner,
     verify_separated,
 )
-from conedual.lp import EQ, LEQ, Constraint, LPInfeasible, LPOptimal, LPProblem, _answer, solve_lp
+from conedual.lp import EQ, LEQ, Constraint, LPInfeasible, LPOptimal, LPProblem, solve_lp
 
 F = Fraction
 convex_sep = importlib.import_module("conedual.convex_sep")
@@ -31,10 +31,10 @@ def _one_lp(gens, dim, fin, inf_coords):
     generator: the reference."""
     forms = [g._form for g in gens]
     k = len(fin)
-    constraints = [Constraint._of_ints((1,) * k, EQ, 1)]
+    constraints = [Constraint((1,) * k, EQ, 1)]
     for nums, d, _, _ in forms:
-        constraints.append(Constraint._of_ints(tuple(nums[i] for i in fin), LEQ, d))
-    res = solve_lp(LPProblem(k, tuple(constraints), (0,) * k, "max"))
+        constraints.append(Constraint(tuple(nums[i] for i in fin), LEQ, d))
+    res = solve_lp(LPProblem(k, constraints, (0,) * k))
 
     if isinstance(res, LPOptimal):
         full = [0] * dim
@@ -43,8 +43,7 @@ def _one_lp(gens, dim, fin, inf_coords):
         return Separated(SeparationWeights(tuple(full)))
 
     assert isinstance(res, LPInfeasible)
-    zn, _ = _answer(res)
-    w = [-v * form[1] for v, form in zip(zn[1:], forms)]
+    w = [-v * form[1] for v, form in zip(res.zn[1:], forms)]
     return MeetsCorner(convex_sep._witness_from_certificate(gens, fin, inf_coords, w))
 
 
