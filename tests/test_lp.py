@@ -142,13 +142,15 @@ def test_contradictory_constraints_are_infeasible():
     assert lp._verify(prob, res)
 
 
-def test_an_unbounded_problem_is_an_internal_error():
-    # neither of the package's LPs can be unbounded: x >= 0 alone, and x - y == 1,
-    # which pins x to y so that the improving ray moves a basic column too
-    for prob in (LPProblem(1, [Constraint((1,), ">=", 0)], (1,)),
-                 LPProblem(2, [Constraint((1, -1), "==", 1)], (1, 1))):
-        with pytest.raises(AssertionError, match="the package's LPs cannot be unbounded"):
-            solve_lp(prob)
+@pytest.mark.parametrize("prob", [
+    LPProblem(1, [Constraint((1,), ">=", 0)], (1,)),
+    # x - y == 1 pins x to y, so the improving ray moves a basic column too
+    LPProblem(2, [Constraint((1, -1), "==", 1)], (1, 1)),
+], ids=["a-nonbasic-column", "through-a-basic-column"])
+def test_an_unbounded_problem_is_an_internal_error(prob):
+    # neither of the package's LPs can be unbounded
+    with pytest.raises(AssertionError, match="the package's LPs cannot be unbounded"):
+        solve_lp(prob)
 
 
 def test_optimum_value():
@@ -173,43 +175,51 @@ def test_redundant_equalities_are_dropped():
 
 
 def _tampered_cases():
-    """(problem, answer) pairs for the checker: a solver answer, then
+    """(id, problem, answer, accepted) for the checker: solver answers, and
     certificates that a nudge made invalid."""
     prob = LPProblem(1, [Constraint((1,), "==", 1), Constraint((1,), "<=", 0)], (0,))
     res = solve_lp(prob)
-    cases = [(prob, res), (prob, LPInfeasible([-v for v in res.zn], res.d))]
-    # the solver's numerators over a negative denominator: the negated multipliers
-    cases.append((prob, LPInfeasible(res.zn, -res.d)))
-    # a point that breaks x == 1
-    cases.append((LPProblem(1, [Constraint((1,), "==", 1)], (0,)), _optimal((F(1, 2),), 0, (0,))))
+    cases = [
+        ("farkas-from-the-solver", prob, res, True),
+        ("farkas-negated", prob, LPInfeasible([-v for v in res.zn], res.d), False),
+        # the solver's numerators over a negative denominator: the negated multipliers
+        ("farkas-over-a-negative-denominator", prob, LPInfeasible(res.zn, -res.d), False),
+        # a point that breaks x == 1
+        ("point-off-an-equality", LPProblem(1, [Constraint((1,), "==", 1)], (0,)),
+         _optimal((F(1, 2),), 0, (0,)), False),
+    ]
     # max x + 2y on x + y <= 1, 2x <= 1, y >= 0: optimum (0, 1) with dual (2, 0, 0)
     prob = LPProblem(2, [Constraint((1, 1), "<=", 1), Constraint((2, 0), "<=", 1),
                          Constraint((0, 1), ">=", 0)], (1, 2))
-    for point, value, dual in (
-        ((0, 1), 2, (2, 0, 0)),
-        # one multiplier short
-        ((0, 1), 2, (2, 0)),
+    for name, point, value, dual, accepted in (
+        ("optimum-with-its-dual", (0, 1), 2, (2, 0, 0), True),
+        ("one-multiplier-short", (0, 1), 2, (2, 0), False),
         # wrongly signed: a <= row needs y >= 0, a >= row y <= 0
-        ((0, 1), 2, (3, -1, 0)),
-        ((0, 1), 2, (2, 0, 1)),
+        ("negative-multiplier-on-a-leq-row", (0, 1), 2, (3, -1, 0), False),
+        ("positive-multiplier-on-a-geq-row", (0, 1), 2, (2, 0, 1), False),
         # infeasible: A^T y >= c fails on the y column, although b . y == 2
-        ((0, 1), 2, (1, 1, 0)),
+        ("dual-infeasible", (0, 1), 2, (1, 1, 0), False),
         # feasible but not optimal: b . y = 3 is only an upper bound
-        ((0, 1), 2, (3, 0, 0)),
-        # a value that is not c . x
-        ((0, 1), 3, (2, 0, 0)),
+        ("dual-not-optimal", (0, 1), 2, (3, 0, 0), False),
+        ("value-not-c-dot-x", (0, 1), 3, (2, 0, 0), False),
         # a suboptimal point fails b . y == c . x against any dual
-        ((F(1, 2), F(1, 2)), F(3, 2), (2, 0, 0)),
+        ("suboptimal-point", (F(1, 2), F(1, 2)), F(3, 2), (2, 0, 0), False),
     ):
-        cases.append((prob, _optimal(point, value, dual)))
+        cases.append((name, prob, _optimal(point, value, dual), accepted))
     # x = -1 on x >= 1, whose numerator passes every row over the negative denominator
-    cases.append((LPProblem(1, [Constraint((-1,), "<=", -1)], (0,)), LPOptimal([1], 0, [0], -1)))
+    cases.append(("point-over-a-negative-denominator",
+                  LPProblem(1, [Constraint((-1,), "<=", -1)], (0,)), LPOptimal([1], 0, [0], -1),
+                  False))
     return cases
 
 
-def test_verifier_rejects_tampered_certificates():
-    verdicts = [lp._verify(prob, res) for prob, res in _tampered_cases()]
-    assert verdicts == [True, False, False, False, True] + [False] * 8
+_TAMPERED = _tampered_cases()
+
+
+@pytest.mark.parametrize("prob, res, accepted", [case[1:] for case in _TAMPERED],
+                         ids=[case[0] for case in _TAMPERED])
+def test_verifier_rejects_tampered_certificates(prob, res, accepted):
+    assert lp._verify(prob, res) is accepted
 
 
 def test_feasibility_agrees_with_vertex_enumeration():
@@ -610,7 +620,7 @@ def _differential_results():
 
 
 def test_integer_verifier_agrees_with_fraction_verifier():
-    cases = _differential_results() + _tampered_cases()
+    cases = _differential_results() + [(prob, res) for _, prob, res, _ in _TAMPERED]
     verdicts = set()
     for prob, res in cases:
         verdict = lp._verify(prob, res)
