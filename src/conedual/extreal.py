@@ -223,7 +223,7 @@ def as_extreal(x):
 
 
 def ext_min(values) -> ExtReal:
-    vs = [as_extreal(v) for v in values]
+    vs = [v if isinstance(v, ExtReal) else ExtReal(v) for v in values]
     if not vs:
         raise EmptyList("min over an empty collection")
     out = vs[0]
@@ -234,7 +234,7 @@ def ext_min(values) -> ExtReal:
 
 
 def ext_max(values) -> ExtReal:
-    vs = [as_extreal(v) for v in values]
+    vs = [v if isinstance(v, ExtReal) else ExtReal(v) for v in values]
     if not vs:
         raise EmptyList("max over an empty collection")
     out = vs[0]

@@ -169,11 +169,11 @@ def suite_separation(seed: int = DEFAULT_SEED):
         else:
             tally.expect(verify_meets_corner(gens, outcome.witness),
                          "instance {}: corner witness failed recheck", t)
-        # the dyadic oracle enumerates weight compositions: keep it to dim 3
+        # the exact oracle enumerates the vertices of an arrangement: keep it to dim 3
         if dim <= 3:
-            meets = oracles.hull_meets_corner_dyadic(gens, dim)
+            meets = oracles.hull_meets_corner(gens, dim)
             tally.expect(meets == isinstance(outcome, MeetsCorner),
-                         "instance {}: dyadic oracle disagrees", t)
+                         "instance {}: matrix-game oracle disagrees", t)
     return tally.report("separation", seed, instances)
 
 
@@ -321,7 +321,7 @@ def suite_minkowski(seed: int = DEFAULT_SEED):
             if value.is_finite and not value.is_zero:
                 v = value.as_fraction()
                 probes += [ExtReal(v / 2), value, ExtReal(2 * v)]
-            tally.expect(oracles.minkowski_by_scaling_scan(rep, y, probes),
+            tally.expect(oracles.minkowski_by_scaling_scan(rep, y, value, probes),
                          "family {}: scaling scan disagrees at {}", t, y)
 
         inside_a = [y for y in samples if member_a(flat, y)]

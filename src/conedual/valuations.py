@@ -25,7 +25,7 @@ from .errors import (
     UndefinedDifference,
     _echo,
 )
-from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, _reduced, as_extreal, as_extvec
+from .extreal import INF, ONE, ZERO, ExtReal, ExtVec, _reduced, as_extvec
 from .finspace import FinitePoset, LscFun, _bits, all_opens, is_lsc
 
 _GRID_CAP = 200_000
@@ -275,7 +275,7 @@ def check_dominated_directed(phi: DualFunctional, poset: FinitePoset, grid_denom
     are closed under it.  The running maximum is kept as the
     implementation's self-check of that fact, not as a decision.
     """
-    values = _grid_values(grid_denominator, as_extreal(cap), poset.n)
+    values = _grid_values(grid_denominator, ExtReal(cap), poset.n)
     c = _dirac_values(phi, poset)
     survivors = [
         f

@@ -43,7 +43,8 @@ def test_criterion_1_extreal_laws():
 def test_criterion_2_separation():
     # 500 seeded instances, dimensions up to 6, up to 8 generators,
     # denominators up to 16, infinity with chance 1/10; every certificate
-    # rechecked exactly and low dimensions compared against the dyadic oracle
+    # rechecked exactly and low dimensions compared against the exact
+    # matrix-game oracle
     _finish(2, "separation certificates", suites.suite_separation())
 
 

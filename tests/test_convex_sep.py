@@ -19,7 +19,7 @@ from conedual import (
     verify_separated,
 )
 from conedual.errors import DimensionMismatch, EmptyList
-from conedual.oracles import hull_meets_corner_dyadic
+from conedual.oracles import hull_meets_corner
 
 F = Fraction
 
@@ -169,20 +169,39 @@ def test_separated_weights_score_corner_points_above_one():
             assert ONE < total
 
 
-def test_agreement_with_dyadic_oracle():
+def test_agreement_with_the_exact_oracle():
     rng = random.Random(99)
-    for _ in range(120):
+    for _ in range(400):
         dim = rng.randint(1, 3)
         gens = [_rand_vec(rng, dim) for _ in range(rng.randint(1, 8))]
         lp_meets = isinstance(separate(gens, dim), MeetsCorner)
-        assert hull_meets_corner_dyadic(gens, dim) == lp_meets
+        assert hull_meets_corner(gens, dim) == lp_meets
 
 
 def test_oracle_handles_edge_cases():
-    assert hull_meets_corner_dyadic([ExtVec([INF, INF])], 2)
-    assert not hull_meets_corner_dyadic([ExtVec([1, 1])], 2)
-    assert hull_meets_corner_dyadic([ExtVec([3, 0]), ExtVec([0, 3])], 2)
-    assert not hull_meets_corner_dyadic([ExtVec([2, 0]), ExtVec([0, 2])], 2)
+    assert hull_meets_corner([ExtVec([INF, INF])], 2)
+    assert not hull_meets_corner([ExtVec([1, 1])], 2)
+    assert hull_meets_corner([ExtVec([3, 0]), ExtVec([0, 3])], 2)
+    assert not hull_meets_corner([ExtVec([2, 0]), ExtVec([0, 2])], 2)
+    # no coordinate is finite on every generator: a slice of each lifts all to inf
+    assert hull_meets_corner([ExtVec([INF, 0]), ExtVec([0, INF])], 2)
+    assert not hull_meets_corner([ExtVec([INF, 1])], 2)
+    with pytest.raises(ValueError):
+        hull_meets_corner([], 2)
+    with pytest.raises(ValueError):
+        hull_meets_corner([ExtVec([1, 1])], 3)
+
+
+def test_oracle_decides_a_hull_that_meets_the_corner_between_dyadic_weights():
+    # the hull meets the corner exactly for weights (l, 1 - l) with l in
+    # (33/100, 67/200), an interval holding no multiple of 1/32
+    gens = [ExtVec([ExtReal(100, 33), 0]), ExtVec([0, ExtReal(200, 133)])]
+    assert hull_meets_corner(gens, 2)
+    out = separate(gens, 2)
+    assert isinstance(out, MeetsCorner)
+    assert out.witness == ((0, F(66, 199)), (1, F(133, 199)))
+    assert verify_meets_corner(gens, out.witness)
+    assert combination_point(gens, out.witness) == ExtVec([ExtReal(200, 199), ExtReal(200, 199)])
 
 
 def test_determinism():

@@ -75,6 +75,18 @@ def test_order_examples():
         ext_max([])
 
 
+def test_min_and_max_refuse_what_extreal_refuses():
+    # a lone value that is not a number used to come back as NotImplemented
+    for fold, values in ((ext_min, [1.5]), (ext_max, ["x"]), (ext_max, [True]),
+                         (ext_min, [ONE, 0.5]), (ext_max, [None, ONE])):
+        with pytest.raises(TypeError):
+            fold(values)
+    with pytest.raises(ValueError):
+        ext_max([-1])
+    assert ext_min([2, Fraction(1, 3), INF]) == ExtReal(1, 3)
+    assert ext_max([0, Fraction(1, 3)]) == ExtReal(1, 3)
+
+
 def test_total_order_on_grid():
     for a in GRID:
         for b in GRID:

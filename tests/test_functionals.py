@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from itertools import product
 
 import pytest
 
@@ -25,7 +24,7 @@ from conedual import (
 )
 from conedual.errors import DimensionMismatch, EmptyList
 from conedual.functionals import _margin
-from conedual.oracles import minkowski_by_scaling_scan
+from conedual.oracles import minkowski_by_scaling_scan, order_holds
 
 F = Fraction
 
@@ -38,20 +37,6 @@ def _rand_linfun(rng, dim, inf_chance=0):
         else:
             entries.append(ExtReal(rng.randint(0, 6), rng.randint(1, 3)))
     return LinFun(entries)
-
-
-def _dominates_on_grid(f, phi):
-    """Sample f <= phi over the grid of quarters on the box [0, 3]^dim.
-
-    Used to validate the LP reformulation of pointwise domination.  By
-    homogeneity a grid on a box is as good as one on the simplex.
-    """
-    axis = [ExtReal(k, 4) for k in range(3 * 4 + 1)]
-    for point in product(axis, repeat=f.dim):
-        y = ExtVec(point)
-        if not f.eval(y) <= phi.eval(y):
-            return False
-    return True
 
 
 def _rand_point(rng, dim, inf_chance=8):
@@ -133,7 +118,9 @@ def test_minkowski_scaling_scan():
         if value.is_finite and not value.is_zero:
             v = value.as_fraction()
             probes += [ExtReal(v / 2), value, ExtReal(2 * v)]
-        assert minkowski_by_scaling_scan(rep, y, probes)
+        assert minkowski_by_scaling_scan(rep, y, value, probes)
+    # a wrong claimed value is caught by some probe
+    assert not minkowski_by_scaling_scan(rep, ExtVec([2, 3]), ExtReal(2), [ExtReal(3)])
 
 
 def test_open_set_membership_is_union_of_blocks():
@@ -161,24 +148,55 @@ def test_dominated_by_max_examples():
     assert dominated_by_max(LinFun([5, 3]), SublinFun([[INF, 0], [0, INF]])) == (True, (F(1), F(0)))
 
 
-def test_dominated_by_max_agrees_with_grid_oracle():
+def _branch_coords(phi):
+    """R, the coordinates where every branch of phi is finite."""
+    return [j for j in range(phi.dim) if all(h.coeffs[j].is_finite for h in phi.branches)]
+
+
+def test_dominated_by_max_agrees_with_the_exact_order_oracle():
     rng = random.Random(23)
-    for _ in range(60):
+    for _ in range(300):
         dim = rng.randint(1, 3)
-        f = _rand_linfun(rng, dim)
-        phi = SublinFun([_rand_linfun(rng, dim) for _ in range(rng.randint(1, 3))])
+        f = _rand_linfun(rng, dim, inf_chance=6)
+        phi = SublinFun([_rand_linfun(rng, dim, inf_chance=6) for _ in range(rng.randint(1, 3))])
         ok, cert = dominated_by_max(f, phi)
-        assert ok == _dominates_on_grid(f, phi)
+        assert ok == order_holds([f.coeffs], [h.coeffs for h in phi.branches])
         if ok:
-            # the certificate really is a simplex combination sitting above f
+            # the certificate is a simplex combination sitting above f on R
             assert sum(cert) == 1 and all(v >= 0 for v in cert)
-            fc = tuple(e.as_fraction() for e in f.coeffs)
-            branches = [tuple(e.as_fraction() for e in h.coeffs) for h in phi.branches]
-            for j in range(dim):
-                assert sum(l * b[j] for l, b in zip(cert, branches)) >= fc[j]
+            for j in _branch_coords(phi):
+                mix = sum(l * h.coeffs[j].as_fraction() for l, h in zip(cert, phi.branches))
+                assert f.coeffs[j] <= ExtReal(mix)
         else:
             # a refuting point
             assert phi.eval(cert) < f.eval(cert)
+
+
+def test_leq_functional_on_a_clause_agrees_with_the_exact_order_oracle():
+    rng = random.Random(31)
+    for _ in range(300):
+        dim = rng.randint(1, 3)
+        clause = [_rand_linfun(rng, dim, inf_chance=6) for _ in range(rng.randint(1, 3))]
+        branches = [_rand_linfun(rng, dim, inf_chance=6) for _ in range(rng.randint(1, 3))]
+        phi, psi = SuperlinFun(clause), SublinFun(branches)
+        ok, wit = leq_functional(phi, psi)
+        assert ok == order_holds([g.coeffs for g in clause], [h.coeffs for h in branches])
+        if not ok:
+            assert psi.eval(wit) < phi.eval(wit)
+
+
+def test_order_oracle_edge_cases():
+    # every branch is infinite somewhere: max_k h_k is inf off the origin
+    assert order_holds([[5, 3]], [[INF, 0], [0, INF]])
+    # f is infinite on R = {0, 1}, so it exceeds phi inside the simplex
+    assert not order_holds([[INF, 0]], [[2, 0]])
+    # the member infinite on R drops out, and (1, 1) <= (2, 2) decides it
+    assert order_holds([[INF, 0], [1, 1]], [[2, 2]])
+    assert not order_holds([[2, 1]], [[2, 0], [0, 2]])
+    with pytest.raises(ValueError):
+        order_holds([], [[1]])
+    with pytest.raises(ValueError):
+        order_holds([[1, 2]], [[1]])
 
 
 def test_specialization_order_examples():
@@ -235,8 +253,8 @@ def test_leq_functional_examples():
     assert ok and wit is None
     ok, wit = leq_functional(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
     assert ok
-    # the exact verdict agrees with a dense grid scan
-    assert _dominates_on_grid(SuperlinFun([[2, 0], [0, 2]]), LinFun([1, 1]))
+    # the exact verdict agrees with the matrix-game oracle
+    assert order_holds([[2, 0], [0, 2]], [[1, 1]])
     ok, wit = leq_functional(LinFun([1, 1]), SuperlinFun([[2, 0], [0, 2]]))
     assert not ok
     assert ONE < LinFun([1, 1]).eval(wit) or not SuperlinFun([[2, 0], [0, 2]]).eval(wit) >= LinFun([1, 1]).eval(wit)

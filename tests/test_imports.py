@@ -97,14 +97,24 @@ CHECKS = {"require", "simplex", "in_corner", "combination_point", "verify_separa
 
 
 def _package_imports(source):
-    """The package modules a module imports from, as relative import stems."""
+    """The package modules a module imports from, anywhere in it, function
+    bodies included, as stems: ``from .lp``, ``from . import lp``,
+    ``from conedual.lp``, ``from conedual import lp`` and ``import
+    conedual.lp`` all give ``lp``."""
     found = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.ImportFrom) and node.level:
-            if node.module:
-                found.add(node.module.split(".")[0])
+        if isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if not node.level:
+                if module.split(".")[0] != "conedual":
+                    continue
+                module = module.partition(".")[2]
+            if module:
+                found.add(module.split(".")[0])
             else:
                 found |= {a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[1] for a in node.names if a.name.startswith("conedual.")}
     return found
 
 
@@ -130,12 +140,31 @@ def test_the_checks_find_package_imports_and_raised_assertions():
     assert _package_imports(source) == {"lp", "extreal"}
     assert _raises_assertion(source)
     assert not _raises_assertion("raise ValueError('x')\nassert False\n")
+    nested = (
+        "import conedual.interpolate, os.path\n"
+        "from conedual import convex_sep\n"
+        "def f(rep, y):\n"
+        "    from .functionals import minkowski\n"
+        "    from conedual.finspace import FinitePoset\n"
+        "    return minkowski(rep, y)\n"
+    )
+    assert _package_imports(nested) == {"interpolate", "convex_sep", "functionals", "finspace"}
 
 
 def test_certify_imports_nothing_from_the_package_but_extreal():
     source = (PACKAGE / "certify.py").read_text(encoding="utf-8")
     assert _package_imports(source) == CHECKER_DEPS
     assert _raises_assertion(source)
+
+
+# The oracles decide what lp, convex_sep, functionals and interpolate decide,
+# by other means, so they read nothing of those modules.
+ORACLE_DEPS = {"extreal"}
+
+
+def test_oracles_import_nothing_from_the_package_but_extreal():
+    source = (PACKAGE / "oracles.py").read_text(encoding="utf-8")
+    assert _package_imports(source) == ORACLE_DEPS
 
 
 @pytest.mark.parametrize(

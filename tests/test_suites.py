@@ -26,7 +26,7 @@ FAILING = {
                       "instance 24: constructed hypothesis rejected", 400, 400),
     "minkowski": ("minkowski", lambda rep, y: ZERO,
                   "family 0: block closed form differs at (1)",
-                  "family 0: block closed form differs at (1/2)", 7892, 61073),
+                  "family 0: block closed form differs at (1/2)", 8383, 61073),
     "schroeder-simpson": ("recover_function", _wrong_recovery,
                           "poset 1/0 vector 0: wrong recovery",
                           "poset 1/0 vector 24: wrong recovery", 4350, 13254),

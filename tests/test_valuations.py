@@ -544,7 +544,9 @@ def test_a_bool_is_not_a_weight_a_value_or_a_grid_denominator():
     for bad in (lambda: SimpleValuation(single, [True]),
                 lambda: DualFunctional([False]),
                 lambda: ValuationOnOpens(single, {0: False, 1: True}),
-                lambda: check_dominated_directed(DualFunctional([1]), single, True, 1)):
+                lambda: check_dominated_directed(DualFunctional([1]), single, True, 1),
+                lambda: check_dominated_directed(DualFunctional([1]), single, 1, True),
+                lambda: check_dominated_directed(DualFunctional([1]), single, 1, 1.5)):
         with pytest.raises(TypeError):
             bad()
     assert check_dominated_directed(DualFunctional([1]), single, 1, 1) == (True, None)
