@@ -19,7 +19,7 @@ from ._record import Record
 from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
 from .extreal import as_extvec
-from .lp import Constraint, EQ, LEQ, LPInfeasible, LPOptimal, LPProblem, solve_lp
+from .lp import LPInfeasible, LPProblem, solve_lp
 
 
 class SeparationWeights(Record):
@@ -152,11 +152,11 @@ def _separation_lp(gens, dim, fin, inf_coords):
     ranked = sorted(range(len(gens)), key=lambda j: sum(rows[j]) * (common // dens[j]), reverse=True)
     subset = sorted(ranked[:k])
     grow = max(1, k // 2)
-    simplex_row = Constraint((1,) * k, EQ, 1)
+    simplex_row = (1,) * (k + 1)
     while True:
         constraints = [simplex_row]
-        constraints += [Constraint(rows[j], LEQ, dens[j]) for j in subset]
-        res = solve_lp(LPProblem(k, constraints, (0,) * k))
+        constraints += [rows[j] + (dens[j],) for j in subset]
+        res = solve_lp(LPProblem(k, constraints, (0,) * k, equalities=1))
 
         if isinstance(res, LPInfeasible):
             # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
@@ -167,7 +167,6 @@ def _separation_lp(gens, dim, fin, inf_coords):
                 w[j] = -v * dens[j]
             return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, w))
 
-        assert isinstance(res, LPOptimal)
         inside = set(subset)
         outside = [j for j in range(len(gens)) if j not in inside]
         violated = _violated(rows, dens, outside, res.xn, res.d)

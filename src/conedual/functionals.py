@@ -18,7 +18,7 @@ from operator import le, mul
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
 from .extreal import ONE, ZERO, ExtReal, ExtVec, _extreme_pairing, _reduced, _weighted_sum, as_extvec
-from .lp import Constraint, GEQ, LEQ, LPProblem, solve_lp
+from .lp import LPProblem, solve_lp
 
 
 class LinFun:
@@ -150,14 +150,14 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
 def _margin(gvecs, hvecs):
     """One LP deciding min_i g_i <= max_k h_k on the orthant (finite entries).
 
-    Maximise t >= 0 with sum_j y_j <= 1 and (g_i - h_k) . y >= t for every
-    pair, a row of ints times L, the lcm of the two denominators.  The
-    origin is feasible, so every row starts with its slack basic and the
+    Maximise t >= 0 with sum_j y_j <= 1 and L (h_k - g_i) . y + L t <= 0
+    for every pair, a row of ints with L the lcm of the two denominators.
+    The origin is feasible, so every row starts with its slack basic and the
     solver runs no phase 1.  As the rows are homogeneous, the optimum is
     max(0, t*) for the largest margin t* over the simplex: it is positive,
     at a point with sum_j y_j = 1, exactly when the order fails.  Returns
     the value, y, and simplex weights a_i = sum_k mu_ik, lambda_k =
-    sum_i mu_ik from mu = -L * dual of the pair rows divided by its sum,
+    sum_i mu_ik from mu = L * dual of the pair rows divided by its sum,
     which is at least 1.  On a zero value the dual of the sum row is zero,
     so sum_i a_i g_i <= sum_k lambda_k h_k coordinatewise.
     """
@@ -166,19 +166,18 @@ def _margin(gvecs, hvecs):
     dim = len(gforms[0][0])
     k = len(hforms)
     # variables: y_0 .. y_{dim-1}, then the margin t
-    constraints = [Constraint((1,) * dim + (0,), LEQ, 1)]
+    constraints = [(1,) * dim + (0, 1)]
     scales = []
     for gn, gd, _, _ in gforms:
         for hn, hd, _, _ in hforms:
             L = lcm(gd, hd)
             gs, hs = L // gd, L // hd
-            row = tuple(g * gs - h * hs for g, h in zip(gn, hn)) + (-L,)
-            constraints.append(Constraint(row, GEQ, 0))
+            constraints.append(tuple(h * hs - g * gs for g, h in zip(gn, hn)) + (L, 0))
             scales.append(L)
     objective = (0,) * dim + (1,)
-    res = solve_lp(LPProblem(dim + 1, constraints, objective))
+    res = solve_lp(LPProblem(dim + 1, constraints, objective, equalities=0))
     # mu over the dual's denominator, which the division by sum mu cancels
-    mu = [-L * v for L, v in zip(scales, res.yn[1:])]
+    mu = [L * v for L, v in zip(scales, res.yn[1:])]
     total = sum(mu)
     a = tuple(Fraction(sum(mu[i * k:(i + 1) * k]), total) for i in range(len(gforms)))
     lam = tuple(Fraction(sum(mu[kk::k]), total) for kk in range(k))

@@ -4,6 +4,10 @@
 ``ExtVec`` integer forms and maximise.  This module is private to them;
 ``solve_lp`` is its one entry.
 
+Each row is one int tuple ``(a_1, ..., a_n, b)`` with ``b >= 0``: the first
+``equalities`` rows read ``a . x = b`` and the rest ``a . x <= b``.  A row's
+relation is read from its index, so no other relation can be written.
+
 A dense two-phase simplex using Bland's smallest-index rule, so every run
 terminates and is fully deterministic.  All variables are implicitly
 nonnegative; callers encode a free variable as a difference of two
@@ -12,10 +16,9 @@ nonnegative ones.
 The tableau holds Python integers over one common denominator ``D``, and
 every pivot is integer-preserving (Edmonds 1967, Bareiss 1968): ``D`` is
 the determinant of the current basis, every division is exact, and no gcd
-runs inside the simplex loop.  A ``<=`` row with a nonnegative right-hand
-side, or a ``>=`` row with a nonpositive one after negation, starts with
-its slack in the basis, so phase 1 adds artificials only to the other
-rows.
+runs inside the simplex loop.  As ``b >= 0``, a ``<=`` row starts with its
+slack in the basis, so phase 1 adds artificials only to the ``=`` rows
+(Chvatal 1983, ch. 8).
 
 The tableau is condensed (Tucker): it stores only the nonbasic columns,
 each labelled with its variable, beside the variable of each row, as a
@@ -33,8 +36,7 @@ carries evidence that is checked without trusting the solver:
 
 * ``LPOptimal``     a feasible point and an optimal dual, one multiplier
                     per row, read off the phase-2 reduced costs: ``y >= 0``
-                    on ``<=`` rows, ``<= 0`` on ``>=`` rows, ``A^T y >= c``
-                    and ``b . y == c . x``,
+                    on ``<=`` rows, ``A^T y >= c`` and ``b . y == c . x``,
 * ``LPInfeasible``  Farkas multipliers, one per row, that combine the rows
                     into ``(something <= 0) > 0`` on the nonnegative
                     orthant, read off the phase-1 reduced costs.
@@ -56,34 +58,21 @@ from operator import mul
 from .certify import require
 from .extreal import _fold
 
-LEQ = "<="
-GEQ = ">="
-EQ = "=="
-
 _ZERO = Fraction(0)
 
 
-class Constraint:
-    """The row ``coeffs . x  rel  rhs``, every entry an ``int``."""
-
-    __slots__ = ("coeffs", "rel", "rhs")
-
-    def __init__(self, coeffs, rel, rhs):
-        self.coeffs = coeffs
-        self.rel = rel
-        self.rhs = rhs
-
-
 class LPProblem:
-    """Maximise ``objective . x`` over ``x >= 0`` subject to ``constraints``;
-    the objective is ``n_vars`` ints."""
+    """Maximise ``objective . x``, ``n_vars`` ints, over ``x >= 0`` subject to
+    ``constraints``: rows ``(a_1, ..., a_n, b)`` of ints with ``b >= 0``, the
+    first ``equalities`` of them ``a . x = b`` and the rest ``a . x <= b``."""
 
-    __slots__ = ("n_vars", "constraints", "objective")
+    __slots__ = ("n_vars", "constraints", "objective", "equalities")
 
-    def __init__(self, n_vars, constraints, objective):
+    def __init__(self, n_vars, constraints, objective, equalities):
         self.n_vars = n_vars
         self.constraints = constraints
         self.objective = objective
+        self.equalities = equalities
 
 
 def _fractions(nums, den):
@@ -159,10 +148,12 @@ def _iterate(T, basis, D, m, limit):
 
     Of the columns with a negative reduced cost, the one whose variable is
     smallest enters, and only variables below ``limit`` may enter; a basic
-    variable has reduced cost zero.  Returns the final denominator and None
-    at optimality, or the entering column when the problem is unbounded
-    along it.  Ratios are compared by cross-multiplying, as every candidate
-    pivot entry is positive.
+    variable has reduced cost zero.  Returns the final denominator at
+    optimality.  An entering column with no positive entry would make the
+    problem unbounded, an internal error: phase 1's objective is bounded
+    below by zero, and neither caller builds an unbounded LP.  Ratios are
+    compared by cross-multiplying, as every candidate pivot entry is
+    positive.
     """
     while True:
         cost = T[m]
@@ -172,7 +163,7 @@ def _iterate(T, basis, D, m, limit):
             if d < 0 and j < least:
                 pc, least = c, j
         if pc is None:
-            return D, None
+            return D
         pr = None
         for i in range(m):
             t = T[i][pc]
@@ -184,8 +175,7 @@ def _iterate(T, basis, D, m, limit):
                 right = T[pr][-1] * t
                 if left < right or (left == right and basis[i] < basis[pr]):
                     pr = i
-        if pr is None:
-            return D, pc
+        require(pr is not None, "the package's LPs cannot be unbounded")
         D = _pivot(T, basis, D, pr, pc)
 
 
@@ -202,61 +192,31 @@ def solve_lp(problem: LPProblem):
     that ``_verify`` accepted.  An unbounded problem is an internal error:
     the package builds none."""
     n = problem.n_vars
-    cons = problem.constraints
-    m = len(cons)
-    width = n + sum(1 for c in cons if c.rel != EQ)
+    T = [list(row) for row in problem.constraints]
+    m = len(T)
+    e = problem.equalities
+    width = n + m - e
 
-    # Row i of the tableau is constraint i times signs[i] = +-1, so that its
-    # right-hand side is nonnegative; its slack gets the entry +-1, which
-    # rescales the slack without changing any ratio or cost sign.  A row
-    # whose slack enters as +1 starts with the slack basic; every other row
-    # gets an artificial, variable width + a for the a-th such row, and its
-    # slack, if any, a column.
-    signs = []
-    basis = []
-    slacks = []
-    art_rows = []
-    s = n
-    for i, c in enumerate(cons):
-        sign = -1 if c.rhs < 0 or (c.rel == GEQ and c.rhs == 0) else 1
-        signs.append(sign)
-        if c.rel != EQ:
-            unit = sign if c.rel == LEQ else -sign
-            s += 1
-            if unit > 0:
-                basis.append(s - 1)
-                continue
-            slacks.append((i, unit, s - 1))
-        basis.append(width + len(art_rows))
-        art_rows.append(i)
-    k = len(art_rows)
-    pad = [0] * len(slacks)
-    T = []
-    for c, sign in zip(cons, signs):
-        row = list(c.coeffs) + pad + [c.rhs]
-        T.append(row if sign > 0 else [-v for v in row])
-    for col, (i, unit, _) in enumerate(slacks, start=n):
-        T[i][col] = unit
-    basis += range(n)
-    basis += [label for _, _, label in slacks]
+    # Row i < e gets the artificial width + i, and row i >= e starts with its
+    # slack, variable n + i - e, basic; only the n variables have columns.
+    basis = [*range(width, width + e), *range(n, width), *range(n)]
     start = basis[:m]
 
     # Phase 1: minimise the sum of the artificials; they never re-enter, and
     # an artificial gets a column only once it leaves the basis.
-    cost = [0] * (n + len(slacks) + 1)
-    for i in art_rows:
-        cost = [d - v for d, v in zip(cost, T[i])]
+    cost = [0] * (n + 1)
+    for row in T[:e]:
+        cost = [d - v for d, v in zip(cost, row)]
     T.append(cost)
 
-    D, status = _iterate(T, basis, 1, m, limit=width)
-    require(status is None, "phase 1 cannot be unbounded")
+    D = _iterate(T, basis, 1, m, limit=width)
 
     cost = T.pop()
     if cost[-1] < 0:
         # The simplex multipliers of the artificial objective prove
         # infeasibility: y_i = c_j - d_j for the variable j row i started with.
         d = _reduced(cost, basis, m)
-        zn = [signs[i] * ((D if start[i] >= width else 0) - d[start[i]]) for i in range(m)]
+        zn = [(D if j >= width else 0) - d[j] for j in start]
         return _checked(problem, LPInfeasible(zn, D))
 
     # Drive leftover artificials out of the basis, each on the column of the
@@ -275,7 +235,7 @@ def solve_lp(problem: LPProblem):
 
     # Phase 2 minimises -c . x.
     cnums = problem.objective
-    cmin = [-v for v in cnums] + [0] * (width + k - n)
+    cmin = [-v for v in cnums] + [0] * (width + e - n)
     cost = [D * cmin[j] for j in basis[m:]] + [0]
     for b, row in zip(basis[:m], T):
         cb = cmin[b]
@@ -283,16 +243,15 @@ def solve_lp(problem: LPProblem):
             cost = [d - cb * v for d, v in zip(cost, row)]
     T.append(cost)
 
-    D, status = _iterate(T, basis, D, m, limit=width)
-    require(status is None, "the package's LPs cannot be unbounded")
+    D = _iterate(T, basis, D, m, limit=width)
     xn = [0] * n
     for i, b in enumerate(basis[:m]):
         if b < n:
             xn[b] = T[i][-1]
     # phase 2 minimised -c . x, so the dual of the maximum is y_i = d_j / D
-    # for the variable j row i started with, times the row's sign
+    # for the variable j row i started with
     d = _reduced(T[m], basis, m)
-    yn = [signs[i] * d[start[i]] for i in range(m)]
+    yn = [d[j] for j in start]
     return _checked(problem, LPOptimal(xn, sum(map(mul, cnums, xn)), yn, D))
 
 
@@ -305,43 +264,31 @@ def _checked(problem, result):
 def _verify(problem, result):
     """True when ``result``'s integer form answers ``problem`` exactly."""
     n = problem.n_vars
-    cons = problem.constraints
-    rows = [c.coeffs + (c.rhs,) for c in cons]
+    rows = problem.constraints
+    e = problem.equalities
 
     if type(result) is LPOptimal:
         xn, vn, yn, d = result.xn, result.vn, result.yn, result.d
-        if d <= 0 or len(xn) != n or any(v < 0 for v in xn) or len(yn) != len(cons):
+        if d <= 0 or len(xn) != n or any(v < 0 for v in xn) or len(yn) != len(rows):
             return False
-        for row, c in zip(rows, cons):
+        for i, row in enumerate(rows):
             lhs = sum(map(mul, row, xn))
             rhs = row[n] * d
-            if c.rel == LEQ and not lhs <= rhs:
-                return False
-            if c.rel == GEQ and not lhs >= rhs:
-                return False
-            if c.rel == EQ and lhs != rhs:
+            if lhs > rhs or (i < e and lhs != rhs):
                 return False
         cnums = problem.objective
         if sum(map(mul, cnums, xn)) != vn:
             return False
         # Optimality: a dual y with the signs of the dual LP, A^T y >= c,
         # and b . y equal to the primal value; both are over d.
-        for v, c in zip(yn, cons):
-            if c.rel == LEQ and v < 0:
-                return False
-            if c.rel == GEQ and v > 0:
-                return False
+        if any(v < 0 for v in yn[e:]):
+            return False
         combined, _ = _fold([(v, 1, row) for v, row in zip(yn, rows)], d, n + 1)
         return all(a >= cj * d for a, cj in zip(combined, cnums)) and combined[n] == vn
 
     zn = result.zn
-    if result.d <= 0 or len(zn) != len(cons):
+    if result.d <= 0 or len(zn) != len(rows) or any(v > 0 for v in zn[e:]):
         return False
-    for v, c in zip(zn, cons):
-        if c.rel == LEQ and v > 0:
-            return False
-        if c.rel == GEQ and v < 0:
-            return False
     combined, _ = _fold([(v, 1, row) for v, row in zip(zn, rows)], result.d, n + 1)
     # On x >= 0 the combination forces (<= 0) > 0, a contradiction.
     return all(v <= 0 for v in combined[:n]) and combined[n] > 0

@@ -335,7 +335,7 @@ def test_margin_scales_a_larger_dual_onto_the_simplex(monkeypatch):
     from conedual import functionals, lp
 
     def solve(problem):
-        res = lp.LPOptimal([0, 0], 0, [0, -1, -1], 1)
+        res = lp.LPOptimal([0, 0], 0, [0, 1, 1], 1)
         assert lp._verify(problem, res)
         return res
 

@@ -1,8 +1,10 @@
 """The package's LP engine, on the integer rows that ``separate`` and the
-margin LP build: seeded cross-checks against vertex enumeration, a
-``Fraction`` reference solver, a ``Fraction`` recheck of every answer and
-the full tableau, and the fields the traced benchmark reads."""
+margin LP build, ``(a_1, ..., a_n, b)`` with ``b >= 0``, equalities first:
+seeded cross-checks against vertex enumeration, a ``Fraction`` reference
+solver, a ``Fraction`` recheck of every answer and the full tableau, the
+fields the traced benchmark reads, and both callers' answers, pinned."""
 
+import hashlib
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -12,7 +14,7 @@ import pytest
 
 from conedual import convex_sep, functionals, lp
 from conedual.extreal import INF, ExtReal, ExtVec
-from conedual.lp import Constraint, LPInfeasible, LPOptimal, LPProblem, solve_lp
+from conedual.lp import LPInfeasible, LPOptimal, LPProblem, solve_lp
 
 F = Fraction
 
@@ -23,15 +25,20 @@ def _ints(values):
     return tuple(int(v * den) for v in values)
 
 
-def row(coeffs, rel, rhs):
-    """The row ``coeffs . x  rel  rhs`` with its denominators cleared."""
-    ints = _ints(tuple(coeffs) + (rhs,))
-    return Constraint(ints[:-1], rel, ints[-1])
-
-
 def problem(n, rows, objective):
-    """Maximise ``objective``, its denominators cleared, subject to ``rows``."""
-    return LPProblem(n, list(rows), _ints(objective))
+    """Maximise ``objective``, its denominators cleared, subject to ``rows``,
+    each ``(coeffs, rel, rhs)`` with ``rel`` ``"=="`` or ``"<="``: the rows
+    with their denominators cleared, the equalities first and each part in
+    its drawn order."""
+    eqs = [_ints(tuple(c) + (rhs,)) for c, rel, rhs in rows if rel == "=="]
+    leqs = [_ints(tuple(c) + (rhs,)) for c, rel, rhs in rows if rel == "<="]
+    return LPProblem(n, eqs + leqs, _ints(objective), len(eqs))
+
+
+def _relations(problem):
+    """Each row's relation, read from its index as the solver reads it."""
+    e = problem.equalities
+    return ["==" if i < e else "<=" for i in range(len(problem.constraints))]
 
 
 def _dual(res):
@@ -95,13 +102,9 @@ def _gauss_solve(M, rhs):
 def _satisfies(problem, x):
     if any(v < 0 for v in x):
         return False
-    for c in problem.constraints:
-        lhs = sum(a * v for a, v in zip(c.coeffs, x))
-        if c.rel == "<=" and lhs > c.rhs:
-            return False
-        if c.rel == ">=" and lhs < c.rhs:
-            return False
-        if c.rel == "==" and lhs != c.rhs:
+    for row, rel in zip(problem.constraints, _relations(problem)):
+        lhs = sum(a * v for a, v in zip(row, x))
+        if lhs > row[-1] or (rel == "==" and lhs != row[-1]):
             return False
     return True
 
@@ -113,7 +116,7 @@ def feasible_vertices(problem):
     nonempty exactly when some candidate vertex is feasible.
     """
     n = problem.n_vars
-    planes = [(tuple(c.coeffs), c.rhs) for c in problem.constraints]
+    planes = [(row[:n], row[n]) for row in problem.constraints]
     for j in range(n):
         axis = [0] * n
         axis[j] = 1
@@ -129,23 +132,22 @@ def feasible_vertices(problem):
 
 
 def test_unique_feasible_point():
-    prob = LPProblem(2, [Constraint((1, 1), "==", 1), Constraint((2, 0), "<=", 1),
-                         Constraint((0, 2), "<=", 1)], (0, 0))
+    prob = LPProblem(2, [(1, 1, 1), (2, 0, 1), (0, 2, 1)], (0, 0), 1)
     # a zero objective has the zero dual
     assert _as_fractions(solve_lp(prob)) == ("optimal", (F(1, 2), F(1, 2)), 0, (0, 0, 0))
 
 
 def test_contradictory_constraints_are_infeasible():
-    prob = LPProblem(1, [Constraint((1,), "==", 1), Constraint((1,), "<=", 0)], (0,))
+    prob = LPProblem(1, [(1, 1), (1, 0)], (0,), 1)
     res = solve_lp(prob)
     assert isinstance(res, LPInfeasible)
     assert lp._verify(prob, res)
 
 
 @pytest.mark.parametrize("prob", [
-    LPProblem(1, [Constraint((1,), ">=", 0)], (1,)),
+    LPProblem(1, [(-1, 0)], (1,), 0),
     # x - y == 1 pins x to y, so the improving ray moves a basic column too
-    LPProblem(2, [Constraint((1, -1), "==", 1)], (1, 1)),
+    LPProblem(2, [(1, -1, 1)], (1, 1), 1),
 ], ids=["a-nonbasic-column", "through-a-basic-column"])
 def test_an_unbounded_problem_is_an_internal_error(prob):
     # neither of the package's LPs can be unbounded
@@ -155,20 +157,25 @@ def test_an_unbounded_problem_is_an_internal_error(prob):
 
 def test_optimum_value():
     # maximize x + 2y on the simplex: the best vertex is (0, 1)
-    res = solve_lp(LPProblem(2, [Constraint((1, 1), "==", 1)], (1, 2)))
+    res = solve_lp(LPProblem(2, [(1, 1, 1)], (1, 2), 1))
     assert isinstance(res, LPOptimal)
     assert res.value == 2
 
 
-def test_negative_rhs_rows():
-    # -x <= -2 is x >= 2; maximize -x
-    res = solve_lp(LPProblem(1, [Constraint((-1,), "<=", -2)], (-1,)))
-    assert _as_fractions(res) == ("optimal", (2,), -2, (1,))
+@pytest.mark.parametrize("prob", [
+    # -x <= -2, x >= 2, starts with its slack basic at -2, which no pivot repairs
+    LPProblem(1, [(-1, -2)], (-1,), 0),
+    # x == -1 has no solution in x >= 0, but phase 1 reaches x = -1
+    LPProblem(1, [(1, -1)], (0,), 1),
+], ids=["leq-row", "equality-row"])
+def test_a_negative_right_hand_side_fails_verification(prob):
+    # each row's b must be nonnegative; the checker catches the wrong answer
+    with pytest.raises(AssertionError, match="solver output failed verification"):
+        solve_lp(prob)
 
 
 def test_redundant_equalities_are_dropped():
-    prob = LPProblem(2, [Constraint((1, 1), "==", 1), Constraint((2, 2), "==", 2),
-                         Constraint((3, 0), "<=", 1)], (1, 0))
+    prob = LPProblem(2, [(1, 1, 1), (2, 2, 2), (3, 0, 1)], (1, 0), 2)
     res = solve_lp(prob)
     assert isinstance(res, LPOptimal)
     assert res.value == F(1, 3)
@@ -177,7 +184,7 @@ def test_redundant_equalities_are_dropped():
 def _tampered_cases():
     """(id, problem, answer, accepted) for the checker: solver answers, and
     certificates that a nudge made invalid."""
-    prob = LPProblem(1, [Constraint((1,), "==", 1), Constraint((1,), "<=", 0)], (0,))
+    prob = LPProblem(1, [(1, 1), (1, 0)], (0,), 1)
     res = solve_lp(prob)
     cases = [
         ("farkas-from-the-solver", prob, res, True),
@@ -185,18 +192,23 @@ def _tampered_cases():
         # the solver's numerators over a negative denominator: the negated multipliers
         ("farkas-over-a-negative-denominator", prob, LPInfeasible(res.zn, -res.d), False),
         # a point that breaks x == 1
-        ("point-off-an-equality", LPProblem(1, [Constraint((1,), "==", 1)], (0,)),
+        ("point-off-an-equality", LPProblem(1, [(1, 1)], (0,), 1),
          _optimal((F(1, 2),), 0, (0,)), False),
+        # max -x - y on x + y == 1 needs the multiplier -1, which the same
+        # row read as x + y <= 1 may not take: the index decides the relation
+        ("negative-multiplier-on-an-equality", LPProblem(2, [(1, 1, 1)], (-1, -1), 1),
+         _optimal((1, 0), -1, (-1,)), True),
+        ("the-same-multiplier-on-a-leq-row", LPProblem(2, [(1, 1, 1)], (-1, -1), 0),
+         _optimal((1, 0), -1, (-1,)), False),
     ]
-    # max x + 2y on x + y <= 1, 2x <= 1, y >= 0: optimum (0, 1) with dual (2, 0, 0)
-    prob = LPProblem(2, [Constraint((1, 1), "<=", 1), Constraint((2, 0), "<=", 1),
-                         Constraint((0, 1), ">=", 0)], (1, 2))
+    # max x + 2y on x + y <= 1, 2x <= 1, -y <= 0: optimum (0, 1) with dual (2, 0, 0)
+    prob = LPProblem(2, [(1, 1, 1), (2, 0, 1), (0, -1, 0)], (1, 2), 0)
     for name, point, value, dual, accepted in (
         ("optimum-with-its-dual", (0, 1), 2, (2, 0, 0), True),
         ("one-multiplier-short", (0, 1), 2, (2, 0), False),
-        # wrongly signed: a <= row needs y >= 0, a >= row y <= 0
+        # wrongly signed: a <= row needs y >= 0, also where b is zero
         ("negative-multiplier-on-a-leq-row", (0, 1), 2, (3, -1, 0), False),
-        ("positive-multiplier-on-a-geq-row", (0, 1), 2, (2, 0, 1), False),
+        ("negative-multiplier-on-a-zero-rhs-row", (0, 1), 2, (2, 0, -1), False),
         # infeasible: A^T y >= c fails on the y column, although b . y == 2
         ("dual-infeasible", (0, 1), 2, (1, 1, 0), False),
         # feasible but not optimal: b . y = 3 is only an upper bound
@@ -206,10 +218,10 @@ def _tampered_cases():
         ("suboptimal-point", (F(1, 2), F(1, 2)), F(3, 2), (2, 0, 0), False),
     ):
         cases.append((name, prob, _optimal(point, value, dual), accepted))
-    # x = -1 on x >= 1, whose numerator passes every row over the negative denominator
+    # x = -1 on -x <= 0, whose numerator passes the row and x >= 0 over the
+    # negative denominator
     cases.append(("point-over-a-negative-denominator",
-                  LPProblem(1, [Constraint((-1,), "<=", -1)], (0,)), LPOptimal([1], 0, [0], -1),
-                  False))
+                  LPProblem(1, [(-1, 0)], (0,), 0), LPOptimal([1], 0, [0], -1), False))
     return cases
 
 
@@ -224,32 +236,32 @@ def test_verifier_rejects_tampered_certificates(prob, res, accepted):
 
 def test_feasibility_agrees_with_vertex_enumeration():
     rng = random.Random(20240)
-    agree = 0
+    seen = {True: 0, False: 0}
     for _ in range(120):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
-        cons = [Constraint((1,) * n, "==", 1)]
+        cons = [((1,) * n, "==", 1)]
         for _ in range(m):
+            # an equality keeps its negative coefficients, as b >= 0 allows
             coeffs = tuple(F(rng.randint(-4, 6), rng.randint(1, 4)) for _ in range(n))
-            rel = rng.choice(("<=", ">=", "=="))
-            rhs = F(rng.randint(-2, 4), rng.randint(1, 3))
-            cons.append(row(coeffs, rel, rhs))
-        prob = LPProblem(n, cons, (0,) * n)
+            rhs = F(rng.randint(0, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
+            cons.append((coeffs, rng.choice(("<=", "==")), rhs))
+        prob = problem(n, cons, (0,) * n)
         res = solve_lp(prob)
         feasible = bool(feasible_vertices(prob))
         assert isinstance(res, LPOptimal) == feasible
-        agree += 1
-    assert agree == 120
+        seen[feasible] += 1
+    assert min(seen.values()) >= 20, seen
 
 
 def test_optimal_value_agrees_with_vertex_enumeration():
     rng = random.Random(777)
     for _ in range(60):
         n = rng.randint(1, 3)
-        cons = [Constraint((1,) * n, "==", 1)]
+        cons = [((1,) * n, "==", 1)]
         for _ in range(rng.randint(0, 3)):
             coeffs = tuple(F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n))
-            cons.append(row(coeffs, "<=", F(rng.randint(1, 4), rng.randint(1, 2))))
+            cons.append((coeffs, "<=", F(rng.randint(1, 4), rng.randint(1, 2))))
         prob = problem(n, cons, [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
         res = solve_lp(prob)
         vertices = feasible_vertices(prob)
@@ -264,8 +276,7 @@ def test_optimal_value_agrees_with_vertex_enumeration():
 
 
 def test_determinism():
-    prob = LPProblem(3, [Constraint((1, 1, 1), "==", 1), Constraint((2, 0, 1), "<=", 1),
-                         Constraint((0, 2, 1), "<=", 1)], (1, 1, 0))
+    prob = LPProblem(3, [(1, 1, 1, 1), (2, 0, 1, 1), (0, 2, 1, 1)], (1, 1, 0), 1)
     first = _as_fractions(solve_lp(prob))
     for _ in range(5):
         assert _as_fractions(solve_lp(prob)) == first
@@ -327,30 +338,20 @@ def reference_solve(problem):
     m = len(cons)
     obj = problem.objective
     obj_min = [-F(v) for v in obj]
-    n_slack = sum(1 for c in cons if c.rel != "==")
+    n_slack = m - problem.equalities
     width = n + n_slack
 
-    A0, b0, flip = [], [], []
+    A0, b0 = [], []
     s = n
-    for c in cons:
+    for c, rel in zip(cons, _relations(problem)):
         row = [F(0)] * width
-        for j, v in enumerate(c.coeffs):
+        for j, v in enumerate(c[:n]):
             row[j] = F(v)
-        if c.rel == "<=":
+        if rel == "<=":
             row[s] = F(1)
             s += 1
-        elif c.rel == ">=":
-            row[s] = F(-1)
-            s += 1
-        rhs = F(c.rhs)
-        if rhs < 0:
-            row = [-v for v in row]
-            rhs = -rhs
-            flip.append(F(-1))
-        else:
-            flip.append(F(1))
         A0.append(row)
-        b0.append(rhs)
+        b0.append(F(c[n]))
 
     T = []
     for i in range(m):
@@ -379,7 +380,7 @@ def reference_solve(problem):
                 rhs.append(F(1))
         y = _gauss_solve(M, rhs)
         assert y is not None
-        return ("infeasible", tuple(flip[i] * y[i] for i in range(m)))
+        return ("infeasible", tuple(y))
 
     drop = set()
     for i in range(m):
@@ -408,13 +409,13 @@ def reference_solve(problem):
             xstd[basis2[i]] = T2[i][-1]
         point = tuple(xstd[:n])
         # the simplex multipliers solve B^T y = c_B over the kept rows;
-        # dropped rows get zero, and the row flips and the minimisation are undone
+        # dropped rows get zero, and the minimisation is undone
         M = [[A0[i][col] for i in keep] for col in basis2]
         y = _gauss_solve(M, [cmin[col] for col in basis2]) if keep else []
         assert y is not None
         dual = [F(0)] * m
         for pos, i in enumerate(keep):
-            dual[i] = -flip[i] * y[pos]
+            dual[i] = -y[pos]
         return ("optimal", point, sum(o * p for o, p in zip(obj, point)), tuple(dual))
     ray = [F(0)] * width
     ray[status] = F(1)
@@ -428,9 +429,9 @@ def _is_improving_ray(problem, ray):
     the objective: the reference's proof of unboundedness."""
     if any(v < 0 for v in ray) or not any(ray):
         return False
-    for c in problem.constraints:
-        d = sum(a * v for a, v in zip(c.coeffs, ray))
-        if (c.rel == "<=" and d > 0) or (c.rel == ">=" and d < 0) or (c.rel == "==" and d != 0):
+    for c, rel in zip(problem.constraints, _relations(problem)):
+        d = sum(a * v for a, v in zip(c, ray))
+        if d > 0 or (rel == "==" and d != 0):
             return False
     return sum(o * v for o, v in zip(problem.objective, ray)) > 0
 
@@ -457,7 +458,8 @@ def _assert_agrees(prob):
 
 def _random_lp(rng):
     """A small LP from ``Fraction`` rows, each entered with its denominators
-    cleared; a drawn ``min`` maximises the negated objective."""
+    cleared, every right-hand side nonnegative and the equalities first; a
+    drawn ``min`` maximises the negated objective."""
     n = rng.randint(1, 4)
     small = (-3, -2, -1, 0, 0, 0, 1, 1, 2, 3)
 
@@ -467,16 +469,17 @@ def _random_lp(rng):
     cons = []
     for _ in range(rng.randint(1, 5)):
         coeffs = tuple(entry() for _ in range(n))
-        rel = rng.choice(("<=", "<=", ">=", ">=", "=="))
-        rhs = F(rng.randint(-3, 4), rng.choice((1, 1, 2)))
+        rel = rng.choice(("<=", "<=", "<=", "<=", "=="))
+        rhs = F(rng.randint(0, 4), rng.choice((1, 1, 2)))
         if rng.random() < 0.3:
             rhs = F(0)
         cons.append((coeffs, rel, rhs))
     if rng.random() < 0.3:
-        # a redundant equality: a nonzero multiple of another equality row
+        # a redundant equality: a nonzero multiple of another row, read as an
+        # equality, negative where its right-hand side is zero
         base = rng.choice(cons)
         base = (base[0], "==", base[2])
-        factor = F(rng.choice((-2, -1, 1, 3)), rng.choice((1, 2)))
+        factor = F(rng.choice((-2, -1, 1, 3) if base[2] == 0 else (1, 3)), rng.choice((1, 2)))
         cons.append(base)
         cons.append((tuple(factor * v for v in base[0]), "==", factor * base[2]))
         rng.shuffle(cons)
@@ -486,7 +489,7 @@ def _random_lp(rng):
     obj = tuple(entry() for _ in range(n))
     if rng.choice(("max", "min")) == "min":
         obj = tuple(-v for v in obj)
-    return problem(n, [row(*c) for c in cons], obj)
+    return problem(n, cons, obj)
 
 
 def test_differential_against_reference_solver():
@@ -516,28 +519,25 @@ def test_negative_pivot_while_driving_out_artificials(monkeypatch):
     # at level zero and leaves on the entry -1.  Simplex pivots are always
     # positive, so a negative entry can only come from the drive-out.
     pivots = _spy_pivots(monkeypatch)
-    prob = LPProblem(3, [Constraint((-1, -1, 0), "==", 0), Constraint((1, 1, 1), "<=", 3),
-                         Constraint((0, 1, 2), ">=", 1)], (1, 1, 1))
+    prob = LPProblem(3, [(-1, -1, 0, 0), (1, 1, 1, 3), (0, 1, 2, 7)], (1, 1, 1), 1)
     got = _assert_agrees(prob)
     assert any(p < 0 for p in pivots)
     assert got == ("optimal", (0, 0, 3), 3, (0, 1, 0))
 
 
 def test_redundant_rows_in_both_orientations_are_dropped():
-    # The three equalities have rank one, so at least two artificials stay
-    # basic on rows that became 0 = 0; the optimum is x = 1/3, y = 2/3.
-    prob = LPProblem(2, [Constraint((1, 1), "==", 1), Constraint((-1, -1), "==", -1),
-                         Constraint((3, 3), "==", 3), Constraint((3, 0), ">=", 1)], (-1, 0))
+    # x == y, written three ways, has rank one, so at least two artificials
+    # stay basic on rows that became 0 = 0; the optimum is x = y = 1.
+    prob = LPProblem(2, [(1, -1, 0), (-1, 1, 0), (2, -2, 0), (1, 1, 2)], (1, 0), 3)
     got = _assert_agrees(prob)
-    # the redundant rows carry zero multipliers; 3x >= 1 prices the optimum
-    assert got == ("optimal", (F(1, 3), F(2, 3)), F(-1, 3), (0, 0, 0, F(-1, 3)))
+    # the redundant rows carry zero multipliers; row 0 and x + y <= 2 price the optimum
+    assert got == ("optimal", (1, 1), 1, (F(1, 2), 0, 0, F(1, 2)))
 
 
 def test_infeasible_with_slack_and_artificial_rows():
     # Row 0 needs an artificial; rows 1 and 2 start with their slacks.
     # Only a certificate using all three rows refutes the system.
-    prob = LPProblem(2, [Constraint((1, 1), "==", 2), Constraint((2, 0), "<=", 1),
-                         Constraint((0, 2), "<=", 1)], (0, 0))
+    prob = LPProblem(2, [(1, 1, 2), (2, 0, 1), (0, 2, 1)], (0, 0), 1)
     kind, cert = _assert_agrees(prob)
     assert kind == "infeasible"
     assert all(z != 0 for z in cert)
@@ -555,6 +555,7 @@ def test_infeasible_with_slack_and_artificial_rows():
 def fraction_verify(problem, result):
     n = problem.n_vars
     cons = problem.constraints
+    rels = _relations(problem)
 
     if isinstance(result, LPOptimal):
         if result.d <= 0:
@@ -562,13 +563,11 @@ def fraction_verify(problem, result):
         x = [F(v, result.d) for v in result.xn]
         if len(x) != n or any(v < 0 for v in x):
             return False
-        for c in cons:
-            lhs = sum(a * v for a, v in zip(c.coeffs, x))
-            if c.rel == "<=" and not lhs <= c.rhs:
+        for c, rel in zip(cons, rels):
+            lhs = sum(a * v for a, v in zip(c, x))
+            if rel == "<=" and not lhs <= c[n]:
                 return False
-            if c.rel == ">=" and not lhs >= c.rhs:
-                return False
-            if c.rel == "==" and lhs != c.rhs:
+            if rel == "==" and lhs != c[n]:
                 return False
         value = F(result.vn, result.d)
         if sum(o * v for o, v in zip(problem.objective, x)) != value:
@@ -576,31 +575,25 @@ def fraction_verify(problem, result):
         y = _dual(result)
         if len(y) != len(cons):
             return False
-        for yi, c in zip(y, cons):
-            if c.rel == "<=" and yi < 0:
-                return False
-            if c.rel == ">=" and yi > 0:
-                return False
+        if any(rel == "<=" and yi < 0 for yi, rel in zip(y, rels)):
+            return False
         for j, cj in enumerate(problem.objective):
-            if sum(yi * c.coeffs[j] for yi, c in zip(y, cons)) < cj:
+            if sum(yi * c[j] for yi, c in zip(y, cons)) < cj:
                 return False
-        return sum(yi * c.rhs for yi, c in zip(y, cons)) == value
+        return sum(yi * c[n] for yi, c in zip(y, cons)) == value
 
     if result.d <= 0:
         return False
     z = [F(v, result.d) for v in result.zn]
     if len(z) != len(cons):
         return False
-    for zi, c in zip(z, cons):
-        if c.rel == "<=" and zi > 0:
-            return False
-        if c.rel == ">=" and zi < 0:
-            return False
+    if any(rel == "<=" and zi > 0 for zi, rel in zip(z, rels)):
+        return False
     combined_rhs = F(0)
     combined = [F(0)] * n
     for zi, c in zip(z, cons):
-        combined_rhs += zi * c.rhs
-        for j, a in enumerate(c.coeffs):
+        combined_rhs += zi * c[n]
+        for j, a in enumerate(c[:n]):
             combined[j] += zi * a
     return all(v <= 0 for v in combined) and combined_rhs > 0
 
@@ -730,30 +723,22 @@ def full_solve_lp(problem, seen):
     cons = problem.constraints
     m = len(cons)
     obj = problem.objective
-    width = n + sum(1 for c in cons if c.rel != "==")
+    width = n + m - problem.equalities
 
     T = []
-    signs = []
     basis = []
     art_rows = []
     s = n
-    for c in cons:
-        sign = -1 if c.rhs < 0 or (c.rel == ">=" and c.rhs == 0) else 1
-        ints = [sign * v for v in c.coeffs + (c.rhs,)]
-        row = ints[:n] + [0] * (width - n)
-        if c.rel == "==":
-            unit = 0
-        else:
-            unit = sign if c.rel == "<=" else -sign
-            row[s] = unit
+    for c, rel in zip(cons, _relations(problem)):
+        row = list(c[:n]) + [0] * (width - n)
+        if rel == "<=":
+            row[s] = 1
+            basis.append(s)
             s += 1
-        if unit > 0:
-            basis.append(s - 1)
         else:
             basis.append(None)
             art_rows.append(len(T))
-        T.append(row + [ints[-1]])
-        signs.append(sign)
+        T.append(row + [c[n]])
 
     k = len(art_rows)
     T = [row[:width] + [0] * k + row[width:] for row in T]
@@ -772,10 +757,7 @@ def full_solve_lp(problem, seen):
 
     cost = T.pop()
     if cost[-1] < 0:
-        cert = tuple(
-            F(signs[i] * ((D if start[i] >= width else 0) - cost[start[i]]), D)
-            for i in range(m)
-        )
+        cert = tuple(F((D if start[i] >= width else 0) - cost[start[i]], D) for i in range(m))
         return ("infeasible", cert)
 
     for i in range(m):
@@ -799,7 +781,7 @@ def full_solve_lp(problem, seen):
             if b < n:
                 point[b] = F(T[i][-1], D)
         value = sum(o * p for o, p in zip(obj, point))
-        dual = tuple(F(signs[i] * T[m][start[i]], D) for i in range(m))
+        dual = tuple(F(T[m][start[i]], D) for i in range(m))
         return ("optimal", tuple(point), value, dual)
     return ("unbounded",)
 
@@ -836,13 +818,16 @@ def test_condensed_tableau_matches_full_tableau_on_the_differential_set(monkeypa
     seen = _spy_pivot_rows(monkeypatch)
     rng = random.Random(31337)
     outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    pivots = 0
+    pivots = negative = 0
     for _ in range(300):
         got, count = _assert_same_as_full_tableau(_random_lp(rng), seen)
         outcomes[got[0]] += 1
         pivots += count
+        negative += sum(p < 0 for p, _ in seen)
     assert all(count >= 20 for count in outcomes.values()), outcomes
-    assert pivots > 300
+    # the equalities with negative coefficients drive artificials out on
+    # negative entries
+    assert pivots > 300 and negative >= 10, (pivots, negative)
 
 
 def _capture_problems(monkeypatch, module):
@@ -988,22 +973,22 @@ def test_witness_builder_matches_the_fraction_reference():
 
 
 def _fraction_row_margin(gcoeffs, hcoeffs):
-    """``_margin`` with each pair row the ``Fraction`` differences ``g - h``
-    followed by ``-1``, entered with that row's own denominators cleared,
+    """``_margin`` with each pair row the ``Fraction`` differences ``h - g``
+    followed by ``1``, entered with that row's own denominators cleared,
     ``s`` times larger, so its multiplier is ``s`` times the dual: the
     reference."""
     dim = len(gcoeffs[0])
     k = len(hcoeffs)
-    constraints = [Constraint((1,) * dim + (0,), "<=", 1)]
+    constraints = [(1,) * dim + (0, 1)]
     scales = []
     for gc in gcoeffs:
         for hc in hcoeffs:
-            diffs = tuple(F(g) - F(h) for g, h in zip(gc, hc)) + (F(-1),)
+            diffs = tuple(F(h) - F(g) for g, h in zip(gc, hc)) + (F(1),)
             s = lcm(*(v.denominator for v in diffs))
-            constraints.append(Constraint(tuple(int(v * s) for v in diffs), ">=", 0))
+            constraints.append(tuple(int(v * s) for v in diffs) + (0,))
             scales.append(s)
-    res = solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,)))
-    mu = [-s * v for s, v in zip(scales, _dual(res)[1:])]
+    res = solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,), 0))
+    mu = [s * v for s, v in zip(scales, _dual(res)[1:])]
     total = sum(mu)
     a = tuple(sum(mu[i * k:(i + 1) * k]) / total for i in range(len(gcoeffs)))
     lam = tuple(sum(mu[kk::k]) / total for kk in range(k))
@@ -1011,33 +996,25 @@ def _fraction_row_margin(gcoeffs, hcoeffs):
 
 
 def _simplex_margin(gcoeffs, hcoeffs):
-    """The largest margin t with (g_i - h_k) . y >= t over the simplex
+    """The largest margin t with (h_k - g_i) . y + t <= 0 over the simplex
     sum y = 1, t = tp - tm free: an independent formulation whose phase 1
     must first reach the simplex.  The oracle for verdicts and values."""
     dim = len(gcoeffs[0])
-    constraints = [Constraint((1,) * dim + (0, 0), "==", 1)]
+    cons = [((1,) * dim + (0, 0), "==", 1)]
     for gc in gcoeffs:
         for hc in hcoeffs:
-            constraints.append(row(tuple(F(g) - F(h) for g, h in zip(gc, hc)) + (-1, 1), ">=", 0))
-    return solve_lp(LPProblem(dim + 2, constraints, (0,) * dim + (1, -1))).value
-
-
-def _starts_all_slack_basic(problem):
-    """True when ``solve_lp`` starts every row with its slack basic, so it
-    adds no artificial: each row is ``<=`` with a nonnegative right-hand
-    side or ``>=`` with a nonpositive one."""
-    return all(
-        (c.rel == "<=" and c.rhs >= 0) or (c.rel == ">=" and c.rhs <= 0)
-        for c in problem.constraints
-    )
+            cons.append((tuple(F(h) - F(g) for g, h in zip(gc, hc)) + (1, -1), "<=", 0))
+    return solve_lp(problem(dim + 2, cons, (0,) * dim + (1, -1))).value
 
 
 def _assert_rows_are_ints(problems):
+    """Every row ``n_vars + 1`` ints, its right-hand side nonnegative."""
     assert problems
     for prob in problems:
         assert all(type(v) is int for v in prob.objective)
         for c in prob.constraints:
-            assert all(type(v) is int for v in c.coeffs + (c.rhs,)), c
+            assert len(c) == prob.n_vars + 1 and all(type(v) is int for v in c), c
+            assert c[-1] >= 0, c
 
 
 def test_separation_lps_agree_with_the_reference_solver(monkeypatch):
@@ -1124,7 +1101,69 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
     _assert_rows_are_ints(problems)
     assert all(fraction_verify(prob, solve_lp(prob)) for prob in problems)
     assert held >= 10 and violated >= 10, (held, violated)
-    # the origin is a feasible start: no phase 1, and fewer pivots in all
+    # the origin is a feasible start, every row <= with b >= 0, so every
+    # slack starts basic: no phase 1, and fewer pivots in all
     assert len(problems) == len(calls)
-    assert all(_starts_all_slack_basic(prob) for prob in problems)
+    assert all(prob.equalities == 0 for prob in problems)
     assert spent < simplex_spent, (spent, simplex_spent)
+
+
+# ---------------------------------------------------------------------------
+# Both callers' answers, pinned.
+
+
+def _answer_form(res):
+    """An answer's integer form, ``(xn, vn, yn, d)`` or ``(zn, d)``, with each
+    multiplier of an optimum by its size.  Writing an inequality row the
+    other way round, ``a . x <= b`` as ``-a . x >= -b``, flips the sign of
+    its multiplier and nothing else, and the relation fixes that sign; the
+    one ``=`` row, the separation LP's simplex row, has multiplier zero at
+    every optimum, as that LP's objective is zero."""
+    if type(res) is LPOptimal:
+        return (tuple(res.xn), res.vn, tuple(abs(v) for v in res.yn), res.d)
+    return (tuple(res.zn), res.d)
+
+
+def test_the_answers_of_both_callers_are_pinned(monkeypatch):
+    answers = {}
+    for module in (convex_sep, functionals):
+        seen = answers[module.__name__] = []
+
+        def solve(problem, seen=seen):
+            res = solve_lp(problem)
+            seen.append((type(res).__name__, _answer_form(res)))
+            return res
+
+        monkeypatch.setattr(module, "solve_lp", solve)
+    pivots = _spy_pivots(monkeypatch)
+    rng = random.Random(1861)
+
+    def entry(top, inf_rate):
+        return INF if rng.random() < inf_rate else ExtReal(F(rng.randint(0, top), rng.randint(1, 4)))
+
+    outcomes = {}
+    for _ in range(100):
+        dim = rng.randint(2, 6)
+        top = rng.choice((2, 3, 6))
+        gens = [ExtVec([entry(top, 0.05) for _ in range(dim)]) for _ in range(rng.randint(dim, 4 * dim))]
+        key = type(convex_sep.separate(gens, dim)), any(g._form[2] for g in gens)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    for _ in range(200):
+        dim = rng.randint(2, 5)
+
+        def branches():
+            return [[entry(9, 0.1) for _ in range(dim)] for _ in range(rng.randint(1, 5))]
+
+        gb, hb = branches(), branches()
+        ok, _ = functionals.leq_functional(functionals.SuperlinFun(gb), functionals.SublinFun(hb))
+        key = ok, any(e is INF for b in gb + hb for e in b)
+        outcomes[key] = outcomes.get(key, 0) + 1
+    # both verdicts of each, with and without inf entries
+    assert len(outcomes) == 8 and min(outcomes.values()) >= 3, outcomes
+    kinds = {(name, kind) for name, seen in answers.items() for kind, _ in seen}
+    assert kinds == {("conedual.convex_sep", "LPOptimal"), ("conedual.convex_sep", "LPInfeasible"),
+                     ("conedual.functionals", "LPOptimal")}, kinds
+    assert [len(seen) for seen in answers.values()] == [55, 23]
+    assert len(pivots) == 250
+    digest = hashlib.sha256(repr(sorted(answers.items())).encode()).hexdigest()
+    assert digest == "9aad5e80443fcde067539a44c24a0e0d3c48d36f3e42b6b51f1a06ac46779e97"

@@ -20,7 +20,7 @@ from conedual import (
     verify_meets_corner,
     verify_separated,
 )
-from conedual.lp import EQ, LEQ, Constraint, LPInfeasible, LPOptimal, LPProblem, solve_lp
+from conedual.lp import LPInfeasible, LPOptimal, LPProblem, solve_lp
 
 F = Fraction
 convex_sep = importlib.import_module("conedual.convex_sep")
@@ -31,10 +31,10 @@ def _one_lp(gens, dim, fin, inf_coords):
     generator: the reference."""
     forms = [g._form for g in gens]
     k = len(fin)
-    constraints = [Constraint((1,) * k, EQ, 1)]
+    constraints = [(1,) * (k + 1)]
     for nums, d, _, _ in forms:
-        constraints.append(Constraint(tuple(nums[i] for i in fin), LEQ, d))
-    res = solve_lp(LPProblem(k, constraints, (0,) * k))
+        constraints.append(tuple(nums[i] for i in fin) + (d,))
+    res = solve_lp(LPProblem(k, constraints, (0,) * k, 1))
 
     if isinstance(res, LPOptimal):
         full = [0] * dim
@@ -130,11 +130,11 @@ def test_each_round_adds_the_most_violated_generators(monkeypatch):
         # the first subset: the len(fin) generators of largest uniform pairing, in index order
         ranked = sorted(range(len(gens)), key=lambda j: -F(sum(rows[j][0]), rows[j][1]))
         first = [rows[j] for j in sorted(ranked[:len(fin)])]
-        assert [(c.coeffs, c.rhs) for c in rounds[0].constraints[1:]] == first
+        assert [(c[:-1], c[-1]) for c in rounds[0].constraints[1:]] == first
         for prev, cur in zip(rounds, rounds[1:]):
             # no row leaves, and at least one and at most max(1, len(fin) // 2) join
-            prev_rows = [c.coeffs for c in prev.constraints]
-            cur_rows = [c.coeffs for c in cur.constraints]
+            prev_rows = [c[:-1] for c in prev.constraints]
+            cur_rows = [c[:-1] for c in cur.constraints]
             assert set(prev_rows) <= set(cur_rows)
             assert 1 <= len(cur_rows) - len(prev_rows) <= max(1, len(fin) // 2)
             # the weights of the last round pair every row that joined above
@@ -144,7 +144,7 @@ def test_each_round_adds_the_most_violated_generators(monkeypatch):
             def pairing(coeffs, rhs):
                 return sum(a * v for a, v in zip(coeffs, x)) / rhs
 
-            joined = [pairing(c.coeffs, c.rhs) for c in cur.constraints if c.coeffs not in prev_rows]
+            joined = [pairing(c[:-1], c[-1]) for c in cur.constraints if c[:-1] not in prev_rows]
             assert min(joined) > 1
             assert all(pairing(*row) <= min(joined) for row in rows if row[0] not in cur_rows)
         multi += len(rounds) > 1
