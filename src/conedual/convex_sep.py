@@ -2,11 +2,12 @@
 from the open corner (all coordinates strictly above one).
 
 Exact screens run first, then LP rounds on a growing subset of the
-generators.  Either outcome comes with an exact certificate: simplex
-weights whose pairing with every generator stays at or below one, or an
-explicit convex combination of generators that lands inside the corner.
-Certificates are re-verified against every generator with the checks of
-``certify`` before being returned.
+generators.  Each round maximises the weights' sum from the origin: an
+optimum of one gives simplex weights whose pairing with every generator in
+the round stays at or below one, and an optimum below one gives, from its
+dual, an explicit convex combination of generators that lands inside the
+corner.  Certificates are re-verified against every generator with the
+checks of ``certify`` before being returned.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from ._record import Record
 from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
 from .extreal import as_extvec
-from .lp import LPInfeasible, LPProblem, solve_lp
+from .lp import LPProblem, solve_lp
 
 
 class SeparationWeights(Record):
@@ -72,10 +73,10 @@ def separate(generators, dim: int):
     zero (a positive weight there would push the pairing to infinity).  On
     the remaining coordinates the screens of ``_screen`` run first, then,
     when they find nothing, exact LP rounds on a growing subset of the
-    generators (``_separation_lp``).  An infeasible round means the hull
-    meets the corner, and its Farkas certificate is turned into an explicit
-    witness combination.  Every answer is checked against all generators
-    the same way, whichever path found it.
+    generators (``_separation_lp``).  A round whose optimum is below one
+    means the hull meets the corner, and its dual is turned into an
+    explicit witness combination.  Every answer is checked against all
+    generators the same way, whichever path found it.
     """
     gens = _check_generators(generators, dim)
     inf_mask = 0
@@ -131,8 +132,13 @@ def _screen(gens, dim, fin):
 
 def _separation_lp(gens, dim, fin, inf_coords):
     """LP rounds on a growing subset ``S`` of the generators, over the finite
-    coordinates: weights w in the simplex with w . g_j <= 1 for every j in
-    ``S``, or the corner witness a Farkas certificate on ``S`` gives.
+    coordinates: maximise ``sum w`` over ``w >= 0`` with ``sum w <= 1`` and
+    ``w . g_j <= 1`` for every j in ``S``.  The origin is feasible, so the
+    LP needs no phase 1.  An optimum of one is weights in the simplex.  An
+    optimum below one has a dual ``(y0, mu)`` with ``y0 + sum_j mu_j g_j[k]
+    >= 1`` at every finite coordinate k and ``y0 + sum_j mu_j < 1``, so the
+    combination ``mu / sum mu`` is above one at each k: the corner witness on
+    ``S``.
 
     ``S`` starts as the ``len(fin)`` generators of largest uniform pairing,
     ``sum(nums) / d`` on the finite coordinates.  A hull meets the corner as
@@ -156,15 +162,15 @@ def _separation_lp(gens, dim, fin, inf_coords):
     while True:
         constraints = [simplex_row]
         constraints += [rows[j] + (dens[j],) for j in subset]
-        res = solve_lp(LPProblem(k, constraints, (0,) * k, equalities=1))
+        res = solve_lp(LPProblem(k, constraints, (1,) * k))
 
-        if isinstance(res, LPInfeasible):
+        if res.vn < res.d:
             # row j, w . nums_j <= d_j, is d_j times the pairing row w . g_j <= 1;
-            # the multipliers stay over the certificate's denominator, which the
+            # the multipliers stay over the dual's denominator, which the
             # witness normalises away
             w = [0] * len(gens)
-            for j, v in zip(subset, res.zn[1:]):
-                w[j] = -v * dens[j]
+            for j, v in zip(subset, res.yn[1:]):
+                w[j] = v * dens[j]
             return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, w))
 
         inside = set(subset)
@@ -201,9 +207,10 @@ def _cover_witness(gens, inf_coords):
 
 
 def _witness_from_certificate(gens, fin, inf_coords, w):
-    """Build a hull point in the corner from Farkas multipliers.
+    """Build a hull point in the corner from the dual of a round whose
+    optimum is below one.
 
-    The multipliers of the pairing rows, negated (``w``) and normalised, give a
+    The multipliers of the pairing rows (``w``), normalised, give a
     convex combination whose finite coordinates all exceed one.  If some
     coordinates were eliminated as infinite, a small slice of an
     infinity-covering combination is mixed in without dropping any finite

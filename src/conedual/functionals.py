@@ -175,7 +175,7 @@ def _margin(gvecs, hvecs):
             constraints.append(tuple(h * hs - g * gs for g, h in zip(gn, hn)) + (L, 0))
             scales.append(L)
     objective = (0,) * dim + (1,)
-    res = solve_lp(LPProblem(dim + 1, constraints, objective, equalities=0))
+    res = solve_lp(LPProblem(dim + 1, constraints, objective))
     # mu over the dual's denominator, which the division by sum mu cancels
     mu = [L * v for L, v in zip(scales, res.yn[1:])]
     total = sum(mu)

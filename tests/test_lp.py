@@ -1,8 +1,9 @@
 """The package's LP engine, on the integer rows that ``separate`` and the
-margin LP build, ``(a_1, ..., a_n, b)`` with ``b >= 0``, equalities first:
+margin LP build, ``(a_1, ..., a_n, b)`` with ``b >= 0``, each ``a . x <= b``:
 seeded cross-checks against vertex enumeration, a ``Fraction`` reference
 solver, a ``Fraction`` recheck of every answer and the full tableau, the
-fields the traced benchmark reads, and both callers' answers, pinned."""
+separation LP against its earlier ``sum w = 1`` formulation, the fields the
+traced benchmark reads, and both callers' answers, pinned."""
 
 import hashlib
 import random
@@ -14,7 +15,7 @@ import pytest
 
 from conedual import convex_sep, functionals, lp
 from conedual.extreal import INF, ExtReal, ExtVec
-from conedual.lp import LPInfeasible, LPOptimal, LPProblem, solve_lp
+from conedual.lp import LPOptimal, LPProblem, solve_lp
 
 F = Fraction
 
@@ -27,18 +28,9 @@ def _ints(values):
 
 def problem(n, rows, objective):
     """Maximise ``objective``, its denominators cleared, subject to ``rows``,
-    each ``(coeffs, rel, rhs)`` with ``rel`` ``"=="`` or ``"<="``: the rows
-    with their denominators cleared, the equalities first and each part in
-    its drawn order."""
-    eqs = [_ints(tuple(c) + (rhs,)) for c, rel, rhs in rows if rel == "=="]
-    leqs = [_ints(tuple(c) + (rhs,)) for c, rel, rhs in rows if rel == "<="]
-    return LPProblem(n, eqs + leqs, _ints(objective), len(eqs))
-
-
-def _relations(problem):
-    """Each row's relation, read from its index as the solver reads it."""
-    e = problem.equalities
-    return ["==" if i < e else "<=" for i in range(len(problem.constraints))]
+    each ``(coeffs, rhs)`` read as ``coeffs . x <= rhs`` and entered with its
+    denominators cleared."""
+    return LPProblem(n, [_ints(tuple(c) + (rhs,)) for c, rhs in rows], _ints(objective))
 
 
 def _dual(res):
@@ -46,18 +38,16 @@ def _dual(res):
 
 
 def _as_fractions(res):
-    """An answer as the ``Fraction`` oracles below give theirs: the verdict,
-    then the point, value and dual of an optimum, or the Farkas multipliers;
-    ``("unbounded",)`` for ``None``."""
+    """An answer as the ``Fraction`` oracles below give theirs: the point,
+    value and dual of an optimum after ``"optimal"``, or ``("unbounded",)``
+    for ``None``."""
     if res is None:
         return ("unbounded",)
-    if type(res) is LPOptimal:
-        return ("optimal", res.point, res.value, _dual(res))
-    return ("infeasible", res.certificate)
+    return ("optimal", res.point, res.value, _dual(res))
 
 
 def _solve(prob):
-    """``solve_lp``'s answer, or None where it raised on an unbounded phase 2."""
+    """``solve_lp``'s answer, or None where it raised on an unbounded problem."""
     try:
         return solve_lp(prob)
     except AssertionError as exc:
@@ -69,12 +59,6 @@ def _optimal(point, value, dual):
     """A hand-built optimum, every entry over one common denominator."""
     d = lcm(*(F(v).denominator for v in (*point, value, *dual)))
     return LPOptimal([int(v * d) for v in point], int(value * d), [int(v * d) for v in dual], d)
-
-
-def _infeasible(cert):
-    """Hand-built Farkas multipliers over one common denominator."""
-    d = lcm(*(F(v).denominator for v in cert))
-    return LPInfeasible([int(v * d) for v in cert], d)
 
 
 def _gauss_solve(M, rhs):
@@ -99,18 +83,21 @@ def _gauss_solve(M, rhs):
     return [aug[i][-1] for i in range(n)]
 
 
-def _satisfies(problem, x):
+def _satisfies(problem, x, tight):
+    """True when ``x >= 0`` meets every row, the first ``tight`` of them with
+    equality."""
     if any(v < 0 for v in x):
         return False
-    for row, rel in zip(problem.constraints, _relations(problem)):
+    for i, row in enumerate(problem.constraints):
         lhs = sum(a * v for a, v in zip(row, x))
-        if lhs > row[-1] or (rel == "==" and lhs != row[-1]):
+        if lhs > row[-1] or (i < tight and lhs != row[-1]):
             return False
     return True
 
 
-def feasible_vertices(problem):
-    """Candidate basic points: every n-subset of tight hyperplanes.
+def feasible_vertices(problem, tight=0):
+    """Candidate basic points: every n-subset of tight hyperplanes, kept when
+    it meets the rows, the first ``tight`` of them read as equalities.
 
     With all variables nonnegative the feasible region is pointed, so it is
     nonempty exactly when some candidate vertex is feasible.
@@ -126,28 +113,15 @@ def feasible_vertices(problem):
         M = [planes[i][0] for i in subset]
         rhs = [planes[i][1] for i in subset]
         x = _gauss_solve(M, rhs)
-        if x is not None and _satisfies(problem, x):
+        if x is not None and _satisfies(problem, x, tight):
             vertices.append(tuple(x))
     return vertices
 
 
-def test_unique_feasible_point():
-    prob = LPProblem(2, [(1, 1, 1), (2, 0, 1), (0, 2, 1)], (0, 0), 1)
-    # a zero objective has the zero dual
-    assert _as_fractions(solve_lp(prob)) == ("optimal", (F(1, 2), F(1, 2)), 0, (0, 0, 0))
-
-
-def test_contradictory_constraints_are_infeasible():
-    prob = LPProblem(1, [(1, 1), (1, 0)], (0,), 1)
-    res = solve_lp(prob)
-    assert isinstance(res, LPInfeasible)
-    assert lp._verify(prob, res)
-
-
 @pytest.mark.parametrize("prob", [
-    LPProblem(1, [(-1, 0)], (1,), 0),
-    # x - y == 1 pins x to y, so the improving ray moves a basic column too
-    LPProblem(2, [(1, -1, 1)], (1, 1), 1),
+    LPProblem(1, [(-1, 0)], (1,)),
+    # x - y <= 1 ties x to y, so the improving ray moves a basic column too
+    LPProblem(2, [(1, -1, 1)], (1, 1)),
 ], ids=["a-nonbasic-column", "through-a-basic-column"])
 def test_an_unbounded_problem_is_an_internal_error(prob):
     # neither of the package's LPs can be unbounded
@@ -157,52 +131,81 @@ def test_an_unbounded_problem_is_an_internal_error(prob):
 
 def test_optimum_value():
     # maximize x + 2y on the simplex: the best vertex is (0, 1)
-    res = solve_lp(LPProblem(2, [(1, 1, 1)], (1, 2), 1))
+    res = solve_lp(LPProblem(2, [(1, 1, 1)], (1, 2)))
     assert isinstance(res, LPOptimal)
     assert res.value == 2
 
 
 @pytest.mark.parametrize("prob", [
     # -x <= -2, x >= 2, starts with its slack basic at -2, which no pivot repairs
-    LPProblem(1, [(-1, -2)], (-1,), 0),
-    # x == -1 has no solution in x >= 0, but phase 1 reaches x = -1
-    LPProblem(1, [(1, -1)], (0,), 1),
-], ids=["leq-row", "equality-row"])
+    LPProblem(1, [(-1, -2)], (-1,)),
+    # 0 <= -1 holds for no x, but its slack starts basic at -1
+    LPProblem(1, [(0, -1)], (0,)),
+], ids=["leq-row", "zero-row"])
 def test_a_negative_right_hand_side_fails_verification(prob):
     # each row's b must be nonnegative; the checker catches the wrong answer
     with pytest.raises(AssertionError, match="solver output failed verification"):
         solve_lp(prob)
 
 
-def test_redundant_equalities_are_dropped():
-    prob = LPProblem(2, [(1, 1, 1), (2, 2, 2), (3, 0, 1)], (1, 0), 2)
-    res = solve_lp(prob)
-    assert isinstance(res, LPOptimal)
-    assert res.value == F(1, 3)
+# Problems that once carried = rows, each written as <= rows with the
+# objective that decides the question from the origin: the point, value and
+# dual the solver gives, which the reference solver below confirms.
+_LEQ_ONLY = [
+    # x + y <= 1 with x, y <= 1/2 leaves the one point (1/2, 1/2) at x + y = 1
+    ("unique-point", LPProblem(2, [(1, 1, 1), (2, 0, 1), (0, 2, 1)], (1, 1)),
+     ((F(1, 2), F(1, 2)), 1, (1, 0, 0))),
+    # x = 1 and x = 0 contradict: the largest x under both rows is 0 < 1
+    ("contradictory-rows", LPProblem(1, [(1, 1), (1, 0)], (1,)),
+     ((0,), 0, (0, 1))),
+    # x + y <= 1 twice, once doubled
+    ("a-redundant-row", LPProblem(2, [(1, 1, 1), (2, 2, 2), (3, 0, 1)], (1, 0)),
+     ((F(1, 3), 0), F(1, 3), (0, 0, F(1, 3)))),
+    # x + y = 0 as two opposite rows, both tight at the origin: a degenerate start
+    ("an-equality-as-two-rows", LPProblem(3, [(-1, -1, 0, 0), (1, 1, 0, 0), (1, 1, 1, 3), (0, 1, 2, 7)],
+                                          (1, 1, 1)),
+     ((0, 0, 3), 3, (0, 0, 1, 0))),
+    # x = y written three ways, rank one, all tight at the origin
+    ("redundant-rows-in-both-orientations", LPProblem(2, [(1, -1, 0), (-1, 1, 0), (2, -2, 0), (1, 1, 2)], (1, 0)),
+     ((1, 1), 1, (F(1, 2), 0, 0, F(1, 2)))),
+    # x + y = 2 is out of reach under x, y <= 1/2: the optimum 1 < 2, priced by both bounds
+    ("an-unreachable-sum", LPProblem(2, [(1, 1, 2), (2, 0, 1), (0, 2, 1)], (1, 1)),
+     ((F(1, 2), F(1, 2)), 1, (0, F(1, 2), F(1, 2)))),
+]
+
+
+@pytest.mark.parametrize("prob, want", [case[1:] for case in _LEQ_ONLY], ids=[case[0] for case in _LEQ_ONLY])
+def test_problems_that_once_needed_equalities_as_leq_rows(prob, want):
+    assert _assert_agrees(prob) == ("optimal", *want)
 
 
 def _tampered_cases():
     """(id, problem, answer, accepted) for the checker: solver answers, and
     certificates that a nudge made invalid."""
-    prob = LPProblem(1, [(1, 1), (1, 0)], (0,), 1)
-    res = solve_lp(prob)
+    # max -x - y on x + y <= 1 is 0 at the origin; the multiplier -1 would
+    # price the point (1, 0) if the row were x + y = 1, but a <= row may not take it
     cases = [
-        ("farkas-from-the-solver", prob, res, True),
-        ("farkas-negated", prob, LPInfeasible([-v for v in res.zn], res.d), False),
-        # the solver's numerators over a negative denominator: the negated multipliers
-        ("farkas-over-a-negative-denominator", prob, LPInfeasible(res.zn, -res.d), False),
-        # a point that breaks x == 1
-        ("point-off-an-equality", LPProblem(1, [(1, 1)], (0,), 1),
-         _optimal((F(1, 2),), 0, (0,)), False),
-        # max -x - y on x + y == 1 needs the multiplier -1, which the same
-        # row read as x + y <= 1 may not take: the index decides the relation
-        ("negative-multiplier-on-an-equality", LPProblem(2, [(1, 1, 1)], (-1, -1), 1),
-         _optimal((1, 0), -1, (-1,)), True),
-        ("the-same-multiplier-on-a-leq-row", LPProblem(2, [(1, 1, 1)], (-1, -1), 0),
+        ("the-multiplier-of-an-equality-on-a-leq-row", LPProblem(2, [(1, 1, 1)], (-1, -1)),
          _optimal((1, 0), -1, (-1,)), False),
     ]
+    # The separation LP of (3, 0) and (0, 3): max w1 + w2 with w1 + w2 <= 1
+    # and 3 w_i <= 1 has the optimum 2/3 < 1 at (1/3, 1/3), and its dual
+    # (0, 1/3, 1/3), read on the pairing rows, is the corner witness.
+    prob = LPProblem(2, [(1, 1, 1), (3, 0, 1), (0, 3, 1)], (1, 1))
+    res = solve_lp(prob)
+    cases += [
+        ("below-one-optimum-from-the-solver", prob, res, True),
+        ("below-one-dual-negated", prob, LPOptimal(res.xn, res.vn, [-v for v in res.yn], res.d), False),
+        # the solver's numerators over a negative denominator: every sign flipped
+        ("below-one-over-a-negative-denominator", prob,
+         LPOptimal(res.xn, res.vn, res.yn, -res.d), False),
+        # the simplex row alone bounds the value by 1, not by the optimum 2/3
+        ("below-one-dual-on-the-simplex-row", prob, _optimal((F(1, 3), F(1, 3)), F(2, 3), (1, 0, 0)), False),
+        # a point in the simplex claimed as the optimum, off both pairing rows
+        ("below-one-claimed-as-one", prob, _optimal((F(1, 2), F(1, 2)), 1, (1, 0, 0)), False),
+    ]
     # max x + 2y on x + y <= 1, 2x <= 1, -y <= 0: optimum (0, 1) with dual (2, 0, 0)
-    prob = LPProblem(2, [(1, 1, 1), (2, 0, 1), (0, -1, 0)], (1, 2), 0)
+    prob = LPProblem(2, [(1, 1, 1), (2, 0, 1), (0, -1, 0)], (1, 2))
     for name, point, value, dual, accepted in (
         ("optimum-with-its-dual", (0, 1), 2, (2, 0, 0), True),
         ("one-multiplier-short", (0, 1), 2, (2, 0), False),
@@ -221,7 +224,7 @@ def _tampered_cases():
     # x = -1 on -x <= 0, whose numerator passes the row and x >= 0 over the
     # negative denominator
     cases.append(("point-over-a-negative-denominator",
-                  LPProblem(1, [(-1, 0)], (0,), 0), LPOptimal([1], 0, [0], -1), False))
+                  LPProblem(1, [(-1, 0)], (0,)), LPOptimal([1], 0, [0], -1), False))
     return cases
 
 
@@ -235,21 +238,24 @@ def test_verifier_rejects_tampered_certificates(prob, res, accepted):
 
 
 def test_feasibility_agrees_with_vertex_enumeration():
+    # max sum x under sum x <= 1 reaches 1 exactly when the rows leave a
+    # point of the simplex: the question separate asks, from the origin
     rng = random.Random(20240)
     seen = {True: 0, False: 0}
     for _ in range(120):
         n = rng.randint(1, 3)
         m = rng.randint(1, 4)
-        cons = [((1,) * n, "==", 1)]
+        cons = [((1,) * n, 1)]
         for _ in range(m):
-            # an equality keeps its negative coefficients, as b >= 0 allows
+            # negative coefficients too, as b >= 0 allows
             coeffs = tuple(F(rng.randint(-4, 6), rng.randint(1, 4)) for _ in range(n))
             rhs = F(rng.randint(0, 4), rng.randint(1, 3)) if rng.random() < 0.7 else F(0)
-            cons.append((coeffs, rng.choice(("<=", "==")), rhs))
-        prob = problem(n, cons, (0,) * n)
+            cons.append((coeffs, rhs))
+        prob = problem(n, cons, (1,) * n)
         res = solve_lp(prob)
-        feasible = bool(feasible_vertices(prob))
-        assert isinstance(res, LPOptimal) == feasible
+        feasible = bool(feasible_vertices(prob, tight=1))
+        assert (res.value == 1) == feasible
+        assert res.value <= 1
         seen[feasible] += 1
     assert min(seen.values()) >= 20, seen
 
@@ -258,25 +264,20 @@ def test_optimal_value_agrees_with_vertex_enumeration():
     rng = random.Random(777)
     for _ in range(60):
         n = rng.randint(1, 3)
-        cons = [((1,) * n, "==", 1)]
+        cons = [((1,) * n, 1)]
         for _ in range(rng.randint(0, 3)):
             coeffs = tuple(F(rng.randint(0, 5), rng.randint(1, 3)) for _ in range(n))
-            cons.append((coeffs, "<=", F(rng.randint(1, 4), rng.randint(1, 2))))
+            cons.append((coeffs, F(rng.randint(1, 4), rng.randint(1, 2))))
         prob = problem(n, cons, [F(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(n)])
         res = solve_lp(prob)
-        vertices = feasible_vertices(prob)
-        if not vertices:
-            assert isinstance(res, LPInfeasible)
-            continue
-        # the region sits inside the simplex, so it is bounded and the
-        # optimum is attained at a vertex
-        best = max(sum(o * v for o, v in zip(prob.objective, x)) for x in vertices)
-        assert isinstance(res, LPOptimal)
+        # the region holds the origin and sits inside the simplex, so it is
+        # bounded and the optimum is attained at a vertex
+        best = max(sum(o * v for o, v in zip(prob.objective, x)) for x in feasible_vertices(prob))
         assert res.value == best
 
 
 def test_determinism():
-    prob = LPProblem(3, [(1, 1, 1, 1), (2, 0, 1, 1), (0, 2, 1, 1)], (1, 1, 0), 1)
+    prob = LPProblem(3, [(1, 1, 1, 1), (2, 0, 1, 1), (0, 2, 1, 1)], (1, 1, 0))
     first = _as_fractions(solve_lp(prob))
     for _ in range(5):
         assert _as_fractions(solve_lp(prob)) == first
@@ -287,8 +288,10 @@ def test_determinism():
 #
 # The reference is the earlier dense two-phase simplex over ``Fraction``:
 # an artificial on every row, Bland's rule, and Farkas multipliers from a
-# square solve of the final basis.  It lives only here, as the oracle the
-# integer tableau in ``conedual.lp`` is compared against.
+# square solve of the final basis.  It still reads its first
+# ``equalities`` rows as ``a . x = b``, so it also solves the separation
+# LP's earlier ``sum w = 1`` formulation.  It lives only here, as the
+# oracle the integer tableau in ``conedual.lp`` is compared against.
 
 
 def _reference_pivot(T, basis, pr, pc):
@@ -330,24 +333,26 @@ def _reference_iterate(T, basis, m, limit):
         _reference_pivot(T, basis, pr, pc)
 
 
-def reference_solve(problem):
-    """The answer in the layout of ``_as_fractions``, with the ray of an
-    unbounded problem: ``("unbounded", ray)``."""
+def reference_solve(problem, equalities=0):
+    """The answer in the layout of ``_as_fractions``, with the first
+    ``equalities`` rows read as ``a . x = b``: ``("infeasible", z)`` with
+    Farkas multipliers ``z``, one per row, and ``("unbounded", ray)`` with
+    the ray of an unbounded problem."""
     n = problem.n_vars
     cons = problem.constraints
     m = len(cons)
     obj = problem.objective
     obj_min = [-F(v) for v in obj]
-    n_slack = m - problem.equalities
+    n_slack = m - equalities
     width = n + n_slack
 
     A0, b0 = [], []
     s = n
-    for c, rel in zip(cons, _relations(problem)):
+    for i, c in enumerate(cons):
         row = [F(0)] * width
         for j, v in enumerate(c[:n]):
             row[j] = F(v)
-        if rel == "<=":
+        if i >= equalities:
             row[s] = F(1)
             s += 1
         A0.append(row)
@@ -424,21 +429,28 @@ def reference_solve(problem):
     return ("unbounded", tuple(ray[:n]))
 
 
+def _farkas_refutes(problem, equalities, z):
+    """True when the multipliers ``z``, none positive on a ``<=`` row,
+    combine the rows into ``(something <= 0) > 0`` on ``x >= 0``, the first
+    ``equalities`` rows read as ``a . x = b``: the reference's proof of
+    infeasibility."""
+    n = problem.n_vars
+    cons = problem.constraints
+    if len(z) != len(cons) or any(v > 0 for v in z[equalities:]):
+        return False
+    combined = [sum(v * c[j] for v, c in zip(z, cons)) for j in range(n + 1)]
+    return all(v <= 0 for v in combined[:n]) and combined[n] > 0
+
+
 def _is_improving_ray(problem, ray):
     """True when ``x + t * ray`` stays feasible for every t >= 0 and raises
     the objective: the reference's proof of unboundedness."""
     if any(v < 0 for v in ray) or not any(ray):
         return False
-    for c, rel in zip(problem.constraints, _relations(problem)):
-        d = sum(a * v for a, v in zip(c, ray))
-        if d > 0 or (rel == "==" and d != 0):
+    for c in problem.constraints:
+        if sum(a * v for a, v in zip(c, ray)) > 0:
             return False
     return sum(o * v for o, v in zip(problem.objective, ray)) > 0
-
-
-def _checkable(ref):
-    """The reference's optimum or Farkas multipliers as an integer form."""
-    return _optimal(*ref[1:]) if ref[0] == "optimal" else _infeasible(ref[1])
 
 
 def _assert_agrees(prob):
@@ -449,17 +461,16 @@ def _assert_agrees(prob):
     if ref[0] == "unbounded":
         assert _is_improving_ray(prob, ref[1])
     else:
-        # the reference's certificates pass the same check as the solver's
-        assert lp._verify(prob, _checkable(ref))
-    if ref[0] == "optimal":
+        # the reference's optimum passes the same check as the solver's
+        assert lp._verify(prob, _optimal(*ref[1:]))
         assert got[2] == ref[2]
     return got
 
 
 def _random_lp(rng):
     """A small LP from ``Fraction`` rows, each entered with its denominators
-    cleared, every right-hand side nonnegative and the equalities first; a
-    drawn ``min`` maximises the negated objective."""
+    cleared, every right-hand side nonnegative; a drawn ``min`` maximises
+    the negated objective."""
     n = rng.randint(1, 4)
     small = (-3, -2, -1, 0, 0, 0, 1, 1, 2, 3)
 
@@ -469,23 +480,22 @@ def _random_lp(rng):
     cons = []
     for _ in range(rng.randint(1, 5)):
         coeffs = tuple(entry() for _ in range(n))
-        rel = rng.choice(("<=", "<=", "<=", "<=", "=="))
         rhs = F(rng.randint(0, 4), rng.choice((1, 1, 2)))
         if rng.random() < 0.3:
             rhs = F(0)
-        cons.append((coeffs, rel, rhs))
+        cons.append((coeffs, rhs))
     if rng.random() < 0.3:
-        # a redundant equality: a nonzero multiple of another row, read as an
-        # equality, negative where its right-hand side is zero
-        base = rng.choice(cons)
-        base = (base[0], "==", base[2])
-        factor = F(rng.choice((-2, -1, 1, 3) if base[2] == 0 else (1, 3)), rng.choice((1, 2)))
-        cons.append(base)
-        cons.append((tuple(factor * v for v in base[0]), "==", factor * base[2]))
+        # a redundant row, a positive multiple of another; where the
+        # right-hand side is zero, its negation too, which with it pins a . x = 0
+        coeffs, rhs = rng.choice(cons)
+        factor = F(rng.choice((1, 3)), rng.choice((1, 2)))
+        cons.append((tuple(factor * v for v in coeffs), factor * rhs))
+        if rhs == 0:
+            cons.append((tuple(-v for v in coeffs), rhs))
         rng.shuffle(cons)
     if rng.random() < 0.4:
         # a simplex row keeps many instances bounded and ties ratios at 1
-        cons.insert(0, ((F(1),) * n, "==", F(1)))
+        cons.insert(0, ((F(1),) * n, F(1)))
     obj = tuple(entry() for _ in range(n))
     if rng.choice(("max", "min")) == "min":
         obj = tuple(-v for v in obj)
@@ -494,10 +504,10 @@ def _random_lp(rng):
 
 def test_differential_against_reference_solver():
     rng = random.Random(31337)
-    seen = {"optimal": 0, "infeasible": 0, "unbounded": 0}
+    seen = {"optimal": 0, "unbounded": 0}
     for _ in range(300):
         seen[_assert_agrees(_random_lp(rng))[0]] += 1
-    # every outcome is exercised, not just the common one
+    # both outcomes are exercised, not just the common one
     assert all(count >= 20 for count in seen.values()), seen
 
 
@@ -514,36 +524,6 @@ def _spy_pivots(monkeypatch):
     return pivots
 
 
-def test_negative_pivot_while_driving_out_artificials(monkeypatch):
-    # -x - y == 0 holds at the phase-1 start, so its artificial stays basic
-    # at level zero and leaves on the entry -1.  Simplex pivots are always
-    # positive, so a negative entry can only come from the drive-out.
-    pivots = _spy_pivots(monkeypatch)
-    prob = LPProblem(3, [(-1, -1, 0, 0), (1, 1, 1, 3), (0, 1, 2, 7)], (1, 1, 1), 1)
-    got = _assert_agrees(prob)
-    assert any(p < 0 for p in pivots)
-    assert got == ("optimal", (0, 0, 3), 3, (0, 1, 0))
-
-
-def test_redundant_rows_in_both_orientations_are_dropped():
-    # x == y, written three ways, has rank one, so at least two artificials
-    # stay basic on rows that became 0 = 0; the optimum is x = y = 1.
-    prob = LPProblem(2, [(1, -1, 0), (-1, 1, 0), (2, -2, 0), (1, 1, 2)], (1, 0), 3)
-    got = _assert_agrees(prob)
-    # the redundant rows carry zero multipliers; row 0 and x + y <= 2 price the optimum
-    assert got == ("optimal", (1, 1), 1, (F(1, 2), 0, 0, F(1, 2)))
-
-
-def test_infeasible_with_slack_and_artificial_rows():
-    # Row 0 needs an artificial; rows 1 and 2 start with their slacks.
-    # Only a certificate using all three rows refutes the system.
-    prob = LPProblem(2, [(1, 1, 2), (2, 0, 1), (0, 2, 1)], (0, 0), 1)
-    kind, cert = _assert_agrees(prob)
-    assert kind == "infeasible"
-    assert all(z != 0 for z in cert)
-    assert cert[0] > 0
-
-
 # ---------------------------------------------------------------------------
 # The integer checker against a ``Fraction`` recheck.
 #
@@ -555,47 +535,24 @@ def test_infeasible_with_slack_and_artificial_rows():
 def fraction_verify(problem, result):
     n = problem.n_vars
     cons = problem.constraints
-    rels = _relations(problem)
-
-    if isinstance(result, LPOptimal):
-        if result.d <= 0:
-            return False
-        x = [F(v, result.d) for v in result.xn]
-        if len(x) != n or any(v < 0 for v in x):
-            return False
-        for c, rel in zip(cons, rels):
-            lhs = sum(a * v for a, v in zip(c, x))
-            if rel == "<=" and not lhs <= c[n]:
-                return False
-            if rel == "==" and lhs != c[n]:
-                return False
-        value = F(result.vn, result.d)
-        if sum(o * v for o, v in zip(problem.objective, x)) != value:
-            return False
-        y = _dual(result)
-        if len(y) != len(cons):
-            return False
-        if any(rel == "<=" and yi < 0 for yi, rel in zip(y, rels)):
-            return False
-        for j, cj in enumerate(problem.objective):
-            if sum(yi * c[j] for yi, c in zip(y, cons)) < cj:
-                return False
-        return sum(yi * c[n] for yi, c in zip(y, cons)) == value
-
     if result.d <= 0:
         return False
-    z = [F(v, result.d) for v in result.zn]
-    if len(z) != len(cons):
+    x = [F(v, result.d) for v in result.xn]
+    if len(x) != n or any(v < 0 for v in x):
         return False
-    if any(rel == "<=" and zi > 0 for zi, rel in zip(z, rels)):
+    for c in cons:
+        if not sum(a * v for a, v in zip(c, x)) <= c[n]:
+            return False
+    value = F(result.vn, result.d)
+    if sum(o * v for o, v in zip(problem.objective, x)) != value:
         return False
-    combined_rhs = F(0)
-    combined = [F(0)] * n
-    for zi, c in zip(z, cons):
-        combined_rhs += zi * c[n]
-        for j, a in enumerate(c[:n]):
-            combined[j] += zi * a
-    return all(v <= 0 for v in combined) and combined_rhs > 0
+    y = _dual(result)
+    if len(y) != len(cons) or any(yi < 0 for yi in y):
+        return False
+    for j, cj in enumerate(problem.objective):
+        if sum(yi * c[j] for yi, c in zip(y, cons)) < cj:
+            return False
+    return sum(yi * c[n] for yi, c in zip(y, cons)) == value
 
 
 def _differential_results():
@@ -608,7 +565,7 @@ def _differential_results():
         ref = reference_solve(prob)
         if ref[0] != "unbounded":
             out.append((prob, solve_lp(prob)))
-            out.append((prob, _checkable(ref)))
+            out.append((prob, _optimal(*ref[1:])))
     return out
 
 
@@ -624,29 +581,19 @@ def test_integer_verifier_agrees_with_fraction_verifier():
 
 def _perturb(rng, result):
     """``result`` with one entry moved by +-1 or +-1/d, or its sign flipped."""
-    if isinstance(result, LPOptimal):
-        fields = {"xn": list(result.xn), "vn": [result.vn], "yn": list(result.yn)}
-        name = rng.choice(sorted(fields))
-    else:
-        fields = {"zn": list(result.zn)}
-        name = "zn"
-    entries = fields[name]
+    fields = {"xn": list(result.xn), "vn": [result.vn], "yn": list(result.yn)}
+    entries = fields[rng.choice(sorted(fields))]
     k = rng.randrange(len(entries))
     v, d = entries[k], result.d
     entries[k] = rng.choice((v + d, v - d, v + 1, v - 1, -v))
-    if isinstance(result, LPOptimal):
-        return LPOptimal(fields["xn"], fields["vn"][0], fields["yn"], d)
-    return LPInfeasible(fields["zn"], d)
+    return LPOptimal(fields["xn"], fields["vn"][0], fields["yn"], d)
 
 
 def _scaled(result, k):
     """``result`` with every numerator and its denominator times ``k``: the
     same rationals over a denominator that is not the lcm, as ``solve_lp``'s
     ``D`` is not."""
-    if isinstance(result, LPOptimal):
-        return LPOptimal([k * v for v in result.xn], k * result.vn, [k * v for v in result.yn],
-                         k * result.d)
-    return LPInfeasible([k * v for v in result.zn], k * result.d)
+    return LPOptimal([k * v for v in result.xn], k * result.vn, [k * v for v in result.yn], k * result.d)
 
 
 def test_integer_verifier_agrees_on_perturbed_certificates():
@@ -667,21 +614,18 @@ def test_integer_verifier_agrees_on_perturbed_certificates():
 # The condensed tableau against the full tableau it replaced.
 #
 # ``full_solve_lp`` is the earlier integer solver, whose tableau kept a
-# column for every variable, the basic ``D * e_i`` columns and every
-# artificial included.  It lives only here, as the oracle the condensed
-# tableau in ``conedual.lp`` is compared against: same answers, same pivot
-# entries, and rows exactly one entry shorter per constraint.  It is the
-# earlier code with only a ``seen`` list threaded through, which collects
-# ``(pivot entry, row length)`` for every pivot.
+# column for every variable, the basic ``D * e_i`` columns included, on
+# the rows the package builds today, all ``<=``.  It lives only here, as
+# the oracle the condensed tableau in ``conedual.lp`` is compared against:
+# same answers, same pivot entries, and rows exactly one entry shorter per
+# constraint.  A ``seen`` list threaded through collects ``(pivot entry,
+# row length)`` for every pivot.
 
 
 def _full_pivot(T, basis, D, pr, pc, seen):
     seen.append((T[pr][pc], len(T[pr])))
     prow = T[pr]
     p = prow[pc]
-    if p < 0:
-        p = -p
-        T[pr] = prow = [-v for v in prow]
     for r in range(len(T)):
         if r == pr:
             continue
@@ -695,10 +639,10 @@ def _full_pivot(T, basis, D, pr, pc, seen):
     return p
 
 
-def _full_iterate(T, basis, D, m, limit, seen):
+def _full_iterate(T, basis, D, m, seen):
     while True:
         cost = T[m]
-        pc = next((j for j in range(limit) if cost[j] < 0), None)
+        pc = next((j for j in range(len(cost) - 1) if cost[j] < 0), None)
         if pc is None:
             return D, None
         pr = None
@@ -723,65 +667,20 @@ def full_solve_lp(problem, seen):
     cons = problem.constraints
     m = len(cons)
     obj = problem.objective
-    width = n + m - problem.equalities
 
-    T = []
-    basis = []
-    art_rows = []
-    s = n
-    for c, rel in zip(cons, _relations(problem)):
-        row = list(c[:n]) + [0] * (width - n)
-        if rel == "<=":
-            row[s] = 1
-            basis.append(s)
-            s += 1
-        else:
-            basis.append(None)
-            art_rows.append(len(T))
-        T.append(row + [c[n]])
+    # row i's slack is variable n + i, basic from the start
+    T = [list(c[:n]) + [int(i == j) for j in range(m)] + [c[n]] for i, c in enumerate(cons)]
+    basis = list(range(n, n + m))
+    T.append([-v for v in obj] + [0] * (m + 1))
 
-    k = len(art_rows)
-    T = [row[:width] + [0] * k + row[width:] for row in T]
-    for a, i in enumerate(art_rows):
-        T[i][width + a] = 1
-        basis[i] = width + a
-    cost = [0] * (width + k + 1)
-    for i in art_rows:
-        cost = [d - v for d, v in zip(cost, T[i])]
-    cost[width:width + k] = [0] * k
-    T.append(cost)
-    start = basis[:]
-
-    D, status = _full_iterate(T, basis, 1, m, width, seen)
-    assert status is None
-
-    cost = T.pop()
-    if cost[-1] < 0:
-        cert = tuple(F((D if start[i] >= width else 0) - cost[start[i]], D) for i in range(m))
-        return ("infeasible", cert)
-
-    for i in range(m):
-        if basis[i] >= width:
-            pc = next((j for j in range(width) if T[i][j]), None)
-            if pc is not None:
-                D = _full_pivot(T, basis, D, i, pc, seen)
-
-    cmin = [-v for v in obj] + [0] * (width + k - n)
-    cost = [D * cj for cj in cmin] + [0]
-    for b, row in zip(basis, T):
-        cb = cmin[b]
-        if cb:
-            cost = [d - cb * v for d, v in zip(cost, row)]
-    T.append(cost)
-
-    D, status = _full_iterate(T, basis, D, m, width, seen)
+    D, status = _full_iterate(T, basis, 1, m, seen)
     if status is None:
         point = [F(0)] * n
         for i, b in enumerate(basis):
             if b < n:
                 point[b] = F(T[i][-1], D)
         value = sum(o * p for o, p in zip(obj, point))
-        dual = tuple(F(T[m][start[i]], D) for i in range(m))
+        dual = tuple(F(T[m][n + i], D) for i in range(m))
         return ("optimal", tuple(point), value, dual)
     return ("unbounded",)
 
@@ -817,17 +716,17 @@ def _assert_same_as_full_tableau(prob, seen):
 def test_condensed_tableau_matches_full_tableau_on_the_differential_set(monkeypatch):
     seen = _spy_pivot_rows(monkeypatch)
     rng = random.Random(31337)
-    outcomes = {"optimal": 0, "infeasible": 0, "unbounded": 0}
-    pivots = negative = 0
+    outcomes = {"optimal": 0, "unbounded": 0}
+    pivots = 0
+    entries = []
     for _ in range(300):
         got, count = _assert_same_as_full_tableau(_random_lp(rng), seen)
         outcomes[got[0]] += 1
         pivots += count
-        negative += sum(p < 0 for p, _ in seen)
+        entries += [p for p, _ in seen]
     assert all(count >= 20 for count in outcomes.values()), outcomes
-    # the equalities with negative coefficients drive artificials out on
-    # negative entries
-    assert pivots > 300 and negative >= 10, (pivots, negative)
+    # every pivot is a simplex pivot, on a positive entry
+    assert pivots >= 200 and min(entries) > 0, (pivots, min(entries))
 
 
 def _capture_problems(monkeypatch, module):
@@ -865,10 +764,10 @@ def test_condensed_tableau_matches_full_tableau_on_separation_lps(monkeypatch):
         convex_sep.separate(gens, dim)
     monkeypatch.undo()
     seen = _spy_pivot_rows(monkeypatch)
-    outcomes = {"optimal": 0, "infeasible": 0}
+    outcomes = {"separated": 0, "meets": 0}
     for prob in problems:
         got, _ = _assert_same_as_full_tableau(prob, seen)
-        outcomes[got[0]] += 1
+        outcomes["separated" if got[2] == 1 else "meets"] += 1
     # both a separation and a meet of the corner
     assert all(count >= 20 for count in outcomes.values()), outcomes
 
@@ -895,11 +794,76 @@ def test_condensed_tableau_matches_full_tableau_on_margin_lps(monkeypatch):
     assert held >= 10 and violated >= 10, (held, violated)
 
 
+# ---------------------------------------------------------------------------
+# The separation LP against its earlier formulation.
+#
+# ``separate`` once asked for weights with ``sum w = 1``, an equality that
+# needed a phase 1 and Farkas multipliers when it failed.  Its LP now
+# maximises ``sum w`` under ``sum w <= 1`` from the origin, the same LP as
+# that phase 1.  The earlier formulation is solved here by the reference.
+
+
+def _earlier_formulation(prob):
+    """The separation LP ``prob`` as it once was: its simplex row, row 0,
+    read as ``sum w = 1``, and a zero objective."""
+    return reference_solve(LPProblem(prob.n_vars, prob.constraints, (0,) * prob.n_vars), equalities=1)
+
+
+def test_a_separation_optimum_is_below_one_exactly_when_the_simplex_formulation_is_infeasible(monkeypatch):
+    problems = _capture_problems(monkeypatch, convex_sep)
+    # every instance reaches the LP, the screens' answers included
+    monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
+    with_inf = 0
+    for gens, dim in _separation_instances(random.Random(6174), 150, (2, 7), (2, 14), 0.08):
+        before = len(problems)
+        convex_sep.separate(gens, dim)
+        with_inf += len(problems) > before and any(g._form[2] for g in gens)
+    monkeypatch.undo()
+    outcomes = {True: 0, False: 0}
+    for prob in problems:
+        res = solve_lp(prob)
+        old = _earlier_formulation(prob)
+        below = res.value < 1
+        assert below == (old[0] == "infeasible"), (prob.constraints, res.value, old)
+        if below:
+            assert _farkas_refutes(prob, 1, old[1])
+            # the dual's multipliers on the pairing rows are not all zero,
+            # so they normalise to the corner witness
+            assert any(res.yn[1:])
+        else:
+            assert old[0] == "optimal" and sum(old[1]) == 1 and sum(res.point) == 1
+        outcomes[below] += 1
+    # both verdicts, and instances with inf entries among those the LP decided
+    assert min(outcomes.values()) >= 20 and with_inf >= 20, (outcomes, with_inf)
+
+
+def test_every_pivot_of_both_callers_is_positive(monkeypatch):
+    pivots = _spy_pivots(monkeypatch)
+    # every instance reaches the LP, the screens' answers included
+    monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
+    monkeypatch.setattr(functionals, "_screen", lambda gvecs, hvecs: None)
+    for gens, dim in _separation_instances(random.Random(2718), 60, (2, 7), (2, 14), 0.08):
+        convex_sep.separate(gens, dim)
+    separations = len(pivots)
+    rng = random.Random(1618)
+    for _ in range(60):
+        dim = rng.randint(1, 5)
+
+        def rows(count):
+            return [ExtVec([ExtReal(F(rng.randint(0, 9), rng.randint(1, 3))) for _ in range(dim)])
+                    for _ in range(count)]
+
+        functionals._margin(rows(rng.randint(1, 4)), rows(rng.randint(1, 4)))
+    margins = len(pivots) - separations
+    assert separations >= 100 and margins >= 100, (separations, margins)
+    assert min(pivots) > 0
+
+
 def test_the_fields_the_traced_benchmark_reads(monkeypatch):
     # perfbench/run.py counts the LPs by their class names, sizes them by
     # len(problem.constraints) * problem.n_vars, and reads the bit length
-    # of the point and certificate Fractions; perfbench/spans.py wraps
-    # solve_lp where each caller binds it at module level
+    # of the point Fractions; perfbench/spans.py wraps solve_lp where each
+    # caller binds it at module level
     assert convex_sep.solve_lp is functionals.solve_lp is lp.solve_lp
     separations = _capture_problems(monkeypatch, convex_sep)
     margins = _capture_problems(monkeypatch, functionals)
@@ -913,15 +877,17 @@ def test_the_fields_the_traced_benchmark_reads(monkeypatch):
     problems = separations + margins
     assert len(problems) == 3
     results = [solve_lp(prob) for prob in problems]
-    assert [type(r).__name__ for r in results] == ["LPOptimal", "LPInfeasible", "LPOptimal"]
+    assert [type(r).__name__ for r in results] == ["LPOptimal"] * 3
     for prob in problems:
         assert type(prob.n_vars) is int and len(prob.constraints) * prob.n_vars > 0
-    fields = [results[0].point, results[1].certificate, results[2].point]
+    fields = [r.point for r in results]
     for values in fields:
         assert type(values) is tuple and all(type(v) is F for v in values)
     assert max(max(v.numerator.bit_length(), v.denominator.bit_length())
                for values in fields for v in values) > 0
-    assert results[0].point == (F(1, 2), F(1, 2)) and results[2].value == 0
+    assert results[0].point == (F(1, 2), F(1, 2)) and results[0].value == 1
+    assert results[1].point == (F(1, 3), F(1, 3)) and results[1].value == F(2, 3)
+    assert results[2].value == 0
 
 
 def _oracle_witness_from_certificate(gens, fin, inf_coords, w):
@@ -987,7 +953,7 @@ def _fraction_row_margin(gcoeffs, hcoeffs):
             s = lcm(*(v.denominator for v in diffs))
             constraints.append(tuple(int(v * s) for v in diffs) + (0,))
             scales.append(s)
-    res = solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,), 0))
+    res = solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,)))
     mu = [s * v for s, v in zip(scales, _dual(res)[1:])]
     total = sum(mu)
     a = tuple(sum(mu[i * k:(i + 1) * k]) / total for i in range(len(gcoeffs)))
@@ -997,14 +963,17 @@ def _fraction_row_margin(gcoeffs, hcoeffs):
 
 def _simplex_margin(gcoeffs, hcoeffs):
     """The largest margin t with (h_k - g_i) . y + t <= 0 over the simplex
-    sum y = 1, t = tp - tm free: an independent formulation whose phase 1
-    must first reach the simplex.  The oracle for verdicts and values."""
+    sum y = 1, t = tp - tm free, solved by the reference: an independent
+    formulation whose phase 1 must first reach the simplex.  The oracle for
+    verdicts and values."""
     dim = len(gcoeffs[0])
-    cons = [((1,) * dim + (0, 0), "==", 1)]
+    cons = [((1,) * dim + (0, 0), 1)]
     for gc in gcoeffs:
         for hc in hcoeffs:
-            cons.append((tuple(F(h) - F(g) for g, h in zip(gc, hc)) + (1, -1), "<=", 0))
-    return solve_lp(problem(dim + 2, cons, (0,) * dim + (1, -1))).value
+            cons.append((tuple(F(h) - F(g) for g, h in zip(gc, hc)) + (1, -1), 0))
+    ref = reference_solve(problem(dim + 2, cons, (0,) * dim + (1, -1)), equalities=1)
+    assert ref[0] == "optimal", ref
+    return ref[2]
 
 
 def _assert_rows_are_ints(problems):
@@ -1078,18 +1047,12 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
     assert restricted >= 10, restricted
 
     problems = _capture_problems(monkeypatch, functionals)
-    pivots = _spy_pivots(monkeypatch)
     held = violated = 0
-    spent = simplex_spent = 0
     for gcoeffs, hcoeffs in calls:
         want = _fraction_row_margin(gcoeffs, hcoeffs)
-        before = len(pivots)
         got = functionals._margin([ExtVec(g) for g in gcoeffs], hcoeffs)
-        spent += len(pivots) - before
         assert got == want, (gcoeffs, hcoeffs, got, want)
-        before = len(pivots)
         t = _simplex_margin(gcoeffs, hcoeffs)
-        simplex_spent += len(pivots) - before
         # the same verdict, and the same value where the order fails
         assert got[0] == max(t, 0), (gcoeffs, hcoeffs, got[0], t)
         if got[0] == 0:
@@ -1101,11 +1064,7 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
     _assert_rows_are_ints(problems)
     assert all(fraction_verify(prob, solve_lp(prob)) for prob in problems)
     assert held >= 10 and violated >= 10, (held, violated)
-    # the origin is a feasible start, every row <= with b >= 0, so every
-    # slack starts basic: no phase 1, and fewer pivots in all
     assert len(problems) == len(calls)
-    assert all(prob.equalities == 0 for prob in problems)
-    assert spent < simplex_spent, (spent, simplex_spent)
 
 
 # ---------------------------------------------------------------------------
@@ -1113,15 +1072,8 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
 
 
 def _answer_form(res):
-    """An answer's integer form, ``(xn, vn, yn, d)`` or ``(zn, d)``, with each
-    multiplier of an optimum by its size.  Writing an inequality row the
-    other way round, ``a . x <= b`` as ``-a . x >= -b``, flips the sign of
-    its multiplier and nothing else, and the relation fixes that sign; the
-    one ``=`` row, the separation LP's simplex row, has multiplier zero at
-    every optimum, as that LP's objective is zero."""
-    if type(res) is LPOptimal:
-        return (tuple(res.xn), res.vn, tuple(abs(v) for v in res.yn), res.d)
-    return (tuple(res.zn), res.d)
+    """An answer's integer form, ``(xn, vn, yn, d)``."""
+    return (tuple(res.xn), res.vn, tuple(res.yn), res.d)
 
 
 def test_the_answers_of_both_callers_are_pinned(monkeypatch):
@@ -1131,7 +1083,7 @@ def test_the_answers_of_both_callers_are_pinned(monkeypatch):
 
         def solve(problem, seen=seen):
             res = solve_lp(problem)
-            seen.append((type(res).__name__, _answer_form(res)))
+            seen.append(_answer_form(res))
             return res
 
         monkeypatch.setattr(module, "solve_lp", solve)
@@ -1160,10 +1112,9 @@ def test_the_answers_of_both_callers_are_pinned(monkeypatch):
         outcomes[key] = outcomes.get(key, 0) + 1
     # both verdicts of each, with and without inf entries
     assert len(outcomes) == 8 and min(outcomes.values()) >= 3, outcomes
-    kinds = {(name, kind) for name, seen in answers.items() for kind, _ in seen}
-    assert kinds == {("conedual.convex_sep", "LPOptimal"), ("conedual.convex_sep", "LPInfeasible"),
-                     ("conedual.functionals", "LPOptimal")}, kinds
+    # the separation LPs reach both an optimum of one and one below it
+    assert {vn == d for _, vn, _, d in answers["conedual.convex_sep"]} == {True, False}
     assert [len(seen) for seen in answers.values()] == [55, 23]
-    assert len(pivots) == 250
+    assert len(pivots) == 247
     digest = hashlib.sha256(repr(sorted(answers.items())).encode()).hexdigest()
-    assert digest == "9aad5e80443fcde067539a44c24a0e0d3c48d36f3e42b6b51f1a06ac46779e97"
+    assert digest == "e9080f0148562998c8a5e4048b93970d2705b713cb05868e52cd98895a98c250"

@@ -20,30 +20,30 @@ from conedual import (
     verify_meets_corner,
     verify_separated,
 )
-from conedual.lp import LPInfeasible, LPOptimal, LPProblem, solve_lp
+from conedual.lp import LPProblem, solve_lp
 
 F = Fraction
 convex_sep = importlib.import_module("conedual.convex_sep")
 
 
 def _one_lp(gens, dim, fin, inf_coords):
-    """``convex_sep._separation_lp`` as it was, one LP with a row for every
-    generator: the reference."""
+    """``convex_sep._separation_lp`` without rounds, one LP with a row for
+    every generator: the reference."""
     forms = [g._form for g in gens]
     k = len(fin)
     constraints = [(1,) * (k + 1)]
     for nums, d, _, _ in forms:
         constraints.append(tuple(nums[i] for i in fin) + (d,))
-    res = solve_lp(LPProblem(k, constraints, (0,) * k, 1))
+    res = solve_lp(LPProblem(k, constraints, (1,) * k))
 
-    if isinstance(res, LPOptimal):
+    if res.value == 1:
         full = [0] * dim
         for pos, i in enumerate(fin):
             full[i] = res.point[pos]
         return Separated(SeparationWeights(tuple(full)))
 
-    assert isinstance(res, LPInfeasible)
-    w = [-v * form[1] for v, form in zip(res.zn[1:], forms)]
+    assert res.value < 1
+    w = [v * form[1] for v, form in zip(res.yn[1:], forms)]
     return MeetsCorner(convex_sep._witness_from_certificate(gens, fin, inf_coords, w))
 
 
