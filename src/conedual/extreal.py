@@ -226,22 +226,14 @@ def ext_min(values) -> ExtReal:
     vs = [v if isinstance(v, ExtReal) else ExtReal(v) for v in values]
     if not vs:
         raise EmptyList("min over an empty collection")
-    out = vs[0]
-    for v in vs[1:]:
-        if v < out:
-            out = v
-    return out
+    return min(vs)
 
 
 def ext_max(values) -> ExtReal:
     vs = [v if isinstance(v, ExtReal) else ExtReal(v) for v in values]
     if not vs:
         raise EmptyList("max over an empty collection")
-    out = vs[0]
-    for v in vs[1:]:
-        if out < v:
-            out = v
-    return out
+    return max(vs)
 
 
 def parse_extreal(text: str) -> ExtReal:

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import repeat
-from math import lcm
 from operator import le, mul
 
 from .certify import covered, refutes, require
@@ -150,38 +149,35 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
 def _margin(gvecs, hvecs):
     """One LP deciding min_i g_i <= max_k h_k on the orthant (finite entries).
 
-    Maximise t >= 0 with sum_j y_j <= 1 and L (h_k - g_i) . y + L t <= 0
-    for every pair, a row of ints with L the lcm of the two denominators.
-    The origin is feasible, so every row starts with its slack basic and the
-    solver runs no phase 1.  As the rows are homogeneous, the optimum is
-    max(0, t*) for the largest margin t* over the simplex: it is positive,
-    at a point with sum_j y_j = 1, exactly when the order fails.  Returns
-    the value, y, and simplex weights a_i = sum_k mu_ik, lambda_k =
-    sum_i mu_ik from mu = L * dual of the pair rows divided by its sum,
-    which is at least 1.  On a zero value the dual of the sum row is zero,
-    so sum_i a_i g_i <= sum_k lambda_k h_k coordinatewise.
+    The epigraph form of a max-min LP (Bertsimas & Tsitsiklis 1997, 1.3):
+    over y, a level u = u+ - u- and t, maximise t >= 0 with sum_j y_j <= 1,
+    one row h_k . y <= u per branch and one row u + t <= g_i . y per
+    member, each in ints over its vector's denominator.  The origin is
+    feasible, so every row starts with its slack basic and the solver runs
+    no phase 1.  As the rows are homogeneous, the optimum is max(0, t*) for
+    the largest margin t* = min_i g_i . y - max_k h_k . y over the simplex:
+    it is positive, at a point with sum_j y_j = 1, exactly when the order
+    fails.  The dual is the certificate: alpha_i = gd * the dual of member
+    row i and lambda_k = hd * that of branch row k.  The columns of u+ and
+    u- force sum lambda = sum alpha and that of t sum alpha >= 1, so both
+    divided by sum alpha are simplex weights a and lambda.  On a zero value
+    the dual of the sum row is zero, so the column of y_j reads
+    sum_i a_i g_i <= sum_k lambda_k h_k coordinatewise.
     """
     gforms = [as_extvec(g)._form for g in gvecs]
     hforms = [as_extvec(h)._form for h in hvecs]
     dim = len(gforms[0][0])
-    k = len(hforms)
-    # variables: y_0 .. y_{dim-1}, then the margin t
-    constraints = [(1,) * dim + (0, 1)]
-    scales = []
-    for gn, gd, _, _ in gforms:
-        for hn, hd, _, _ in hforms:
-            L = lcm(gd, hd)
-            gs, hs = L // gd, L // hd
-            constraints.append(tuple(h * hs - g * gs for g, h in zip(gn, hn)) + (L, 0))
-            scales.append(L)
-    objective = (0,) * dim + (1,)
-    res = solve_lp(LPProblem(dim + 1, constraints, objective))
-    # mu over the dual's denominator, which the division by sum mu cancels
-    mu = [L * v for L, v in zip(scales, res.yn[1:])]
-    total = sum(mu)
-    a = tuple(Fraction(sum(mu[i * k:(i + 1) * k]), total) for i in range(len(gforms)))
-    lam = tuple(Fraction(sum(mu[kk::k]), total) for kk in range(k))
-    return res.value, res.point[:dim], a, lam
+    # variables: y_0 .. y_{dim-1}, u+, u-, then the margin t
+    constraints = [(1,) * dim + (0, 0, 0, 1)]
+    constraints += [(*hn, -hd, hd, 0, 0) for hn, hd, _, _ in hforms]
+    constraints += [(*[-v for v in gn], gd, -gd, gd, 0) for gn, gd, _, _ in gforms]
+    res = solve_lp(LPProblem(dim + 3, constraints, (0,) * (dim + 2) + (1,)))
+    # lambda and alpha over the dual's denominator, which the division by sum alpha cancels
+    lam = [v * hd for v, (_, hd, _, _) in zip(res.yn[1:], hforms)]
+    alpha = [v * gd for v, (_, gd, _, _) in zip(res.yn[1 + len(hforms):], gforms)]
+    total = sum(alpha)
+    return (res.value, res.point[:dim],
+            tuple(Fraction(v, total) for v in alpha), tuple(Fraction(v, total) for v in lam))
 
 
 _F0, _F1 = Fraction(0), Fraction(1)

@@ -56,13 +56,14 @@ def interpolate(clause, phi: SublinFun) -> ClauseWitness:
     Screens first, then at most one LP.  A member at most a branch
     coordinatewise gives a = e_i and lambda = e_k, and a coordinate where
     every member exceeds every branch is a violation.  Otherwise one
-    margin LP maximises t >= 0 with (g_i - h_k) . y >= t and sum_j y_j <=
-    1, starting feasible at the origin.  A positive optimum makes its
-    point a violation of the hypothesis; otherwise its dual gives the
-    weights and the certificate.  The left inequality min_i g_i <=
-    sum a_i g_i is automatic for simplex weights; the right one follows
-    from the coordinatewise certificate.  ``leq_functional`` decides the
-    hypothesis alone.
+    margin LP maximises t >= 0 with h_k . y <= u for every branch,
+    u + t <= g_i . y for every member and sum_j y_j <= 1, starting
+    feasible at the origin.  A positive optimum makes its point a
+    violation of the hypothesis; otherwise its dual on the member and
+    branch rows, divided by its sum, is the weights and the certificate.
+    The left inequality min_i g_i <= sum a_i g_i is automatic for simplex
+    weights; the right one follows from the coordinatewise certificate.
+    ``leq_functional`` decides the hypothesis alone.
     """
     return _interpolate(clause, phi, None)
 

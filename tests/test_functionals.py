@@ -329,13 +329,15 @@ def test_leq_functional_margin_lp_on_the_finite_rest():
 
 
 def test_margin_scales_a_larger_dual_onto_the_simplex(monkeypatch):
-    # y <= max(2 y, 3 y) on y >= 0: the optimum is y = t = 0, where any
-    # pair multipliers with sum mu >= 1 are an optimal dual; mu = (1, 1)
-    # gives weights divided by sum mu = 2
+    # y <= max(2 y, 3 y) on y >= 0: the optimum is y = t = 0, where any dual
+    # with sum alpha = sum lambda >= 1 is optimal; the rows are sum y <= 1,
+    # the branches 2 y <= u and 3 y <= u, then the member u + t <= y, and the
+    # dual (0, 1, 1, 2) has sum alpha = sum lambda = 2, so the weights are
+    # divided by 2
     from conedual import functionals, lp
 
     def solve(problem):
-        res = lp.LPOptimal([0, 0], 0, [0, 1, 1], 1)
+        res = lp.LPOptimal([0, 0, 0, 0], 0, [0, 1, 1, 2], 1)
         assert lp._verify(problem, res)
         return res
 

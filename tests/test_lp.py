@@ -2,8 +2,9 @@
 margin LP build, ``(a_1, ..., a_n, b)`` with ``b >= 0``, each ``a . x <= b``:
 seeded cross-checks against vertex enumeration, a ``Fraction`` reference
 solver, a ``Fraction`` recheck of every answer and the full tableau, the
-separation LP against its earlier ``sum w = 1`` formulation, the fields the
-traced benchmark reads, and both callers' answers, pinned."""
+separation LP against its earlier ``sum w = 1`` formulation, the margin LP
+against its earlier pair rows, the fields the traced benchmark reads, and
+both callers' answers, pinned."""
 
 import hashlib
 import random
@@ -939,26 +940,24 @@ def test_witness_builder_matches_the_fraction_reference():
 
 
 def _fraction_row_margin(gcoeffs, hcoeffs):
-    """``_margin`` with each pair row the ``Fraction`` differences ``h - g``
-    followed by ``1``, entered with that row's own denominators cleared,
-    ``s`` times larger, so its multiplier is ``s`` times the dual: the
-    reference."""
+    """``_margin`` with each branch row ``(h, -1, 1, 0)`` and each member row
+    ``(-g, 1, -1, 1)`` in ``Fraction``s, over ``(y, u+, u-, t)``, entered with
+    that row's own denominators cleared, ``s`` times larger, so its
+    multiplier is ``s`` times the dual: the reference."""
     dim = len(gcoeffs[0])
     k = len(hcoeffs)
-    constraints = [(1,) * dim + (0, 1)]
+    rows = [tuple(F(h) for h in hc) + (F(-1), F(1), F(0)) for hc in hcoeffs]
+    rows += [tuple(-F(g) for g in gc) + (F(1), F(-1), F(1)) for gc in gcoeffs]
+    constraints = [(1,) * dim + (0, 0, 0, 1)]
     scales = []
-    for gc in gcoeffs:
-        for hc in hcoeffs:
-            diffs = tuple(F(h) - F(g) for g, h in zip(gc, hc)) + (F(1),)
-            s = lcm(*(v.denominator for v in diffs))
-            constraints.append(tuple(int(v * s) for v in diffs) + (0,))
-            scales.append(s)
-    res = solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,)))
-    mu = [s * v for s, v in zip(scales, _dual(res)[1:])]
-    total = sum(mu)
-    a = tuple(sum(mu[i * k:(i + 1) * k]) / total for i in range(len(gcoeffs)))
-    lam = tuple(sum(mu[kk::k]) / total for kk in range(k))
-    return res.value, res.point[:dim], a, lam
+    for row in rows:
+        s = lcm(*(v.denominator for v in row))
+        constraints.append(tuple(int(v * s) for v in row) + (0,))
+        scales.append(s)
+    res = solve_lp(LPProblem(dim + 3, constraints, (0,) * (dim + 2) + (1,)))
+    mult = [s * v for s, v in zip(scales, _dual(res)[1:])]
+    total = sum(mult[k:])
+    return res.value, res.point[:dim], tuple(v / total for v in mult[k:]), tuple(v / total for v in mult[:k])
 
 
 def _simplex_margin(gcoeffs, hcoeffs):
@@ -1068,6 +1067,117 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
 
 
 # ---------------------------------------------------------------------------
+# The margin LP against its earlier formulation.
+#
+# ``_margin`` once wrote one row per pair ``(g_i, h_k)``, ``(h_k - g_i) . y +
+# t <= 0`` over the lcm of the two denominators, and summed the pair
+# multipliers into the weights.  It now writes one row per branch and one
+# per member around a level ``u``, and its dual is the weights.  The pair
+# rows are solved here as the reference for the value.
+
+
+def _pair_row_value(gvecs, hvecs):
+    """The optimum of ``_margin``'s LP as it once was, one row per pair."""
+    gforms = [g._form for g in gvecs]
+    hforms = [h._form for h in hvecs]
+    dim = len(gforms[0][0])
+    constraints = [(1,) * dim + (0, 1)]
+    for gn, gd, _, _ in gforms:
+        for hn, hd, _, _ in hforms:
+            L = lcm(gd, hd)
+            constraints.append(tuple(h * (L // hd) - g * (L // gd) for g, h in zip(gn, hn)) + (L, 0))
+    return solve_lp(LPProblem(dim + 1, constraints, (0,) * dim + (1,))).value
+
+
+def _spy_margins(monkeypatch):
+    """Record each ``_margin`` call as its vectors, its answer and the
+    ``(rows, variables)`` of every LP it hands to ``solve_lp``."""
+    shapes, calls = [], []
+    real = functionals._margin
+
+    def solve(problem):
+        shapes.append((len(problem.constraints), problem.n_vars))
+        return solve_lp(problem)
+
+    def margin(gvecs, hvecs):
+        before = len(shapes)
+        answer = real(gvecs, hvecs)
+        calls.append((gvecs, hvecs, answer, shapes[before:]))
+        return answer
+
+    monkeypatch.setattr(functionals, "solve_lp", solve)
+    monkeypatch.setattr(functionals, "_margin", margin)
+    return calls
+
+
+def _assert_margin_answer(gvecs, hvecs, answer, shapes):
+    """One LP, a row per member, per branch and for the simplex over ``y``,
+    ``u+``, ``u-`` and ``t``; simplex weights; on a zero value sum_i a_i g_i
+    <= sum_k lambda_k h_k coordinatewise, otherwise a point of the simplex."""
+    value, y, a, lam = answer
+    dim = gvecs[0].dim
+    assert shapes == [(len(gvecs) + len(hvecs) + 1, dim + 3)], shapes
+    for w in (a, lam):
+        assert all(v >= 0 for v in w) and sum(w) == 1, w
+    if value == 0:
+        for j in range(dim):
+            left = sum(w * g[j].as_fraction() for w, g in zip(a, gvecs))
+            assert left <= sum(w * h[j].as_fraction() for w, h in zip(lam, hvecs)), (j, a, lam)
+    else:
+        assert value > 0 and sum(y) == 1, answer
+
+
+def test_margin_lp_value_matches_the_pair_row_formulation(monkeypatch):
+    calls = _spy_margins(monkeypatch)
+    # every instance reaches the LP, the screens' answers included
+    monkeypatch.setattr(functionals, "_screen", lambda gvecs, hvecs: None)
+    rng = random.Random(3571)
+    kinds = {}
+    for inf_rate in (0, 0.1):
+        for _ in range(150):
+            dim = rng.randint(1, 6)
+
+            def fun():
+                return [INF if rng.random() < inf_rate else F(rng.randint(0, 9), rng.randint(1, 4))
+                        for _ in range(dim)]
+
+            before = len(calls)
+            functionals.leq_functional(
+                functionals.SuperlinFun([fun() for _ in range(rng.randint(1, 6))]),
+                functionals.SublinFun([fun() for _ in range(rng.randint(1, 6))]),
+            )
+            for gvecs, hvecs, answer, shapes in calls[before:]:
+                _assert_margin_answer(gvecs, hvecs, answer, shapes)
+                assert answer[0] == _pair_row_value(gvecs, hvecs), (gvecs, hvecs, answer)
+                key = answer[0] > 0, inf_rate > 0
+                kinds[key] = kinds.get(key, 0) + 1
+    # both verdicts, on finite vectors and on those restricted where every h_k is finite
+    assert len(kinds) == 4 and min(kinds.values()) >= 20, kinds
+
+
+def test_margin_lp_decides_twenty_members_against_twenty_branches_in_ten_dimensions(monkeypatch):
+    calls = _spy_margins(monkeypatch)
+    rng = random.Random(6765)
+    verdicts = []
+    for _ in range(20):
+
+        def fun(low, top):
+            return [F(rng.randint(low, top), rng.randint(1, 4)) for _ in range(10)]
+
+        low = rng.randint(3, 6)
+        phi = functionals.SuperlinFun([fun(low, 11) for _ in range(20)])
+        psi = functionals.SublinFun([fun(0, 9) for _ in range(20)])
+        ok, y = functionals.leq_functional(phi, psi)
+        assert ok or psi.eval(y) < phi.eval(y)
+        verdicts.append(ok)
+    monkeypatch.undo()
+    for call in calls:
+        _assert_margin_answer(*call)
+    # no screen answers these, and both verdicts come up
+    assert len(calls) == 20 and len(set(verdicts)) == 2, (len(calls), verdicts)
+
+
+# ---------------------------------------------------------------------------
 # Both callers' answers, pinned.
 
 
@@ -1115,6 +1225,6 @@ def test_the_answers_of_both_callers_are_pinned(monkeypatch):
     # the separation LPs reach both an optimum of one and one below it
     assert {vn == d for _, vn, _, d in answers["conedual.convex_sep"]} == {True, False}
     assert [len(seen) for seen in answers.values()] == [55, 23]
-    assert len(pivots) == 247
+    assert len(pivots) == 255
     digest = hashlib.sha256(repr(sorted(answers.items())).encode()).hexdigest()
-    assert digest == "e9080f0148562998c8a5e4048b93970d2705b713cb05868e52cd98895a98c250"
+    assert digest == "96e9ffe4a6b4b3c90948b6b1b19051d22181d6c57ca879651d418fd132410d7f"
