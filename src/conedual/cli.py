@@ -4,9 +4,11 @@ Reads one JSON instance (stdin or --input), writes one JSON result (stdout
 or --output), in three stages: the command's ``_decode_*`` validates all of
 the JSON and returns a library function with its arguments; ``main`` calls
 it, and ``_DOMAIN_ERRORS`` turns a domain exception of the call into its
-payload; the command's ``_encode_*`` turns the result into the document.
-Exit codes: 0 on success, 1 on a rejected command line, malformed input or
-unwritable output, 2 on domain outcomes (the documents with an "error"
+payload; the command's ``_encode_*`` turns the result into the document,
+and a ValueError there, an answer with a number too long to print, is its
+own ``toolarge`` document.  Exit codes: 0 on success, 1 on a rejected
+command line, malformed input, an answer too long to print or unwritable
+output, 2 on domain outcomes (the documents with an "error"
 key), which report the error kind and the witness.  Output is deterministic,
 for ``check`` given its seed.
 """
@@ -247,17 +249,29 @@ def _read_payload(args):
         else:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
-        return json.loads(text)
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from None
+    try:
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"input is not valid JSON: {exc}") from None
     except RecursionError:
         raise ParseError("input is not valid JSON: nested too deeply") from None
+    except ValueError:
+        # a plain ValueError, not a JSONDecodeError: an integer over the interpreter's digit limit
+        raise ParseError("input has an integer with too many digits to read") from None
 
 
-def _write(output, payload):
-    text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+# A number of the answer with more digits than the interpreter converts to a string
+_UNPRINTABLE = {"error": "toolarge", "path": "output",
+                "message": "the answer has a number with too many digits to print"}
+
+
+def _dumps(doc):
+    return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def _write(output, text):
     if output == "-":
         sys.stdout.write(text)
     else:
@@ -275,21 +289,26 @@ def main(argv=None) -> int:
         try:
             result = fn(*call_args)
         except tuple(_DOMAIN_ERRORS) as exc:
-            doc = _DOMAIN_ERRORS[type(exc)](exc)
-        else:
-            doc = encode(result)
-        code = 2 if "error" in doc else 0
+            encode, result = _DOMAIN_ERRORS[type(exc)], exc
     except (ParseError, ValueError) as exc:
-        doc, code = {"error": "malformed_input", "message": str(exc)}, 1
+        text, code = _dumps({"error": "malformed_input", "message": str(exc)}), 1
     except ConeDualError as exc:
-        doc, code = {"error": type(exc).__name__.lower(), "message": str(exc)}, 1
+        doc = {"error": type(exc).__name__.lower(), "message": str(exc)}
         witness = getattr(exc, "witness", None)
         if witness is not None:
             doc["witness"] = list(witness) if isinstance(witness, tuple) else witness
+        text, code = _dumps(doc), 1
+    else:
+        # the encode stage: the input was read, so a ValueError here is no malformed input
+        try:
+            doc = encode(result)
+            text, code = _dumps(doc), 2 if "error" in doc else 0
+        except ValueError:
+            text, code = _dumps(_UNPRINTABLE), 1
     try:
-        _write(output, doc)
+        _write(output, text)
     except OSError as exc:
-        _write("-", {"error": "malformed_input", "message": f"cannot write output: {exc}"})
+        _write("-", _dumps({"error": "malformed_input", "message": f"cannot write output: {exc}"}))
         return 1
     return code
 

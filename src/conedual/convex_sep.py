@@ -1,8 +1,11 @@
 """Separation of finitely generated convex subsets of the extended orthant
 from the open corner (all coordinates strictly above one).
 
-Exact screens run first, then LP rounds on a growing subset of the
-generators.  Each round maximises the weights' sum from the origin: an
+Exact screens run first: a generator in the corner by itself, the weights
+e_k, the uniform weights, and the prefix-mix screen, which walks the
+generators by uniform pairing and returns the shortest prefix whose uniform
+mix lies in the corner.  Then LP rounds run on a growing subset
+of the generators.  Each round maximises the weights' sum from the origin: an
 optimum of one gives simplex weights whose pairing with every generator in
 the round stays at or below one, and an optimum below one gives, from its
 dual, an explicit convex combination of generators that lands inside the
@@ -107,7 +110,9 @@ def _screen(gens, dim, fin):
     separated by the weights e_k, and the uniform weights on the finite
     coordinates separate when every generator's sum there is at most
     their count.  Each compare is on integers and stops at the first
-    failing generator or coordinate.
+    failing generator or coordinate.  Last, the meet-side twin of the
+    uniform weights: the uniform mix of a prefix of the generators in
+    ``_ranked`` order (``_prefix_mix``).
     """
     for j, g in enumerate(gens):
         if in_corner(g):
@@ -121,12 +126,50 @@ def _screen(gens, dim, fin):
             return Separated(SeparationWeights(tuple(weights)))
     count = len(fin)
     pick = (lambda nums: nums) if count == dim else (lambda nums: [nums[i] for i in fin])
-    if all(sum(pick(nums)) <= d * count for nums, d, _, _ in forms):
+    sums = [sum(pick(nums)) for nums, _, _, _ in forms]
+    dens = [form[1] for form in forms]
+    if all(s <= d * count for s, d in zip(sums, dens)):
         share = Fraction(1, count)
         weights = [0] * dim
         for i in fin:
             weights[i] = share
         return Separated(SeparationWeights(tuple(weights)))
+    return _prefix_mix(forms, _ranked(sums, dens), dim)
+
+
+def _ranked(sums, dens):
+    """The generator indices by uniform pairing ``sums[j] / dens[j]``, largest
+    first, ties by index: compared over the lcm of the denominators, as
+    integers."""
+    common = lcm(*dens)
+    return sorted(range(len(sums)), key=lambda j: sums[j] * (common // dens[j]), reverse=True)
+
+
+def _prefix_mix(forms, order, dim):
+    """The uniform mix of the first ``r`` generators of ``order`` for the least
+    ``r`` where their sum exceeds ``r`` at every coordinate, as a corner
+    witness, else None.
+
+    The sum is kept as integers over the running lcm of the denominators,
+    and a coordinate where some summand is infinite counts as exceeding.
+    """
+    total = [0] * dim
+    den = 1
+    inf = 0
+    for r, j in enumerate(order, 1):
+        nums, d, g_inf, _ = forms[j]
+        if den % d:
+            common = lcm(den, d)
+            scale = common // den
+            total = [t * scale for t in total]
+            den = common
+        scale = den // d
+        total = [t + scale * n for t, n in zip(total, nums)]
+        inf |= g_inf
+        bar = r * den
+        if all(t > bar or inf >> i & 1 for i, t in enumerate(total)):
+            share = Fraction(1, r)
+            return MeetsCorner(tuple((m, share) for m in sorted(order[:r])))
     return None
 
 
@@ -140,7 +183,7 @@ def _separation_lp(gens, dim, fin, inf_coords):
     combination ``mu / sum mu`` is above one at each k: the corner witness on
     ``S``.
 
-    ``S`` starts as the ``len(fin)`` generators of largest uniform pairing,
+    ``S`` starts as the ``len(fin)`` generators of largest uniform pairing (``_ranked``),
     ``sum(nums) / d`` on the finite coordinates.  A hull meets the corner as
     soon as the hull of a subset does, so a certificate on ``S`` holds for
     all generators, with multiplier zero outside ``S``.  Weights are the
@@ -153,10 +196,7 @@ def _separation_lp(gens, dim, fin, inf_coords):
     forms = [g._form for g in gens]
     dens = [form[1] for form in forms]
     rows = [nums if k == dim else tuple(nums[i] for i in fin) for nums, _, _, _ in forms]
-    # sum(nums) / d compared over the lcm of the denominators, as integers
-    common = lcm(*dens)
-    ranked = sorted(range(len(gens)), key=lambda j: sum(rows[j]) * (common // dens[j]), reverse=True)
-    subset = sorted(ranked[:k])
+    subset = sorted(_ranked([sum(row) for row in rows], dens)[:k])
     grow = max(1, k // 2)
     simplex_row = (1,) * (k + 1)
     while True:

@@ -591,3 +591,49 @@ def test_a_huge_offending_value_is_echoed_cut_short(monkeypatch, capsys, argv, p
     message = json.loads(out)["message"]
     assert message.startswith(start)
     assert message.endswith("... (1000002 characters)")
+
+
+def _oversized_minkowski():
+    """One functional ``(1/q_1, ..., 1/q_9)`` at ``y = 1``, with ``q_i = i M + 1``
+    and ``M`` a multiple of 2520 with about 500 digits.  A common prime of two
+    ``q_i`` would divide ``j - i < 9``, hence ``M``, so they are pairwise coprime,
+    and the exact value has a denominator of about 4,500 digits."""
+    m = 2520 * 10**496
+    return {"blocks": [[[f"1/{i * m + 1}" for i in range(1, 10)]]], "y": ["1"] * 9}
+
+
+UNPRINTABLE = {"error": "toolarge", "path": "output",
+               "message": "the answer has a number with too many digits to print"}
+
+
+def test_an_answer_too_long_to_print_is_its_own_error(monkeypatch, capsys):
+    payload = json.dumps(_oversized_minkowski())
+    assert len(payload) < 5000
+    monkeypatch.setattr(sys, "stdin", io.StringIO(payload))
+    assert main(["minkowski"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == UNPRINTABLE
+    assert out.count("\n") == 1 and err == ""
+    assert "set_int_max_str_digits" not in out
+
+
+def test_a_domain_payload_too_long_to_print_is_the_same_error(monkeypatch, capsys):
+    from conedual import cli
+    from conedual.errors import PreconditionViolated
+
+    def refute(*args):
+        raise PreconditionViolated("refuted", witness=(Fraction(1, 10**5000),), clause_index=0)
+
+    monkeypatch.setattr(cli, "minkowski", refute)
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"blocks": [[["1"]]], "y": ["1"]}'))
+    assert main(["minkowski"]) == 1
+    assert json.loads(capsys.readouterr().out) == UNPRINTABLE
+
+
+def test_an_integer_over_the_digit_limit_is_malformed_input(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdin", io.StringIO('{"dim": ' + "9" * 5000 + ', "generators": [["1"]]}'))
+    assert main(["sep"]) == 1
+    out, err = capsys.readouterr()
+    assert json.loads(out) == {"error": "malformed_input",
+                               "message": "input has an integer with too many digits to read"}
+    assert err == ""

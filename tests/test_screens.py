@@ -22,6 +22,7 @@ from conedual import (
 
 F = Fraction
 functionals = importlib.import_module("conedual.functionals")
+oracles = importlib.import_module("conedual.oracles")
 convex_sep = importlib.import_module("conedual.convex_sep")
 
 
@@ -118,7 +119,8 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
             if found is None:
                 rule = "miss"
             elif type(found) is MeetsCorner:
-                rule = "corner"
+                # one generator in the corner by itself, or the uniform mix of a prefix
+                rule = "corner" if len(found.witness) == 1 else "mix"
             else:
                 # e_k has one positive weight; the uniform weights fire only
                 # where no e_k does, so on two finite coordinates or more
@@ -131,13 +133,42 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
         rules[rule, kind] = rules.get((rule, kind), 0) + 1
         if any(g._form[2] for g in gens):
             rules[rule, kind, "inf"] = rules.get((rule, kind, "inf"), 0) + 1
-    assert {key[:2] for key in rules if key[0] in ("corner", "e_k", "uniform")} == {
-        ("corner", MeetsCorner), ("e_k", Separated), ("uniform", Separated)}
-    assert min(rules["corner", MeetsCorner], rules["e_k", Separated], rules["uniform", Separated]) >= 5, rules
+    answered = (("corner", MeetsCorner), ("mix", MeetsCorner), ("e_k", Separated), ("uniform", Separated))
+    assert {key[:2] for key in rules if key[0] in ("corner", "mix", "e_k", "uniform")} == set(answered)
+    assert min(rules[key] for key in answered) >= 5, rules
     assert min(rules.get(("miss", Separated), 0), rules.get(("miss", MeetsCorner), 0)) >= 5, rules
     # every screen also answers once separate has dropped the inf coordinates
-    assert min(rules.get((rule, kind, "inf"), 0) for rule, kind in (
-        ("corner", MeetsCorner), ("e_k", Separated), ("uniform", Separated))) >= 3, rules
+    assert min(rules.get((*key, "inf"), 0) for key in answered) >= 3, rules
+
+
+def test_the_prefix_mix_is_a_uniform_witness_the_oracle_confirms():
+    rng = random.Random(6007)
+    mixes = with_inf = 0
+    for _ in range(400):
+        dim = rng.randint(1, 3)
+        gens = [_rand_vec(rng, dim, 0.1, 3) for _ in range(rng.randint(2, 6))]
+        fin = [i for i in range(dim) if not any(g._form[2] >> i & 1 for g in gens)]
+        found = convex_sep._screen(gens, dim, fin) if fin else None
+        if type(found) is not MeetsCorner or len(found.witness) == 1:
+            continue
+        mixes += 1
+        with_inf += len(fin) < dim
+        members = [j for j, _ in found.witness]
+        assert {w for _, w in found.witness} == {F(1, len(members))}
+        # the shortest prefix, by uniform pairing on the finite coordinates, whose
+        # sum exceeds its length everywhere; indices ascending
+        ranked = sorted(range(len(gens)), key=lambda j: -sum(gens[j][i].as_fraction() for i in fin))
+
+        def sums(r):
+            return [sum((gens[j][i] for j in ranked[:r]), ExtReal(0)) for i in range(dim)]
+
+        assert members == sorted(ranked[:len(members)])
+        assert all(p > len(members) for p in sums(len(members))), (gens, found)
+        assert not any(all(p > r for p in sums(r)) for r in range(1, len(members)))
+        # the oracle, which runs no LP, sees the hull of the members meet the corner
+        assert oracles.hull_meets_corner([gens[j] for j in members], dim)
+        assert oracles.hull_meets_corner(gens, dim)
+    assert mixes >= 20 and with_inf >= 10, (mixes, with_inf)
 
 
 @pytest.mark.parametrize(
