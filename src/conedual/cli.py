@@ -245,12 +245,17 @@ def _read_payload(args):
         return {}
     try:
         if args.input == "-":
-            text = sys.stdin.read()
+            # the bytes under a text stdin, decoded strictly whatever error handler the
+            # locale gave it; a stream without them (an in-process caller's StringIO) is text
+            buffer = getattr(sys.stdin, "buffer", None)
+            text = sys.stdin.read() if buffer is None else buffer.read().decode("utf-8")
         else:
             with open(args.input, encoding="utf-8") as fh:
                 text = fh.read()
     except OSError as exc:
         raise ParseError(f"cannot read input: {exc}") from None
+    except UnicodeDecodeError:
+        raise ParseError("cannot read input: not UTF-8 text") from None
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:

@@ -2,10 +2,11 @@
 from the open corner (all coordinates strictly above one).
 
 Exact screens run first: a generator in the corner by itself, the weights
-e_k, the uniform weights, and the prefix-mix screen, which walks the
+e_k, the uniform weights, the prefix-mix screen, which walks the
 generators by uniform pairing and returns the shortest prefix whose uniform
-mix lies in the corner.  Then LP rounds run on a growing subset
-of the generators.  Each round maximises the weights' sum from the origin: an
+mix lies in the corner, and a capped run of exact fictitious play, whose
+running averages give either certificate.  Then LP rounds run on a growing
+subset of the generators.  Each round maximises the weights' sum from the origin: an
 optimum of one gives simplex weights whose pairing with every generator in
 the round stays at or below one, and an optimum below one gives, from its
 dual, an explicit convex combination of generators that lands inside the
@@ -17,7 +18,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import lcm
-from operator import mul
+from operator import add, mul
 
 from ._record import Record
 from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
@@ -102,17 +103,20 @@ def separate(generators, dim: int):
 
 
 def _screen(gens, dim, fin):
-    """``separate``'s answer where one pass over the generators' forms holds
-    it, else None.
+    """``separate``'s answer where one of five exact screens finds it, else
+    None.
 
     A generator above one at every coordinate is in the corner by itself.
     A finite coordinate k where every generator is at most one is
     separated by the weights e_k, and the uniform weights on the finite
     coordinates separate when every generator's sum there is at most
     their count.  Each compare is on integers and stops at the first
-    failing generator or coordinate.  Last, the meet-side twin of the
+    failing generator or coordinate.  Then the meet-side twin of the
     uniform weights: the uniform mix of a prefix of the generators in
-    ``_ranked`` order (``_prefix_mix``).
+    ``_ranked`` order (``_prefix_mix``).  Last, where all four miss, so
+    only where the LP would run, capped exact fictitious play between the
+    generators and the finite coordinates (``_play``) looks for either
+    certificate.
     """
     for j, g in enumerate(gens):
         if in_corner(g):
@@ -134,7 +138,10 @@ def _screen(gens, dim, fin):
         for i in fin:
             weights[i] = share
         return Separated(SeparationWeights(tuple(weights)))
-    return _prefix_mix(forms, _ranked(sums, dens), dim)
+    found = _prefix_mix(forms, _ranked(sums, dens), dim)
+    if found is None:
+        found = _play(gens, forms, dim, fin)
+    return found
 
 
 def _ranked(sums, dens):
@@ -170,6 +177,53 @@ def _prefix_mix(forms, order, dim):
         if all(t > bar or inf >> i & 1 for i, t in enumerate(total)):
             share = Fraction(1, r)
             return MeetsCorner(tuple((m, share) for m in sorted(order[:r])))
+    return None
+
+
+def _play(gens, forms, dim, fin):
+    """Fictitious play (Brown 1951; Robinson 1951) between the generators
+    and the finite coordinates, in exact integers: a corner witness or
+    separating weights once one side's running average certifies it, else
+    None after ``4 * (len(gens) + len(fin))`` steps.
+
+    Each generator's row on the finite coordinates is put over the lcm
+    ``L`` of the denominators.  The generator player starts at the largest
+    uniform pairing (``_ranked``'s first pick) and adds each pick to a
+    running sum ``S``; after ``r`` picks, ``min(S) > r * L`` makes the mix
+    ``counts / r`` a point above one at every finite coordinate.  The
+    coordinate player answers with one more unit ``q`` at the first least
+    coordinate of ``S``; once every generator's score ``q . row`` is at most
+    ``r * L``, the weights ``q / r`` pair every generator to at most one.
+    Otherwise the generator of best score, first by index, is the next pick.
+    """
+    n, k = len(forms), len(fin)
+    common = lcm(*(form[1] for form in forms))
+    rows = [[common // d * nums[i] for i in fin] for nums, d, _, _ in forms]
+    # column c of the rows: every generator's entry at the c-th finite coordinate
+    cols = list(zip(*rows))
+    counts = [0] * n
+    scores = [0] * n
+    q = [0] * k
+    total = [0] * k
+    pick = max(range(n), key=lambda j: sum(rows[j]))
+    for r in range(1, 4 * (n + k) + 1):
+        counts[pick] += 1
+        total = list(map(add, total, rows[pick]))
+        bar = r * common
+        low = min(total)
+        if low > bar:
+            inf_coords = [i for i in range(dim) if i not in fin]
+            return MeetsCorner(_witness_from_certificate(gens, fin, inf_coords, counts))
+        worst = total.index(low)
+        q[worst] += 1
+        scores = list(map(add, scores, cols[worst]))
+        best = max(scores)
+        if best <= bar:
+            weights = [0] * dim
+            for pos, i in enumerate(fin):
+                weights[i] = Fraction(q[pos], r)
+            return Separated(SeparationWeights(tuple(weights)))
+        pick = scores.index(best)
     return None
 
 

@@ -559,6 +559,28 @@ def test_hostile_input_exits_one_without_a_traceback(tmp_path, case):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("source", ["--input", "stdin"])
+@pytest.mark.parametrize("data", [b"\xff\xfe", b'{"dim": 1, "generators": [["\xff"]]}'],
+                         ids=["bare bytes", "inside a JSON string"])
+def test_input_that_is_not_utf8_is_malformed_input(tmp_path, source, data):
+    # stdin is read as bytes and decoded strictly, whatever error handler the locale gives it
+    path = tmp_path / "in.json"
+    path.write_bytes(data)
+    argv = ["sep", "--input", str(path)] if source == "--input" else ["sep"]
+    proc = subprocess.run([sys.executable, "-m", "conedual", *argv],
+                          input=b"" if source == "--input" else data, capture_output=True)
+    assert proc.returncode == 1
+    assert proc.stdout == b'{"error":"malformed_input","message":"cannot read input: not UTF-8 text"}\n'
+    assert "Traceback" not in proc.stderr.decode()
+
+
+def test_utf8_text_on_stdin_still_reads_as_text():
+    proc = subprocess.run([sys.executable, "-m", "conedual", "sep"],
+                          input='{"dim": 1, "generators": [["\u00e9"]]}'.encode(), capture_output=True)
+    assert proc.returncode == 1
+    assert json.loads(proc.stdout)["message"] == "$.generators[0][0]: not an extended rational: '\u00e9'"
+
+
 @pytest.mark.parametrize("case", ["missing directory", "a directory"])
 def test_an_unwritable_output_exits_one_without_a_traceback(tmp_path, case):
     output = str(tmp_path / "missing" / "out.json") if case == "missing directory" else str(tmp_path)

@@ -199,9 +199,10 @@ def test_oracle_decides_a_hull_that_meets_the_corner_between_dyadic_weights():
     assert hull_meets_corner(gens, 2)
     out = separate(gens, 2)
     assert isinstance(out, MeetsCorner)
-    assert out.witness == ((0, F(66, 199)), (1, F(133, 199)))
+    # three steps of exact fictitious play: (100/33, 0), then (0, 200/133) twice
+    assert out.witness == ((0, F(1, 3)), (1, F(2, 3)))
     assert verify_meets_corner(gens, out.witness)
-    assert combination_point(gens, out.witness) == ExtVec([ExtReal(200, 199), ExtReal(200, 199)])
+    assert combination_point(gens, out.witness) == ExtVec([ExtReal(100, 99), ExtReal(400, 399)])
 
 
 def test_determinism():

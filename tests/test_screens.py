@@ -18,6 +18,8 @@ from conedual import (
     SeparationWeights,
     Separated,
     separate,
+    verify_meets_corner,
+    verify_separated,
 )
 
 F = Fraction
@@ -108,16 +110,45 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
             top = rng.choice((2, 3, 4))
             gens = [_rand_vec(rng, dim, 0.05, top) for _ in range(rng.randint(1, 8))]
         cases.append((gens, dim))
+    for _ in range(60):
+        # hulls that meet the corner only near a planted mix, which fictitious
+        # play may not reach within its cap: each generator is large at one
+        # coordinate, and the mix lam / sum(lam) is just above one there
+        dim = rng.randint(2, 3)
+        lam = [rng.randint(1, 5) for _ in range(dim)]
+        gens = []
+        for k in range(dim):
+            g = [ExtReal(0)] * dim
+            g[k] = ExtReal(F(sum(lam), lam[k]) * (1 + F(1, rng.randint(20, 200))))
+            gens.append(g)
+        if rng.randrange(2):
+            # and a last coordinate that only one more generator, infinite there, covers
+            for g in gens:
+                g.append(ExtReal(rng.randint(0, 2)))
+            gens.append([ExtReal(0)] * dim + [INF])
+            dim += 1
+        cases.append(([ExtVec(g) for g in gens], dim))
     seen = _spy_screen(monkeypatch, convex_sep)
+    real_play, played = convex_sep._play, []
+
+    def play(*args):
+        found = real_play(*args)
+        played.append(found)
+        return found
+
+    monkeypatch.setattr(convex_sep, "_play", play)
     verdicts = []
     for gens, dim in cases:
-        before = len(seen)
+        before, played_before = len(seen), len(played)
         out = separate(gens, dim)
         rule = None
         if len(seen) > before:
             found = seen[-1]
             if found is None:
                 rule = "miss"
+            elif len(played) > played_before and found is played[-1]:
+                # fictitious play, the last screen, with either outcome
+                rule = "play"
             elif type(found) is MeetsCorner:
                 # one generator in the corner by itself, or the uniform mix of a prefix
                 rule = "corner" if len(found.witness) == 1 else "mix"
@@ -133,15 +164,19 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
         rules[rule, kind] = rules.get((rule, kind), 0) + 1
         if any(g._form[2] for g in gens):
             rules[rule, kind, "inf"] = rules.get((rule, kind, "inf"), 0) + 1
-    answered = (("corner", MeetsCorner), ("mix", MeetsCorner), ("e_k", Separated), ("uniform", Separated))
-    assert {key[:2] for key in rules if key[0] in ("corner", "mix", "e_k", "uniform")} == set(answered)
+    answered = (("corner", MeetsCorner), ("mix", MeetsCorner), ("e_k", Separated), ("uniform", Separated),
+                ("play", MeetsCorner), ("play", Separated))
+    assert {key[:2] for key in rules if key[0] in ("corner", "mix", "e_k", "uniform", "play")} == set(answered)
     assert min(rules[key] for key in answered) >= 5, rules
     assert min(rules.get(("miss", Separated), 0), rules.get(("miss", MeetsCorner), 0)) >= 5, rules
     # every screen also answers once separate has dropped the inf coordinates
     assert min(rules.get((*key, "inf"), 0) for key in answered) >= 3, rules
 
 
-def test_the_prefix_mix_is_a_uniform_witness_the_oracle_confirms():
+def test_the_prefix_mix_is_a_uniform_witness_the_oracle_confirms(monkeypatch):
+    # fictitious play runs after the prefix mix; without it every mix of two
+    # or more generators that _screen returns is the prefix mix's
+    monkeypatch.setattr(convex_sep, "_play", lambda gens, forms, dim, fin: None)
     rng = random.Random(6007)
     mixes = with_inf = 0
     for _ in range(400):
@@ -185,3 +220,92 @@ def test_one_checker_rejects_a_wrong_separation_screen_answer(monkeypatch, answe
     monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: answer)
     with pytest.raises(AssertionError):
         separate([ExtVec([2, 0]), ExtVec([0, 2])], 2)
+
+
+def _reference_play(gens, fin):
+    """Fictitious play in ``Fraction``s, one step at a time: ``("meets",
+    counts)`` or ``("separated", q, r)``, else None at the cap."""
+    rows = [[g[i].as_fraction() for i in fin] for g in gens]
+    n, k = len(rows), len(fin)
+    counts, q = [0] * n, [0] * k
+    uniform = [sum(row) for row in rows]
+    pick = uniform.index(max(uniform))
+    for r in range(1, 4 * (n + k) + 1):
+        counts[pick] += 1
+        mix = [sum(counts[j] * rows[j][c] for j in range(n)) / r for c in range(k)]
+        if min(mix) > 1:
+            return "meets", counts
+        q[mix.index(min(mix))] += 1
+        pairing = [sum(q[c] * rows[j][c] for c in range(k)) / r for j in range(n)]
+        if max(pairing) <= 1:
+            return "separated", q, r
+        pick = pairing.index(max(pairing))
+    return None
+
+
+def test_fictitious_play_answers_are_the_reference_play_and_the_oracles_verdict():
+    rng = random.Random(5077)
+    kinds = {}
+    for _ in range(500):
+        dim = rng.randint(1, 3)
+        gens = [_rand_vec(rng, dim, 0.1, rng.choice((2, 3, 4))) for _ in range(rng.randint(1, 6))]
+        fin = [i for i in range(dim) if not any(g._form[2] >> i & 1 for g in gens)]
+        if not fin:
+            continue
+        found = convex_sep._play(gens, [g._form for g in gens], dim, fin)
+        expected = _reference_play(gens, fin)
+        if found is None:
+            assert expected is None, (gens, expected)
+            continue
+        if type(found) is MeetsCorner:
+            assert expected[0] == "meets", (gens, found, expected)
+            inf_coords = [i for i in range(dim) if i not in fin]
+            if inf_coords:
+                # the finite mix with a slice of a mix that covers the infinite coordinates
+                assert found.witness == convex_sep._witness_from_certificate(gens, fin, inf_coords, expected[1])
+            else:
+                r = sum(expected[1])
+                assert found.witness == tuple((j, F(c, r)) for j, c in enumerate(expected[1]) if c)
+            assert verify_meets_corner(gens, found.witness), (gens, found)
+        else:
+            assert expected[0] == "separated", (gens, found, expected)
+            _, q, r = expected
+            weights = [0] * dim
+            for pos, i in enumerate(fin):
+                weights[i] = F(q[pos], r)
+            assert found.weights == SeparationWeights(tuple(weights))
+            assert verify_separated(gens, found.weights, dim), (gens, found)
+        assert (type(found) is MeetsCorner) == oracles.hull_meets_corner(gens, dim), (gens, found)
+        key = type(found), len(fin) < dim
+        kinds[key] = kinds.get(key, 0) + 1
+    # both outcomes, each also once separate has dropped an infinite coordinate
+    assert len(kinds) == 4 and min(kinds.values()) >= 10, kinds
+
+
+def test_a_hull_that_fictitious_play_leaves_is_answered_by_the_lp(monkeypatch):
+    # the first of a seeded family of hulls at the boundary that every screen leaves:
+    # each generator is large at one coordinate, so the mix lam / sum(lam) is just
+    # above one there, and only weights near it reach the corner
+    rng = random.Random(40961)
+    for _ in range(50):
+        dim = rng.randint(2, 4)
+        lam = [rng.randint(1, 5) for _ in range(dim)]
+        gens = [ExtVec([F(sum(lam), lam[k]) * (1 + F(1, rng.randint(20, 200))) if i == k else 0
+                        for i in range(dim)]) for k in range(dim)]
+        fin = list(range(dim))
+        if convex_sep._screen(gens, dim, fin) is None:
+            break
+    else:
+        raise AssertionError("no hull of the family reached the LP")
+    assert convex_sep._play(gens, [g._form for g in gens], dim, fin) is None
+    real, solved = convex_sep.solve_lp, []
+
+    def solve(problem):
+        solved.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(convex_sep, "solve_lp", solve)
+    out = separate(gens, dim)
+    assert solved
+    assert type(out) is MeetsCorner and oracles.hull_meets_corner(gens, dim)
+    assert verify_meets_corner(gens, out.witness)
