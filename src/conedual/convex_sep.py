@@ -1,17 +1,15 @@
 """Separation of finitely generated convex subsets of the extended orthant
 from the open corner (all coordinates strictly above one).
 
-Exact screens run first: a generator in the corner by itself, the weights
-e_k, the uniform weights, the prefix-mix screen, which walks the
-generators by uniform pairing and returns the shortest prefix whose uniform
-mix lies in the corner, and a capped run of exact fictitious play, whose
-running averages give either certificate.  Then LP rounds run on a growing
-subset of the generators.  Each round maximises the weights' sum from the origin: an
-optimum of one gives simplex weights whose pairing with every generator in
-the round stays at or below one, and an optimum below one gives, from its
-dual, an explicit convex combination of generators that lands inside the
-corner.  Certificates are re-verified against every generator with the
-checks of ``certify`` before being returned.
+Two exact screens run first: the weights e_k, then a capped run of exact
+fictitious play, whose running averages give either certificate.  Then LP
+rounds run on a growing subset of the generators.  Each round maximises the
+weights' sum from the origin: an optimum of one gives simplex weights whose
+pairing with every generator in the round stays at or below one, and an
+optimum below one gives, from its dual, an explicit convex combination of
+generators that lands inside the corner.  Certificates are re-verified
+against every generator with the checks of ``certify`` before being
+returned.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ from math import lcm
 from operator import add, mul
 
 from ._record import Record
-from .certify import combination_point, in_corner, require, simplex, verify_meets_corner, verify_separated
+from .certify import combination_point, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
 from .extreal import as_extvec
 from .lp import LPProblem, solve_lp
@@ -75,11 +73,11 @@ def separate(generators, dim: int):
 
     Weights at coordinates where some generator is infinite are forced to
     zero (a positive weight there would push the pairing to infinity).  On
-    the remaining coordinates the screens of ``_screen`` run first, then,
-    when they find nothing, exact LP rounds on a growing subset of the
-    generators (``_separation_lp``).  A round whose optimum is below one
-    means the hull meets the corner, and its dual is turned into an
-    explicit witness combination.  Every answer is checked against all
+    the remaining coordinates the two screens of ``_screen`` run first, the
+    weights e_k and fictitious play, then, when both find nothing, exact LP
+    rounds on a growing subset of the generators (``_separation_lp``).  A
+    round whose optimum is below one means the hull meets the corner, and
+    its dual is turned into an explicit witness combination.  Every answer is checked against all
     generators the same way, whichever path found it.
     """
     gens = _check_generators(generators, dim)
@@ -103,24 +101,15 @@ def separate(generators, dim: int):
 
 
 def _screen(gens, dim, fin):
-    """``separate``'s answer where one of five exact screens finds it, else
+    """``separate``'s answer where one of two exact screens finds it, else
     None.
 
-    A generator above one at every coordinate is in the corner by itself.
     A finite coordinate k where every generator is at most one is
-    separated by the weights e_k, and the uniform weights on the finite
-    coordinates separate when every generator's sum there is at most
-    their count.  Each compare is on integers and stops at the first
-    failing generator or coordinate.  Then the meet-side twin of the
-    uniform weights: the uniform mix of a prefix of the generators in
-    ``_ranked`` order (``_prefix_mix``).  Last, where all four miss, so
-    only where the LP would run, capped exact fictitious play between the
-    generators and the finite coordinates (``_play``) looks for either
-    certificate.
+    separated by the weights e_k; each compare is on integers and stops at
+    the first generator above one.  Where no e_k separates, capped exact
+    fictitious play between the generators and the finite coordinates
+    (``_play``) looks for either certificate.
     """
-    for j, g in enumerate(gens):
-        if in_corner(g):
-            return MeetsCorner(((j, Fraction(1)),))
     # (numerators over d, d, infinity mask, nonzero mask)
     forms = [g._form for g in gens]
     for k in fin:
@@ -128,56 +117,7 @@ def _screen(gens, dim, fin):
             weights = [0] * dim
             weights[k] = 1
             return Separated(SeparationWeights(tuple(weights)))
-    count = len(fin)
-    pick = (lambda nums: nums) if count == dim else (lambda nums: [nums[i] for i in fin])
-    sums = [sum(pick(nums)) for nums, _, _, _ in forms]
-    dens = [form[1] for form in forms]
-    if all(s <= d * count for s, d in zip(sums, dens)):
-        share = Fraction(1, count)
-        weights = [0] * dim
-        for i in fin:
-            weights[i] = share
-        return Separated(SeparationWeights(tuple(weights)))
-    found = _prefix_mix(forms, _ranked(sums, dens), dim)
-    if found is None:
-        found = _play(gens, forms, dim, fin)
-    return found
-
-
-def _ranked(sums, dens):
-    """The generator indices by uniform pairing ``sums[j] / dens[j]``, largest
-    first, ties by index: compared over the lcm of the denominators, as
-    integers."""
-    common = lcm(*dens)
-    return sorted(range(len(sums)), key=lambda j: sums[j] * (common // dens[j]), reverse=True)
-
-
-def _prefix_mix(forms, order, dim):
-    """The uniform mix of the first ``r`` generators of ``order`` for the least
-    ``r`` where their sum exceeds ``r`` at every coordinate, as a corner
-    witness, else None.
-
-    The sum is kept as integers over the running lcm of the denominators,
-    and a coordinate where some summand is infinite counts as exceeding.
-    """
-    total = [0] * dim
-    den = 1
-    inf = 0
-    for r, j in enumerate(order, 1):
-        nums, d, g_inf, _ = forms[j]
-        if den % d:
-            common = lcm(den, d)
-            scale = common // den
-            total = [t * scale for t in total]
-            den = common
-        scale = den // d
-        total = [t + scale * n for t, n in zip(total, nums)]
-        inf |= g_inf
-        bar = r * den
-        if all(t > bar or inf >> i & 1 for i, t in enumerate(total)):
-            share = Fraction(1, r)
-            return MeetsCorner(tuple((m, share) for m in sorted(order[:r])))
-    return None
+    return _play(gens, forms, dim, fin)
 
 
 def _play(gens, forms, dim, fin):
@@ -188,11 +128,11 @@ def _play(gens, forms, dim, fin):
 
     Each generator's row on the finite coordinates is put over the lcm
     ``L`` of the denominators.  The generator player starts at the largest
-    uniform pairing (``_ranked``'s first pick) and adds each pick to a
-    running sum ``S``; after ``r`` picks, ``min(S) > r * L`` makes the mix
-    ``counts / r`` a point above one at every finite coordinate.  The
-    coordinate player answers with one more unit ``q`` at the first least
-    coordinate of ``S``; once every generator's score ``q . row`` is at most
+    uniform pairing, first by index (the first LP round's first pick in
+    ``_separation_lp``), and adds each pick to a running sum ``S``; after
+    ``r`` picks, ``min(S) > r * L`` makes the mix ``counts / r`` a point
+    above one at every finite coordinate.  The coordinate player answers
+    with one more unit ``q`` at the first least coordinate of ``S``; once every generator's score ``q . row`` is at most
     ``r * L``, the weights ``q / r`` pair every generator to at most one.
     Otherwise the generator of best score, first by index, is the next pick.
     """
@@ -237,8 +177,9 @@ def _separation_lp(gens, dim, fin, inf_coords):
     combination ``mu / sum mu`` is above one at each k: the corner witness on
     ``S``.
 
-    ``S`` starts as the ``len(fin)`` generators of largest uniform pairing (``_ranked``),
-    ``sum(nums) / d`` on the finite coordinates.  A hull meets the corner as
+    ``S`` starts as the ``len(fin)`` generators of largest uniform pairing,
+    ``sum(nums) / d`` on the finite coordinates, compared as integers over
+    the lcm of the denominators, ties by index.  A hull meets the corner as
     soon as the hull of a subset does, so a certificate on ``S`` holds for
     all generators, with multiplier zero outside ``S``.  Weights are the
     answer once they pass every generator outside ``S``; until then the
@@ -250,7 +191,9 @@ def _separation_lp(gens, dim, fin, inf_coords):
     forms = [g._form for g in gens]
     dens = [form[1] for form in forms]
     rows = [nums if k == dim else tuple(nums[i] for i in fin) for nums, _, _, _ in forms]
-    subset = sorted(_ranked([sum(row) for row in rows], dens)[:k])
+    common = lcm(*dens)
+    ranked = sorted(range(len(gens)), key=lambda j: sum(rows[j]) * (common // dens[j]), reverse=True)
+    subset = sorted(ranked[:k])
     grow = max(1, k // 2)
     simplex_row = (1,) * (k + 1)
     while True:

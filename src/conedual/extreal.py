@@ -243,7 +243,13 @@ def parse_extreal(text: str) -> ExtReal:
 
 
 def _parse_ratio(text):
-    """The one parser: ``parse_extreal``'s value as ``(num, den)``, inf as ``(1, 0)``."""
+    """The one parser: ``parse_extreal``'s value as ``(num, den)``, inf as ``(1, 0)``.
+
+    Past outer whitespace, the text is ``inf`` or ASCII digits, optionally
+    followed by ``/`` and ASCII digits: no sign, underscore or inner space.
+    A ``-`` leading either side is reported as a negative value or
+    denominator.
+    """
     if not isinstance(text, str):
         raise ParseError(f"expected a string, got {type(text).__name__}")
     s = text.strip()
@@ -251,11 +257,14 @@ def _parse_ratio(text):
         return 1, 0
     num_s, sep, den_s = s.partition("/")
     try:
+        if not (s.isascii() and num_s.removeprefix("-").isdigit()
+                and (not sep or den_s.removeprefix("-").isdigit())):
+            raise ValueError
         num = int(num_s)
         den = int(den_s) if sep else 1
     except ValueError:
         raise ParseError(f"not an extended rational: {_echo(text)}") from None
-    if num < 0:
+    if num_s[0] == "-":
         raise ParseError(f"negative values are rejected: {_echo(text)}")
     if den == 0:
         raise ParseError(f"zero denominator: {_echo(text)}")

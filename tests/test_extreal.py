@@ -141,7 +141,7 @@ def test_parse_and_format():
     assert parse_extreal("6/4") == ExtReal(3, 2)
     for v in GRID:
         assert parse_extreal(str(v)) == v
-    for bad in ("-1", "1/0", "1/-2", "a", "1.5", ""):
+    for bad in ("-1", "1/0", "1/-2", "a", "1.5", "", "1_0", "+1", "1 / 2", "3/+2", "\uff11", "\u0663"):
         with pytest.raises(ParseError):
             parse_extreal(bad)
 

@@ -93,7 +93,7 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
         dim = rng.randint(1, 6)
         if dim > 1 and rng.random() < 0.4:
             # one large entry per generator, each coordinate large somewhere:
-            # no e_k separates, the uniform weights may
+            # no e_k separates, so fictitious play or the LP answers
             gens = []
             for j in range(rng.randint(dim, dim + 3)):
                 g = [ExtReal(rng.choice((0, 0, 1)), rng.randint(2, 4)) for _ in range(dim)]
@@ -149,13 +149,10 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
             elif len(played) > played_before and found is played[-1]:
                 # fictitious play, the last screen, with either outcome
                 rule = "play"
-            elif type(found) is MeetsCorner:
-                # one generator in the corner by itself, or the uniform mix of a prefix
-                rule = "corner" if len(found.witness) == 1 else "mix"
             else:
-                # e_k has one positive weight; the uniform weights fire only
-                # where no e_k does, so on two finite coordinates or more
-                rule = "e_k" if sum(w > 0 for w in found.weights) == 1 else "uniform"
+                # the weights e_k, the only screen before fictitious play
+                assert type(found) is Separated and sum(w > 0 for w in found.weights) == 1, found
+                rule = "e_k"
         verdicts.append((type(out), rule))
     monkeypatch.setattr(convex_sep, "_screen", lambda gens, dim, fin: None)
     rules = {}
@@ -164,46 +161,132 @@ def test_separation_screens_give_the_lps_verdicts(monkeypatch):
         rules[rule, kind] = rules.get((rule, kind), 0) + 1
         if any(g._form[2] for g in gens):
             rules[rule, kind, "inf"] = rules.get((rule, kind, "inf"), 0) + 1
-    answered = (("corner", MeetsCorner), ("mix", MeetsCorner), ("e_k", Separated), ("uniform", Separated),
-                ("play", MeetsCorner), ("play", Separated))
-    assert {key[:2] for key in rules if key[0] in ("corner", "mix", "e_k", "uniform", "play")} == set(answered)
+    answered = (("e_k", Separated), ("play", MeetsCorner), ("play", Separated))
+    assert {key[:2] for key in rules if key[0] in ("e_k", "play")} == set(answered)
     assert min(rules[key] for key in answered) >= 5, rules
     assert min(rules.get(("miss", Separated), 0), rules.get(("miss", MeetsCorner), 0)) >= 5, rules
     # every screen also answers once separate has dropped the inf coordinates
     assert min(rules.get((*key, "inf"), 0) for key in answered) >= 3, rules
 
 
-def test_the_prefix_mix_is_a_uniform_witness_the_oracle_confirms(monkeypatch):
-    # fictitious play runs after the prefix mix; without it every mix of two
-    # or more generators that _screen returns is the prefix mix's
-    monkeypatch.setattr(convex_sep, "_play", lambda gens, forms, dim, fin: None)
-    rng = random.Random(6007)
-    mixes = with_inf = 0
-    for _ in range(400):
-        dim = rng.randint(1, 3)
-        gens = [_rand_vec(rng, dim, 0.1, 3) for _ in range(rng.randint(2, 6))]
-        fin = [i for i in range(dim) if not any(g._form[2] >> i & 1 for g in gens)]
-        found = convex_sep._screen(gens, dim, fin) if fin else None
-        if type(found) is not MeetsCorner or len(found.witness) == 1:
-            continue
-        mixes += 1
-        with_inf += len(fin) < dim
-        members = [j for j, _ in found.witness]
-        assert {w for _, w in found.witness} == {F(1, len(members))}
-        # the shortest prefix, by uniform pairing on the finite coordinates, whose
-        # sum exceeds its length everywhere; indices ascending
-        ranked = sorted(range(len(gens)), key=lambda j: -sum(gens[j][i].as_fraction() for i in fin))
+def _frac(rng, lo, hi):
+    """A ratio p/q with lo * q < p <= hi * q, q in 1..3."""
+    q = rng.randint(1, 3)
+    return ExtReal(rng.randint(lo * q + 1, hi * q), q)
 
-        def sums(r):
-            return [sum((gens[j][i] for j in ranked[:r]), ExtReal(0)) for i in range(dim)]
 
-        assert members == sorted(ranked[:len(members)])
-        assert all(p > len(members) for p in sums(len(members))), (gens, found)
-        assert not any(all(p > r for p in sums(r)) for r in range(1, len(members)))
-        # the oracle, which runs no LP, sees the hull of the members meet the corner
-        assert oracles.hull_meets_corner([gens[j] for j in members], dim)
-        assert oracles.hull_meets_corner(gens, dim)
-    assert mixes >= 20 and with_inf >= 10, (mixes, with_inf)
+def _tiny(rng):
+    return ExtReal(rng.randint(0, 1), rng.randint(3, 6))
+
+
+def _with_inf_coordinate(rng, gens):
+    """The generators with one more coordinate, infinite at one of them, so
+    that separate drops it."""
+    gens = [g + [ExtReal(rng.randint(0, 2))] for g in gens]
+    rng.choice(gens)[-1] = INF
+    return gens
+
+
+def _finite(gens, dim):
+    return [i for i in range(dim) if all(g[i].is_finite for g in gens)]
+
+
+def _by_uniform_pairing(gens, fin):
+    # by the sum of the finite coordinates, largest first, ties by index
+    return sorted(range(len(gens)), key=lambda j: -sum(gens[j][i].as_fraction() for i in fin))
+
+
+def _corner_behind(rng):
+    """A hull with a generator in the corner and a larger sum at a generator
+    that is not: fictitious play does not start in the corner."""
+    dim = rng.randint(1, 3)
+    gens = [[_frac(rng, 1, 3) for _ in range(dim)]]
+    big = [_tiny(rng) for _ in range(dim)]
+    big[rng.randrange(dim)] = ExtReal(rng.randint(3 * dim + 1, 4 * dim + 4))
+    gens.append(big)
+    gens += [[_frac(rng, 0, 2) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+    rng.shuffle(gens)
+    if dim < 3 and rng.randrange(2):
+        gens, dim = _with_inf_coordinate(rng, gens), dim + 1
+    gens = [ExtVec(g) for g in gens]
+    fin = _finite(gens, dim)
+    lead = gens[_by_uniform_pairing(gens, fin)[0]]
+    if not fin or all(e > 1 for e in lead) or not any(all(e > 1 for e in g) for g in gens):
+        return None
+    return gens, dim
+
+
+def _uniform_separates(rng):
+    """A hull that the uniform weights on the finite coordinates separate,
+    while each finite coordinate is above one at some generator, so no e_k
+    does."""
+    dim = rng.randint(2, 3)
+    gens = []
+    for j in range(rng.randint(dim, dim + 3)):
+        g = [_tiny(rng) for _ in range(dim)]
+        g[j % dim] = _frac(rng, 1, dim)
+        gens.append(g)
+    if dim < 3 and rng.randrange(2):
+        gens, dim = _with_inf_coordinate(rng, gens), dim + 1
+    gens = [ExtVec(g) for g in gens]
+    fin = _finite(gens, dim)
+    if any(sum(g[i].as_fraction() for i in fin) > len(fin) for g in gens):
+        return None
+    if any(all(g[i] <= 1 for g in gens) for i in fin):
+        return None
+    return gens, dim
+
+
+def _prefix_meets(rng):
+    """A hull where, for some r >= 2, the uniform mix of the first r
+    generators by the sum of their finite coordinates lies in the corner."""
+    dim = rng.randint(2, 3)
+    gens = []
+    for k in range(dim):
+        g = [_tiny(rng) for _ in range(dim)]
+        g[k] = _frac(rng, dim, 2 * dim)
+        gens.append(g)
+    gens += [[_frac(rng, 0, 1) for _ in range(dim)] for _ in range(rng.randint(0, 3))]
+    rng.shuffle(gens)
+    if dim < 3 and rng.randrange(2):
+        gens, dim = _with_inf_coordinate(rng, gens), dim + 1
+    gens = [ExtVec(g) for g in gens]
+    order = _by_uniform_pairing(gens, _finite(gens, dim))
+    for r in range(1, len(gens) + 1):
+        mix = [sum((gens[j][i] for j in order[:r]), ExtReal(0)) for i in range(dim)]
+        if all(p > r for p in mix):
+            return (gens, dim) if r >= 2 else None
+    return None
+
+
+def test_hulls_the_dropped_screens_answered_reach_no_lp(monkeypatch):
+    # three kinds of hull with a cheap exact answer, a generator in the corner,
+    # the uniform weights and the uniform mix of a prefix by uniform pairing:
+    # fictitious play answers each before any LP
+    rng = random.Random(12289)
+    solved = []
+    real = convex_sep.solve_lp
+
+    def solve(problem):
+        solved.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(convex_sep, "solve_lp", solve)
+    for family, kind in ((_corner_behind, MeetsCorner), (_uniform_separates, Separated),
+                         (_prefix_meets, MeetsCorner)):
+        hulls = with_inf = 0
+        while hulls < 60:
+            case = family(rng)
+            if case is None:
+                continue
+            gens, dim = case
+            hulls += 1
+            with_inf += len(_finite(gens, dim)) < dim
+            out = separate(gens, dim)
+            assert not solved, (family.__name__, gens)
+            assert type(out) is kind, (family.__name__, gens, out)
+            assert (kind is MeetsCorner) == oracles.hull_meets_corner(gens, dim), (family.__name__, gens)
+        assert with_inf >= 10, (family.__name__, with_inf)
 
 
 @pytest.mark.parametrize(
