@@ -9,7 +9,6 @@ from .certify import (
 )
 from .convex_sep import (
     MeetsCorner,
-    SeparationWeights,
     Separated,
     separate,
 )
@@ -61,4 +60,4 @@ from .valuations import (
 )
 from . import errors
 
-__version__ = "0.6.0"
+__version__ = "0.7.0"

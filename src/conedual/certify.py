@@ -11,10 +11,10 @@ a checker never trusts the algorithm it checks (McConnell et al. 2011,
 
 from __future__ import annotations
 
-from fractions import Fraction
 from operator import mul
 
-from .extreal import ExtVec, _extreme_pairing, _weighted_sum, as_extvec
+# EmptyList is bound from extreal, this module's one package import
+from .extreal import EmptyList, ExtVec, _extreme_pairing, _weighted_sum, as_extvec
 
 
 def require(ok, what):
@@ -24,14 +24,20 @@ def require(ok, what):
 
 
 def simplex(values):
-    """``values`` as a simplex point, or None: ``int``s or ``Fraction``s, never a
-    ``bool`` or a ``float``, none negative, summing to one exactly.  A
-    ``Fraction`` is kept as it is, an ``int`` becomes one."""
-    values = tuple(values)
-    if any(type(v) is not int and type(v) is not Fraction for v in values):
-        return None
-    out = tuple(v if type(v) is Fraction else Fraction(v) for v in values)
-    return None if any(v < 0 for v in out) or sum(out) != 1 else out
+    """``values`` as a simplex point, an ``ExtVec``, or None.  Anything but an
+    ``ExtVec`` is coerced once: nonempty, of ``int``s, ``Fraction``s or
+    ``ExtReal``s, never a ``bool`` or a ``float``, none negative.  The point
+    is finite, and its numerators sum to its denominator."""
+    if type(values) is not ExtVec:
+        values = tuple(values)
+        if not values:
+            return None
+        try:
+            values = ExtVec(values)
+        except (TypeError, ValueError):
+            return None
+    nums, d, inf, _ = values._form
+    return values if not inf and sum(nums) == d else None
 
 
 def in_corner(x: ExtVec) -> bool:
@@ -45,6 +51,8 @@ def combination_point(generators, witness) -> ExtVec:
     The weights are ``int``s, ``Fraction``s or ``ExtReal``s, as ``ExtReal``
     takes them: a ``bool``, a ``float`` or a string raises ``TypeError``."""
     gens = [as_extvec(g) for g in generators]
+    if not gens:
+        raise EmptyList("at least one generator is required")
     members = [gens[j] for j, _ in witness]
     return _weighted_sum([c for _, c in witness], members, gens[0].dim)
 
@@ -60,7 +68,7 @@ def verify_separated(generators, weights, dim=None) -> bool:
     vals = simplex(weights)
     if vals is None or any(g.dim != len(vals) or dim not in (None, g.dim) for g in gens):
         return False
-    wn, wd, _, w_nonzero = ExtVec(vals)._form
+    wn, wd, _, w_nonzero = vals._form
     return all(not g_inf & w_nonzero and sum(map(mul, wn, gn)) <= wd * gd
                for gn, gd, g_inf, _ in (g._form for g in gens))
 
@@ -78,7 +86,10 @@ def verify_meets_corner(generators, witness) -> bool:
 def covered(vec, lam, hvecs) -> bool:
     """``vec <= sum_k lam_k h_k`` on R, the coordinates where every h_k is finite,
     since off R the maximum of the h_k is infinite; on integers, by
-    cross-multiplying the two denominators."""
+    cross-multiplying the two denominators.  False unless ``lam`` has one
+    weight per h_k."""
+    if len(lam) != len(hvecs):
+        return False
     cn, cd, c_inf, _ = vec._form
     sn, sd, skip, _ = _weighted_sum(lam, hvecs, len(cn))._form
     for h in hvecs:

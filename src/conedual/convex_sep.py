@@ -14,40 +14,27 @@ returned.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import lcm
 from operator import add, mul
 
 from ._record import Record
 from .certify import combination_point, require, simplex, verify_meets_corner, verify_separated
 from .errors import DimensionMismatch, EmptyList
-from .extreal import as_extvec
+from .extreal import ONE, ExtReal, ExtVec, _over, as_extvec
 from .lp import LPProblem, solve_lp
 
 
-class SeparationWeights(Record):
-    """A point of the standard simplex: nonnegative rationals summing to one."""
+class Separated(Record):
+    """The hull misses the corner; ``weights``, a point of the standard simplex,
+    is kept as the ``ExtVec`` that ``certify.simplex`` makes of it."""
 
-    values: tuple
+    weights: ExtVec
 
     def __post_init__(self):
-        vals = simplex(self.values)
-        if vals is None:
-            raise ValueError("weights must be nonnegative ints or Fractions and must sum to one")
-        object.__setattr__(self, "values", vals)
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __len__(self):
-        return len(self.values)
-
-    def __getitem__(self, i):
-        return self.values[i]
-
-
-class Separated(Record):
-    weights: SeparationWeights
+        weights = simplex(self.weights)
+        if weights is None:
+            raise ValueError("weights must be nonnegative ints, Fractions or ExtReals and must sum to one")
+        object.__setattr__(self, "weights", weights)
 
 
 class MeetsCorner(Record):
@@ -114,9 +101,7 @@ def _screen(gens, dim, fin):
     forms = [g._form for g in gens]
     for k in fin:
         if all(nums[k] <= d for nums, d, _, _ in forms):
-            weights = [0] * dim
-            weights[k] = 1
-            return Separated(SeparationWeights(tuple(weights)))
+            return Separated(_over((1,), 1, (k,), dim))
     return _play(gens, forms, dim, fin)
 
 
@@ -159,10 +144,7 @@ def _play(gens, forms, dim, fin):
         scores = list(map(add, scores, cols[worst]))
         best = max(scores)
         if best <= bar:
-            weights = [0] * dim
-            for pos, i in enumerate(fin):
-                weights[i] = Fraction(q[pos], r)
-            return Separated(SeparationWeights(tuple(weights)))
+            return Separated(_over(q, r, fin, dim))
         pick = scores.index(best)
     return None
 
@@ -214,10 +196,7 @@ def _separation_lp(gens, dim, fin, inf_coords):
         outside = [j for j in range(len(gens)) if j not in inside]
         violated = _violated(rows, dens, outside, res.xn, res.d)
         if not violated:
-            full = [0] * dim
-            for pos, i in enumerate(fin):
-                full[i] = res.point[pos]
-            return Separated(SeparationWeights(tuple(full)))
+            return Separated(_over(res.xn, res.d, fin, dim))
         subset = sorted(subset + violated[:grow])
 
 
@@ -239,7 +218,7 @@ def _violated(rows, dens, outside, xn, xd):
 def _cover_witness(gens, inf_coords):
     """Uniform combination of generators covering every infinite coordinate."""
     cover = sorted({next(j for j, g in enumerate(gens) if g._form[2] >> i & 1) for i in inf_coords})
-    share = Fraction(1, len(cover))
+    share = ExtReal(1, len(cover))
     return tuple((j, share) for j in cover)
 
 
@@ -254,7 +233,7 @@ def _witness_from_certificate(gens, fin, inf_coords, w):
     coordinate back to one.
     """
     total = sum(w)
-    base = {j: Fraction(wj, total) for j, wj in enumerate(w) if wj > 0}
+    base = {j: ExtReal(wj, total) for j, wj in enumerate(w) if wj > 0}
 
     if not inf_coords:
         return tuple(sorted(base.items()))
@@ -262,13 +241,13 @@ def _witness_from_certificate(gens, fin, inf_coords, w):
     cover = _cover_witness(gens, inf_coords)
     xn, xd, _, _ = combination_point(gens, base.items())._form
     yn, yd, _, _ = combination_point(gens, cover)._form
-    eps = Fraction(1, 2)
+    eps = ExtReal(1, 2)
     for i in fin:
         # where y < x, keep (1 - eps) x + eps y above one: x = xn[i] / xd, y = yn[i] / yd
         gap = xn[i] * yd - yn[i] * xd
         if gap > 0:
-            eps = min(eps, Fraction(yd * (xn[i] - xd), 2 * gap))
-    combo = {j: mu * (1 - eps) for j, mu in base.items()}
+            eps = min(eps, ExtReal(yd * (xn[i] - xd), 2 * gap))
+    combo = {j: mu * (ONE - eps) for j, mu in base.items()}
     for j, share in cover:
         combo[j] = combo.get(j, 0) + eps * share
     return tuple(sorted((j, v) for j, v in combo.items() if v > 0))

@@ -485,6 +485,19 @@ class ExtVec:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
+def _over(nums, d, at=None, dim=None) -> ExtVec:
+    """The finite vector ``nums / d``, nonnegative ints over one positive ``d``,
+    as the LP and the screens give their certificates; with ``at``, the
+    ``dim``-vector that is ``nums[p]`` at coordinate ``at[p]`` and 0 elsewhere."""
+    if at is not None:
+        full = [0] * dim
+        for i, n in zip(at, nums):
+            full[i] = n
+        nums = full
+    nonzero = sum(1 << i for i, n in enumerate(nums) if n)
+    return ExtVec._from_ratios(nums, (d,) * len(nums), 0, nonzero)
+
+
 def _reduced(num, den) -> ExtReal:
     """``num / den`` in lowest terms, ``INF`` when ``den`` is 0."""
     if not den:

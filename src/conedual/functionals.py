@@ -10,13 +10,13 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import repeat
 from operator import le, mul
 
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
-from .extreal import ONE, ZERO, ExtReal, ExtVec, _extreme_pairing, _reduced, _weighted_sum, as_extvec
+from .extreal import (ONE, ZERO, ExtReal, ExtVec, _extreme_pairing, _over, _reduced, _weighted_sum,
+                      as_extvec)
 from .lp import LPProblem, solve_lp
 
 
@@ -176,16 +176,13 @@ def _margin(gvecs, hvecs):
     lam = [v * hd for v, (_, hd, _, _) in zip(res.yn[1:], hforms)]
     alpha = [v * gd for v, (_, gd, _, _) in zip(res.yn[1 + len(hforms):], gforms)]
     total = sum(alpha)
-    return (res.value, res.point[:dim],
-            tuple(Fraction(v, total) for v in alpha), tuple(Fraction(v, total) for v in lam))
-
-
-_F0, _F1 = Fraction(0), Fraction(1)
+    return (_reduced(res.vn, res.d), _over(res.xn[:dim], res.d),
+            _over(alpha, total), _over(lam, total))
 
 
 def _unit(i, n):
-    """The simplex vertex e_i of length n, in ``Fraction``s as ``_margin`` returns them."""
-    return (_F0,) * i + (_F1,) + (_F0,) * (n - i - 1)
+    """The simplex vertex e_i of length n, an ``ExtVec`` as ``_margin`` returns them."""
+    return _over((1,), 1, (i,), n)
 
 
 def _screen(gvecs, hvecs):
@@ -214,10 +211,10 @@ def _screen(gvecs, hvecs):
             if hn[j] * over > top * hd:
                 top, over = hn[j], hd
         if all(gn[j] * over > top * gd for gn, gd, _, _ in gforms):
-            low = min(Fraction(gn[j], gd) for gn, gd, _, _ in gforms)
+            low = min(ExtReal(gn[j], gd) for gn, gd, _, _ in gforms)
             y = [0] * dim
             y[j] = 1
-            return low - Fraction(top, over), y, None, None
+            return low - ExtReal(top, over), y, None, None
     return None
 
 
@@ -254,7 +251,7 @@ def _decide(gvecs, hvecs):
     if value > 0:
         if len(kept) < len(gvecs):
             # h_k . (y + eps 1_R) = h_k . y + eps sum(h_k) stays below min_i g_i . y
-            eps = value / (1 + max(sum(h).as_fraction() for h in hr)) if gr else 1
+            eps = value / (1 + max(sum(h) for h in hr)) if gr else 1
             y = [v + eps for v in y]
         full = [0] * dim
         for j, v in zip(rest, y):
@@ -262,12 +259,10 @@ def _decide(gvecs, hvecs):
         y = ExtVec(full)
         require(refutes(y, gvecs, hvecs), "violation witness failed verification")
         return y, None, None, None
-    weights = [Fraction(0)] * len(gvecs)
-    for i, w in zip(kept, a):
-        weights[i] = w
-    mix = _weighted_sum(weights, gvecs, dim)
+    a = _over(a._form[0], a._form[1], kept, len(gvecs))
+    mix = _weighted_sum(a, gvecs, dim)
     require(covered(mix, lam, hvecs), "certificate fails coordinatewise")
-    return None, tuple(weights), lam, mix
+    return None, a, lam, mix
 
 
 def dominated_by_max(f: LinFun, phi: SublinFun):

@@ -20,6 +20,7 @@ from .errors import (
     MalformedProblem,
     PreconditionViolated,
 )
+from .extreal import ExtVec
 from .functionals import LinFun, SublinFun, SuperlinFun, _decide
 
 _VIOLATED = "the minimum of the clause exceeds the target functional"
@@ -37,8 +38,8 @@ class ClauseWitness(Record):
     """
 
     fun: LinFun
-    weights: tuple
-    certificate: tuple
+    weights: ExtVec
+    certificate: ExtVec
 
 
 def _clause_branches(clause):

@@ -162,7 +162,7 @@ def suite_separation(seed: int = DEFAULT_SEED):
         if isinstance(outcome, Separated):
             tally.expect(verify_separated(gens, outcome.weights, dim),
                          "instance {}: separated weights failed recheck", t)
-            w = ExtVec(outcome.weights)
+            w = outcome.weights
             for _ in range(2):
                 y = _rand_corner_point(rng, dim)
                 tally.expect(ONE < w.dot(y), "instance {}: corner point {} not above one", t, y)

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from conedual import INF, ONE, ExtVec
+from conedual import INF, ONE, ExtReal, ExtVec
 from conedual.extreal import _weighted_sum, as_extvec
 from conedual.certify import (
     covered,
@@ -36,11 +36,14 @@ def test_require_is_the_internal_error():
         require(False, "a check failed")
 
 
-def test_simplex_keeps_fractions_and_refuses_other_points():
+def test_simplex_reads_one_extvec_and_refuses_other_points():
     half = F(1, 2)
-    assert simplex((half, half))[0] is half
-    assert simplex([1, 0]) == (F(1), F(0))
-    for values in [(), (half,), (F(3, 2), F(-1, 2)), (True, False), (0.5, 0.5), ("1/2", "1/2")]:
+    point = ExtVec([half, half])
+    assert simplex(point) is point
+    assert simplex((half, ExtReal(1, 2))) == point
+    assert type(simplex([1, 0])) is ExtVec and tuple(simplex([1, 0])) == (F(1), F(0))
+    for values in [(), (half,), (F(3, 2), F(-1, 2)), (True, False), (0.5, 0.5), ("1/2", "1/2"),
+                   (INF, 0), ExtVec([INF, 0]), ExtVec([half, 1])]:
         assert simplex(values) is None
 
 
@@ -203,7 +206,12 @@ def test_mutated_covers_are_rejected():
         lifted = list(vec)
         lifted[a] = INF
         assert not covered(ExtVec(lifted), lam, hvecs)
+        # one weight per branch: an extra entry is not ignored, a missing one not read as zero
+        assert not covered(vec, list(lam) + [F(rng.randint(0, 9))], hvecs)
+        assert not covered(vec, list(lam)[:-1], hvecs)
     assert exceeded > 100
+    assert not covered(ExtVec([1, 0]), [1, 0, 7], [ExtVec([1, 0]), ExtVec([0, 1])])
+    assert not covered(ExtVec([1, 0]), [1], [ExtVec([1, 0]), ExtVec([0, 1])])
 
 
 def test_mutated_refutations_are_rejected():

@@ -10,7 +10,6 @@ from conedual import (
     ExtReal,
     ExtVec,
     MeetsCorner,
-    SeparationWeights,
     Separated,
     combination_point,
     in_corner,
@@ -74,10 +73,11 @@ def test_simplex_weights_take_no_bool_and_no_float():
     assert verify_meets_corner([[2, 2]], [(0, 1)])
     assert not verify_meets_corner([[2, 2]], [(0, 1.0)])
     assert not verify_meets_corner([[2, 2]], [(0, True)])
-    assert SeparationWeights((1, 0)).values == (F(1), F(0))
+    assert Separated((1, 0)).weights == ExtVec([1, 0])
+    assert tuple(Separated((1, 0)).weights) == (F(1), F(0))
     for values in [(True, False), (0.5, 0.5), (F(1, 2), 0.5)]:
         with pytest.raises(ValueError):
-            SeparationWeights(values)
+            Separated(values)
 
 
 def test_separate_infinite_coordinate_forced_to_zero():
@@ -112,6 +112,10 @@ def test_hull_disjoint_examples():
 def test_input_validation():
     with pytest.raises(EmptyList):
         separate([], 2)
+    # no generators is the same error in the checks, not an IndexError
+    with pytest.raises(EmptyList, match="at least one generator"):
+        combination_point([], [])
+    assert not verify_meets_corner([], [])
     with pytest.raises(DimensionMismatch):
         separate([ExtVec([1, 2, 3])], 2)
     with pytest.raises(DimensionMismatch):
@@ -127,9 +131,9 @@ def test_separate_refuses_a_bool_dimension():
 
 def test_separation_weights_invariants():
     with pytest.raises(ValueError):
-        SeparationWeights((F(1, 2), F(1, 4)))
+        Separated((F(1, 2), F(1, 4)))
     with pytest.raises(ValueError):
-        SeparationWeights((F(3, 2), F(-1, 2)))
+        Separated((F(3, 2), F(-1, 2)))
 
 
 def test_outcomes_are_exclusive_and_exhaustive():

@@ -157,6 +157,30 @@ def test_certify_imports_nothing_from_the_package_but_extreal():
     assert _raises_assertion(source)
 
 
+def _stdlib_imports(source):
+    """The top-level modules a module imports outside the package, anywhere in it."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and not node.level and node.module:
+            found.add(node.module.split(".")[0])
+        elif isinstance(node, ast.Import):
+            found |= {a.name.split(".")[0] for a in node.names}
+    return found
+
+
+def test_the_check_finds_a_fractions_import():
+    source = "import fractions.x\ndef f():\n    from fractions import Fraction\nfrom .extreal import ExtVec\n"
+    assert _stdlib_imports(source) == {"fractions"}
+    assert _stdlib_imports("from math import lcm\nfrom . import fractions\n") == {"math"}
+
+
+# certificates are ExtVecs from the LP's integers on, so their builder and checker need no Fraction
+@pytest.mark.parametrize("stem", ["convex_sep", "certify"])
+def test_certificate_modules_import_nothing_from_fractions(stem):
+    source = (PACKAGE / f"{stem}.py").read_text(encoding="utf-8")
+    assert "fractions" not in _stdlib_imports(source)
+
+
 # The oracles decide what lp, convex_sep, functionals and interpolate decide,
 # by other means, so they read nothing of those modules.
 ORACLE_DEPS = {"extreal"}

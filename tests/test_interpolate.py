@@ -65,32 +65,32 @@ def test_interpolate_gives_a_dropped_member_weight_zero():
     # phi is infinite on coordinate 2, and (inf, inf, 0) is infinite on the rest
     gs = [[2, 0, INF], [0, 2, 1], [INF, INF, 0]]
     result = interpolate(gs, SublinFun([[1, 1, INF]]))
-    assert (result.weights, result.certificate) == ((F(1, 2), F(1, 2), F(0)), (F(1),))
+    assert (tuple(result.weights), tuple(result.certificate)) == ((F(1, 2), F(1, 2), F(0)), (F(1),))
     (w,) = clause_witnesses([[0, 1, 2]], gs, SublinFun([[1, 1, INF]]))
     assert w.fun == LinFun([1, 1, INF]) and w == result
     # every coordinate has an infinite branch: phi is infinite off the origin
     result = interpolate(gs, SublinFun([[INF, 0, 0], [0, INF, INF]]))
-    assert (result.weights, result.certificate) == ((F(1), F(0), F(0)), (F(1), F(0)))
+    assert (tuple(result.weights), tuple(result.certificate)) == ((F(1), F(0), F(0)), (F(1), F(0)))
 
 
 def test_interpolate_unique_weights():
     # half and half is the only simplex point with 2a1 <= 1 and 2a2 <= 1
     result = interpolate(SuperlinFun([[2, 0], [0, 2]]), SublinFun([[1, 1]]))
-    assert result.weights == (F(1, 2), F(1, 2))
-    assert result.certificate == (F(1),)
+    assert tuple(result.weights) == (F(1, 2), F(1, 2))
+    assert tuple(result.certificate) == (F(1),)
 
 
 def test_interpolate_singleton_clause():
     result = interpolate(SuperlinFun([[3, 1]]), SublinFun([[3, 1]]))
-    assert result.weights == (F(1),)
-    assert result.certificate == (F(1),)
+    assert tuple(result.weights) == (F(1),)
+    assert tuple(result.certificate) == (F(1),)
 
 
 def test_interpolate_slack_instance_returns_valid_basic_solution():
     result = interpolate(SuperlinFun([[2, 0], [0, 2]]), SublinFun([[2, 2]]))
     a = result.weights
     assert sum(a) == 1 and all(v >= 0 for v in a)
-    assert result.certificate == (F(1),)
+    assert tuple(result.certificate) == (F(1),)
     # every simplex point works here; determinism is what matters
     again = interpolate(SuperlinFun([[2, 0], [0, 2]]), SublinFun([[2, 2]]))
     assert again.weights == a
@@ -172,7 +172,7 @@ def test_clause_witnesses_examples():
     ws = clause_witnesses([[0, 1]], [LinFun([2, 0]), LinFun([0, 2])], SublinFun([[1, 1]]))
     assert len(ws) == 1
     assert ws[0].fun == LinFun([1, 1])
-    assert ws[0].weights == (F(1, 2), F(1, 2))
+    assert tuple(ws[0].weights) == (F(1, 2), F(1, 2))
 
     ws = clause_witnesses([[0]], [LinFun([3, 2])], SublinFun([[3, 2]]))
     assert ws[0].fun == LinFun([3, 2])
@@ -340,12 +340,12 @@ def test_integer_coordinatewise_checks_match_fraction_folds():
 
 def _wrong_violation(gvecs, hvecs):
     # a positive margin whose point (1/2, 1/2) does not violate: g = h there
-    return F(1), (F(1, 2), F(1, 2)), (F(1),), (F(1),)
+    return F(1), ExtVec([F(1, 2), F(1, 2)]), ExtVec([1]), ExtVec([1])
 
 
 def _wrong_cover(gvecs, hvecs):
     # a nonpositive margin whose certificate (0, 1) leaves g = (2, 2) uncovered
-    return F(0), (F(1, 2), F(1, 2)), (F(1),), (F(0), F(1))
+    return F(0), ExtVec([F(1, 2), F(1, 2)]), ExtVec([1]), ExtVec([0, 1])
 
 
 _CALLERS = pytest.mark.parametrize(

@@ -14,7 +14,7 @@ from math import lcm
 
 import pytest
 
-from conedual import convex_sep, functionals, lp
+from conedual import combination_point, convex_sep, functionals, lp
 from conedual.extreal import INF, ExtReal, ExtVec
 from conedual.lp import LPOptimal, LPProblem, solve_lp
 
@@ -933,7 +933,14 @@ def test_witness_builder_matches_the_fraction_reference():
         w = [F(rng.randint(0, 9), rng.randint(1, 5)) for _ in gens]
         if not any(w):
             w[0] = F(1)
-        got = convex_sep._witness_from_certificate(gens, fin, inf_coords, w)
+        # the builder's premise, which a round below one and the play's stop both give:
+        # the multipliers' mix is above one at every finite coordinate
+        base = combination_point(gens, [(j, v / sum(w)) for j, v in enumerate(w)])
+        if not all(base[i] > 1 for i in fin):
+            continue
+        # and its multipliers are integers, as the LP and the play give them
+        scale = lcm(*(v.denominator for v in w))
+        got = convex_sep._witness_from_certificate(gens, fin, inf_coords, [int(v * scale) for v in w])
         assert got == _oracle_witness_from_certificate(gens, fin, inf_coords, w)
         mixed += bool(inf_coords and fin)
     assert mixed >= 200, mixed
@@ -1049,7 +1056,8 @@ def test_integer_margin_rows_match_fraction_rows(monkeypatch):
     held = violated = 0
     for gcoeffs, hcoeffs in calls:
         want = _fraction_row_margin(gcoeffs, hcoeffs)
-        got = functionals._margin([ExtVec(g) for g in gcoeffs], hcoeffs)
+        value, y, a, lam = functionals._margin([ExtVec(g) for g in gcoeffs], hcoeffs)
+        got = value, tuple(y), tuple(a), tuple(lam)
         assert got == want, (gcoeffs, hcoeffs, got, want)
         t = _simplex_margin(gcoeffs, hcoeffs)
         # the same verdict, and the same value where the order fails

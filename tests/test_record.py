@@ -13,28 +13,26 @@ import pytest
 
 from conedual import (
     ClauseWitness,
+    ExtReal,
+    ExtVec,
     LinFun,
     MeetsCorner,
-    SeparationWeights,
     Separated,
 )
 
-_HALVES = SeparationWeights((F(1, 2), F(1, 2)))
+_HALVES = ExtVec([F(1, 2), F(1, 2)])
 
 # (record, the same fields by keyword, its dataclass repr)
 RECORDS = [
-    (_HALVES,
-     dict(values=(F(1, 2), F(1, 2))),
-     "SeparationWeights(values=(Fraction(1, 2), Fraction(1, 2)))"),
     (Separated(_HALVES),
-     dict(weights=SeparationWeights([F(1, 2), F(1, 2)])),
-     "Separated(weights=SeparationWeights(values=(Fraction(1, 2), Fraction(1, 2))))"),
-    (MeetsCorner(((0, F(1, 2)), (1, F(1, 2)))),
-     dict(witness=((0, F(1, 2)), (1, F(1, 2)))),
-     "MeetsCorner(witness=((0, Fraction(1, 2)), (1, Fraction(1, 2))))"),
-    (ClauseWitness(LinFun([1, 1]), (F(1),), (F(1, 2),)),
-     dict(fun=LinFun([1, 1]), weights=(F(1),), certificate=(F(1, 2),)),
-     "ClauseWitness(fun=LinFun(1, 1), weights=(Fraction(1, 1),), certificate=(Fraction(1, 2),))"),
+     dict(weights=[F(1, 2), F(1, 2)]),
+     "Separated(weights=(1/2, 1/2))"),
+    (MeetsCorner(((0, ExtReal(1, 2)), (1, ExtReal(1, 2)))),
+     dict(witness=((0, ExtReal(1, 2)), (1, ExtReal(1, 2)))),
+     "MeetsCorner(witness=((0, ExtReal(1/2)), (1, ExtReal(1/2))))"),
+    (ClauseWitness(LinFun([1, 1]), ExtVec([1]), ExtVec([F(1, 2)])),
+     dict(fun=LinFun([1, 1]), weights=ExtVec([1]), certificate=ExtVec([F(1, 2)])),
+     "ClauseWitness(fun=LinFun(1, 1), weights=(1), certificate=(1/2))"),
 ]
 IDS = [type(r).__name__ for r, _, _ in RECORDS]
 
@@ -70,14 +68,14 @@ def test_records_are_frozen(record, fields, text):
 
 def test_equality_stays_within_one_class():
     # Separated and MeetsCorner each have one field, so their field tuples can agree
-    cert = ((0, F(1)),)
+    cert = ExtVec([1])
     assert Separated(cert) != MeetsCorner(cert) and MeetsCorner(cert) != Separated(cert)
     assert len({MeetsCorner(cert), MeetsCorner(cert), Separated(cert)}) == 2
 
 
 def test_post_init_still_validates():
     with pytest.raises(ValueError, match="must sum to one"):
-        SeparationWeights((F(1, 2),))
+        Separated((F(1, 2),))
 
 
 @pytest.mark.parametrize("build", [
@@ -91,8 +89,8 @@ def test_wrong_arguments_raise_type_error(build):
         build()
 
 
-def test_separation_weights_keep_fraction_entries_as_given():
-    half = F(1, 2)
-    assert all(v is half for v in SeparationWeights((half, half)).values)
-    ints = SeparationWeights([1, 0]).values
-    assert ints == (F(1), F(0)) and all(type(v) is F for v in ints)
+def test_separated_keeps_an_extvec_as_given_and_coerces_the_rest_once():
+    assert Separated(_HALVES).weights is _HALVES
+    ints = Separated([1, 0]).weights
+    assert type(ints) is ExtVec and tuple(ints) == (F(1), F(0))
+    assert all(type(v) is ExtReal for v in ints)

@@ -14,7 +14,6 @@ from conedual import (
     ExtReal,
     ExtVec,
     MeetsCorner,
-    SeparationWeights,
     Separated,
     separate,
     verify_meets_corner,
@@ -40,7 +39,7 @@ def _one_lp(gens, dim, fin, inf_coords):
         full = [0] * dim
         for pos, i in enumerate(fin):
             full[i] = res.point[pos]
-        return Separated(SeparationWeights(tuple(full)))
+        return Separated(tuple(full))
 
     assert res.value < 1
     w = [v * form[1] for v, form in zip(res.yn[1:], forms)]

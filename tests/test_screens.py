@@ -15,7 +15,6 @@ from conedual import (
     ExtReal,
     ExtVec,
     MeetsCorner,
-    SeparationWeights,
     Separated,
     separate,
     verify_meets_corner,
@@ -293,7 +292,7 @@ def test_hulls_the_dropped_screens_answered_reach_no_lp(monkeypatch):
     "answer",
     [
         # weights e_1, which pair the generator (2, 0) to 2
-        Separated(SeparationWeights((1, 0))),
+        Separated((1, 0)),
         # the generator (2, 0) alone, which is not in the corner
         MeetsCorner(((0, F(1)),)),
     ],
@@ -356,7 +355,7 @@ def test_fictitious_play_answers_are_the_reference_play_and_the_oracles_verdict(
             weights = [0] * dim
             for pos, i in enumerate(fin):
                 weights[i] = F(q[pos], r)
-            assert found.weights == SeparationWeights(tuple(weights))
+            assert found.weights == ExtVec(weights)
             assert verify_separated(gens, found.weights, dim), (gens, found)
         assert (type(found) is MeetsCorner) == oracles.hull_meets_corner(gens, dim), (gens, found)
         key = type(found), len(fin) < dim
