@@ -10,7 +10,8 @@ the closed form max-over-blocks of min-over-block pairings.
 
 from __future__ import annotations
 
-from itertools import repeat
+from itertools import combinations, compress, repeat
+from math import lcm
 from operator import le, mul
 
 from .certify import covered, refutes, require
@@ -186,15 +187,16 @@ def _unit(i, n):
 
 
 def _screen(gvecs, hvecs):
-    """``_margin``'s answer where one pass over the finite forms holds it, else None.
+    """``_margin``'s answer where the finite forms hold it without an LP, else None.
 
     A member at most a branch coordinatewise, g_i <= h_k, is covered with
     a = e_i and lambda = e_k.  A coordinate j where every g_i[j] exceeds
     every h_k[j] is refuted by y = e_j, with margin min_i g_i[j] - max_k
     h_k[j] > 0.  These are the dominated rows and columns of LP presolve
     (Andersen & Andersen 1995, "Presolving in linear programming"); each
-    compare is on integers and stops at the first failing coordinate, and
-    ``_decide`` checks the answer as it checks the LP's.
+    compare is on integers and stops at the first failing coordinate.  Last,
+    ``_segment`` looks for a mix of two members at most one branch.  ``_decide``
+    checks every answer as it checks the LP's.
     """
     gforms = [g._form for g in gvecs]
     hforms = [h._form for h in hvecs]
@@ -215,6 +217,59 @@ def _screen(gvecs, hvecs):
             y = [0] * dim
             y[j] = 1
             return low - ExtReal(top, over), y, None, None
+    return _segment(gforms, hforms) if len(gforms) > 1 else None
+
+
+def _segment(gforms, hforms):
+    """A cover by a mix of two members, t g_i + (1 - t) g_i' <= h_k, as
+    ``_screen`` returns it with a = (t at i, 1 - t at i') and lambda = e_k,
+    else None.  Branches are tried in order, and pairs i < i' in
+    lexicographic order.
+
+    Over the lcm of the denominators every form is integers.  The mix can
+    sit below h_k only where one of the two members does, so a branch is
+    tried only when the least member is below it at every coordinate, and
+    then only the pairs whose masks {j : g_i[j] <= h_k[j]} cover every
+    coordinate.  Where both are below, every t in [0, 1] holds; where only
+    g_i is, t >= (g_i'[j] - h_k[j]) / (g_i'[j] - g_i[j]), and where only
+    g_i' is, t <= (h_k[j] - g_i'[j]) / (g_i[j] - g_i'[j]).  The interval
+    [lo, hi] is kept as integer ratios, compared by cross-multiplying, and
+    the pair is left once lo > hi; otherwise t = lo.
+    """
+    big = lcm(*[d for _, d, _, _ in gforms], *[d for _, d, _, _ in hforms])
+    gs = [gn if gd == big else [v * (big // gd) for v in gn] for gn, gd, _, _ in gforms]
+    least = list(map(min, *gs))
+    bits = [1 << j for j in range(len(least))]
+    full = (1 << len(bits)) - 1
+    for k, (hn, hd, _, _) in enumerate(hforms):
+        h = hn if hd == big else [v * (big // hd) for v in hn]
+        if not all(map(le, least, h)):
+            continue
+        masks = [sum(compress(bits, map(le, g, h))) for g in gs]
+        for i, i2 in combinations(range(len(gs)), 2):
+            below, below2 = masks[i], masks[i2]
+            if below | below2 != full:
+                continue
+            g, g2 = gs[i], gs[i2]
+            only, only2 = below & ~below2, below2 & ~below
+            # t in [lo_n / lo_d, hi_n / hi_d]
+            lo_n, lo_d, hi_n, hi_d = 0, 1, 1, 1
+            for j, bit in enumerate(bits):
+                if only & bit:
+                    p, q = g2[j] - h[j], g2[j] - g[j]
+                    if p * lo_d > lo_n * q:
+                        lo_n, lo_d = p, q
+                elif only2 & bit:
+                    p, q = h[j] - g2[j], g[j] - g2[j]
+                    if p * hi_d < hi_n * q:
+                        hi_n, hi_d = p, q
+                else:
+                    continue
+                if lo_n * hi_d > hi_n * lo_d:
+                    break
+            else:
+                a = _over((lo_n, lo_d - lo_n), lo_d, (i, i2), len(gs))
+                return 0, None, a, _unit(k, len(hforms))
     return None
 
 
@@ -223,11 +278,12 @@ def _decide(gvecs, hvecs):
 
     max_k h_k is infinite off R, the coordinates where every h_k is finite,
     and a g_i infinite on R exceeds it at any point positive on R, so the
-    other g_i are decided on R: by the screens of ``_screen``, then at most
-    one LP, ``_margin``, when they find nothing.  Returns (y, None, None,
-    None) with an ``ExtVec`` y where max_k h_k . y < min_i g_i . y: the
-    answer's point, 0 off R and lifted by a slice of 1_R when a g_i was
-    dropped, or 1_R when none is left.  Otherwise (None, a, lambda, mix)
+    other g_i are decided on R: by the screens of ``_screen`` (a member
+    below a branch, a coordinate that refutes, a mix of two members below
+    a branch), then at most one LP, ``_margin``, when they find nothing.
+    Returns (y, None, None, None) with an ``ExtVec`` y where max_k h_k . y
+    < min_i g_i . y: the answer's point, 0 off R and lifted by a slice of
+    1_R when a g_i was dropped, or 1_R when none is left.  Otherwise (None, a, lambda, mix)
     with a_i = 0 for each dropped g_i and mix = sum_i a_i g_i <= sum_k
     lambda_k h_k on R; weight 1 on the first member and branch when R is
     empty.  A failed check is an internal error.

@@ -4,9 +4,10 @@ functionals and a dominating sublinear functional.
 Given linear g_1 .. g_n with min_i g_i <= phi on the extended orthant,
 there are simplex weights a with min_i g_i <= sum_i a_i g_i <= phi
 pointwise.  The checked margin decision ``functionals._decide`` answers
-the hypothesis: a violating point, checked by evaluation, or the weights a
-and a certificate lambda over phi's branches, with the domination sum_i
-a_i g_i <= sum_k lambda_k h_k checked coordinatewise where phi is finite.
+the hypothesis, by its exact screens or else one margin LP: a violating
+point, checked by evaluation, or the weights a and a certificate lambda
+over phi's branches, with the domination sum_i a_i g_i <= sum_k lambda_k
+h_k checked coordinatewise where phi is finite.
 Coefficients may be infinite.  This module only validates
 clauses and turns that answer into results and errors.
 """
@@ -56,12 +57,15 @@ def interpolate(clause, phi: SublinFun) -> ClauseWitness:
 
     Screens first, then at most one LP.  A member at most a branch
     coordinatewise gives a = e_i and lambda = e_k, and a coordinate where
-    every member exceeds every branch is a violation.  Otherwise one
-    margin LP maximises t >= 0 with h_k . y <= u for every branch,
-    u + t <= g_i . y for every member and sum_j y_j <= 1, starting
-    feasible at the origin.  A positive optimum makes its point a
-    violation of the hypothesis; otherwise its dual on the member and
-    branch rows, divided by its sum, is the weights and the certificate.
+    every member exceeds every branch is a violation.  A mix s g_i +
+    (1 - s) g_i' of two members at most a branch h_k, with s the least
+    point of an exact interval, gives a = (s at i, 1 - s at i') and
+    lambda = e_k.  Otherwise one margin LP maximises t >= 0 with h_k . y
+    <= u for every branch, u + t <= g_i . y for every member and sum_j y_j
+    <= 1, starting feasible at the origin.  A positive optimum makes its
+    point a violation of the hypothesis; otherwise its dual on the member
+    and branch rows, divided by its sum, is the weights and the
+    certificate.
     The left inequality min_i g_i <= sum a_i g_i is automatic for simplex
     weights; the right one follows from the coordinatewise certificate.
     ``leq_functional`` decides the hypothesis alone.
@@ -101,7 +105,10 @@ def clause_witnesses(clauses, c_gens, phi: SublinFun):
         idxs = list(clause)
         if not idxs:
             raise EmptyList(f"clause {pos} is empty")
-        if any(type(i) is not int or i < 0 or i >= len(gens) for i in idxs):
-            raise MalformedProblem(f"clause {pos} indexes outside the generator list")
+        for i in idxs:
+            if type(i) is not int:
+                raise MalformedProblem(f"clause {pos} has an index of type {type(i).__name__}, not int")
+            if not 0 <= i < len(gens):
+                raise MalformedProblem(f"clause {pos} indexes outside the generator list")
         out.append(_interpolate([gens[i] for i in idxs], phi, pos))
     return out

@@ -197,8 +197,9 @@ def test_clause_witnesses_reproduce_phi_when_clauses_cover_it():
 
 def test_clause_witnesses_validation_and_errors():
     gens = [LinFun([1, 1])]
-    with pytest.raises(MalformedProblem):
-        clause_witnesses([[1]], gens, SublinFun([[1, 1]]))
+    for index in (1, -1):
+        with pytest.raises(MalformedProblem, match="^clause 0 indexes outside the generator list$"):
+            clause_witnesses([[index]], gens, SublinFun([[1, 1]]))
     with pytest.raises(EmptyList):
         clause_witnesses([[]], gens, SublinFun([[1, 1]]))
     with pytest.raises(PreconditionViolated) as info:
@@ -206,10 +207,13 @@ def test_clause_witnesses_validation_and_errors():
     assert info.value.clause_index == 0
 
 
-def test_clause_witnesses_take_no_bool_as_an_index():
-    # True == 1, but a bool is no number here, as in the JSON decoder
-    with pytest.raises(MalformedProblem):
-        clause_witnesses([[True]], [[1, 0], [0, 1]], SublinFun([[1, 1]]))
+@pytest.mark.parametrize("index, kind", [(True, "bool"), (False, "bool"), (1.0, "float"), ("0", "str"),
+                                         (F(0), "Fraction")])
+def test_clause_witnesses_name_an_index_that_is_not_an_int(index, kind):
+    # True == 1, but a bool is no index here, as in the JSON decoder; nor is a
+    # number of another type, and the message says so, not that it is out of range
+    with pytest.raises(MalformedProblem, match=f"^clause 1 has an index of type {kind}, not int$"):
+        clause_witnesses([[0], [0, index]], [[1, 0], [0, 1]], SublinFun([[1, 1]]))
 
 
 def test_image_vectors_of_dominated_points_avoid_the_corner():

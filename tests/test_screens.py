@@ -25,6 +25,7 @@ F = Fraction
 functionals = importlib.import_module("conedual.functionals")
 oracles = importlib.import_module("conedual.oracles")
 convex_sep = importlib.import_module("conedual.convex_sep")
+certify = importlib.import_module("conedual.certify")
 
 
 def _spy_screen(monkeypatch, module):
@@ -46,6 +47,39 @@ def _rand_vec(rng, dim, inf_rate, top):
                    for _ in range(dim)])
 
 
+def _spy_margin(monkeypatch):
+    """Record the arguments of each ``functionals._margin`` call."""
+    real, calls = functionals._margin, []
+
+    def margin(gvecs, hvecs):
+        calls.append((gvecs, hvecs))
+        return real(gvecs, hvecs)
+
+    monkeypatch.setattr(functionals, "_margin", margin)
+    return calls
+
+
+def _is_segment(found):
+    """A screen answer that covers by a mix of two members."""
+    return found is not None and found[0] == 0 and sum(w > 0 for w in found[2]) == 2
+
+
+def _check_segment(found, gvecs, hvecs):
+    """The answer's two weights sum to one, and its mix is covered by its branch."""
+    _, y, a, lam = found
+    assert y is None and sum(a) == 1 and sorted(lam) == [0] * (len(lam) - 1) + [1], found
+    mix = functionals._weighted_sum(a, gvecs, gvecs[0].dim)
+    assert certify.covered(mix, lam, hvecs), (found, gvecs, hvecs)
+
+
+def _crossing_pair(rng, dim):
+    """Two finite members, each above the other somewhere."""
+    while True:
+        g = [[ExtReal(rng.randint(0, 6), rng.randint(1, 3)) for _ in range(dim)] for _ in range(2)]
+        if any(a > b for a, b in zip(*g)) and any(a < b for a, b in zip(*g)):
+            return [ExtVec(v) for v in g]
+
+
 def test_order_screens_give_the_lps_verdicts(monkeypatch):
     rng = random.Random(4099)
     cases = []
@@ -59,16 +93,30 @@ def test_order_screens_give_the_lps_verdicts(monkeypatch):
         else:
             gvecs = [_rand_vec(rng, dim, 0.1, 6) for _ in range(rng.randint(1, 3))]
         cases.append((gvecs, hvecs))
+    for _ in range(60):
+        # a branch at or just above a mix of two members, which no member alone need be below
+        dim = rng.randint(2, 4)
+        gvecs = [_rand_vec(rng, dim, 0.1, 6) for _ in range(2)]
+        n = rng.randint(1, 3)
+        mix = gvecs[0].scale(ExtReal(n, 4)) + gvecs[1].scale(ExtReal(4 - n, 4))
+        hvecs = [mix + ExtVec([ExtReal(rng.randint(0, 1), 8) for _ in range(dim)])]
+        hvecs += [_rand_vec(rng, dim, 0.1, 6) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(hvecs)
+        cases.append((gvecs + [_rand_vec(rng, dim, 0.1, 6) for _ in range(rng.randint(0, 1))], hvecs))
     seen = _spy_screen(monkeypatch, functionals)
     verdicts = []
     for gvecs, hvecs in cases:
         before = len(seen)
         y = functionals._decide(gvecs, hvecs)[0]
-        # a pair (value 0), a vertex (value > 0) or a miss; nothing when _decide answers first
+        # a member pair (value 0, one weight), a segment (value 0, two weights), a vertex
+        # (value > 0) or a miss; nothing when _decide answers first
         rule = None
         if len(seen) > before:
             found = seen[-1]
-            rule = "miss" if found is None else "pair" if found[0] == 0 else "vertex"
+            if found is None:
+                rule = "miss"
+            else:
+                rule = "vertex" if found[0] > 0 else "segment" if _is_segment(found) else "pair"
         verdicts.append((y is None, rule))
     monkeypatch.setattr(functionals, "_screen", lambda gvecs, hvecs: None)
     rules = {}
@@ -76,13 +124,143 @@ def test_order_screens_give_the_lps_verdicts(monkeypatch):
     for (gvecs, hvecs), (held, rule) in zip(cases, verdicts):
         assert (functionals._decide(gvecs, hvecs)[0] is None) == held, (gvecs, hvecs, rule)
         rules[rule, held] = rules.get((rule, held), 0) + 1
-        screened_inf += rule in ("pair", "vertex") and any(v._form[2] for v in gvecs + hvecs)
-    # the pair screen answers only a held order and the vertex screen only a failed one
-    assert {key for key in rules if key[0] in ("pair", "vertex")} == {("pair", True), ("vertex", False)}
-    assert min(rules["pair", True], rules["vertex", False]) >= 10, rules
+        screened_inf += rule in ("pair", "segment", "vertex") and any(v._form[2] for v in gvecs + hvecs)
+    # the pair and segment screens answer only a held order and the vertex screen only a failed one
+    answered = {("pair", True), ("segment", True), ("vertex", False)}
+    assert {key for key in rules if key[0] in ("pair", "segment", "vertex")} == answered
+    assert min(rules[key] for key in answered) >= 10, rules
     assert min(rules.get(("miss", True), 0), rules.get(("miss", False), 0)) >= 10, rules
     # the screens also answer on what is left once _decide has cut the inf entries
     assert screened_inf >= 10, screened_inf
+
+
+def test_a_branch_above_a_two_member_mix_reaches_no_margin_lp(monkeypatch):
+    rng = random.Random(20011)
+    calls = _spy_margin(monkeypatch)
+    seen = _spy_screen(monkeypatch, functionals)
+    segments = with_inf = 0
+    for _ in range(150):
+        dim = rng.randint(2, 5)
+        gvecs = _crossing_pair(rng, dim)
+        n = rng.randint(1, 5)
+        mix = gvecs[0].scale(ExtReal(n, 6)) + gvecs[1].scale(ExtReal(6 - n, 6))
+        # a bump that is zero on at least one coordinate
+        bump = [ExtReal(rng.randint(0, 2), 5) for _ in range(dim)]
+        bump[rng.randrange(dim)] = ExtReal(0)
+        hvecs = [mix + ExtVec(bump)] + [_rand_vec(rng, dim, 0, 4) for _ in range(rng.randint(0, 2))]
+        gvecs += [_rand_vec(rng, dim, 0, 9) for _ in range(rng.randint(0, 2))]
+        rng.shuffle(gvecs)
+        rng.shuffle(hvecs)
+        if rng.randrange(3) == 0:
+            # and a coordinate off R, infinite at a branch, which _decide cuts
+            hvecs = [ExtVec(list(h) + [ExtReal(rng.randint(0, 3))]) for h in hvecs]
+            r = rng.randrange(len(hvecs))
+            hvecs[r] = ExtVec(list(hvecs[r])[:-1] + [INF])
+            gvecs = [ExtVec(list(g) + [rng.choice((INF, ExtReal(rng.randint(0, 9))))]) for g in gvecs]
+            with_inf += 1
+        before = len(seen)
+        y, a, lam, mix = functionals._decide(gvecs, hvecs)
+        assert y is None and certify.covered(mix, lam, hvecs), (gvecs, hvecs)
+        assert len(seen) == before + 1 and seen[-1] is not None, (gvecs, hvecs)
+        segments += _is_segment(seen[-1])
+    assert not calls, calls[:1]
+    # most are answered by the segment screen, the rest by a member below a branch
+    assert segments >= 100 and with_inf >= 30, (segments, with_inf)
+
+
+def test_segment_answers_keep_the_oracles_verdict_with_inf_entries(monkeypatch):
+    rng = random.Random(30011)
+    real, seen = functionals._screen, []
+
+    def screen(gvecs, hvecs):
+        seen.append((real(gvecs, hvecs), gvecs, hvecs))
+        return seen[-1][0]
+
+    monkeypatch.setattr(functionals, "_screen", screen)
+    tally = {}
+    for _ in range(400):
+        dim = rng.randint(1, 4)
+        # few enough rows for the oracle, which solves every vertex system
+        gvecs = [_rand_vec(rng, dim, 0.15, 6) for _ in range(rng.randint(2, 3))]
+        if dim > 1 and rng.randrange(3):
+            # a branch near a mix of two crossing members, mostly at or above it
+            gvecs[:2] = [ExtVec([INF if rng.random() < 0.15 else e for e in g]) for g in _crossing_pair(rng, dim)]
+            n = rng.randint(1, 3)
+            mix = gvecs[0].scale(ExtReal(n, 4)) + gvecs[1].scale(ExtReal(4 - n, 4))
+            scale = ExtReal(rng.choice((7, 8, 8, 9, 10)), 8)
+            hvecs = [ExtVec([e * scale for e in mix])]
+        else:
+            hvecs = [_rand_vec(rng, dim, 0.15, 6)]
+        hvecs += [_rand_vec(rng, dim, 0.15, 6) for _ in range(rng.randint(0, 1))]
+        before = len(seen)
+        y, _, lam, mix = functionals._decide(gvecs, hvecs)
+        held = y is None
+        assert held == oracles.order_holds(gvecs, hvecs), (gvecs, hvecs)
+        found, screened = (seen[-1][0], seen[-1][1:]) if len(seen) > before else (None, None)
+        if _is_segment(found):
+            assert held
+            # the cover on what _decide screened, and on the full vectors as _decide checks it
+            _check_segment(found, *screened)
+            assert certify.covered(mix, lam, hvecs)
+            key = "segment", any(v._form[2] for v in gvecs + hvecs)
+        else:
+            key = held, None
+        tally[key] = tally.get(key, 0) + 1
+    assert min(tally.get(("segment", False), 0), tally.get(("segment", True), 0)) >= 10, tally
+    assert min(tally.get((True, None), 0), tally.get((False, None), 0)) >= 50, tally
+
+
+@pytest.mark.parametrize(
+    "gvecs, hvecs, weights",
+    [
+        # t <= 1/2 at the first coordinate and t >= 1/2 at the second: the one point 1/2
+        ([[2, 0], [0, 2]], [[1, 1]], (F(1, 2), F(1, 2))),
+        # t <= 1/3 and t >= 1/3, with both members equal to the branch at the last coordinate
+        ([[3, 0, 1], [0, 3, 1]], [[1, 2, 1]], (F(1, 3), F(2, 3))),
+        # t in [1/4, 3/4], both equal to the branch at the last coordinate: t = lo = 1/4
+        ([[2, 0, 5], [0, 2, 5]], [[F(3, 2), F(3, 2), 5]], (F(1, 4), F(3, 4))),
+        # a member that covers nothing comes first, and the second branch is the one
+        ([[9, 9], [2, 0], [0, 2]], [[0, 0], [1, 1]], (0, F(1, 2), F(1, 2))),
+    ],
+    ids=["single_point", "single_point_and_equal_coordinate", "equal_coordinate", "later_pair_and_branch"],
+)
+def test_segment_screen_edge_cases(gvecs, hvecs, weights):
+    gvecs, hvecs = [ExtVec(g) for g in gvecs], [ExtVec(h) for h in hvecs]
+    found = functionals._screen(gvecs, hvecs)
+    assert _is_segment(found), found
+    assert found[2] == ExtVec(weights)
+    assert found[3] == ExtVec([int(k == len(hvecs) - 1) for k in range(len(hvecs))])
+    _check_segment(found, gvecs, hvecs)
+
+
+def test_an_empty_segment_interval_is_left_to_the_margin_lp(monkeypatch):
+    # t <= 9/20 and t >= 11/20: the masks cover both coordinates, but no t does,
+    # and the LP refutes the order at y = (1/2, 1/2)
+    gvecs, hvecs = [ExtVec([2, 0]), ExtVec([0, 2])], [ExtVec([F(9, 10), F(9, 10)])]
+    assert functionals._screen(gvecs, hvecs) is None
+    calls = _spy_margin(monkeypatch)
+    y = functionals._decide(gvecs, hvecs)[0]
+    assert len(calls) == 1 and y == ExtVec([F(1, 2), F(1, 2)])
+
+
+def test_a_planted_three_member_mix_reaches_the_margin_lp(monkeypatch):
+    # g_k = e_k / lam_k, so sum_k lam_k g_k = (1, 1, 1) is the branch, while a mix of
+    # two members needs t <= lam_i and t >= 1 - lam_i' at once
+    rng = random.Random(40009)
+    calls = _spy_margin(monkeypatch)
+    for _ in range(20):
+        cut = sorted(rng.sample(range(1, 12), 2))
+        lam = [F(cut[0], 12), F(cut[1] - cut[0], 12), F(12 - cut[1], 12)]
+        gvecs = [ExtVec([1 / lam[k] if j == k else 0 for j in range(3)]) for k in range(3)]
+        hvecs = [ExtVec([1, 1, 1])]
+        assert functionals._screen(gvecs, hvecs) is None
+        before = len(calls)
+        y, a, lam_out, mix = functionals._decide(gvecs, hvecs)
+        assert len(calls) == before + 1
+        assert y is None and oracles.order_holds(gvecs, hvecs)
+        # the only cover is the planted mix itself
+        assert a == ExtVec(lam) and lam_out == ExtVec([1]) and mix == ExtVec([1, 1, 1])
+        assert certify.covered(mix, lam_out, hvecs)
 
 
 def test_separation_screens_give_the_lps_verdicts(monkeypatch):
