@@ -4,7 +4,9 @@ Conventions: r + inf = inf for every r, r * inf = inf for r > 0, and
 0 * inf = 0.  The order is total with +inf on top.  Values are reduced at
 construction, immutable by convention, and hashable, so equality is
 structural.  Vectors keep an integer form, and every weighted sum of
-vectors is one routine on the forms.  No floating point is used anywhere.
+vectors is one routine on the forms.  A vector builds its form at
+construction, except an open-set block's, which the JSON decoder leaves to
+its first read.  No floating point is used anywhere.
 """
 
 from __future__ import annotations
@@ -370,9 +372,10 @@ class ExtVec:
     """A point of the extended nonnegative orthant with a fixed dimension.
 
     Its one state is the canonical form that ``_canonical_form`` computes at
-    construction, so ``==``, ``hash`` and ``dot`` read only the form.  The
-    ``ExtReal`` entries are a cache: kept when given, else built from the
-    form on first access.  Immutable by convention.
+    construction, or on first read for ``_PendingVec``, so ``==``, ``hash``
+    and ``dot`` read only the form.  The ``ExtReal`` entries are a cache:
+    kept when given, else built from the form on first access.  Immutable by
+    convention.
     """
 
     __slots__ = ("_entries", "_form")
@@ -483,6 +486,53 @@ class ExtVec:
 
     def __repr__(self):
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
+
+
+class _PendingVec(ExtVec):
+    """An ``ExtVec`` that builds its form on first read: the JSON decoder's
+    open-set block vectors, most of which ``minkowski`` never pairs.
+
+    Until then ``_entries`` holds ``_canonical_form``'s arguments, which
+    give the dimension.  The first read of ``_form`` finds the slot empty,
+    builds the form, empties ``_entries`` and turns the vector into a plain
+    ``ExtVec``, so an eagerly built vector pays no check for this class.
+    """
+
+    __slots__ = ()
+
+    @classmethod
+    def _from_ratios(cls, nums, dens, inf, nonzero, reduced=False):
+        v = object.__new__(cls)
+        v._entries = (nums, dens, inf, nonzero, reduced)
+        return v
+
+    def __getattr__(self, name):
+        if name != "_form":
+            raise AttributeError(name)
+        form = self._form = _canonical_form(*self._entries)
+        self._entries = None
+        self.__class__ = ExtVec
+        return form
+
+    @property
+    def dim(self) -> int:
+        return len(self._entries[0])
+
+    def __len__(self):
+        return len(self._entries[0])
+
+    # the rest read ExtVec's entries cache, which holds the ratios until the form is built
+
+    @property
+    def entries(self) -> tuple:
+        self._form  # now a plain ExtVec
+        return self.entries
+
+    def __iter__(self):
+        return iter(self.entries)
+
+    def __getitem__(self, i):
+        return self.entries[i]
 
 
 def _over(nums, d, at=None, dim=None) -> ExtVec:

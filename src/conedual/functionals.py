@@ -16,7 +16,7 @@ from operator import le, mul
 
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
-from .extreal import (ONE, ZERO, ExtReal, ExtVec, _extreme_pairing, _over, _reduced, _weighted_sum,
+from .extreal import (ONE, ExtReal, ExtVec, _extreme_pairing, _over, _reduced, _weighted_sum,
                       as_extvec)
 from .lp import LPProblem, solve_lp
 
@@ -58,7 +58,8 @@ class _BranchFun:
         branches = tuple([b if isinstance(b, LinFun) else LinFun(b) for b in branches])
         if not branches:
             raise EmptyList("at least one branch is required")
-        if len({len(b.coeffs._form[0]) for b in branches}) > 1:
+        # len, not the form, which an open-set block's vector builds on first read
+        if len({len(b.coeffs) for b in branches}) > 1:
             raise DimensionMismatch("branches disagree on dimension")
         self.branches = branches
 
@@ -123,28 +124,64 @@ class OpenSetRep:
 
     def contains(self, y) -> bool:
         """Some block's least pairing with y exceeds one."""
-        y = as_extvec(y)
-        return any(ONE < block.eval(y) for block in self.blocks)
+        y = _checked_point(self, y)
+        # one is yd / 1 on the walk's scale
+        top, over = _max_min(self.blocks, y._form, y._form[1], 1, first=True)
+        return top > y._form[1] * over
 
     def __repr__(self):
         return f"OpenSetRep(blocks={len(self.blocks)})"
+
+
+def _checked_point(rep, y):
+    y = as_extvec(y)
+    if rep.dim is not None and rep.dim != y.dim:
+        raise DimensionMismatch(f"{rep.dim} versus {y.dim}")
+    return y
+
+
+def _max_min(blocks, y_form, top, over, first=False):
+    """The greatest least pairing of y with a block that exceeds ``top / over``,
+    else ``top / over``, with ``first`` the first such one; every value is
+    ``(num, den)`` times y's denominator, inf as ``(1, 0)``.
+
+    A block is left at its first finite pairing at or below the best so
+    far, so the vectors after it never build their forms; a block whose
+    pairings are all infinite answers inf at once.  Pairings are compared
+    by cross-multiplication, as in ``_extreme_pairing``.  The blocks' and
+    y's dimensions are the caller's to check.
+    """
+    yn, _, y_inf, y_nonzero = y_form
+    for block in blocks:
+        low = None
+        for b in block.branches:
+            xn, xd, x_inf, x_nonzero = b.coeffs._form
+            if x_inf & y_nonzero or y_inf & x_nonzero:
+                continue
+            s = sum(map(mul, xn, yn))
+            if s * over <= top * xd:
+                break
+            if low is None or s * low_over < low * xd:
+                low, low_over = s, xd
+        else:
+            if low is None:
+                return 1, 0
+            top, over = low, low_over
+            if first:
+                break
+    return top, over
 
 
 def minkowski(rep: OpenSetRep, y) -> ExtReal:
     """Largest scale r with y inside r times the open set; zero if none.
 
     For a basic block the pairings must all exceed r, so the answer is the
-    minimum pairing; a union takes the best block.
+    minimum pairing; a union takes the best block.  ``_max_min`` walks the
+    blocks and leaves each at its first pairing that cannot beat the best.
     """
-    y = as_extvec(y)
-    if rep.dim is not None and rep.dim != y.dim:
-        raise DimensionMismatch(f"{rep.dim} versus {y.dim}")
-    best = ZERO
-    for block in rep.blocks:
-        v = block.eval(y)
-        if best < v:
-            best = v
-    return best
+    y = _checked_point(rep, y)
+    top, over = _max_min(rep.blocks, y._form, 0, 1)
+    return _reduced(top, over * y._form[1])
 
 
 def _margin(gvecs, hvecs):

@@ -7,7 +7,7 @@ malformed input reports where and what was expected.
 from __future__ import annotations
 
 from .errors import ParseError, TooLarge, _echo
-from .extreal import INF, ExtReal, ExtVec, _parse_ratio
+from .extreal import INF, ExtReal, ExtVec, _PendingVec, _parse_ratio
 from .finspace import FinitePoset
 from .functionals import LinFun, OpenSetRep, SublinFun
 from .valuations import SimpleValuation, ValuationOnOpens
@@ -72,19 +72,20 @@ def decode_vectors(obj, path, expected) -> list:
     return _decode_family(obj, path, True)
 
 
-def _decode_family(items, path, indexed):
+def _decode_family(items, path, indexed, vec=ExtVec):
     """The vectors of ``items`` in one pass over them and their entries.
 
     Each entry is read into numerators, denominators and the infinity and
     nonzero masks.  A ``str`` entry is looked up in ``_ENTRIES``; a miss,
     and any entry but a nonnegative ``int``, goes through ``_miss``, which
     gives the value or the error message.  No ``ExtReal`` is built, and
-    every ratio is in lowest terms, so ``ExtVec._from_ratios`` builds each
-    vector's form once with no gcd.  Item ``i``'s path is ``path[i]`` when
-    ``indexed``, else ``path``; it is built only when the item fails.
+    every ratio is in lowest terms, so ``vec._from_ratios`` builds each
+    vector's form once with no gcd: at once for ``ExtVec``, on first read
+    for ``_PendingVec``.  Item ``i``'s path is ``path[i]`` when ``indexed``,
+    else ``path``; it is built only when the item fails.
     """
     entry = _ENTRIES.get
-    from_ratios = ExtVec._from_ratios
+    from_ratios = vec._from_ratios
     out = []
     for obj in items:
         if not isinstance(obj, list) or not obj:
@@ -159,13 +160,17 @@ def decode_sublinear(obj, path) -> SublinFun:
 
 
 def decode_open_set(obj, path) -> OpenSetRep:
+    """The blocks' vectors are checked in full here but build their forms on
+    first read, as ``minkowski`` leaves most of them unread."""
     raw = require_key(obj, "blocks", path)
     if not isinstance(raw, list):
         fail(f"{path}.blocks", "an array of blocks", raw)
     blocks = []
     try:
         for block in raw:
-            blocks.append(decode_vectors(block, "", _COEFF_ARRAYS))
+            if not isinstance(block, list) or not block:
+                fail("", _COEFF_ARRAYS, block)
+            blocks.append(_decode_family(block, "", True, _PendingVec))
     except ParseError as exc:
         # a block's path is built only when it fails
         raise ParseError(f"{path}.blocks[{len(blocks)}]{exc}") from None

@@ -36,8 +36,8 @@ that integer form against the rows, at zero tolerance, before
 ``_fold``, the weighted sum of rows that ``ExtVec`` combinations also run,
 plus a sign or equality test (Dhiflaoui et al. 2003; McConnell et al.
 2011).  Keeping the answer in integers end to end follows Applegate, Cook,
-Dash & Espinoza 2007.  The ``Fraction`` fields ``point`` and ``value`` are
-built from the checked form.
+Dash & Espinoza 2007.  The ``Fraction`` properties ``point`` and ``value``
+read the checked form, and are built only when read.
 """
 
 from __future__ import annotations
@@ -69,12 +69,19 @@ class LPOptimal:
     value ``vn / d`` and an optimal dual ``yn / d``, one multiplier per row.
     ``point`` and ``value`` are the first two as ``Fraction``s."""
 
-    __slots__ = ("xn", "vn", "yn", "d", "point", "value")
+    __slots__ = ("xn", "vn", "yn", "d")
 
     def __init__(self, xn, vn, yn, d):
         self.xn, self.vn, self.yn, self.d = xn, vn, yn, d
-        self.point = tuple(Fraction(v, d) if v else _ZERO for v in xn)
-        self.value = Fraction(vn, d)
+
+    @property
+    def point(self) -> tuple:
+        d = self.d
+        return tuple(Fraction(v, d) if v else _ZERO for v in self.xn)
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.vn, self.d)
 
 
 def _pivot(T, basis, D, pr, pc):

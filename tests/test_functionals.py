@@ -130,6 +130,137 @@ def test_open_set_membership_is_union_of_blocks():
     assert not rep.contains(ExtVec([2, ExtReal(1, 4)]))
 
 
+def _unpruned_minkowski(blocks, y):
+    """Every block's least pairing, the greatest of them: the reference."""
+    best = ZERO
+    for block in blocks:
+        v = SuperlinFun(block).eval(y)
+        if best < v:
+            best = v
+    return best
+
+
+def _walk_case(rng, seen):
+    """Blocks and a point with inf entries in both; some cases add a block of
+    all-inf vectors, a block that starts with the best block's least vector
+    (a pairing equal to the best), no block at all, or y = 0."""
+    dim = rng.randint(1, 4)
+    y = ExtVec([0] * dim) if rng.randrange(8) == 0 else _rand_point(rng, dim, 6)
+    blocks = [[_rand_linfun(rng, dim, 6) for _ in range(rng.randint(1, 4))]
+              for _ in range(rng.randint(0, 5))]
+    if blocks and rng.randrange(3) == 0:
+        top = max(blocks, key=lambda b: SuperlinFun(b).eval(y))
+        low = min(top, key=lambda f: f.eval(y))
+        blocks.append([low] + [_rand_linfun(rng, dim, 6) for _ in range(rng.randint(0, 2))])
+    if rng.randrange(6) == 0:
+        blocks.insert(rng.randint(0, len(blocks)), [LinFun([INF] * dim)] * rng.randint(1, 2))
+    seen["inf in y"] += any(e == INF for e in y)
+    seen["inf in a block"] += any(e == INF for block in blocks for f in block for e in f.coeffs)
+    seen["y = 0"] += all(e == ZERO for e in y)
+    seen["empty union"] += not blocks
+    best = ZERO
+    for block in blocks:
+        v = SuperlinFun(block).eval(y)
+        seen["a block's least pairing ties the best"] += v == best and best != ZERO
+        seen["a block pairs inf throughout"] += v == INF
+        best = max(best, v)
+    return blocks, y
+
+
+def test_max_min_walk_gives_the_unpruned_answers():
+    rng = random.Random(4229)
+    seen = dict.fromkeys(["inf in y", "inf in a block", "y = 0", "empty union",
+                          "a block's least pairing ties the best", "a block pairs inf throughout"], 0)
+    answers = {"inf": 0, "finite": 0, "inside": 0, "outside": 0}
+    for _ in range(400):
+        blocks, y = _walk_case(rng, seen)
+        rep = OpenSetRep(blocks)
+        value = minkowski(rep, y)
+        assert _same(value, _unpruned_minkowski(blocks, y))
+        answers["inf" if value == INF else "finite"] += 1
+        probes = [ExtReal(1, 3), ONE, ExtReal(7, 2)]
+        points = [y]
+        if value != INF and value != ZERO:
+            probes += [value, value * ExtReal(1, 2), value * 2]
+            # where the best is exactly one, and just above
+            points += [y.scale(ONE / value), y.scale(ExtReal(2) / value)]
+        assert minkowski_by_scaling_scan(rep, y, value, probes)
+        for point in points:
+            inside = rep.contains(point)
+            assert inside == any(ONE < SuperlinFun(block).eval(point) for block in blocks)
+            answers["inside" if inside else "outside"] += 1
+    assert min(seen.values()) >= 10, seen
+    assert min(answers.values()) >= 40, answers
+
+
+def _expected_reads(blocks, y, best, first):
+    """The (block, vector) indices the walk reads: each block up to its first
+    finite pairing at or below the best so far, and nothing after a block
+    that pairs inf throughout or, with ``first``, after the first block
+    whose least pairing beats the best."""
+    reads = []
+    for i, block in enumerate(blocks):
+        low = INF
+        for k, f in enumerate(block):
+            reads.append((i, k))
+            v = f.eval(y)
+            if v == INF:
+                continue
+            if v <= best:
+                break
+            low = min(low, v)
+        else:
+            if low == INF or first:
+                break
+            best = low
+    return reads
+
+
+def test_a_pruned_block_vector_never_builds_its_form(monkeypatch):
+    from conedual import extreal
+    from conedual.jsonio import decode_open_set, decode_vector
+
+    built = []
+    canonical_form = extreal._canonical_form
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(extreal, "_canonical_form", counted)
+
+    def read(rep):
+        return [(i, k) for i, block in enumerate(rep.blocks)
+                for k, f in enumerate(block.branches) if type(f.coeffs) is ExtVec]
+
+    # the first block's pairing 2 prunes (9, 9) after (0, 1); the last block pairs inf throughout
+    doc = {"blocks": [[["1", "1"]], [["0", "1"], ["9", "9"]], [["inf", "1"], ["2", "inf"]]]}
+    rep = decode_open_set(doc, "$")
+    y = ExtVec([1, 1])
+    assert len(built) == 1 and read(rep) == []
+    built.clear()
+    assert minkowski(rep, y) == INF
+    assert len(built) == 4 and read(rep) == [(0, 0), (1, 0), (2, 0), (2, 1)]
+    assert type(rep.blocks[1].branches[1].coeffs) is extreal._PendingVec
+
+    rng = random.Random(6133)
+    pruned = 0
+    for _ in range(300):
+        dim = rng.randint(1, 4)
+        doc = [[[rng.choice(["0", "1", "2", "1/2", "3/2", "inf"]) for _ in range(dim)]
+                for _ in range(rng.randint(1, 4))] for _ in range(rng.randint(0, 5))]
+        y = decode_vector([rng.choice(["0", "1", "1/3", "2", "inf"]) for _ in range(dim)], "$")
+        twins = [[LinFun(decode_vector(v, "$")) for v in block] for block in doc]
+        for first, call in ((False, minkowski), (True, lambda rep, y: rep.contains(y))):
+            rep = decode_open_set({"blocks": doc}, "$")
+            built.clear()
+            call(rep, y)
+            want = _expected_reads(twins, y, ONE if first else ZERO, first)
+            assert read(rep) == want and len(built) == len(want)
+            pruned += sum(map(len, doc)) - len(want)
+    assert pruned >= 300
+
+
 def test_dominated_by_max_examples():
     ok, lam = dominated_by_max(LinFun([1, 1]), SublinFun([[2, 0], [0, 2]]))
     assert ok and tuple(lam) == (F(1, 2), F(1, 2))

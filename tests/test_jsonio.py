@@ -15,6 +15,7 @@ from conedual import (
 )
 from conedual.cli import main
 from conedual.errors import ParseError, _echo
+from conedual.extreal import _PendingVec
 from conedual import jsonio, parse_extreal
 from conedual.jsonio import decode_extreal, decode_open_set, decode_vector, decode_vectors
 
@@ -305,6 +306,55 @@ def test_never_indexed_vector_pairs_compares_and_encodes():
     assert [str(e) for e in v] == ["3/2", "inf", "0", "2", "3"]
     assert repr(decode_vector(["4/6", "0"], "$")) == "(2/3, 0)"
     assert decode_vector(["1/2", "1/3"], "$")[1] == ExtReal(1, 3)
+
+
+_VECTOR_READS = {
+    "==": lambda v, w, u: v == w and w == v and (v == u) == (w == u),
+    "hash": lambda v, w, u: hash(v) == hash(w),
+    "iter": lambda v, w, u: list(v) == list(w),
+    "repr": lambda v, w, u: repr(v) == repr(w),
+    "dot": lambda v, w, u: _same_value(v.dot(u), w.dot(u)) and _same_value(u.dot(v), u.dot(w)),
+    "index": lambda v, w, u: v[-1] == w[-1],
+    "entries": lambda v, w, u: v.entries == w.entries,
+    "scale": lambda v, w, u: v.scale(ExtReal(3, 2)) == w.scale(ExtReal(3, 2)),
+}
+
+
+def _same_value(a, b):
+    return (a.num, a.den) == (b.num, b.den)
+
+
+def test_a_block_vector_acts_like_decode_vector_of_the_same_json():
+    rng = random.Random(5779)
+    infinite = 0
+    for _ in range(150):
+        obj = _random_vector(rng)
+        w = decode_vector(obj, "$")
+        infinite += INF in w.entries
+        u = ExtVec([rng.choice([0, 1, ExtReal(2, 3), INF]) for _ in obj])
+        for name, same in _VECTOR_READS.items():
+            v = decode_open_set({"blocks": [[obj]]}, "$").blocks[0].branches[0].coeffs
+            # the dimension is read from the pending numerators
+            assert v.dim == len(v) == w.dim and type(v) is _PendingVec, name
+            assert same(v, w, u), name
+            assert type(v) is ExtVec and v._form == w._form, name
+            # read again as the plain ExtVec it became
+            assert all(again(v, w, u) for again in _VECTOR_READS.values()), name
+    assert infinite >= 20
+
+
+@pytest.mark.parametrize("payload, message", [
+    ({"blocks": [[["1", "1"], ["0", "0"], ["1"]]], "y": ["1", "1"]},
+     "branches disagree on dimension"),
+    ({"blocks": [[["1", "1"]], [["0", "0"], ["1", "1"]], [["1"]]], "y": ["1", "1"]},
+     "blocks disagree on dimension"),
+    ({"blocks": [[["1", "1"]], [["0", "0"], ["1", "1"]]], "y": ["1"]}, "2 versus 1"),
+])
+def test_a_block_vector_of_another_dimension_after_a_pruned_one_is_refused(
+        tmp_path, payload, message):
+    # (0, 0) pairs 0, at or below the best, so the walk would leave its block there
+    assert _cli_message(tmp_path, "minkowski", payload) == (
+        1, {"error": "dimensionmismatch", "message": message})
 
 
 def test_holders_keep_a_decoded_vector_whole():
