@@ -14,7 +14,7 @@ from __future__ import annotations
 from operator import mul
 
 # EmptyList is bound from extreal, this module's one package import
-from .extreal import EmptyList, ExtVec, _extreme_pairing, _weighted_sum, as_extvec
+from .extreal import EmptyList, ExtVec, _weighted_sum, as_extvec, ext_max, ext_min
 
 
 def require(ok, what):
@@ -100,8 +100,8 @@ def covered(vec, lam, hvecs) -> bool:
 
 def refutes(y, gvecs, hvecs) -> bool:
     """``max_k h_k . y < min_i g_i . y``: y shows that min_i g_i <= max_k h_k fails.
-    The two sides are compared as unreduced ratios, ``inf`` as ``(1, 0)``."""
-    y_form = y._form
-    hn, hd = _extreme_pairing([h._form for h in hvecs], y_form, largest=True)
-    gn, gd = _extreme_pairing([g._form for g in gvecs], y_form)
-    return hd != 0 and hn * gd < gn * hd
+
+    Every pairing is ``ExtVec.dot``, so every member's dimension is checked,
+    and an empty family raises ``EmptyList``; the max-min walk that
+    evaluates the functionals is not run."""
+    return ext_max([h.dot(y) for h in hvecs]) < ext_min([g.dot(y) for g in gvecs])

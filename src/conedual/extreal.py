@@ -556,38 +556,5 @@ def _reduced(num, den) -> ExtReal:
     return ExtReal._raw(num // g, den // g)
 
 
-def _extreme_pairing(forms, y_form, largest=False):
-    """The least pairing ``x . y`` over the ``ExtVec`` forms x, or the greatest
-    with ``largest``, as ``(num, den)`` unreduced, ``(1, 0)`` for inf.
-
-    ``ExtVec.dot`` without a reduction or an ``ExtReal`` per pairing: the
-    masks decide the infinite pairings, and the finite ones, ``sum xn * yn``
-    over ``xd`` (y's denominator is common to all), are compared by
-    cross-multiplication.  Every x is checked against y's dimension, so the
-    error does not depend on the order of the family.
-    """
-    if not forms:
-        raise EmptyList(f"{'max' if largest else 'min'} over an empty collection")
-    yn, yd, y_inf, y_nonzero = y_form
-    dim = len(yn)
-    # the best so far is top / over, starting above every value (inf) for a
-    # min and below every value for a max; sign turns a max into a min
-    sign = -1 if largest else 1
-    top, over = (-1, 1) if largest else (1, 0)
-    infinite = False
-    for xn, xd, x_inf, x_nonzero in forms:
-        if len(xn) != dim:
-            raise DimensionMismatch(f"{len(xn)} versus {dim}")
-        if x_inf & y_nonzero or y_inf & x_nonzero:
-            infinite = True
-        else:
-            s = sum(map(mul, xn, yn))
-            if sign * (s * over - top * xd) < 0:
-                top, over = s, xd
-    if largest and infinite:
-        return 1, 0
-    return top, over * yd
-
-
 def as_extvec(x) -> ExtVec:
     return x if isinstance(x, ExtVec) else ExtVec(x)

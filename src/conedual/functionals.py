@@ -16,8 +16,7 @@ from operator import le, mul
 
 from .certify import covered, refutes, require
 from .errors import DimensionMismatch, EmptyList
-from .extreal import (ONE, ExtReal, ExtVec, _extreme_pairing, _over, _reduced, _weighted_sum,
-                      as_extvec)
+from .extreal import ONE, ExtReal, ExtVec, _over, _reduced, _weighted_sum, as_extvec
 from .lp import LPProblem, solve_lp
 
 
@@ -84,16 +83,20 @@ class SublinFun(_BranchFun):
     """Pointwise maximum of finitely many linear functionals."""
 
     def eval(self, y) -> ExtReal:
-        forms = [b.coeffs._form for b in self.branches]
-        return _reduced(*_extreme_pairing(forms, as_extvec(y)._form, largest=True))
+        """The greatest pairing: the max-min walk over one-member blocks."""
+        y = _checked_point(self, y)
+        top, over = _max_min(zip(self.branches), y._form, 0, 1)
+        return _reduced(top, over * y._form[1])
 
 
 class SuperlinFun(_BranchFun):
     """Pointwise minimum of finitely many linear functionals."""
 
     def eval(self, y) -> ExtReal:
-        forms = [b.coeffs._form for b in self.branches]
-        return _reduced(*_extreme_pairing(forms, as_extvec(y)._form))
+        """The least pairing: the max-min walk over the one block of branches."""
+        y = _checked_point(self, y)
+        top, over = _max_min((self.branches,), y._form, 0, 1)
+        return _reduced(top, over * y._form[1])
 
 
 def member_u(f, y) -> bool:
@@ -126,17 +129,20 @@ class OpenSetRep:
         """Some block's least pairing with y exceeds one."""
         y = _checked_point(self, y)
         # one is yd / 1 on the walk's scale
-        top, over = _max_min(self.blocks, y._form, y._form[1], 1, first=True)
+        top, over = _max_min([block.branches for block in self.blocks], y._form,
+                             y._form[1], 1, first=True)
         return top > y._form[1] * over
 
     def __repr__(self):
         return f"OpenSetRep(blocks={len(self.blocks)})"
 
 
-def _checked_point(rep, y):
+def _checked_point(fun, y):
+    """y as an ``ExtVec`` of ``fun``'s dimension; an empty union has none to check."""
     y = as_extvec(y)
-    if rep.dim is not None and rep.dim != y.dim:
-        raise DimensionMismatch(f"{rep.dim} versus {y.dim}")
+    dim = fun.dim
+    if dim is not None and dim != y.dim:
+        raise DimensionMismatch(f"{dim} versus {y.dim}")
     return y
 
 
@@ -145,16 +151,20 @@ def _max_min(blocks, y_form, top, over, first=False):
     else ``top / over``, with ``first`` the first such one; every value is
     ``(num, den)`` times y's denominator, inf as ``(1, 0)``.
 
-    A block is left at its first finite pairing at or below the best so
-    far, so the vectors after it never build their forms; a block whose
-    pairings are all infinite answers inf at once.  Pairings are compared
-    by cross-multiplication, as in ``_extreme_pairing``.  The blocks' and
-    y's dimensions are the caller's to check.
+    The package's one least or greatest pairing over a family: a block is
+    an iterable of ``LinFun``, so a ``SuperlinFun`` is one block and a
+    ``SublinFun`` is blocks of one member each.  ``ExtVec.dot`` without a
+    reduction or an ``ExtReal`` per pairing: the masks decide the infinite
+    pairings, and the finite ones, ``sum xn * yn`` over ``xd``, are compared
+    by cross-multiplication.  A block is left at its first finite pairing
+    at or below the best so far, so the vectors after it never build their
+    forms; a block whose pairings are all infinite answers inf at once.
+    The blocks' and y's dimensions are the caller's to check.
     """
     yn, _, y_inf, y_nonzero = y_form
     for block in blocks:
         low = None
-        for b in block.branches:
+        for b in block:
             xn, xd, x_inf, x_nonzero = b.coeffs._form
             if x_inf & y_nonzero or y_inf & x_nonzero:
                 continue
@@ -180,7 +190,7 @@ def minkowski(rep: OpenSetRep, y) -> ExtReal:
     blocks and leaves each at its first pairing that cannot beat the best.
     """
     y = _checked_point(rep, y)
-    top, over = _max_min(rep.blocks, y._form, 0, 1)
+    top, over = _max_min([block.branches for block in rep.blocks], y._form, 0, 1)
     return _reduced(top, over * y._form[1])
 
 

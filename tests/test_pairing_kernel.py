@@ -1,6 +1,8 @@
-"""The min/max pairing kernel and the integer-form readers against the
-``ExtVec.dot``, ``ext_min`` and ``ext_max`` formulas they replaced, kept
-here as the oracles."""
+"""The max-min walk behind ``SuperlinFun.eval``, ``SublinFun.eval``,
+``minkowski`` and ``OpenSetRep.contains``, and the integer-form readers,
+against the ``ExtVec.dot``, ``ext_min`` and ``ext_max`` formulas they
+replaced, kept here as the oracles.  ``refutes`` checks on those formulas
+itself, and is pinned here to the same oracles."""
 
 import random
 

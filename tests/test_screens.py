@@ -569,3 +569,26 @@ def test_a_hull_that_fictitious_play_leaves_is_answered_by_the_lp(monkeypatch):
     assert solved
     assert type(out) is MeetsCorner and oracles.hull_meets_corner(gens, dim)
     assert verify_meets_corner(gens, out.witness)
+
+
+def test_uniform_weights_that_pair_a_generator_at_one_are_left_to_one_lp(monkeypatch):
+    # the uniform weights (1/3, 1/3, 1/3) separate, pairing (2, 1/2, 1/2), (0, 3, 0)
+    # and (0, 0, 3) at exactly one, and no e_k does; fictitious play nears that
+    # value only in the limit, so it stops at its cap and one LP answers
+    gens = [ExtVec(v) for v in [(2, F(1, 2), F(1, 2)), (F(1, 3), 2, 0), (F(1, 3), F(1, 3), 2),
+                                (2, F(1, 3), F(1, 2)), (0, 3, 0), (0, 0, 3)]]
+    fin = [0, 1, 2]
+    assert convex_sep._screen(gens, 3, fin) is None
+    assert convex_sep._play(gens, [g._form for g in gens], 3, fin) is None
+    real, solved = convex_sep.solve_lp, []
+
+    def solve(problem):
+        solved.append(problem)
+        return real(problem)
+
+    monkeypatch.setattr(convex_sep, "solve_lp", solve)
+    out = separate(gens, 3)
+    assert len(solved) == 1
+    assert type(out) is Separated and out.weights == ExtVec([F(1, 3)] * 3)
+    assert verify_separated(gens, out.weights, 3)
+    assert not oracles.hull_meets_corner(gens, 3)
