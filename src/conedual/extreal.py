@@ -43,19 +43,12 @@ class ExtReal:
     def __init__(self, num=0, den=1):
         # a bool is not an int here, as everywhere in the package
         if type(num) is not int or type(den) is not int:
-            if type(den) is int and den == 1:
-                if isinstance(num, Fraction):
-                    # a Fraction is in lowest terms with a positive denominator
-                    if num.numerator < 0:
-                        raise ValueError("negative values are outside the extended nonnegative reals")
-                    self.num = num.numerator
-                    self.den = num.denominator
-                    return
-                if isinstance(num, ExtReal):
-                    self.num = num.num
-                    self.den = num.den
-                    return
-            raise TypeError(f"expected integers, got {num!r}/{den!r}")
+            x = as_extreal(num) if type(den) is int and den == 1 else NotImplemented
+            if x is NotImplemented:
+                raise TypeError(f"expected integers, got {num!r}/{den!r}")
+            self.num = x.num
+            self.den = x.den
+            return
         if den <= 0:
             raise ValueError("denominator must be positive")
         if num < 0:
@@ -94,10 +87,7 @@ class ExtReal:
             return NotImplemented
         if self.den == 0 or other.den == 0:
             return INF
-        num = self.num * other.den + other.num * self.den
-        den = self.den * other.den
-        g = gcd(num, den)
-        return ExtReal._raw(num // g, den // g)
+        return _reduced(self.num * other.den + other.num * self.den, self.den * other.den)
 
     __radd__ = __add__
 
@@ -129,9 +119,7 @@ class ExtReal:
         num = self.num * other.den - other.num * self.den
         if num < 0:
             raise UndefinedDifference(f"{other} exceeds {self}")
-        den = self.den * other.den
-        g = gcd(num, den)
-        return ExtReal._raw(num // g, den // g)
+        return _reduced(num, self.den * other.den)
 
     def __truediv__(self, other):
         other = as_extreal(other)
@@ -143,7 +131,7 @@ class ExtReal:
             raise ZeroDivisionError("division by zero")
         if self.den == 0:
             return INF
-        return ExtReal(self.num * other.den, self.den * other.num)
+        return _reduced(self.num * other.den, self.den * other.num)
 
     def __le__(self, other):
         other = as_extreal(other)
@@ -317,39 +305,17 @@ def _fold(terms, den, width):
     return combined, den * big
 
 
-def _lone_unit(weights, vecs, dim):
-    """The vector whose weight is one when every other weight is zero, each
-    an ``int``, a ``Fraction`` or an ``ExtReal`` (never a ``bool``), else None.
-
-    The pairs are read in ``_weighted_sum``'s order, and a vector of another
-    dimension raises as there, once its weight and every earlier one passed.
-    """
-    lone = None
-    for w, v in zip(weights, vecs):
-        t = type(w)
-        if t is not int and t is not Fraction and t is not ExtReal:
-            return None
-        if w:
-            if lone is not None or w != 1:
-                return None
-            lone = v
-        if len(v._form[0]) != dim:
-            raise DimensionMismatch(f"{dim} versus {len(v._form[0])}")
-    return lone
-
-
 def _weighted_sum(weights, vecs, dim):
     """``sum_k weights_k vecs_k`` for nonnegative extended weights, from the
-    forms of vectors of dimension ``dim``.  A lone weight of one among zeros,
-    the vertex certificate the screens give, returns its vector as it is.
-    Otherwise a coordinate is infinite where a positive weight meets an
-    infinite entry, or an infinite weight a nonzero one; the rest is one
-    ``_fold``, each weight's denominator in its vector's."""
-    lone = _lone_unit(weights, vecs, dim)
-    if lone is not None:
-        return lone
+    forms of vectors of dimension ``dim``, in one pass over the weights.  A
+    lone weight of one among zeros, the vertex certificate the screens give,
+    returns its vector as it is.  Otherwise a coordinate is infinite where a
+    positive weight meets an infinite entry, or an infinite weight a nonzero
+    one; the rest is one ``_fold``, each weight's denominator in its
+    vector's."""
     terms = []
-    inf = nonzero = 0
+    inf = nonzero = positive = 0
+    lone = None
     for w, v in zip(weights, vecs):
         if type(w) is not ExtReal:
             w = ExtReal(w)
@@ -357,11 +323,16 @@ def _weighted_sum(weights, vecs, dim):
         if len(nums) != dim:
             raise DimensionMismatch(f"{dim} versus {len(nums)}")
         if w.num:
+            positive += 1
+            if w.num == w.den == 1:
+                lone = v
             # every term is nonnegative, so no sum cancels to zero
             nonzero |= v_nonzero
             inf |= v_inf if w.den else v_nonzero
             if w.den:
                 terms.append((w.num, d * w.den, nums))
+    if positive == 1 and lone is not None:
+        return lone
     nums, den = _fold(terms, 1, dim)
     if inf:
         nums = [0 if inf >> i & 1 else n for i, n in enumerate(nums)]
@@ -423,16 +394,8 @@ class ExtVec:
         entries = self._entries
         if entries is None:
             nums, d, inf, _ = self._form
-            out = []
-            bit = 1
-            for n in nums:
-                if inf & bit:
-                    out.append(INF)
-                else:
-                    g = gcd(n, d)
-                    out.append(ExtReal._raw(n // g, d // g))
-                bit <<= 1
-            entries = self._entries = tuple(out)
+            entries = self._entries = tuple([INF if inf >> i & 1 else _reduced(n, d)
+                                             for i, n in enumerate(nums)])
         return entries
 
     @property
@@ -453,10 +416,7 @@ class ExtVec:
             raise DimensionMismatch(f"{len(an)} versus {len(bn)}")
         if a_inf & b_nonzero or b_inf & a_nonzero:
             return INF
-        num = sum(map(mul, an, bn))
-        den = ad * bd
-        g = gcd(num, den)
-        return ExtReal._raw(num // g, den // g)
+        return _reduced(sum(map(mul, an, bn)), ad * bd)
 
     def scale(self, r) -> "ExtVec":
         return _weighted_sum((r,), (self,), len(self._form[0]))
@@ -467,13 +427,13 @@ class ExtVec:
         return _weighted_sum((ONE, ONE), (self, other), len(self._form[0]))
 
     def __iter__(self):
-        return iter(self._entries or self.entries)
+        return iter(self.entries)
 
     def __len__(self):
         return len(self._form[0])
 
     def __getitem__(self, i):
-        return (self._entries or self.entries)[i]
+        return self.entries[i]
 
     def __eq__(self, other):
         if not isinstance(other, ExtVec):
@@ -521,18 +481,11 @@ class _PendingVec(ExtVec):
     def __len__(self):
         return len(self._entries[0])
 
-    # the rest read ExtVec's entries cache, which holds the ratios until the form is built
-
     @property
     def entries(self) -> tuple:
+        # the entries cache holds the ratios until the form is built
         self._form  # now a plain ExtVec
         return self.entries
-
-    def __iter__(self):
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
 
 
 def _over(nums, d, at=None, dim=None) -> ExtVec:

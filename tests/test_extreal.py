@@ -1,3 +1,4 @@
+import operator
 import random
 import sys
 from fractions import Fraction
@@ -370,6 +371,37 @@ def test_a_fraction_enters_as_it_is_reduced():
     for bad in (Fraction(-1, 2), Fraction(-3)):
         with pytest.raises(ValueError):
             ExtReal(bad)
+
+
+def test_a_value_that_is_not_a_number_is_refused_on_either_side():
+    # ExtReal takes what as_extreal takes: every operator returns NotImplemented
+    # for anything else, so Python raises TypeError and == falls back to identity
+    ops = (operator.add, operator.mul, operator.sub, operator.truediv,
+           operator.le, operator.lt, operator.ge, operator.gt)
+    dunders = ("__add__", "__radd__", "__mul__", "__rmul__", "__sub__", "__truediv__",
+               "__le__", "__lt__", "__ge__", "__gt__", "__eq__")
+    for x in (ZERO, ExtReal(1, 2), ONE, INF):
+        for bad in (True, False, 0.5, 1.0, "1", None):
+            for name in dunders:
+                assert getattr(x, name)(bad) is NotImplemented, (x, name, bad)
+            for op in ops:
+                for a, b in ((x, bad), (bad, x)):
+                    with pytest.raises(TypeError):
+                        op(a, b)
+            assert not x == bad and not bad == x
+
+
+def test_a_negative_fraction_is_refused_by_every_coercion():
+    message = "^negative values are outside the extended nonnegative reals$"
+    for f in (Fraction(-1, 2), Fraction(-3)):
+        for coerce in (ExtReal, as_extreal, lambda f: ONE + f, lambda f: ExtVec([f])):
+            with pytest.raises(ValueError, match=message):
+                coerce(f)
+
+
+def test_infinity_has_no_fraction():
+    with pytest.raises(ValueError, match="^infinity has no rational value$"):
+        INF.as_fraction()
 
 
 def test_combination_point_refuses_what_extreal_refuses():

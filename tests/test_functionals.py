@@ -409,6 +409,11 @@ def test_leq_functional_mixed_reps():
     assert not ok
 
 
+def test_leq_functional_refuses_functionals_of_two_dimensions():
+    with pytest.raises(DimensionMismatch, match="^1 versus 2$"):
+        leq_functional(LinFun([1]), SublinFun([[1, 2]]))
+
+
 def test_leq_functional_refutations_carry_valid_witnesses():
     rng = random.Random(41)
     for _ in range(50):

@@ -20,6 +20,7 @@ from conedual import (
     separate,
 )
 from conedual.errors import (
+    DimensionMismatch,
     EmptyList,
     MalformedProblem,
     PreconditionViolated,
@@ -205,6 +206,13 @@ def test_clause_witnesses_validation_and_errors():
     with pytest.raises(PreconditionViolated) as info:
         clause_witnesses([[0], [0]], [LinFun([5, 5])], SublinFun([[1, 1]]))
     assert info.value.clause_index == 0
+
+
+def test_interpolate_refuses_an_empty_clause_and_another_dimension():
+    with pytest.raises(EmptyList, match="^a clause needs at least one functional$"):
+        interpolate([], SublinFun([[1, 2]]))
+    with pytest.raises(DimensionMismatch, match="^3 versus 2$"):
+        interpolate([[1, 2, 3]], SublinFun([[1, 2]]))
 
 
 @pytest.mark.parametrize("index, kind", [(True, "bool"), (False, "bool"), (1.0, "float"), ("0", "str"),

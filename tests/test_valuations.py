@@ -176,6 +176,16 @@ def test_from_opens_rejects_non_valuations():
         from_opens(bad2)
 
 
+def test_public_constructors_and_from_opens_name_what_they_refuse():
+    with pytest.raises(DimensionMismatch, match="^expected 2 weights, got 1$"):
+        SimpleValuation(CHAIN2, [1])
+    with pytest.raises(EmptyList, match="^at least one coefficient is required$"):
+        DualFunctional([])
+    # the set {1} above element 0 is worth inf, the whole chain only 1
+    with pytest.raises(NotAValuation, match="^element 0 would need a negative weight$"):
+        from_opens(ValuationOnOpens(CHAIN2, {0b00: 0, 0b10: INF, 0b11: 1}))
+
+
 def test_from_opens_rechecks_a_table_changed_after_construction():
     # from_opens reads only the up-sets {0}, {1} and the empty set of the
     # antichain, so these changes show only in the recheck of every open
