@@ -116,7 +116,9 @@ def _encode_minkowski(value):
 
 
 def _decode_spec_order(payload, args):
-    gens = decode_vectors(require_key(payload, "c_gens", "$"), "$.c_gens", _COEFF_VECTORS)
+    # a dominated pair reads no generator, a refuted one none past its refuter
+    gens = decode_vectors(require_key(payload, "c_gens", "$"), "$.c_gens", _COEFF_VECTORS,
+                          lazy=True)
     y = decode_vector(require_key(payload, "y", "$"), "$.y")
     y_prime = decode_vector(require_key(payload, "y_prime", "$"), "$.y_prime")
     return specialization_leq, (y, y_prime, gens)

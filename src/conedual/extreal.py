@@ -5,8 +5,9 @@ Conventions: r + inf = inf for every r, r * inf = inf for r > 0, and
 construction, immutable by convention, and hashable, so equality is
 structural.  Vectors keep an integer form, and every weighted sum of
 vectors is one routine on the forms.  A vector builds its form at
-construction, except an open-set block's, which the JSON decoder leaves to
-its first read.  No floating point is used anywhere.
+construction, except the JSON decoder's open-set blocks and ``spec-order``
+generators, which build theirs on first read.  No floating point is used
+anywhere.
 """
 
 from __future__ import annotations
@@ -450,42 +451,78 @@ class ExtVec:
 
 class _PendingVec(ExtVec):
     """An ``ExtVec`` that builds its form on first read: the JSON decoder's
-    open-set block vectors, most of which ``minkowski`` never pairs.
+    vectors of the families that are read only in part, open-set blocks,
+    most of which ``minkowski`` never pairs, and ``spec-order``'s
+    generators, none of which a pointwise-dominated pair reads.
 
-    Until then ``_entries`` holds ``_canonical_form``'s arguments, which
-    give the dimension.  The first read of ``_form`` finds the slot empty,
-    builds the form, empties ``_entries`` and turns the vector into a plain
-    ``ExtVec``, so an eagerly built vector pays no check for this class.
+    Until then ``_entries`` holds the decoder's checked entries as records,
+    one reduced ``(num, den)`` per entry with inf as ``(1, 0)``, the form of
+    the entry memo's values, so their count is the dimension.  The first
+    read of ``_form`` reaches a property of this class that hides
+    ``ExtVec``'s slot: it builds the form, turns the vector into a plain
+    ``ExtVec``, stores the form in the slot and empties ``_entries``, so an
+    eagerly built vector pays no check for this class.
     """
 
     __slots__ = ()
 
     @classmethod
-    def _from_ratios(cls, nums, dens, inf, nonzero, reduced=False):
+    def _from_records(cls, records):
         v = object.__new__(cls)
-        v._entries = (nums, dens, inf, nonzero, reduced)
+        v._entries = records
         return v
 
-    def __getattr__(self, name):
-        if name != "_form":
-            raise AttributeError(name)
-        form = self._form = _canonical_form(*self._entries)
-        self._entries = None
+    @classmethod
+    def _from_ratios(cls, nums, dens, inf, nonzero, reduced=False):
+        """The records of the decoder's ratios, with 0 over 1 at infinite
+        coordinates; they are in lowest terms, so ``reduced`` adds nothing."""
+        records = list(zip(nums, dens))
+        while inf:
+            low = inf & -inf
+            records[low.bit_length() - 1] = (1, 0)
+            inf ^= low
+        return cls._from_records(records)
+
+    @property
+    def _form(self):
+        form = _canonical_form(*_record_ratios(self._entries))
         self.__class__ = ExtVec
+        self._form = form
+        self._entries = None
         return form
 
     @property
     def dim(self) -> int:
-        return len(self._entries[0])
+        return len(self._entries)
 
     def __len__(self):
-        return len(self._entries[0])
+        return len(self._entries)
 
     @property
     def entries(self) -> tuple:
-        # the entries cache holds the ratios until the form is built
+        # the entries cache holds the records until the form is built
         self._form  # now a plain ExtVec
         return self.entries
+
+
+def _record_ratios(records):
+    """``_canonical_form``'s arguments from reduced ``(num, den)`` records,
+    inf as den 0: numerator 0 over 1 there, its bit in both masks."""
+    nums = []
+    dens = []
+    inf = nonzero = 0
+    bit = 1
+    for num, den in records:
+        if not den:
+            num, den = 0, 1
+            inf |= bit
+            nonzero |= bit
+        elif num:
+            nonzero |= bit
+        nums.append(num)
+        dens.append(den)
+        bit <<= 1
+    return nums, dens, inf, nonzero, True
 
 
 def _over(nums, d, at=None, dim=None) -> ExtVec:

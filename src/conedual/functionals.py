@@ -391,8 +391,12 @@ def specialization_leq(y, y_prime, c_gens) -> bool:
     ``x . y <= x . y'`` reads ``xn . z <= 0`` on the integer forms, with
     ``z = yn * y'd - y'n * yd`` built once; a pairing is infinite where the
     masks say so, and there the finite numerators are not read.  Every
-    generator's dimension is checked before any is compared, and a
-    generator that refutes the order is checked by evaluation.
+    generator's dimension is checked before any is compared.  Then a pair
+    with ``y <= y'`` coordinatewise is answered True with no generator's
+    form read: every nonnegative functional is monotone, so that order is
+    its own certificate.  It holds when ``y`` is infinite only where ``y'``
+    is and ``z <= 0`` where ``y'`` is finite.  A generator that refutes the
+    order is checked by evaluation.
     """
     y, y_prime = as_extvec(y), as_extvec(y_prime)
     yn, yd, y_inf, y_nonzero = y._form
@@ -404,6 +408,8 @@ def specialization_leq(y, y_prime, c_gens) -> bool:
         if x.dim != len(yn):
             raise DimensionMismatch(f"{x.dim} versus {len(yn)}")
     z = [a * pd - b * yd for a, b in zip(yn, pn)]
+    if not y_inf & ~p_inf and all(c <= 0 for i, c in enumerate(z) if not p_inf >> i & 1):
+        return True
     for x in gens:
         xn, _, x_inf, x_nonzero = x._form
         if x_inf & p_nonzero or p_inf & x_nonzero:

@@ -62,34 +62,58 @@ def decode_vector(obj, path) -> ExtVec:
     return _decode_family((obj,), path, False)[0]
 
 
-def decode_vectors(obj, path, expected) -> list:
+def decode_vectors(obj, path, expected, lazy=False) -> list:
     """A nonempty array of vectors; ``expected`` names it in the error.
 
     As in ``decode_vector``, every error message starts with ``path``.
+    With ``lazy`` the vectors build their forms on first read; see
+    ``_decode_family``.
     """
     if not isinstance(obj, list) or not obj:
         fail(path, expected, obj)
-    return _decode_family(obj, path, True)
+    return _decode_family(obj, path, True, lazy)
 
 
-def _decode_family(items, path, indexed, vec=ExtVec):
-    """The vectors of ``items`` in one pass over them and their entries.
+_STR = {str}
+
+
+def _decode_family(items, path, indexed, lazy=False):
+    """The vectors of ``items``, every entry checked here.
 
     Each entry is read into numerators, denominators and the infinity and
     nonzero masks.  A ``str`` entry is looked up in ``_ENTRIES``; a miss,
     and any entry but a nonnegative ``int``, goes through ``_miss``, which
     gives the value or the error message.  No ``ExtReal`` is built, and
-    every ratio is in lowest terms, so ``vec._from_ratios`` builds each
-    vector's form once with no gcd: at once for ``ExtVec``, on first read
-    for ``_PendingVec``.  Item ``i``'s path is ``path[i]`` when ``indexed``,
-    else ``path``; it is built only when the item fails.
+    every ratio is in lowest terms, so each vector's form is built once
+    with no gcd.  Item ``i``'s path is ``path[i]`` when ``indexed``, else
+    ``path``; it is built only when the item fails.
+
+    With ``lazy``, for a family that its reader reads in part, the vectors
+    are ``_PendingVec`` and build their forms on first read.  A vector
+    whose entries are all stored strings is checked at C level, by one pass
+    over the memo and one over the entries' types, and keeps the memo's
+    records, so its per-entry work waits for its first read.  Every other vector (a JSON int, a string too
+    long to store or not stored yet, a bad entry) goes through the loop,
+    which gives its value or its error message as for an eager family.
     """
     entry = _ENTRIES.get
-    from_ratios = vec._from_ratios
+    from_ratios = _PendingVec._from_ratios if lazy else ExtVec._from_ratios
+    from_records = _PendingVec._from_records
     out = []
     for obj in items:
         if not isinstance(obj, list) or not obj:
             fail(_item_path(path, indexed, len(out)), "a nonempty array of extended rationals", obj)
+        if lazy:
+            try:
+                records = list(map(entry, obj))
+            except TypeError:
+                # an unhashable entry, which the loop below reports
+                records = None
+            # a miss is None; a hit by another type than str (a str subclass, an
+            # object equal to a stored string) goes through the loop, as when eager
+            if records and all(records) and {*map(type, obj)} == _STR:
+                out.append(from_records(records))
+                continue
         nums = []
         dens = []
         inf = nonzero = 0
@@ -170,7 +194,7 @@ def decode_open_set(obj, path) -> OpenSetRep:
         for block in raw:
             if not isinstance(block, list) or not block:
                 fail("", _COEFF_ARRAYS, block)
-            blocks.append(_decode_family(block, "", True, _PendingVec))
+            blocks.append(_decode_family(block, "", True, lazy=True))
     except ParseError as exc:
         # a block's path is built only when it fails
         raise ParseError(f"{path}.blocks[{len(blocks)}]{exc}") from None

@@ -266,6 +266,48 @@ def test_a_pruned_block_vector_never_builds_its_form(monkeypatch):
     assert pruned >= 300
 
 
+
+def test_a_spec_order_document_forms_only_the_generators_it_reads(monkeypatch, tmp_path):
+    import json
+
+    from conedual import extreal
+    from conedual.cli import main
+
+    built = []
+    canonical_form = extreal._canonical_form
+
+    def counted(*args, **kwargs):
+        built.append(args)
+        return canonical_form(*args, **kwargs)
+
+    monkeypatch.setattr(extreal, "_canonical_form", counted)
+
+    def run(payload):
+        inp, out = tmp_path / "in.json", tmp_path / "out.json"
+        inp.write_text(json.dumps(payload))
+        built.clear()
+        code = main(["spec-order", "--input", str(inp), "--output", str(out)])
+        return code, json.loads(out.read_bytes()), len(built)
+
+    rng = random.Random(4451)
+    values = ["0", "1", "2", "1/2", "3/2", "5", "inf"]
+    gens = [[rng.choice(values) for _ in range(8)] for _ in range(60)]
+    # equal finite coordinates, inf over inf and finite entries under larger or infinite ones:
+    # y and y' build their forms, and no generator does
+    y = ["0", "3/2", "inf", "1", "2", "1/3", "0", "4"]
+    y_prime = ["0", "3/2", "inf", "inf", "5/2", "1/2", "7", "4"]
+    assert run({"c_gens": gens, "y": y, "y_prime": y_prime}) == (0, {"leq": True}, 2)
+    # y exceeds y' at coordinate 4 alone, so generator k, the first positive there,
+    # refutes the order, and the loop forms generators 0 to k
+    y = ["1", "3/2", "2", "1", "3", "1/3", "0", "4"]
+    y_prime = ["1", "3/2", "2", "1", "5/2", "1/3", "0", "4"]
+    for k in (0, 17, 59):
+        finite = ["0" if v == "inf" else v for v in gens[k]]
+        refuted = [g[:4] + ["0"] + g[5:] for g in gens[:k]]
+        refuted += [finite[:4] + ["1/2"] + finite[5:]] + gens[k + 1:]
+        assert run({"c_gens": refuted, "y": y, "y_prime": y_prime}) == (
+            0, {"leq": False}, 2 + k + 1), k
+
 def test_dominated_by_max_examples():
     ok, lam = dominated_by_max(LinFun([1, 1]), SublinFun([[2, 0], [0, 2]]))
     assert ok and tuple(lam) == (F(1, 2), F(1, 2))

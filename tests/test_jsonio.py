@@ -5,6 +5,8 @@ import pytest
 
 from conedual import (
     INF,
+    ONE,
+    ZERO,
     DualFunctional,
     ExtReal,
     ExtVec,
@@ -356,6 +358,88 @@ def test_a_block_vector_of_another_dimension_after_a_pruned_one_is_refused(
     assert _cli_message(tmp_path, "minkowski", payload) == (
         1, {"error": "dimensionmismatch", "message": message})
 
+
+
+class _Key:
+    """Not a string, but equal to one and hashed alike, so a memo lookup finds it."""
+
+    def __init__(self, text):
+        self.text = text
+
+    def __hash__(self):
+        return hash(self.text)
+
+    def __eq__(self, other):
+        return other == self.text
+
+    def __repr__(self):
+        return f"_Key({self.text!r})"
+
+
+class _Text(str):
+    """A string of another type than ``str``, which the memo does not store."""
+
+
+def _lazy(objs):
+    """``objs`` decoded by the two lazy families: spec-order generators and open-set blocks."""
+    return decode_vectors(objs, "$", "vectors", lazy=True) + [
+        decode_open_set({"blocks": [[obj]]}, "$").blocks[0].branches[0].coeffs for obj in objs]
+
+
+def test_a_lazy_family_vector_acts_like_decode_vector_of_the_same_json(monkeypatch):
+    looped = []
+    from_ratios = _PendingVec._from_ratios
+
+    def counted(*args, **kwargs):
+        looped.append(args)
+        return from_ratios(*args, **kwargs)
+
+    # the vectors that the loop decodes, not one pass over the memo
+    monkeypatch.setattr(_PendingVec, "_from_ratios", counted)
+    long = " " + "1/" + "0" * 29 + "7"
+    assert len(long) == jsonio._KEY_MAX + 1
+    # JSON ints, a string too long to store, a str subclass, a string first seen
+    # in the family and, in the last vector, the same string again
+    objs = [[1, 0, "3/2", 5], [long, "2", "inf"], [_Text("3/4"), "1"],
+            ["3/4", "inf", "0"], ["3/4", "0"]]
+    want = [decode_vector(obj, "$") for obj in objs]
+    us = [ExtVec([[ONE, INF, ExtReal(2, 3), ZERO][k % 4] for k in range(w.dim)]) for w in want]
+    for name, same in _VECTOR_READS.items():
+        jsonio._ENTRIES.clear()
+        for memo in ("cold", "warm", "cleared before the first read"):
+            looped.clear()
+            vecs = _lazy(objs)
+            # every entry a stored string: the memo pass, once "3/4" is stored in the family
+            assert len(looped) == (4 if memo == "cold" else 3) + 3, (name, memo)
+            if memo == "cleared before the first read":
+                jsonio._ENTRIES.clear()
+            for v, w, u in zip(vecs, want + want, us + us):
+                assert type(v) is _PendingVec and v.dim == len(v) == w.dim, (name, memo)
+                assert same(v, w, u), (name, memo)
+                assert type(v) is ExtVec and v._form == w._form, (name, memo)
+
+
+def test_a_lazy_family_refuses_what_the_eager_decoder_refuses():
+    decode_vector(["1", "2"], "$")  # both stored
+    for bad in _BAD + [_Key("1")]:
+        obj = ["1", bad, "2"]
+        with pytest.raises(ParseError) as eager:
+            decode_vectors([["2"], obj], "$.c_gens", "vectors")
+        assert str(eager.value).startswith("$.c_gens[1][1]: "), bad
+        with pytest.raises(ParseError) as lazy:
+            decode_vectors([["2"], obj], "$.c_gens", "vectors", lazy=True)
+        assert str(lazy.value) == str(eager.value)
+        with pytest.raises(ParseError) as block:
+            decode_open_set({"blocks": [[["2"], obj]]}, "$")
+        assert str(block.value) == str(eager.value).replace("$.c_gens", "$.blocks[0]")
+
+
+def test_a_bad_entry_in_the_last_generator_of_a_dominated_pair_is_reported(tmp_path):
+    gens = [["1", "2", "0", "1/2", "inf", "3", "0", "1"] for _ in range(60)]
+    gens[59][7] = "1/-2"
+    payload = {"c_gens": gens, "y": ["1"] * 8, "y_prime": ["2"] * 8}
+    assert _cli_message(tmp_path, "spec-order", payload) == (1, {
+        "error": "malformed_input", "message": "$.c_gens[59][7]: negative denominator: '1/-2'"})
 
 def test_holders_keep_a_decoded_vector_whole():
     poset = FinitePoset(3, [(0, 1), (1, 2), (0, 2)])

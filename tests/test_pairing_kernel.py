@@ -97,6 +97,45 @@ def test_specialization_leq_matches_the_dot_oracle():
         assert specialization_leq(y, y_prime, [LinFun(x) for x in gens]) == want
 
 
+
+def test_a_pointwise_dominated_pair_matches_the_dot_oracle():
+    # y' is y plus more at every coordinate, with inf over inf, inf over finite
+    # entries and zeros; then one coordinate may get an infinite y over a finite
+    # y', which is not dominated, so the generators decide
+    rng = random.Random(31)
+    tally = {"inf over inf": 0, "finite under inf": 0, "inf over finite": 0, "zero y": 0,
+             "refuted inf over finite": 0}
+    for _ in range(400):
+        dim = rng.randint(1, 5)
+        gens = [_vector(rng, dim) for _ in range(rng.randint(1, 6))]
+        y = ExtVec([ZERO] * dim) if rng.randrange(5) == 0 else _vector(rng, dim)
+        more = [rng.choice([ZERO, ZERO, INF, _entry(rng)]) for _ in range(dim)]
+        y_prime = y + ExtVec(more)
+        if rng.randrange(3) == 0:
+            j = rng.randrange(dim)
+            y = ExtVec([INF if i == j else e for i, e in enumerate(y)])
+            y_prime = ExtVec([ExtReal(rng.randint(0, 3)) if i == j else e
+                              for i, e in enumerate(y_prime)])
+        pairs = list(zip(y, y_prime))
+        tally["inf over inf"] += (INF, INF) in pairs
+        tally["finite under inf"] += any(a != INF and b == INF for a, b in pairs)
+        inf_over_finite = any(a == INF and b != INF for a, b in pairs)
+        tally["inf over finite"] += inf_over_finite
+        tally["zero y"] += all(a == ZERO for a in y)
+        want = all(x.dot(y) <= x.dot(y_prime) for x in gens)
+        tally["refuted inf over finite"] += inf_over_finite and not want
+        assert specialization_leq(y, y_prime, gens) == want
+        assert specialization_leq(y, y_prime, [LinFun(x) for x in gens]) == want
+    assert min(tally.values()) >= 20, tally
+
+
+def test_a_dominated_pair_still_checks_every_generator_dimension():
+    # (0, 0) <= (1, 1) coordinatewise, so only the dimension check can refuse
+    for gens in ([ExtVec([1, 0]), ExtVec([1])], [LinFun([1, 0]), LinFun([1])], [[1], [1, 0]]):
+        with pytest.raises(DimensionMismatch, match="^1 versus 2$"):
+            specialization_leq(ExtVec([0, 0]), ExtVec([1, 1]), gens)
+    assert specialization_leq(ExtVec([0, 0]), ExtVec([1, 1]), [ExtVec([1, 0]), ExtVec([0, 1])])
+
 def test_to_opens_matches_the_indicator_pairing():
     rng = random.Random(30)
     posets = [p for n in range(1, 5) for p in posets_up_to_iso(n)]
